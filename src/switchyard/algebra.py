@@ -40,7 +40,10 @@ def _norm_angle(a: float) -> float:
 
 def _cyclic_modulus(kind: str) -> Optional[int]:
     if kind.startswith("zd:"):
-        n = int(kind[3:])
+        try:
+            n = int(kind[3:])
+        except ValueError:
+            n = 0
         if n < 1:
             raise GroupKindError(f"bad cyclic modulus in kind {kind!r}")
         return n

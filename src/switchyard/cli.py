@@ -312,7 +312,8 @@ def sample_y(cfg, path, count, torsion_k, out):
     sys.exit(report.finish(cfg["json"]))
 
 
-def load_coords(path: str, report: Report):
+def load_coords(path: str, report: Report, tree):
+    """Read a coords file and check its ids against the tree's track."""
     doc, raw = load_json_file(path)
     report.add_input("coords", raw)
     if "points" in doc:
@@ -320,9 +321,21 @@ def load_coords(path: str, report: Report):
             raise input_error(f"{path}: empty point file")
         doc = doc["points"][0]["coords"]
     try:
-        return cc.coords_from_json(doc)
+        c = cc.coords_from_json(doc)
+        triples = set(al.index_tables(c.d).B)
     except (KeyError, TypeError, ValueError) as err:
         raise input_error(f"{path}: {err}")
+    track = tree.track
+    free = {r.id for r in track.rects} - tree.edges
+    for label, got, want in (("switch", set(c.z), set(track.switch_ids)),
+                             ("free rectangle", set(c.v), free)):
+        if got != want:
+            raise input_error(f"{path}: {label} ids do not match the track: "
+                              f"missing {sorted(want - got)}, unknown {sorted(got - want)}")
+    for t, slots in c.z.items():
+        if set(slots) != triples:
+            raise input_error(f"{path}: switch {t} does not carry the d={c.d} triple indices")
+    return c
 
 
 @main.command()
@@ -335,7 +348,7 @@ def torsion(cfg, track_path, coords_path):
     track, stored, raw = load_track_doc(track_path)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
-    c = load_coords(coords_path, report)
+    c = load_coords(coords_path, report, otree)
     tol = max(cfg["tol"], 1e-7)
     try:
         cc.require_member(otree, c, tol)
@@ -363,7 +376,7 @@ def corfinal(cfg, track_path, coords_path):
     track, stored, raw = load_track_doc(track_path)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
-    c = load_coords(coords_path, report)
+    c = load_coords(coords_path, report, otree)
     tol = cfg["tol"]
     try:
         cc.require_member(otree, c, max(tol, 1e-7))

@@ -276,17 +276,31 @@ def generate_fixture(g: int, seed: int, max_nodes: int = 30_000, attempts: int =
 
     Slots are paired one at a time.  Open boundary chains are maintained
     incrementally; a branch is cut as soon as a chain accumulates more than
-    three cusps or closes on a number other than three.  A stuck search is
-    restarted with fresh randomization, deterministically in the seed.
+    three cusps or closes on a number other than three.
+
+    Selection order: each node pairs the most constrained unmatched slot,
+    the one whose outgoing and incoming chains carry the most cusps between
+    them (ties go to the earlier slot in the unmatched list).  Its partners
+    are tried in a seeded random order.
+
+    Restart schedule: attempt k searches at most
+    ``min(max_nodes, 4 * n_slots * 1.5**k)`` nodes before it restarts with
+    fresh randomization, so a stuck attempt is abandoned early and later
+    attempts get geometrically more room.  Everything is deterministic in
+    the seed; ``FixtureSearchError`` is raised after ``attempts`` attempts.
     """
     if g < 2:
         raise GenusMismatch(f"genus {g} < 2")
+    n_slots = 3 * (12 * g - 12)
+    budget = 4.0 * n_slots
     last = None
     for attempt in range(attempts):
+        cap = int(min(max_nodes, budget))
         try:
-            return _generate_once(g, random.Random(seed * 1_000_003 + attempt), max_nodes)
+            return _generate_once(g, random.Random(seed * 1_000_003 + attempt), cap)
         except FixtureSearchError as err:
             last = err
+        budget *= 1.5
     raise FixtureSearchError(f"no valid track after {attempts} attempts: {last}")
 
 
@@ -294,6 +308,8 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
     n_sw = 12 * g - 12
     switch_ids = list(range(n_sw))
     slots: List[Slot] = [(s, p) for s in switch_ids for p in PORTS]
+    out_of = {a: out_corner(*a) for a in slots}
+    in_of = {a: in_corner(*a) for a in slots}
 
     # Open chains keyed by endpoints: head_of[tail] = head, tail_of[head] =
     # tail, cusps[head] = count.  The static switch arcs seed one 0-cusp
@@ -350,44 +366,66 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
             head_of[tail] = v
             cusps[v] = c2
 
-    pairing: Dict[Slot, Slot] = {}
-    nodes = 0
-
     def try_pair(a: Slot, b: Slot):
-        t1 = connect(out_corner(*a), in_corner(*b))
+        t1 = connect(out_of[a], in_of[b])
         if t1 is None:
             return None
-        t2 = connect(out_corner(*b), in_corner(*a))
+        t2 = connect(out_of[b], in_of[a])
         if t2 is None:
             undo(t1)
             return None
         return (t1, t2)
 
-    def search(unmatched: List[Slot]) -> bool:
+    def pressure(a: Slot) -> int:
+        # cusps on the chains through a's corners; 3 on either forces a trigon
+        return cusps[head_of[out_of[a]]] + cusps[in_of[a]]
+
+    # Unmatched slots: swap-pop removal and append restore, both O(1).
+    unmatched = list(slots)
+    index = {a: i for i, a in enumerate(unmatched)}
+
+    def take(a: Slot) -> None:
+        i = index.pop(a)
+        moved = unmatched.pop()
+        if moved != a:
+            unmatched[i] = moved
+            index[moved] = i
+
+    def put(a: Slot) -> None:
+        index[a] = len(unmatched)
+        unmatched.append(a)
+
+    pairing: Dict[Slot, Slot] = {}
+    nodes = 0
+
+    def search() -> bool:
         nonlocal nodes
         if not unmatched:
             return True
         nodes += 1
         if nodes > max_nodes:
             raise FixtureSearchError(f"search exceeded {max_nodes} nodes; retry with a new seed")
-        a = unmatched[0]
-        rest = unmatched[1:]
-        order = rest[:]
+        a = max(unmatched, key=pressure)
+        take(a)
+        order = unmatched[:]
         rng.shuffle(order)
         for b in order:
             tokens = try_pair(a, b)
             if tokens is None:
                 continue
+            take(b)
             pairing[a] = b
             pairing[b] = a
-            if search([x for x in rest if x != b]):
+            if search():
                 return True
             del pairing[a], pairing[b]
+            put(b)
             undo(tokens[1])
             undo(tokens[0])
+        put(a)
         return False
 
-    if not search(slots):
+    if not search():
         raise FixtureSearchError("no pairing found")
 
     rects = []

@@ -7,6 +7,7 @@ verdict for that criterion.  Every check is timed against its budget.
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from switchyard import obstruction as obs
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
-TRACK2 = tt.generate_fixture(2, 1)
+DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
+TRACK2, _ = tt.load_track(DATA / "track_g2_s1.json")
 TREE2 = cc.ensure_right_unorientable(tt.maximal_tree(TRACK2, seed=1))
-TRACK3 = tt.generate_fixture(3, 2)
+TRACK3, _ = tt.load_track(DATA / "track_g3_s2.json")
 TREE3 = cc.ensure_right_unorientable(tt.maximal_tree(TRACK3, seed=1))
 
 CYL = "cylinder"

@@ -102,6 +102,37 @@ class TestSampleAndTorsion:
                                  "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2
 
+    def test_bad_cyclic_modulus_rejected(self, runner, workdir, tmp_path):
+        r = runner.invoke(main, ["--group", "zd:abc", "sample-y",
+                                 str(workdir / "tree.json"),
+                                 "--out", str(tmp_path / "x.json")])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr.startswith("input error:")
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_coords_missing_switch_exits_two(self, runner, workdir, tmp_path, command):
+        doc = json.loads((workdir / "pts.json").read_text())
+        del doc["points"][0]["coords"]["z"]["0"]
+        bad = tmp_path / "missing_switch.json"
+        bad.write_text(json.dumps(doc))
+        r = runner.invoke(main, [command, str(workdir / "tree.json"), str(bad)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr.startswith("input error:")
+        assert "missing [0]" in r.stderr
+
+    def test_coords_missing_triple_index_exits_two(self, runner, workdir, tmp_path):
+        doc = json.loads((workdir / "pts.json").read_text())
+        slots = doc["points"][0]["coords"]["z"]["0"]
+        del slots[next(iter(slots))]
+        bad = tmp_path / "missing_triple.json"
+        bad.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["torsion", str(workdir / "tree.json"), str(bad)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert "switch 0 does not carry" in r.stderr
+
     def test_torsion_residue_matches_request(self, runner, workdir):
         r = runner.invoke(main, ["--json", "torsion", str(workdir / "tree.json"),
                                  str(workdir / "pts.json")])

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,8 @@ from switchyard import cocyclic as cc
 from switchyard import traintrack as tt
 
 
-TRACK = tt.generate_fixture(2, 1)
+DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
+TRACK, _ = tt.load_track(DATA / "track_g2_s1.json")
 TREE = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
 CLS = tt.classify(TREE)
 FREE_RECTS = sorted(r.id for r in TRACK.rects if r.id not in TREE.edges)
@@ -260,7 +262,7 @@ class TestAnchors:
             cc.i2_inverse(TREE, free, eps, bad)
 
     def test_orientation_flip_when_no_right_unorientable(self):
-        track = tt.generate_fixture(2, 7)
+        track, _ = tt.load_track(DATA / "track_g2_s7.json")
         tree = tt.maximal_tree(track, seed=3)
         cls = tt.classify(tree)
         assert not cls.u_right and cls.u_left
@@ -292,7 +294,7 @@ class TestI2:
             assert free.slot_count() == al.dimension_count(d, TRACK.genus)
 
     def test_slot_count_genus_three(self):
-        track = tt.generate_fixture(3, 2)
+        track, _ = tt.load_track(DATA / "track_g3_s2.json")
         tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
         rng = random.Random(17)
         for d in (2, 3, 4, 5):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,12 @@ from switchyard import cocyclic as cc
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
-TRACK = tt.generate_fixture(2, 1)
+DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
+TRACK, _ = tt.load_track(DATA / "track_g2_s1.json")
 TREE = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
 CLS = tt.classify(TREE)
 
-TRACK3 = tt.generate_fixture(3, 2)
+TRACK3, _ = tt.load_track(DATA / "track_g3_s2.json")
 TREE3 = cc.ensure_right_unorientable(tt.maximal_tree(TRACK3, seed=1))
 
 CYL = "cylinder"

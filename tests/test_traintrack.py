@@ -27,12 +27,22 @@ class TestValidation:
         rep = tt.validate(g3)
         assert rep.valid and rep.n_rectangles == 36
 
-    @pytest.mark.parametrize("g", [2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_generated_fixtures_validate(self, g, seed):
         rep = tt.validate(tt.generate_fixture(g, seed))
         assert rep.valid
         assert rep.n_plaques == 4 * g - 4
+
+    @pytest.mark.parametrize("g, seed", [(2, 3), (4, 2)])
+    def test_fixture_search_deterministic(self, g, seed):
+        first = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
+        second = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
+        assert first == second
+
+    def test_exhausted_search_raises_fixture_error(self):
+        with pytest.raises(tt.FixtureSearchError):
+            tt.generate_fixture(3, seed=1, max_nodes=5, attempts=1)
 
     def test_g1_rejected(self):
         with pytest.raises(tt.GenusMismatch):
