@@ -14,11 +14,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_TOL = 1e-9
+
+# Floor for float membership and torsion checks, applied as max(tol, MEMBER_TOL):
+# points rebuilt by the explicit inverse, and torsion values summed from them,
+# carry the rounding of long chains of additions and angle wraps.
+MEMBER_TOL = 1e-7
 
 PairIndex = Tuple[int, int]
 TripleIndex = Tuple[int, int, int]
@@ -277,6 +283,7 @@ class IndexTables:
     j_prime: Optional[TripleIndex] = None
 
 
+@lru_cache(maxsize=None)
 def index_tables(d: int) -> IndexTables:
     if d < 2:
         raise ValueError("d must be >= 2")

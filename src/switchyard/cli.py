@@ -15,7 +15,7 @@ import math
 import random
 import sys
 import time
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -102,6 +102,12 @@ class Report:
             click.echo(f"wall time: {wall_ms:.1f} ms")
         return 1 if failed else 0
 
+    def fail(self, name: str, err: Exception, as_json: bool) -> NoReturn:
+        """Record a failed check and its error, print the report and exit 1."""
+        self.check(name, False)
+        self.value("error", str(err))
+        sys.exit(self.finish(as_json))
+
 
 def input_error(msg: str) -> "SystemExit":
     click.echo(f"input error: {msg}", err=True)
@@ -119,11 +125,22 @@ def load_json_file(path: str) -> tuple:
         raise input_error(f"{path}: parse failure at line {err.lineno} column {err.colno}: {err.msg}")
 
 
-def load_track_doc(path: str):
+def read_track_doc(path: str):
+    """Parse a track file without checking its structure (`validate` reports that)."""
     doc, raw = load_json_file(path)
     try:
         track, tree = tt.track_from_json(doc)
-    except (KeyError, TypeError, tt.TrackError) as err:
+    except (KeyError, TypeError, ValueError) as err:
+        raise input_error(f"{path}: {err}")
+    return track, tree, raw
+
+
+def load_track_doc(path: str):
+    """Parse a track file and reject a structurally invalid track as an input error."""
+    track, tree, raw = read_track_doc(path)
+    try:
+        track.finalize()
+    except tt.TrackError as err:
         raise input_error(f"{path}: {err}")
     return track, tree, raw
 
@@ -180,7 +197,7 @@ def main(ctx, seed, group_tag, dim, tolerance, as_json):
 def validate(cfg, path):
     """Check a track file: slot pairing, cell shapes, genus, connectivity."""
     report = Report("validate", cfg["seed"])
-    track, tree, raw = load_track_doc(path)
+    track, tree, raw = read_track_doc(path)
     report.add_input("track", raw)
     result = tt.validate(track)
     report.check("structure", result.valid)
@@ -207,10 +224,7 @@ def gen_fixture(cfg, genus, out):
     try:
         track = tt.generate_fixture(genus, cfg["seed"])
     except tt.FixtureSearchError as err:
-        report.check("search", False)
-        report.value("error", str(err))
-        report.finish(cfg["json"])
-        sys.exit(1)
+        report.fail("search", err, cfg["json"])
     g = track.genus
     report.check("switch count", len(track.switch_ids) == 12 * g - 12)
     report.check("rectangle count", len(track.rects) == 18 * g - 18)
@@ -281,15 +295,11 @@ def sample_y(cfg, path, count, torsion_k, out):
         raise input_error(f"count {count} < 0")
     if torsion_k is not None and not 0 <= torsion_k < d:
         raise input_error(f"torsion residue {torsion_k} outside 0..{d - 1}")
-    try:
-        al.torsion_element(kind, d, 0)
-    except al.GroupKindError as err:
-        raise input_error(str(err))
     report = Report("sample-y", cfg["seed"])
     track, stored, raw = load_track_doc(path)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
-    tol = max(cfg["tol"], 1e-7)
+    tol = max(cfg["tol"], al.MEMBER_TOL)
     points = []
     member_ok, torsion_ok, worst = True, True, 0.0
     for n in range(count):
@@ -338,6 +348,20 @@ def load_coords(path: str, report: Report, tree):
     return c
 
 
+def load_member(cfg, report: Report, track_path: str, coords_path: str):
+    """Load a track, its oriented tree and a coords file; exit 1 unless the point is a member."""
+    track, stored, raw = load_track_doc(track_path)
+    report.add_input("track", raw)
+    otree = oriented_tree_for(track, stored, cfg["seed"])
+    c = load_coords(coords_path, report, otree)
+    try:
+        cc.require_member(otree, c, max(cfg["tol"], al.MEMBER_TOL))
+    except cc.MembershipError as err:
+        report.fail("membership", err, cfg["json"])
+    report.check("membership", True)
+    return otree, c
+
+
 @main.command()
 @click.argument("track_path", type=click.Path())
 @click.argument("coords_path", type=click.Path())
@@ -345,19 +369,8 @@ def load_coords(path: str, report: Report, tree):
 def torsion(cfg, track_path, coords_path):
     """Print the torsion invariant and its residue for a member point."""
     report = Report("torsion", cfg["seed"])
-    track, stored, raw = load_track_doc(track_path)
-    report.add_input("track", raw)
-    otree = oriented_tree_for(track, stored, cfg["seed"])
-    c = load_coords(coords_path, report, otree)
-    tol = max(cfg["tol"], 1e-7)
-    try:
-        cc.require_member(otree, c, tol)
-    except cc.MembershipError as err:
-        report.check("membership", False)
-        report.value("error", str(err))
-        report.finish(cfg["json"])
-        sys.exit(1)
-    report.check("membership", True)
+    otree, c = load_member(cfg, report, track_path, coords_path)
+    tol = max(cfg["tol"], al.MEMBER_TOL)
     tor = cc.tor_prime(otree, c)
     k, err = torsion_residue(tor.value, c.d)
     report.check("torsion lattice", err <= tol, err)
@@ -373,19 +386,8 @@ def torsion(cfg, track_path, coords_path):
 def corfinal(cfg, track_path, coords_path):
     """Compare the boundary-product ledger with its closed form and tor'."""
     report = Report("corfinal", cfg["seed"])
-    track, stored, raw = load_track_doc(track_path)
-    report.add_input("track", raw)
-    otree = oriented_tree_for(track, stored, cfg["seed"])
-    c = load_coords(coords_path, report, otree)
+    otree, c = load_member(cfg, report, track_path, coords_path)
     tol = cfg["tol"]
-    try:
-        cc.require_member(otree, c, max(tol, 1e-7))
-    except cc.MembershipError as err:
-        report.check("membership", False)
-        report.value("error", str(err))
-        report.finish(cfg["json"])
-        sys.exit(1)
-    report.check("membership", True)
     total = sl.total_mid_log(otree, c)
     rhs = sl.closed_form_total(otree, c)
     gap_form = cyl_gap(total, rhs)
@@ -427,10 +429,7 @@ def ob(cfg, rep_path, use_clock, use_identity):
     try:
         value = obs.ob(rep, scalar_tol=scalar_tol)
     except ValueError as err:
-        report.check("scalar relator product", False)
-        report.value("error", str(err))
-        report.finish(cfg["json"])
-        sys.exit(1)
+        report.fail("scalar relator product", err, cfg["json"])
     report.check("scalar relator product", True, value.residual)
     report.value("ob", fmt_element(value.value))
     report.value("residue", value.residue)
@@ -461,10 +460,7 @@ def flags(cfg, matrices_path, which, index_str):
     try:
         flag_list = [fl.Flag(m) for m in mats]
     except fl.DegenerateFlagError as err:
-        report.check("nondegenerate flags", False)
-        report.value("error", str(err))
-        report.finish(cfg["json"])
-        sys.exit(1)
+        report.fail("nondegenerate flags", err, cfg["json"])
     report.check("nondegenerate flags", True)
     if index_str is None:
         idx = (1, 1, d - 2) if which == "triple" else (1, d - 1)
@@ -483,10 +479,7 @@ def flags(cfg, matrices_path, which, index_str):
             value = fl.double_ratio(*flag_list, idx)
         log = fl.log_invariant(value)
     except (fl.DegenerateFlagError, ValueError) as err:
-        report.check("invariant defined", False)
-        report.value("error", str(err))
-        report.finish(cfg["json"])
-        sys.exit(1)
+        report.fail("invariant defined", err, cfg["json"])
     report.check("invariant defined", True)
     report.value("which", which)
     report.value("index", ",".join(map(str, idx)))
@@ -524,11 +517,11 @@ def selftest(cfg):
         k = rng.randrange(d)
         eps = al.torsion_element(kind, d, k)
         c = cc.i2_inverse(otree, cc.random_free(otree, d, kind, rng), eps)
-        if not cc.is_member(otree, c, 1e-7):
+        if not cc.is_member(otree, c, al.MEMBER_TOL):
             worst = math.inf
             break
         worst = max(worst, cyl_gap(cc.tor_prime(otree, c).value, eps))
-    report.check("sample and torsion", worst <= max(tol, 1e-7), worst)
+    report.check("sample and torsion", worst <= max(tol, al.MEMBER_TOL), worst)
 
     worst = 0.0
     for d in (2, 3, 4):

@@ -3,9 +3,13 @@
 A point assigns an A-indexed vector to every rectangle off the chosen
 maximal tree and a B-indexed vector to every switch.  Membership means the
 per-plaque rotation relations hold at every switch together with one balance
-equation per pair index.  The space carries a torsion invariant and an
-explicit linear parametrization by unconstrained slots plus one d-torsion
-slot; both directions of that parametrization are implemented here.
+equation per pair index.  The rotation relation is checked by
+`homology.check_diamond`, its only home; the balance equations are checked
+here.  The tree's rectangle and switch classification is computed once per
+tree and cached on it (`traintrack.classify`).  The space carries a torsion
+invariant and an explicit linear parametrization by unconstrained slots plus
+one d-torsion slot; both directions of that parametrization are implemented
+here.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, PairIndex, TripleIndex
-from .homology import GA
+from .homology import GA, RotationViolated, check_diamond
 from .traintrack import OrientedTree, TrainTrack, classify
 
 
@@ -33,7 +37,7 @@ class TorsionValue:
     d: int
 
     def __post_init__(self):
-        if not al.is_d_torsion(self.value, self.d, 1e-7):
+        if not al.is_d_torsion(self.value, self.d, al.MEMBER_TOL):
             raise ValueError(f"element is not {self.d}-torsion: {self.value}")
 
 
@@ -90,17 +94,6 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
 # -- equation checkers --------------------------------------------------------
 
 
-def check_diamond(track: TrainTrack, c: CocyclicCoords, tol: float = al.DEFAULT_TOL) -> bool:
-    tables = al.index_tables(c.d)
-    for pl in track.plaques:
-        for t in pl.switches_ccw:
-            tp = pl.plus(t)
-            for j in tables.B:
-                if not al.elements_equal(c.z[t][j], c.z[tp][al.rot_plus(j)], tol):
-                    return False
-    return True
-
-
 def _club_sides(tree: OrientedTree, c: CocyclicCoords, i: PairIndex):
     cls = classify(tree)
     kind = c.kind
@@ -119,8 +112,7 @@ def _club_sides(tree: OrientedTree, c: CocyclicCoords, i: PairIndex):
 
 def check_club(tree: OrientedTree, c: CocyclicCoords, i: PairIndex,
                tol: float = al.DEFAULT_TOL) -> bool:
-    lhs, rhs = _club_sides(tree, c, i)
-    return al.elements_equal(lhs, rhs, tol)
+    return al.elements_equal(*_club_sides(tree, c, i), tol)
 
 
 def check_spade(c: CocyclicCoords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
@@ -130,18 +122,22 @@ def check_spade(c: CocyclicCoords, i: PairIndex, tol: float = al.DEFAULT_TOL) ->
     return al.elements_equal(lhs, rhs, tol)
 
 
-def is_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAULT_TOL) -> bool:
-    if not check_diamond(tree.track, c, tol):
-        return False
-    return all(check_club(tree, c, i, tol) for i in al.index_tables(c.d).A)
-
-
 def require_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAULT_TOL) -> None:
-    if not check_diamond(tree.track, c, tol):
-        raise MembershipError("rotation relations fail")
+    try:
+        check_diamond(tree.track, c.z, c.d, tol)
+    except RotationViolated as err:
+        raise MembershipError("rotation relations fail") from err
     for i in al.index_tables(c.d).A:
         if not check_club(tree, c, i, tol):
             raise MembershipError(f"balance equation fails at pair index {i}")
+
+
+def is_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAULT_TOL) -> bool:
+    try:
+        require_member(tree, c, tol)
+    except MembershipError:
+        return False
+    return True
 
 
 # -- torsion invariant ---------------------------------------------------------
@@ -149,11 +145,6 @@ def require_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAUL
 
 def _vsum_at(c: CocyclicCoords, rect_ids, i: PairIndex) -> GroupElement:
     return al.group_sum(c.kind, (c.v[r][i[0] - 1] for r in rect_ids))
-
-
-def _zsum_switches(c: CocyclicCoords, switches, middle: int) -> GroupElement:
-    return al.group_sum(
-        c.kind, (c.z[t][j] for t in switches for j in c.z[t] if j[1] == middle))
 
 
 def tor_prime(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] = None,
@@ -179,10 +170,10 @@ def tor_prime(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] 
         zr = al.group_sum(kind, (c.z[t][j] for t in cls.s_right for j in b0))
         left_form = al.group_sub(al.group_add(base, al.group_sub(ur, ul)), zl)
         right_form = al.group_sub(al.group_sub(base, al.group_sub(ur, ul)), zr)
-        if not al.elements_equal(left_form, right_form, max(tol, 1e-7)):
+        if not al.elements_equal(left_form, right_form, max(tol, al.MEMBER_TOL)):
             raise AssertionError("the two parity forms disagree; equations inconsistent")
         val = left_form
-    if not al.is_d_torsion(val, d, max(tol, 1e-7)):
+    if not al.is_d_torsion(val, d, max(tol, al.MEMBER_TOL)):
         raise ValueError(f"torsion invariant is not {d}-torsion: {val}")
     return TorsionValue(value=val, d=d)
 
@@ -283,7 +274,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
         anchors = default_anchors(tree, d)
     cls = classify(tree)
     eps_val = eps.value if isinstance(eps, TorsionValue) else eps
-    if not al.is_d_torsion(eps_val, d, max(tol, 1e-7)):
+    if not al.is_d_torsion(eps_val, d, max(tol, al.MEMBER_TOL)):
         raise ValueError(f"epsilon is not {d}-torsion: {eps_val}")
 
     v: Dict[int, GA] = dict(free.v_other)
@@ -363,7 +354,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     v[anchors.r_bar] = tuple(v_bar)
     z = zf.materialize(track)
     out = CocyclicCoords(d=d, kind=kind, v=v, z=z)
-    require_member(tree, out, max(tol, 1e-7))
+    require_member(tree, out, max(tol, al.MEMBER_TOL))
     return out
 
 
@@ -486,10 +477,7 @@ def nice_combination_check(track: TrainTrack,
     tables = al.index_tables(d)
     pl = track.plaque_of_switch(t)
     trio = (t, pl.plus(t), pl.minus(t))
-    for s in pl.switches_ccw:
-        for j in tables.B:
-            if not al.elements_equal(z[s][j], z[pl.plus(s)][al.rot_plus(j)], tol):
-                raise ValueError("rotation relation fails at the requested plaque")
+    check_diamond(track, z, d, tol)
 
     def trio_sum(middle: int) -> GroupElement:
         return al.group_sum(kind, (z[s][j] for s in trio

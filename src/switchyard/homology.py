@@ -34,6 +34,10 @@ class SolvabilityViolated(ValueError):
     pass
 
 
+class RotationViolated(ValueError):
+    pass
+
+
 def ga_zero(kind: str, d: int) -> GA:
     return tuple(al.zero(kind) for _ in range(d - 1))
 
@@ -199,7 +203,7 @@ def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_
             tp = pl.plus(t)
             for j in tables.B:
                 if not al.elements_equal(z[t][j], z[tp][al.rot_plus(j)], tol):
-                    raise ValueError(f"rotation relation fails at switch {t}, index {j}")
+                    raise RotationViolated(f"rotation relation fails at switch {t}, index {j}")
 
 
 def k_theta(track: TrainTrack, z: ZField, kind: str, d: int, tol: float = al.DEFAULT_TOL) -> Chain0:
@@ -344,6 +348,6 @@ def solve_tree(
     residual = ga_sub(rhs[s_last], acc[s_last])
     for rid2, e2 in tree_edge_at[s_last]:
         residual = ga_sub(residual, end_term(rid2, e2, solved[rid2]))
-    if not ga_is_zero(residual, max(tol, 1e-7)):
+    if not ga_is_zero(residual, max(tol, al.MEMBER_TOL)):
         raise AssertionError(f"final switch residual {[al.element_to_json(x) for x in residual]}")
     return solved

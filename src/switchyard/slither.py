@@ -19,7 +19,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement
-from .cocyclic import CocyclicCoords, TorsionValue, check_diamond, require_member
+from .cocyclic import CocyclicCoords, TorsionValue, require_member
+from .homology import check_diamond
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -147,8 +148,7 @@ def build_ledger(tree: OrientedTree, c: CocyclicCoords, m: Optional[int] = None,
         m = (d + 1) // 2
     if roots is None:
         roots = plaque_roots(track, c)
-    if not check_diamond(track, c, max(tol, 1e-7)):
-        raise ValueError("rotation relations fail; per-switch data is inconsistent")
+    check_diamond(track, c.z, d, max(tol, al.MEMBER_TOL))
     cls = classify(tree)
     klass_of = {rid: "orientable" for rid in cls.orientable}
     klass_of.update({rid: "u_left" for rid in cls.u_left})
@@ -183,7 +183,7 @@ def build_ledger(tree: OrientedTree, c: CocyclicCoords, m: Optional[int] = None,
 def total_mid_log(tree: OrientedTree, c: CocyclicCoords,
                   roots: Optional[PlaqueRoot] = None,
                   tol: float = al.DEFAULT_TOL) -> GroupElement:
-    require_member(tree, c, max(tol, 1e-7))
+    require_member(tree, c, max(tol, al.MEMBER_TOL))
     return build_ledger(tree, c, None, roots, tol).total
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 BIG = "big"
@@ -465,8 +466,9 @@ class OrientedTree:
         flipped = {s: b ^ 1 for s, b in self.orientation.items()}
         return OrientedTree(self.track, self.edges, self.root, self.root_bit ^ 1, flipped)
 
-    def tree_switches(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.orientation.keys()))
+    @cached_property
+    def _classification(self) -> "Classification":
+        return _classify(self)
 
 
 def _propagate(track: TrainTrack, edges: FrozenSet[int], root: int, root_bit: int) -> Dict[int, int]:
@@ -564,6 +566,11 @@ class Classification:
 
 
 def classify(tree: OrientedTree) -> Classification:
+    """Rectangle and switch classes of a tree, computed once and cached on the tree."""
+    return tree._classification
+
+
+def _classify(tree: OrientedTree) -> Classification:
     track = tree.track
     o = tree.orientation
     orientable_set = set()

@@ -118,6 +118,11 @@ class TestIndexSets:
         assert t.A_prime == ()
         assert t.j_prime is None
 
+    def test_tables_built_once_per_d(self):
+        for d in (2, 3, 6):
+            assert al.index_tables(d) is al.index_tables(d)
+        assert al.index_tables(4) is not al.index_tables(5)
+
     def test_d_below_2_rejected(self):
         with pytest.raises(ValueError):
             al.index_tables(1)

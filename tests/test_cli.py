@@ -58,6 +58,45 @@ class TestValidate:
         assert "check structure: FAIL" in r.output
 
 
+def _mutate_track(doc, mutation):
+    if mutation == "bogus port":
+        doc["rectangles"][0]["end0"]["port"] = "bogus"
+    elif mutation == "wrong genus":
+        doc["genus"] = 3
+    elif mutation == "dropped rectangle":
+        doc["rectangles"].pop()
+    else:
+        doc["genus"] = "abc"
+    return doc
+
+
+class TestMalformedTrack:
+    MUTATIONS = ["bogus port", "wrong genus", "dropped rectangle", "non-integer genus"]
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("command", ["validate", "tree", "sample-y", "torsion", "corfinal"])
+    def test_exit_code_without_traceback(self, runner, workdir, tmp_path, mutation, command):
+        doc = _mutate_track(json.loads((workdir / "track.json").read_text()), mutation)
+        bad = tmp_path / "mutated.json"
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        args = {
+            "validate": ["validate", str(bad)],
+            "tree": ["tree", str(bad), "--out", out],
+            "sample-y": ["sample-y", str(bad), "--out", out],
+            "torsion": ["torsion", str(bad), str(workdir / "pts.json")],
+            "corfinal": ["corfinal", str(bad), str(workdir / "pts.json")],
+        }[command]
+        r = runner.invoke(main, args)
+        assert isinstance(r.exception, SystemExit), r.exception
+        if command == "validate" and mutation != "non-integer genus":
+            assert r.exit_code == 1
+            assert "check structure: FAIL" in r.output
+        else:
+            assert r.exit_code == 2
+            assert r.stderr.startswith("input error:")
+
+
 class TestFixtureAndTree:
     def test_gen_fixture_rejects_small_genus(self, runner, tmp_path):
         r = runner.invoke(main, ["gen-fixture", "--genus", "1",

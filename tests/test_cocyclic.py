@@ -6,6 +6,7 @@ import pytest
 
 from switchyard import algebra as al
 from switchyard import cocyclic as cc
+from switchyard import homology as hm
 from switchyard import traintrack as tt
 
 
@@ -91,14 +92,15 @@ def free_equal(f1, f2, tol=1e-9):
 class TestCheckers:
     def test_diamond_zero_true(self):
         for d in (2, 3, 4, 5):
-            assert cc.check_diamond(TRACK, zero_coords(d, "real"))
+            c = zero_coords(d, "real")
+            hm.check_diamond(TRACK, c.z, c.d)
 
     def test_diamond_rotated_random_true(self):
         rng = random.Random(3)
         for d in (3, 4, 5):
             for kind in KINDS:
                 c = random_coords(d, kind, rng, rotated=True)
-                assert cc.check_diamond(TRACK, c)
+                hm.check_diamond(TRACK, c.z, c.d)
 
     def test_diamond_perturbed_false(self):
         rng = random.Random(4)
@@ -106,7 +108,35 @@ class TestCheckers:
         t = min(TRACK.switch_ids)
         j = al.index_tables(4).B[0]
         c.z[t][j] = al.group_add(c.z[t][j], al.real(0.5))
-        assert not cc.check_diamond(TRACK, c)
+        with pytest.raises(ValueError, match="rotation relation"):
+            hm.check_diamond(TRACK, c.z, c.d)
+
+    def test_is_member_false_on_rotation_only_violation(self):
+        rng = random.Random(40)
+        for kind in ("real", "zd:12"):
+            c = cc.sample_y(TREE, 4, kind, rng)
+            t = min(TRACK.switch_ids)
+            # (1, 1, 2) and (2, 1, 1) share the middle index every balance sum filters on
+            bump = al.random_element(kind, rng)
+            c.z[t][(1, 1, 2)] = al.group_add(c.z[t][(1, 1, 2)], bump)
+            c.z[t][(2, 1, 1)] = al.group_sub(c.z[t][(2, 1, 1)], bump)
+            assert all(cc.check_club(TREE, c, i) for i in al.index_tables(4).A)
+            with pytest.raises(ValueError, match="rotation relation"):
+                hm.check_diamond(TRACK, c.z, c.d)
+            assert cc.is_member(TREE, c) is False
+            with pytest.raises(cc.MembershipError, match="rotation relations fail"):
+                cc.require_member(TREE, c)
+
+    def test_is_member_false_on_balance_only_violation(self):
+        rng = random.Random(41)
+        for bump in (al.real(0.5), al.cyclic(12, 1)):
+            c = cc.sample_y(TREE, 3, bump.kind, rng)
+            r = min(CLS.u_right)
+            c.v[r] = (al.group_add(c.v[r][0], bump), c.v[r][1])
+            hm.check_diamond(TRACK, c.z, c.d)
+            assert cc.is_member(TREE, c) is False
+            with pytest.raises(cc.MembershipError, match="balance equation fails at pair index"):
+                cc.require_member(TREE, c)
 
     def test_club_zero_true(self):
         for d in (2, 3, 4, 5):
@@ -370,7 +400,7 @@ class TestI2:
             free = cc.random_free(TREE, d, kind, rng, anchors)
             eps = al.torsion_element(kind, d, rng.randrange(d))
             c = cc.i2_inverse(TREE, free, eps, anchors)
-            assert cc.check_diamond(TRACK, c)
+            hm.check_diamond(TRACK, c.z, c.d)
             for i in al.index_tables(d).A:
                 assert cc.check_club(TREE, c, i)
 
@@ -415,15 +445,11 @@ def _tor_formula(c):
     return al.group_sub(al.group_add(base, al.group_sub(ur, ul)), zl)
 
 
-def _holds_full_balance(c):
-    if not cc.check_diamond(TRACK, c):
-        return False
-    return all(cc.check_club(TREE, c, i) for i in al.index_tables(c.d).A)
-
-
 def _holds_reduced_system(c):
     tables = al.index_tables(c.d)
-    if not cc.check_diamond(TRACK, c):
+    try:
+        hm.check_diamond(TRACK, c.z, c.d)
+    except ValueError:
         return False
     if not all(cc.check_club(TREE, c, i) for i in tables.A_dprime):
         return False
@@ -441,7 +467,7 @@ class TestSystemEquivalence:
         for d, kind in self.COMBOS:
             for _ in range(100):
                 c = cc.sample_y(TREE, d, kind, rng)
-                assert _holds_full_balance(c)
+                assert cc.is_member(TREE, c)
                 assert _holds_reduced_system(c)
 
     def test_agreement_on_perturbed_points(self):
@@ -471,7 +497,7 @@ class TestSystemEquivalence:
                     t = sorted(c.z)[trial % len(c.z)]
                     j = triples[trial % len(triples)]
                     c.z[t][j] = al.group_add(c.z[t][j], bump)
-                assert not _holds_full_balance(c)
+                assert not cc.is_member(TREE, c)
                 assert not _holds_reduced_system(c)
 
     def test_generic_rotated_points_agree(self):
@@ -479,7 +505,7 @@ class TestSystemEquivalence:
         for d, kind in self.COMBOS:
             for _ in range(20):
                 c = random_coords(d, kind, rng, rotated=True)
-                assert _holds_full_balance(c) == _holds_reduced_system(c)
+                assert cc.is_member(TREE, c) == _holds_reduced_system(c)
 
 
 class TestNiceCombination:

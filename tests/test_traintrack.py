@@ -168,6 +168,25 @@ class TestTrees:
         assert set(c.e_left) == set(cf.e_right) and set(c.e_right) == set(cf.e_left)
         assert c.orientable == cf.orientable
 
+    def test_classify_body_runs_once_per_tree(self, g2, monkeypatch):
+        calls = []
+        body = tt._classify
+        monkeypatch.setattr(tt, "_classify", lambda tree: calls.append(tree) or body(tree))
+        tree = tt.maximal_tree(g2, seed=4)
+        first = tt.classify(tree)
+        assert all(tt.classify(tree) is first for _ in range(5))
+        assert calls == [tree]
+        tt.classify(tt.maximal_tree(g2, seed=4))
+        assert len(calls) == 2
+
+    def test_flipped_tree_gets_its_own_classification(self, g2):
+        tree = tt.maximal_tree(g2, seed=6)
+        c = tt.classify(tree)
+        cf = tt.classify(tree.flipped())
+        assert cf is not c
+        assert cf.s_left == c.s_right and cf.s_right == c.s_left
+        assert tt.classify(tree) is c
+
     @pytest.mark.parametrize("seed", range(20))
     def test_count_and_parity_lemmas(self, g2, g3, seed):
         for track in (g2, g3):
