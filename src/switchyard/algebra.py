@@ -222,22 +222,6 @@ def random_element(kind: str, rng: random.Random, scale: float = 1.0) -> GroupEl
     return cyclic(n, rng.randrange(n))
 
 
-# serialization used by the CLI and the JSON coordinate files
-
-def element_to_json(a: GroupElement):
-    if a.kind == "cylinder":
-        return [a.value[0], a.value[1]]
-    return a.value
-
-
-def element_from_json(kind: str, data) -> GroupElement:
-    check_kind(kind)
-    if kind == "cylinder":
-        re, ang = data
-        return cylinder(re, ang)
-    return GroupElement(kind, data)
-
-
 # ---------------------------------------------------------------------------
 # index tables
 

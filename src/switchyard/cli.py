@@ -22,6 +22,7 @@ import click
 from . import algebra as al
 from . import cocyclic as cc
 from . import flags as fl
+from . import io
 from . import obstruction as obs
 from . import slither as sl
 from . import traintrack as tt
@@ -29,10 +30,6 @@ from . import traintrack as tt
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _doc_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 
 def fmt_element(e) -> str:
@@ -109,67 +106,24 @@ class Report:
         sys.exit(self.finish(as_json))
 
 
-def input_error(msg: str) -> "SystemExit":
-    click.echo(f"input error: {msg}", err=True)
-    return SystemExit(2)
-
-
-def load_json_file(path: str) -> tuple:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        return json.loads(raw), raw
-    except OSError as err:
-        raise input_error(str(err))
-    except json.JSONDecodeError as err:
-        raise input_error(f"{path}: parse failure at line {err.lineno} column {err.colno}: {err.msg}")
-
-
-def read_track_doc(path: str):
-    """Parse a track file without checking its structure (`validate` reports that)."""
-    doc, raw = load_json_file(path)
-    try:
-        track, tree = tt.track_from_json(doc)
-    except (KeyError, TypeError, ValueError) as err:
-        raise input_error(f"{path}: {err}")
-    return track, tree, raw
-
-
-def load_track_doc(path: str):
-    """Parse a track file and reject a structurally invalid track as an input error."""
-    track, tree, raw = read_track_doc(path)
-    try:
-        track.finalize()
-    except tt.TrackError as err:
-        raise input_error(f"{path}: {err}")
-    return track, tree, raw
-
-
-def require_group(kind: str) -> str:
-    try:
-        al.zero(kind)
-    except al.GroupKindError as err:
-        raise input_error(str(err))
-    return kind
-
-
 def oriented_tree_for(track, tree, seed: int):
     if tree is None:
         tree = tt.maximal_tree(track, seed=seed)
     return cc.ensure_right_unorientable(tree)
 
 
-def write_doc(path: str, doc, report: Report, label: str) -> None:
-    data = _doc_bytes(doc)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as err:
-        raise input_error(str(err))
-    report.add_input(label, data)
+class _Main(click.Group):
+    """The command group; the single place where an input error becomes exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except io.InputError as err:
+            click.echo(f"input error: {err}", err=True)
+            ctx.exit(2)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Root of all randomness; every trial reseeds from it.")
 @click.option("--group", "group_tag", default="cylinder", show_default=True,
@@ -197,7 +151,8 @@ def main(ctx, seed, group_tag, dim, tolerance, as_json):
 def validate(cfg, path):
     """Check a track file: slot pairing, cell shapes, genus, connectivity."""
     report = Report("validate", cfg["seed"])
-    track, tree, raw = read_track_doc(path)
+    # Unchecked: a structurally invalid track is reported, not rejected.
+    (track, tree), raw = io.load(path, io.track_from_json, False)
     report.add_input("track", raw)
     result = tt.validate(track)
     report.check("structure", result.valid)
@@ -219,7 +174,7 @@ def validate(cfg, path):
 def gen_fixture(cfg, genus, out):
     """Search for a valid genus-g track and write it as JSON."""
     if genus < 2:
-        raise input_error(f"genus {genus} < 2")
+        raise io.InputError(f"genus {genus} < 2")
     report = Report("gen-fixture", cfg["seed"])
     try:
         track = tt.generate_fixture(genus, cfg["seed"])
@@ -229,7 +184,7 @@ def gen_fixture(cfg, genus, out):
     report.check("switch count", len(track.switch_ids) == 12 * g - 12)
     report.check("rectangle count", len(track.rects) == 18 * g - 18)
     report.check("plaque count", len(track.plaques) == 4 * g - 4)
-    write_doc(out, tt.track_to_json(track), report, "track out")
+    report.add_input("track out", io.write(out, io.track_to_json(track)))
     report.value("genus", g)
     report.value("path", out)
     sys.exit(report.finish(cfg["json"]))
@@ -242,12 +197,12 @@ def gen_fixture(cfg, genus, out):
 def tree(cfg, path, out):
     """Choose a seeded oriented maximal tree and write track+tree JSON."""
     report = Report("tree", cfg["seed"])
-    track, _, raw = load_track_doc(path)
+    (track, _), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     chosen = tt.maximal_tree(track, seed=cfg["seed"])
     g = track.genus
     report.check("edge count", len(chosen.edges) == 12 * g - 13)
-    write_doc(out, tt.track_to_json(track, chosen), report, "tree out")
+    report.add_input("tree out", io.write(out, io.track_to_json(track, chosen)))
     report.value("edges", len(chosen.edges))
     report.value("root", chosen.root)
     report.value("path", out)
@@ -260,9 +215,9 @@ def tree(cfg, path, out):
 def classify(cfg, path):
     """Report the rectangle census of an oriented tree."""
     report = Report("classify", cfg["seed"])
-    track, stored, raw = load_track_doc(path)
+    (track, stored), raw = io.load(path, io.track_from_json)
     if stored is None:
-        raise input_error(f"{path}: no tree present; run the tree command first")
+        raise io.InputError(f"{path}: no tree present; run the tree command first")
     report.add_input("track", raw)
     cls = tt.classify(stored)
     g = track.genus
@@ -288,15 +243,15 @@ def classify(cfg, path):
 @click.pass_obj
 def sample_y(cfg, path, count, torsion_k, out):
     """Draw member points with prescribed torsion and write them to a file."""
-    d, kind = cfg["d"], require_group(cfg["group"])
+    d, kind = cfg["d"], io.group_kind(cfg["group"])
     if d < 2:
-        raise input_error(f"d {d} < 2")
+        raise io.InputError(f"d {d} < 2")
     if count < 0:
-        raise input_error(f"count {count} < 0")
+        raise io.InputError(f"count {count} < 0")
     if torsion_k is not None and not 0 <= torsion_k < d:
-        raise input_error(f"torsion residue {torsion_k} outside 0..{d - 1}")
+        raise io.InputError(f"torsion residue {torsion_k} outside 0..{d - 1}")
     report = Report("sample-y", cfg["seed"])
-    track, stored, raw = load_track_doc(path)
+    (track, stored), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
     tol = max(cfg["tol"], al.MEMBER_TOL)
@@ -312,48 +267,23 @@ def sample_y(cfg, path, count, torsion_k, out):
         gap = cyl_gap(got.value, eps)
         worst = max(worst, gap)
         torsion_ok = torsion_ok and gap <= tol
-        points.append({"torsion": k, "coords": cc.coords_to_json(c)})
+        points.append({"torsion": k, "coords": io.coords_to_json(c)})
     report.check("membership", member_ok)
     report.check("torsion", torsion_ok, worst)
     doc = {"d": d, "group": kind, "seed": cfg["seed"], "count": count, "points": points}
-    write_doc(out, doc, report, "points out")
+    report.add_input("points out", io.write(out, doc))
     report.value("count", count)
     report.value("path", out)
     sys.exit(report.finish(cfg["json"]))
 
 
-def load_coords(path: str, report: Report, tree):
-    """Read a coords file and check its ids against the tree's track."""
-    doc, raw = load_json_file(path)
-    report.add_input("coords", raw)
-    if "points" in doc:
-        if not doc["points"]:
-            raise input_error(f"{path}: empty point file")
-        doc = doc["points"][0]["coords"]
-    try:
-        c = cc.coords_from_json(doc)
-        triples = set(al.index_tables(c.d).B)
-    except (KeyError, TypeError, ValueError) as err:
-        raise input_error(f"{path}: {err}")
-    track = tree.track
-    free = {r.id for r in track.rects} - tree.edges
-    for label, got, want in (("switch", set(c.z), set(track.switch_ids)),
-                             ("free rectangle", set(c.v), free)):
-        if got != want:
-            raise input_error(f"{path}: {label} ids do not match the track: "
-                              f"missing {sorted(want - got)}, unknown {sorted(got - want)}")
-    for t, slots in c.z.items():
-        if set(slots) != triples:
-            raise input_error(f"{path}: switch {t} does not carry the d={c.d} triple indices")
-    return c
-
-
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
     """Load a track, its oriented tree and a coords file; exit 1 unless the point is a member."""
-    track, stored, raw = load_track_doc(track_path)
+    (track, stored), raw = io.load(track_path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
-    c = load_coords(coords_path, report, otree)
+    c, raw = io.load(coords_path, io.coords_from_json, otree)
+    report.add_input("coords", raw)
     try:
         cc.require_member(otree, c, max(cfg["tol"], al.MEMBER_TOL))
     except cc.MembershipError as err:
@@ -411,20 +341,16 @@ def ob(cfg, rep_path, use_clock, use_identity):
     """Evaluate the lifting obstruction of a relator product."""
     picked = sum((rep_path is not None, use_clock, use_identity))
     if picked != 1:
-        raise input_error("provide exactly one of REP_PATH, --clock-shift, --identity")
+        raise io.InputError("provide exactly one of REP_PATH, --clock-shift, --identity")
     report = Report("ob", cfg["seed"])
     if use_clock or use_identity:
         if cfg["d"] < 2:
-            raise input_error(f"d {cfg['d']} < 2")
+            raise io.InputError(f"d {cfg['d']} < 2")
         rep = obs.clock_shift_rep(cfg["d"]) if use_clock else obs.identity_rep(cfg["d"])
-        report.add_input("rep", _doc_bytes(obs.rep_to_json(rep)))
+        report.add_input("rep", io.dumps(io.rep_to_json(rep)))
     else:
-        doc, raw = load_json_file(rep_path)
+        rep, raw = io.load(rep_path, io.rep_from_json)
         report.add_input("rep", raw)
-        try:
-            rep = obs.rep_from_json(doc)
-        except (KeyError, TypeError, ValueError) as err:
-            raise input_error(f"{rep_path}: {err}")
     scalar_tol = cfg["tol"] if cfg["tol_explicit"] else obs.SCALAR_TOL
     try:
         value = obs.ob(rep, scalar_tol=scalar_tol)
@@ -447,15 +373,11 @@ def ob(cfg, rep_path, use_clock, use_identity):
 def flags(cfg, matrices_path, which, index_str):
     """Print a flag invariant (triple or double ratio) and its log."""
     report = Report("flags", cfg["seed"])
-    doc, raw = load_json_file(matrices_path)
+    mats, raw = io.load(matrices_path, io.matrices_from_json)
     report.add_input("matrices", raw)
-    try:
-        mats = [fl.matrix_from_json(m) for m in doc["matrices"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise input_error(f"{matrices_path}: {err}")
     need = 3 if which == "triple" else 4
     if len(mats) != need:
-        raise input_error(f"{which} ratio needs {need} matrices, got {len(mats)}")
+        raise io.InputError(f"{which} ratio needs {need} matrices, got {len(mats)}")
     d = mats[0].shape[0]
     try:
         flag_list = [fl.Flag(m) for m in mats]
@@ -465,13 +387,12 @@ def flags(cfg, matrices_path, which, index_str):
     if index_str is None:
         idx = (1, 1, d - 2) if which == "triple" else (1, d - 1)
     else:
-        try:
-            idx = tuple(int(p) for p in index_str.split(","))
-        except ValueError:
-            raise input_error(f"bad index {index_str!r}")
+        if not all(p.strip().isdecimal() for p in index_str.split(",")):
+            raise io.InputError(f"bad index {index_str!r}")
+        idx = tuple(map(int, index_str.split(",")))
     want_len = 3 if which == "triple" else 2
     if len(idx) != want_len or any(p < 1 for p in idx) or sum(idx) != d:
-        raise input_error(f"index {idx} must have {want_len} positive parts summing to {d}")
+        raise io.InputError(f"index {idx} must have {want_len} positive parts summing to {d}")
     try:
         if which == "triple":
             value = fl.triple_ratio(flag_list, idx)

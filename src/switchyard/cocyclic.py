@@ -544,36 +544,3 @@ def sample_y(tree: OrientedTree, d: int, kind: str, rng,
     if eps is None:
         eps = al.torsion_element(kind, d, rng.randrange(d))
     return i2_inverse(tree, free, eps, anchors)
-
-
-def coords_to_json(c: CocyclicCoords) -> dict:
-    return {
-        "d": c.d,
-        "group": c.kind,
-        "v": {str(r): {str(k + 1): al.element_to_json(e) for k, e in enumerate(vec)}
-              for r, vec in sorted(c.v.items())},
-        "z": {str(t): {",".join(map(str, j)): al.element_to_json(e)
-                       for j, e in sorted(vec.items())}
-              for t, vec in sorted(c.z.items())},
-    }
-
-
-def coords_from_json(obj: dict) -> CocyclicCoords:
-    d = int(obj["d"])
-    kind = obj["group"]
-    v = {}
-    for r, slots in obj["v"].items():
-        vec = [None] * (d - 1)
-        for i1, e in slots.items():
-            vec[int(i1) - 1] = al.element_from_json(kind, e)
-        if any(x is None for x in vec):
-            raise ValueError(f"rectangle {r} is missing pair slots")
-        v[int(r)] = tuple(vec)
-    z = {}
-    for t, slots in obj["z"].items():
-        vec = {}
-        for key, e in slots.items():
-            j = tuple(int(p) for p in key.split(","))
-            vec[j] = al.element_from_json(kind, e)
-        z[int(t)] = vec
-    return CocyclicCoords(d=d, kind=kind, v=v, z=z)

@@ -278,22 +278,3 @@ def random_flag_triple(d: int, rng, guard: float = GUARD_TOL,
         if general_position(list(flags), tol=guard):
             return flags
     raise DegenerateFlagError("could not sample a well-conditioned flag triple")
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(mat[r, c].real), float(mat[r, c].imag)]
-             for r in range(mat.shape[0])]
-            for c in range(mat.shape[1])]
-
-
-def matrix_from_json(obj: Sequence) -> np.ndarray:
-    cols = [[complex(entry[0], entry[1]) for entry in col] for col in obj]
-    return np.array(cols, dtype=complex).T
-
-
-def flag_to_json(f: Flag) -> list:
-    return matrix_to_json(f.mat)
-
-
-def flag_from_json(obj: Sequence) -> Flag:
-    return Flag(matrix_from_json(obj))

@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement
+from .io import element_to_json
 from .traintrack import (
     CoverLifts,
     OrientedTree,
@@ -109,7 +110,7 @@ class _Chain:
         return self.sub(other).is_zero(tol)
 
     def display(self) -> List[Tuple[Tuple[int, int], List[object]]]:
-        return [(k, [al.element_to_json(x) for x in self.coeffs[k]]) for k in self.support()]
+        return [(k, [element_to_json(x) for x in self.coeffs[k]]) for k in self.support()]
 
 
 class Chain1(_Chain):
@@ -279,7 +280,7 @@ def solve_tree(
     track = tree.track
     defect = balance_defect(tree, v_free, w, kind, d)
     if not ga_is_zero(defect, tol):
-        raise SolvabilityViolated(f"balance defect {[al.element_to_json(x) for x in defect]}")
+        raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
 
     slots = track.slot_map()
     # rhs of the equation at lift (s, 0)
@@ -349,5 +350,5 @@ def solve_tree(
     for rid2, e2 in tree_edge_at[s_last]:
         residual = ga_sub(residual, end_term(rid2, e2, solved[rid2]))
     if not ga_is_zero(residual, max(tol, al.MEMBER_TOL)):
-        raise AssertionError(f"final switch residual {[al.element_to_json(x) for x in residual]}")
+        raise AssertionError(f"final switch residual {[element_to_json(x) for x in residual]}")
     return solved

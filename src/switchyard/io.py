@@ -1,0 +1,209 @@
+"""The input boundary: every JSON document format, and the one place that
+decides an input is malformed (`load` raises `InputError`).  Ids, counts and
+indices must be JSON integers and numbers finite: nothing is truncated or
+reinterpreted.  Other modules and numpy are imported inside the decoders; that
+avoids import cycles, and decoding a track or a coords document loads no numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+from . import algebra as al
+
+
+class InputError(ValueError):
+    """A file or argument that is not a valid input; the CLI exits 2 on it."""
+
+
+def load(path, decode, *args):
+    """Read and parse ``path``; returns ``(decode(doc, *args), raw bytes)``."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return decode(json.loads(raw), *args), raw
+    except OSError as err:
+        raise InputError(f"{path}: {err.strerror}") from None
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError,
+            RecursionError) as err:  # RecursionError: JSON nested too deep
+        raise InputError(f"{path}: {err}") from None
+
+
+def dumps(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+def write(path, doc) -> bytes:
+    """Write ``doc`` to ``path``; returns the bytes written."""
+    data = dumps(doc)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as err:
+        raise InputError(f"{path}: {err.strerror}") from None
+    return data
+
+
+def group_kind(tag: str) -> str:
+    try:
+        return al.check_kind(tag)
+    except al.GroupKindError as err:
+        raise InputError(str(err)) from None
+
+
+def _int(x, what: str, lo=-math.inf, hi=math.inf) -> int:
+    if type(x) is not int:  # rejects bool and float: 2.7 must not become 2
+        raise TypeError(f"{what} {x!r} is not an integer")
+    if not lo <= x <= hi:
+        raise ValueError(f"{what} {x} is outside {lo}..{hi}")
+    return x
+
+
+def _key(key: str, what: str, lo=-math.inf, hi=math.inf) -> int:
+    """An integer written as an object key, in canonical decimal form."""
+    if str(int(key)) != key:
+        raise ValueError(f"{what} {key!r} is not a canonical integer")
+    return _int(int(key), what, lo, hi)
+
+
+def _real(x) -> float:
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return float(x)
+
+
+def _pair(x, what: str) -> tuple:
+    if type(x) is not list or len(x) != 2:
+        raise ValueError(f"{what} {x!r} is not a pair of numbers")
+    return _real(x[0]), _real(x[1])
+
+
+def element_to_json(a: al.GroupElement):
+    return list(a.value) if a.kind == "cylinder" else a.value
+
+
+def element_from_json(kind: str, data) -> al.GroupElement:
+    if al.check_kind(kind) == "cylinder":
+        return al.cylinder(*_pair(data, "cylinder value"))
+    return al.GroupElement(kind, _int(data, "residue") if kind.startswith("zd:") else _real(data))
+
+
+def track_to_json(track, tree=None) -> dict:
+    doc = {"genus": track.genus, "switches": [{"id": s} for s in track.switch_ids],
+           "rectangles": [{"id": r.id, "end0": {"switch": r.end0[0], "port": r.end0[1]},
+                           "end1": {"switch": r.end1[0], "port": r.end1[1]}} for r in track.rects]}
+    if tree is not None:
+        doc["tree"] = {"edges": sorted(tree.edges), "root": tree.root, "root_bit": tree.root_bit}
+    return doc
+
+
+def _end(doc) -> tuple:
+    return _int(doc["switch"], "switch"), doc["port"]  # slot_map checks the port
+
+
+def track_from_json(doc, check: bool = True):
+    """Decode a track document into ``(track, stored tree or None)``.  Unless
+    ``check``, an invalid track is returned for `validate` to report, treeless."""
+    from . import traintrack as tt
+
+    rects = [tt.Rect(_int(r["id"], "rectangle id"), _end(r["end0"]), _end(r["end1"]))
+             for r in doc["rectangles"]]
+    track = tt.TrainTrack(_int(doc["genus"], "genus"),
+                          [_int(s["id"], "switch id") for s in doc["switches"]], rects)
+    if check:
+        track.finalize()
+    elif not tt.validate(track).valid:
+        return track, None
+    if "tree" not in doc:
+        return track, None
+    t = doc["tree"]
+    root, root_bit = t.get("root"), _int(t.get("root_bit", 0), "root_bit", 0, 1)
+    edges = [_int(e, "tree edge") for e in t["edges"]]
+    return track, tt.maximal_tree(track, edges=edges, root_bit=root_bit,
+                                  root=None if root is None else _int(root, "root"))
+
+
+def coords_to_json(c) -> dict:
+    return {"d": c.d, "group": c.kind,
+            "v": {str(r): {str(k + 1): element_to_json(e) for k, e in enumerate(vec)}
+                  for r, vec in sorted(c.v.items())},
+            "z": {str(t): {",".join(map(str, j)): element_to_json(e) for j, e in sorted(vec.items())}
+                  for t, vec in sorted(c.z.items())}}
+
+
+def coords_from_json(doc, tree):
+    """Decode a coords document, or a points file's first point, checked against ``tree``."""
+    from .cocyclic import CocyclicCoords
+
+    if "points" in doc:
+        if type(doc["points"]) is not list or not doc["points"]:
+            raise ValueError("points is not a non-empty list")
+        doc = doc["points"][0]["coords"]
+    d, kind, track = _int(doc["d"], "d", 2), al.check_kind(doc["group"]), tree.track
+    free = {r.id for r in track.rects} - tree.edges
+    for label, got, want in (("switch", doc["z"], set(track.switch_ids)),
+                             ("free rectangle", doc["v"], free)):
+        got = {_key(k, f"{label} id") for k in got}
+        if got != want:
+            raise ValueError(f"{label} ids do not match the track: "
+                             f"missing {sorted(want - got)}, unknown {sorted(got - want)}")
+    v, z = {}, {}
+    for r, vec in doc["v"].items():
+        slots = {_key(k, "pair index", 1, d - 1): element_from_json(kind, e)
+                 for k, e in vec.items()}
+        if len(slots) != d - 1:
+            raise ValueError(f"rectangle {r} does not carry the d={d} pair indices")
+        v[int(r)] = tuple(slots[i] for i in range(1, d))
+    for t, vec in doc["z"].items():
+        z[int(t)] = {_triple(k, d): element_from_json(kind, e) for k, e in vec.items()}
+        if len(z[int(t)]) != (d - 1) * (d - 2) // 2:
+            raise ValueError(f"switch {t} does not carry the d={d} triple indices")
+    return CocyclicCoords(d=d, kind=kind, v=v, z=z)
+
+
+def _triple(key: str, d: int) -> tuple:
+    j = tuple(_key(p, "triple index part", 1, d) for p in key.split(","))
+    if len(j) != 3 or sum(j) != d:
+        raise ValueError(f"triple index {key!r} is not three positive parts summing to {d}")
+    return j
+
+
+def matrix_to_json(mat) -> list:
+    return [[[float(mat[r, c].real), float(mat[r, c].imag)] for r in range(mat.shape[0])]
+            for c in range(mat.shape[1])]
+
+
+def matrix_from_json(cols):
+    """A non-empty square complex matrix from its list of columns."""
+    import numpy as np
+
+    if type(cols) is not list or not cols or any(type(c) is not list or len(c) != len(cols)
+                                                 for c in cols):
+        raise ValueError("matrix is not a non-empty square list of columns")
+    return np.array([[complex(*_pair(e, "matrix entry")) for e in col] for col in cols], dtype=complex).T
+
+
+def matrices_from_json(doc) -> list:
+    mats = [matrix_from_json(m) for m in doc["matrices"]]
+    if len({m.shape for m in mats}) > 1:
+        raise ValueError(f"matrices have mixed sizes {sorted({m.shape[0] for m in mats})}")
+    return mats
+
+
+def rep_to_json(rep) -> dict:
+    return {"d": rep.d, "genus": len(rep.relator) // 4,
+            "matrices": {name: matrix_to_json(m) for name, m in sorted(rep.matrices.items())}}
+
+
+def rep_from_json(doc):
+    from . import obstruction as obs
+
+    d, genus, named = _int(doc["d"], "d", 2), _int(doc["genus"], "genus"), doc["matrices"]
+    if len(named) != 2 * genus:  # before the relator is built: genus comes from the file
+        raise ValueError(f"genus {genus} needs {2 * genus} matrices, got {len(named)}")
+    mats = {name: matrix_from_json(cols) for name, cols in named.items()}
+    rep = obs.lifted_rep(obs.standard_relator(genus), mats)
+    if rep.d != d:
+        raise ValueError(f"matrix size {rep.d} does not match declared d={d}")
+    return rep

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import algebra as al
 from .cocyclic import TorsionValue
-from .flags import matrix_from_json, matrix_to_json
 
 DET_TOL = 1e-8
 SCALAR_TOL = 1e-6
@@ -146,7 +145,7 @@ def ob(rep: LiftedRep, scalar_tol: float = SCALAR_TOL) -> ObValue:
     p = rep.product()
     s = np.trace(p) / d
     off = np.linalg.norm(p - s * np.eye(d)) / max(np.linalg.norm(p), 1e-30)
-    if off > scalar_tol:
+    if not off <= scalar_tol:  # an overflowed product gives nan, which must not pass
         raise ValueError(f"relator product is not scalar (off-scalar residual {off:.3e})")
     phase = cmath.phase(complex(s))
     k = round(d * phase / al.TWO_PI) % d
@@ -263,24 +262,3 @@ def lift_independence(rep: LiftedRep, rng: Optional[random.Random] = None,
         and al.elements_equal(ob(v).value, reference.value, tol)
         for v in variants
     )
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def rep_to_json(rep: LiftedRep) -> dict:
-    genus = len(rep.relator) // 4
-    return {
-        "d": rep.d,
-        "genus": genus,
-        "matrices": {name: matrix_to_json(m) for name, m in sorted(rep.matrices.items())},
-    }
-
-
-def rep_from_json(doc: dict) -> LiftedRep:
-    rel = standard_relator(int(doc["genus"]))
-    mats = {name: matrix_from_json(cols) for name, cols in doc["matrices"].items()}
-    rep = lifted_rep(rel, mats)
-    if rep.d != int(doc["d"]):
-        raise ValueError(f"matrix size {rep.d} does not match declared d={doc['d']}")
-    return rep

@@ -14,7 +14,6 @@ small port.  All boundary walks keep the surface on the left.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -146,6 +145,8 @@ class TrainTrack:
         """(switch, port) -> (rect id, end index); raises on collisions."""
         if self._slot_map is not None:
             return self._slot_map
+        if len(self.rect_by_id) != len(self.rects):
+            raise PortCollision("rectangle ids are not unique")
         m: Dict[Slot, Tuple[int, int]] = {}
         sset = set(self.switch_ids)
         for r in self.rects:
@@ -739,47 +740,5 @@ def boundary_walk(tree: OrientedTree) -> List[Step]:
     return steps
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def track_to_json(track: TrainTrack, tree: Optional[OrientedTree] = None) -> dict:
-    doc = {
-        "genus": track.genus,
-        "switches": [{"id": s} for s in track.switch_ids],
-        "rectangles": [
-            {
-                "id": r.id,
-                "end0": {"switch": r.end0[0], "port": r.end0[1]},
-                "end1": {"switch": r.end1[0], "port": r.end1[1]},
-            }
-            for r in track.rects
-        ],
-    }
-    if tree is not None:
-        doc["tree"] = {"edges": sorted(tree.edges), "root": tree.root, "root_bit": tree.root_bit}
-    return doc
-
-
-def track_from_json(doc: dict) -> Tuple[TrainTrack, Optional[OrientedTree]]:
-    switches = [s["id"] for s in doc["switches"]]
-    rects = [
-        Rect(r["id"], (r["end0"]["switch"], r["end0"]["port"]), (r["end1"]["switch"], r["end1"]["port"]))
-        for r in doc["rectangles"]
-    ]
-    track = TrainTrack(doc["genus"], switches, rects)
-    tree = None
-    if "tree" in doc:
-        t = doc["tree"]
-        tree = maximal_tree(track, edges=t["edges"], root=t.get("root"), root_bit=t.get("root_bit", 0))
-    return track, tree
-
-
-def load_track(path: str) -> Tuple[TrainTrack, Optional[OrientedTree]]:
-    with open(path) as fh:
-        return track_from_json(json.load(fh))
-
-
-def dump_track(path: str, track: TrainTrack, tree: Optional[OrientedTree] = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(track_to_json(track, tree), fh, indent=1)
-        fh.write("\n")
+# The track document format lives in `io`; these names stay importable here.
+from .io import track_from_json, track_to_json  # noqa: E402,F401

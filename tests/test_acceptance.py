@@ -16,14 +16,15 @@ from switchyard import algebra as al
 from switchyard import cocyclic as cc
 from switchyard import flags as fl
 from switchyard import homology as hm
+from switchyard import io
 from switchyard import obstruction as obs
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
-TRACK2, _ = tt.load_track(DATA / "track_g2_s1.json")
+(TRACK2, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
 TREE2 = cc.ensure_right_unorientable(tt.maximal_tree(TRACK2, seed=1))
-TRACK3, _ = tt.load_track(DATA / "track_g3_s2.json")
+(TRACK3, _), _ = io.load(DATA / "track_g3_s2.json", io.track_from_json)
 TREE3 = cc.ensure_right_unorientable(tt.maximal_tree(TRACK3, seed=1))
 
 CYL = "cylinder"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchyard import algebra as al
+from switchyard import io
 
 KINDS = ["real", "circle", "cylinder", "zd:5", "zd:12"]
 
@@ -60,7 +61,7 @@ class TestGroupOps:
     @given(st.sampled_from(KINDS), st.integers(0, 10 ** 6))
     def test_json_roundtrip(self, kind, seed):
         a = al.random_element(kind, random.Random(seed))
-        back = al.element_from_json(kind, al.element_to_json(a))
+        back = io.element_from_json(kind, io.element_to_json(a))
         assert al.elements_equal(a, back, tol=1e-12)
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from switchyard import obstruction as obs
+from switchyard import io
 from switchyard.cli import main
 
 
@@ -65,13 +66,16 @@ def _mutate_track(doc, mutation):
         doc["genus"] = 3
     elif mutation == "dropped rectangle":
         doc["rectangles"].pop()
+    elif mutation == "duplicate rectangle id":
+        doc["rectangles"][1]["id"] = doc["rectangles"][0]["id"]
     else:
         doc["genus"] = "abc"
     return doc
 
 
 class TestMalformedTrack:
-    MUTATIONS = ["bogus port", "wrong genus", "dropped rectangle", "non-integer genus"]
+    MUTATIONS = ["bogus port", "wrong genus", "dropped rectangle", "non-integer genus",
+                 "duplicate rectangle id"]
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @pytest.mark.parametrize("command", ["validate", "tree", "sample-y", "torsion", "corfinal"])
@@ -95,6 +99,87 @@ class TestMalformedTrack:
         else:
             assert r.exit_code == 2
             assert r.stderr.startswith("input error:")
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_validate_tree_file_like_track_file(self, runner, workdir, tmp_path, mutation):
+        """The stored tree is built only on a valid track, so it cannot turn a
+        structural defect into an input error."""
+        codes = []
+        for name in ("track.json", "tree.json"):
+            bad = tmp_path / name
+            bad.write_text(json.dumps(_mutate_track(json.loads((workdir / name).read_text()),
+                                                    mutation)))
+            r = runner.invoke(main, ["validate", str(bad)])
+            assert isinstance(r.exception, SystemExit), r.exception
+            codes.append(r.exit_code)
+        assert codes[0] == codes[1] == (2 if mutation == "non-integer genus" else 1)
+
+
+def _read(workdir, name):
+    return json.loads((workdir / name).read_text())
+
+
+def _put(doc, path, value):
+    """Set ``doc[path[0]][path[1]]...`` to ``value``; returns ``doc``."""
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _pair_slot_renamed(workdir, new):
+    doc = _read(workdir, "pts.json")
+    v = doc["points"][0]["coords"]["v"]
+    slots = v[next(iter(v))]
+    slots[new] = slots.pop("2")  # d=3: pair slots are "1" and "2"
+    return doc
+
+
+def _matrices(*sizes):
+    rng = random.Random(len(sizes))
+    return {"matrices": [[[[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(d)]
+                          for _ in range(d)] for d in sizes]}
+
+
+COORDS_ARGS = ["torsion", "TREE", "BAD"]
+MALFORMED = {
+    "coords pair slot 5 at d=3": (COORDS_ARGS, lambda w: _pair_slot_renamed(w, "5")),
+    "coords pair slot 0": (COORDS_ARGS, lambda w: _pair_slot_renamed(w, "0")),
+    "coords d 1": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"),
+                                               ("points", 0, "coords", "d"), 1)),
+    "points is an object": (COORDS_ARGS, lambda w: _put(
+        _read(w, "pts.json"), ("points",), {"0": _read(w, "pts.json")["points"][0]})),
+    "flags matrix entry [1.0]": (["flags", "BAD"], lambda w: _put(
+        _matrices(3, 3, 3), ("matrices", 0, 0, 0), [1.0])),
+    "ob matrix entry [1.0]": (["ob", "BAD"], lambda w: _put(
+        io.rep_to_json(obs.clock_shift_rep(3)), ("matrices", "a1", 0, 0), [1.0])),
+    "flags non-square matrix": (["flags", "BAD"], lambda w: _put(
+        _matrices(3, 3, 3), ("matrices", 0), _matrices(3)["matrices"][0][:2])),
+    "flags empty matrix": (["flags", "BAD"], lambda w: _put(
+        _matrices(3, 3, 3), ("matrices", 0), [])),
+    "flags matrix sizes 3 3 4": (["flags", "BAD"], lambda w: _matrices(3, 3, 4)),
+    "tree root_bit 7": (["classify", "BAD"], lambda w: _put(
+        _read(w, "tree.json"), ("tree", "root_bit"), 7)),
+    "rep d 1": (["ob", "BAD"], lambda w: {
+        "d": 1, "genus": 2, "matrices": {n: [[[1.0, 0.0]]] for n in ("a1", "b1", "a2", "b2")}}),
+    "genus 2.7": (["validate", "BAD"], lambda w: _put(_read(w, "track.json"), ("genus",), 2.7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two(runner, workdir, tmp_path, case):
+    """Each document here gave a traceback, a math-failure exit or a silent
+    exit 0 before the decoders checked types, ranges and slot keys."""
+    args, build = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(build(workdir)))
+    subst = {"BAD": str(bad), "TREE": str(workdir / "tree.json")}
+    r = runner.invoke(main, [subst.get(a, a) for a in args])
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith("input error:")
 
 
 class TestFixtureAndTree:
@@ -227,7 +312,7 @@ class TestOb:
 
     def test_rep_file_roundtrip(self, runner, tmp_path):
         path = tmp_path / "rep.json"
-        path.write_text(json.dumps(obs.rep_to_json(obs.clock_shift_rep(3))))
+        path.write_text(json.dumps(io.rep_to_json(obs.clock_shift_rep(3))))
         r = runner.invoke(main, ["ob", str(path)])
         assert r.exit_code == 0
 
@@ -238,7 +323,7 @@ class TestOb:
         mats["a1"] = obs.unit_determinant(np.array([[1.0, 2.0], [0.5, 3.0]]))
         mats["b1"] = obs.unit_determinant(np.array([[2.0, 0.0], [1.5, 1.0]]))
         path = tmp_path / "nonscalar.json"
-        path.write_text(json.dumps(obs.rep_to_json(obs.LiftedRep(rel, 2, mats))))
+        path.write_text(json.dumps(io.rep_to_json(obs.LiftedRep(rel, 2, mats))))
         r = runner.invoke(main, ["ob", str(path)])
         assert r.exit_code == 1
         assert "scalar relator product: FAIL" in r.output
@@ -261,10 +346,9 @@ class TestFlags:
         return mats
 
     def test_power_triple_has_unit_ratio(self, runner, tmp_path):
-        from switchyard.flags import matrix_to_json
         path = tmp_path / "mats.json"
         path.write_text(json.dumps(
-            {"matrices": [matrix_to_json(m) for m in self._power_matrices(4)]}))
+            {"matrices": [io.matrix_to_json(m) for m in self._power_matrices(4)]}))
         r = runner.invoke(main, ["--json", "flags", str(path),
                                  "--which", "triple", "--index", "1,2,1"])
         assert r.exit_code == 0
@@ -273,18 +357,16 @@ class TestFlags:
         assert all(c["pass"] for c in doc["checks"])
 
     def test_degenerate_triple_exits_one(self, runner, tmp_path):
-        from switchyard.flags import matrix_to_json
         m = np.eye(3)
         path = tmp_path / "degenerate.json"
-        path.write_text(json.dumps({"matrices": [matrix_to_json(m)] * 3}))
+        path.write_text(json.dumps({"matrices": [io.matrix_to_json(m)] * 3}))
         r = runner.invoke(main, ["flags", str(path), "--which", "triple"])
         assert r.exit_code == 1
 
     def test_bad_index_rejected(self, runner, tmp_path):
-        from switchyard.flags import matrix_to_json
         path = tmp_path / "mats3.json"
         path.write_text(json.dumps(
-            {"matrices": [matrix_to_json(m) for m in self._power_matrices(3)]}))
+            {"matrices": [io.matrix_to_json(m) for m in self._power_matrices(3)]}))
         r = runner.invoke(main, ["flags", str(path), "--index", "1,1,7"])
         assert r.exit_code == 2
 

@@ -7,11 +7,12 @@ import pytest
 from switchyard import algebra as al
 from switchyard import cocyclic as cc
 from switchyard import homology as hm
+from switchyard import io
 from switchyard import traintrack as tt
 
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
-TRACK, _ = tt.load_track(DATA / "track_g2_s1.json")
+(TRACK, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
 TREE = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
 CLS = tt.classify(TREE)
 FREE_RECTS = sorted(r.id for r in TRACK.rects if r.id not in TREE.edges)
@@ -292,7 +293,7 @@ class TestAnchors:
             cc.i2_inverse(TREE, free, eps, bad)
 
     def test_orientation_flip_when_no_right_unorientable(self):
-        track, _ = tt.load_track(DATA / "track_g2_s7.json")
+        (track, _), _ = io.load(DATA / "track_g2_s7.json", io.track_from_json)
         tree = tt.maximal_tree(track, seed=3)
         cls = tt.classify(tree)
         assert not cls.u_right and cls.u_left
@@ -324,7 +325,7 @@ class TestI2:
             assert free.slot_count() == al.dimension_count(d, TRACK.genus)
 
     def test_slot_count_genus_three(self):
-        track, _ = tt.load_track(DATA / "track_g3_s2.json")
+        (track, _), _ = io.load(DATA / "track_g3_s2.json", io.track_from_json)
         tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
         rng = random.Random(17)
         for d in (2, 3, 4, 5):
@@ -594,15 +595,15 @@ class TestSerialization:
         for d in (2, 3, 4):
             for kind in KINDS:
                 c = cc.sample_y(TREE, d, kind, rng)
-                blob = json.dumps(cc.coords_to_json(c))
-                back = cc.coords_from_json(json.loads(blob))
+                blob = json.dumps(io.coords_to_json(c))
+                back = io.coords_from_json(json.loads(blob), TREE)
                 tol = 0.0 if kind == "zd:12" else 1e-12
                 assert back.d == c.d and back.kind == c.kind
                 assert coords_equal(c, back, tol)
 
     def test_document_shape(self):
         c = cc.sample_y(TREE, 3, "real", random.Random(35))
-        doc = cc.coords_to_json(c)
+        doc = io.coords_to_json(c)
         assert set(doc) == {"d", "group", "v", "z"}
         assert doc["group"] == "real"
         for r, slots in doc["v"].items():
@@ -614,8 +615,8 @@ class TestSerialization:
 
     def test_missing_slot_rejected(self):
         c = cc.sample_y(TREE, 3, "real", random.Random(36))
-        doc = cc.coords_to_json(c)
+        doc = io.coords_to_json(c)
         rid = next(iter(doc["v"]))
         del doc["v"][rid]["1"]
         with pytest.raises(ValueError):
-            cc.coords_from_json(doc)
+            io.coords_from_json(doc, TREE)

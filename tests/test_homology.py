@@ -5,7 +5,8 @@ import pytest
 
 from switchyard import algebra as al
 from switchyard import homology as hm
-from switchyard.traintrack import load_track, maximal_tree, orientation_cover, classify
+from switchyard import io
+from switchyard.traintrack import maximal_tree, orientation_cover, classify
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
 
@@ -14,7 +15,7 @@ KINDS = ["real", "circle", "cylinder", "zd:12"]
 
 @pytest.fixture(scope="module")
 def setup():
-    track, _ = load_track(DATA / "track_g2_s1.json")
+    (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
     tree = maximal_tree(track, seed=1)
     lifts = orientation_cover(tree)
     free = sorted(set(r.id for r in track.rects) - tree.edges)

@@ -7,6 +7,7 @@ import pytest
 
 from switchyard import algebra as al
 from switchyard import flags as fl
+from switchyard import io
 from switchyard import obstruction as ob
 
 
@@ -96,6 +97,16 @@ class TestOb:
         mats["b1"] = random_unimodular(rng)
         rep = ob.lifted_rep(rel, mats)
         with pytest.raises(ValueError):
+            ob.ob(rep)
+
+    def test_overflowed_product_rejected(self):
+        # a unit-determinant entry near the float limit overflows the product
+        # to inf, so the off-scalar residual is nan
+        mats = dict(ob.clock_shift_rep(3).matrices)
+        mats["b1"] = mats["b1"].copy()
+        mats["b1"][2, 0] = 1e300
+        rep = ob.lifted_rep(ob.standard_relator(2), mats)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not scalar"):
             ob.ob(rep)
 
     def test_clock_shift_all_d(self):
@@ -227,21 +238,21 @@ class TestFuchsianOctagon:
 class TestSerialization:
     def test_roundtrip(self):
         rep = ob.clock_shift_rep(3)
-        doc = ob.rep_to_json(rep)
+        doc = io.rep_to_json(rep)
         assert doc["d"] == 3 and doc["genus"] == 2
-        back = ob.rep_from_json(doc)
+        back = io.rep_from_json(doc)
         assert ob.ob(back).residue == ob.ob(rep).residue
         for name in rep.matrices:
             assert np.allclose(back.matrices[name], rep.matrices[name], atol=0.0)
 
     def test_size_mismatch_rejected(self):
-        doc = ob.rep_to_json(ob.clock_shift_rep(3))
+        doc = io.rep_to_json(ob.clock_shift_rep(3))
         doc["d"] = 4
         with pytest.raises(ValueError):
-            ob.rep_from_json(doc)
+            io.rep_from_json(doc)
 
     def test_nonstandard_names_rejected(self):
-        doc = ob.rep_to_json(ob.clock_shift_rep(2))
+        doc = io.rep_to_json(ob.clock_shift_rep(2))
         doc["matrices"]["q7"] = doc["matrices"].pop("a1")
         with pytest.raises(ValueError):
-            ob.rep_from_json(doc)
+            io.rep_from_json(doc)

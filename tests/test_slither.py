@@ -7,15 +7,16 @@ import pytest
 
 from switchyard import algebra as al
 from switchyard import cocyclic as cc
+from switchyard import io
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
-TRACK, _ = tt.load_track(DATA / "track_g2_s1.json")
+(TRACK, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
 TREE = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
 CLS = tt.classify(TREE)
 
-TRACK3, _ = tt.load_track(DATA / "track_g3_s2.json")
+(TRACK3, _), _ = io.load(DATA / "track_g3_s2.json", io.track_from_json)
 TREE3 = cc.ensure_right_unorientable(tt.maximal_tree(TRACK3, seed=1))
 
 CYL = "cylinder"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from switchyard import io
 from switchyard import traintrack as tt
 
 
@@ -56,6 +57,16 @@ class TestValidation:
         assert not rep.valid
         assert rep.errors[0][0] == "port_collision"
 
+    def test_duplicate_rectangle_id(self, g2):
+        # rect_by_id keeps one rectangle per id, so without the check the
+        # corner map is no permutation and the cell trace never ends
+        rects = list(g2.rects)
+        dup = tt.Rect(rects[0].id, rects[1].end0, rects[1].end1)
+        track = tt.TrainTrack(2, g2.switch_ids, [rects[0], dup] + rects[2:])
+        rep = tt.validate(track)
+        assert not rep.valid
+        assert rep.errors[0] == ("port_collision", "rectangle ids are not unique")
+
     def test_cell_shape_error(self, g2):
         # swap partners between two rectangles until a cell stops being a trigon
         rects = list(g2.rects)
@@ -96,10 +107,10 @@ class TestValidation:
     def test_json_roundtrip(self, g2, tmp_path):
         tree = tt.maximal_tree(g2, seed=7)
         path = tmp_path / "track.json"
-        tt.dump_track(str(path), g2, tree)
+        io.write(str(path), io.track_to_json(g2, tree))
         doc = json.loads(path.read_text())
         assert set(doc) == {"genus", "switches", "rectangles", "tree"}
-        track2, tree2 = tt.load_track(str(path))
+        (track2, tree2), _ = io.load(str(path), io.track_from_json)
         assert tt.validate(track2).valid
         assert tree2 is not None and tree2.edges == tree.edges
         assert tree2.orientation == tree.orientation
