@@ -21,10 +21,15 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_TOL = 1e-9
 
-# Floor for float membership and torsion checks, applied as max(tol, MEMBER_TOL):
-# points rebuilt by the explicit inverse, and torsion values summed from them,
-# carry the rounding of long chains of additions and angle wraps.
+# Default tolerance of the chart's float membership and torsion checks: points
+# rebuilt by the explicit inverse, and torsion values summed from them, carry
+# the rounding of long chains of additions and angle wraps.
 MEMBER_TOL = 1e-7
+
+# Largest supported depth d: index_tables(d) builds (d-1)(d-2)/2 triples per
+# switch and obstruction builds d x d matrices, so work and file size grow as
+# d^2 to d^3 (a genus-2 sample-y takes about 1 s at d=64, 6 s at d=128).
+MAX_D = 64
 
 PairIndex = Tuple[int, int]
 TripleIndex = Tuple[int, int, int]
@@ -44,24 +49,25 @@ def _norm_angle(a: float) -> float:
     return a
 
 
-def _cyclic_modulus(kind: str) -> Optional[int]:
-    if kind.startswith("zd:"):
-        try:
-            n = int(kind[3:])
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise GroupKindError(f"bad cyclic modulus in kind {kind!r}")
-        return n
-    return None
+@lru_cache(maxsize=256)
+def _modulus(kind: str) -> Optional[int]:
+    """The kind parser: n for "zd:<n>" (n a canonical decimal >= 1), None for a float kind."""
+    if kind in ("real", "circle", "cylinder"):
+        return None
+    if not kind.startswith("zd:"):
+        raise GroupKindError(f"unknown group kind {kind!r}")
+    digits = kind[3:]
+    if not (digits.isascii() and digits.isdigit()) or digits != str(int(digits)) or digits == "0":
+        raise GroupKindError(f"bad cyclic modulus in kind {kind!r}")
+    return int(digits)
 
 
 def check_kind(kind: str) -> str:
-    if kind in ("real", "circle", "cylinder"):
-        return kind
-    if _cyclic_modulus(kind) is not None:
-        return kind
-    raise GroupKindError(f"unknown group kind {kind!r}")
+    """Return ``kind`` if it names a coefficient group, else raise GroupKindError."""
+    if type(kind) is not str:  # a decoded document may carry any JSON value here
+        raise GroupKindError(f"unknown group kind {kind!r}")
+    _modulus(kind)
+    return kind
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,7 @@ class GroupElement:
     value: object
 
     def __post_init__(self):
-        check_kind(self.kind)
-        n = _cyclic_modulus(self.kind)
+        n = _modulus(self.kind)
         if n is not None:
             object.__setattr__(self, "value", int(self.value) % n)
         elif self.kind == "circle":
@@ -106,7 +111,6 @@ def cyclic(n: int, residue: int) -> GroupElement:
 
 
 def zero(kind: str) -> GroupElement:
-    check_kind(kind)
     if kind == "cylinder":
         return GroupElement(kind, (0.0, 0.0))
     return GroupElement(kind, 0)
@@ -154,14 +158,13 @@ def _angle_dist(a: float, b: float) -> float:
 
 def elements_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:
     _require_same_kind(a, b)
-    n = _cyclic_modulus(a.kind)
-    if n is not None:
-        return a.value == b.value
     if a.kind == "real":
         return abs(a.value - b.value) <= tol
     if a.kind == "circle":
         return _angle_dist(a.value, b.value) <= tol
-    return abs(a.value[0] - b.value[0]) <= tol and _angle_dist(a.value[1], b.value[1]) <= tol
+    if a.kind == "cylinder":
+        return abs(a.value[0] - b.value[0]) <= tol and _angle_dist(a.value[1], b.value[1]) <= tol
+    return a.value == b.value
 
 
 def is_zero(a: GroupElement, tol: float = DEFAULT_TOL) -> bool:
@@ -181,14 +184,13 @@ def torsion_element(kind: str, d: int, k: int = 1) -> GroupElement:
     For "real" only the identity exists.  For "zd:<n>" the d-torsion is
     generated by n/gcd(n,d).
     """
-    check_kind(kind)
     if kind == "real":
         return zero(kind)
     if kind == "circle":
         return circle(TWO_PI * k / d)
     if kind == "cylinder":
         return cylinder(0.0, TWO_PI * k / d)
-    n = _cyclic_modulus(kind)
+    n = _modulus(kind)
     g = math.gcd(n, d)
     return cyclic(n, (n // g) * k)
 
@@ -199,27 +201,58 @@ def torsion_order(kind: str, d: int) -> int:
         return 1
     if kind in ("circle", "cylinder"):
         return d
-    n = _cyclic_modulus(kind)
-    return math.gcd(n, d)
-
-
-def cyclic_to_cylinder(a: GroupElement) -> GroupElement:
-    n = _cyclic_modulus(a.kind)
-    if n is None:
-        raise GroupKindError(f"expected a zd:<n> element, got {a.kind!r}")
-    return cylinder(0.0, TWO_PI * a.value / n)
+    return math.gcd(_modulus(kind), d)
 
 
 def random_element(kind: str, rng: random.Random, scale: float = 1.0) -> GroupElement:
-    check_kind(kind)
     if kind == "real":
         return real(rng.gauss(0.0, scale))
     if kind == "circle":
         return circle(rng.uniform(0.0, TWO_PI))
     if kind == "cylinder":
         return cylinder(rng.gauss(0.0, scale), rng.uniform(0.0, TWO_PI))
-    n = _cyclic_modulus(kind)
+    n = _modulus(kind)
     return cyclic(n, rng.randrange(n))
+
+
+# ---------------------------------------------------------------------------
+# the cylinder: common target of every kind, home of the d-torsion lattice
+
+def to_cylinder(e: GroupElement) -> GroupElement:
+    """Embed a coefficient-group element into the cylinder group (a homomorphism)."""
+    if e.kind == "cylinder":
+        return e
+    if e.kind == "real":
+        return cylinder(e.value, 0.0)
+    if e.kind == "circle":
+        return cylinder(0.0, e.value)
+    return cylinder(0.0, TWO_PI * e.value / _modulus(e.kind))
+
+
+def format_log(e: GroupElement) -> str:
+    """The report form of an element, via its cylinder image: ``log=<re><+angle>i``."""
+    re, ang = to_cylinder(e).value
+    return f"log={re:.12g}{ang % TWO_PI:+.12g}i"
+
+
+def snap_torsion(e: GroupElement, d: int) -> Tuple[int, float]:
+    """Snap ``e`` to the d-torsion lattice point 2*pi*k/d i nearest its cylinder image;
+    returns ``(k, max(|real part|, wrapped angle error))``, the norm of `elements_equal`."""
+    re, ang = to_cylinder(e).value
+    k = round(d * ang / TWO_PI) % d
+    return k, max(abs(re), _angle_dist(ang, TWO_PI * k / d))
+
+
+@dataclass(frozen=True)
+class TorsionValue:
+    """An element checked to be d-torsion (to MEMBER_TOL for the float kinds)."""
+
+    value: GroupElement
+    d: int
+
+    def __post_init__(self):
+        if not is_d_torsion(self.value, self.d, MEMBER_TOL):
+            raise ValueError(f"element is not {self.d}-torsion: {self.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,25 +32,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def fmt_element(e) -> str:
-    re, ang = sl.to_cylinder(e).value
-    return f"log={re:.12g}{ang % al.TWO_PI:+.12g}i"
-
-
 def cyl_gap(a, b) -> float:
-    diff = al.group_sub(sl.to_cylinder(a), sl.to_cylinder(b))
+    diff = al.group_sub(al.to_cylinder(a), al.to_cylinder(b))
     re, ang = diff.value
     ang = ang % al.TWO_PI
     return math.hypot(re, min(ang, al.TWO_PI - ang))
-
-
-def torsion_residue(value, d: int):
-    """Snap a d-torsion element to its lattice residue; returns (k, error)."""
-    re, ang = sl.to_cylinder(value).value
-    ang = ang % al.TWO_PI
-    k = int(round(d * ang / al.TWO_PI)) % d
-    target = al.TWO_PI * k / d
-    return k, abs(re) + min(abs(ang - target), al.TWO_PI - abs(ang - target))
 
 
 class Report:
@@ -140,6 +126,7 @@ def main(ctx, seed, group_tag, dim, tolerance, as_json):
         "group": group_tag,
         "d": dim,
         "tol": tolerance,
+        "member_tol": max(tolerance, al.MEMBER_TOL),
         "json": as_json,
         "tol_explicit": ctx.get_parameter_source("tolerance").name == "COMMANDLINE",
     }
@@ -243,9 +230,7 @@ def classify(cfg, path):
 @click.pass_obj
 def sample_y(cfg, path, count, torsion_k, out):
     """Draw member points with prescribed torsion and write them to a file."""
-    d, kind = cfg["d"], io.group_kind(cfg["group"])
-    if d < 2:
-        raise io.InputError(f"d {d} < 2")
+    d, kind = io.depth(cfg["d"]), io.group_kind(cfg["group"])
     if count < 0:
         raise io.InputError(f"count {count} < 0")
     if torsion_k is not None and not 0 <= torsion_k < d:
@@ -254,14 +239,14 @@ def sample_y(cfg, path, count, torsion_k, out):
     (track, stored), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
-    tol = max(cfg["tol"], al.MEMBER_TOL)
+    tol = cfg["member_tol"]
     points = []
     member_ok, torsion_ok, worst = True, True, 0.0
     for n in range(count):
         rng = random.Random(cfg["seed"] * 1_000_003 + n)
         k = torsion_k if torsion_k is not None else rng.randrange(d)
         eps = al.torsion_element(kind, d, k)
-        c = cc.i2_inverse(otree, cc.random_free(otree, d, kind, rng), eps)
+        c = cc.sample_y(otree, d, kind, rng, eps=eps)
         member_ok = member_ok and cc.is_member(otree, c, tol)
         got = cc.tor_prime(otree, c)
         gap = cyl_gap(got.value, eps)
@@ -285,7 +270,7 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
     c, raw = io.load(coords_path, io.coords_from_json, otree)
     report.add_input("coords", raw)
     try:
-        cc.require_member(otree, c, max(cfg["tol"], al.MEMBER_TOL))
+        cc.require_member(otree, c, cfg["member_tol"])
     except cc.MembershipError as err:
         report.fail("membership", err, cfg["json"])
     report.check("membership", True)
@@ -300,11 +285,13 @@ def torsion(cfg, track_path, coords_path):
     """Print the torsion invariant and its residue for a member point."""
     report = Report("torsion", cfg["seed"])
     otree, c = load_member(cfg, report, track_path, coords_path)
-    tol = max(cfg["tol"], al.MEMBER_TOL)
-    tor = cc.tor_prime(otree, c)
-    k, err = torsion_residue(tor.value, c.d)
-    report.check("torsion lattice", err <= tol, err)
-    report.value("tor_prime", fmt_element(tor.value))
+    try:
+        tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
+    except ValueError as err:
+        report.fail("torsion lattice", err, cfg["json"])
+    k, err = al.snap_torsion(tor.value, c.d)
+    report.check("torsion lattice", err <= cfg["member_tol"], err)
+    report.value("tor_prime", al.format_log(tor.value))
     report.value("residue", k)
     sys.exit(report.finish(cfg["json"]))
 
@@ -318,15 +305,20 @@ def corfinal(cfg, track_path, coords_path):
     report = Report("corfinal", cfg["seed"])
     otree, c = load_member(cfg, report, track_path, coords_path)
     tol = cfg["tol"]
-    total = sl.total_mid_log(otree, c)
-    rhs = sl.closed_form_total(otree, c)
-    gap_form = cyl_gap(total, rhs)
+    try:
+        total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
+    except ValueError as err:
+        report.fail("ledger vs closed form", err, cfg["json"])
+    gap_form = cyl_gap(total, sl.closed_form_total(otree, c))
     report.check("ledger vs closed form", gap_form <= tol, gap_form)
-    tor = cc.tor_prime(otree, c)
-    gap_tor = cyl_gap(sl.ob_from_product(total, c.d).value, tor.value)
+    try:
+        tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
+        gap_tor = cyl_gap(sl.ob_from_product(total, c.d).value, tor.value)
+    except ValueError as err:
+        report.fail("negated total vs tor_prime", err, cfg["json"])
     report.check("negated total vs tor_prime", gap_tor <= tol, gap_tor)
-    report.value("total", fmt_element(total))
-    report.value("tor_prime", fmt_element(tor.value))
+    report.value("total", al.format_log(total))
+    report.value("tor_prime", al.format_log(tor.value))
     sys.exit(report.finish(cfg["json"]))
 
 
@@ -344,9 +336,8 @@ def ob(cfg, rep_path, use_clock, use_identity):
         raise io.InputError("provide exactly one of REP_PATH, --clock-shift, --identity")
     report = Report("ob", cfg["seed"])
     if use_clock or use_identity:
-        if cfg["d"] < 2:
-            raise io.InputError(f"d {cfg['d']} < 2")
-        rep = obs.clock_shift_rep(cfg["d"]) if use_clock else obs.identity_rep(cfg["d"])
+        d = io.depth(cfg["d"])
+        rep = obs.clock_shift_rep(d) if use_clock else obs.identity_rep(d)
         report.add_input("rep", io.dumps(io.rep_to_json(rep)))
     else:
         rep, raw = io.load(rep_path, io.rep_from_json)
@@ -357,7 +348,7 @@ def ob(cfg, rep_path, use_clock, use_identity):
     except ValueError as err:
         report.fail("scalar relator product", err, cfg["json"])
     report.check("scalar relator product", True, value.residual)
-    report.value("ob", fmt_element(value.value))
+    report.value("ob", al.format_log(value.value))
     report.value("residue", value.residue)
     report.value("d", rep.d)
     sys.exit(report.finish(cfg["json"]))
@@ -405,7 +396,7 @@ def flags(cfg, matrices_path, which, index_str):
     report.value("which", which)
     report.value("index", ",".join(map(str, idx)))
     report.value("value", f"{value.real:.12g}{value.imag:+.12g}i")
-    report.value("log", fmt_element(log))
+    report.value("log", al.format_log(log))
     sys.exit(report.finish(cfg["json"]))
 
 
@@ -437,12 +428,12 @@ def selftest(cfg):
     for d, kind in ((3, "cylinder"), (4, "zd:12"), (2, "real")):
         k = rng.randrange(d)
         eps = al.torsion_element(kind, d, k)
-        c = cc.i2_inverse(otree, cc.random_free(otree, d, kind, rng), eps)
+        c = cc.sample_y(otree, d, kind, rng, eps=eps)
         if not cc.is_member(otree, c, al.MEMBER_TOL):
             worst = math.inf
             break
         worst = max(worst, cyl_gap(cc.tor_prime(otree, c).value, eps))
-    report.check("sample and torsion", worst <= max(tol, al.MEMBER_TOL), worst)
+    report.check("sample and torsion", worst <= cfg["member_tol"], worst)
 
     worst = 0.0
     for d in (2, 3, 4):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement, PairIndex, TripleIndex
+from .algebra import GroupElement, PairIndex, TorsionValue, TripleIndex
 from .homology import GA, RotationViolated, check_diamond
 from .traintrack import OrientedTree, TrainTrack, classify
 
@@ -29,16 +29,6 @@ class MembershipError(ValueError):
 
 class AnchorError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TorsionValue:
-    value: GroupElement
-    d: int
-
-    def __post_init__(self):
-        if not al.is_d_torsion(self.value, self.d, al.MEMBER_TOL):
-            raise ValueError(f"element is not {self.d}-torsion: {self.value}")
 
 
 @dataclass
@@ -148,7 +138,7 @@ def _vsum_at(c: CocyclicCoords, rect_ids, i: PairIndex) -> GroupElement:
 
 
 def tor_prime(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] = None,
-              tol: float = al.DEFAULT_TOL) -> TorsionValue:
+              tol: float = al.MEMBER_TOL) -> TorsionValue:
     require_member(tree, c, tol)
     d, kind = c.d, c.kind
     tables = al.index_tables(d)
@@ -170,10 +160,10 @@ def tor_prime(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] 
         zr = al.group_sum(kind, (c.z[t][j] for t in cls.s_right for j in b0))
         left_form = al.group_sub(al.group_add(base, al.group_sub(ur, ul)), zl)
         right_form = al.group_sub(al.group_sub(base, al.group_sub(ur, ul)), zr)
-        if not al.elements_equal(left_form, right_form, max(tol, al.MEMBER_TOL)):
+        if not al.elements_equal(left_form, right_form, tol):
             raise AssertionError("the two parity forms disagree; equations inconsistent")
         val = left_form
-    if not al.is_d_torsion(val, d, max(tol, al.MEMBER_TOL)):
+    if not al.is_d_torsion(val, d, tol):
         raise ValueError(f"torsion invariant is not {d}-torsion: {val}")
     return TorsionValue(value=val, d=d)
 
@@ -205,7 +195,7 @@ def _free_b_indices(tables: al.IndexTables) -> List[TripleIndex]:
 
 
 def i2_forward(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] = None,
-               tol: float = al.DEFAULT_TOL) -> Tuple[FreeCoords, TorsionValue]:
+               tol: float = al.MEMBER_TOL) -> Tuple[FreeCoords, TorsionValue]:
     d, kind = c.d, c.kind
     tables = al.index_tables(d)
     if anchors is None:
@@ -266,7 +256,7 @@ class _PlaqueField:
 
 
 def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,
-               tol: float = al.DEFAULT_TOL) -> CocyclicCoords:
+               tol: float = al.MEMBER_TOL) -> CocyclicCoords:
     d, kind = free.d, free.kind
     tables = al.index_tables(d)
     track = tree.track
@@ -274,7 +264,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
         anchors = default_anchors(tree, d)
     cls = classify(tree)
     eps_val = eps.value if isinstance(eps, TorsionValue) else eps
-    if not al.is_d_torsion(eps_val, d, max(tol, al.MEMBER_TOL)):
+    if not al.is_d_torsion(eps_val, d, tol):
         raise ValueError(f"epsilon is not {d}-torsion: {eps_val}")
 
     v: Dict[int, GA] = dict(free.v_other)
@@ -354,7 +344,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     v[anchors.r_bar] = tuple(v_bar)
     z = zf.materialize(track)
     out = CocyclicCoords(d=d, kind=kind, v=v, z=z)
-    require_member(tree, out, max(tol, al.MEMBER_TOL))
+    require_member(tree, out, tol)
     return out
 
 

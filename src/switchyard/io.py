@@ -52,6 +52,13 @@ def group_kind(tag: str) -> str:
         raise InputError(str(err)) from None
 
 
+def depth(d: int) -> int:
+    """A depth argument ``d``, which must lie in 2..MAX_D."""
+    if not 2 <= d <= al.MAX_D:
+        raise InputError(f"d {d} outside 2..{al.MAX_D}")
+    return d
+
+
 def _int(x, what: str, lo=-math.inf, hi=math.inf) -> int:
     if type(x) is not int:  # rejects bool and float: 2.7 must not become 2
         raise TypeError(f"{what} {x!r} is not an integer")
@@ -140,7 +147,7 @@ def coords_from_json(doc, tree):
         if type(doc["points"]) is not list or not doc["points"]:
             raise ValueError("points is not a non-empty list")
         doc = doc["points"][0]["coords"]
-    d, kind, track = _int(doc["d"], "d", 2), al.check_kind(doc["group"]), tree.track
+    d, kind, track = _int(doc["d"], "d", 2, al.MAX_D), al.check_kind(doc["group"]), tree.track
     free = {r.id for r in track.rects} - tree.edges
     for label, got, want in (("switch", doc["z"], set(track.switch_ids)),
                              ("free rectangle", doc["v"], free)):
@@ -199,7 +206,7 @@ def rep_to_json(rep) -> dict:
 def rep_from_json(doc):
     from . import obstruction as obs
 
-    d, genus, named = _int(doc["d"], "d", 2), _int(doc["genus"], "genus"), doc["matrices"]
+    d, genus, named = _int(doc["d"], "d", 2, al.MAX_D), _int(doc["genus"], "genus"), doc["matrices"]
     if len(named) != 2 * genus:  # before the relator is built: genus comes from the file
         raise ValueError(f"genus {genus} needs {2 * genus} matrices, got {len(named)}")
     mats = {name: matrix_from_json(cols) for name, cols in named.items()}

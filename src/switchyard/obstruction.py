@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algebra as al
-from .cocyclic import TorsionValue
 
 DET_TOL = 1e-8
 SCALAR_TOL = 1e-6
@@ -131,7 +130,7 @@ def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
 
 @dataclass(frozen=True)
 class ObValue:
-    torsion: TorsionValue
+    torsion: al.TorsionValue
     residue: int
     residual: float
 
@@ -147,14 +146,10 @@ def ob(rep: LiftedRep, scalar_tol: float = SCALAR_TOL) -> ObValue:
     off = np.linalg.norm(p - s * np.eye(d)) / max(np.linalg.norm(p), 1e-30)
     if not off <= scalar_tol:  # an overflowed product gives nan, which must not pass
         raise ValueError(f"relator product is not scalar (off-scalar residual {off:.3e})")
-    phase = cmath.phase(complex(s))
-    k = round(d * phase / al.TWO_PI) % d
-    snapped = al.TWO_PI * k / d
-    residual = max(abs(math.log(abs(s))),
-                   abs((phase - snapped + math.pi) % al.TWO_PI - math.pi))
+    k, residual = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
     if residual > scalar_tol:
         raise ValueError(f"scalar {s} is not a {d}-th root of unity (residual {residual:.3e})")
-    return ObValue(torsion=TorsionValue(value=al.torsion_element("cylinder", d, k), d=d),
+    return ObValue(torsion=al.TorsionValue(value=al.torsion_element("cylinder", d, k), d=d),
                    residue=k, residual=max(residual, off))
 
 

@@ -18,23 +18,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement
-from .cocyclic import CocyclicCoords, TorsionValue, require_member
+from .algebra import GroupElement, TorsionValue, to_cylinder
+from .cocyclic import CocyclicCoords, require_member
 from .homology import check_diamond
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
-
-
-def to_cylinder(e: GroupElement) -> GroupElement:
-    """Embed a coefficient-group element into the cylinder group."""
-    if e.kind == CYL:
-        return e
-    if e.kind == "real":
-        return al.cylinder(e.value, 0.0)
-    if e.kind == "circle":
-        return al.cylinder(0.0, e.value)
-    return al.cyclic_to_cylinder(e)
 
 
 def _sign_log(k: int) -> GroupElement:
@@ -117,11 +106,7 @@ class LedgerEntry:
     contribution: Optional[GroupElement]  # None on the opening half of a pair
 
     def line(self) -> str:
-        if self.contribution is None:
-            tail = "deferred"
-        else:
-            re_part, ang = self.contribution.value
-            tail = f"log={re_part:.12g}{ang % al.TWO_PI:+.12g}i"
+        tail = "deferred" if self.contribution is None else al.format_log(self.contribution)
         return f"step {self.n} {self.kind} {self.payload} {tail}"
 
 
@@ -141,14 +126,14 @@ class SlitherLedger:
 
 def build_ledger(tree: OrientedTree, c: CocyclicCoords, m: Optional[int] = None,
                  roots: Optional[PlaqueRoot] = None,
-                 tol: float = al.DEFAULT_TOL) -> SlitherLedger:
+                 tol: float = al.MEMBER_TOL) -> SlitherLedger:
     track = tree.track
     d = c.d
     if m is None:
         m = (d + 1) // 2
     if roots is None:
         roots = plaque_roots(track, c)
-    check_diamond(track, c.z, d, max(tol, al.MEMBER_TOL))
+    check_diamond(track, c.z, d, tol)
     cls = classify(tree)
     klass_of = {rid: "orientable" for rid in cls.orientable}
     klass_of.update({rid: "u_left" for rid in cls.u_left})
@@ -182,8 +167,8 @@ def build_ledger(tree: OrientedTree, c: CocyclicCoords, m: Optional[int] = None,
 
 def total_mid_log(tree: OrientedTree, c: CocyclicCoords,
                   roots: Optional[PlaqueRoot] = None,
-                  tol: float = al.DEFAULT_TOL) -> GroupElement:
-    require_member(tree, c, max(tol, al.MEMBER_TOL))
+                  tol: float = al.MEMBER_TOL) -> GroupElement:
+    require_member(tree, c, tol)
     return build_ledger(tree, c, None, roots, tol).total
 
 

@@ -640,9 +640,6 @@ class CoverLifts:
         s = self.tree.track.rect_by_id[rid].end(e)[0]
         return self.end_bit(rid, lift_bit, e) == self.tree.bit(s)
 
-    def m_o(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset((s, b) for s, b in self.tree.orientation.items())
-
     def t_cw_bit(self, s: int) -> int:
         # The clockwise orientation around the adjacent plaque is canonical.
         return 0

@@ -90,10 +90,73 @@ class TestTorsion:
     @given(st.integers(2, 12), st.integers(0, 40), st.integers(0, 40))
     def test_cyclic_to_cylinder_homomorphism(self, n, x, y):
         a, b = al.cyclic(n, x), al.cyclic(n, y)
-        lhs = al.cyclic_to_cylinder(al.group_add(a, b))
-        rhs = al.group_add(al.cyclic_to_cylinder(a), al.cyclic_to_cylinder(b))
+        lhs = al.to_cylinder(al.group_add(a, b))
+        rhs = al.group_add(al.to_cylinder(a), al.to_cylinder(b))
         assert al.elements_equal(lhs, rhs, tol=1e-9)
-        assert al.cyclic_to_cylinder(a).value[0] == 0.0
+        assert al.to_cylinder(a).value[0] == 0.0
+
+    @given(st.sampled_from(KINDS), st.integers(0, 10 ** 6), st.integers(-5, 5))
+    def test_to_cylinder_homomorphism(self, kind, seed, n):
+        rng = random.Random(seed)
+        a, b = al.random_element(kind, rng), al.random_element(kind, rng)
+        lhs = al.to_cylinder(al.group_add(a, al.int_scale(n, b)))
+        rhs = al.group_add(al.to_cylinder(a), al.int_scale(n, al.to_cylinder(b)))
+        assert lhs.kind == "cylinder"
+        assert al.elements_equal(lhs, rhs, tol=1e-9)
+        assert al.is_zero(al.to_cylinder(al.zero(kind)), tol=0.0)
+
+
+class TestSnapTorsion:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lattice_points_snap_exactly(self, kind):
+        for d in range(2, 9):
+            for k in range(d):
+                e = al.torsion_element(kind, d, k)
+                got, residual = al.snap_torsion(e, d)
+                assert residual <= 1e-12
+                assert al.elements_equal(al.torsion_element("cylinder", d, got),
+                                         al.to_cylinder(e), 1e-12)
+                if kind in ("circle", "cylinder"):
+                    assert got == k
+
+    def test_residual_is_the_larger_error(self):
+        # real part 3e-4 and angle 2e-4 past the lattice point k=1 of d=4
+        k, residual = al.snap_torsion(al.cylinder(3e-4, al.TWO_PI / 4 + 2e-4), 4)
+        assert k == 1
+        assert residual == pytest.approx(3e-4, rel=1e-9)
+        k, residual = al.snap_torsion(al.cylinder(-1e-4, -5e-4), 4)  # wraps to k=0
+        assert k == 0
+        assert residual == pytest.approx(5e-4, rel=1e-9)
+        assert al.elements_equal(al.cylinder(-1e-4, -5e-4), al.zero("cylinder"), 5.1e-4)
+        assert not al.elements_equal(al.cylinder(-1e-4, -5e-4), al.zero("cylinder"), 4.9e-4)
+
+
+class TestKindTags:
+    @pytest.mark.parametrize("tag", ["zd:+3", "zd: 3", "zd:03", "zd:\u0663", "zd:3 ",
+                                     "zd:0", "zd:-3", "zd:", "zd:abc", "zd:3.0"])
+    def test_non_canonical_modulus_rejected(self, tag):
+        with pytest.raises(al.GroupKindError, match="bad cyclic modulus"):
+            al.check_kind(tag)
+        with pytest.raises(al.GroupKindError):
+            al.GroupElement(tag, 1)
+
+    @pytest.mark.parametrize("tag", [["zd:3"], {"zd": 3}, 3, None])
+    def test_non_string_kind_rejected(self, tag):
+        with pytest.raises(al.GroupKindError, match="unknown group kind"):
+            al.check_kind(tag)
+
+    @pytest.mark.parametrize("tag", ["quaternion", "Real", "zd3", ""])
+    def test_unknown_kind_rejected(self, tag):
+        with pytest.raises(al.GroupKindError, match="unknown group kind"):
+            al.check_kind(tag)
+        for make in (al.zero, lambda k: al.torsion_element(k, 3),
+                     lambda k: al.random_element(k, random.Random(0))):
+            with pytest.raises(al.GroupKindError):
+                make(tag)
+
+    @pytest.mark.parametrize("tag", ["real", "circle", "cylinder", "zd:1", "zd:3", "zd:120"])
+    def test_canonical_kinds_accepted(self, tag):
+        assert al.check_kind(tag) == tag
 
 
 class TestIndexSets:

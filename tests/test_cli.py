@@ -227,12 +227,41 @@ class TestSampleAndTorsion:
         assert r.exit_code == 2
 
     def test_bad_cyclic_modulus_rejected(self, runner, workdir, tmp_path):
-        r = runner.invoke(main, ["--group", "zd:abc", "sample-y",
-                                 str(workdir / "tree.json"),
-                                 "--out", str(tmp_path / "x.json")])
+        for tag in ("zd:abc", "zd:+3", "zd: 3", "zd:03", "zd:\u0663"):
+            r = runner.invoke(main, ["--group", tag, "sample-y",
+                                     str(workdir / "tree.json"),
+                                     "--out", str(tmp_path / "x.json")])
+            assert r.exit_code == 2, tag
+            assert isinstance(r.exception, SystemExit)
+            assert r.stderr.startswith("input error:")
+
+    @pytest.mark.parametrize("args", [["sample-y", "TREE", "--out", "OUT"],
+                                      ["ob", "--clock-shift"], ["ob", "--identity"]])
+    @pytest.mark.parametrize("d", ["1", "65"])
+    def test_d_outside_range_rejected(self, runner, workdir, tmp_path, args, d):
+        subst = {"TREE": str(workdir / "tree.json"), "OUT": str(tmp_path / "x.json")}
+        r = runner.invoke(main, ["--d", d, *(subst.get(a, a) for a in args)])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
-        assert r.stderr.startswith("input error:")
+        assert r.stderr == f"input error: d {d} outside 2..64\n"
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    @pytest.mark.parametrize("shift,tolerance", [(5e-8, None), (1e-5, "1e-4")])
+    def test_near_tolerance_point_fails_cleanly(self, runner, workdir, tmp_path,
+                                                command, shift, tolerance):
+        """A point inside the CLI's membership tolerance but off the exact chart
+        is reported, never a traceback."""
+        doc = json.loads((workdir / "pts.json").read_text())
+        coords = doc["points"][0]["coords"]
+        switch = next(iter(coords["z"]))
+        slot = next(iter(coords["z"][switch]))
+        coords["z"][switch][slot][0] += shift
+        bad = tmp_path / "near.json"
+        bad.write_text(json.dumps(coords))
+        opts = [] if tolerance is None else ["--tolerance", tolerance]
+        r = runner.invoke(main, [*opts, command, str(workdir / "tree.json"), str(bad)])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code in (0, 1)
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
     def test_coords_missing_switch_exits_two(self, runner, workdir, tmp_path, command):
@@ -304,6 +333,10 @@ class TestOb:
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["values"]["residue"] in (1, 4)
+
+    def test_largest_d_accepted(self, runner):
+        r = runner.invoke(main, ["--d", "64", "ob", "--clock-shift"])
+        assert r.exit_code == 0, r.output
 
     def test_identity_builder(self, runner):
         r = runner.invoke(main, ["--d", "4", "ob", "--identity"])

@@ -1,10 +1,15 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchyard
 from switchyard import algebra as al
 from switchyard import flags as fl
 from switchyard import io
@@ -127,6 +132,39 @@ class TestOb:
             assert abs(abs(s) - 1.0) < 1e-12
             assert abs(s ** d - 1.0) < 1e-10
             assert np.linalg.norm(p - s * np.eye(d)) < 1e-10
+
+    @staticmethod
+    def _phase_snap(s: complex, d: int):
+        """Reference snapping of a scalar: nearest d-th root of unity by phase."""
+        phase = cmath.phase(s)
+        k = round(d * phase / al.TWO_PI) % d
+        err = abs((phase - al.TWO_PI * k / d + math.pi) % al.TWO_PI - math.pi)
+        return k, max(abs(math.log(abs(s))), err)
+
+    def test_clock_shift_snap_matches_phase_reference(self):
+        for d in range(2, 8):
+            rep = ob.clock_shift_rep(d)
+            p = rep.product()
+            s = complex(np.trace(p) / d)
+            off = np.linalg.norm(p - s * np.eye(d)) / np.linalg.norm(p)
+            k, residual = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
+            k_ref, residual_ref = self._phase_snap(s, d)
+            assert k == k_ref
+            assert abs(residual - residual_ref) <= 1e-15
+            v = ob.ob(rep)
+            assert (v.residue, v.residual) == (k, max(residual, off))
+
+    def test_perturbed_scalars_snap_like_phase_reference(self):
+        rng = random.Random(6)
+        for d in range(2, 9):
+            for k in range(d):
+                for _ in range(20):
+                    s = cmath.exp(complex(rng.uniform(-1e-3, 1e-3),
+                                          al.TWO_PI * k / d + rng.uniform(-1e-3, 1e-3)))
+                    got = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
+                    ref = self._phase_snap(s, d)
+                    assert got[0] == ref[0] == k
+                    assert got[1] == pytest.approx(ref[1], rel=1e-9, abs=1e-15)
 
     def test_d2_clock_shift_is_half_turn(self):
         v = ob.ob(ob.clock_shift_rep(2))
@@ -256,3 +294,13 @@ class TestSerialization:
         doc["matrices"]["q7"] = doc["matrices"].pop("a1")
         with pytest.raises(ValueError):
             io.rep_from_json(doc)
+
+
+def test_import_loads_no_chart_layer():
+    code = ("import sys, switchyard.obstruction\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('switchyard.'))\n"
+            "assert 'switchyard.cocyclic' not in loaded, loaded\n")
+    src = str(Path(switchyard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
