@@ -5,6 +5,10 @@ digests of the inputs, a pass/fail line per check with numeric residuals,
 and wall time.  With a fixed seed and fixed inputs everything except the
 wall-time field reproduces byte-identically.  Exit codes: 0 success,
 1 mathematical-check failure, 2 input error.
+
+Only `ob`, `flags` and `selftest` import the numpy layer (`flags`,
+`obstruction`), inside the command, so every other command starts without
+numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ import click
 
 from . import algebra as al
 from . import cocyclic as cc
-from . import flags as fl
 from . import io
-from . import obstruction as obs
 from . import slither as sl
 from . import traintrack as tt
 
@@ -263,11 +265,21 @@ def sample_y(cfg, path, count, torsion_k, out):
 
 
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
-    """Load a track, its oriented tree and a coords file; exit 1 unless the point is a member."""
+    """Load a track, its oriented tree and a coords file; exit 1 unless the point is a member.
+
+    A track without a stored tree gets the tree `sample-y` drew the points on:
+    the one of the seed a points file records, or of --seed for a bare coords
+    document.
+    """
     (track, stored), raw = io.load(track_path, io.track_from_json)
     report.add_input("track", raw)
-    otree = oriented_tree_for(track, stored, cfg["seed"])
-    c, raw = io.load(coords_path, io.coords_from_json, otree)
+
+    def decode(doc):
+        seed = io.points_seed(doc)
+        otree = oriented_tree_for(track, stored, cfg["seed"] if seed is None else seed)
+        return otree, io.coords_from_json(doc, otree)
+
+    (otree, c), raw = io.load(coords_path, decode)
     report.add_input("coords", raw)
     try:
         cc.require_member(otree, c, cfg["member_tol"])
@@ -334,6 +346,8 @@ def ob(cfg, rep_path, use_clock, use_identity):
     picked = sum((rep_path is not None, use_clock, use_identity))
     if picked != 1:
         raise io.InputError("provide exactly one of REP_PATH, --clock-shift, --identity")
+    from . import obstruction as obs
+
     report = Report("ob", cfg["seed"])
     if use_clock or use_identity:
         d = io.depth(cfg["d"])
@@ -363,6 +377,8 @@ def ob(cfg, rep_path, use_clock, use_identity):
 @click.pass_obj
 def flags(cfg, matrices_path, which, index_str):
     """Print a flag invariant (triple or double ratio) and its log."""
+    from . import flags as fl
+
     report = Report("flags", cfg["seed"])
     mats, raw = io.load(matrices_path, io.matrices_from_json)
     report.add_input("matrices", raw)
@@ -404,6 +420,8 @@ def flags(cfg, matrices_path, which, index_str):
 @click.pass_obj
 def selftest(cfg):
     """Run a fast end-to-end battery across every module."""
+    from . import obstruction as obs
+
     report = Report("selftest", cfg["seed"])
     seed, tol = cfg["seed"], max(cfg["tol"], 1e-9)
 

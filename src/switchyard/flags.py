@@ -29,25 +29,34 @@ GUARD_TOL = 1e-8
 
 
 class Flag:
-    """Complete flag: span of the first k columns is the k-dimensional piece."""
+    """Complete flag: span of the first k columns is the k-dimensional piece.
+
+    ``mat`` is the matrix as given.  Computations read ``unit``: each column
+    divided by the power of two that puts its largest real or imaginary part
+    in [1, 2).  That leaves every span unchanged, is exact in floating point,
+    and keeps norms and minors finite for any finite entries.
+    """
 
     def __init__(self, mat) -> None:
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("flag matrix must be square")
-        norms = np.linalg.norm(m, axis=0)
+        _, exp = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=0))
+        unit = m / np.ldexp(0.5, exp)
+        norms = np.linalg.norm(unit, axis=0)
         if np.any(norms == 0.0):
             raise DegenerateFlagError("flag has a zero column")
-        if abs(np.linalg.det(m / norms)) <= FLAG_TOL:
+        if abs(np.linalg.det(unit / norms)) <= FLAG_TOL:
             raise DegenerateFlagError("flag columns are linearly dependent")
         self.mat = m
+        self.unit = unit
 
     @property
     def d(self) -> int:
         return self.mat.shape[0]
 
     def cols(self, k: int) -> np.ndarray:
-        return self.mat[:, :k]
+        return self.unit[:, :k]
 
 
 def standard_flag(d: int) -> Flag:
@@ -196,8 +205,8 @@ def unipotent_fixing(f2: Flag, f1: Flag, f3: Flag) -> np.ndarray:
     the fixed flag, with one annihilator condition per carried subspace.
     """
     d = f2.d
-    p = f2.mat
-    y = np.linalg.solve(p, f1.mat)
+    p = f2.unit
+    y = np.linalg.solve(p, f1.unit)
 
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     pos = {ab: n for n, ab in enumerate(pairs)}

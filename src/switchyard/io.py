@@ -139,6 +139,12 @@ def coords_to_json(c) -> dict:
                   for t, vec in sorted(c.z.items())}}
 
 
+def points_seed(doc):
+    """The seed a points file records, which chose the tree its points were drawn
+    on; None for a bare coords document."""
+    return _int(doc["seed"], "seed") if "points" in doc else None
+
+
 def coords_from_json(doc, tree):
     """Decode a coords document, or a points file's first point, checked against ``tree``."""
     from .cocyclic import CocyclicCoords

@@ -1,13 +1,20 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import switchyard
 from switchyard import obstruction as obs
 from switchyard import io
 from switchyard.cli import main
+
+TRACK_G3 = str(Path(__file__).parent / "data" / "track_g3_s2.json")  # no stored tree
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +172,8 @@ MALFORMED = {
     "rep d 1": (["ob", "BAD"], lambda w: {
         "d": 1, "genus": 2, "matrices": {n: [[[1.0, 0.0]]] for n in ("a1", "b1", "a2", "b2")}}),
     "genus 2.7": (["validate", "BAD"], lambda w: _put(_read(w, "track.json"), ("genus",), 2.7)),
+    "points seed 5.0": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("seed",), 5.0)),
+    "points seed '5'": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("seed",), "5")),
 }
 
 
@@ -325,6 +334,87 @@ class TestCorfinal:
         bad.write_text(json.dumps(coords))
         r = runner.invoke(main, ["corfinal", str(workdir / "tree.json"), str(bad)])
         assert r.exit_code == 1
+
+
+class TestPointsBindTree:
+    """On a track without a stored tree, a points file's recorded seed picks
+    the tree; --seed picks it only for a bare coords document."""
+
+    @pytest.fixture(scope="class")
+    def points(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bind") / "pts.json"
+        r = CliRunner().invoke(main, ["--seed", "3", "--d", "3", "sample-y", TRACK_G3,
+                                      "--torsion", "1", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        return out
+
+    def test_torsion_under_another_seed_reads_the_sampled_tree(self, runner, points):
+        r = runner.invoke(main, ["--json", "torsion", TRACK_G3, str(points)])
+        assert r.exit_code == 0, r.stderr
+        doc = json.loads(r.output)
+        assert doc["values"]["residue"] == 1
+        assert all(c["pass"] for c in doc["checks"])
+
+    def test_corfinal_under_another_seed_reads_the_sampled_tree(self, runner, points):
+        r = runner.invoke(main, ["--seed", "8", "corfinal", TRACK_G3, str(points)])
+        assert r.exit_code == 0, r.stderr
+        assert "FAIL" not in r.output
+
+    def test_bare_coords_use_the_command_seed(self, runner, points, tmp_path):
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(json.loads(points.read_text())["points"][0]["coords"]))
+        r = runner.invoke(main, ["--seed", "3", "torsion", TRACK_G3, str(bare)])
+        assert r.exit_code == 0, r.stderr
+        r = runner.invoke(main, ["torsion", TRACK_G3, str(bare)])
+        assert r.exit_code == 2
+        assert "free rectangle ids do not match the track" in r.stderr
+
+
+def _run_in_fresh_process(code, cwd):
+    src = str(Path(switchyard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def _main_exits_zero(argvs):
+    """Source that runs each argv through ``main`` and requires exit code 0."""
+    return "\n".join([
+        "import sys",
+        "from switchyard.cli import main",
+        f"for argv in {argvs!r}:",
+        "    try:",
+        "        main(argv)",
+        "    except SystemExit as done:",
+        "        assert done.code == 0, (argv, done.code)",
+    ])
+
+
+class TestLeanProcess:
+    """Only ob, flags and selftest load numpy; each imports its layer itself."""
+
+    def test_chart_commands_leave_numpy_unloaded(self, tmp_path):
+        argvs = [["--seed", "5", *argv] for argv in (
+            ["gen-fixture", "--genus", "2", "--out", "track.json"],
+            ["tree", "track.json", "--out", "tree.json"],
+            ["validate", "tree.json"],
+            ["classify", "tree.json"],
+            ["sample-y", "tree.json", "--count", "2", "--out", "pts.json"],
+            ["torsion", "tree.json", "pts.json"],
+            ["corfinal", "tree.json", "pts.json"])]
+        code = _main_exits_zero(argvs) + "\nassert 'numpy' not in sys.modules, 'numpy loaded'"
+        r = _run_in_fresh_process(code, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.count("command: ") == len(argvs)
+
+    @pytest.mark.parametrize("argv", [["ob", "--clock-shift"], ["flags", "mats.json"],
+                                      ["selftest"]])
+    def test_matrix_command_runs_first_in_a_process(self, tmp_path, argv):
+        (tmp_path / "mats.json").write_text(json.dumps(_matrices(3, 3, 3)))
+        code = _main_exits_zero([argv]) + "\nassert 'numpy' in sys.modules"
+        r = _run_in_fresh_process(code, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "FAIL" not in r.stdout
 
 
 class TestOb:

@@ -1,12 +1,15 @@
 """The input boundary: mutated documents keep the CLI's exit-code contract
-(0 ok, 1 math failure, 2 input error), and decoding stays numpy-free."""
+(0 ok, 1 math failure, 2 input error), flag entries of any finite magnitude
+are accepted, and decoding stays numpy-free."""
 
 import copy
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,41 @@ def test_decoding_track_and_coords_leaves_numpy_unloaded(base):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def _triple_ratio(path):
+    """The `flags` command's triple ratio; any numpy warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = CliRunner().invoke(main, ["--json", "flags", str(path)])
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code == 0, r.output
+    return complex(json.loads(r.output)["values"]["value"].replace("i", "j"))
+
+
+MAGNITUDES = st.builds(lambda sign, exp: sign * 10.0 ** exp,
+                       st.sampled_from([1, -1]), st.integers(-300, 300))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flag=st.integers(0, 2), col=st.integers(0, 2), scale=MAGNITUDES)
+def test_flag_column_magnitude_leaves_triple_ratio(base, tmp_path_factory, flag, col, scale):
+    """A rescaled column spans the same line, so the invariant must not move."""
+    doc = json.loads((base / "mats.json").read_text())
+    doc["matrices"][flag][col] = [[re * scale, im * scale] for re, im in doc["matrices"][flag][col]]
+    path = tmp_path_factory.mktemp("mag") / "mats.json"
+    path.write_text(json.dumps(doc))
+    want = _triple_ratio(base / "mats.json")
+    assert abs(_triple_ratio(path) - want) <= 1e-9 * abs(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flag=st.integers(0, 2), col=st.integers(0, 2), row=st.integers(0, 2),
+       part=st.integers(0, 1), entry=MAGNITUDES)
+def test_flag_entry_of_any_magnitude_is_accepted(base, tmp_path_factory, flag, col, row,
+                                                 part, entry):
+    doc = json.loads((base / "mats.json").read_text())
+    doc["matrices"][flag][col][row][part] = entry
+    path = tmp_path_factory.mktemp("mag") / "mats.json"
+    path.write_text(json.dumps(doc))
+    assert math.isfinite(abs(_triple_ratio(path)))

@@ -263,14 +263,22 @@ class TestFuchsianOctagon:
             assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
     def test_symmetric_power_lifts_are_unobstructed(self):
-        for d in (2, 3, 4):
+        for d in range(2, ob.OCTAGON_MAX_D + 1):
             v = ob.ob(ob.fuchsian_octagon(d))
             assert v.residue == 0
             assert v.residual <= 1e-6
 
     def test_precision_failure_is_loud(self):
-        with pytest.raises(AssertionError):
-            ob.fuchsian_octagon(6)
+        for d in (6, 7, 8):
+            with pytest.raises(ob.OctagonPrecisionError, match=f"depth {d} exceeds 5"):
+                ob.fuchsian_octagon(d)
+
+    def test_residual_check_raises_the_same_error(self, monkeypatch):
+        """Past the bound, the relator residual is what fails (1.2e-4 at d=6, 0.18 at d=7)."""
+        monkeypatch.setattr(ob, "OCTAGON_MAX_D", 7)
+        for d in (6, 7):
+            with pytest.raises(ob.OctagonPrecisionError, match="residual degraded"):
+                ob.fuchsian_octagon(d)
 
 
 class TestSerialization:
