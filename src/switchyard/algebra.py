@@ -19,6 +19,9 @@ from typing import List, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
+# Default tolerance of a float comparison (`elements_equal`, the rotation and
+# balance checks): sums of a few hundred O(1) terms carry rounding near 1e-13,
+# and 1e-9 stays far below the smallest torsion lattice spacing 2*pi/MAX_D.
 DEFAULT_TOL = 1e-9
 
 # Default tolerance of the chart's float membership and torsion checks: points
@@ -156,15 +159,25 @@ def _angle_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def elements_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:
+def distance(a: GroupElement, b: GroupElement) -> float:
+    """The one residual rule: |difference| for "real", the wrapped angle for
+    "circle", the larger of the two for "cylinder"; for "zd:<n>" 0.0 on equal
+    residues and inf otherwise, so any finite tol compares them exactly."""
     _require_same_kind(a, b)
     if a.kind == "real":
-        return abs(a.value - b.value) <= tol
+        return abs(a.value - b.value)
     if a.kind == "circle":
-        return _angle_dist(a.value, b.value) <= tol
+        return _angle_dist(a.value, b.value)
     if a.kind == "cylinder":
-        return abs(a.value[0] - b.value[0]) <= tol and _angle_dist(a.value[1], b.value[1]) <= tol
-    return a.value == b.value
+        ang = _angle_dist(a.value[1], b.value[1])
+        # max(x, nan) is x: a nan angle must not be dropped
+        return ang if math.isnan(ang) else max(abs(a.value[0] - b.value[0]), ang)
+    return 0.0 if a.value == b.value else math.inf
+
+
+def elements_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:
+    """``distance(a, b) <= tol``, for a finite tol >= 0."""
+    return distance(a, b) <= tol
 
 
 def is_zero(a: GroupElement, tol: float = DEFAULT_TOL) -> bool:
@@ -237,10 +250,10 @@ def format_log(e: GroupElement) -> str:
 
 def snap_torsion(e: GroupElement, d: int) -> Tuple[int, float]:
     """Snap ``e`` to the d-torsion lattice point 2*pi*k/d i nearest its cylinder image;
-    returns ``(k, max(|real part|, wrapped angle error))``, the norm of `elements_equal`."""
-    re, ang = to_cylinder(e).value
-    k = round(d * ang / TWO_PI) % d
-    return k, max(abs(re), _angle_dist(ang, TWO_PI * k / d))
+    returns ``(k, distance to that point)``."""
+    c = to_cylinder(e)
+    k = round(d * c.value[1] / TWO_PI) % d
+    return k, distance(c, cylinder(0.0, TWO_PI * k / d))
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,6 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def cyl_gap(a, b) -> float:
-    diff = al.group_sub(al.to_cylinder(a), al.to_cylinder(b))
-    re, ang = diff.value
-    ang = ang % al.TWO_PI
-    return math.hypot(re, min(ang, al.TWO_PI - ang))
-
-
 class Report:
     def __init__(self, command: str, seed: int):
         self.command = command
@@ -118,7 +111,8 @@ class _Main(click.Group):
               help="Coefficient group: real, circle, cylinder, or zd:<n>.")
 @click.option("--d", "dim", type=int, default=3, show_default=True,
               help="Coordinate depth (matrix size downstream).")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True)
+@click.option("--tolerance", type=float, default=al.DEFAULT_TOL, show_default=True,
+              help="Comparison tolerance, a finite number >= 0.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 @click.pass_context
 def main(ctx, seed, group_tag, dim, tolerance, as_json):
@@ -127,7 +121,7 @@ def main(ctx, seed, group_tag, dim, tolerance, as_json):
         "seed": seed,
         "group": group_tag,
         "d": dim,
-        "tol": tolerance,
+        "tol": io.tolerance(tolerance),
         "member_tol": max(tolerance, al.MEMBER_TOL),
         "json": as_json,
         "tol_explicit": ctx.get_parameter_source("tolerance").name == "COMMANDLINE",
@@ -251,7 +245,7 @@ def sample_y(cfg, path, count, torsion_k, out):
         c = cc.sample_y(otree, d, kind, rng, eps=eps)
         member_ok = member_ok and cc.is_member(otree, c, tol)
         got = cc.tor_prime(otree, c)
-        gap = cyl_gap(got.value, eps)
+        gap = al.distance(got.value, eps)
         worst = max(worst, gap)
         torsion_ok = torsion_ok and gap <= tol
         points.append({"torsion": k, "coords": io.coords_to_json(c)})
@@ -265,7 +259,8 @@ def sample_y(cfg, path, count, torsion_k, out):
 
 
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
-    """Load a track, its oriented tree and a coords file; exit 1 unless the point is a member.
+    """Load a track, its oriented tree and a coords file; exit 1 unless the point is a
+    member, else return the tree and the point as a `cocyclic.Member`.
 
     A track without a stored tree gets the tree `sample-y` drew the points on:
     the one of the seed a points file records, or of --seed for a bare coords
@@ -282,7 +277,7 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
     (otree, c), raw = io.load(coords_path, decode)
     report.add_input("coords", raw)
     try:
-        cc.require_member(otree, c, cfg["member_tol"])
+        c = cc.require_member(otree, c, cfg["member_tol"])
     except cc.MembershipError as err:
         report.fail("membership", err, cfg["json"])
     report.check("membership", True)
@@ -321,11 +316,11 @@ def corfinal(cfg, track_path, coords_path):
         total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
     except ValueError as err:
         report.fail("ledger vs closed form", err, cfg["json"])
-    gap_form = cyl_gap(total, sl.closed_form_total(otree, c))
+    gap_form = al.distance(total, sl.closed_form_total(otree, c))
     report.check("ledger vs closed form", gap_form <= tol, gap_form)
     try:
         tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
-        gap_tor = cyl_gap(sl.ob_from_product(total, c.d).value, tor.value)
+        gap_tor = al.distance(sl.ob_from_product(total, c.d).value, al.to_cylinder(tor.value))
     except ValueError as err:
         report.fail("negated total vs tor_prime", err, cfg["json"])
     report.check("negated total vs tor_prime", gap_tor <= tol, gap_tor)
@@ -423,7 +418,7 @@ def selftest(cfg):
     from . import obstruction as obs
 
     report = Report("selftest", cfg["seed"])
-    seed, tol = cfg["seed"], max(cfg["tol"], 1e-9)
+    seed, tol = cfg["seed"], max(cfg["tol"], al.DEFAULT_TOL)
 
     ok = all(al.dimension_count(d, g) == (d * d - 1) * (2 * g - 2)
              for d in range(2, 9) for g in (2, 3, 4))
@@ -450,27 +445,27 @@ def selftest(cfg):
         if not cc.is_member(otree, c, al.MEMBER_TOL):
             worst = math.inf
             break
-        worst = max(worst, cyl_gap(cc.tor_prime(otree, c).value, eps))
+        worst = max(worst, al.distance(cc.tor_prime(otree, c).value, eps))
     report.check("sample and torsion", worst <= cfg["member_tol"], worst)
 
     worst = 0.0
     for d in (2, 3, 4):
         c = cc.sample_y(otree, d, "cylinder", rng)
         total = sl.total_mid_log(otree, c)
-        worst = max(worst, cyl_gap(total, sl.closed_form_total(otree, c)))
-        worst = max(worst, cyl_gap(sl.ob_from_product(total, d).value,
-                                   cc.tor_prime(otree, c).value))
+        worst = max(worst, al.distance(total, sl.closed_form_total(otree, c)))
+        worst = max(worst, al.distance(sl.ob_from_product(total, d).value,
+                                       cc.tor_prime(otree, c).value))
     report.check("boundary product", worst <= tol, worst)
 
     worst = 0.0
     for d in (2, 3, 4, 5):
         value = obs.ob(obs.clock_shift_rep(d))
         target = al.torsion_element("cylinder", d, value.residue)
-        ok = value.residue in (1, d - 1) and al.elements_equal(value.value, target, 1e-9)
+        ok = value.residue in (1, d - 1) and al.elements_equal(value.value, target)
         if not ok:
             worst = math.inf
         worst = max(worst, value.residual)
-    report.check("clock-shift obstruction", worst <= 1e-9, worst)
+    report.check("clock-shift obstruction", worst <= al.DEFAULT_TOL, worst)
     report.check("octagon obstruction", obs.ob(obs.fuchsian_octagon(3)).residue == 0)
 
     sys.exit(report.finish(cfg["json"]))

@@ -5,8 +5,10 @@ maximal tree and a B-indexed vector to every switch.  Membership means the
 per-plaque rotation relations hold at every switch together with one balance
 equation per pair index.  The rotation relation is checked by
 `homology.check_diamond`, its only home; the balance equations are checked
-here.  The tree's rectangle and switch classification is computed once per
-tree and cached on it (`traintrack.classify`).  The space carries a torsion
+here.  `require_member` is the one membership gate: it returns a read-only
+`Member`, which the chart functions accept without checking it again.
+The tree's rectangle and switch classification is computed once per tree
+and cached on it (`traintrack.classify`).  The space carries a torsion
 invariant and an explicit linear parametrization by unconstrained slots plus
 one d-torsion slot; both directions of that parametrization are implemented
 here.
@@ -15,7 +17,8 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import algebra as al
 from .algebra import GroupElement, PairIndex, TorsionValue, TripleIndex
@@ -37,6 +40,26 @@ class CocyclicCoords:
     kind: str
     v: Dict[int, GA]
     z: Dict[int, Dict[TripleIndex, GroupElement]]
+
+
+@dataclass(frozen=True)
+class Member:
+    """A point checked to be a member of the chart of ``tree`` at ``tol``.
+
+    It is read like `CocyclicCoords`, but it is a read-only copy (proxies
+    and tuples), so the check it records stays true.  Only `require_member`
+    builds one.
+    """
+
+    d: int
+    kind: str
+    v: Mapping[int, GA]
+    z: Mapping[int, Mapping[TripleIndex, GroupElement]]
+    tree: OrientedTree
+    tol: float
+
+
+Coords = Union[CocyclicCoords, Member]
 
 
 @dataclass(frozen=True)
@@ -84,7 +107,7 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
 # -- equation checkers --------------------------------------------------------
 
 
-def _club_sides(tree: OrientedTree, c: CocyclicCoords, i: PairIndex):
+def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
     cls = classify(tree)
     kind = c.kind
     lhs = al.group_sub(
@@ -100,29 +123,41 @@ def _club_sides(tree: OrientedTree, c: CocyclicCoords, i: PairIndex):
     return lhs, rhs
 
 
-def check_club(tree: OrientedTree, c: CocyclicCoords, i: PairIndex,
+def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
                tol: float = al.DEFAULT_TOL) -> bool:
     return al.elements_equal(*_club_sides(tree, c, i), tol)
 
 
-def check_spade(c: CocyclicCoords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
+def check_spade(c: Coords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
     kind = c.kind
     lhs = al.group_sum(kind, (c.z[t][j] for t in c.z for j in c.z[t] if j[1] == i[1]))
     rhs = al.group_sum(kind, (c.z[t][j] for t in c.z for j in c.z[t] if j[1] == i[0]))
     return al.elements_equal(lhs, rhs, tol)
 
 
-def require_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAULT_TOL) -> None:
+def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
+    """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol``.
+
+    A `Member` already checked on this tree object at a tol no looser is
+    returned as it is; every other point is checked (rotation relations,
+    then balance equations) and copied.
+    """
+    if isinstance(c, Member) and c.tree is tree and c.tol <= tol:
+        return c
+    m = Member(c.d, c.kind, MappingProxyType({r: tuple(vec) for r, vec in c.v.items()}),
+               MappingProxyType({t: MappingProxyType(dict(vec)) for t, vec in c.z.items()}),
+               tree, tol)
     try:
-        check_diamond(tree.track, c.z, c.d, tol)
+        check_diamond(tree.track, m.z, m.d, tol)
     except RotationViolated as err:
         raise MembershipError("rotation relations fail") from err
-    for i in al.index_tables(c.d).A:
-        if not check_club(tree, c, i, tol):
+    for i in al.index_tables(m.d).A:
+        if not check_club(tree, m, i, tol):
             raise MembershipError(f"balance equation fails at pair index {i}")
+    return m
 
 
-def is_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAULT_TOL) -> bool:
+def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
     try:
         require_member(tree, c, tol)
     except MembershipError:
@@ -133,13 +168,13 @@ def is_member(tree: OrientedTree, c: CocyclicCoords, tol: float = al.DEFAULT_TOL
 # -- torsion invariant ---------------------------------------------------------
 
 
-def _vsum_at(c: CocyclicCoords, rect_ids, i: PairIndex) -> GroupElement:
+def _vsum_at(c: Coords, rect_ids, i: PairIndex) -> GroupElement:
     return al.group_sum(c.kind, (c.v[r][i[0] - 1] for r in rect_ids))
 
 
-def tor_prime(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] = None,
+def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
               tol: float = al.MEMBER_TOL) -> TorsionValue:
-    require_member(tree, c, tol)
+    c = require_member(tree, c, tol)
     d, kind = c.d, c.kind
     tables = al.index_tables(d)
     if anchors is None:
@@ -194,7 +229,7 @@ def _free_b_indices(tables: al.IndexTables) -> List[TripleIndex]:
     return [j for j in tables.B if j not in excluded]
 
 
-def i2_forward(tree: OrientedTree, c: CocyclicCoords, anchors: Optional[Anchors] = None,
+def i2_forward(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
                tol: float = al.MEMBER_TOL) -> Tuple[FreeCoords, TorsionValue]:
     d, kind = c.d, c.kind
     tables = al.index_tables(d)
@@ -256,7 +291,7 @@ class _PlaqueField:
 
 
 def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,
-               tol: float = al.MEMBER_TOL) -> CocyclicCoords:
+               tol: float = al.MEMBER_TOL) -> Member:
     d, kind = free.d, free.kind
     tables = al.index_tables(d)
     track = tree.track
@@ -342,10 +377,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
 
     assert all(e is not None for e in v_bar)
     v[anchors.r_bar] = tuple(v_bar)
-    z = zf.materialize(track)
-    out = CocyclicCoords(d=d, kind=kind, v=v, z=z)
-    require_member(tree, out, tol)
-    return out
+    return require_member(tree, CocyclicCoords(d=d, kind=kind, v=v, z=zf.materialize(track)), tol)
 
 
 def _step1_even(kind, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_right):
@@ -527,7 +559,7 @@ def random_free(tree: OrientedTree, d: int, kind: str, rng,
 
 def sample_y(tree: OrientedTree, d: int, kind: str, rng,
              anchors: Optional[Anchors] = None,
-             eps: Optional[GroupElement] = None) -> CocyclicCoords:
+             eps: Optional[GroupElement] = None) -> Member:
     if anchors is None:
         anchors = default_anchors(tree, d)
     free = random_free(tree, d, kind, rng, anchors)

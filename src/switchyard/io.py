@@ -59,6 +59,13 @@ def depth(d: int) -> int:
     return d
 
 
+def tolerance(tol: float) -> float:
+    """A tolerance argument ``tol``, which must be a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tolerance {tol} is not a finite number >= 0")
+    return tol
+
+
 def _int(x, what: str, lo=-math.inf, hi=math.inf) -> int:
     if type(x) is not int:  # rejects bool and float: 2.7 must not become 2
         raise TypeError(f"{what} {x!r} is not an integer")
@@ -146,13 +153,30 @@ def points_seed(doc):
 
 
 def coords_from_json(doc, tree):
-    """Decode a coords document, or a points file's first point, checked against ``tree``."""
+    """Decode a coords document checked against ``tree``.  Of a points file every
+    point is decoded and checked, with the file's count, d and group; the first
+    point is returned."""
+    if "points" not in doc:
+        return _coords(doc, tree)
+    points = doc["points"]
+    if type(points) is not list or not points:
+        raise ValueError("points is not a non-empty list")
+    if _int(doc["count"], "count") != len(points):
+        raise ValueError(f"count {doc['count']} does not match the {len(points)} points")
+    d, kind = _int(doc["d"], "d", 2, al.MAX_D), al.check_kind(doc["group"])
+    coords = []
+    for n, p in enumerate(points):
+        _int(p["torsion"], f"point {n} torsion", 0, d - 1)
+        c = _coords(p["coords"], tree)
+        if (c.d, c.kind) != (d, kind):
+            raise ValueError(f"point {n} has d={c.d} group {c.kind}, the file d={d} group {kind}")
+        coords.append(c)
+    return coords[0]
+
+
+def _coords(doc, tree):
     from .cocyclic import CocyclicCoords
 
-    if "points" in doc:
-        if type(doc["points"]) is not list or not doc["points"]:
-            raise ValueError("points is not a non-empty list")
-        doc = doc["points"][0]["coords"]
     d, kind, track = _int(doc["d"], "d", 2, al.MAX_D), al.check_kind(doc["group"]), tree.track
     free = {r.id for r in track.rects} - tree.edges
     for label, got, want in (("switch", doc["z"], set(track.switch_ids)),

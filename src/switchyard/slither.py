@@ -19,8 +19,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, to_cylinder
-from .cocyclic import CocyclicCoords, require_member
-from .homology import check_diamond
+from .cocyclic import Coords, require_member
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -43,9 +42,8 @@ class PlaqueRoot:
     branches: Mapping[int, int]
 
 
-def plaque_roots(track: TrainTrack, c: CocyclicCoords,
-                 branches: Optional[Mapping[int, int]] = None,
-                 tol: float = al.DEFAULT_TOL) -> PlaqueRoot:
+def plaque_roots(track: TrainTrack, c: Coords,
+                 branches: Optional[Mapping[int, int]] = None) -> PlaqueRoot:
     tables = al.index_tables(c.d)
     values: Dict[int, GroupElement] = {}
     chosen: Dict[int, int] = {}
@@ -55,7 +53,7 @@ def plaque_roots(track: TrainTrack, c: CocyclicCoords,
         k = 0 if branches is None else int(branches.get(pl.id, 0)) % 3
         ang = full.value[1] % al.TWO_PI
         r = al.cylinder(full.value[0] / 3.0, ang / 3.0 + k * al.TWO_PI / 3.0)
-        if not al.elements_equal(al.int_scale(3, r), full, max(tol, 1e-9)):
+        if not al.elements_equal(al.int_scale(3, r), full):
             raise AssertionError("cube root drifted from the triple-index sum")
         values[pl.id] = r
         chosen[pl.id] = k
@@ -63,7 +61,7 @@ def plaque_roots(track: TrainTrack, c: CocyclicCoords,
 
 
 def switch_step_log(track: TrainTrack, m: int, t: int, side: str,
-                    c: CocyclicCoords, roots: PlaqueRoot) -> GroupElement:
+                    c: Coords, roots: PlaqueRoot) -> GroupElement:
     d = c.d
     if not 1 <= m <= d:
         raise ValueError(f"basis index {m} out of range 1..{d}")
@@ -77,7 +75,7 @@ def switch_step_log(track: TrainTrack, m: int, t: int, side: str,
     return al.group_add(val, theta)
 
 
-def rectangle_pair_log(m: int, rid: int, klass: str, c: CocyclicCoords) -> GroupElement:
+def rectangle_pair_log(m: int, rid: int, klass: str, c: Coords) -> GroupElement:
     d = c.d
     if not 1 <= m <= d:
         raise ValueError(f"basis index {m} out of range 1..{d}")
@@ -124,16 +122,16 @@ class SlitherLedger:
         return "\n".join(self.lines())
 
 
-def build_ledger(tree: OrientedTree, c: CocyclicCoords, m: Optional[int] = None,
+def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
                  roots: Optional[PlaqueRoot] = None,
                  tol: float = al.MEMBER_TOL) -> SlitherLedger:
+    c = require_member(tree, c, tol)
     track = tree.track
     d = c.d
     if m is None:
         m = (d + 1) // 2
     if roots is None:
         roots = plaque_roots(track, c)
-    check_diamond(track, c.z, d, tol)
     cls = classify(tree)
     klass_of = {rid: "orientable" for rid in cls.orientable}
     klass_of.update({rid: "u_left" for rid in cls.u_left})
@@ -165,14 +163,13 @@ def build_ledger(tree: OrientedTree, c: CocyclicCoords, m: Optional[int] = None,
     return SlitherLedger(d=d, m=m, entries=tuple(entries), total=total)
 
 
-def total_mid_log(tree: OrientedTree, c: CocyclicCoords,
+def total_mid_log(tree: OrientedTree, c: Coords,
                   roots: Optional[PlaqueRoot] = None,
                   tol: float = al.MEMBER_TOL) -> GroupElement:
-    require_member(tree, c, tol)
     return build_ledger(tree, c, None, roots, tol).total
 
 
-def closed_form_total(tree: OrientedTree, c: CocyclicCoords) -> GroupElement:
+def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:
     """Evaluate the boundary-product total without walking the boundary.
 
     Kept separate from `build_ledger` so the two routes can be compared;
@@ -198,9 +195,9 @@ def ob_from_product(total: GroupElement, d: int) -> TorsionValue:
     return TorsionValue(value=al.group_neg(to_cylinder(total)), d=d)
 
 
-def cube_root_invariance(tree: OrientedTree, c: CocyclicCoords,
+def cube_root_invariance(tree: OrientedTree, c: Coords,
                          roots_a: PlaqueRoot, roots_b: PlaqueRoot,
-                         tol: float = 1e-9) -> bool:
+                         tol: float = al.DEFAULT_TOL) -> bool:
     ta = build_ledger(tree, c, roots=roots_a).total
     tb = build_ledger(tree, c, roots=roots_b).total
     return al.elements_equal(ta, tb, tol)

@@ -106,6 +106,67 @@ class TestTorsion:
         assert al.is_zero(al.to_cylinder(al.zero(kind)), tol=0.0)
 
 
+def _componentwise_equal(a, b, tol):
+    """`elements_equal` as it was written before `distance`: one test per part."""
+    if a.kind == "real":
+        return abs(a.value - b.value) <= tol
+    if a.kind == "circle":
+        return al._angle_dist(a.value, b.value) <= tol
+    if a.kind == "cylinder":
+        return (abs(a.value[0] - b.value[0]) <= tol
+                and al._angle_dist(a.value[1], b.value[1]) <= tol)
+    return a.value == b.value
+
+
+def _nudge(kind, rng):
+    """A difference of any size from 0 up to order 1, in ``kind``."""
+    x, y = (rng.choice((0.0, 1e-13, 1e-10, 1e-9, 1e-8, 0.3)) * rng.choice((-1, 1))
+            for _ in range(2))
+    if kind == "real":
+        return al.real(x)
+    if kind == "circle":
+        return al.circle(x)
+    if kind == "cylinder":
+        return al.cylinder(x, y)
+    return al.GroupElement(kind, rng.choice((0, 0, 1, -1)))
+
+
+class TestDistance:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_elements_equal_is_distance_within_tol(self, kind):
+        rng = random.Random(17)
+        for _ in range(400):
+            a = al.random_element(kind, rng)
+            b = al.group_add(a, _nudge(kind, rng))
+            dist = al.distance(a, b)
+            assert dist >= 0.0 and dist == al.distance(b, a)
+            for tol in (0.0, 1e-12, 1e-9, 1e-7, 0.5):
+                want = _componentwise_equal(a, b, tol)
+                assert al.elements_equal(a, b, tol) == want == (dist <= tol)
+
+    def test_cylinder_distance_is_the_larger_part(self):
+        a = al.cylinder(0.0, 0.1)
+        assert al.distance(a, al.cylinder(3e-4, 0.1 - 2e-4)) == pytest.approx(3e-4, rel=1e-9)
+        assert al.distance(a, al.cylinder(-1e-4, 0.1 + 5e-4)) == pytest.approx(5e-4, rel=1e-9)
+        assert al.distance(al.cylinder(0.0, 1e-9), al.cylinder(0.0, al.TWO_PI - 1e-9)) \
+            == pytest.approx(2e-9, rel=1e-6)
+
+    def test_zd_stays_exact(self):
+        for n in (5, 12):
+            for r in range(n):
+                assert al.distance(al.cyclic(n, r), al.cyclic(n, r + n)) == 0.0
+                assert al.distance(al.cyclic(n, r), al.cyclic(n, r + 1)) == math.inf
+                assert not al.elements_equal(al.cyclic(n, r), al.cyclic(n, r + 1), 1e300)
+        with pytest.raises(al.GroupKindError):
+            al.distance(al.cyclic(5, 1), al.cyclic(12, 1))
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_is_never_within_tol(self, bad):
+        a = al.cylinder(*bad)
+        assert math.isnan(al.distance(a, al.zero("cylinder")))
+        assert not al.elements_equal(a, al.zero("cylinder"), 1.0)
+
+
 class TestSnapTorsion:
     @pytest.mark.parametrize("kind", KINDS)
     def test_lattice_points_snap_exactly(self, kind):
@@ -118,6 +179,17 @@ class TestSnapTorsion:
                                          al.to_cylinder(e), 1e-12)
                 if kind in ("circle", "cylinder"):
                     assert got == k
+
+    def test_residual_is_the_distance_to_the_lattice_point(self):
+        # bit for bit the max(|re|, wrapped angle error) it was before `distance`
+        rng = random.Random(18)
+        for _ in range(500):
+            d = rng.randrange(2, 13)
+            e = al.cylinder(rng.gauss(0.0, 1e-6), rng.uniform(-10.0, 10.0))
+            k, residual = al.snap_torsion(e, d)
+            re, ang = e.value
+            assert residual == max(abs(re), al._angle_dist(ang, al.TWO_PI * k / d))
+            assert residual == al.distance(e, al.torsion_element("cylinder", d, k))
 
     def test_residual_is_the_larger_error(self):
         # real part 3e-4 and angle 2e-4 past the lattice point k=1 of d=4

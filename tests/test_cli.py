@@ -174,6 +174,11 @@ MALFORMED = {
     "genus 2.7": (["validate", "BAD"], lambda w: _put(_read(w, "track.json"), ("genus",), 2.7)),
     "points seed 5.0": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("seed",), 5.0)),
     "points seed '5'": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("seed",), "5")),
+    "points count 99": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("count",), 99)),
+    "second point torsion 'x'": (COORDS_ARGS, lambda w: _put(
+        _read(w, "pts.json"), ("points", 1, "torsion"), "x")),
+    "second point coords d 1": (COORDS_ARGS, lambda w: _put(
+        _read(w, "pts.json"), ("points", 1, "coords"), {"d": 1})),
 }
 
 
@@ -189,6 +194,36 @@ def test_malformed_input_exits_two(runner, workdir, tmp_path, case):
     assert isinstance(r.exception, SystemExit), r.exception
     assert r.exit_code == 2, r.output
     assert r.stderr.startswith("input error:")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("args", [["torsion", "TREE", "PTS"], ["ob", "--clock-shift"]])
+def test_tolerance_outside_range_exits_two(runner, workdir, tolerance, args):
+    """nan failed every check, -1 failed valid input and inf passed anything."""
+    subst = {"PTS": str(workdir / "pts.json"), "TREE": str(workdir / "tree.json")}
+    r = runner.invoke(main, ["--tolerance", tolerance, *[subst.get(a, a) for a in args]])
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith("input error: tolerance")
+
+
+class TestOneCheckPerPoint:
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_command_checks_its_point_once(self, runner, workdir, tmp_path, member_checks,
+                                           command):
+        doc = _read(workdir, "pts.json")
+        doc["points"], doc["count"] = doc["points"][:1], 1
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps(doc))
+        r = runner.invoke(main, [command, str(workdir / "tree.json"), str(one)])
+        assert r.exit_code == 0, r.output
+        assert len(member_checks) == 1
+
+    def test_sample_y_checks_each_point_once(self, runner, workdir, tmp_path, member_checks):
+        r = runner.invoke(main, ["--seed", "5", "--d", "4", "sample-y", str(workdir / "tree.json"),
+                                 "--count", "3", "--out", str(tmp_path / "pts.json")])
+        assert r.exit_code == 0, r.output
+        assert len(member_checks) == 3
 
 
 class TestFixtureAndTree:

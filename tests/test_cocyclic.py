@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -8,6 +9,7 @@ from switchyard import algebra as al
 from switchyard import cocyclic as cc
 from switchyard import homology as hm
 from switchyard import io
+from switchyard import slither as sl
 from switchyard import traintrack as tt
 
 
@@ -50,6 +52,11 @@ def random_coords(d, kind, rng, rotated=True):
         z = {t: {j: al.random_element(kind, rng) for j in tables.B}
              for t in TRACK.switch_ids}
     return cc.CocyclicCoords(d=d, kind=kind, v=v, z=z)
+
+
+def plain(c):
+    """A mutable copy of a (read-only) `Member`, for tests that perturb it."""
+    return cc.CocyclicCoords(c.d, c.kind, dict(c.v), {t: dict(vec) for t, vec in c.z.items()})
 
 
 def coords_equal(c1, c2, tol=1e-9):
@@ -115,7 +122,7 @@ class TestCheckers:
     def test_is_member_false_on_rotation_only_violation(self):
         rng = random.Random(40)
         for kind in ("real", "zd:12"):
-            c = cc.sample_y(TREE, 4, kind, rng)
+            c = plain(cc.sample_y(TREE, 4, kind, rng))
             t = min(TRACK.switch_ids)
             # (1, 1, 2) and (2, 1, 1) share the middle index every balance sum filters on
             bump = al.random_element(kind, rng)
@@ -131,7 +138,7 @@ class TestCheckers:
     def test_is_member_false_on_balance_only_violation(self):
         rng = random.Random(41)
         for bump in (al.real(0.5), al.cyclic(12, 1)):
-            c = cc.sample_y(TREE, 3, bump.kind, rng)
+            c = plain(cc.sample_y(TREE, 3, bump.kind, rng))
             r = min(CLS.u_right)
             c.v[r] = (al.group_add(c.v[r][0], bump), c.v[r][1])
             hm.check_diamond(TRACK, c.z, c.d)
@@ -487,7 +494,7 @@ class TestSystemEquivalence:
             u_free = [r for r in FREE_RECTS
                       if r in set(CLS.u_right) | set(CLS.u_left)]
             for trial in range(30):
-                c = cc.sample_y(TREE, d, kind, rng)
+                c = plain(cc.sample_y(TREE, d, kind, rng))
                 if trial % 2 == 0 or not triples:
                     r = u_free[trial % len(u_free)]
                     k = trial % (d - 1)
@@ -620,3 +627,84 @@ class TestSerialization:
         del doc["v"][rid]["1"]
         with pytest.raises(ValueError):
             io.coords_from_json(doc, TREE)
+
+
+class TestMember:
+    # the (group, d) mix of the benchmark's chart workload
+    MIX = [("cylinder", d) for d in (2, 3, 4, 5, 6)] + [("zd:12", d) for d in (2, 3, 4, 6)]
+
+    def test_chart_op_checks_each_point_once(self, member_checks):
+        rng = random.Random(50)
+        for kind, d in self.MIX:
+            anchors = cc.default_anchors(TREE, d)
+            free = cc.random_free(TREE, d, kind, rng, anchors)
+            eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
+            before = len(member_checks)
+            c = cc.i2_inverse(TREE, free, eps, anchors)
+            assert cc.is_member(TREE, c, al.MEMBER_TOL)
+            tor = cc.tor_prime(TREE, c, anchors)
+            cc.i2_forward(TREE, c, anchors)
+            total = sl.total_mid_log(TREE, c)
+            assert al.elements_equal(total, sl.closed_form_total(TREE, c))
+            assert al.elements_equal(tor.value, eps, 1e-9)
+            assert len(member_checks) - before == 1, (kind, d)
+
+    def test_plain_point_is_checked_once_per_call(self, member_checks):
+        c = zero_coords(3, "cylinder")
+        cc.tor_prime(TREE, c)
+        sl.total_mid_log(TREE, c)
+        assert len(member_checks) == 2
+
+    def test_writing_raises(self):
+        c = cc.sample_y(TREE, 3, "real", random.Random(51))
+        assert isinstance(c, cc.Member)
+        r, t = next(iter(c.v)), next(iter(c.z))
+        j = next(iter(c.z[t]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.d = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.tol = 1.0
+        with pytest.raises(TypeError):
+            c.v[r] = c.v[r]
+        with pytest.raises(TypeError):
+            c.v[r][0] = al.real(0.0)
+        with pytest.raises(TypeError):
+            c.z[t] = {}
+        with pytest.raises(TypeError):
+            c.z[t][j] = al.real(0.0)
+
+    def test_member_is_a_copy(self):
+        src = zero_coords(3, "real")
+        m = cc.require_member(TREE, src)
+        t = next(iter(src.z))
+        j = next(iter(src.z[t]))
+        src.z[t][j] = al.real(1.0)
+        src.v.clear()
+        assert m.z[t][j] == al.real(0.0)
+        assert set(m.v) == set(FREE_RECTS)
+        assert (m.d, m.kind, m.tree, m.tol) == (3, "real", TREE, al.DEFAULT_TOL)
+
+    def test_reused_only_on_the_same_tree_at_a_tol_no_looser(self, member_checks):
+        c = cc.sample_y(TREE, 3, "cylinder", random.Random(52))
+        assert c.tree is TREE and c.tol == al.MEMBER_TOL
+        before = len(member_checks)
+        assert cc.require_member(TREE, c, al.MEMBER_TOL) is c
+        assert cc.require_member(TREE, c, 1e-3) is c
+        assert len(member_checks) == before
+        stricter = cc.require_member(TREE, c, al.DEFAULT_TOL)
+        assert stricter is not c and stricter.tol == al.DEFAULT_TOL
+        assert len(member_checks) == before + 1
+        other = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
+        assert other is not TREE
+        again = cc.require_member(other, c, al.MEMBER_TOL)
+        assert again is not c and again.tree is other
+        assert len(member_checks) == before + 2
+
+    def test_recheck_can_fail(self):
+        # the stricter tol is checked, not taken from the looser one
+        c = plain(cc.sample_y(TREE, 3, "real", random.Random(53)))
+        r = min(CLS.u_right)
+        c.v[r] = (al.group_add(c.v[r][0], al.real(1e-8)), c.v[r][1])
+        m = cc.require_member(TREE, c, al.MEMBER_TOL)
+        with pytest.raises(cc.MembershipError, match="balance equation"):
+            cc.require_member(TREE, m, al.DEFAULT_TOL)
