@@ -154,6 +154,30 @@ def group_sum(kind: str, elements) -> GroupElement:
     return acc
 
 
+def combine(kind: str, terms) -> GroupElement:
+    """The sum of n * x over ``terms``, pairs of an int n and an element x of ``kind``.
+
+    It works on raw values and normalizes once: an exact integer sum for
+    "zd:<n>", a correctly rounded `math.fsum` of each float part, so the
+    result does not depend on the order of the terms.
+    """
+    cyl = kind == "cylinder"
+    parts, angs = [], []
+    for n, x in terms:
+        if x.kind != kind:
+            raise GroupKindError(f"kind mismatch: {kind!r} vs {x.kind!r}")
+        if cyl:
+            parts.append(n * x.value[0])
+            angs.append(n * x.value[1])
+        else:
+            parts.append(n * x.value)
+    if _modulus(kind) is not None:
+        return GroupElement(kind, sum(parts))
+    if cyl:
+        return GroupElement(kind, (math.fsum(parts), math.fsum(angs)))
+    return GroupElement(kind, math.fsum(parts))
+
+
 def _angle_dist(a: float, b: float) -> float:
     d = abs(_norm_angle(a) - _norm_angle(b))
     return min(d, TWO_PI - d)

@@ -252,14 +252,102 @@ def balance_defect(tree: OrientedTree, v_free: Mapping[int, GA], w: Mapping[int,
                    kind: str, d: int) -> GA:
     """Left side minus right side of the solvability condition."""
     cls = classify(tree)
-    acc = ga_zero(kind, d)
-    for rid in cls.u_right:
-        acc = ga_add(acc, ga_add(v_free[rid], ga_hat(v_free[rid])))
-    for rid in cls.u_left:
-        acc = ga_sub(acc, ga_add(v_free[rid], ga_hat(v_free[rid])))
-    for t in tree.track.switch_ids:
-        acc = ga_sub(acc, w[t])
-    return acc
+    top = d - 2
+
+    def at(k: int) -> GroupElement:
+        terms = [(n, v_free[r][i]) for n, rects in ((1, cls.u_right), (-1, cls.u_left))
+                 for r in rects for i in (k, top - k)]
+        terms += [(-1, w[t][k]) for t in tree.track.switch_ids]
+        return al.combine(kind, terms)
+
+    return tuple(at(k) for k in range(d - 1))
+
+
+# A term (n, source, key, hat) of a recorded plan stands for n times
+# sources[source][key], reversed when hat; the sources are (w, v_free, solved).
+_W, _V, _SOLVED = 0, 1, 2
+Term = Tuple[int, int, int, bool]
+
+
+@dataclass(frozen=True)
+class SolverPlan:
+    """`solve_tree`'s elimination on one tree, recorded once per (lifts, order).
+
+    ``steps`` lists, in leaf order, the tree edge each leaf solves and the
+    terms of its value; ``last`` holds the terms of the final switch's
+    residual, which the balance condition makes zero.
+    """
+
+    steps: Tuple[Tuple[int, Tuple[Term, ...]], ...]
+    last: Tuple[Term, ...]
+
+
+class FinalSwitchResidual(ValueError):
+    """The final switch's equation does not close to within tol."""
+
+
+def solver_plan(lifts: CoverLifts, order: str = "low_first") -> SolverPlan:
+    plans = lifts._solver_plans
+    if order not in plans:
+        plans[order] = _record_plan(lifts, order)
+    return plans[order]
+
+
+def _record_plan(lifts: CoverLifts, order: str) -> SolverPlan:
+    tree = lifts.tree
+    track = tree.track
+    slots = track.slot_map()
+
+    # each incident end contributes sign(port) * (u or hat(u)) at lift (s, 0)
+    def end_term(rid: int, e: int, source: int) -> Term:
+        p = track.rect_by_id[rid].end(e)[1]
+        b_here = 0 if e == 0 else lifts.end_bit(rid, 0, 1)  # lift keyed 0 at this end
+        return (-1 if is_big(p) else 1, source, rid, b_here != lifts.r_bit[rid])
+
+    deg: Dict[int, int] = {s: 0 for s in track.switch_ids}
+    tree_edge_at: Dict[int, List[Tuple[int, int]]] = {s: [] for s in track.switch_ids}
+    for rid in tree.edges:
+        r = track.rect_by_id[rid]
+        for e in (0, 1):
+            s = r.end(e)[0]
+            deg[s] += 1
+            tree_edge_at[s].append((rid, e))
+
+    def residual(s: int, solved) -> List[Term]:
+        # the equation at (s, 0): rhs minus every known end term
+        terms = [(1, _W, s, False) if tree.bit(s) == 0 else (-1, _W, s, True)]
+        ends = [end_term(rid, e, _V) for rid, e in (slots[(s, p)] for p in PORTS)
+                if rid not in tree.edges]
+        ends += [end_term(rid, e, _SOLVED) for rid, e in tree_edge_at[s] if rid in solved]
+        return terms + [(-n, src, key, h) for n, src, key, h in ends]
+
+    steps = []
+    solved = set()
+    alive = set(track.switch_ids)
+    leaves = sorted(s for s in alive if deg[s] == 1)
+    reverse = order == "high_first"
+    while len(solved) < len(tree.edges):
+        leaves.sort(reverse=reverse)
+        s = leaves.pop(0)
+        if s not in alive or deg[s] != 1:
+            continue
+        alive.discard(s)
+        pending = [(rid, e) for rid, e in tree_edge_at[s] if rid not in solved]
+        assert len(pending) == 1
+        rid, e = pending[0]
+        # the unknown enters as sign * (u or hat(u)); undo both on the residual
+        sign, _, _, flip = end_term(rid, e, _SOLVED)
+        steps.append((rid, tuple((sign * n, src, key, h != flip)
+                                 for n, src, key, h in residual(s, solved))))
+        solved.add(rid)
+        s_other = track.rect_by_id[rid].end(1 - e)[0]
+        if s_other in alive:
+            deg[s_other] -= 1
+            if deg[s_other] == 1:
+                leaves.append(s_other)
+
+    assert len(alive) == 1
+    return SolverPlan(steps=tuple(steps), last=tuple(residual(alive.pop(), solved)))
 
 
 def solve_tree(
@@ -273,82 +361,26 @@ def solve_tree(
 ) -> Dict[int, GA]:
     """Unique tree coefficients whose boundary matches the target chain.
 
-    Solves switch by switch, stripping degree-one switches of the tree; the
-    balance condition is checked first and the final switch is verified.
+    Solves switch by switch, stripping degree-one switches of the tree, by
+    the plan `solver_plan` records once per (lifts, order); the balance
+    condition is checked first and the final switch is verified at ``tol``.
     """
-    tree = lifts.tree
-    track = tree.track
-    defect = balance_defect(tree, v_free, w, kind, d)
+    defect = balance_defect(lifts.tree, v_free, w, kind, d)
     if not ga_is_zero(defect, tol):
         raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
-
-    slots = track.slot_map()
-    # rhs of the equation at lift (s, 0)
-    rhs: Dict[int, GA] = {}
-    for s in track.switch_ids:
-        rhs[s] = w[s] if tree.bit(s) == 0 else ga_neg(ga_hat(w[s]))
-
-    # each incident end contributes sign(port) * (u or hat(u)) at (s, 0)
-    def end_term(rid: int, e: int, u_val: GA) -> GA:
-        r = track.rect_by_id[rid]
-        s, p = r.end(e)
-        b_here = 0 if e == 0 else lifts.end_bit(rid, 0, 1)  # lift keyed 0 at this end
-        coeff = u_val if b_here == lifts.r_bit[rid] else ga_hat(u_val)
-        return ga_neg(coeff) if is_big(p) else coeff
-
-    deg: Dict[int, int] = {s: 0 for s in track.switch_ids}
-    tree_edge_at: Dict[int, List[Tuple[int, int]]] = {s: [] for s in track.switch_ids}
-    for rid in tree.edges:
-        r = track.rect_by_id[rid]
-        for e in (0, 1):
-            s = r.end(e)[0]
-            deg[s] += 1
-            tree_edge_at[s].append((rid, e))
-
-    acc: Dict[int, GA] = {s: ga_zero(kind, d) for s in track.switch_ids}
-    for s in track.switch_ids:
-        for p in PORTS:
-            rid, e = slots[(s, p)]
-            if rid not in tree.edges:
-                acc[s] = ga_add(acc[s], end_term(rid, e, v_free[rid]))
-
+    plan = solver_plan(lifts, order)
     solved: Dict[int, GA] = {}
-    alive = set(track.switch_ids)
-    leaves = sorted(s for s in alive if deg[s] == 1)
-    reverse = order == "high_first"
-    while len(solved) < len(tree.edges):
-        leaves.sort(reverse=reverse)
-        s = leaves.pop(0)
-        if s not in alive or deg[s] != 1:
-            continue
-        alive.discard(s)
-        pending = [(rid, e) for rid, e in tree_edge_at[s] if rid not in solved]
-        assert len(pending) == 1
-        rid, e = pending[0]
-        # residual = rhs - known contributions; unknown term is sign * coeff
-        residual = ga_sub(rhs[s], acc[s])
-        for rid2, e2 in tree_edge_at[s]:
-            if rid2 in solved:
-                residual = ga_sub(residual, end_term(rid2, e2, solved[rid2]))
-        r = track.rect_by_id[rid]
-        _, p = r.end(e)
-        val = ga_neg(residual) if is_big(p) else residual
-        b_here = 0 if e == 0 else lifts.end_bit(rid, 0, 1)
-        if b_here != lifts.r_bit[rid]:
-            val = ga_hat(val)
-        solved[rid] = val
-        s_other = r.end(1 - e)[0]
-        if s_other in alive:
-            deg[s_other] -= 1
-            if deg[s_other] == 1:
-                leaves.append(s_other)
+    sources = (w, v_free, solved)
+    top = d - 2
 
-    assert len(alive) == 1
-    # the last equation must close by the balance condition
-    s_last = alive.pop()
-    residual = ga_sub(rhs[s_last], acc[s_last])
-    for rid2, e2 in tree_edge_at[s_last]:
-        residual = ga_sub(residual, end_term(rid2, e2, solved[rid2]))
-    if not ga_is_zero(residual, max(tol, al.MEMBER_TOL)):
-        raise AssertionError(f"final switch residual {[element_to_json(x) for x in residual]}")
+    def value(terms) -> GA:
+        return tuple(al.combine(kind, [(n, sources[src][key][top - k if h else k])
+                                       for n, src, key, h in terms])
+                     for k in range(d - 1))
+
+    for rid, terms in plan.steps:
+        solved[rid] = value(terms)
+    residual = value(plan.last)
+    if not ga_is_zero(residual, tol):
+        raise FinalSwitchResidual(f"final switch residual {[element_to_json(x) for x in residual]}")
     return solved

@@ -24,6 +24,21 @@ from . import algebra as al
 DET_TOL = 1e-8
 SCALAR_TOL = 1e-6
 
+# `unit_determinant` treats a determinant below this as zero: rescaling by
+# det**(-1/d) would multiply the entries, and their rounding, by more than
+# 1e12**(1/d), past what DET_TOL can vouch for.
+SINGULAR_DET = 1e-12
+
+# Floor of the off-scalar residual's denominator, so a zero product cannot
+# divide by zero; a product of unit-determinant matrices has a singular value
+# >= 1, so its norm is never near the floor.
+NORM_FLOOR = 1e-30
+
+# `symmetric_power` needs an SL(2) input: generators rescaled by
+# `unit_determinant` are unimodular to within 2e-15, and an input further off
+# than this is refused as a wrong matrix rather than rounding.
+UNIMODULAR_TOL = 1e-10
+
 # The octagon's symmetric powers lose two to three digits per step of d: its
 # relator residual is 2e-9 at d = 4, 5e-7 at d = 5, 1.2e-4 at d = 6 and 0.18
 # at d = 7, and at d = 8 the generators miss unit determinant.  Depths above
@@ -92,7 +107,7 @@ def unit_determinant(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
     det = np.linalg.det(m)
-    if abs(det) < 1e-12:
+    if abs(det) < SINGULAR_DET:
         raise ValueError("matrix is singular")
     return m / det ** (1.0 / d)
 
@@ -154,7 +169,7 @@ def ob(rep: LiftedRep, scalar_tol: float = SCALAR_TOL) -> ObValue:
     d = rep.d
     p = rep.product()
     s = np.trace(p) / d
-    off = np.linalg.norm(p - s * np.eye(d)) / max(np.linalg.norm(p), 1e-30)
+    off = np.linalg.norm(p - s * np.eye(d)) / max(np.linalg.norm(p), NORM_FLOOR)
     if not off <= scalar_tol:  # an overflowed product gives nan, which must not pass
         raise ValueError(f"relator product is not scalar (off-scalar residual {off:.3e})")
     k, residual = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
@@ -203,7 +218,7 @@ def symmetric_power(m: np.ndarray, d: int) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if abs(np.linalg.det(m) - 1.0) > 1e-10:
+    if abs(np.linalg.det(m) - 1.0) > UNIMODULAR_TOL:
         raise ValueError("determinant violation: input must be unimodular")
     a, b = m[0, 0], m[0, 1]
     c, e = m[1, 0], m[1, 1]
@@ -259,7 +274,7 @@ def fuchsian_octagon(d: int = 2) -> LiftedRep:
 
 
 def lift_independence(rep: LiftedRep, rng: Optional[random.Random] = None,
-                      tol: float = 1e-9) -> bool:
+                      tol: float = al.DEFAULT_TOL) -> bool:
     rng = rng or random.Random(0)
     reference = ob(rep)
     d = rep.d

@@ -9,6 +9,11 @@ same-rectangle pairs.  At the middle index m = floor((d+1)/2) the full
 product collapses to a closed form whose negative is the d-torsion
 invariant of the coordinate point; the per-step route and the closed form
 are kept separate so they can be checked against each other.
+
+Every step's log is an integer row in the point's slots (`LogRow`).  The
+rows of one walk, summed once per tree and d with the cube roots folded
+away, give `ledger_row`, which `total_mid_log` evaluates; `build_ledger`
+stays the per-point walk behind reports and tests.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement, TorsionValue, to_cylinder
+from .algebra import GroupElement, TorsionValue, TripleIndex, to_cylinder
 from .cocyclic import Coords, require_member
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
@@ -60,40 +65,77 @@ def plaque_roots(track: TrainTrack, c: Coords,
     return PlaqueRoot(values=values, branches=chosen)
 
 
-def switch_step_log(track: TrainTrack, m: int, t: int, side: str,
-                    c: Coords, roots: PlaqueRoot) -> GroupElement:
-    d = c.d
+@dataclass(frozen=True)
+class LogRow:
+    """An integer-linear form in a point's slots, valued in the cylinder group.
+
+    Its value is ``pi`` times pi*i, plus n times the cube root of plaque p for
+    each (p, n) in ``root``, plus n * z[t][j] for each (n, t, j) in ``z`` and
+    n * v[r][k] for each (n, r, k) in ``v``.
+    """
+
+    pi: int = 0
+    root: Tuple[Tuple[int, int], ...] = ()
+    z: Tuple[Tuple[int, int, TripleIndex], ...] = ()
+    v: Tuple[Tuple[int, int, int], ...] = ()
+
+
+class RootFoldError(ValueError):
+    """A plaque's cube root enters the ledger row with a coefficient not divisible by 3."""
+
+
+def _check_index(m: int, d: int) -> None:
     if not 1 <= m <= d:
         raise ValueError(f"basis index {m} out of range 1..{d}")
+
+
+def _switch_row(track: TrainTrack, m: int, t: int, side: str, d: int) -> LogRow:
+    _check_index(m, d)
     if side not in (LEFT, RIGHT):
         raise ValueError(f"unknown side {side!r}")
     bound = m - 1 if side == RIGHT else d - m
-    tables = al.index_tables(d)
-    val = _sign_log(bound)
-    val = al.group_sub(val, al.int_scale(2, roots.values[track.plaque_of_switch(t).id]))
-    theta = al.group_sum(CYL, (to_cylinder(c.z[t][j]) for j in tables.B if j[1] <= bound))
-    return al.group_add(val, theta)
+    return LogRow(pi=bound, root=((track.plaque_of_switch(t).id, -2),),
+                  z=tuple((1, t, j) for j in al.index_tables(d).B if j[1] <= bound))
 
 
-def rectangle_pair_log(m: int, rid: int, klass: str, c: Coords) -> GroupElement:
-    d = c.d
-    if not 1 <= m <= d:
-        raise ValueError(f"basis index {m} out of range 1..{d}")
+def _rectangle_row(m: int, rid: int, klass: str, d: int) -> LogRow:
+    _check_index(m, d)
     if klass == "orientable":
-        return al.zero(CYL)
+        return LogRow()
     if klass not in ("u_left", "u_right"):
         raise ValueError(f"unknown rectangle class {klass!r}")
-    if rid not in c.v:
-        raise ValueError(f"rectangle {rid} carries no pair vector (tree edge?)")
     if m <= (d + 1) // 2:
         span = range(m, d - m + 1)
         positive = klass == "u_left"
     else:
         span = range(d - m + 1, m)
         positive = klass == "u_right"
-    s = al.group_sum(CYL, (to_cylinder(c.v[rid][i1 - 1]) for i1 in span))
-    base = _sign_log(d - 1)
-    return al.group_add(base, s) if positive else al.group_sub(base, s)
+    sign = 1 if positive else -1
+    return LogRow(pi=d - 1, v=tuple((sign, rid, i1 - 1) for i1 in span))
+
+
+def _slot_terms(row: LogRow, c: Coords) -> List[Tuple[int, GroupElement]]:
+    return ([(n, c.z[t][j]) for n, t, j in row.z]
+            + [(n, c.v[r][k]) for n, r, k in row.v])
+
+
+def _evaluate(row: LogRow, c: Coords, roots: Optional[PlaqueRoot]) -> GroupElement:
+    terms = [(n, to_cylinder(x)) for n, x in _slot_terms(row, c)]
+    terms += [(n, roots.values[p]) for p, n in row.root]
+    terms.append((row.pi, _sign_log(1)))
+    return al.combine(CYL, terms)
+
+
+def switch_step_log(track: TrainTrack, m: int, t: int, side: str,
+                    c: Coords, roots: PlaqueRoot) -> GroupElement:
+    return _evaluate(_switch_row(track, m, t, side, c.d), c, roots)
+
+
+def rectangle_pair_log(m: int, rid: int, klass: str, c: Coords) -> GroupElement:
+    row = _rectangle_row(m, rid, klass, c.d)
+    if klass != "orientable" and rid not in c.v:
+        raise ValueError(f"rectangle {rid} carries no pair vector (tree edge?)")
+    return _evaluate(row, c, None)
 
 
 @dataclass(frozen=True)
@@ -122,51 +164,92 @@ class SlitherLedger:
         return "\n".join(self.lines())
 
 
-def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
-                 roots: Optional[PlaqueRoot] = None,
-                 tol: float = al.MEMBER_TOL) -> SlitherLedger:
-    c = require_member(tree, c, tol)
+def _ledger_steps(tree: OrientedTree, m: int, d: int):
+    """The boundary walk at basis index m as (n, kind, payload, row) per step;
+    row is None on the opening half of a rectangle pair."""
     track = tree.track
-    d = c.d
-    if m is None:
-        m = (d + 1) // 2
-    if roots is None:
-        roots = plaque_roots(track, c)
     cls = classify(tree)
     klass_of = {rid: "orientable" for rid in cls.orientable}
     klass_of.update({rid: "u_left" for rid in cls.u_left})
     klass_of.update({rid: "u_right" for rid in cls.u_right})
-
-    entries: List[LedgerEntry] = []
-    total = al.zero(CYL)
     open_rect: Dict[int, int] = {}
     for n, st in enumerate(boundary_walk(tree)):
         if st.type == "leaf":
-            entry = LedgerEntry(n, "leaf", f"run={st.arcs}", al.zero(CYL))
+            yield n, "leaf", f"run={st.arcs}", LogRow()
         elif st.type == "switch":
-            val = switch_step_log(track, m, st.switch, st.side, c, roots)
-            entry = LedgerEntry(n, "switch", f"switch={st.switch} side={st.side}", val)
+            yield (n, "switch", f"switch={st.switch} side={st.side}",
+                   _switch_row(track, m, st.switch, st.side, d))
+        elif st.rect in open_rect:
+            payload = f"rect={st.rect} end={st.end} closes={open_rect.pop(st.rect)}"
+            yield n, "rectangle", payload, _rectangle_row(m, st.rect, klass_of[st.rect], d)
         else:
-            rid = st.rect
-            if rid in open_rect:
-                val = rectangle_pair_log(m, rid, klass_of[rid], c)
-                payload = f"rect={rid} end={st.end} closes={open_rect.pop(rid)}"
-                entry = LedgerEntry(n, "rectangle", payload, val)
-            else:
-                open_rect[rid] = n
-                entry = LedgerEntry(n, "rectangle", f"rect={rid} end={st.end} opens", None)
-        if entry.contribution is not None:
-            total = al.group_add(total, entry.contribution)
-        entries.append(entry)
+            open_rect[st.rect] = n
+            yield n, "rectangle", f"rect={st.rect} end={st.end} opens", None
     if open_rect:
         raise AssertionError(f"unpaired rectangle steps: {sorted(open_rect)}")
-    return SlitherLedger(d=d, m=m, entries=tuple(entries), total=total)
 
 
-def total_mid_log(tree: OrientedTree, c: Coords,
-                  roots: Optional[PlaqueRoot] = None,
-                  tol: float = al.MEMBER_TOL) -> GroupElement:
-    return build_ledger(tree, c, None, roots, tol).total
+def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
+                 roots: Optional[PlaqueRoot] = None,
+                 tol: float = al.MEMBER_TOL) -> SlitherLedger:
+    """Walk the boundary for one point, step by step, with the given cube roots."""
+    c = require_member(tree, c, tol)
+    if m is None:
+        m = (c.d + 1) // 2
+    if roots is None:
+        roots = plaque_roots(tree.track, c)
+    entries = tuple(LedgerEntry(n, kind, payload, None if row is None else _evaluate(row, c, roots))
+                    for n, kind, payload, row in _ledger_steps(tree, m, c.d))
+    total = al.combine(CYL, ((1, e.contribution) for e in entries if e.contribution is not None))
+    return SlitherLedger(d=c.d, m=m, entries=entries, total=total)
+
+
+def ledger_row(tree: OrientedTree, d: int) -> LogRow:
+    """The middle-index ledger total as one row without cube roots, built once per (tree, d)."""
+    rows = tree._ledger_rows
+    if d not in rows:
+        rows[d] = _compile_ledger(tree, d)
+    return rows[d]
+
+
+def _compile_ledger(tree: OrientedTree, d: int) -> LogRow:
+    pi, root = 0, {}
+    z: Dict[Tuple[int, TripleIndex], int] = {}
+    v: Dict[Tuple[int, int], int] = {}
+    for _, _, _, row in _ledger_steps(tree, (d + 1) // 2, d):
+        if row is None:
+            continue
+        pi += row.pi
+        for p, n in row.root:
+            root[p] = root.get(p, 0) + n
+        for n, t, j in row.z:
+            z[t, j] = z.get((t, j), 0) + n
+        for n, r, k in row.v:
+            v[r, k] = v.get((r, k), 0) + n
+    # 3 r(p) is the plaque's B-sum at its first switch modulo 2*pi*i, so a
+    # multiple n of r(p) folds into n/3 times that sum for every cube root
+    tables = al.index_tables(d)
+    for pl in tree.track.plaques:
+        n = root.get(pl.id, 0)
+        if n % 3:
+            raise RootFoldError(f"plaque {pl.id} root coefficient {n} is not divisible by 3")
+        t0 = pl.switches_ccw[0]
+        for j in tables.B:
+            z[t0, j] = z.get((t0, j), 0) + n // 3
+    return LogRow(pi=pi % 2,
+                  z=tuple((n, t, j) for (t, j), n in sorted(z.items()) if n),
+                  v=tuple((n, r, k) for (r, k), n in sorted(v.items()) if n))
+
+
+def total_mid_log(tree: OrientedTree, c: Coords, tol: float = al.MEMBER_TOL) -> GroupElement:
+    """The boundary-product total at the middle index, from the compiled ledger row.
+
+    It equals `build_ledger(tree, c).total` modulo 2*pi*i, for every choice of
+    cube roots; the sum is taken in the point's own group and rounded once.
+    """
+    c = require_member(tree, c, tol)
+    row = ledger_row(tree, c.d)
+    return al.group_add(to_cylinder(al.combine(c.kind, _slot_terms(row, c))), _sign_log(row.pi))
 
 
 def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:

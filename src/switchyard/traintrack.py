@@ -471,6 +471,15 @@ class OrientedTree:
     def _classification(self) -> "Classification":
         return _classify(self)
 
+    @cached_property
+    def _boundary(self) -> Tuple["Step", ...]:
+        return tuple(_walk(self))
+
+    @cached_property
+    def _ledger_rows(self) -> Dict[int, object]:
+        # d -> the compiled boundary-product row, filled by `slither`
+        return {}
+
 
 def _propagate(track: TrainTrack, edges: FrozenSet[int], root: int, root_bit: int) -> Dict[int, int]:
     o = {root: root_bit}
@@ -629,6 +638,11 @@ class CoverLifts:
     tree: OrientedTree
     r_bit: Mapping[int, int]
 
+    @cached_property
+    def _solver_plans(self) -> Dict[str, object]:
+        # order -> the recorded tree elimination, filled by `homology`
+        return {}
+
     def end_bit(self, rid: int, lift_bit: int, e: int) -> int:
         r = self.tree.track.rect_by_id[rid]
         if e == 0:
@@ -677,12 +691,16 @@ class Step:
     arcs: int = 0
 
 
-def boundary_walk(tree: OrientedTree) -> List[Step]:
-    """Counterclockwise boundary of the tree as typed steps.
+def boundary_walk(tree: OrientedTree) -> Tuple[Step, ...]:
+    """Counterclockwise boundary of the tree as typed steps, walked once and cached on the tree.
 
     Crossings (switch cusps and exit ties) alternate with leaf steps; each
     leaf step is a maximal horizontal run.
     """
+    return tree._boundary
+
+
+def _walk(tree: OrientedTree) -> List[Step]:
     track = tree.track
     track.finalize()
     slots = track.slot_map()

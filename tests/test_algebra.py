@@ -167,6 +167,49 @@ class TestDistance:
         assert not al.elements_equal(a, al.zero("cylinder"), 1.0)
 
 
+class TestCombine:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_agrees_with_scale_and_add(self, kind):
+        rng = random.Random(19)
+        for _ in range(50):
+            terms = [(rng.randint(-6, 6), al.random_element(kind, rng))
+                     for _ in range(rng.randrange(0, 30))]
+            chained = al.group_sum(kind, (al.int_scale(n, x) for n, x in terms))
+            got = al.combine(kind, terms)
+            assert got.kind == kind
+            assert al.elements_equal(got, chained, 1e-12 if kind[:3] != "zd:" else 0.0)
+
+    def test_zd_exact_for_large_coefficients(self):
+        big = [(10**40 + 7, al.cyclic(12, 5)), (-(3**90), al.cyclic(12, 11)),
+               (2**200, al.cyclic(12, 1))]
+        want = (5 * (10**40 + 7) - 11 * 3**90 + 2**200) % 12
+        assert al.combine("zd:12", big) == al.cyclic(12, want)
+        assert al.combine("zd:12", big + [(12**50, al.cyclic(12, 7))]) == al.cyclic(12, want)
+        assert al.combine("zd:12", []) == al.zero("zd:12")
+
+    def test_shuffled_cylinder_terms_give_identical_bits(self):
+        rng = random.Random(20)
+        terms = [(rng.randint(-3, 3), al.cylinder(rng.uniform(-1e3, 1e3), rng.uniform(0.0, 7.0)))
+                 for _ in range(200)]
+        first = al.combine("cylinder", terms)
+        for _ in range(20):
+            rng.shuffle(terms)
+            assert al.combine("cylinder", terms).value == first.value
+
+    def test_correctly_rounded(self):
+        # a left-to-right sum loses the 1.0 between the two large terms
+        terms = [(1, al.real(1e16)), (1, al.real(1.0)), (-1, al.real(1e16))]
+        assert al.combine("real", terms) == al.real(1.0)
+
+    @pytest.mark.parametrize("kind,other", [("zd:12", al.cyclic(5, 1)),
+                                            ("cylinder", al.circle(1.0)),
+                                            ("real", al.cylinder(1.0, 0.0)),
+                                            ("circle", al.real(1.0))])
+    def test_kind_mismatch_raises(self, kind, other):
+        with pytest.raises(al.GroupKindError):
+            al.combine(kind, [(1, al.zero(kind)), (2, other)])
+
+
 class TestSnapTorsion:
     @pytest.mark.parametrize("kind", KINDS)
     def test_lattice_points_snap_exactly(self, kind):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -234,6 +235,32 @@ class TestSolveTree:
         w = {s: hm.ga_zero("real", 3) for s in track.switch_ids}
         with pytest.raises((KeyError, ValueError)):
             hm.solve_tree(lifts, {}, w, "real", 3)
+
+    def test_plan_recorded_once_per_lifts_and_order(self, setup):
+        track, tree, lifts, free = setup
+        fresh = orientation_cover(tree)
+        plan = hm.solver_plan(fresh)
+        assert hm.solver_plan(fresh, "low_first") is plan
+        assert hm.solver_plan(fresh, "high_first") is not plan
+        assert hm.solver_plan(orientation_cover(tree)) is not plan
+        assert sorted(rid for rid, _ in plan.steps) == sorted(tree.edges)
+
+    def test_final_switch_checked_at_tol(self, setup):
+        # an extra term on the last equation, off by 1e-8: between the
+        # default tol and MEMBER_TOL, so no looser floor may let it pass
+        track, tree, lifts, free = setup
+        orientable = min(classify(tree).orientable)
+        v = {rid: hm.ga_zero("real", 3) for rid in free}
+        v[orientable] = (al.real(1e-8), al.real(1e-8))
+        w = {s: hm.ga_zero("real", 3) for s in track.switch_ids}
+        fresh = orientation_cover(tree)
+        plan = hm.solver_plan(fresh)
+        fresh._solver_plans["low_first"] = dataclasses.replace(
+            plan, last=plan.last + ((1, hm._V, orientable, False),))
+        with pytest.raises(hm.FinalSwitchResidual, match="final switch residual"):
+            hm.solve_tree(fresh, v, w, "real", 3)
+        assert hm.solve_tree(fresh, v, w, "real", 3, tol=1e-7)
+        assert hm.solve_tree(lifts, v, w, "real", 3, tol=0.0)
 
     def test_display_sorted(self, setup):
         track, tree, lifts, free = setup

@@ -7,6 +7,7 @@ import pytest
 
 from switchyard import algebra as al
 from switchyard import cocyclic as cc
+from switchyard import homology as hm
 from switchyard import io
 from switchyard import slither as sl
 from switchyard import traintrack as tt
@@ -306,3 +307,99 @@ class TestCubeRootInvariance:
         ra = sl.plaque_roots(TRACK, c)
         rb = sl.plaque_roots(TRACK, c, branches={TRACK.plaques[0].id: 2})
         assert sl.cube_root_invariance(TREE, c, ra, rb)
+
+
+class TestCompiledRow:
+    KINDS = (CYL, "real", "circle", "zd:12")
+
+    def test_equals_walked_ledger(self):
+        rng = random.Random(14)
+        for tree in (TREE, TREE3):
+            for d in (2, 3, 4, 5, 6):
+                for kind in self.KINDS:
+                    c = cc.sample_y(tree, d, kind, rng)
+                    walked = sl.build_ledger(tree, c).total
+                    assert al.elements_equal(sl.total_mid_log(tree, c), walked, 1e-12), (kind, d)
+
+    def test_closed_form_at_large_d(self):
+        rng = random.Random(15)
+        for d in (8, 16, 24):
+            c = cc.sample_y(TREE, d, CYL, rng)
+            assert al.elements_equal(sl.total_mid_log(TREE, c), sl.closed_form_total(TREE, c),
+                                     1e-12), d
+
+    def test_independent_of_cube_roots(self):
+        rng = random.Random(16)
+        for d in (2, 3, 4, 5):
+            c = cc.sample_y(TREE, d, CYL, rng)
+            roots = sl.plaque_roots(TRACK, c, {pl.id: rng.randrange(3) for pl in TRACK.plaques})
+            walked = sl.build_ledger(TREE, c, roots=roots).total
+            assert al.elements_equal(sl.total_mid_log(TREE, c), walked, 1e-12)
+
+    def test_row_is_folded_and_cached(self):
+        for d in (2, 3, 4, 5, 6):
+            row = sl.ledger_row(TREE, d)
+            assert sl.ledger_row(TREE, d) is row
+            assert row.root == () and row.pi in (0, 1)
+            assert all(n != 0 for n, _, _ in row.z) and all(n != 0 for n, _, _ in row.v)
+
+    def test_root_coefficient_must_fold(self, monkeypatch):
+        # a walk that misses one switch cusp leaves its plaque's root at -4
+        tree = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
+        steps = tt.boundary_walk(tree)
+        first = next(n for n, st in enumerate(steps) if st.type == "switch")
+        monkeypatch.setattr(sl, "boundary_walk", lambda t: steps[:first] + steps[first + 1:])
+        with pytest.raises(sl.RootFoldError, match="not divisible by 3"):
+            sl.ledger_row(tree, 3)
+
+
+class TestCompiledOnce:
+    # the (group, d) mix of the benchmark's chart workload
+    MIX = [(CYL, d) for d in (2, 3, 4, 5, 6)] + [("zd:12", d) for d in (2, 3, 4, 6)]
+
+    def test_chart_ops_build_each_tree_table_once(self, monkeypatch):
+        counts = {"walk": 0, "row": [], "plan": []}
+
+        def counting(mod, name, key):
+            real = getattr(mod, name)
+
+            def wrapped(*args):
+                if key == "walk":
+                    counts["walk"] += 1
+                else:
+                    counts[key].append(args[1])
+                return real(*args)
+
+            monkeypatch.setattr(mod, name, wrapped)
+
+        counting(tt, "_walk", "walk")
+        counting(sl, "_compile_ledger", "row")
+        counting(hm, "_record_plan", "plan")
+        tree = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
+        lifts = tt.orientation_cover(tree)
+        free_rects = sorted(set(r.id for r in TRACK.rects) - tree.edges)
+        rng = random.Random(17)
+        for _ in range(2):
+            for kind, d in self.MIX:
+                anchors = cc.default_anchors(tree, d)
+                free = cc.random_free(tree, d, kind, rng, anchors)
+                eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
+                c = cc.i2_inverse(tree, free, eps, anchors)
+                assert cc.is_member(tree, c, al.MEMBER_TOL)
+                tor = cc.tor_prime(tree, c, anchors)
+                cc.i2_forward(tree, c, anchors)
+                total = sl.total_mid_log(tree, c)
+                assert al.elements_equal(total, sl.closed_form_total(tree, c))
+                assert al.elements_equal(sl.ob_from_product(total, d).value,
+                                         sl.to_cylinder(tor.value))
+                v = {rid: hm.ga_random(kind, d, rng) for rid in free_rects}
+                w = {s: hm.ga_random(kind, d, rng) for s in TRACK.switch_ids}
+                w[TRACK.switch_ids[0]] = hm.ga_zero(kind, d)
+                w[TRACK.switch_ids[0]] = hm.balance_defect(tree, v, w, kind, d)
+                hm.solve_tree(lifts, v, w, kind, d)
+        assert counts["walk"] == 1
+        assert sorted(counts["row"]) == [2, 3, 4, 5, 6]
+        assert counts["plan"] == ["low_first"]
+        hm.solve_tree(lifts, v, w, kind, d, order="high_first")
+        hm.solve_tree(lifts, v, w, kind, d, order="high_first")
+        assert counts["plan"] == ["low_first", "high_first"]

@@ -265,6 +265,13 @@ class TestBoundaryWalk:
             assert (s.side == "right") == (s.switch in c.s_right)
             assert g2.plaque_of_switch(s.switch).id == s.plaque
 
+    def test_walk_is_cached_on_the_tree(self, g2):
+        tree = tt.maximal_tree(g2, seed=4)
+        steps = tt.boundary_walk(tree)
+        assert isinstance(steps, tuple)
+        assert tt.boundary_walk(tree) is steps
+        assert tt.boundary_walk(tree.flipped()) is not steps
+
     def test_walk_alternates(self, g3):
         tree = tt.maximal_tree(g3, seed=9)
         steps = tt.boundary_walk(tree)
