@@ -148,10 +148,8 @@ def int_scale(n: int, a: GroupElement) -> GroupElement:
 
 
 def group_sum(kind: str, elements) -> GroupElement:
-    acc = zero(kind)
-    for e in elements:
-        acc = group_add(acc, e)
-    return acc
+    """The sum of ``elements``: `combine` with unit coefficients."""
+    return combine(kind, ((1, e) for e in elements))
 
 
 def combine(kind: str, terms) -> GroupElement:
@@ -266,9 +264,18 @@ def to_cylinder(e: GroupElement) -> GroupElement:
     return cylinder(0.0, TWO_PI * e.value / _modulus(e.kind))
 
 
+# `format_log` prints angles to 12 significant digits, so 2*pi prints as
+# 6.28318530718 and half a unit in its last digit is 5e-12.  An angle that
+# close to 0 mod 2*pi prints as 0: rounding on either side of 0 then gives one
+# printed form instead of +0, +1.8e-15 or +6.28318530718.
+PRINT_ZERO_ANGLE = 5e-12
+
+
 def format_log(e: GroupElement) -> str:
     """The report form of an element, via its cylinder image: ``log=<re><+angle>i``."""
     re, ang = to_cylinder(e).value
+    if _angle_dist(ang, 0.0) <= PRINT_ZERO_ANGLE:
+        ang = 0.0
     return f"log={re:.12g}{ang % TWO_PI:+.12g}i"
 
 

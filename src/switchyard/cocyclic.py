@@ -34,6 +34,10 @@ class AnchorError(ValueError):
     pass
 
 
+class ParityFormsDisagree(ValueError):
+    """At even d, the two forms of the torsion invariant differ by more than tol."""
+
+
 @dataclass
 class CocyclicCoords:
     d: int
@@ -60,6 +64,7 @@ class Member:
 
 
 Coords = Union[CocyclicCoords, Member]
+Terms = List[Tuple[int, GroupElement]]  # (n, x) stands for n * x, summed by `al.combine`
 
 
 @dataclass(frozen=True)
@@ -109,18 +114,11 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
 
 def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
     cls = classify(tree)
-    kind = c.kind
-    lhs = al.group_sub(
-        al.group_sum(kind, (al.group_add(c.v[r][i[0] - 1], c.v[r][i[1] - 1])
-                            for r in cls.u_right)),
-        al.group_sum(kind, (al.group_add(c.v[r][i[0] - 1], c.v[r][i[1] - 1])
-                            for r in cls.u_left)),
-    )
-    rhs = al.group_sub(
-        al.group_sum(kind, (c.z[t][j] for t in cls.s_left for j in c.z[t] if j[1] == i[1])),
-        al.group_sum(kind, (c.z[t][j] for t in cls.s_right for j in c.z[t] if j[1] == i[0])),
-    )
-    return lhs, rhs
+    lhs = [(n, c.v[r][k - 1]) for n, rects in ((1, cls.u_right), (-1, cls.u_left))
+           for r in rects for k in i]
+    rhs = [(n, c.z[t][j]) for n, switches, mid in ((1, cls.s_left, i[1]), (-1, cls.s_right, i[0]))
+           for t in switches for j in c.z[t] if j[1] == mid]
+    return al.combine(c.kind, lhs), al.combine(c.kind, rhs)
 
 
 def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
@@ -168,10 +166,6 @@ def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> boo
 # -- torsion invariant ---------------------------------------------------------
 
 
-def _vsum_at(c: Coords, rect_ids, i: PairIndex) -> GroupElement:
-    return al.group_sum(c.kind, (c.v[r][i[0] - 1] for r in rect_ids))
-
-
 def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
               tol: float = al.MEMBER_TOL) -> TorsionValue:
     c = require_member(tree, c, tol)
@@ -180,23 +174,20 @@ def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
     if anchors is None:
         anchors = default_anchors(tree, d)
     cls = classify(tree)
-    base = al.group_neg(al.group_sum(
-        kind,
-        (c.z[anchors.reps[pl.id]][j] for pl in tree.track.plaques for j in tables.B_star),
-    ))
+    base = [(-1, c.z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
     if d % 2 == 1:
-        val = base
+        val = al.combine(kind, base)
     else:
-        i0 = tables.i_zero
-        ur = _vsum_at(c, cls.u_right, i0)
-        ul = _vsum_at(c, cls.u_left, i0)
-        b0 = set(tables.B_zero)
-        zl = al.group_sum(kind, (c.z[t][j] for t in cls.s_left for j in b0))
-        zr = al.group_sum(kind, (c.z[t][j] for t in cls.s_right for j in b0))
-        left_form = al.group_sub(al.group_add(base, al.group_sub(ur, ul)), zl)
-        right_form = al.group_sub(al.group_sub(base, al.group_sub(ur, ul)), zr)
+        # base + (ur - ul) - zl and base - (ur - ul) - zr, ur/ul the middle v-column
+        # summed over u_right/u_left, zl/zr the B_zero slots over s_left/s_right
+        mid = tables.i_zero[0] - 1
+        uv = [(n, c.v[r][mid]) for n, rects in ((1, cls.u_right), (-1, cls.u_left)) for r in rects]
+        left_form = al.combine(kind, base + uv + [(-1, c.z[t][j]) for t in cls.s_left
+                                                  for j in tables.B_zero])
+        right_form = al.combine(kind, base + [(-n, x) for n, x in uv]
+                                + [(-1, c.z[t][j]) for t in cls.s_right for j in tables.B_zero])
         if not al.elements_equal(left_form, right_form, tol):
-            raise AssertionError("the two parity forms disagree; equations inconsistent")
+            raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
         val = left_form
     if not al.is_d_torsion(val, d, tol):
         raise ValueError(f"torsion invariant is not {d}-torsion: {val}")
@@ -316,10 +307,9 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
 
     v_bar: List[Optional[GroupElement]] = [None] * (d - 1)
     if d == 2:
-        others = al.group_sub(
-            al.group_sum(kind, (v[r][0] for r in cls.u_right if r != anchors.r_bar)),
-            al.group_sum(kind, (v[r][0] for r in cls.u_left)))
-        v_bar[0] = al.group_sub(eps_val, others)
+        v_bar[0] = al.combine(kind, [(1, eps_val)]
+                              + [(-1, v[r][0]) for r in cls.u_right if r != anchors.r_bar]
+                              + [(1, v[r][0]) for r in cls.u_left])
     else:
         for i in tables.A:
             if i not in tables.A_prime:
@@ -329,20 +319,20 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     tau_minus = bar_plaque.minus(rep_bar)
     tau_plus = bar_plaque.plus(rep_bar)
 
-    def vsum(ids, i1: int) -> GroupElement:
-        vals = []
+    # the step formulas are lists of signed terms (n, slot value), each summed
+    # by one `combine`
+    def vsum(n: int, ids, i1: int) -> Terms:
+        terms = []
         for r in ids:
-            vec = v_bar if r == anchors.r_bar else v[r]
-            e = vec[i1 - 1]
+            e = (v_bar if r == anchors.r_bar else v[r])[i1 - 1]
             if e is None:
                 raise AssertionError("anchor slot read before being set")
-            vals.append(e)
-        return al.group_sum(kind, vals)
+            terms.append((n, e))
+        return terms
 
-    def zsum(switches, indices, exclude=()) -> GroupElement:
+    def zsum(n: int, switches, indices, exclude=()) -> Terms:
         skip = set(exclude)
-        return al.group_sum(kind, (zf.get(t, j) for t in switches
-                                   for j in indices if (t, j) not in skip))
+        return [(n, zf.get(t, j)) for t in switches for j in indices if (t, j) not in skip]
 
     all_switches = list(track.switch_ids)
     s_left = [t for t in all_switches if t in cls.s_left]
@@ -358,22 +348,18 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
         if d >= 3:
             _step2(kind, tables, zf, track, anchors, t_bar, rep_bar,
                    vsum, zsum, s_left, cls, eps_val)
-        _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, all_switches, d)
+        _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d)
 
     if d >= 3:
+        u_right = [r for r in cls.u_right if r != anchors.r_bar]
         for i in tables.A_prime:
-            i_hat = al.hat_pair(i)
-            val = zsum(s_left, [j for j in tables.B if j[1] == i[1]])
-            val = al.group_sub(val, zsum(s_right, [j for j in tables.B if j[1] == i[0]]))
-            val = al.group_add(val, al.group_sub(
-                al.group_sum(kind, (al.group_add(v[r][i[0] - 1], v[r][i[1] - 1])
-                                    for r in cls.u_left)),
-                al.group_sum(kind, (al.group_add(v[r][i[0] - 1], v[r][i[1] - 1])
-                                    for r in cls.u_right if r != anchors.r_bar))))
             # the mirrored anchor slot was fixed in advance
-            hat_val = v_bar[i_hat[0] - 1]
+            hat_val = v_bar[al.hat_pair(i)[0] - 1]
             assert hat_val is not None
-            v_bar[i[0] - 1] = al.group_sub(val, hat_val)
+            terms = (zsum(1, s_left, [j for j in tables.B if j[1] == i[1]])
+                     + zsum(-1, s_right, [j for j in tables.B if j[1] == i[0]])
+                     + [term for k in i for term in vsum(1, cls.u_left, k) + vsum(-1, u_right, k)])
+            v_bar[i[0] - 1] = al.combine(kind, terms + [(-1, hat_val)])
 
     assert all(e is not None for e in v_bar)
     v[anchors.r_bar] = tuple(v_bar)
@@ -381,77 +367,55 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
 
 
 def _step1_even(kind, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_right):
-    i0 = tables.i_zero
-    j0 = tables.j_zero
-    j0m = al.rot_minus(j0)
+    i0 = tables.i_zero[0]
     b0 = list(tables.B_zero)
-    ul2 = al.int_scale(2, vsum(cls.u_left, i0[0]))
-    ur2 = al.int_scale(2, vsum(cls.u_right, i0[0]))
-    if tau_minus in cls.s_right:
-        val = al.group_sub(ul2, ur2)
-        val = al.group_add(val, zsum(s_left, b0))
-        val = al.group_sub(val, zsum([t for t in s_right if t != tau_minus], b0))
-        val = al.group_sub(val, zsum([tau_minus], [j for j in b0 if j != j0m]))
-    else:
-        val = al.group_sub(ur2, ul2)
-        val = al.group_sub(val, zsum([t for t in s_left if t != tau_minus], b0))
-        val = al.group_sub(val, zsum([tau_minus], [j for j in b0 if j != j0m]))
-        val = al.group_add(val, zsum(s_right, b0))
-    zf.set_class(t_bar, j0, val)
+    j0m = al.rot_minus(tables.j_zero)
+    # the form changes sign with the side tau_minus exits on and leaves tau_minus
+    # out of that side's sum; tau_minus's B_zero slots other than j0m enter with -1
+    s = 1 if tau_minus in cls.s_right else -1
+    terms = (vsum(2 * s, cls.u_left, i0) + vsum(-2 * s, cls.u_right, i0)
+             + zsum(s, [t for t in s_left if t != tau_minus], b0)
+             + zsum(-s, [t for t in s_right if t != tau_minus], b0)
+             + zsum(-1, [tau_minus], [j for j in b0 if j != j0m]))
+    zf.set_class(t_bar, tables.j_zero, al.combine(kind, terms))
 
 
 def _step2(kind, tables, zf, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, cls, eps_val):
     jp = tables.j_prime
     b_star = list(tables.B_star)
-    val = al.group_neg(eps_val)
     other_reps = [anchors.reps[pl.id] for pl in track.plaques if pl.id != t_bar]
-    val = al.group_sub(val, zsum(other_reps, b_star))
-    val = al.group_sub(val, zsum([rep_bar], [j for j in b_star if j != jp]))
+    terms = ([(-1, eps_val)] + zsum(-1, other_reps, b_star)
+             + zsum(-1, [rep_bar], [j for j in b_star if j != jp]))
     if tables.d % 2 == 0:
-        i0 = tables.i_zero
-        val = al.group_add(val, al.group_sub(vsum(cls.u_right, i0[0]),
-                                             vsum(cls.u_left, i0[0])))
-        val = al.group_sub(val, zsum(s_left, list(tables.B_zero)))
-    zf.set_class(t_bar, jp, val)
+        i0 = tables.i_zero[0]
+        terms += (vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
+                  + zsum(-1, s_left, list(tables.B_zero)))
+    zf.set_class(t_bar, jp, al.combine(kind, terms))
 
 
-def _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, all_switches, d):
+def _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
     fl = (d - 1) // 2
     if fl < 2:
         return
-    bp_minus = {al.rot_minus(j) for j in tables.B_prime}
-    bp_plus = {al.rot_plus(j) for j in tables.B_prime}
+    # B' rotated onto tau_minus and tau_plus: the unknown slots, left out of the sums
+    skip_minus = [(tau_minus, al.rot_minus(j)) for j in tables.B_prime]
+    skip_plus = [(tau_plus, al.rot_plus(j)) for j in tables.B_prime]
+
+    def column(m: int) -> List[TripleIndex]:
+        return [j for j in tables.B if j[1] == m]
 
     # largest first-coordinate case: single unknown on the minus side
     i1 = fl
     i2 = d - i1
-    target = (i1 - 1, i2, 1)
-    val = al.group_sum(kind, (zf.get(t, j) for t in all_switches
-                              for j in tables.B if j[1] == i1))
-    val = al.group_sub(val, al.group_sum(
-        kind, (zf.get(t, j) for t in all_switches if t != tau_minus
-               for j in tables.B if j[1] == i2)))
-    val = al.group_sub(val, al.group_sum(
-        kind, (zf.get(tau_minus, j) for j in tables.B
-               if j[1] == i2 and j not in bp_minus)))
-    zf.set_class(t_bar, al.rot_plus(target), val)
+    terms = zsum(1, all_switches, column(i1)) + zsum(-1, all_switches, column(i2), skip_minus)
+    zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), al.combine(kind, terms))
 
     for i1 in range(fl - 1, 1, -1):
         i2 = d - i1
-        target = (i1 - 1, i2, 1)
-        val = al.group_sum(kind, (zf.get(t, j) for t in all_switches if t != tau_plus
-                                  for j in tables.B if j[1] == i1))
-        val = al.group_add(val, al.group_sum(
-            kind, (zf.get(tau_plus, j) for j in tables.B
-                   if j[1] == i1 and j not in bp_plus)))
-        val = al.group_sub(val, al.group_sum(
-            kind, (zf.get(t, j) for t in all_switches if t != tau_minus
-                   for j in tables.B if j[1] == i2)))
-        val = al.group_sub(val, al.group_sum(
-            kind, (zf.get(tau_minus, j) for j in tables.B
-                   if j[1] == i2 and j not in bp_minus)))
-        val = al.group_add(val, zf.get(tau_plus, (1, i1, d - 1 - i1)))
-        zf.set_class(t_bar, al.rot_plus(target), val)
+        terms = (zsum(1, all_switches, column(i1), skip_plus)
+                 + zsum(-1, all_switches, column(i2), skip_minus)
+                 + [(1, zf.get(tau_plus, (1, i1, d - 1 - i1)))])
+        zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), al.combine(kind, terms))
 
 
 def _solve_d4_anchor(kind, tables, cls, zf, t_bar, rep_bar, tau_minus,
@@ -459,33 +423,23 @@ def _solve_d4_anchor(kind, tables, cls, zf, t_bar, rep_bar, tau_minus,
     """Coupled anchor slots for d=4; requires rep and minus-neighbour on
     opposite sides, solving the torsion equation first and then the balance
     equation for the middle pair index."""
-    i0 = tables.i_zero
-    j0 = tables.j_zero
-    jp = tables.j_prime
     b0 = list(tables.B_zero)
     rep_side_right = rep_bar in cls.s_right
-    minus_side_right = tau_minus in cls.s_right
-    if rep_side_right == minus_side_right:
+    if rep_side_right == (tau_minus in cls.s_right):
         raise AnchorError("anchor plaque is single-sided at d=4; pick mixed-side anchors")
-    ur = vsum(cls.u_right, i0[0])
-    ul = vsum(cls.u_left, i0[0])
-    if not rep_side_right:
-        # torsion equation determines the anchor-representative slot
-        known = zsum([t for t in s_left if t != rep_bar], b0)
-        y = al.group_sub(al.group_sub(al.group_sub(ur, ul), eps_val), known)
-        zf.set_class(t_bar, jp, y)
-        val = al.group_sub(zsum(s_left, b0),
-                           zsum([t for t in s_right if t != tau_minus], b0))
-        val = al.group_sub(val, al.int_scale(2, al.group_sub(ur, ul)))
-        zf.set_class(t_bar, j0, val)
+    # the torsion equation leaves the left one of rep and tau_minus out of its
+    # known s_left sum, the balance equation the right one out of its s_right sum
+    if rep_side_right:
+        first, second, left_out, right_out = tables.j_zero, tables.j_prime, tau_minus, rep_bar
     else:
-        known = zsum([t for t in s_left if t != tau_minus], b0)
-        x = al.group_sub(al.group_sub(al.group_sub(ur, ul), eps_val), known)
-        zf.set_class(t_bar, j0, x)
-        val = al.group_sub(zsum(s_left, b0),
-                           zsum([t for t in s_right if t != rep_bar], b0))
-        val = al.group_sub(val, al.int_scale(2, al.group_sub(ur, ul)))
-        zf.set_class(t_bar, jp, val)
+        first, second, left_out, right_out = tables.j_prime, tables.j_zero, rep_bar, tau_minus
+    i0 = tables.i_zero[0]
+    uv = vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
+    zf.set_class(t_bar, first, al.combine(
+        kind, uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
+    zf.set_class(t_bar, second, al.combine(
+        kind, zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
+        + [(-2 * n, x) for n, x in uv]))
 
 
 # -- auxiliary identities ------------------------------------------------------
@@ -501,19 +455,14 @@ def nice_combination_check(track: TrainTrack,
     trio = (t, pl.plus(t), pl.minus(t))
     check_diamond(track, z, d, tol)
 
-    def trio_sum(middle: int) -> GroupElement:
-        return al.group_sum(kind, (z[s][j] for s in trio
-                                   for j in tables.B if j[1] == middle))
+    def trio_sum(n: int, middle: int) -> Terms:
+        return [(n, z[s][j]) for s in trio for j in tables.B if j[1] == middle]
 
-    lhs = al.group_sum(
-        kind,
-        (al.int_scale(i[0], al.group_sub(trio_sum(i[0]), trio_sum(i[1])))
-         for i in tables.A_prime))
-    rhs = al.int_scale(d, al.group_sum(kind, (z[t][j] for j in tables.B_star)))
+    lhs = [term for i in tables.A_prime for term in trio_sum(i[0], i[0]) + trio_sum(-i[0], i[1])]
+    rhs = [(d, z[t][j]) for j in tables.B_star]
     if d % 2 == 0:
-        extra = al.group_sum(kind, (z[s][j] for s in trio for j in tables.B_zero))
-        rhs = al.group_add(rhs, al.int_scale(d // 2, extra))
-    return lhs, rhs
+        rhs += [(d // 2, z[s][j]) for s in trio for j in tables.B_zero]
+    return al.combine(kind, lhs), al.combine(kind, rhs)
 
 
 def compose_alpha(a12: GA, a23: GA, theta: Mapping[TripleIndex, GroupElement],
@@ -523,14 +472,9 @@ def compose_alpha(a12: GA, a23: GA, theta: Mapping[TripleIndex, GroupElement],
     tables = al.index_tables(d)
     out = []
     for i in tables.A:
-        acc = al.group_add(a12[i[0] - 1], a23[i[0] - 1])
-        if label == "cw":
-            corr = al.group_sum(kind, (theta[j] for j in tables.B if j[1] == i[0]))
-            acc = al.group_add(acc, corr)
-        else:
-            corr = al.group_sum(kind, (theta[j] for j in tables.B if j[1] == i[1]))
-            acc = al.group_sub(acc, corr)
-        out.append(acc)
+        n, mid = (1, i[0]) if label == "cw" else (-1, i[1])
+        out.append(al.combine(kind, [(1, a12[i[0] - 1]), (1, a23[i[0] - 1])]
+                              + [(n, theta[j]) for j in tables.B if j[1] == mid]))
     return tuple(out)
 
 

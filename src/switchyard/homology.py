@@ -214,7 +214,7 @@ def k_theta(track: TrainTrack, z: ZField, kind: str, d: int, tol: float = al.DEF
     out = Chain0(kind, d)
     for t in track.switch_ids:
         canon = tuple(
-            al.group_neg(al.group_sum(kind, (z[t][j] for j in tables.B if j[1] == i[0])))
+            al.combine(kind, [(-1, z[t][j]) for j in tables.B if j[1] == i[0]])
             for i in tables.A
         )
         rev = tuple(
@@ -239,7 +239,7 @@ def w_from_z(tree: OrientedTree, z: ZField, kind: str, d: int) -> Dict[int, GA]:
             )
         else:
             w[t] = tuple(
-                al.group_neg(al.group_sum(kind, (z[t][j] for j in tables.B if j[1] == i[0])))
+                al.combine(kind, [(-1, z[t][j]) for j in tables.B if j[1] == i[0]])
                 for i in tables.A
             )
     return w

@@ -261,17 +261,13 @@ def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:
     d = c.d
     tables = al.index_tables(d)
     cls = classify(tree)
-    total = al.group_sum(CYL, (to_cylinder(c.z[pl.switches_ccw[0]][j])
-                               for pl in tree.track.plaques
-                               for j in tables.B_star))
+    terms = [(1, c.z[pl.switches_ccw[0]][j]) for pl in tree.track.plaques for j in tables.B_star]
     if d % 2 == 0:
         mid = tables.i_zero[0] - 1
-        ul = al.group_sum(CYL, (to_cylinder(c.v[r][mid]) for r in cls.u_left))
-        ur = al.group_sum(CYL, (to_cylinder(c.v[r][mid]) for r in cls.u_right))
-        total = al.group_add(total, al.group_sub(ul, ur))
-        total = al.group_add(total, al.group_sum(
-            CYL, (to_cylinder(c.z[t][j]) for t in cls.s_left for j in tables.B_zero)))
-    return total
+        terms += [(n, c.v[r][mid]) for n, rects in ((1, cls.u_left), (-1, cls.u_right))
+                  for r in rects]
+        terms += [(1, c.z[t][j]) for t in cls.s_left for j in tables.B_zero]
+    return al.combine(CYL, [(n, to_cylinder(x)) for n, x in terms])
 
 
 def ob_from_product(total: GroupElement, d: int) -> TorsionValue:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -13,6 +14,11 @@ KINDS = ["real", "circle", "cylinder", "zd:5", "zd:12"]
 
 def rnd(kind, seed=0):
     return al.random_element(kind, random.Random(seed))
+
+
+def left_fold(kind, elements):
+    """The reference sum: binary `group_add` from the left, normalizing every step."""
+    return functools.reduce(al.group_add, elements, al.zero(kind))
 
 
 class TestGroupOps:
@@ -174,7 +180,7 @@ class TestCombine:
         for _ in range(50):
             terms = [(rng.randint(-6, 6), al.random_element(kind, rng))
                      for _ in range(rng.randrange(0, 30))]
-            chained = al.group_sum(kind, (al.int_scale(n, x) for n, x in terms))
+            chained = left_fold(kind, [al.int_scale(n, x) for n, x in terms])
             got = al.combine(kind, terms)
             assert got.kind == kind
             assert al.elements_equal(got, chained, 1e-12 if kind[:3] != "zd:" else 0.0)
@@ -196,6 +202,26 @@ class TestCombine:
             rng.shuffle(terms)
             assert al.combine("cylinder", terms).value == first.value
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_group_sum_agrees_with_left_fold(self, kind):
+        rng = random.Random(21)
+        for _ in range(50):
+            elements = [al.random_element(kind, rng) for _ in range(rng.randrange(0, 40))]
+            got = al.group_sum(kind, elements)
+            want = left_fold(kind, elements)
+            if kind.startswith("zd:"):
+                assert got == want
+            else:
+                assert al.distance(got, want) <= 1e-12
+
+    def test_group_sum_does_not_depend_on_order(self):
+        rng = random.Random(22)
+        elements = [al.cylinder(rng.uniform(-1e3, 1e3), rng.uniform(0.0, 7.0)) for _ in range(200)]
+        first = al.group_sum("cylinder", elements)
+        for _ in range(20):
+            rng.shuffle(elements)
+            assert al.group_sum("cylinder", elements).value == first.value
+
     def test_correctly_rounded(self):
         # a left-to-right sum loses the 1.0 between the two large terms
         terms = [(1, al.real(1e16)), (1, al.real(1.0)), (-1, al.real(1e16))]
@@ -208,6 +234,27 @@ class TestCombine:
     def test_kind_mismatch_raises(self, kind, other):
         with pytest.raises(al.GroupKindError):
             al.combine(kind, [(1, al.zero(kind)), (2, other)])
+
+
+class TestFormatLog:
+    @pytest.mark.parametrize("re", [0.0, -2.5, 1e-15])
+    def test_rounding_on_either_side_of_zero_prints_one_form(self, re):
+        forms = {al.format_log(al.cylinder(re, ang)) for ang in (-1e-15, 0.0, 1e-15, al.TWO_PI)}
+        assert forms == {f"log={re:.12g}+0i"}
+        assert al.format_log(al.circle(-1e-15)) == al.format_log(al.real(0.0)) == "log=0+0i"
+
+    def test_angles_past_the_print_zero_print_as_before(self):
+        outside = 2 * al.PRINT_ZERO_ANGLE
+        assert al.format_log(al.cylinder(1.0, outside)) == f"log=1{outside:+.12g}i"
+        assert al.format_log(al.cylinder(1.0, -outside)) == f"log=1{al.TWO_PI - outside:+.12g}i"
+        assert al.format_log(al.cylinder(0.5, math.pi)) == f"log=0.5{math.pi:+.12g}i"
+        assert al.format_log(al.cyclic(12, 3)) == f"log=0{al.TWO_PI / 4:+.12g}i"
+
+    def test_print_zero_is_half_a_unit_in_the_last_printed_digit_of_two_pi(self):
+        # 2*pi prints as 6.28318530718, its last digit in the 1e-11 place
+        assert f"{al.TWO_PI:.12g}" == "6.28318530718"
+        assert al.format_log(al.circle(4.9e-12)) == al.format_log(al.circle(-4.9e-12)) == "log=0+0i"
+        assert al.format_log(al.circle(5.1e-12)) == "log=0+5.1e-12i"
 
 
 class TestSnapTorsion:

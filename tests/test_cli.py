@@ -10,10 +10,14 @@ import pytest
 from click.testing import CliRunner
 
 import switchyard
+from switchyard import algebra as al
+from switchyard import cocyclic as cc
 from switchyard import obstruction as obs
 from switchyard import io
+from switchyard import traintrack as tt
 from switchyard.cli import main
 
+TRACK_G2 = str(Path(__file__).parent / "data" / "track_g2_s1.json")  # no stored tree
 TRACK_G3 = str(Path(__file__).parent / "data" / "track_g3_s2.json")  # no stored tree
 
 
@@ -423,6 +427,52 @@ def _main_exits_zero(argvs):
         "    except SystemExit as done:",
         "        assert done.code == 0, (argv, done.code)",
     ])
+
+
+# (d, kind, sample seed, rectangle, shift): sampled on TRACK_G2's seed-0 tree,
+# the middle v entry of one unorientable rectangle moved by the shift
+PARITY_CASES = [(4, "circle", 22, 6, 7e-8), (6, "real", 7, 6, 6.6e-8)]
+
+
+class TestParityForms:
+    """At even d the two parity forms of tor' differ by the i0 balance
+    residual up to rounding.  At a tolerance equal to that residual the point
+    passes the membership check, and the forms can still disagree."""
+
+    @staticmethod
+    def off_chart(tmp_path, d, kind, seed, rect, shift):
+        """Write the moved point as a bare coords file; return the tree, the
+        decoded point, the file and its i0 balance residual."""
+        (track, _), _ = io.load(TRACK_G2, io.track_from_json)
+        otree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=0))
+        c = cc.sample_y(otree, d, kind, random.Random(seed))
+        mid = al.index_tables(d).i_zero[0] - 1
+        v = {r: list(vec) for r, vec in c.v.items()}
+        v[rect][mid] = al.group_add(v[rect][mid], al.GroupElement(kind, shift))
+        path = tmp_path / "off_chart.json"
+        path.write_text(json.dumps(io.coords_to_json(cc.CocyclicCoords(d, kind, v, c.z))))
+        point = io.coords_from_json(json.loads(path.read_text()), otree)
+        residual = al.distance(*cc._club_sides(otree, point, al.index_tables(d).i_zero))
+        return otree, point, path, residual
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_tor_prime_raises_a_value_error(self, tmp_path, case):
+        otree, point, _, residual = self.off_chart(tmp_path, *case)
+        member = cc.require_member(otree, point, residual)
+        with pytest.raises(cc.ParityFormsDisagree, match="parity forms disagree"):
+            cc.tor_prime(otree, member, tol=residual)
+        assert issubclass(cc.ParityFormsDisagree, ValueError)
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_torsion_reports_the_failed_check(self, tmp_path, case):
+        _, _, path, residual = self.off_chart(tmp_path, *case)
+        argv = ["--tolerance", repr(residual), "torsion", TRACK_G2, str(path)]
+        r = _run_in_fresh_process(f"from switchyard.cli import main\nmain({argv!r})", tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "check membership: pass" in r.stdout
+        assert "check torsion lattice: FAIL" in r.stdout
+        assert "error: the two parity forms disagree" in r.stdout
 
 
 class TestLeanProcess:
