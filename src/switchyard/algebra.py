@@ -85,16 +85,18 @@ class GroupElement:
     value: object
 
     def __post_init__(self):
-        n = _modulus(self.kind)
-        if n is not None:
-            object.__setattr__(self, "value", int(self.value) % n)
-        elif self.kind == "circle":
-            object.__setattr__(self, "value", _norm_angle(float(self.value)))
-        elif self.kind == "cylinder":
+        # the float kinds are named first: `_modulus` is a cache lookup
+        kind = self.kind
+        if kind == "cylinder":
             re, ang = self.value
             object.__setattr__(self, "value", (float(re), _norm_angle(float(ang))))
-        else:
+        elif kind == "circle":
+            object.__setattr__(self, "value", _norm_angle(float(self.value)))
+        elif kind == "real":
             object.__setattr__(self, "value", float(self.value))
+        else:
+            n = _modulus(kind)
+            object.__setattr__(self, "value", int(self.value) % n)
 
 
 def real(x: float) -> GroupElement:

@@ -11,14 +11,16 @@ The tree's rectangle and switch classification is computed once per tree
 and cached on it (`traintrack.classify`).  The space carries a torsion
 invariant and an explicit linear parametrization by unconstrained slots plus
 one d-torsion slot; both directions of that parametrization are implemented
-here.
+here.  The inverse direction is integer-linear: its step formulas are
+recorded once per (tree, d, anchors) as an `InversePlan`, and the balance
+equations once per (tree, d) as rows, both cached on the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import algebra as al
 from .algebra import GroupElement, PairIndex, TorsionValue, TripleIndex
@@ -69,9 +71,21 @@ Terms = List[Tuple[int, GroupElement]]  # (n, x) stands for n * x, summed by `al
 
 @dataclass(frozen=True)
 class Anchors:
+    """The anchor plaque, the anchor rectangle and each plaque's representative switch.
+
+    ``reps`` is stored as a read-only copy, so anchors hash and compare by
+    value and can key the recorded inverse (`inverse_plan`).
+    """
+
     t_bar: int
     r_bar: int
     reps: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "reps", MappingProxyType(dict(self.reps)))
+
+    def __hash__(self):
+        return hash((self.t_bar, self.r_bar, frozenset(self.reps.items())))
 
 
 def ensure_right_unorientable(tree: OrientedTree) -> OrientedTree:
@@ -104,7 +118,6 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
         if found is None:
             raise AnchorError("every plaque is single-sided; no valid anchor for d=4")
         t_bar, rep = found
-        reps = dict(reps)
         reps[t_bar] = rep
     return Anchors(t_bar=t_bar, r_bar=r_bar, reps=reps)
 
@@ -112,13 +125,34 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
 # -- equation checkers --------------------------------------------------------
 
 
-def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
+# per pair index, the balance equation's two sides as (n, rect, k) and (n, switch, j) rows
+BalanceRows = Dict[PairIndex, Tuple[Tuple[Tuple[int, int, int], ...],
+                                    Tuple[Tuple[int, int, TripleIndex], ...]]]
+
+
+def balance_rows(tree: OrientedTree, d: int) -> BalanceRows:
+    """The balance equations of ``tree`` at ``d``, built once per (tree, d)."""
+    rows = tree._balance_rows
+    if d not in rows:
+        rows[d] = _record_balance(tree, d)
+    return rows[d]
+
+
+def _record_balance(tree: OrientedTree, d: int) -> BalanceRows:
+    tables = al.index_tables(d)
     cls = classify(tree)
-    lhs = [(n, c.v[r][k - 1]) for n, rects in ((1, cls.u_right), (-1, cls.u_left))
-           for r in rects for k in i]
-    rhs = [(n, c.z[t][j]) for n, switches, mid in ((1, cls.s_left, i[1]), (-1, cls.s_right, i[0]))
-           for t in switches for j in c.z[t] if j[1] == mid]
-    return al.combine(c.kind, lhs), al.combine(c.kind, rhs)
+    return {i: (tuple((n, r, k - 1) for n, rects in ((1, cls.u_right), (-1, cls.u_left))
+                      for r in rects for k in i),
+                tuple((n, t, j) for n, switches, mid in ((1, cls.s_left, i[1]),
+                                                         (-1, cls.s_right, i[0]))
+                      for t in switches for j in tables.B if j[1] == mid))
+            for i in tables.A}
+
+
+def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
+    lhs, rhs = balance_rows(tree, c.d)[i]
+    return (al.combine(c.kind, [(n, c.v[r][k]) for n, r, k in lhs]),
+            al.combine(c.kind, [(n, c.z[t][j]) for n, t, j in rhs]))
 
 
 def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
@@ -142,17 +176,19 @@ def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -
     """
     if isinstance(c, Member) and c.tree is tree and c.tol <= tol:
         return c
-    m = Member(c.d, c.kind, MappingProxyType({r: tuple(vec) for r, vec in c.v.items()}),
-               MappingProxyType({t: MappingProxyType(dict(vec)) for t, vec in c.z.items()}),
-               tree, tol)
+    # the checks read the copy that the `Member` then wraps read-only
+    copy = CocyclicCoords(c.d, c.kind, {r: tuple(vec) for r, vec in c.v.items()},
+                          {t: dict(vec) for t, vec in c.z.items()})
     try:
-        check_diamond(tree.track, m.z, m.d, tol)
+        check_diamond(tree.track, copy.z, copy.d, tol)
     except RotationViolated as err:
         raise MembershipError("rotation relations fail") from err
-    for i in al.index_tables(m.d).A:
-        if not check_club(tree, m, i, tol):
+    for i in al.index_tables(copy.d).A:
+        if not check_club(tree, copy, i, tol):
             raise MembershipError(f"balance equation fails at pair index {i}")
-    return m
+    return Member(copy.d, copy.kind, MappingProxyType(copy.v),
+                  MappingProxyType({t: MappingProxyType(vec) for t, vec in copy.z.items()}),
+                  tree, tol)
 
 
 def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
@@ -213,32 +249,132 @@ class FreeCoords:
                 + len(self.z_anchor))
 
 
-def _free_b_indices(tables: al.IndexTables) -> List[TripleIndex]:
-    excluded = set(tables.B_dprime)
-    if tables.j_prime is not None:
-        excluded.add(tables.j_prime)
-    return [j for j in tables.B if j not in excluded]
+# `FreeLayout` and `InversePlan` are named tuples, not frozen dataclasses:
+# every CLI process builds its classes at import, and a frozen dataclass
+# costs about 1 ms to build.
+
+
+class FreeLayout(NamedTuple):
+    """The free slots of the chart in `random_free`'s draw order.
+
+    Each rectangle of ``rects`` carries |A| slots, the anchor rectangle the
+    pair indices ``pairs``, each plaque of ``plaques`` |B| slots at its
+    representative switch, and the anchor plaque the triple indices
+    ``triples``.
+    """
+
+    d: int
+    rects: Tuple[int, ...]
+    pairs: Tuple[PairIndex, ...]
+    plaques: Tuple[int, ...]
+    triples: Tuple[TripleIndex, ...]
+
+    def size(self) -> int:
+        return ((self.d - 1) * len(self.rects) + len(self.pairs)
+                + len(al.index_tables(self.d).B) * len(self.plaques) + len(self.triples))
+
+    def flat(self, free: FreeCoords) -> List[GroupElement]:
+        """The slots of ``free`` as one list, in this order."""
+        b = al.index_tables(self.d).B
+        vals = [e for r in self.rects for e in free.v_other[r]]
+        vals += [free.v_anchor[i] for i in self.pairs]
+        for p in self.plaques:
+            vec = free.z_other[p]
+            vals += [vec[j] for j in b]
+        vals += [free.z_anchor[j] for j in self.triples]
+        return vals
+
+
+def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
+    tables = al.index_tables(d)
+    track = tree.track
+    solved = set(tables.B_dprime) | {tables.j_prime}  # the anchor plaque's solved slots
+    return FreeLayout(
+        d=d,
+        rects=tuple(r.id for r in track.rects
+                    if r.id not in tree.edges and r.id != anchors.r_bar),
+        # at d=2 the lone anchor slot is spent on the torsion invariant instead
+        pairs=() if d == 2 else tuple(i for i in tables.A if i not in tables.A_prime),
+        plaques=tuple(pl.id for pl in track.plaques if pl.id != anchors.t_bar),
+        triples=tuple(j for j in tables.B if j not in solved))
 
 
 def i2_forward(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
                tol: float = al.MEMBER_TOL) -> Tuple[FreeCoords, TorsionValue]:
-    d, kind = c.d, c.kind
-    tables = al.index_tables(d)
+    d = c.d
     if anchors is None:
         anchors = default_anchors(tree, d)
     eps = tor_prime(tree, c, anchors, tol)
-    v_other = {r: c.v[r] for r in c.v if r != anchors.r_bar}
-    if d == 2:
-        # the lone anchor slot is spent on the torsion invariant instead
-        v_anchor: Dict[PairIndex, GroupElement] = {}
-    else:
-        v_anchor = {i: c.v[anchors.r_bar][i[0] - 1]
-                    for i in tables.A if i not in tables.A_prime}
-    z_other = {pl.id: dict(c.z[anchors.reps[pl.id]])
-               for pl in tree.track.plaques if pl.id != anchors.t_bar}
-    rep_bar = anchors.reps[anchors.t_bar]
-    z_anchor = {j: c.z[rep_bar][j] for j in _free_b_indices(tables)}
-    return FreeCoords(d, kind, v_other, v_anchor, z_other, z_anchor), eps
+    layout = free_layout(tree, d, anchors)
+    v_bar = c.v[anchors.r_bar]
+    z_bar = c.z[anchors.reps[anchors.t_bar]]
+    return FreeCoords(d, c.kind,
+                      {r: c.v[r] for r in layout.rects},
+                      {i: v_bar[i[0] - 1] for i in layout.pairs},
+                      {p: dict(c.z[anchors.reps[p]]) for p in layout.plaques},
+                      {j: z_bar[j] for j in layout.triples}), eps
+
+
+# A plan's terms (n, s) stand for n times the value in slot s.
+SlotTerms = Tuple[Tuple[int, int], ...]
+
+
+class InversePlan(NamedTuple):
+    """`i2_inverse` on one (tree, d, anchors), recorded once by `inverse_plan`.
+
+    Slots are numbered in order: the free slots in ``layout`` order, then
+    epsilon, then one per entry of ``steps``, valued `al.combine` over its
+    terms.  ``v_out`` maps each rectangle to its slots per k, ``z_out`` each
+    switch to its slots per triple index of ``index_tables(d).B``.
+    """
+
+    layout: FreeLayout
+    steps: Tuple[SlotTerms, ...]
+    v_out: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    z_out: Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+
+def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
+    """The recorded inverse, built once per (tree, d, anchors) and keyed by the anchors' value."""
+    plans = tree._inverse_plans
+    plan = plans.get((d, anchors))
+    if plan is None:
+        plan = plans[d, anchors] = _record_inverse(tree, d, anchors)
+    return plan
+
+
+def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
+    layout = free_layout(tree, d, anchors)
+    inputs = layout.size() + 1  # the free slots and epsilon
+    steps: List[SlotTerms] = []
+
+    def add(terms) -> int:
+        steps.append(tuple(terms))
+        return inputs + len(steps) - 1
+
+    v, z = _inverse_steps(tree, layout, anchors, range(inputs), add)
+    b = al.index_tables(d).B
+    return InversePlan(layout, tuple(steps), tuple(v.items()),
+                       tuple((t, tuple(vec[j] for j in b)) for t, vec in z.items()))
+
+
+def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,
+               tol: float = al.MEMBER_TOL) -> Member:
+    d, kind = free.d, free.kind
+    if anchors is None:
+        anchors = default_anchors(tree, d)
+    eps_val = eps.value if isinstance(eps, TorsionValue) else eps
+    if not al.is_d_torsion(eps_val, d, tol):
+        raise ValueError(f"epsilon is not {d}-torsion: {eps_val}")
+    plan = inverse_plan(tree, d, anchors)
+    vals = plan.layout.flat(free)
+    vals.append(eps_val)
+    for terms in plan.steps:
+        vals.append(al.combine(kind, [(n, vals[s]) for n, s in terms]))
+    b = al.index_tables(d).B
+    v = {r: tuple([vals[s] for s in slots]) for r, slots in plan.v_out}
+    z = {t: dict(zip(b, [vals[s] for s in slots])) for t, slots in plan.z_out}
+    return require_member(tree, CocyclicCoords(d=d, kind=kind, v=v, z=z), tol)
 
 
 class _PlaqueField:
@@ -281,46 +417,44 @@ class _PlaqueField:
         return z
 
 
-def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,
-               tol: float = al.MEMBER_TOL) -> Member:
-    d, kind = free.d, free.kind
+def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):
+    """The explicit inverse's step formulas over ``vals``, the free slots in
+    ``layout`` order and then epsilon; ``add`` sums each formula's signed
+    terms.  Returns the point's v and z.
+
+    Over slot numbers with a recording ``add`` this builds the `InversePlan`;
+    over elements with `al.combine` it is the plan's test oracle.
+    """
+    d = layout.d
     tables = al.index_tables(d)
     track = tree.track
-    if anchors is None:
-        anchors = default_anchors(tree, d)
     cls = classify(tree)
-    eps_val = eps.value if isinstance(eps, TorsionValue) else eps
-    if not al.is_d_torsion(eps_val, d, tol):
-        raise ValueError(f"epsilon is not {d}-torsion: {eps_val}")
-
-    v: Dict[int, GA] = dict(free.v_other)
+    slot = iter(vals)
+    v = {r: tuple([next(slot) for _ in tables.A]) for r in layout.rects}
+    v_bar: List[Optional[GroupElement]] = [None] * (d - 1)
+    for i in layout.pairs:
+        v_bar[i[0] - 1] = next(slot)
     zf = _PlaqueField(track, anchors.reps, d)
     t_bar = anchors.t_bar
     rep_bar = anchors.reps[t_bar]
-    for pl in track.plaques:
-        if pl.id == t_bar:
-            continue
+    for p in layout.plaques:
         for j in tables.B:
-            zf.set_class(pl.id, j, free.z_other[pl.id][j])
-    for j in _free_b_indices(tables):
-        zf.set_class(t_bar, j, free.z_anchor[j])
+            zf.set_class(p, j, next(slot))
+    for j in layout.triples:
+        zf.set_class(t_bar, j, next(slot))
+    eps_val = next(slot)
 
-    v_bar: List[Optional[GroupElement]] = [None] * (d - 1)
     if d == 2:
-        v_bar[0] = al.combine(kind, [(1, eps_val)]
-                              + [(-1, v[r][0]) for r in cls.u_right if r != anchors.r_bar]
-                              + [(1, v[r][0]) for r in cls.u_left])
-    else:
-        for i in tables.A:
-            if i not in tables.A_prime:
-                v_bar[i[0] - 1] = free.v_anchor[i]
+        v_bar[0] = add([(1, eps_val)]
+                       + [(-1, v[r][0]) for r in cls.u_right if r != anchors.r_bar]
+                       + [(1, v[r][0]) for r in cls.u_left])
 
     bar_plaque = next(pl for pl in track.plaques if pl.id == t_bar)
     tau_minus = bar_plaque.minus(rep_bar)
     tau_plus = bar_plaque.plus(rep_bar)
 
     # the step formulas are lists of signed terms (n, slot value), each summed
-    # by one `combine`
+    # by one `add`
     def vsum(n: int, ids, i1: int) -> Terms:
         terms = []
         for r in ids:
@@ -339,16 +473,16 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     s_right = [t for t in all_switches if t in cls.s_right]
 
     if d == 4:
-        _solve_d4_anchor(kind, tables, cls, zf, t_bar, rep_bar, tau_minus,
+        _solve_d4_anchor(add, tables, cls, zf, t_bar, rep_bar, tau_minus,
                          vsum, zsum, s_left, s_right, eps_val)
     else:
         if d % 2 == 0 and d >= 6:
-            _step1_even(kind, tables, cls, zf, t_bar, tau_minus,
+            _step1_even(add, tables, cls, zf, t_bar, tau_minus,
                         vsum, zsum, s_left, s_right)
         if d >= 3:
-            _step2(kind, tables, zf, track, anchors, t_bar, rep_bar,
+            _step2(add, tables, zf, track, anchors, t_bar, rep_bar,
                    vsum, zsum, s_left, cls, eps_val)
-        _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d)
+        _step3(add, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d)
 
     if d >= 3:
         u_right = [r for r in cls.u_right if r != anchors.r_bar]
@@ -359,14 +493,14 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
             terms = (zsum(1, s_left, [j for j in tables.B if j[1] == i[1]])
                      + zsum(-1, s_right, [j for j in tables.B if j[1] == i[0]])
                      + [term for k in i for term in vsum(1, cls.u_left, k) + vsum(-1, u_right, k)])
-            v_bar[i[0] - 1] = al.combine(kind, terms + [(-1, hat_val)])
+            v_bar[i[0] - 1] = add(terms + [(-1, hat_val)])
 
     assert all(e is not None for e in v_bar)
     v[anchors.r_bar] = tuple(v_bar)
-    return require_member(tree, CocyclicCoords(d=d, kind=kind, v=v, z=zf.materialize(track)), tol)
+    return v, zf.materialize(track)
 
 
-def _step1_even(kind, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_right):
+def _step1_even(add, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_right):
     i0 = tables.i_zero[0]
     b0 = list(tables.B_zero)
     j0m = al.rot_minus(tables.j_zero)
@@ -377,10 +511,10 @@ def _step1_even(kind, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_r
              + zsum(s, [t for t in s_left if t != tau_minus], b0)
              + zsum(-s, [t for t in s_right if t != tau_minus], b0)
              + zsum(-1, [tau_minus], [j for j in b0 if j != j0m]))
-    zf.set_class(t_bar, tables.j_zero, al.combine(kind, terms))
+    zf.set_class(t_bar, tables.j_zero, add(terms))
 
 
-def _step2(kind, tables, zf, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, cls, eps_val):
+def _step2(add, tables, zf, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, cls, eps_val):
     jp = tables.j_prime
     b_star = list(tables.B_star)
     other_reps = [anchors.reps[pl.id] for pl in track.plaques if pl.id != t_bar]
@@ -390,10 +524,10 @@ def _step2(kind, tables, zf, track, anchors, t_bar, rep_bar, vsum, zsum, s_left,
         i0 = tables.i_zero[0]
         terms += (vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
                   + zsum(-1, s_left, list(tables.B_zero)))
-    zf.set_class(t_bar, jp, al.combine(kind, terms))
+    zf.set_class(t_bar, jp, add(terms))
 
 
-def _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
+def _step3(add, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
     fl = (d - 1) // 2
     if fl < 2:
         return
@@ -408,17 +542,17 @@ def _step3(kind, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
     i1 = fl
     i2 = d - i1
     terms = zsum(1, all_switches, column(i1)) + zsum(-1, all_switches, column(i2), skip_minus)
-    zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), al.combine(kind, terms))
+    zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
 
     for i1 in range(fl - 1, 1, -1):
         i2 = d - i1
         terms = (zsum(1, all_switches, column(i1), skip_plus)
                  + zsum(-1, all_switches, column(i2), skip_minus)
                  + [(1, zf.get(tau_plus, (1, i1, d - 1 - i1)))])
-        zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), al.combine(kind, terms))
+        zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
 
 
-def _solve_d4_anchor(kind, tables, cls, zf, t_bar, rep_bar, tau_minus,
+def _solve_d4_anchor(add, tables, cls, zf, t_bar, rep_bar, tau_minus,
                      vsum, zsum, s_left, s_right, eps_val):
     """Coupled anchor slots for d=4; requires rep and minus-neighbour on
     opposite sides, solving the torsion equation first and then the balance
@@ -435,10 +569,10 @@ def _solve_d4_anchor(kind, tables, cls, zf, t_bar, rep_bar, tau_minus,
         first, second, left_out, right_out = tables.j_prime, tables.j_zero, rep_bar, tau_minus
     i0 = tables.i_zero[0]
     uv = vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
-    zf.set_class(t_bar, first, al.combine(
-        kind, uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
-    zf.set_class(t_bar, second, al.combine(
-        kind, zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
+    zf.set_class(t_bar, first, add(
+        uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
+    zf.set_class(t_bar, second, add(
+        zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
         + [(-2 * n, x) for n, x in uv]))
 
 
@@ -483,21 +617,14 @@ def compose_alpha(a12: GA, a23: GA, theta: Mapping[TripleIndex, GroupElement],
 
 def random_free(tree: OrientedTree, d: int, kind: str, rng,
                 anchors: Optional[Anchors] = None) -> FreeCoords:
-    tables = al.index_tables(d)
-    track = tree.track
     if anchors is None:
         anchors = default_anchors(tree, d)
-    v_other = {r.id: tuple(al.random_element(kind, rng) for _ in tables.A)
-               for r in track.rects
-               if r.id not in tree.edges and r.id != anchors.r_bar}
-    if d == 2:
-        v_anchor: Dict[PairIndex, GroupElement] = {}
-    else:
-        v_anchor = {i: al.random_element(kind, rng)
-                    for i in tables.A if i not in tables.A_prime}
-    z_other = {pl.id: {j: al.random_element(kind, rng) for j in tables.B}
-               for pl in track.plaques if pl.id != anchors.t_bar}
-    z_anchor = {j: al.random_element(kind, rng) for j in _free_b_indices(tables)}
+    layout = free_layout(tree, d, anchors)
+    tables = al.index_tables(d)
+    v_other = {r: tuple(al.random_element(kind, rng) for _ in tables.A) for r in layout.rects}
+    v_anchor = {i: al.random_element(kind, rng) for i in layout.pairs}
+    z_other = {p: {j: al.random_element(kind, rng) for j in tables.B} for p in layout.plaques}
+    z_anchor = {j: al.random_element(kind, rng) for j in layout.triples}
     return FreeCoords(d, kind, v_other, v_anchor, z_other, z_anchor)
 
 

@@ -195,16 +195,27 @@ def delta(tree: OrientedTree, w: Mapping[int, GA], kind: str, d: int) -> Chain0:
 ZField = Mapping[int, Mapping[Tuple[int, int, int], GroupElement]]
 
 
+def rotation_pairs(track: TrainTrack, d: int):
+    """(t, j, t+, rot+ j) for every switch t, plaque by plaque, and triple index j,
+    built once per (track, d)."""
+    pairs = track._rotation_pairs
+    if d not in pairs:
+        pairs[d] = _record_rotation_pairs(track, d)
+    return pairs[d]
+
+
+def _record_rotation_pairs(track: TrainTrack, d: int):
+    tables = al.index_tables(d)
+    return tuple((t, j, pl.plus(t), al.rot_plus(j))
+                 for pl in track.plaques for t in pl.switches_ccw for j in tables.B)
+
+
 def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_TOL) -> None:
     """Rotation compatibility: the value at a switch equals the value at the
     next switch clockwise around the plaque under the index rotation."""
-    tables = al.index_tables(d)
-    for pl in track.plaques:
-        for t in pl.switches_ccw:
-            tp = pl.plus(t)
-            for j in tables.B:
-                if not al.elements_equal(z[t][j], z[tp][al.rot_plus(j)], tol):
-                    raise RotationViolated(f"rotation relation fails at switch {t}, index {j}")
+    for t, j, tp, jp in rotation_pairs(track, d):
+        if not al.elements_equal(z[t][j], z[tp][jp], tol):
+            raise RotationViolated(f"rotation relation fails at switch {t}, index {j}")
 
 
 def k_theta(track: TrainTrack, z: ZField, kind: str, d: int, tol: float = al.DEFAULT_TOL) -> Chain0:

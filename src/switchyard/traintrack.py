@@ -138,6 +138,8 @@ class TrainTrack:
         self._plaques: Optional[Tuple[Plaque, ...]] = None
         self._plaque_of_switch: Dict[int, int] = {}
         self._slot_map: Optional[Dict[Slot, Tuple[int, int]]] = None
+        # d -> the rotation relations' switch and index pairs, filled by `homology`
+        self._rotation_pairs: Dict[int, tuple] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -478,6 +480,16 @@ class OrientedTree:
     @cached_property
     def _ledger_rows(self) -> Dict[int, object]:
         # d -> the compiled boundary-product row, filled by `slither`
+        return {}
+
+    @cached_property
+    def _balance_rows(self) -> Dict[int, object]:
+        # d -> the balance equations' rows per pair index, filled by `cocyclic`
+        return {}
+
+    @cached_property
+    def _inverse_plans(self) -> Dict[object, object]:
+        # (d, anchors) -> the recorded explicit inverse, filled by `cocyclic`
         return {}
 
 

@@ -320,6 +320,39 @@ class TestKindTags:
     def test_canonical_kinds_accepted(self, tag):
         assert al.check_kind(tag) == tag
 
+    def test_construction_normalizes_as_the_kind_parser_rule(self):
+        # the rule that parsed the kind before testing the float kinds by name
+        def parsed_first(kind, value):
+            n = al._modulus(kind)
+            if n is not None:
+                return int(value) % n
+            if kind == "circle":
+                return al._norm_angle(float(value))
+            if kind == "cylinder":
+                return (float(value[0]), al._norm_angle(float(value[1])))
+            return float(value)
+
+        def bits(value):
+            parts = value if isinstance(value, tuple) else (value,)
+            return tuple(x.hex() if isinstance(x, float) else x for x in parts)
+
+        rng = random.Random(60)
+
+        def draw():
+            return rng.choice([rng.uniform(-10.0, 10.0), rng.uniform(al.TWO_PI, 100.0),
+                               -rng.uniform(0.0, 1e18), rng.uniform(-1e300, 1e300),
+                               al.TWO_PI, -al.TWO_PI, 0.0, -0.0, -1e-300])
+
+        for _ in range(2000):
+            for kind in ("real", "circle", "cylinder", "zd:12"):
+                if kind == "cylinder":
+                    value = (draw(), draw())
+                elif kind == "zd:12":
+                    value = rng.choice([rng.randrange(-10**30, 10**30), draw()])
+                else:
+                    value = draw()
+                assert bits(al.GroupElement(kind, value).value) == bits(parsed_first(kind, value))
+
 
 class TestIndexSets:
     def test_d5_tables(self):

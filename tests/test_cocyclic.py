@@ -313,6 +313,18 @@ class TestAnchors:
     def test_ensure_right_unorientable_keeps_good_tree(self):
         assert cc.ensure_right_unorientable(TREE) is TREE
 
+    def test_anchors_are_values(self):
+        a = cc.default_anchors(TREE, 4)
+        b = cc.Anchors(t_bar=a.t_bar, r_bar=a.r_bar, reps=dict(a.reps))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != cc.default_anchors(TREE, 3)
+        with pytest.raises(TypeError):
+            a.reps[a.t_bar] = 0
+        reps = dict(a.reps)
+        built = cc.Anchors(t_bar=a.t_bar, r_bar=a.r_bar, reps=reps)
+        reps[a.t_bar] = 0
+        assert built == a
+
 
 class TestI2:
     def test_zero_point_maps_to_zero_slots(self):
@@ -465,6 +477,64 @@ def _holds_reduced_system(c):
     if not all(cc.check_spade(c, i) for i in spade_set):
         return False
     return al.is_d_torsion(_tor_formula(c), c.d, 1e-7)
+
+
+def _tree_of(name):
+    (track, _), _ = io.load(DATA / f"{name}.json", io.track_from_json)
+    return cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
+
+
+class TestInversePlan:
+    """The recorded inverse against the step code it is recorded from."""
+
+    TRACKS = ("track_g2_s1", "track_g2_s7", "track_g3_s2")
+
+    def test_plan_matches_the_step_code(self):
+        rng = random.Random(70)
+        d4_sides = set()  # the coupled d=4 slots are solved in one order or the other
+        for name in self.TRACKS:
+            tree = _tree_of(name)
+            for d in (2, 3, 4, 5, 6):
+                anchors = cc.default_anchors(tree, d)
+                if d == 4:
+                    d4_sides.add(anchors.reps[anchors.t_bar] in tt.classify(tree).s_right)
+                layout = cc.free_layout(tree, d, anchors)
+                for kind in KINDS:
+                    free = cc.random_free(tree, d, kind, rng, anchors)
+                    eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
+                    got = cc.i2_inverse(tree, free, eps, anchors)
+                    v, z = cc._inverse_steps(tree, layout, anchors, layout.flat(free) + [eps],
+                                             lambda terms: al.combine(kind, terms))
+                    assert dict(got.v) == v, (name, d, kind)
+                    assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
+        assert d4_sides == {True, False}
+
+    def test_anchor_errors_are_raised_on_every_call(self):
+        (track, _), _ = io.load(DATA / "track_g2_s7.json", io.track_from_json)
+        unflipped = tt.maximal_tree(track, seed=3)
+        for _ in range(2):
+            with pytest.raises(cc.AnchorError, match="^no right-exiting unorientable rectangle; "
+                                                     "flip the orientation first$"):
+                cc.sample_y(unflipped, 3, "real", random.Random(71))
+        uniform = next(pl for pl in TRACK.plaques
+                       if len({t in CLS.s_right for t in pl.switches_ccw}) == 1)
+        base = cc.default_anchors(TREE, 4)
+        bad = cc.Anchors(t_bar=uniform.id, r_bar=base.r_bar,
+                         reps={**base.reps, uniform.id: min(uniform.switches_ccw)})
+        free = cc.random_free(TREE, 4, "real", random.Random(72), bad)
+        for _ in range(2):
+            with pytest.raises(cc.AnchorError, match="^anchor plaque is single-sided at d=4; "
+                                                     "pick mixed-side anchors$"):
+                cc.i2_inverse(TREE, free, al.torsion_element("real", 4, 0), bad)
+
+    def test_plan_is_keyed_by_the_anchors_value(self):
+        tree = _tree_of("track_g2_s1")
+        a = cc.default_anchors(tree, 5)
+        plan = cc.inverse_plan(tree, 5, a)
+        assert cc.inverse_plan(tree, 5, cc.default_anchors(tree, 5)) is plan
+        alt = cc.Anchors(t_bar=a.t_bar, r_bar=a.r_bar,
+                         reps={pl.id: max(pl.switches_ccw) for pl in tree.track.plaques})
+        assert cc.inverse_plan(tree, 5, alt) is not plan
 
 
 class TestSystemEquivalence:

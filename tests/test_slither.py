@@ -358,7 +358,7 @@ class TestCompiledOnce:
     MIX = [(CYL, d) for d in (2, 3, 4, 5, 6)] + [("zd:12", d) for d in (2, 3, 4, 6)]
 
     def test_chart_ops_build_each_tree_table_once(self, monkeypatch):
-        counts = {"walk": 0, "row": [], "plan": []}
+        counts = {"walk": 0, "row": [], "plan": [], "inverse": [], "rotation": [], "balance": []}
 
         def counting(mod, name, key):
             real = getattr(mod, name)
@@ -367,7 +367,7 @@ class TestCompiledOnce:
                 if key == "walk":
                     counts["walk"] += 1
                 else:
-                    counts[key].append(args[1])
+                    counts[key].append(args[1:] if key == "inverse" else args[1])
                 return real(*args)
 
             monkeypatch.setattr(mod, name, wrapped)
@@ -375,9 +375,14 @@ class TestCompiledOnce:
         counting(tt, "_walk", "walk")
         counting(sl, "_compile_ledger", "row")
         counting(hm, "_record_plan", "plan")
-        tree = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
+        counting(cc, "_record_inverse", "inverse")
+        counting(hm, "_record_rotation_pairs", "rotation")
+        counting(cc, "_record_balance", "balance")
+        # a fresh track: the rotation pairs are cached on the track
+        (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
+        tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
         lifts = tt.orientation_cover(tree)
-        free_rects = sorted(set(r.id for r in TRACK.rects) - tree.edges)
+        free_rects = sorted(set(r.id for r in track.rects) - tree.edges)
         rng = random.Random(17)
         for _ in range(2):
             for kind, d in self.MIX:
@@ -393,13 +398,17 @@ class TestCompiledOnce:
                 assert al.elements_equal(sl.ob_from_product(total, d).value,
                                          sl.to_cylinder(tor.value))
                 v = {rid: hm.ga_random(kind, d, rng) for rid in free_rects}
-                w = {s: hm.ga_random(kind, d, rng) for s in TRACK.switch_ids}
-                w[TRACK.switch_ids[0]] = hm.ga_zero(kind, d)
-                w[TRACK.switch_ids[0]] = hm.balance_defect(tree, v, w, kind, d)
+                w = {s: hm.ga_random(kind, d, rng) for s in track.switch_ids}
+                w[track.switch_ids[0]] = hm.ga_zero(kind, d)
+                w[track.switch_ids[0]] = hm.balance_defect(tree, v, w, kind, d)
                 hm.solve_tree(lifts, v, w, kind, d)
         assert counts["walk"] == 1
         assert sorted(counts["row"]) == [2, 3, 4, 5, 6]
         assert counts["plan"] == ["low_first"]
+        # the anchors are rebuilt for every point; the inverse is keyed by their value
+        assert sorted(d for d, _ in counts["inverse"]) == [2, 3, 4, 5, 6]
+        assert sorted(counts["rotation"]) == [2, 3, 4, 5, 6]
+        assert sorted(counts["balance"]) == [2, 3, 4, 5, 6]
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         assert counts["plan"] == ["low_first", "high_first"]
