@@ -42,6 +42,10 @@ class GroupKindError(ValueError):
     pass
 
 
+class SumOverflow(ValueError):
+    """A float sum left the range of a float (`math.fsum`'s intermediate overflow)."""
+
+
 def _norm_angle(a: float) -> float:
     a = math.fmod(a, TWO_PI)
     if a < 0.0:
@@ -173,13 +177,17 @@ def combine(kind: str, terms) -> GroupElement:
             parts.append(n * x.value)
     if _modulus(kind) is not None:
         return GroupElement(kind, sum(parts))
-    if cyl:
-        return GroupElement(kind, (math.fsum(parts), math.fsum(angs)))
-    return GroupElement(kind, math.fsum(parts))
+    try:
+        if cyl:
+            return GroupElement(kind, (math.fsum(parts), math.fsum(angs)))
+        return GroupElement(kind, math.fsum(parts))
+    except OverflowError as err:
+        raise SumOverflow(f"a {kind} sum of {len(parts)} terms overflows a float") from err
 
 
 def _angle_dist(a: float, b: float) -> float:
-    d = abs(_norm_angle(a) - _norm_angle(b))
+    # callers pass elements' angles, which construction has already normalized
+    d = abs(a - b)
     return min(d, TWO_PI - d)
 
 

@@ -3,28 +3,33 @@
 A point assigns an A-indexed vector to every rectangle off the chosen
 maximal tree and a B-indexed vector to every switch.  Membership means the
 per-plaque rotation relations hold at every switch together with one balance
-equation per pair index.  The rotation relation is checked by
-`homology.check_diamond`, its only home; the balance equations are checked
-here.  `require_member` is the one membership gate: it returns a read-only
-`Member`, which the chart functions accept without checking it again.
+equation per pair index, over finite values.  The rotation relation is
+checked per point by `homology.check_diamond`, its only home; the balance
+equations are checked here.  `require_member` is the membership gate of
+every point handed in: it returns a read-only `Member`, which the chart
+functions accept without checking it again.
 The tree's rectangle and switch classification is computed once per tree
 and cached on it (`traintrack.classify`).  The space carries a torsion
 invariant and an explicit linear parametrization by unconstrained slots plus
 one d-torsion slot; both directions of that parametrization are implemented
 here.  The inverse direction is integer-linear: its step formulas are
 recorded once per (tree, d, anchors) as an `InversePlan`, and the balance
-equations once per (tree, d) as rows, both cached on the tree.
+equations once per (tree, d) as rows, both cached on the tree.  Recording a
+plan proves the rotation relations for every point it builds (both sides of
+each relation read one slot), so `i2_inverse` gates its own output by finite
+slots and the balance rows alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import algebra as al
 from .algebra import GroupElement, PairIndex, TorsionValue, TripleIndex
-from .homology import GA, RotationViolated, check_diamond
+from .homology import GA, RotationViolated, check_diamond, rotation_pairs
 from .traintrack import OrientedTree, TrainTrack, classify
 
 
@@ -40,6 +45,10 @@ class ParityFormsDisagree(ValueError):
     """At even d, the two forms of the torsion invariant differ by more than tol."""
 
 
+class InversePlanError(ValueError):
+    """A recorded inverse whose output breaks a rotation relation."""
+
+
 @dataclass
 class CocyclicCoords:
     d: int
@@ -53,8 +62,8 @@ class Member:
     """A point checked to be a member of the chart of ``tree`` at ``tol``.
 
     It is read like `CocyclicCoords`, but it is a read-only copy (proxies
-    and tuples), so the check it records stays true.  Only `require_member`
-    builds one.
+    and tuples), so the check it records stays true.  Only the membership
+    gates build one: `require_member`, and `i2_inverse` for its own output.
     """
 
     d: int
@@ -167,28 +176,89 @@ def check_spade(c: Coords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
     return al.elements_equal(lhs, rhs, tol)
 
 
+def _finite(kind: str, elements) -> bool:
+    """True iff every float part of every element of ``kind`` is finite."""
+    if kind == "cylinder":
+        for x in elements:
+            re, ang = x.value
+            if not (isfinite(re) and isfinite(ang)):
+                return False
+    elif kind == "real" or kind == "circle":
+        for x in elements:
+            if not isfinite(x.value):
+                return False
+    return True
+
+
+def _require_finite(c: CocyclicCoords) -> None:
+    """Raise `MembershipError` naming the first slot of ``c``, v then z, that is not finite.
+
+    A non-finite value fails no equation it does not enter, and the v slots
+    of an orientable rectangle enter none.
+    """
+    kind = c.kind
+    a = al.index_tables(c.d).A
+    for r, vec in c.v.items():
+        for i, x in zip(a, vec):
+            if not _finite(kind, (x,)):
+                raise MembershipError(f"non-finite value at rectangle {r}, pair index {i}")
+    for t, vec in c.z.items():
+        for j, x in vec.items():
+            if not _finite(kind, (x,)):
+                raise MembershipError(f"non-finite value at switch {t}, index {j}")
+
+
+def _require_balance(tree: OrientedTree, c: CocyclicCoords, tol: float) -> None:
+    for i in al.index_tables(c.d).A:
+        try:
+            holds = check_club(tree, c, i, tol)
+        except al.SumOverflow as err:
+            raise MembershipError(f"balance equation overflows at pair index {i}") from err
+        if not holds:
+            raise MembershipError(f"balance equation fails at pair index {i}")
+
+
+def _member(tree: OrientedTree, c: CocyclicCoords, tol: float) -> Member:
+    """Wrap ``c``, which no caller holds, read-only as a `Member` checked at ``tol``."""
+    return Member(c.d, c.kind, MappingProxyType(c.v),
+                  MappingProxyType({t: MappingProxyType(vec) for t, vec in c.z.items()}),
+                  tree, tol)
+
+
 def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
     """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol``.
 
     A `Member` already checked on this tree object at a tol no looser is
-    returned as it is; every other point is checked (rotation relations,
-    then balance equations) and copied.
+    returned as it is; every other point is checked (finite slots, rotation
+    relations, then balance equations) and copied.
     """
     if isinstance(c, Member) and c.tree is tree and c.tol <= tol:
         return c
     # the checks read the copy that the `Member` then wraps read-only
     copy = CocyclicCoords(c.d, c.kind, {r: tuple(vec) for r, vec in c.v.items()},
                           {t: dict(vec) for t, vec in c.z.items()})
+    _require_finite(copy)
     try:
         check_diamond(tree.track, copy.z, copy.d, tol)
     except RotationViolated as err:
         raise MembershipError("rotation relations fail") from err
-    for i in al.index_tables(copy.d).A:
-        if not check_club(tree, copy, i, tol):
-            raise MembershipError(f"balance equation fails at pair index {i}")
-    return Member(copy.d, copy.kind, MappingProxyType(copy.v),
-                  MappingProxyType({t: MappingProxyType(vec) for t, vec in copy.z.items()}),
-                  tree, tol)
+    _require_balance(tree, copy, tol)
+    return _member(tree, copy, tol)
+
+
+def _require_recorded(tree: OrientedTree, vals: List[GroupElement], c: CocyclicCoords,
+                      tol: float) -> Member:
+    """The gate of a point ``c`` that `i2_inverse` has just evaluated, ``vals`` its slots.
+
+    The plan's rotation relations were proven when it was recorded
+    (`_record_inverse`), so only the finite slots and the balance equations
+    are left to check, with `require_member`'s messages; ``c`` is fresh, so
+    it is wrapped without a copy.
+    """
+    if not _finite(c.kind, vals):
+        _require_finite(c)
+    _require_balance(tree, c, tol)
+    return _member(tree, c, tol)
 
 
 def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
@@ -353,6 +423,12 @@ def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan
         return inputs + len(steps) - 1
 
     v, z = _inverse_steps(tree, layout, anchors, range(inputs), add)
+    # every point the plan builds then satisfies the rotation relations, so
+    # `i2_inverse` need not check them
+    for t, j, tp, jp in rotation_pairs(tree.track, d):
+        if z[t][j] != z[tp][jp]:
+            raise InversePlanError(f"recorded inverse breaks the rotation relation at switch {t}, "
+                                   f"index {j}: slot {z[t][j]} against slot {z[tp][jp]}")
     b = al.index_tables(d).B
     return InversePlan(layout, tuple(steps), tuple(v.items()),
                        tuple((t, tuple(vec[j] for j in b)) for t, vec in z.items()))
@@ -374,7 +450,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     b = al.index_tables(d).B
     v = {r: tuple([vals[s] for s in slots]) for r, slots in plan.v_out}
     z = {t: dict(zip(b, [vals[s] for s in slots])) for t, slots in plan.z_out}
-    return require_member(tree, CocyclicCoords(d=d, kind=kind, v=v, z=z), tol)
+    return _require_recorded(tree, vals, CocyclicCoords(d, kind, v, z), tol)
 
 
 class _PlaqueField:

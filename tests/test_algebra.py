@@ -172,6 +172,35 @@ class TestDistance:
         assert math.isnan(al.distance(a, al.zero("cylinder")))
         assert not al.elements_equal(a, al.zero("cylinder"), 1.0)
 
+    @pytest.mark.parametrize("kind", ["circle", "cylinder"])
+    def test_angles_are_not_normalized_twice(self, kind):
+        # bit for bit the rule that normalized both angles again before subtracting
+        def renormalized(a, b):
+            d = abs(al._norm_angle(a) - al._norm_angle(b))
+            return min(d, al.TWO_PI - d)
+
+        def old_distance(x, y):
+            if kind == "circle":
+                return renormalized(x.value, y.value)
+            ang = renormalized(x.value[1], y.value[1])
+            return ang if math.isnan(ang) else max(abs(x.value[0] - y.value[0]), ang)
+
+        rng = random.Random(23)
+        special = [0.0, -0.0, math.nextafter(al.TWO_PI, 0.0), al.TWO_PI, -1e-300, math.nan]
+
+        def angle():
+            return rng.choice([rng.choice(special), rng.uniform(-20.0, 20.0),
+                               rng.uniform(0.0, al.TWO_PI)])
+
+        def element():
+            if kind == "circle":
+                return al.circle(angle())
+            return al.cylinder(rng.choice([0.0, -0.0, math.nan, rng.gauss(0.0, 1.0)]), angle())
+
+        for _ in range(3000):
+            x, y = element(), element()
+            assert al.distance(x, y).hex() == old_distance(x, y).hex()
+
 
 class TestCombine:
     @pytest.mark.parametrize("kind", KINDS)
@@ -226,6 +255,16 @@ class TestCombine:
         # a left-to-right sum loses the 1.0 between the two large terms
         terms = [(1, al.real(1e16)), (1, al.real(1.0)), (-1, al.real(1e16))]
         assert al.combine("real", terms) == al.real(1.0)
+
+    @pytest.mark.parametrize("kind,terms", [
+        ("real", [(1, al.real(1e308)), (1, al.real(1e308)), (-1, al.real(1e308))]),
+        ("cylinder", [(1, al.cylinder(1e308, 0.0)), (1, al.cylinder(1e308, 1.0))]),
+    ])
+    def test_overflow_raises_a_named_value_error(self, kind, terms):
+        with pytest.raises(al.SumOverflow, match=f"^a {kind} sum of {len(terms)} terms "
+                                                 "overflows a float$"):
+            al.combine(kind, terms)
+        assert issubclass(al.SumOverflow, ValueError)
 
     @pytest.mark.parametrize("kind,other", [("zd:12", al.cyclic(5, 1)),
                                             ("cylinder", al.circle(1.0)),

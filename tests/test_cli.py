@@ -312,6 +312,22 @@ class TestSampleAndTorsion:
         assert r.exit_code in (0, 1)
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_huge_finite_point_fails_cleanly(self, runner, workdir, tmp_path, command):
+        """Finite values that the decoder accepts but whose sums overflow a float
+        fail the membership check, never raise out of the command."""
+        doc = json.loads((workdir / "pts.json").read_text())
+        for vec in doc["points"][0]["coords"]["v"].values():
+            for value in vec.values():
+                value[0] = 1e308
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        r = runner.invoke(main, [command, str(workdir / "tree.json"), str(big)])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1
+        assert "check membership: FAIL" in r.output
+        assert "error: balance equation overflows at pair index" in r.output
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
     def test_coords_missing_switch_exits_two(self, runner, workdir, tmp_path, command):
         doc = json.loads((workdir / "pts.json").read_text())
         del doc["points"][0]["coords"]["z"]["0"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 
@@ -435,6 +436,22 @@ class TestI2:
         with pytest.raises(cc.MembershipError):
             cc.i2_forward(TREE, c)
 
+    @pytest.mark.parametrize("d", [7, 8])
+    @pytest.mark.parametrize("kind", ["cylinder", "zd:12"])
+    def test_roundtrip_past_the_first_step_three_case(self, kind, d):
+        # step 3's inner loop runs from d = 7 on
+        tol = 0.0 if kind == "zd:12" else 1e-9
+        rng = random.Random(25 + d)
+        anchors = cc.default_anchors(TREE, d)
+        for _ in range(3):
+            eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
+            c = cc.sample_y(TREE, d, kind, rng, anchors, eps)
+            assert cc.is_member(TREE, plain(c), al.MEMBER_TOL)
+            assert al.elements_equal(cc.tor_prime(TREE, c, anchors).value, eps, tol)
+            free, back_eps = cc.i2_forward(TREE, c, anchors)
+            assert al.elements_equal(back_eps.value, eps, tol)
+            assert coords_equal(c, cc.i2_inverse(TREE, free, back_eps, anchors), tol)
+
     def test_inverse_does_not_mutate_input(self):
         rng = random.Random(24)
         anchors = cc.default_anchors(TREE, 4)
@@ -535,6 +552,107 @@ class TestInversePlan:
         alt = cc.Anchors(t_bar=a.t_bar, r_bar=a.r_bar,
                          reps={pl.id: max(pl.switches_ccw) for pl in tree.track.plaques})
         assert cc.inverse_plan(tree, 5, alt) is not plan
+
+
+    def test_plan_breaking_a_rotation_pair_is_not_recorded(self, monkeypatch):
+        tree = _tree_of("track_g2_s1")
+        anchors = cc.default_anchors(tree, 5)
+        pl = tree.track.plaques[0]
+        t = pl.plus(anchors.reps[pl.id])
+        j, other = al.index_tables(5).B[:2]
+        real = cc._inverse_steps
+
+        def misrouted(*args):
+            v, z = real(*args)
+            z[t][j] = z[t][other]  # one z output pointed at the wrong slot
+            return v, z
+
+        monkeypatch.setattr(cc, "_inverse_steps", misrouted)
+        for _ in range(2):
+            with pytest.raises(cc.InversePlanError, match="^recorded inverse breaks the rotation "
+                                                          "relation at switch "):
+                cc.inverse_plan(tree, 5, anchors)
+        assert not tree._inverse_plans
+        monkeypatch.setattr(cc, "_inverse_steps", real)
+        assert cc.inverse_plan(tree, 5, anchors) is tree._inverse_plans[5, anchors]
+
+    def test_inverse_runs_no_rotation_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cc, "check_diamond", lambda *args: calls.append(args))
+        rng = random.Random(73)
+        for d in range(2, 9):
+            for kind in KINDS:
+                c = cc.sample_y(TREE, d, kind, rng)
+                assert isinstance(c, cc.Member) and c.tree is TREE and c.tol == al.MEMBER_TOL
+        assert calls == []
+        cc.require_member(TREE, plain(c), al.MEMBER_TOL)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_recorded_gate_agrees_with_require_member(self, d):
+        # the same verdict and message as the general gate on the same point,
+        # also at tols tight enough for the balance equations to fail on rounding
+        rng = random.Random(74 + d)
+        anchors = cc.default_anchors(TREE, d)
+        layout = cc.free_layout(TREE, d, anchors)
+        verdicts = set()
+        for kind in KINDS:
+            for tol in (al.MEMBER_TOL, 1e-13, 1e-15, 0.0):
+                free = cc.random_free(TREE, d, kind, rng, anchors)
+                eps = al.zero(kind)
+                v, z = cc._inverse_steps(TREE, layout, anchors, layout.flat(free) + [eps],
+                                         lambda terms: al.combine(kind, terms))
+                outcomes = []
+                for gate in (lambda: cc.i2_inverse(TREE, free, eps, anchors, tol),
+                             lambda: cc.require_member(TREE, cc.CocyclicCoords(d, kind, v, z),
+                                                       tol)):
+                    try:
+                        m = gate()
+                    except cc.MembershipError as err:
+                        outcomes.append(str(err))
+                    else:
+                        outcomes.append((dict(m.v), {t: dict(vec) for t, vec in m.z.items()}))
+                assert outcomes[0] == outcomes[1], (kind, tol)
+                verdicts.add(isinstance(outcomes[0], str))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kind", ["real", "cylinder"])
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_non_finite_slots_are_rejected(self, kind, d):
+        anchors = cc.default_anchors(TREE, d)
+        layout = cc.free_layout(TREE, d, anchors)
+        bad = al.GroupElement(kind, (math.nan, 0.0) if kind == "cylinder" else math.nan)
+        orientable = next(r for r in layout.rects if r in CLS.orientable)
+        plaque = layout.plaques[0]
+        j = al.index_tables(d).B[0]
+        for where in ("orientable v", "free z"):
+            free = cc.random_free(TREE, d, kind, random.Random(75), anchors)
+            if where == "orientable v":
+                free.v_other[orientable] = (bad,) + free.v_other[orientable][1:]
+            else:
+                free.z_other[plaque][j] = bad
+            eps = al.zero(kind)
+            with pytest.raises(cc.MembershipError, match="^non-finite value at ") as got:
+                cc.i2_inverse(TREE, free, eps, anchors)
+            if where == "orientable v":
+                # it enters no equation: only the finiteness check sees it
+                assert str(got.value) == (f"non-finite value at rectangle {orientable}, "
+                                          f"pair index {(1, d - 1)}")
+            v, z = cc._inverse_steps(TREE, layout, anchors, layout.flat(free) + [eps],
+                                     lambda terms: al.combine(kind, terms))
+            point = cc.CocyclicCoords(d, kind, v, z)
+            with pytest.raises(cc.MembershipError) as again:
+                cc.require_member(TREE, point)
+            assert str(again.value) == str(got.value)
+            assert not cc.is_member(TREE, point)
+
+    def test_overflowing_balance_is_a_membership_error(self):
+        c = plain(cc.sample_y(TREE, 3, "cylinder", random.Random(76)))
+        c.v = {r: tuple(al.cylinder(1e308, x.value[1]) for x in vec) for r, vec in c.v.items()}
+        with pytest.raises(cc.MembershipError, match=r"^balance equation overflows at pair "
+                                                     r"index \(1, 2\)$") as got:
+            cc.require_member(TREE, c)
+        assert isinstance(got.value.__cause__, al.SumOverflow)
 
 
 class TestSystemEquivalence:
