@@ -36,6 +36,7 @@ MAX_D = 64
 
 PairIndex = Tuple[int, int]
 TripleIndex = Tuple[int, int, int]
+Row = Tuple[Tuple[int, int], ...]  # ((n, s), ...): the sum of n times slot s of a vector
 
 
 class GroupKindError(ValueError):
@@ -158,12 +159,20 @@ def group_sum(kind: str, elements) -> GroupElement:
     return combine(kind, ((1, e) for e in elements))
 
 
+def _fsum(parts) -> float:
+    try:
+        return math.fsum(parts)
+    except ValueError:  # fsum refuses -inf + inf
+        return math.nan
+
+
 def combine(kind: str, terms) -> GroupElement:
     """The sum of n * x over ``terms``, pairs of an int n and an element x of ``kind``.
 
     It works on raw values and normalizes once: an exact integer sum for
     "zd:<n>", a correctly rounded `math.fsum` of each float part, so the
-    result does not depend on the order of the terms.
+    result does not depend on the order of the terms.  A float part that
+    sums -inf and +inf is IEEE nan, where `math.fsum` alone would raise.
     """
     cyl = kind == "cylinder"
     parts, angs = [], []
@@ -179,10 +188,15 @@ def combine(kind: str, terms) -> GroupElement:
         return GroupElement(kind, sum(parts))
     try:
         if cyl:
-            return GroupElement(kind, (math.fsum(parts), math.fsum(angs)))
-        return GroupElement(kind, math.fsum(parts))
+            return GroupElement(kind, (_fsum(parts), _fsum(angs)))
+        return GroupElement(kind, _fsum(parts))
     except OverflowError as err:
         raise SumOverflow(f"a {kind} sum of {len(parts)} terms overflows a float") from err
+
+
+def evaluate(kind: str, row: Row, vals) -> GroupElement:
+    """The value of ``row`` on the slot vector ``vals`` of ``kind``, one `combine`."""
+    return combine(kind, [(n, vals[s]) for n, s in row])
 
 
 def _angle_dist(a: float, b: float) -> float:

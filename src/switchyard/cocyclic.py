@@ -1,23 +1,21 @@
 """The coordinate space of compatible rectangle/plaque data on a track.
 
 A point assigns an A-indexed vector to every rectangle off the chosen
-maximal tree and a B-indexed vector to every switch.  Membership means the
-per-plaque rotation relations hold at every switch together with one balance
-equation per pair index, over finite values.  The rotation relation is
-checked per point by `homology.check_diamond`, its only home; the balance
-equations are checked here.  `require_member` is the membership gate of
-every point handed in: it returns a read-only `Member`, which the chart
-functions accept without checking it again.
-The tree's rectangle and switch classification is computed once per tree
-and cached on it (`traintrack.classify`).  The space carries a torsion
-invariant and an explicit linear parametrization by unconstrained slots plus
-one d-torsion slot; both directions of that parametrization are implemented
-here.  The inverse direction is integer-linear: its step formulas are
-recorded once per (tree, d, anchors) as an `InversePlan`, and the balance
-equations once per (tree, d) as rows, both cached on the tree.  Recording a
-plan proves the rotation relations for every point it builds (both sides of
-each relation read one slot), so `i2_inverse` gates its own output by finite
-slots and the balance rows alone.
+maximal tree and a B-indexed vector to every switch.  `chart` numbers these
+slots once per (tree, d), v[r][k] by rectangle id and then z[t][j] by switch
+id, and records each balance equation as two `al.Row`s over that numbering.
+Membership means the per-plaque rotation relations (`homology.check_diamond`,
+their only home) and the balance equations hold, over finite values.
+`require_member` is the gate of every point handed in: it returns a read-only
+`Member` holding the point's slots in chart order, which the chart functions
+accept without checking it again.  The space carries a torsion invariant and
+an explicit linear parametrization by unconstrained slots plus one d-torsion
+slot; both directions are implemented here.  The inverse is integer-linear:
+its step formulas are recorded once per (tree, d, anchors) as an
+`InversePlan` whose outputs fill the chart's slots.  Recording a plan proves
+the rotation relations for every point it builds (both sides of each
+relation read one slot), so `i2_inverse` gates its output by finite slots
+and the balance rows alone.
 """
 
 from __future__ import annotations
@@ -61,9 +59,10 @@ class CocyclicCoords:
 class Member:
     """A point checked to be a member of the chart of ``tree`` at ``tol``.
 
-    It is read like `CocyclicCoords`, but it is a read-only copy (proxies
-    and tuples), so the check it records stays true.  Only the membership
-    gates build one: `require_member`, and `i2_inverse` for its own output.
+    ``vals`` holds its slots in the order of `chart`; it is read like
+    `CocyclicCoords` through ``v`` and ``z``, read-only views of them, so the
+    check it records stays true.  Only the membership gates build one:
+    `require_member`, and `i2_inverse` for its own output.
     """
 
     d: int
@@ -72,6 +71,7 @@ class Member:
     z: Mapping[int, Mapping[TripleIndex, GroupElement]]
     tree: OrientedTree
     tol: float
+    vals: Tuple[GroupElement, ...]
 
 
 Coords = Union[CocyclicCoords, Member]
@@ -113,17 +113,9 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
     if d == 4:
         # the two coupled slots at the anchor plaque are solvable only when
         # the representative and its minus-neighbour exit on opposite sides
-        def mixed(pl, rep):
-            return (rep in cls.s_right) != (pl.minus(rep) in cls.s_right)
-
-        found = None
-        for pl in sorted(track.plaques, key=lambda p: p.id):
-            for rep in sorted(pl.switches_ccw):
-                if mixed(pl, rep):
-                    found = (pl.id, rep)
-                    break
-            if found:
-                break
+        found = next(((pl.id, rep) for pl in sorted(track.plaques, key=lambda p: p.id)
+                      for rep in sorted(pl.switches_ccw)
+                      if (rep in cls.s_right) != (pl.minus(rep) in cls.s_right)), None)
         if found is None:
             raise AnchorError("every plaque is single-sided; no valid anchor for d=4")
         t_bar, rep = found
@@ -131,37 +123,66 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
     return Anchors(t_bar=t_bar, r_bar=r_bar, reps=reps)
 
 
-# -- equation checkers --------------------------------------------------------
+# -- the slot numbering and the membership gates ------------------------------
 
 
-# per pair index, the balance equation's two sides as (n, rect, k) and (n, switch, j) rows
-BalanceRows = Dict[PairIndex, Tuple[Tuple[Tuple[int, int, int], ...],
-                                    Tuple[Tuple[int, int, TripleIndex], ...]]]
+class Chart(NamedTuple):
+    """The numbering of a point's slots on one tree at one d, built once by `chart`.
+
+    ``slot`` numbers each key in order: (r, k) for v[r][k], for each rectangle
+    r off the tree (``rects``, in id order) and k < d-1; then (t, j) for
+    z[t][j], for each switch t (``switches``, in id order) and j in
+    ``index_tables(d).B``.  ``balance`` maps each pair index to the (lhs, rhs)
+    rows of its balance equation.
+    """
+
+    d: int
+    rects: Tuple[int, ...]
+    switches: Tuple[int, ...]
+    slot: Mapping[Tuple[int, object], int]
+    balance: Mapping[PairIndex, Tuple[al.Row, al.Row]]
 
 
-def balance_rows(tree: OrientedTree, d: int) -> BalanceRows:
-    """The balance equations of ``tree`` at ``d``, built once per (tree, d)."""
-    rows = tree._balance_rows
-    if d not in rows:
-        rows[d] = _record_balance(tree, d)
-    return rows[d]
+def chart(tree: OrientedTree, d: int) -> Chart:
+    """The slot numbering of ``tree`` at ``d``, built once per (tree, d)."""
+    charts = tree._charts
+    if d not in charts:
+        charts[d] = _record_chart(tree, d)
+    return charts[d]
 
 
-def _record_balance(tree: OrientedTree, d: int) -> BalanceRows:
+def _record_chart(tree: OrientedTree, d: int) -> Chart:
     tables = al.index_tables(d)
     cls = classify(tree)
-    return {i: (tuple((n, r, k - 1) for n, rects in ((1, cls.u_right), (-1, cls.u_left))
-                      for r in rects for k in i),
-                tuple((n, t, j) for n, switches, mid in ((1, cls.s_left, i[1]),
-                                                         (-1, cls.s_right, i[0]))
-                      for t in switches for j in tables.B if j[1] == mid))
-            for i in tables.A}
+    rects = tuple(sorted(r.id for r in tree.track.rects if r.id not in tree.edges))
+    switches = tuple(sorted(tree.track.switch_ids))
+    keys = ([(r, k) for r in rects for k in range(d - 1)]
+            + [(t, j) for t in switches for j in tables.B])
+    slot = {key: s for s, key in enumerate(keys)}
+    balance = {i: (tuple((n, slot[r, k - 1]) for n, side in ((1, cls.u_right), (-1, cls.u_left))
+                         for r in side for k in i),
+                   tuple((n, slot[t, j]) for n, side, mid in ((1, cls.s_left, i[1]),
+                                                              (-1, cls.s_right, i[0]))
+                         for t in side for j in tables.B if j[1] == mid))
+               for i in tables.A}
+    return Chart(d, rects, switches, slot, balance)
+
+
+def _slots(ch: Chart, v, z) -> tuple:
+    """The values of ``v`` and ``z`` in the slot order of ``ch``."""
+    return tuple([v[r][k] for r in ch.rects for k in range(ch.d - 1)]
+                 + [z[t][j] for t in ch.switches for j in al.index_tables(ch.d).B])
+
+
+def flatten(tree: OrientedTree, c: Coords) -> Tuple[GroupElement, ...]:
+    """The slots of ``c`` in the order of `chart`: a `Member`'s ``vals``."""
+    return _slots(chart(tree, c.d), c.v, c.z)
 
 
 def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
-    lhs, rhs = balance_rows(tree, c.d)[i]
-    return (al.combine(c.kind, [(n, c.v[r][k]) for n, r, k in lhs]),
-            al.combine(c.kind, [(n, c.z[t][j]) for n, t, j in rhs]))
+    lhs, rhs = chart(tree, c.d).balance[i]
+    vals = flatten(tree, c)
+    return al.evaluate(c.kind, lhs, vals), al.evaluate(c.kind, rhs, vals)
 
 
 def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
@@ -176,89 +197,79 @@ def check_spade(c: Coords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
     return al.elements_equal(lhs, rhs, tol)
 
 
-def _finite(kind: str, elements) -> bool:
-    """True iff every float part of every element of ``kind`` is finite."""
-    if kind == "cylinder":
-        for x in elements:
-            re, ang = x.value
-            if not (isfinite(re) and isfinite(ang)):
-                return False
-    elif kind == "real" or kind == "circle":
-        for x in elements:
-            if not isfinite(x.value):
-                return False
-    return True
-
-
-def _require_finite(c: CocyclicCoords) -> None:
-    """Raise `MembershipError` naming the first slot of ``c``, v then z, that is not finite.
+def _check_finite(ch: Chart, kind: str, vals) -> None:
+    """Raise `MembershipError` naming the first slot of ``vals``, in the order of
+    ``ch``, that is not finite.
 
     A non-finite value fails no equation it does not enter, and the v slots
     of an orientable rectangle enter none.
     """
-    kind = c.kind
-    a = al.index_tables(c.d).A
-    for r, vec in c.v.items():
-        for i, x in zip(a, vec):
-            if not _finite(kind, (x,)):
-                raise MembershipError(f"non-finite value at rectangle {r}, pair index {i}")
-    for t, vec in c.z.items():
-        for j, x in vec.items():
-            if not _finite(kind, (x,)):
-                raise MembershipError(f"non-finite value at switch {t}, index {j}")
+    if kind == "cylinder":
+        bad = [s for s, x in enumerate(vals) if not (isfinite(x.value[0]) and isfinite(x.value[1]))]
+    else:  # a "zd:<n>" residue is an int, always finite
+        bad = [s for s, x in enumerate(vals) if not isfinite(x.value)]
+    if not bad:
+        return
+    at, index = list(ch.slot)[bad[0]]
+    if bad[0] < (ch.d - 1) * len(ch.rects):
+        raise MembershipError(f"non-finite value at rectangle {at}, "
+                              f"pair index {al.index_tables(ch.d).A[index]}")
+    raise MembershipError(f"non-finite value at switch {at}, index {index}")
 
 
-def _require_balance(tree: OrientedTree, c: CocyclicCoords, tol: float) -> None:
-    for i in al.index_tables(c.d).A:
+def _require_balance(ch: Chart, kind: str, vals, tol: float) -> None:
+    for i, (lhs, rhs) in ch.balance.items():
         try:
-            holds = check_club(tree, c, i, tol)
+            holds = al.elements_equal(al.evaluate(kind, lhs, vals), al.evaluate(kind, rhs, vals),
+                                      tol)
         except al.SumOverflow as err:
             raise MembershipError(f"balance equation overflows at pair index {i}") from err
         if not holds:
             raise MembershipError(f"balance equation fails at pair index {i}")
 
 
-def _member(tree: OrientedTree, c: CocyclicCoords, tol: float) -> Member:
-    """Wrap ``c``, which no caller holds, read-only as a `Member` checked at ``tol``."""
-    return Member(c.d, c.kind, MappingProxyType(c.v),
-                  MappingProxyType({t: MappingProxyType(vec) for t, vec in c.z.items()}),
-                  tree, tol)
+def _member(tree: OrientedTree, ch: Chart, kind: str, vals: tuple, tol: float) -> Member:
+    """Wrap ``vals``, a point's slots in the order of ``ch`` checked at ``tol``, as a
+    `Member` with read-only v and z views of them."""
+    n, b = ch.d - 1, al.index_tables(ch.d).B
+    nb, z0 = len(b), n * len(ch.rects)
+    v = {r: vals[n * q:n * q + n] for q, r in enumerate(ch.rects)}
+    z = {t: MappingProxyType(dict(zip(b, vals[z0 + nb * q:z0 + nb * q + nb])))
+         for q, t in enumerate(ch.switches)}
+    return Member(ch.d, kind, MappingProxyType(v), MappingProxyType(z), tree, tol, vals)
 
 
 def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
     """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol``.
 
     A `Member` already checked on this tree object at a tol no looser is
-    returned as it is; every other point is checked (finite slots, rotation
-    relations, then balance equations) and copied.
+    returned as it is; every other point is copied in the slot order of `chart`
+    and checked (finite slots, rotation relations, then balance equations).
     """
     if isinstance(c, Member) and c.tree is tree and c.tol <= tol:
         return c
-    # the checks read the copy that the `Member` then wraps read-only
-    copy = CocyclicCoords(c.d, c.kind, {r: tuple(vec) for r, vec in c.v.items()},
-                          {t: dict(vec) for t, vec in c.z.items()})
-    _require_finite(copy)
+    ch = chart(tree, c.d)
+    if set(c.v) != set(ch.rects) or set(c.z) != set(ch.switches):
+        raise MembershipError("the point's rectangles or switches are not the chart's")
+    vals = _slots(ch, c.v, c.z)
+    _check_finite(ch, c.kind, vals)
+    member = _member(tree, ch, c.kind, vals, tol)
     try:
-        check_diamond(tree.track, copy.z, copy.d, tol)
+        check_diamond(tree.track, member.z, c.d, tol)
     except RotationViolated as err:
         raise MembershipError("rotation relations fail") from err
-    _require_balance(tree, copy, tol)
-    return _member(tree, copy, tol)
+    _require_balance(ch, c.kind, vals, tol)
+    return member
 
 
-def _require_recorded(tree: OrientedTree, vals: List[GroupElement], c: CocyclicCoords,
-                      tol: float) -> Member:
-    """The gate of a point ``c`` that `i2_inverse` has just evaluated, ``vals`` its slots.
-
-    The plan's rotation relations were proven when it was recorded
-    (`_record_inverse`), so only the finite slots and the balance equations
-    are left to check, with `require_member`'s messages; ``c`` is fresh, so
-    it is wrapped without a copy.
-    """
-    if not _finite(c.kind, vals):
-        _require_finite(c)
-    _require_balance(tree, c, tol)
-    return _member(tree, c, tol)
+def _require_recorded(tree: OrientedTree, d: int, kind: str, vals: tuple, tol: float) -> Member:
+    """The gate of the slots ``vals``, in the order of `chart`, that `i2_inverse` has
+    just evaluated: its plan's rotation relations were proven when it was
+    recorded, so only `require_member`'s finite-slot and balance checks remain."""
+    ch = chart(tree, d)
+    _check_finite(ch, kind, vals)
+    _require_balance(ch, kind, vals, tol)
+    return _member(tree, ch, kind, vals, tol)
 
 
 def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
@@ -385,23 +396,17 @@ def i2_forward(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
                       {j: z_bar[j] for j in layout.triples}), eps
 
 
-# A plan's terms (n, s) stand for n times the value in slot s.
-SlotTerms = Tuple[Tuple[int, int], ...]
-
-
 class InversePlan(NamedTuple):
     """`i2_inverse` on one (tree, d, anchors), recorded once by `inverse_plan`.
 
-    Slots are numbered in order: the free slots in ``layout`` order, then
-    epsilon, then one per entry of ``steps``, valued `al.combine` over its
-    terms.  ``v_out`` maps each rectangle to its slots per k, ``z_out`` each
-    switch to its slots per triple index of ``index_tables(d).B``.
+    Plan slots are numbered in order: the free slots in ``layout`` order, then
+    epsilon, then one per row of ``steps``, valued by `al.evaluate` on the plan
+    slots before it.  ``out[s]`` is the plan slot that fills slot s of `chart`.
     """
 
     layout: FreeLayout
-    steps: Tuple[SlotTerms, ...]
-    v_out: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    z_out: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    steps: Tuple[al.Row, ...]
+    out: Tuple[int, ...]
 
 
 def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
@@ -416,7 +421,7 @@ def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
 def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
     layout = free_layout(tree, d, anchors)
     inputs = layout.size() + 1  # the free slots and epsilon
-    steps: List[SlotTerms] = []
+    steps: List[al.Row] = []
 
     def add(terms) -> int:
         steps.append(tuple(terms))
@@ -429,9 +434,7 @@ def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan
         if z[t][j] != z[tp][jp]:
             raise InversePlanError(f"recorded inverse breaks the rotation relation at switch {t}, "
                                    f"index {j}: slot {z[t][j]} against slot {z[tp][jp]}")
-    b = al.index_tables(d).B
-    return InversePlan(layout, tuple(steps), tuple(v.items()),
-                       tuple((t, tuple(vec[j] for j in b)) for t, vec in z.items()))
+    return InversePlan(layout, tuple(steps), _slots(chart(tree, d), v, z))
 
 
 def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,
@@ -445,12 +448,9 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     plan = inverse_plan(tree, d, anchors)
     vals = plan.layout.flat(free)
     vals.append(eps_val)
-    for terms in plan.steps:
-        vals.append(al.combine(kind, [(n, vals[s]) for n, s in terms]))
-    b = al.index_tables(d).B
-    v = {r: tuple([vals[s] for s in slots]) for r, slots in plan.v_out}
-    z = {t: dict(zip(b, [vals[s] for s in slots])) for t, slots in plan.z_out}
-    return _require_recorded(tree, vals, CocyclicCoords(d, kind, v, z), tol)
+    for row in plan.steps:
+        vals.append(al.evaluate(kind, row, vals))
+    return _require_recorded(tree, d, kind, tuple([vals[s] for s in plan.out]), tol)
 
 
 class _PlaqueField:
@@ -467,17 +467,9 @@ class _PlaqueField:
             self.role[pl.plus(rep)] = (pl.id, +1)
             self.role[pl.minus(rep)] = (pl.id, -1)
 
-    def index_at(self, t: int, j: TripleIndex) -> Tuple[int, TripleIndex]:
-        pid, role = self.role[t]
-        if role == 0:
-            return pid, j
-        if role == +1:
-            return pid, al.rot_minus(j)
-        return pid, al.rot_plus(j)
-
     def get(self, t: int, j: TripleIndex) -> GroupElement:
-        pid, idx = self.index_at(t, j)
-        val = self.vecs[pid][idx]
+        pid, role = self.role[t]
+        val = self.vecs[pid][j if role == 0 else al.rot_minus(j) if role == +1 else al.rot_plus(j)]
         if val is None:
             raise AssertionError(f"slot ({t}, {j}) read before being set")
         return val
@@ -486,11 +478,8 @@ class _PlaqueField:
         self.vecs[pid][j] = val
 
     def materialize(self, track: TrainTrack) -> Dict[int, Dict[TripleIndex, GroupElement]]:
-        z: Dict[int, Dict[TripleIndex, GroupElement]] = {}
-        for pl in track.plaques:
-            for t in pl.switches_ccw:
-                z[t] = {j: self.get(t, j) for j in self.tables.B}
-        return z
+        return {t: {j: self.get(t, j) for j in self.tables.B}
+                for pl in track.plaques for t in pl.switches_ccw}
 
 
 def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):

@@ -51,10 +51,6 @@ def ga_neg(a: GA) -> GA:
     return tuple(al.group_neg(x) for x in a)
 
 
-def ga_sub(a: GA, b: GA) -> GA:
-    return tuple(al.group_sub(x, y) for x, y in zip(a, b))
-
-
 def ga_hat(a: GA) -> GA:
     # position k holds the entry for (k+1, d-k-1); swapping the pair reverses
     return tuple(reversed(a))

@@ -10,10 +10,11 @@ product collapses to a closed form whose negative is the d-torsion
 invariant of the coordinate point; the per-step route and the closed form
 are kept separate so they can be checked against each other.
 
-Every step's log is an integer row in the point's slots (`LogRow`).  The
-rows of one walk, summed once per tree and d with the cube roots folded
-away, give `ledger_row`, which `total_mid_log` evaluates; `build_ledger`
-stays the per-point walk behind reports and tests.
+Every step's log is an integer form in the point's v and z values
+(`LogRow`).  The forms of one walk, summed once per tree and d with the cube
+roots folded away, give `ledger_row`: pi*i times an int plus an `al.Row` over
+`cocyclic.chart`'s slots, evaluated on a `Member`'s slots by `total_mid_log`.
+`build_ledger` stays the per-point walk behind reports and tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, TripleIndex, to_cylinder
-from .cocyclic import Coords, require_member
+from .cocyclic import Coords, chart, require_member
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -114,13 +115,9 @@ def _rectangle_row(m: int, rid: int, klass: str, d: int) -> LogRow:
     return LogRow(pi=d - 1, v=tuple((sign, rid, i1 - 1) for i1 in span))
 
 
-def _slot_terms(row: LogRow, c: Coords) -> List[Tuple[int, GroupElement]]:
-    return ([(n, c.z[t][j]) for n, t, j in row.z]
-            + [(n, c.v[r][k]) for n, r, k in row.v])
-
-
 def _evaluate(row: LogRow, c: Coords, roots: Optional[PlaqueRoot]) -> GroupElement:
-    terms = [(n, to_cylinder(x)) for n, x in _slot_terms(row, c)]
+    terms = [(n, to_cylinder(c.z[t][j])) for n, t, j in row.z]
+    terms += [(n, to_cylinder(c.v[r][k])) for n, r, k in row.v]
     terms += [(n, roots.values[p]) for p, n in row.root]
     terms.append((row.pi, _sign_log(1)))
     return al.combine(CYL, terms)
@@ -204,28 +201,28 @@ def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
     return SlitherLedger(d=c.d, m=m, entries=entries, total=total)
 
 
-def ledger_row(tree: OrientedTree, d: int) -> LogRow:
-    """The middle-index ledger total as one row without cube roots, built once per (tree, d)."""
+def ledger_row(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
+    """The middle-index ledger total without cube roots, built once per (tree, d): ``(pi,
+    row)`` stands for pi times pi*i plus ``row`` over the slots of `cocyclic.chart`."""
     rows = tree._ledger_rows
     if d not in rows:
         rows[d] = _compile_ledger(tree, d)
     return rows[d]
 
 
-def _compile_ledger(tree: OrientedTree, d: int) -> LogRow:
+def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
+    slot = chart(tree, d).slot
     pi, root = 0, {}
-    z: Dict[Tuple[int, TripleIndex], int] = {}
-    v: Dict[Tuple[int, int], int] = {}
+    total: Dict[int, int] = {}  # chart slot -> coefficient
     for _, _, _, row in _ledger_steps(tree, (d + 1) // 2, d):
         if row is None:
             continue
         pi += row.pi
         for p, n in row.root:
             root[p] = root.get(p, 0) + n
-        for n, t, j in row.z:
-            z[t, j] = z.get((t, j), 0) + n
-        for n, r, k in row.v:
-            v[r, k] = v.get((r, k), 0) + n
+        for n, at, index in row.z + row.v:
+            s = slot[at, index]
+            total[s] = total.get(s, 0) + n
     # 3 r(p) is the plaque's B-sum at its first switch modulo 2*pi*i, so a
     # multiple n of r(p) folds into n/3 times that sum for every cube root
     tables = al.index_tables(d)
@@ -235,10 +232,9 @@ def _compile_ledger(tree: OrientedTree, d: int) -> LogRow:
             raise RootFoldError(f"plaque {pl.id} root coefficient {n} is not divisible by 3")
         t0 = pl.switches_ccw[0]
         for j in tables.B:
-            z[t0, j] = z.get((t0, j), 0) + n // 3
-    return LogRow(pi=pi % 2,
-                  z=tuple((n, t, j) for (t, j), n in sorted(z.items()) if n),
-                  v=tuple((n, r, k) for (r, k), n in sorted(v.items()) if n))
+            s = slot[t0, j]
+            total[s] = total.get(s, 0) + n // 3
+    return pi % 2, tuple((n, s) for s, n in sorted(total.items()) if n)
 
 
 def total_mid_log(tree: OrientedTree, c: Coords, tol: float = al.MEMBER_TOL) -> GroupElement:
@@ -248,8 +244,8 @@ def total_mid_log(tree: OrientedTree, c: Coords, tol: float = al.MEMBER_TOL) -> 
     cube roots; the sum is taken in the point's own group and rounded once.
     """
     c = require_member(tree, c, tol)
-    row = ledger_row(tree, c.d)
-    return al.group_add(to_cylinder(al.combine(c.kind, _slot_terms(row, c))), _sign_log(row.pi))
+    pi, row = ledger_row(tree, c.d)
+    return al.group_add(to_cylinder(al.evaluate(c.kind, row, c.vals)), _sign_log(pi))
 
 
 def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:

@@ -483,8 +483,8 @@ class OrientedTree:
         return {}
 
     @cached_property
-    def _balance_rows(self) -> Dict[int, object]:
-        # d -> the balance equations' rows per pair index, filled by `cocyclic`
+    def _charts(self) -> Dict[int, object]:
+        # d -> the slot numbering of a point and its balance rows, filled by `cocyclic`
         return {}
 
     @cached_property

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -621,11 +622,13 @@ class TestInversePlan:
     def test_non_finite_slots_are_rejected(self, kind, d):
         anchors = cc.default_anchors(TREE, d)
         layout = cc.free_layout(TREE, d, anchors)
-        bad = al.GroupElement(kind, (math.nan, 0.0) if kind == "cylinder" else math.nan)
         orientable = next(r for r in layout.rects if r in CLS.orientable)
         plaque = layout.plaques[0]
         j = al.index_tables(d).B[0]
-        for where in ("orientable v", "free z"):
+        # an infinity in a free z slot meets its negative in the inverse's sums
+        for x, where in itertools.product((math.nan, math.inf, -math.inf),
+                                          ("orientable v", "free z")):
+            bad = al.GroupElement(kind, (x, 0.0) if kind == "cylinder" else x)
             free = cc.random_free(TREE, d, kind, random.Random(75), anchors)
             if where == "orientable v":
                 free.v_other[orientable] = (bad,) + free.v_other[orientable][1:]
@@ -643,7 +646,7 @@ class TestInversePlan:
             point = cc.CocyclicCoords(d, kind, v, z)
             with pytest.raises(cc.MembershipError) as again:
                 cc.require_member(TREE, point)
-            assert str(again.value) == str(got.value)
+            assert str(again.value) == str(got.value), (x, where)
             assert not cc.is_member(TREE, point)
 
     def test_overflowing_balance_is_a_membership_error(self):
@@ -653,6 +656,50 @@ class TestInversePlan:
                                                      r"index \(1, 2\)$") as got:
             cc.require_member(TREE, c)
         assert isinstance(got.value.__cause__, al.SumOverflow)
+
+
+class TestChart:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_each_slot_is_numbered_once(self, d):
+        ch = cc.chart(TREE, d)
+        assert cc.chart(TREE, d) is ch
+        b = al.index_tables(d).B
+        keys = ([(r, k) for r in FREE_RECTS for k in range(d - 1)]
+                + [(t, j) for t in sorted(TRACK.switch_ids) for j in b])
+        assert len(keys) == (d - 1) * len(FREE_RECTS) + len(b) * len(TRACK.switch_ids)
+        # v first, then z, each in id order; every key once, numbered 0..N-1
+        assert list(ch.slot) == keys and len(set(keys)) == len(keys)
+        assert list(ch.slot.values()) == list(range(len(keys)))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_members_hold_their_slots_in_chart_order(self, d):
+        ch = cc.chart(TREE, d)
+        rng = random.Random(90 + d)
+        for kind in KINDS:
+            recorded = cc.sample_y(TREE, d, kind, rng)
+            checked = cc.require_member(TREE, plain(recorded), al.MEMBER_TOL)
+            assert checked is not recorded and checked.vals == recorded.vals
+            for m in (recorded, checked):
+                assert m.vals == cc.flatten(TREE, m)
+                assert set(m.v) == set(ch.rects) and set(m.z) == set(ch.switches)
+                assert all(len(m.v[r]) == d - 1 for r in m.v)
+                assert all(len(m.z[t]) == len(al.index_tables(d).B) for t in m.z)
+                # the views read the slot vector itself
+                for (at, index), s in ch.slot.items():
+                    view = m.v[at][index] if isinstance(index, int) else m.z[at][index]
+                    assert view is m.vals[s], (kind, at, index)
+
+    def test_a_point_carries_exactly_the_chart_keys(self):
+        m = cc.sample_y(TREE, 3, "real", random.Random(91))
+        missing, extra, stray = plain(m), plain(m), plain(m)
+        del missing.v[min(CLS.orientable)]  # a slot that enters no equation
+        extra.v[min(TREE.edges)] = (al.real(math.nan),) * 2  # a tree edge carries no slots
+        stray.z[max(TRACK.switch_ids) + 1] = dict(m.z[min(TRACK.switch_ids)])
+        for c in (missing, extra, stray):
+            with pytest.raises(cc.MembershipError, match="^the point's rectangles or switches "
+                                                         "are not the chart's$"):
+                cc.require_member(TREE, c)
+            assert not cc.is_member(TREE, c)
 
 
 class TestSystemEquivalence:

@@ -338,10 +338,14 @@ class TestCompiledRow:
 
     def test_row_is_folded_and_cached(self):
         for d in (2, 3, 4, 5, 6):
-            row = sl.ledger_row(TREE, d)
-            assert sl.ledger_row(TREE, d) is row
-            assert row.root == () and row.pi in (0, 1)
-            assert all(n != 0 for n, _, _ in row.z) and all(n != 0 for n, _, _ in row.v)
+            entry = sl.ledger_row(TREE, d)
+            assert sl.ledger_row(TREE, d) is entry
+            pi, row = entry
+            # the cube roots are folded away: every term reads one slot of the chart
+            slots = [s for _, s in row]
+            assert pi in (0, 1) and len(set(slots)) == len(slots)
+            assert all(0 <= s < len(cc.chart(TREE, d).slot) for s in slots)
+            assert all(n != 0 for n, _ in row)
 
     def test_root_coefficient_must_fold(self, monkeypatch):
         # a walk that misses one switch cusp leaves its plaque's root at -4
@@ -358,7 +362,7 @@ class TestCompiledOnce:
     MIX = [(CYL, d) for d in (2, 3, 4, 5, 6)] + [("zd:12", d) for d in (2, 3, 4, 6)]
 
     def test_chart_ops_build_each_tree_table_once(self, monkeypatch):
-        counts = {"walk": 0, "row": [], "plan": [], "inverse": [], "rotation": [], "balance": []}
+        counts = {"walk": 0, "row": [], "plan": [], "inverse": [], "rotation": [], "chart": []}
 
         def counting(mod, name, key):
             real = getattr(mod, name)
@@ -377,7 +381,7 @@ class TestCompiledOnce:
         counting(hm, "_record_plan", "plan")
         counting(cc, "_record_inverse", "inverse")
         counting(hm, "_record_rotation_pairs", "rotation")
-        counting(cc, "_record_balance", "balance")
+        counting(cc, "_record_chart", "chart")
         # a fresh track: the rotation pairs are cached on the track
         (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
         tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
@@ -408,7 +412,7 @@ class TestCompiledOnce:
         # the anchors are rebuilt for every point; the inverse is keyed by their value
         assert sorted(d for d, _ in counts["inverse"]) == [2, 3, 4, 5, 6]
         assert sorted(counts["rotation"]) == [2, 3, 4, 5, 6]
-        assert sorted(counts["balance"]) == [2, 3, 4, 5, 6]
+        assert sorted(counts["chart"]) == [2, 3, 4, 5, 6]
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         assert counts["plan"] == ["low_first", "high_first"]
