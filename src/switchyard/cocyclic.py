@@ -181,7 +181,8 @@ def flatten(tree: OrientedTree, c: Coords) -> Tuple[GroupElement, ...]:
 
 def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
     lhs, rhs = chart(tree, c.d).balance[i]
-    vals = flatten(tree, c)
+    # a plain point may have changed since the last call, so it is read again
+    vals = c.vals if isinstance(c, Member) and c.tree is tree else flatten(tree, c)
     return al.evaluate(c.kind, lhs, vals), al.evaluate(c.kind, rhs, vals)
 
 
@@ -244,13 +245,20 @@ def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -
 
     A `Member` already checked on this tree object at a tol no looser is
     returned as it is; every other point is copied in the slot order of `chart`
-    and checked (finite slots, rotation relations, then balance equations).
+    and checked (vector shapes, finite slots, rotation relations, then balance equations).
     """
     if isinstance(c, Member) and c.tree is tree and c.tol <= tol:
         return c
     ch = chart(tree, c.d)
     if set(c.v) != set(ch.rects) or set(c.z) != set(ch.switches):
         raise MembershipError("the point's rectangles or switches are not the chart's")
+    b = set(al.index_tables(c.d).B)
+    bad = ([f"rectangle {r} does not carry d-1 = {c.d - 1} values"
+            for r in ch.rects if len(c.v[r]) != c.d - 1]
+           + [f"switch {t} does not carry the triple indices of d = {c.d}"
+              for t in ch.switches if c.z[t].keys() != b])
+    if bad:
+        raise MembershipError(bad[0])
     vals = _slots(ch, c.v, c.z)
     _check_finite(ch, c.kind, vals)
     member = _member(tree, ch, c.kind, vals, tol)
@@ -322,12 +330,6 @@ class FreeCoords:
     v_anchor: Dict[PairIndex, GroupElement]
     z_other: Dict[int, Dict[TripleIndex, GroupElement]]
     z_anchor: Dict[TripleIndex, GroupElement]
-
-    def slot_count(self) -> int:
-        return (sum(len(vec) for vec in self.v_other.values())
-                + len(self.v_anchor)
-                + sum(len(m) for m in self.z_other.values())
-                + len(self.z_anchor))
 
 
 # `FreeLayout` and `InversePlan` are named tuples, not frozen dataclasses:

@@ -14,7 +14,7 @@ vertex labeling, which also flips the sign of the stored value).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement
@@ -270,91 +270,93 @@ def balance_defect(tree: OrientedTree, v_free: Mapping[int, GA], w: Mapping[int,
     return tuple(at(k) for k in range(d - 1))
 
 
-# A term (n, source, key, hat) of a recorded plan stands for n times
-# sources[source][key], reversed when hat; the sources are (w, v_free, solved).
-_W, _V, _SOLVED = 0, 1, 2
-Term = Tuple[int, int, int, bool]
+class SolverPlan(NamedTuple):
+    """`solve_tree` on one cover at one d, recorded once by `solver_plan`.
 
-
-@dataclass(frozen=True)
-class SolverPlan:
-    """`solve_tree`'s elimination on one tree, recorded once per (lifts, order).
-
-    ``steps`` lists, in leaf order, the tree edge each leaf solves and the
-    terms of its value; ``last`` holds the terms of the final switch's
-    residual, which the balance condition makes zero.
+    Lanes are numbered in order: w[s][k] for each switch s in id order and
+    k < d-1, v_free[r][k] for each rectangle r off the tree (``rects``, in id
+    order), then one per row of ``steps``, valued by `al.evaluate` on the lanes
+    before it: d-1 for each edge of ``solved``.  The rows of ``last``, the
+    final switch's residual, vanish on a balanced input.
     """
 
-    steps: Tuple[Tuple[int, Tuple[Term, ...]], ...]
-    last: Tuple[Term, ...]
+    rects: Tuple[int, ...]
+    steps: Tuple[al.Row, ...]
+    solved: Tuple[int, ...]
+    last: Tuple[al.Row, ...]
 
 
 class FinalSwitchResidual(ValueError):
     """The final switch's equation does not close to within tol."""
 
 
-def solver_plan(lifts: CoverLifts, order: str = "low_first") -> SolverPlan:
+def solver_plan(lifts: CoverLifts, d: int, order: str = "low_first") -> SolverPlan:
     plans = lifts._solver_plans
-    if order not in plans:
-        plans[order] = _record_plan(lifts, order)
-    return plans[order]
+    if (d, order) not in plans:
+        plans[d, order] = _record_plan(lifts, d, order)
+    return plans[d, order]
 
 
-def _record_plan(lifts: CoverLifts, order: str) -> SolverPlan:
+def _record_plan(lifts: CoverLifts, d: int, order: str) -> SolverPlan:
     tree = lifts.tree
     track = tree.track
     slots = track.slot_map()
+    n = d - 1
+    rects = tuple(sorted(r.id for r in track.rects if r.id not in tree.edges))
+    # each vector reads d-1 consecutive lanes, its hat the same lanes reversed;
+    # ``lanes`` holds the v_free vectors and then the solved ones, by rectangle id
+    w_lanes = {s: range(n * q, n * q + n) for q, s in enumerate(track.switch_ids)}
+    lanes = {r: range(n * q, n * q + n) for q, r in enumerate(rects, len(w_lanes))}
 
-    # each incident end contributes sign(port) * (u or hat(u)) at lift (s, 0)
-    def end_term(rid: int, e: int, source: int) -> Term:
+    # each incident end contributes sign(port) * (u, or hat(u) when flipped) at lift (s, 0)
+    def end_term(rid: int, e: int) -> Tuple[int, bool]:
         p = track.rect_by_id[rid].end(e)[1]
         b_here = 0 if e == 0 else lifts.end_bit(rid, 0, 1)  # lift keyed 0 at this end
-        return (-1 if is_big(p) else 1, source, rid, b_here != lifts.r_bit[rid])
+        return -1 if is_big(p) else 1, b_here != lifts.r_bit[rid]
 
-    deg: Dict[int, int] = {s: 0 for s in track.switch_ids}
     tree_edge_at: Dict[int, List[Tuple[int, int]]] = {s: [] for s in track.switch_ids}
     for rid in tree.edges:
-        r = track.rect_by_id[rid]
         for e in (0, 1):
-            s = r.end(e)[0]
-            deg[s] += 1
-            tree_edge_at[s].append((rid, e))
+            tree_edge_at[track.rect_by_id[rid].end(e)[0]].append((rid, e))
 
-    def residual(s: int, solved) -> List[Term]:
-        # the equation at (s, 0): rhs minus every known end term
-        terms = [(1, _W, s, False) if tree.bit(s) == 0 else (-1, _W, s, True)]
-        ends = [end_term(rid, e, _V) for rid, e in (slots[(s, p)] for p in PORTS)
-                if rid not in tree.edges]
-        ends += [end_term(rid, e, _SOLVED) for rid, e in tree_edge_at[s] if rid in solved]
-        return terms + [(-n, src, key, h) for n, src, key, h in ends]
+    def pending(s: int) -> List[Tuple[int, int]]:
+        # the ends at s of tree edges not solved yet
+        return [(rid, e) for rid, e in tree_edge_at[s] if rid not in lanes]
 
-    steps = []
-    solved = set()
-    alive = set(track.switch_ids)
-    leaves = sorted(s for s in alive if deg[s] == 1)
+    def residual(s: int):
+        # the equation at (s, 0): rhs minus every known end term, as (coefficient, lanes)
+        terms = [(1, w_lanes[s]) if tree.bit(s) == 0 else (-1, w_lanes[s][::-1])]
+        for rid, e in (slots[(s, p)] for p in PORTS):
+            if rid in lanes:
+                sign, flip = end_term(rid, e)
+                terms.append((-sign, lanes[rid][::-1] if flip else lanes[rid]))
+        return terms
+
+    def rows(terms) -> Tuple[al.Row, ...]:
+        return tuple(tuple((m, ln[k]) for m, ln in terms) for k in range(n))
+
+    steps: List[al.Row] = []
+    solved: List[int] = []
+    leaves = sorted(s for s in track.switch_ids if len(pending(s)) == 1)
     reverse = order == "high_first"
     while len(solved) < len(tree.edges):
         leaves.sort(reverse=reverse)
         s = leaves.pop(0)
-        if s not in alive or deg[s] != 1:
+        if len(pending(s)) != 1:  # stripped already, or not a leaf yet
             continue
-        alive.discard(s)
-        pending = [(rid, e) for rid, e in tree_edge_at[s] if rid not in solved]
-        assert len(pending) == 1
-        rid, e = pending[0]
+        rid, e = pending(s)[0]
         # the unknown enters as sign * (u or hat(u)); undo both on the residual
-        sign, _, _, flip = end_term(rid, e, _SOLVED)
-        steps.append((rid, tuple((sign * n, src, key, h != flip)
-                                 for n, src, key, h in residual(s, solved))))
-        solved.add(rid)
+        sign, flip = end_term(rid, e)
+        first = n * (len(w_lanes) + len(lanes))
+        steps += rows([(sign * m, ln[::-1] if flip else ln) for m, ln in residual(s)])
+        lanes[rid] = range(first, first + n)
+        solved.append(rid)
         s_other = track.rect_by_id[rid].end(1 - e)[0]
-        if s_other in alive:
-            deg[s_other] -= 1
-            if deg[s_other] == 1:
-                leaves.append(s_other)
+        if len(pending(s_other)) == 1:
+            leaves.append(s_other)
 
-    assert len(alive) == 1
-    return SolverPlan(steps=tuple(steps), last=tuple(residual(alive.pop(), solved)))
+    # the far end of the last edge solved is the one switch left
+    return SolverPlan(rects, tuple(steps), tuple(solved), rows(residual(s_other)))
 
 
 def solve_tree(
@@ -369,25 +371,20 @@ def solve_tree(
     """Unique tree coefficients whose boundary matches the target chain.
 
     Solves switch by switch, stripping degree-one switches of the tree, by
-    the plan `solver_plan` records once per (lifts, order); the balance
+    the plan `solver_plan` records once per (lifts, d, order); the balance
     condition is checked first and the final switch is verified at ``tol``.
     """
     defect = balance_defect(lifts.tree, v_free, w, kind, d)
     if not ga_is_zero(defect, tol):
         raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
-    plan = solver_plan(lifts, order)
-    solved: Dict[int, GA] = {}
-    sources = (w, v_free, solved)
-    top = d - 2
-
-    def value(terms) -> GA:
-        return tuple(al.combine(kind, [(n, sources[src][key][top - k if h else k])
-                                       for n, src, key, h in terms])
-                     for k in range(d - 1))
-
-    for rid, terms in plan.steps:
-        solved[rid] = value(terms)
-    residual = value(plan.last)
+    plan = solver_plan(lifts, d, order)
+    n = d - 1
+    vecs = [w[s] for s in lifts.tree.track.switch_ids] + [v_free[r] for r in plan.rects]
+    vals = [vec[k] for vec in vecs for k in range(n)]
+    first = len(vals)
+    for row in plan.steps:
+        vals.append(al.evaluate(kind, row, vals))
+    residual = tuple(al.evaluate(kind, row, vals) for row in plan.last)
     if not ga_is_zero(residual, tol):
         raise FinalSwitchResidual(f"final switch residual {[element_to_json(x) for x in residual]}")
-    return solved
+    return {rid: tuple(vals[first + n * q:first + n * q + n]) for q, rid in enumerate(plan.solved)}

@@ -651,8 +651,8 @@ class CoverLifts:
     r_bit: Mapping[int, int]
 
     @cached_property
-    def _solver_plans(self) -> Dict[str, object]:
-        # order -> the recorded tree elimination, filled by `homology`
+    def _solver_plans(self) -> Dict[Tuple[int, str], object]:
+        # (d, order) -> the recorded tree elimination, filled by `homology`
         return {}
 
     def end_bit(self, rid: int, lift_bit: int, e: int) -> int:

@@ -343,7 +343,8 @@ class TestI2:
     def test_slot_count_matches_dimension(self):
         for d in (2, 3, 4, 5, 6, 7):
             free, _ = cc.i2_forward(TREE, zero_coords(d, "real"))
-            assert free.slot_count() == al.dimension_count(d, TRACK.genus)
+            layout = cc.free_layout(TREE, d, cc.default_anchors(TREE, d))
+            assert len(layout.flat(free)) == al.dimension_count(d, TRACK.genus)
 
     def test_slot_count_genus_three(self):
         (track, _), _ = io.load(DATA / "track_g3_s2.json", io.track_from_json)
@@ -351,7 +352,8 @@ class TestI2:
         rng = random.Random(17)
         for d in (2, 3, 4, 5):
             free = cc.random_free(tree, d, "real", rng)
-            assert free.slot_count() == al.dimension_count(d, 3)
+            layout = cc.free_layout(tree, d, cc.default_anchors(tree, d))
+            assert len(layout.flat(free)) == al.dimension_count(d, 3)
 
     def test_zero_free_identity_eps_gives_zero_point(self):
         for d in (2, 3, 4, 5):
@@ -527,6 +529,17 @@ class TestInversePlan:
                     assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
         assert d4_sides == {True, False}
 
+    @pytest.mark.parametrize("name", TRACKS)
+    def test_plan_is_a_straight_line_row_program(self, name):
+        tree = _tree_of(name)
+        for d in range(2, 9):
+            plan = cc.inverse_plan(tree, d, cc.default_anchors(tree, d))
+            inputs = plan.layout.size() + 1  # the free slots and epsilon
+            # each step reads only the inputs and the steps before it
+            for q, row in enumerate(plan.steps):
+                assert all(s < inputs + q for _, s in row), (name, d, q)
+            assert all(s < inputs + len(plan.steps) for s in plan.out)
+
     def test_anchor_errors_are_raised_on_every_call(self):
         (track, _), _ = io.load(DATA / "track_g2_s7.json", io.track_from_json)
         unflipped = tt.maximal_tree(track, seed=3)
@@ -700,6 +713,48 @@ class TestChart:
                                                          "are not the chart's$"):
                 cc.require_member(TREE, c)
             assert not cc.is_member(TREE, c)
+
+
+    def test_malformed_vectors_are_named(self):
+        m = cc.sample_y(TREE, 3, "real", random.Random(92))
+        r, t = FREE_RECTS[1], sorted(TRACK.switch_ids)[1]
+        short, long, popped, extra, both = (plain(m) for _ in range(5))
+        short.v[r] = m.v[r][:1]
+        long.v[r] = m.v[r] + (al.real(0.0),)
+        del popped.z[t][(1, 1, 1)]
+        extra.z[t][(2, 1, 0)] = al.real(0.0)
+        # the first bad vector in chart order is named: v before z, ids ascending
+        both.v[FREE_RECTS[2]] = m.v[FREE_RECTS[2]][:1]
+        both.v[r] = m.v[r][:1]
+        del both.z[min(TRACK.switch_ids)][(1, 1, 1)]
+        for c, at in ((short, f"rectangle {r} does not carry d-1 = 2 values"),
+                      (long, f"rectangle {r} does not carry d-1 = 2 values"),
+                      (popped, f"switch {t} does not carry the triple indices of d = 3"),
+                      (extra, f"switch {t} does not carry the triple indices of d = 3"),
+                      (both, f"rectangle {r} does not carry d-1 = 2 values")):
+            with pytest.raises(cc.MembershipError, match=f"^{at}$"):
+                cc.require_member(TREE, c)
+            assert not cc.is_member(TREE, c)
+
+    @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
+    def test_balance_rows_and_the_solver_defect_agree(self, name):
+        # the chart's membership equation is the tree solver's solvability
+        # condition: lhs - rhs of each balance row pair is balance_defect,
+        # with w from z, on any point, member or not
+        tree = _tree_of(name)
+        rng = random.Random(93)
+        for d in range(2, 8):
+            ch, tables = cc.chart(tree, d), al.index_tables(d)
+            for kind in KINDS:
+                v = {r: hm.ga_random(kind, d, rng) for r in ch.rects}
+                z = {t: {j: al.random_element(kind, rng) for j in tables.B} for t in ch.switches}
+                vals = cc.flatten(tree, cc.CocyclicCoords(d, kind, v, z))
+                defect = hm.balance_defect(tree, v, hm.w_from_z(tree, z, kind, d), kind, d)
+                for k, i in enumerate(tables.A):
+                    lhs, rhs = (al.evaluate(kind, row, vals) for row in ch.balance[i])
+                    diff = al.group_sub(lhs, rhs)
+                    tol = 0.0 if kind.startswith("zd:") else 1e-12
+                    assert al.distance(diff, defect[k]) <= tol, (name, d, kind, i)
 
 
 class TestSystemEquivalence:

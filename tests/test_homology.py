@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -239,11 +238,12 @@ class TestSolveTree:
     def test_plan_recorded_once_per_lifts_and_order(self, setup):
         track, tree, lifts, free = setup
         fresh = orientation_cover(tree)
-        plan = hm.solver_plan(fresh)
-        assert hm.solver_plan(fresh, "low_first") is plan
-        assert hm.solver_plan(fresh, "high_first") is not plan
-        assert hm.solver_plan(orientation_cover(tree)) is not plan
-        assert sorted(rid for rid, _ in plan.steps) == sorted(tree.edges)
+        plan = hm.solver_plan(fresh, 3)
+        assert hm.solver_plan(fresh, 3, "low_first") is plan
+        assert hm.solver_plan(fresh, 3, "high_first") is not plan
+        assert hm.solver_plan(fresh, 4) is not plan
+        assert hm.solver_plan(orientation_cover(tree), 3) is not plan
+        assert sorted(plan.solved) == sorted(tree.edges)
 
     def test_final_switch_checked_at_tol(self, setup):
         # an extra term on the last equation, off by 1e-8: between the
@@ -254,13 +254,41 @@ class TestSolveTree:
         v[orientable] = (al.real(1e-8), al.real(1e-8))
         w = {s: hm.ga_zero("real", 3) for s in track.switch_ids}
         fresh = orientation_cover(tree)
-        plan = hm.solver_plan(fresh)
-        fresh._solver_plans["low_first"] = dataclasses.replace(
-            plan, last=plan.last + ((1, hm._V, orientable, False),))
+        plan = hm.solver_plan(fresh, 3)
+        # the lanes of v_free[orientable] follow the w lanes
+        lane = 2 * (len(track.switch_ids) + plan.rects.index(orientable))
+        fresh._solver_plans[3, "low_first"] = plan._replace(
+            last=tuple(row + ((1, lane + k),) for k, row in enumerate(plan.last)))
         with pytest.raises(hm.FinalSwitchResidual, match="final switch residual"):
             hm.solve_tree(fresh, v, w, "real", 3)
         assert hm.solve_tree(fresh, v, w, "real", 3, tol=1e-7)
         assert hm.solve_tree(lifts, v, w, "real", 3, tol=0.0)
+
+    @pytest.mark.parametrize("name", ["track_g2_s1", "track_g2_s7", "track_g3_s2"])
+    def test_plan_is_a_straight_line_row_program(self, name):
+        (track, _), _ = io.load(DATA / f"{name}.json", io.track_from_json)
+        tree = maximal_tree(track, seed=1)
+        lifts = orientation_cover(tree)
+        for d in range(2, 7):
+            for order in ("low_first", "high_first"):
+                plan = hm.solver_plan(lifts, d, order)
+                inputs = (d - 1) * (len(track.switch_ids) + len(plan.rects))
+                assert plan.rects == tuple(sorted(set(r.id for r in track.rects) - tree.edges))
+                assert len(plan.steps) == (d - 1) * len(tree.edges)
+                assert sorted(plan.solved) == sorted(tree.edges)
+                # each step reads only the inputs and the steps before it
+                for q, row in enumerate(plan.steps):
+                    assert all(lane < inputs + q for _, lane in row), (name, d, order, q)
+                assert len(plan.last) == d - 1
+                # every switch but one solves an edge; the last rows close that one
+                w_switches = [{lane // (d - 1) for row in rows for _, lane in row
+                               if lane < (d - 1) * len(track.switch_ids)}
+                              for rows in (plan.steps, plan.last)]
+                assert len(w_switches[0]) == len(tree.edges) and len(w_switches[1]) == 1
+                assert not w_switches[0] & w_switches[1]
+                for row in plan.steps + plan.last:
+                    assert row and all(n in (1, -1) for n, _ in row)
+                assert all(lane < inputs + len(plan.steps) for row in plan.last for _, lane in row)
 
     def test_display_sorted(self, setup):
         track, tree, lifts, free = setup

@@ -371,7 +371,7 @@ class TestCompiledOnce:
                 if key == "walk":
                     counts["walk"] += 1
                 else:
-                    counts[key].append(args[1:] if key == "inverse" else args[1])
+                    counts[key].append(args[1:] if key in ("inverse", "plan") else args[1])
                 return real(*args)
 
             monkeypatch.setattr(mod, name, wrapped)
@@ -408,11 +408,12 @@ class TestCompiledOnce:
                 hm.solve_tree(lifts, v, w, kind, d)
         assert counts["walk"] == 1
         assert sorted(counts["row"]) == [2, 3, 4, 5, 6]
-        assert counts["plan"] == ["low_first"]
+        # the solver plan is recorded once per (d, order)
+        assert sorted(counts["plan"]) == [(d, "low_first") for d in (2, 3, 4, 5, 6)]
         # the anchors are rebuilt for every point; the inverse is keyed by their value
         assert sorted(d for d, _ in counts["inverse"]) == [2, 3, 4, 5, 6]
         assert sorted(counts["rotation"]) == [2, 3, 4, 5, 6]
         assert sorted(counts["chart"]) == [2, 3, 4, 5, 6]
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
-        assert counts["plan"] == ["low_first", "high_first"]
+        assert counts["plan"][-1] == (6, "high_first") and len(counts["plan"]) == 6
