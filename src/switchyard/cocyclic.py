@@ -181,8 +181,7 @@ def flatten(tree: OrientedTree, c: Coords) -> Tuple[GroupElement, ...]:
 
 def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
     lhs, rhs = chart(tree, c.d).balance[i]
-    # a plain point may have changed since the last call, so it is read again
-    vals = c.vals if isinstance(c, Member) and c.tree is tree else flatten(tree, c)
+    vals = flatten(tree, c)
     return al.evaluate(c.kind, lhs, vals), al.evaluate(c.kind, rhs, vals)
 
 
@@ -253,12 +252,12 @@ def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -
     if set(c.v) != set(ch.rects) or set(c.z) != set(ch.switches):
         raise MembershipError("the point's rectangles or switches are not the chart's")
     b = set(al.index_tables(c.d).B)
-    bad = ([f"rectangle {r} does not carry d-1 = {c.d - 1} values"
-            for r in ch.rects if len(c.v[r]) != c.d - 1]
-           + [f"switch {t} does not carry the triple indices of d = {c.d}"
-              for t in ch.switches if c.z[t].keys() != b])
-    if bad:
-        raise MembershipError(bad[0])
+    for r in ch.rects:
+        if len(c.v[r]) != c.d - 1:
+            raise MembershipError(f"rectangle {r} does not carry d-1 = {c.d - 1} values")
+    for t in ch.switches:
+        if c.z[t].keys() != b:
+            raise MembershipError(f"switch {t} does not carry the triple indices of d = {c.d}")
     vals = _slots(ch, c.v, c.z)
     _check_finite(ch, c.kind, vals)
     member = _member(tree, ch, c.kind, vals, tol)

@@ -328,6 +328,17 @@ class TestAnchors:
         assert built == a
 
 
+def assert_free_fills_layout(free, layout):
+    """``free`` holds exactly the slots that ``layout`` names, no more."""
+    assert set(free.v_other) == set(layout.rects)
+    assert all(len(vec) == layout.d - 1 for vec in free.v_other.values())
+    assert set(free.v_anchor) == set(layout.pairs)
+    assert set(free.z_other) == set(layout.plaques)
+    b = set(al.index_tables(layout.d).B)
+    assert all(set(vec) == b for vec in free.z_other.values())
+    assert set(free.z_anchor) == set(layout.triples)
+
+
 class TestI2:
     def test_zero_point_maps_to_zero_slots(self):
         for d in (2, 3, 4, 5):
@@ -344,6 +355,7 @@ class TestI2:
         for d in (2, 3, 4, 5, 6, 7):
             free, _ = cc.i2_forward(TREE, zero_coords(d, "real"))
             layout = cc.free_layout(TREE, d, cc.default_anchors(TREE, d))
+            assert_free_fills_layout(free, layout)
             assert len(layout.flat(free)) == al.dimension_count(d, TRACK.genus)
 
     def test_slot_count_genus_three(self):
@@ -353,6 +365,7 @@ class TestI2:
         for d in (2, 3, 4, 5):
             free = cc.random_free(tree, d, "real", rng)
             layout = cc.free_layout(tree, d, cc.default_anchors(tree, d))
+            assert_free_fills_layout(free, layout)
             assert len(layout.flat(free)) == al.dimension_count(d, 3)
 
     def test_zero_free_identity_eps_gives_zero_point(self):
