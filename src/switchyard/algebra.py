@@ -7,13 +7,14 @@ Four group kinds are supported, selected by a runtime string tag:
     "cylinder"  a real part plus an angle mod 2*pi (complex numbers mod 2*pi*i)
     "zd:<n>"    integers mod n
 
-Mixed-kind arithmetic is an error, never a coercion.
+Mixed-kind arithmetic is an error, never a coercion.  An element's raw value is
+its "lane": the chart's recorded `Row`s are evaluated on lanes (`evaluate`).
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -36,7 +37,7 @@ MAX_D = 64
 
 PairIndex = Tuple[int, int]
 TripleIndex = Tuple[int, int, int]
-Row = Tuple[Tuple[int, int], ...]  # ((n, s), ...): the sum of n times slot s of a vector
+Row = Tuple[Tuple[int, int], ...]  # ((n, s), ...): the sum of n times lane s of a vector
 
 
 class GroupKindError(ValueError):
@@ -78,30 +79,51 @@ def check_kind(kind: str) -> str:
     return kind
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """A value in one of the supported coefficient groups, normalized on construction.
 
     value is a float for "real" and "circle", a (real, angle) pair for
-    "cylinder", and an int residue for "zd:<n>".
+    "cylinder", and an int residue for "zd:<n>".  Immutable, equal and
+    hashed by (kind, value), and slotted: the chart builds hundreds per point.
     """
 
-    kind: str
-    value: object
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, value: object):
+        _set_kind(self, kind)
         # the float kinds are named first: `_modulus` is a cache lookup
-        kind = self.kind
         if kind == "cylinder":
-            re, ang = self.value
-            object.__setattr__(self, "value", (float(re), _norm_angle(float(ang))))
+            re, ang = value
+            value = (float(re), _norm_angle(float(ang)))
         elif kind == "circle":
-            object.__setattr__(self, "value", _norm_angle(float(self.value)))
+            value = _norm_angle(float(value))
         elif kind == "real":
-            object.__setattr__(self, "value", float(self.value))
+            value = float(value)
         else:
-            n = _modulus(kind)
-            object.__setattr__(self, "value", int(self.value) % n)
+            value = int(value) % _modulus(kind)
+        _set_value(self, value)
+
+    def _frozen(self, name, *value):
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self):
+        return hash((self.kind, self.value))
+
+    def __repr__(self):
+        return f"GroupElement(kind={self.kind!r}, value={self.value!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return GroupElement, (self.kind, self.value)
+
+
+_set_kind, _set_value = GroupElement.kind.__set__, GroupElement.value.__set__
 
 
 def real(x: float) -> GroupElement:
@@ -167,36 +189,42 @@ def _fsum(parts) -> float:
 
 
 def combine(kind: str, terms) -> GroupElement:
-    """The sum of n * x over ``terms``, pairs of an int n and an element x of ``kind``.
-
-    It works on raw values and normalizes once: an exact integer sum for
-    "zd:<n>", a correctly rounded `math.fsum` of each float part, so the
-    result does not depend on the order of the terms.  A float part that
-    sums -inf and +inf is IEEE nan, where `math.fsum` alone would raise.
-    """
-    cyl = kind == "cylinder"
-    parts, angs = [], []
+    """The sum of n * x over ``terms``, pairs of an int n and an element x of ``kind``:
+    `evaluate` on the elements' lanes."""
+    row, lanes = [], []
     for n, x in terms:
         if x.kind != kind:
             raise GroupKindError(f"kind mismatch: {kind!r} vs {x.kind!r}")
-        if cyl:
-            parts.append(n * x.value[0])
-            angs.append(n * x.value[1])
-        else:
-            parts.append(n * x.value)
-    if _modulus(kind) is not None:
-        return GroupElement(kind, sum(parts))
+        row.append((n, len(lanes)))
+        lanes.append(x.value)
+    return GroupElement(kind, evaluate(kind, row, lanes))
+
+
+def evaluate(kind: str, row: Row, lanes):
+    """The lane of the sum of n * lanes[s] over ``row``, for lanes of ``kind``: an
+    exact integer sum for "zd:<n>", else a correctly rounded `math.fsum` of each
+    float part (nan where it sums -inf and +inf), normalized once as by
+    `GroupElement`, so it does not depend on the order of the terms."""
     try:
-        if cyl:
-            return GroupElement(kind, (_fsum(parts), _fsum(angs)))
-        return GroupElement(kind, _fsum(parts))
+        if kind == "cylinder":
+            return (_fsum([n * lanes[s][0] for n, s in row]),
+                    _norm_angle(_fsum([n * lanes[s][1] for n, s in row])))
+        if kind == "circle":
+            return _norm_angle(_fsum([n * lanes[s] for n, s in row]))
+        if kind == "real":
+            return _fsum([n * lanes[s] for n, s in row])
     except OverflowError as err:
-        raise SumOverflow(f"a {kind} sum of {len(parts)} terms overflows a float") from err
+        raise SumOverflow(f"a {kind} sum of {len(row)} terms overflows a float") from err
+    return sum([n * lanes[s] for n, s in row]) % _modulus(kind)
 
 
-def evaluate(kind: str, row: Row, vals) -> GroupElement:
-    """The value of ``row`` on the slot vector ``vals`` of ``kind``, one `combine`."""
-    return combine(kind, [(n, vals[s]) for n, s in row])
+def unpack(kind: str, elements, name) -> list:
+    """The lanes of ``elements``, each checked to be of ``kind``: the error names the
+    first that is not by ``name(q)``, q its position."""
+    bad = next((q for q, x in enumerate(elements) if x.kind != kind), None)
+    if bad is not None:
+        raise GroupKindError(f"kind mismatch: {kind!r} vs {elements[bad].kind!r} at {name(bad)}")
+    return [x.value for x in elements]
 
 
 def _angle_dist(a: float, b: float) -> float:
@@ -264,28 +292,33 @@ def torsion_order(kind: str, d: int) -> int:
 
 
 def random_element(kind: str, rng: random.Random, scale: float = 1.0) -> GroupElement:
+    """The one draw rule: a gaussian real part, a uniform angle, a uniform residue."""
     if kind == "real":
-        return real(rng.gauss(0.0, scale))
+        return GroupElement(kind, rng.gauss(0.0, scale))
     if kind == "circle":
-        return circle(rng.uniform(0.0, TWO_PI))
+        return GroupElement(kind, rng.uniform(0.0, TWO_PI))
     if kind == "cylinder":
-        return cylinder(rng.gauss(0.0, scale), rng.uniform(0.0, TWO_PI))
-    n = _modulus(kind)
-    return cyclic(n, rng.randrange(n))
+        return GroupElement(kind, (rng.gauss(0.0, scale), rng.uniform(0.0, TWO_PI)))
+    return GroupElement(kind, rng.randrange(_modulus(kind)))
 
 
 # ---------------------------------------------------------------------------
 # the cylinder: common target of every kind, home of the d-torsion lattice
 
+def cylinder_lane(kind: str, x):
+    """The cylinder lane of the lane ``x`` of ``kind``: `to_cylinder` on lanes."""
+    if kind == "cylinder":
+        return x
+    if kind == "real":
+        return (x, 0.0)
+    if kind == "circle":
+        return (0.0, x)
+    return (0.0, _norm_angle(TWO_PI * x / _modulus(kind)))
+
+
 def to_cylinder(e: GroupElement) -> GroupElement:
     """Embed a coefficient-group element into the cylinder group (a homomorphism)."""
-    if e.kind == "cylinder":
-        return e
-    if e.kind == "real":
-        return cylinder(e.value, 0.0)
-    if e.kind == "circle":
-        return cylinder(0.0, e.value)
-    return cylinder(0.0, TWO_PI * e.value / _modulus(e.kind))
+    return e if e.kind == "cylinder" else GroupElement("cylinder", cylinder_lane(e.kind, e.value))
 
 
 # `format_log` prints angles to 12 significant digits, so 2*pi prints as

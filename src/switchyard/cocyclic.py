@@ -7,15 +7,16 @@ id, and records each balance equation as two `al.Row`s over that numbering.
 Membership means the per-plaque rotation relations (`homology.check_diamond`,
 their only home) and the balance equations hold, over finite values.
 `require_member` is the gate of every point handed in: it returns a read-only
-`Member` holding the point's slots in chart order, which the chart functions
-accept without checking it again.  The space carries a torsion invariant and
-an explicit linear parametrization by unconstrained slots plus one d-torsion
-slot; both directions are implemented here.  The inverse is integer-linear:
-its step formulas are recorded once per (tree, d, anchors) as an
-`InversePlan` whose outputs fill the chart's slots.  Recording a plan proves
-the rotation relations for every point it builds (both sides of each
-relation read one slot), so `i2_inverse` gates its output by finite slots
-and the balance rows alone.
+`Member` holding the point's slots and their lanes in chart order, which the
+chart functions accept without checking it again.  The space carries a
+torsion invariant, whose forms are rows recorded once per (tree, d, anchors),
+and an explicit linear parametrization by unconstrained slots plus one
+d-torsion slot; both directions are implemented here.  The inverse is
+integer-linear: its step formulas are recorded as an `InversePlan` whose
+outputs fill the chart's slots.  Recording a plan proves the rotation
+relations for every point it builds (both sides of each relation read one
+slot), so `i2_inverse` gates its output by finite slots and the balance rows
+alone.  Every recorded row is evaluated on lanes (`al.evaluate`).
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class CocyclicCoords:
 class Member:
     """A point checked to be a member of the chart of ``tree`` at ``tol``.
 
-    ``vals`` holds its slots in the order of `chart`; it is read like
-    `CocyclicCoords` through ``v`` and ``z``, read-only views of them, so the
-    check it records stays true.  Only the membership gates build one:
-    `require_member`, and `i2_inverse` for its own output.
+    ``vals`` holds its slots in the order of `chart`, and ``lanes`` their lanes for
+    the recorded rows; it is read like `CocyclicCoords` through ``v`` and ``z``,
+    read-only views of ``vals``, so the check it records stays true.  Only the
+    membership gates build one: `require_member`, and `i2_inverse` for its own output.
     """
 
     d: int
@@ -72,6 +73,7 @@ class Member:
     tree: OrientedTree
     tol: float
     vals: Tuple[GroupElement, ...]
+    lanes: tuple
 
 
 Coords = Union[CocyclicCoords, Member]
@@ -179,10 +181,19 @@ def flatten(tree: OrientedTree, c: Coords) -> Tuple[GroupElement, ...]:
     return _slots(chart(tree, c.d), c.v, c.z)
 
 
+def point_lanes(tree: OrientedTree, c: Coords) -> tuple:
+    """The lanes of ``c`` in the order of `chart`, each checked to be of ``c.kind``:
+    a `Member`'s ``lanes``."""
+    if isinstance(c, Member) and c.tree is tree:
+        return c.lanes
+    ch = chart(tree, c.d)
+    return al.unpack(c.kind, _slots(ch, c.v, c.z), lambda q: _slot_name(ch, q))
+
+
 def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
-    lhs, rhs = chart(tree, c.d).balance[i]
-    vals = flatten(tree, c)
-    return al.evaluate(c.kind, lhs, vals), al.evaluate(c.kind, rhs, vals)
+    lanes = point_lanes(tree, c)
+    return tuple(al.GroupElement(c.kind, al.evaluate(c.kind, row, lanes))
+                 for row in chart(tree, c.d).balance[i])
 
 
 def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
@@ -197,46 +208,48 @@ def check_spade(c: Coords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
     return al.elements_equal(lhs, rhs, tol)
 
 
-def _check_finite(ch: Chart, kind: str, vals) -> None:
-    """Raise `MembershipError` naming the first slot of ``vals``, in the order of
+def _slot_name(ch: Chart, s: int) -> str:
+    at, index = list(ch.slot)[s]
+    if s < (ch.d - 1) * len(ch.rects):
+        return f"rectangle {at}, pair index {al.index_tables(ch.d).A[index]}"
+    return f"switch {at}, index {index}"
+
+
+def _check_finite(ch: Chart, kind: str, lanes) -> None:
+    """Raise `MembershipError` naming the first slot of ``lanes``, in the order of
     ``ch``, that is not finite.
 
     A non-finite value fails no equation it does not enter, and the v slots
     of an orientable rectangle enter none.
     """
     if kind == "cylinder":
-        bad = [s for s, x in enumerate(vals) if not (isfinite(x.value[0]) and isfinite(x.value[1]))]
+        finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
     else:  # a "zd:<n>" residue is an int, always finite
-        bad = [s for s, x in enumerate(vals) if not isfinite(x.value)]
-    if not bad:
-        return
-    at, index = list(ch.slot)[bad[0]]
-    if bad[0] < (ch.d - 1) * len(ch.rects):
-        raise MembershipError(f"non-finite value at rectangle {at}, "
-                              f"pair index {al.index_tables(ch.d).A[index]}")
-    raise MembershipError(f"non-finite value at switch {at}, index {index}")
+        finite = list(map(isfinite, lanes))
+    if not all(finite):
+        raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
 
 
-def _require_balance(ch: Chart, kind: str, vals, tol: float) -> None:
+def _require_balance(ch: Chart, kind: str, lanes, tol: float) -> None:
     for i, (lhs, rhs) in ch.balance.items():
         try:
-            holds = al.elements_equal(al.evaluate(kind, lhs, vals), al.evaluate(kind, rhs, vals),
-                                      tol)
+            holds = al.elements_equal(al.GroupElement(kind, al.evaluate(kind, lhs, lanes)),
+                                      al.GroupElement(kind, al.evaluate(kind, rhs, lanes)), tol)
         except al.SumOverflow as err:
             raise MembershipError(f"balance equation overflows at pair index {i}") from err
         if not holds:
             raise MembershipError(f"balance equation fails at pair index {i}")
 
 
-def _member(tree: OrientedTree, ch: Chart, kind: str, vals: tuple, tol: float) -> Member:
-    """Wrap ``vals``, a point's slots in the order of ``ch`` checked at ``tol``, as a
-    `Member` with read-only v and z views of them."""
+def slot_views(ch: Chart, vals) -> tuple:
+    """Read-only v and z views of ``vals``, a point's slots in the order of ``ch``;
+    over ``range`` they name each slot by its number, as the recorders read them."""
     n, b = ch.d - 1, al.index_tables(ch.d).B
     nb, z0 = len(b), n * len(ch.rects)
     v = {r: vals[n * q:n * q + n] for q, r in enumerate(ch.rects)}
     z = {t: MappingProxyType(dict(zip(b, vals[z0 + nb * q:z0 + nb * q + nb])))
          for q, t in enumerate(ch.switches)}
-    return Member(ch.d, kind, MappingProxyType(v), MappingProxyType(z), tree, tol, vals)
+    return MappingProxyType(v), MappingProxyType(z)
 
 
 def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
@@ -259,24 +272,26 @@ def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -
         if c.z[t].keys() != b:
             raise MembershipError(f"switch {t} does not carry the triple indices of d = {c.d}")
     vals = _slots(ch, c.v, c.z)
-    _check_finite(ch, c.kind, vals)
-    member = _member(tree, ch, c.kind, vals, tol)
+    lanes = tuple(al.unpack(c.kind, vals, lambda s: _slot_name(ch, s)))
+    _check_finite(ch, c.kind, lanes)
+    member = Member(c.d, c.kind, *slot_views(ch, vals), tree, tol, vals, lanes)
     try:
         check_diamond(tree.track, member.z, c.d, tol)
     except RotationViolated as err:
         raise MembershipError("rotation relations fail") from err
-    _require_balance(ch, c.kind, vals, tol)
+    _require_balance(ch, c.kind, lanes, tol)
     return member
 
 
-def _require_recorded(tree: OrientedTree, d: int, kind: str, vals: tuple, tol: float) -> Member:
-    """The gate of the slots ``vals``, in the order of `chart`, that `i2_inverse` has
-    just evaluated: its plan's rotation relations were proven when it was
-    recorded, so only `require_member`'s finite-slot and balance checks remain."""
+def _require_recorded(tree: OrientedTree, d: int, kind: str, vals: tuple, lanes: tuple,
+                      tol: float) -> Member:
+    """The gate of the slots ``vals`` (and ``lanes``), in the order of `chart`, that
+    `i2_inverse` has just evaluated: its plan's rotation relations were proven when
+    it was recorded, so only `require_member`'s finite-slot and balance checks remain."""
     ch = chart(tree, d)
-    _check_finite(ch, kind, vals)
-    _require_balance(ch, kind, vals, tol)
-    return _member(tree, ch, kind, vals, tol)
+    _check_finite(ch, kind, lanes)
+    _require_balance(ch, kind, lanes, tol)
+    return Member(d, kind, *slot_views(ch, vals), tree, tol, vals, lanes)
 
 
 def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
@@ -290,29 +305,42 @@ def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> boo
 # -- torsion invariant ---------------------------------------------------------
 
 
+def recorded_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
+    """The rows of ``formula(tree, d, v, z, *args)``, signed term lists over a point's
+    v and z, run once per (tree, d, formula, args) over the slot numbers of `chart`."""
+    rows, key, ch = tree._recorded_rows, (formula, d) + args, chart(tree, d)
+    if key not in rows:
+        rows[key] = tuple(map(tuple, formula(tree, d, *slot_views(ch, range(len(ch.slot))), *args)))
+    return rows[key]
+
+
+def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms]:
+    """The torsion invariant's signed terms over a point's ``v`` and ``z``: one form
+    at odd d; at even d the left and then the right parity form."""
+    tables = al.index_tables(d)
+    cls = classify(tree)
+    base = [(-1, z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
+    if d % 2 == 1:
+        return [base]
+    # base + (ur - ul) - zl and base - (ur - ul) - zr, ur/ul the middle v-column
+    # summed over u_right/u_left, zl/zr the B_zero slots over s_left/s_right
+    mid = tables.i_zero[0] - 1
+    uv = [(n, v[r][mid]) for n, rects in ((1, cls.u_right), (-1, cls.u_left)) for r in rects]
+    return [base + uv + [(-1, z[t][j]) for t in cls.s_left for j in tables.B_zero],
+            base + [(-n, x) for n, x in uv]
+            + [(-1, z[t][j]) for t in cls.s_right for j in tables.B_zero]]
+
+
 def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
               tol: float = al.MEMBER_TOL) -> TorsionValue:
     c = require_member(tree, c, tol)
     d, kind = c.d, c.kind
-    tables = al.index_tables(d)
     if anchors is None:
         anchors = default_anchors(tree, d)
-    cls = classify(tree)
-    base = [(-1, c.z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
-    if d % 2 == 1:
-        val = al.combine(kind, base)
-    else:
-        # base + (ur - ul) - zl and base - (ur - ul) - zr, ur/ul the middle v-column
-        # summed over u_right/u_left, zl/zr the B_zero slots over s_left/s_right
-        mid = tables.i_zero[0] - 1
-        uv = [(n, c.v[r][mid]) for n, rects in ((1, cls.u_right), (-1, cls.u_left)) for r in rects]
-        left_form = al.combine(kind, base + uv + [(-1, c.z[t][j]) for t in cls.s_left
-                                                  for j in tables.B_zero])
-        right_form = al.combine(kind, base + [(-n, x) for n, x in uv]
-                                + [(-1, c.z[t][j]) for t in cls.s_right for j in tables.B_zero])
-        if not al.elements_equal(left_form, right_form, tol):
-            raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
-        val = left_form
+    val, *right = (al.GroupElement(kind, al.evaluate(kind, row, c.lanes))
+                   for row in recorded_rows(tree, d, _tor_forms, anchors))
+    if right and not al.elements_equal(val, right[0], tol):
+        raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
     if not al.is_d_torsion(val, d, tol):
         raise ValueError(f"torsion invariant is not {d}-torsion: {val}")
     return TorsionValue(value=val, d=d)
@@ -449,9 +477,14 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     plan = inverse_plan(tree, d, anchors)
     vals = plan.layout.flat(free)
     vals.append(eps_val)
+    # a free slot is named by the first slot of `chart` it fills
+    lanes = al.unpack(kind, vals, lambda q: "epsilon" if q == len(vals) - 1
+                      else _slot_name(chart(tree, d), plan.out.index(q)))
     for row in plan.steps:
-        vals.append(al.evaluate(kind, row, vals))
-    return _require_recorded(tree, d, kind, tuple([vals[s] for s in plan.out]), tol)
+        lanes.append(al.evaluate(kind, row, lanes))
+    vals += [al.GroupElement(kind, x) for x in lanes[len(vals):]]
+    return _require_recorded(tree, d, kind, tuple([vals[s] for s in plan.out]),
+                             tuple([lanes[s] for s in plan.out]), tol)
 
 
 class _PlaqueField:
@@ -687,10 +720,11 @@ def random_free(tree: OrientedTree, d: int, kind: str, rng,
         anchors = default_anchors(tree, d)
     layout = free_layout(tree, d, anchors)
     tables = al.index_tables(d)
-    v_other = {r: tuple(al.random_element(kind, rng) for _ in tables.A) for r in layout.rects}
-    v_anchor = {i: al.random_element(kind, rng) for i in layout.pairs}
-    z_other = {p: {j: al.random_element(kind, rng) for j in tables.B} for p in layout.plaques}
-    z_anchor = {j: al.random_element(kind, rng) for j in layout.triples}
+    drawn = iter([al.random_element(kind, rng) for _ in range(layout.size())])  # layout order
+    v_other = {r: tuple([next(drawn) for _ in tables.A]) for r in layout.rects}
+    v_anchor = {i: next(drawn) for i in layout.pairs}
+    z_other = {p: {j: next(drawn) for j in tables.B} for p in layout.plaques}
+    z_anchor = {j: next(drawn) for j in layout.triples}
     return FreeCoords(d, kind, v_other, v_anchor, z_other, z_anchor)
 
 

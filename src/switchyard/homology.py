@@ -277,17 +277,14 @@ class SolverPlan(NamedTuple):
     k < d-1, v_free[r][k] for each rectangle r off the tree (``rects``, in id
     order), then one per row of ``steps``, valued by `al.evaluate` on the lanes
     before it: d-1 for each edge of ``solved``.  The rows of ``last``, the
-    final switch's residual, vanish on a balanced input.
+    final switch's residual, are minus `balance_defect`: they vanish exactly
+    on a balanced input.
     """
 
     rects: Tuple[int, ...]
     steps: Tuple[al.Row, ...]
     solved: Tuple[int, ...]
     last: Tuple[al.Row, ...]
-
-
-class FinalSwitchResidual(ValueError):
-    """The final switch's equation does not close to within tol."""
 
 
 def solver_plan(lifts: CoverLifts, d: int, order: str = "low_first") -> SolverPlan:
@@ -371,20 +368,22 @@ def solve_tree(
     """Unique tree coefficients whose boundary matches the target chain.
 
     Solves switch by switch, stripping degree-one switches of the tree, by
-    the plan `solver_plan` records once per (lifts, d, order); the balance
-    condition is checked first and the final switch is verified at ``tol``.
+    the plan `solver_plan` records once per (lifts, d, order), on lanes; the
+    final switch's residual is the balance condition, checked at ``tol``.
     """
-    defect = balance_defect(lifts.tree, v_free, w, kind, d)
-    if not ga_is_zero(defect, tol):
-        raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
     plan = solver_plan(lifts, d, order)
     n = d - 1
-    vecs = [w[s] for s in lifts.tree.track.switch_ids] + [v_free[r] for r in plan.rects]
-    vals = [vec[k] for vec in vecs for k in range(n)]
-    first = len(vals)
+    switches = lifts.tree.track.switch_ids
+    vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
+    lanes = al.unpack(kind, [vec[k] for vec in vecs for k in range(n)],
+                      lambda q: f"switch {switches[q // n]}" if q < n * len(switches)
+                      else f"rectangle {plan.rects[q // n - len(switches)]}")
+    first = len(lanes)
     for row in plan.steps:
-        vals.append(al.evaluate(kind, row, vals))
-    residual = tuple(al.evaluate(kind, row, vals) for row in plan.last)
-    if not ga_is_zero(residual, tol):
-        raise FinalSwitchResidual(f"final switch residual {[element_to_json(x) for x in residual]}")
-    return {rid: tuple(vals[first + n * q:first + n * q + n]) for q, rid in enumerate(plan.solved)}
+        lanes.append(al.evaluate(kind, row, lanes))
+    defect = [al.group_neg(al.GroupElement(kind, al.evaluate(kind, row, lanes)))
+              for row in plan.last]
+    if not ga_is_zero(defect, tol):
+        raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
+    return {rid: tuple([al.GroupElement(kind, x) for x in lanes[first + n * q:first + n * q + n]])
+            for q, rid in enumerate(plan.solved)}

@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, TripleIndex, to_cylinder
-from .cocyclic import Coords, chart, require_member
+from .cocyclic import Coords, chart, point_lanes, recorded_rows, require_member
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -245,25 +245,34 @@ def total_mid_log(tree: OrientedTree, c: Coords, tol: float = al.MEMBER_TOL) -> 
     """
     c = require_member(tree, c, tol)
     pi, row = ledger_row(tree, c.d)
-    return al.group_add(to_cylinder(al.evaluate(c.kind, row, c.vals)), _sign_log(pi))
+    return al.group_add(to_cylinder(al.GroupElement(c.kind, al.evaluate(c.kind, row, c.lanes))),
+                        _sign_log(pi))
+
+
+def _closed_form(tree: OrientedTree, d: int, v, z) -> List[List[Tuple[int, object]]]:
+    """The closed-form total's signed terms over a point's ``v`` and ``z``, as one form."""
+    tables = al.index_tables(d)
+    cls = classify(tree)
+    terms = [(1, z[pl.switches_ccw[0]][j]) for pl in tree.track.plaques for j in tables.B_star]
+    if d % 2 == 0:
+        mid = tables.i_zero[0] - 1
+        terms += [(n, v[r][mid]) for n, rects in ((1, cls.u_left), (-1, cls.u_right))
+                  for r in rects]
+        terms += [(1, z[t][j]) for t in cls.s_left for j in tables.B_zero]
+    return [terms]
 
 
 def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:
     """Evaluate the boundary-product total without walking the boundary.
 
     Kept separate from `build_ledger` so the two routes can be compared;
-    for even d the middle-column rectangle and left-switch terms enter.
+    for even d the middle-column rectangle and left-switch terms enter.  It is
+    one recorded row, each lane of which is embedded in the cylinder.
     """
-    d = c.d
-    tables = al.index_tables(d)
-    cls = classify(tree)
-    terms = [(1, c.z[pl.switches_ccw[0]][j]) for pl in tree.track.plaques for j in tables.B_star]
-    if d % 2 == 0:
-        mid = tables.i_zero[0] - 1
-        terms += [(n, c.v[r][mid]) for n, rects in ((1, cls.u_left), (-1, cls.u_right))
-                  for r in rects]
-        terms += [(1, c.z[t][j]) for t in cls.s_left for j in tables.B_zero]
-    return al.combine(CYL, [(n, to_cylinder(x)) for n, x in terms])
+    row, = recorded_rows(tree, c.d, _closed_form)
+    lanes = point_lanes(tree, c)
+    return al.GroupElement(CYL, al.evaluate(CYL, row, {s: al.cylinder_lane(c.kind, lanes[s])
+                                                       for _, s in row}))
 
 
 def ob_from_product(total: GroupElement, d: int) -> TorsionValue:

@@ -492,6 +492,11 @@ class OrientedTree:
         # (d, anchors) -> the recorded explicit inverse, filled by `cocyclic`
         return {}
 
+    @cached_property
+    def _recorded_rows(self) -> Dict[object, object]:
+        # (formula, d, args) -> its rows, filled by `cocyclic.recorded_rows`
+        return {}
+
 
 def _propagate(track: TrainTrack, edges: FrozenSet[int], root: int, root_bit: int) -> Dict[int, int]:
     o = {root: root_bit}

@@ -1,6 +1,9 @@
+import copy
 import functools
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +276,136 @@ class TestCombine:
     def test_kind_mismatch_raises(self, kind, other):
         with pytest.raises(al.GroupKindError):
             al.combine(kind, [(1, al.zero(kind)), (2, other)])
+
+
+def reference_sum(kind, terms):
+    """The summation rule spelled out on elements: an exact int sum for "zd:<n>", else
+    `math.fsum` of each float part (nan where it refuses -inf + inf), then one
+    normalization by construction."""
+    def fsum(parts):
+        try:
+            return math.fsum(parts)
+        except ValueError:
+            return math.nan
+
+    if kind.startswith("zd:"):
+        return al.GroupElement(kind, sum(n * x.value for n, x in terms))
+    if kind == "cylinder":
+        return al.GroupElement(kind, (fsum([n * x.value[0] for n, x in terms]),
+                                      fsum([n * x.value[1] for n, x in terms])))
+    return al.GroupElement(kind, fsum([n * x.value for n, x in terms]))
+
+
+def bits(value):
+    parts = value if isinstance(value, tuple) else (value,)
+    return tuple(x.hex() if isinstance(x, float) else x for x in parts)
+
+
+class TestLanes:
+    """`evaluate` on lanes and `combine` on elements share one arithmetic."""
+
+    @staticmethod
+    def special(kind, rng):
+        # the non-finite and huge values an element of ``kind`` can hold
+        if kind == "real":
+            return al.real(rng.choice([math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0]))
+        if kind == "circle":
+            return al.circle(rng.choice([math.nan, 0.0, -0.0, al.TWO_PI]))
+        if kind == "cylinder":
+            return al.cylinder(rng.choice([math.nan, math.inf, -math.inf, 1e308, -0.0]),
+                               rng.choice([math.nan, 0.0, 1.0]))
+        return al.GroupElement(kind, rng.randrange(-10**30, 10**30))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_evaluate_and_combine_agree_bit_for_bit(self, kind):
+        rng = random.Random(24)
+        for _ in range(400):
+            elements = [self.special(kind, rng) if rng.random() < 0.1 else rnd(kind, rng.random())
+                        for _ in range(rng.randrange(1, 12))]
+            big = rng.random() < 0.2 and kind.startswith("zd:")
+            row = tuple((rng.choice([10**40 + 7, -(3**90)]) if big else rng.randint(-4, 4),
+                         rng.randrange(len(elements))) for _ in range(rng.randrange(0, 20)))
+            terms = [(n, elements[s]) for n, s in row]
+            try:
+                want = reference_sum(kind, terms)
+            except OverflowError:
+                with pytest.raises(al.SumOverflow):
+                    al.evaluate(kind, row, [x.value for x in elements])
+                with pytest.raises(al.SumOverflow):
+                    al.combine(kind, terms)
+                continue
+            got = al.evaluate(kind, row, [x.value for x in elements])
+            assert bits(got) == bits(want.value) == bits(al.combine(kind, terms).value)
+
+    def test_special_values(self):
+        assert math.isnan(al.evaluate("real", ((1, 0), (1, 1)), [-math.inf, math.inf]))
+        re, ang = al.evaluate("cylinder", ((1, 0), (-1, 0)), [(math.inf, 1.0)])
+        assert math.isnan(re) and ang == 0.0
+        assert al.evaluate("real", ((1, 0), (1, 0), (-1, 0)), [1.0]) == 1.0
+        for kind, lane in (("real", 1e308), ("cylinder", (1e308, 0.0))):
+            with pytest.raises(al.SumOverflow, match=f"^a {kind} sum of 2 terms overflows"):
+                al.evaluate(kind, ((1, 0), (1, 0)), [lane])
+        row = ((10**40 + 7, 0), (-(3**90), 1), (2**200, 0))
+        want = (5 * (10**40 + 7) - 11 * 3**90 + 5 * 2**200) % 12
+        assert al.evaluate("zd:12", row, [5, 11]) == want
+        assert al.evaluate("circle", ((3, 0),), [math.pi]) == math.fmod(3 * math.pi, al.TWO_PI)
+        assert al.evaluate("real", (), []) == 0.0 and al.evaluate("zd:12", (), []) == 0
+
+    def test_unpack_names_the_first_element_of_another_kind(self):
+        elements = [al.real(1.0), al.real(2.0), al.cyclic(12, 1), al.cylinder(0.0, 0.0)]
+        assert al.unpack("real", elements[:2], str) == [1.0, 2.0]
+        with pytest.raises(al.GroupKindError, match="^kind mismatch: 'real' vs 'zd:12' at slot 2$"):
+            al.unpack("real", elements, lambda q: f"slot {q}")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cylinder_lane_is_to_cylinder_on_lanes(self, kind):
+        rng = random.Random(25)
+        for _ in range(200):
+            e = rnd(kind, rng.random())
+            assert bits(al.cylinder_lane(kind, e.value)) == bits(al.to_cylinder(e).value)
+
+
+class TestGroupElement:
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(al.real(1)) == "GroupElement(kind='real', value=1.0)"
+        assert repr(al.cyclic(12, 13)) == "GroupElement(kind='zd:12', value=1)"
+        assert repr(al.cylinder(1, 0)) == "GroupElement(kind='cylinder', value=(1.0, 0.0))"
+        assert str(al.circle(0.5)) == "GroupElement(kind='circle', value=0.5)"
+
+    def test_construction_normalizes(self):
+        assert al.GroupElement("circle", -1.0).value == al.TWO_PI - 1.0
+        assert al.GroupElement("cylinder", (2, al.TWO_PI + 1.0)).value == (2.0, math.fmod(
+            al.TWO_PI + 1.0, al.TWO_PI))
+        assert al.GroupElement("zd:12", -1).value == 11
+        assert type(al.GroupElement("real", 3).value) is float
+        with pytest.raises(al.GroupKindError):
+            al.GroupElement("zd:0", 1)
+
+    def test_equal_and_hashed_by_kind_and_value(self):
+        a, b = al.cylinder(1.0, 7.0), al.cylinder(1, 7.0 - al.TWO_PI)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert al.real(1.0) != al.circle(1.0) and al.cyclic(5, 1) != al.cyclic(12, 1)
+        # equality holds only between elements, never with a raw value
+        assert al.real(1.0) != 1.0 and al.real(1.0).__eq__(1.0) is NotImplemented
+        assert al.cyclic(12, 1) != ("zd:12", 1)
+        nan = al.real(math.nan)
+        assert nan == nan  # the dataclass compared (kind, value) tuples, identity first
+
+    def test_frozen_and_slotted(self):
+        e = al.real(1.0)
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'value'$"):
+            e.value = 2.0
+        with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'other'$"):
+            e.other = 2.0
+        with pytest.raises(FrozenInstanceError, match="^cannot delete field 'kind'$"):
+            del e.kind
+        assert e == al.real(1.0) and not hasattr(e, "__dict__")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copy_and_pickle_rebuild(self, kind):
+        e = rnd(kind, 3)
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and bits(twin.value) == bits(e.value)
 
 
 class TestFormatLog:

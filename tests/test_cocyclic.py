@@ -761,10 +761,11 @@ class TestChart:
             for kind in KINDS:
                 v = {r: hm.ga_random(kind, d, rng) for r in ch.rects}
                 z = {t: {j: al.random_element(kind, rng) for j in tables.B} for t in ch.switches}
-                vals = cc.flatten(tree, cc.CocyclicCoords(d, kind, v, z))
+                lanes = cc.point_lanes(tree, cc.CocyclicCoords(d, kind, v, z))
                 defect = hm.balance_defect(tree, v, hm.w_from_z(tree, z, kind, d), kind, d)
                 for k, i in enumerate(tables.A):
-                    lhs, rhs = (al.evaluate(kind, row, vals) for row in ch.balance[i])
+                    lhs, rhs = (al.GroupElement(kind, al.evaluate(kind, row, lanes))
+                                for row in ch.balance[i])
                     diff = al.group_sub(lhs, rhs)
                     tol = 0.0 if kind.startswith("zd:") else 1e-12
                     assert al.distance(diff, defect[k]) <= tol, (name, d, kind, i)
@@ -1011,3 +1012,71 @@ class TestMember:
         m = cc.require_member(TREE, c, al.MEMBER_TOL)
         with pytest.raises(cc.MembershipError, match="balance equation"):
             cc.require_member(TREE, m, al.DEFAULT_TOL)
+
+
+class TestLanes:
+    """Each call unpacks its points to lanes once, with a kind check, and every
+    recorded row reads the lanes."""
+
+    # (the point's kind, the stray element's kind)
+    PROBES = [("real", "cylinder"), ("cylinder", "real"), ("real", "zd:12"), ("zd:12", "real")]
+    # an orientable rectangle off the tree: its v slots enter no equation
+    LONE = min(r for r in CLS.orientable if r in FREE_RECTS)
+
+    @pytest.mark.parametrize("kind,other", PROBES)
+    def test_require_member_names_the_first_stray_kind(self, kind, other):
+        m = cc.sample_y(TREE, 3, kind, random.Random(1))
+        t = min(TRACK.switch_ids)
+        at_switch, both = plain(m), plain(m)
+        at_switch.z[t][(1, 1, 1)] = al.zero(other)
+        both.z[t][(1, 1, 1)] = al.zero(other)
+        both.v[self.LONE] = (m.v[self.LONE][0], al.zero(other))
+        for c, at in ((both, f"rectangle {self.LONE}, pair index \\(2, 1\\)"),
+                      (at_switch, f"switch {t}, index \\(1, 1, 1\\)")):
+            with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
+                                                        f"at {at}$"):
+                cc.require_member(TREE, c)
+            with pytest.raises(al.GroupKindError):
+                cc.is_member(TREE, c)
+
+    @pytest.mark.parametrize("kind,other", PROBES)
+    def test_i2_inverse_names_a_stray_free_slot_or_epsilon(self, kind, other):
+        anchors = cc.default_anchors(TREE, 3)
+        free = cc.random_free(TREE, 3, kind, random.Random(1), anchors)
+        eps = al.zero(kind)
+        with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
+                                                    "at epsilon$"):
+            cc.i2_inverse(TREE, free, al.zero(other), anchors)
+        free.v_other[self.LONE] = (free.v_other[self.LONE][0], al.zero(other))
+        with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' at "
+                                                    f"rectangle {self.LONE}, pair index"):
+            cc.i2_inverse(TREE, free, eps, anchors)
+
+    def test_members_carry_their_lanes(self):
+        rng = random.Random(94)
+        for d in (2, 3, 6):
+            for kind in KINDS:
+                recorded = cc.sample_y(TREE, d, kind, rng)
+                checked = cc.require_member(TREE, plain(recorded), al.MEMBER_TOL)
+                for m in (recorded, checked):
+                    assert m.lanes == tuple(x.value for x in m.vals)
+                    assert cc.point_lanes(TREE, m) is m.lanes
+                assert cc.point_lanes(TREE, plain(recorded)) == list(recorded.lanes)
+
+    @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
+    def test_recorded_tor_rows_are_the_hand_formula(self, name):
+        # the rows, recorded by running `_tor_forms` over slot numbers, give
+        # the same bits as the formula run over the point's own elements
+        tree = _tree_of(name)
+        rng = random.Random(95)
+        for d in range(2, 9):
+            anchors = cc.default_anchors(tree, d)
+            rows = cc.recorded_rows(tree, d, cc._tor_forms, anchors)
+            assert cc.recorded_rows(tree, d, cc._tor_forms, anchors) is rows
+            assert len(rows) == 1 + (d % 2 == 0)
+            for kind in KINDS:
+                c = cc.sample_y(tree, d, kind, rng, anchors)
+                forms = cc._tor_forms(tree, d, c.v, c.z, anchors)
+                assert cc.tor_prime(tree, c, anchors).value == al.combine(kind, forms[0])
+                for row, form in zip(rows, forms):
+                    assert al.evaluate(kind, row, c.lanes) == al.combine(kind, form).value

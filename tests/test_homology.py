@@ -259,10 +259,51 @@ class TestSolveTree:
         lane = 2 * (len(track.switch_ids) + plan.rects.index(orientable))
         fresh._solver_plans[3, "low_first"] = plan._replace(
             last=tuple(row + ((1, lane + k),) for k, row in enumerate(plan.last)))
-        with pytest.raises(hm.FinalSwitchResidual, match="final switch residual"):
+        with pytest.raises(hm.SolvabilityViolated, match="^balance defect "):
             hm.solve_tree(fresh, v, w, "real", 3)
         assert hm.solve_tree(fresh, v, w, "real", 3, tol=1e-7)
         assert hm.solve_tree(lifts, v, w, "real", 3, tol=0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_last_rows_are_minus_the_balance_defect(self, setup, kind):
+        # the final switch's rows are the one solvability check: on any input,
+        # balanced or not, they are minus balance_defect, lane by lane
+        track, tree, lifts, free = setup
+        rng = random.Random(33)
+        tol = 0.0 if kind.startswith("zd:") else 1e-12
+        for d in range(2, 6):
+            plan = hm.solver_plan(lifts, d)
+            for _ in range(20):
+                v = {rid: hm.ga_random(kind, d, rng) for rid in free}
+                w = random_w(track, kind, d, rng)
+                vecs = [w[s] for s in track.switch_ids] + [v[r] for r in plan.rects]
+                lanes = [x.value for vec in vecs for x in vec]
+                for row in plan.steps:
+                    lanes.append(al.evaluate(kind, row, lanes))
+                defect = hm.balance_defect(tree, v, w, kind, d)
+                for row, want in zip(plan.last, defect, strict=True):
+                    got = al.group_neg(al.GroupElement(kind, al.evaluate(kind, row, lanes)))
+                    assert al.distance(got, want) <= tol, (d, kind)
+                if hm.ga_is_zero(defect):  # a random zd:12 input can balance
+                    continue
+                with pytest.raises(hm.SolvabilityViolated, match="^balance defect "):
+                    hm.solve_tree(lifts, v, w, kind, d)
+
+    @pytest.mark.parametrize("kind,other", [("real", "cylinder"), ("cylinder", "real"),
+                                            ("real", "zd:12"), ("zd:12", "real")])
+    def test_a_stray_kind_is_named_by_its_vector(self, setup, kind, other):
+        track, tree, lifts, free = setup
+        v, w = solvable_instance(track, tree, free, kind, 3, random.Random(34))
+        s, r = track.switch_ids[2], free[1]
+        w[s] = (w[s][0], al.zero(other))
+        with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
+                                                    f"at switch {s}$"):
+            hm.solve_tree(lifts, v, w, kind, 3)
+        v[r] = (al.zero(other), v[r][1])
+        w[s] = (w[s][0], al.zero(kind))
+        with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
+                                                    f"at rectangle {r}$"):
+            hm.solve_tree(lifts, v, w, kind, 3)
 
     @pytest.mark.parametrize("name", ["track_g2_s1", "track_g2_s7", "track_g3_s2"])
     def test_plan_is_a_straight_line_row_program(self, name):

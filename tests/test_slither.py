@@ -284,6 +284,31 @@ class TestTotal:
         assert al.is_zero(ob.value, 0.0)
 
 
+    def test_closed_form_is_one_recorded_row(self, monkeypatch):
+        # recorded once per (tree, d) from `_closed_form` over slot numbers, it
+        # gives the bits of the formula over the point's own elements, each
+        # embedded in the cylinder, on members and on plain points alike
+        runs = []
+        formula = sl._closed_form
+
+        def counted(*args):
+            runs.append(args[1])
+            return formula(*args)
+
+        monkeypatch.setattr(sl, "_closed_form", counted)
+        tree = cc.ensure_right_unorientable(tt.maximal_tree(TRACK3, seed=1))
+        rng = random.Random(13)
+        for d in (2, 3, 4, 5, 6):
+            for kind in ("real", "circle", CYL, "zd:12"):
+                m = cc.sample_y(tree, d, kind, rng)
+                c = random_rotated_coords(TRACK3, tree, d, rng, kind)
+                for point in (m, c):
+                    terms = formula(tree, d, point.v, point.z)[0]
+                    want = al.combine(CYL, [(n, sl.to_cylinder(x)) for n, x in terms])
+                    assert sl.closed_form_total(tree, point) == want, (d, kind)
+        assert runs == [2, 3, 4, 5, 6]
+
+
 class TestCubeRootInvariance:
     def test_zero_point(self):
         c = zero_coords(TRACK, TREE, 3)
