@@ -396,6 +396,19 @@ class FreeLayout(NamedTuple):
 
 
 def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
+    """The free slots, built once per (tree, d, anchors) and keyed by the anchors' value.
+
+    Unlike `inverse_plan`, this accepts anchors the inverse rejects, so that
+    `random_free` can draw on them.
+    """
+    layouts = tree._free_layouts
+    layout = layouts.get((d, anchors))
+    if layout is None:
+        layout = layouts[d, anchors] = _build_free_layout(tree, d, anchors)
+    return layout
+
+
+def _build_free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
     tables = al.index_tables(d)
     track = tree.track
     solved = set(tables.B_dprime) | {tables.j_prime}  # the anchor plaque's solved slots

@@ -488,6 +488,11 @@ class OrientedTree:
         return {}
 
     @cached_property
+    def _free_layouts(self) -> Dict[object, object]:
+        # (d, anchors) -> the free slots of the chart, filled by `cocyclic.free_layout`
+        return {}
+
+    @cached_property
     def _inverse_plans(self) -> Dict[object, object]:
         # (d, anchors) -> the recorded explicit inverse, filled by `cocyclic`
         return {}

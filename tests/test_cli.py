@@ -491,28 +491,46 @@ class TestParityForms:
         assert "error: the two parity forms disagree" in r.stdout
 
 
+# the names of the switchyard modules a process has loaded, as Python source
+_LAYERS = "sorted(m[len('switchyard.'):] for m in sys.modules if m.startswith('switchyard.'))"
+
+
 class TestLeanProcess:
-    """Only ob, flags and selftest load numpy; each imports its layer itself."""
+    """Each command imports the layers it runs; only ob, flags and selftest load numpy."""
 
     def test_chart_commands_leave_numpy_unloaded(self, tmp_path):
-        argvs = [["--seed", "5", *argv] for argv in (
-            ["gen-fixture", "--genus", "2", "--out", "track.json"],
-            ["tree", "track.json", "--out", "tree.json"],
-            ["validate", "tree.json"],
-            ["classify", "tree.json"],
-            ["sample-y", "tree.json", "--count", "2", "--out", "pts.json"],
-            ["torsion", "tree.json", "pts.json"],
-            ["corfinal", "tree.json", "pts.json"])]
-        code = _main_exits_zero(argvs) + "\nassert 'numpy' not in sys.modules, 'numpy loaded'"
+        # the chart commands in pipeline order, grouped with the modules loaded
+        # once each group has run; sys.modules only grows, so one process
+        # checks every group, the bare import first
+        groups = [
+            ([], ["algebra", "cli", "io"]),
+            ([["gen-fixture", "--genus", "2", "--out", "track.json"],
+              ["tree", "track.json", "--out", "tree.json"],
+              ["validate", "tree.json"],
+              ["classify", "tree.json"]], ["algebra", "cli", "io", "traintrack"]),
+            ([["sample-y", "tree.json", "--count", "2", "--out", "pts.json"],
+              ["torsion", "tree.json", "pts.json"]],
+             ["algebra", "cli", "cocyclic", "homology", "io", "traintrack"]),
+            ([["corfinal", "tree.json", "pts.json"]],
+             ["algebra", "cli", "cocyclic", "homology", "io", "slither", "traintrack"]),
+        ]
+        code = "\n".join(
+            _main_exits_zero([["--seed", "5", *argv] for argv in argvs])
+            + f"\nassert {_LAYERS} == {loaded!r}, {_LAYERS}"
+            + "\nassert 'numpy' not in sys.modules, 'numpy loaded'"
+            for argvs, loaded in groups)
         r = _run_in_fresh_process(code, tmp_path)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.count("command: ") == len(argvs)
+        assert r.stdout.count("command: ") == sum(len(argvs) for argvs, _ in groups)
 
     @pytest.mark.parametrize("argv", [["ob", "--clock-shift"], ["flags", "mats.json"],
                                       ["selftest"]])
     def test_matrix_command_runs_first_in_a_process(self, tmp_path, argv):
         (tmp_path / "mats.json").write_text(json.dumps(_matrices(3, 3, 3)))
         code = _main_exits_zero([argv]) + "\nassert 'numpy' in sys.modules"
+        if argv != ["selftest"]:  # selftest runs every layer
+            chart = ["cocyclic", "homology", "slither", "traintrack"]
+            code += f"\nassert not set({chart!r}) & set({_LAYERS}), {_LAYERS}"
         r = _run_in_fresh_process(code, tmp_path)
         assert r.returncode == 0, r.stderr
         assert "FAIL" not in r.stdout

@@ -580,6 +580,21 @@ class TestInversePlan:
                          reps={pl.id: max(pl.switches_ccw) for pl in tree.track.plaques})
         assert cc.inverse_plan(tree, 5, alt) is not plan
 
+    def test_layout_is_built_once_for_every_caller(self, monkeypatch):
+        tree = _tree_of("track_g2_s1")
+        built = []
+        real = cc._build_free_layout
+        monkeypatch.setattr(cc, "_build_free_layout",
+                            lambda *args: built.append(args) or real(*args))
+        a = cc.default_anchors(tree, 5)
+        layout = cc.free_layout(tree, 5, a)
+        assert cc.free_layout(tree, 5, cc.default_anchors(tree, 5)) is layout
+        # random_free, the recorded inverse and i2_forward all read the one layout
+        c = cc.sample_y(tree, 5, "real", random.Random(76))
+        cc.i2_forward(tree, c)
+        assert cc.inverse_plan(tree, 5, a).layout is layout
+        assert len(built) == 1
+
 
     def test_plan_breaking_a_rotation_pair_is_not_recorded(self, monkeypatch):
         tree = _tree_of("track_g2_s1")
