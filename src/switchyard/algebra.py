@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,6 +78,14 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def frozen_attribute(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a read-only class: raise
+    `dataclasses.FrozenInstanceError`, whose module loads only here."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class GroupElement:
     """A value in one of the supported coefficient groups, normalized on construction.
 
@@ -103,10 +110,7 @@ class GroupElement:
             value = int(value) % _modulus(kind)
         _set_value(self, value)
 
-    def _frozen(self, name, *value):
-        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
-
-    __setattr__ = __delattr__ = _frozen
+    __setattr__ = __delattr__ = frozen_attribute
 
     def __eq__(self, other):
         if other.__class__ is not GroupElement:
@@ -344,16 +348,15 @@ def snap_torsion(e: GroupElement, d: int) -> Tuple[int, float]:
     return k, distance(c, cylinder(0.0, TWO_PI * k / d))
 
 
-@dataclass(frozen=True)
 class TorsionValue:
-    """An element checked to be d-torsion (to MEMBER_TOL for the float kinds)."""
+    """An element checked to be d-torsion (to MEMBER_TOL for the float kinds); read-only."""
 
-    value: GroupElement
-    d: int
+    __setattr__ = __delattr__ = frozen_attribute
 
-    def __post_init__(self):
-        if not is_d_torsion(self.value, self.d, MEMBER_TOL):
-            raise ValueError(f"element is not {self.d}-torsion: {self.value}")
+    def __init__(self, value: GroupElement, d: int):
+        if not is_d_torsion(value, d, MEMBER_TOL):
+            raise ValueError(f"element is not {d}-torsion: {value}")
+        vars(self).update(value=value, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +382,7 @@ def op_triple(j: TripleIndex) -> TripleIndex:
     return (j[2], j[1], j[0])
 
 
-@dataclass(frozen=True)
-class IndexTables:
+class IndexTables(NamedTuple):
     """Enumerations of the pair/triple index sets for a fixed dimension d.
 
     All lists are in lexicographic order.  B_zero, i_zero and j_zero are

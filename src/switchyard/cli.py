@@ -21,16 +21,16 @@ The helpers the commands share (`oriented_tree_for`, `load_member`) import
 the same layers again, which after the command's own import only looks them
 up.
 
-Loading only these layers raised the `perfbench` `cli` workload from 6.42 to
-7.43 commands/s and cut its p90 command from 216 to 176 ms (2-vCPU host).
-What start-up is left is not command work: compiling these modules from
-source when no bytecode is cached (`PYTHONDONTWRITEBYTECODE=1`; about 30 ms
-for `gen-fixture` up to 55 ms for `corfinal`) and importing `click` (about
-30 ms).
+The parser is `argparse`, and no module builds a dataclass, so no command
+loads `click` or `dataclasses`.  What start-up is left is the interpreter and
+compiling these modules when no bytecode is cached (`PYTHONDONTWRITEBYTECODE=1`;
+about 30 ms for `gen-fixture` up to 55 ms for `corfinal`).
 """
 
 from __future__ import annotations
 
+import argparse
+import gc
 import hashlib
 import json
 import math
@@ -38,8 +38,6 @@ import random
 import sys
 import time
 from typing import NoReturn, Optional
-
-import click
 
 from . import algebra as al
 from . import io
@@ -53,9 +51,10 @@ class Report:
     def __init__(self, command: str, seed: int):
         self.command = command
         self.seed = seed
-        self.inputs = {}
-        self.checks = []
-        self.values = {}
+        self.inputs, self.checks, self.values = {}, [], {}
+        # a collection set off by allocations made before the report would
+        # land in its wall time; freezing resets the generation-0 count
+        gc.freeze()
         self._t0 = time.perf_counter()
 
     def add_input(self, label: str, data: bytes) -> None:
@@ -81,18 +80,18 @@ class Report:
                 "ok": not failed,
                 "wall_time_ms": round(wall_ms, 3),
             }
-            click.echo(json.dumps(payload, sort_keys=True))
+            print(json.dumps(payload, sort_keys=True))
         else:
-            click.echo(f"command: {self.command}")
-            click.echo(f"seed: {self.seed}")
+            print(f"command: {self.command}")
+            print(f"seed: {self.seed}")
             for label, dig in self.inputs.items():
-                click.echo(f"input {label}: sha256:{dig}")
+                print(f"input {label}: sha256:{dig}")
             for c in self.checks:
                 tail = "" if c["residual"] is None else f" residual={c['residual']:.3g}"
-                click.echo(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}{tail}")
+                print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}{tail}")
             for key, val in self.values.items():
-                click.echo(f"{key}: {val}")
-            click.echo(f"wall time: {wall_ms:.1f} ms")
+                print(f"{key}: {val}")
+            print(f"wall time: {wall_ms:.1f} ms")
         return 1 if failed else 0
 
     def fail(self, name: str, err: Exception, as_json: bool) -> NoReturn:
@@ -111,44 +110,66 @@ def oriented_tree_for(track, tree, seed: int):
     return cc.ensure_right_unorientable(tree)
 
 
-class _Main(click.Group):
-    """The command group; the single place where an input error becomes exit 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except io.InputError as err:
-            click.echo(f"input error: {err}", err=True)
-            ctx.exit(2)
+# name -> (the command, its arguments as `arg`s), in help order
+_COMMANDS = {}
 
 
-@click.group(cls=_Main)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Root of all randomness; every trial reseeds from it.")
-@click.option("--group", "group_tag", default="cylinder", show_default=True,
-              help="Coefficient group: real, circle, cylinder, or zd:<n>.")
-@click.option("--d", "dim", type=int, default=3, show_default=True,
-              help="Coordinate depth (matrix size downstream).")
-@click.option("--tolerance", type=float, default=al.DEFAULT_TOL, show_default=True,
-              help="Comparison tolerance, a finite number >= 0.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@click.pass_context
-def main(ctx, seed, group_tag, dim, tolerance, as_json):
-    """Train-track coordinates, torsion invariants, and lifting obstructions."""
-    ctx.obj = {
-        "seed": seed,
-        "group": group_tag,
-        "d": dim,
-        "tol": io.tolerance(tolerance),
-        "member_tol": max(tolerance, al.MEMBER_TOL),
-        "json": as_json,
-        "tol_explicit": ctx.get_parameter_source("tolerance").name == "COMMANDLINE",
-    }
+def arg(*flags, **kwargs):
+    """One argument of a command, as `argparse.ArgumentParser.add_argument` takes it."""
+    return flags, kwargs
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.pass_obj
+OUT = arg("--out", required=True, help="file to write")
+
+
+def command(*args, name=None):
+    """Register the decorated function as a command taking ``args``, its docstring its help."""
+    def register(run):
+        _COMMANDS[name or run.__name__] = (run, args)
+        return run
+    return register
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="switchyard", allow_abbrev=False,
+        description="Train-track coordinates, torsion invariants, and lifting obstructions.")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="root of all randomness; every trial reseeds from it (default 0)")
+    parser.add_argument("--group", default="cylinder",
+                        help="coefficient group: real, circle, cylinder, zd:<n> (default cylinder)")
+    parser.add_argument("--d", type=int, default=3,
+                        help="coordinate depth, the matrix size downstream (default 3)")
+    parser.add_argument("--tolerance", type=float,
+                        help=f"comparison tolerance, finite and >= 0 (default {al.DEFAULT_TOL:g})")
+    parser.add_argument("--json", action="store_true", help="print a machine-readable report")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, args) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        for flags, kwargs in args:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=run)
+    return parser
+
+
+def main(argv=None) -> NoReturn:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and exit with
+    its code; the single place where an input error becomes exit 2."""
+    args = vars(_parser().parse_args(argv))
+    run, tolerance = args.pop("run"), args.pop("tolerance")
+    tol = al.DEFAULT_TOL if tolerance is None else tolerance
+    cfg = {key: args.pop(key) for key in ("seed", "group", "d", "json")}
+    try:
+        cfg.update(tol=io.tolerance(tol), member_tol=max(tol, al.MEMBER_TOL),
+                   tol_explicit=tolerance is not None)
+        run(cfg, **args)
+    except io.InputError as err:
+        print(f"input error: {err}", file=sys.stderr)
+        sys.exit(2)
+
+
+@command(arg("path"))
 def validate(cfg, path):
     """Check a track file: slot pairing, cell shapes, genus, connectivity."""
     from . import traintrack as tt
@@ -170,10 +191,8 @@ def validate(cfg, path):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command("gen-fixture")
-@click.option("--genus", type=int, default=2, show_default=True)
-@click.option("--out", type=click.Path(), required=True)
-@click.pass_obj
+@command(arg("--genus", type=int, default=2, help="surface genus, >= 2 (default 2)"),
+         OUT, name="gen-fixture")
 def gen_fixture(cfg, genus, out):
     """Search for a valid genus-g track and write it as JSON."""
     if genus < 2:
@@ -195,10 +214,7 @@ def gen_fixture(cfg, genus, out):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.option("--out", type=click.Path(), required=True)
-@click.pass_obj
+@command(arg("path"), OUT)
 def tree(cfg, path, out):
     """Choose a seeded oriented maximal tree and write track+tree JSON."""
     from . import traintrack as tt
@@ -216,9 +232,7 @@ def tree(cfg, path, out):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command()
-@click.argument("path", type=click.Path())
-@click.pass_obj
+@command(arg("path"))
 def classify(cfg, path):
     """Report the rectangle census of an oriented tree."""
     from . import traintrack as tt
@@ -243,13 +257,10 @@ def classify(cfg, path):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command("sample-y")
-@click.argument("path", type=click.Path())
-@click.option("--count", type=int, default=1, show_default=True)
-@click.option("--torsion", "torsion_k", type=int, default=None,
-              help="Torsion residue k; random per sample when omitted.")
-@click.option("--out", type=click.Path(), required=True)
-@click.pass_obj
+@command(arg("path"), arg("--count", type=int, default=1, help="points to draw (default 1)"),
+         arg("--torsion", dest="torsion_k", type=int, metavar="K",
+             help="torsion residue k; random per sample when omitted"),
+         OUT, name="sample-y")
 def sample_y(cfg, path, count, torsion_k, out):
     """Draw member points with prescribed torsion and write them to a file."""
     d, kind = io.depth(cfg["d"]), io.group_kind(cfg["group"])
@@ -314,10 +325,7 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
     return otree, c
 
 
-@main.command()
-@click.argument("track_path", type=click.Path())
-@click.argument("coords_path", type=click.Path())
-@click.pass_obj
+@command(arg("track_path"), arg("coords_path"))
 def torsion(cfg, track_path, coords_path):
     """Print the torsion invariant and its residue for a member point."""
     from . import cocyclic as cc
@@ -335,10 +343,7 @@ def torsion(cfg, track_path, coords_path):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command()
-@click.argument("track_path", type=click.Path())
-@click.argument("coords_path", type=click.Path())
-@click.pass_obj
+@command(arg("track_path"), arg("coords_path"))
 def corfinal(cfg, track_path, coords_path):
     """Compare the boundary-product ledger with its closed form and tor'."""
     from . import cocyclic as cc
@@ -364,13 +369,11 @@ def corfinal(cfg, track_path, coords_path):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command()
-@click.argument("rep_path", type=click.Path(), required=False)
-@click.option("--clock-shift", "use_clock", is_flag=True,
-              help="Use the built-in clock-and-shift representation.")
-@click.option("--identity", "use_identity", is_flag=True,
-              help="Use the identity representation.")
-@click.pass_obj
+@command(arg("rep_path", nargs="?"),
+         arg("--clock-shift", dest="use_clock", action="store_true",
+             help="use the built-in clock-and-shift representation"),
+         arg("--identity", dest="use_identity", action="store_true",
+             help="use the identity representation"))
 def ob(cfg, rep_path, use_clock, use_identity):
     """Evaluate the lifting obstruction of a relator product."""
     picked = sum((rep_path is not None, use_clock, use_identity))
@@ -398,13 +401,11 @@ def ob(cfg, rep_path, use_clock, use_identity):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command()
-@click.argument("matrices_path", type=click.Path())
-@click.option("--which", type=click.Choice(["triple", "double"]), default="triple",
-              show_default=True)
-@click.option("--index", "index_str", default=None,
-              help="Comma-separated index; triples sum to d, pairs sum to d.")
-@click.pass_obj
+@command(arg("matrices_path"),
+         arg("--which", choices=("triple", "double"), default="triple",
+             help="the invariant (default triple)"),
+         arg("--index", dest="index_str",
+             help="comma-separated index; triples sum to d, pairs sum to d"))
 def flags(cfg, matrices_path, which, index_str):
     """Print a flag invariant (triple or double ratio) and its log."""
     from . import flags as fl
@@ -446,8 +447,7 @@ def flags(cfg, matrices_path, which, index_str):
     sys.exit(report.finish(cfg["json"]))
 
 
-@main.command()
-@click.pass_obj
+@command()
 def selftest(cfg):
     """Run a fast end-to-end battery across every module."""
     from . import cocyclic as cc

@@ -21,7 +21,6 @@ alone.  Every recorded row is evaluated on lanes (`al.evaluate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
@@ -48,16 +47,15 @@ class InversePlanError(ValueError):
     """A recorded inverse whose output breaks a rotation relation."""
 
 
-@dataclass
 class CocyclicCoords:
-    d: int
-    kind: str
-    v: Dict[int, GA]
-    z: Dict[int, Dict[TripleIndex, GroupElement]]
+    """A point as plain data: an A-indexed vector per free rectangle, a B-indexed one per switch."""
+
+    def __init__(self, d: int, kind: str, v: Dict[int, GA],
+                 z: Dict[int, Dict[TripleIndex, GroupElement]]):
+        self.d, self.kind, self.v, self.z = d, kind, v, z
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """A point checked to be a member of the chart of ``tree`` at ``tol``.
 
     ``vals`` holds its slots in the order of `chart`, and ``lanes`` their lanes for
@@ -75,12 +73,13 @@ class Member:
     vals: Tuple[GroupElement, ...]
     lanes: tuple
 
+    __setattr__ = __delattr__ = al.frozen_attribute
+
 
 Coords = Union[CocyclicCoords, Member]
 Terms = List[Tuple[int, GroupElement]]  # (n, x) stands for n * x, summed by `al.combine`
 
 
-@dataclass(frozen=True)
 class Anchors:
     """The anchor plaque, the anchor rectangle and each plaque's representative switch.
 
@@ -88,15 +87,19 @@ class Anchors:
     value and can key the recorded inverse (`inverse_plan`).
     """
 
-    t_bar: int
-    r_bar: int
-    reps: Mapping[int, int]
+    __setattr__ = __delattr__ = al.frozen_attribute
 
-    def __post_init__(self):
-        object.__setattr__(self, "reps", MappingProxyType(dict(self.reps)))
+    def __init__(self, t_bar: int, r_bar: int, reps: Mapping[int, int]):
+        vars(self).update(t_bar=t_bar, r_bar=r_bar, reps=MappingProxyType(dict(reps)))
+
+    def _key(self):
+        return self.t_bar, self.r_bar, frozenset(self.reps.items())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is Anchors else NotImplemented
 
     def __hash__(self):
-        return hash((self.t_bar, self.r_bar, frozenset(self.reps.items())))
+        return hash(self._key())
 
 
 def ensure_right_unorientable(tree: OrientedTree) -> OrientedTree:
@@ -349,19 +352,16 @@ def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
 # -- parametrization -----------------------------------------------------------
 
 
-@dataclass
 class FreeCoords:
-    d: int
-    kind: str
-    v_other: Dict[int, GA]
-    v_anchor: Dict[PairIndex, GroupElement]
-    z_other: Dict[int, Dict[TripleIndex, GroupElement]]
-    z_anchor: Dict[TripleIndex, GroupElement]
+    """The unconstrained slots of a point: those of the free rectangles and the
+    anchor rectangle, and those of each plaque's representative and the anchor plaque."""
 
-
-# `FreeLayout` and `InversePlan` are named tuples, not frozen dataclasses:
-# every CLI process builds its classes at import, and a frozen dataclass
-# costs about 1 ms to build.
+    def __init__(self, d: int, kind: str, v_other: Dict[int, GA],
+                 v_anchor: Dict[PairIndex, GroupElement],
+                 z_other: Dict[int, Dict[TripleIndex, GroupElement]],
+                 z_anchor: Dict[TripleIndex, GroupElement]):
+        self.d, self.kind, self.v_other, self.v_anchor = d, kind, v_other, v_anchor
+        self.z_other, self.z_anchor = z_other, z_anchor
 
 
 class FreeLayout(NamedTuple):

@@ -13,8 +13,7 @@ vertex labeling, which also flips the sign of the stored value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement
@@ -68,11 +67,10 @@ def ga_random(kind: str, d: int, rng) -> GA:
     return tuple(al.random_element(kind, rng) for _ in range(d - 1))
 
 
-@dataclass
 class _Chain:
-    kind: str
-    d: int
-    coeffs: Dict[Tuple[int, int], GA] = field(default_factory=dict)
+    def __init__(self, kind: str, d: int, coeffs: Optional[Dict[Tuple[int, int], GA]] = None):
+        self.kind, self.d = kind, d
+        self.coeffs = {} if coeffs is None else coeffs
 
     def get(self, key: Tuple[int, int]) -> GA:
         return self.coeffs.get(key, ga_zero(self.kind, self.d))

@@ -14,8 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,22 +50,22 @@ class OctagonPrecisionError(ValueError):
     """The octagon builder cannot reach the requested depth in double precision."""
 
 
-@dataclass(frozen=True)
 class RelatorWord:
     """Cyclic word of signed generators; each generator occurs twice, once
-    inverted."""
+    inverted.  Read-only."""
 
-    symbols: Tuple[Tuple[str, int], ...]
+    __setattr__ = __delattr__ = al.frozen_attribute
 
-    def __post_init__(self):
+    def __init__(self, symbols: Tuple[Tuple[str, int], ...]):
         seen: Dict[str, List[int]] = {}
-        for name, exp in self.symbols:
+        for name, exp in symbols:
             if exp not in (1, -1):
                 raise ValueError(f"exponent must be +-1, got {exp}")
             seen.setdefault(name, []).append(exp)
         for name, exps in seen.items():
             if sorted(exps) != [-1, 1]:
                 raise ValueError(f"generator {name} must occur exactly twice, once inverted")
+        vars(self).update(symbols=symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -112,8 +111,7 @@ def unit_determinant(m: np.ndarray) -> np.ndarray:
     return m / det ** (1.0 / d)
 
 
-@dataclass(frozen=True)
-class LiftedRep:
+class LiftedRep(NamedTuple):
     """One unit-determinant lift per generator; inverted occurrences use the
     matrix inverse, so paired positions agree by construction."""
 
@@ -154,8 +152,7 @@ def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
     return LiftedRep(relator=relator, d=d, matrices=mats)
 
 
-@dataclass(frozen=True)
-class ObValue:
+class ObValue(NamedTuple):
     torsion: al.TorsionValue
     residue: int
     residual: float

@@ -20,8 +20,7 @@ roots folded away, give `ledger_row`: pi*i times an int plus an `al.Row` over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, TripleIndex, to_cylinder
@@ -36,8 +35,7 @@ def _sign_log(k: int) -> GroupElement:
     return al.cylinder(0.0, math.pi * k)
 
 
-@dataclass(frozen=True)
-class PlaqueRoot:
+class PlaqueRoot(NamedTuple):
     """A chosen third of every plaque's full triple-index sum.
 
     ``values[p]`` is r(p) with 3 r(p) equal to the sum of the plaque's
@@ -66,8 +64,7 @@ def plaque_roots(track: TrainTrack, c: Coords,
     return PlaqueRoot(values=values, branches=chosen)
 
 
-@dataclass(frozen=True)
-class LogRow:
+class LogRow(NamedTuple):
     """An integer-linear form in a point's slots, valued in the cylinder group.
 
     Its value is ``pi`` times pi*i, plus n times the cube root of plaque p for
@@ -135,8 +132,7 @@ def rectangle_pair_log(m: int, rid: int, klass: str, c: Coords) -> GroupElement:
     return _evaluate(row, c, None)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     n: int
     kind: str  # "leaf" | "switch" | "rectangle"
     payload: str
@@ -147,8 +143,7 @@ class LedgerEntry:
         return f"step {self.n} {self.kind} {self.payload} {tail}"
 
 
-@dataclass(frozen=True)
-class SlitherLedger:
+class SlitherLedger(NamedTuple):
     d: int
     m: int
     entries: Tuple[LedgerEntry, ...]

@@ -15,9 +15,10 @@ small port.  All boundary walks keep the surface on the left.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from .algebra import frozen_attribute
 
 BIG = "big"
 SMALL_FIRST = "small_first"
@@ -38,6 +39,12 @@ class TrackError(ValueError):
 
 class PortCollision(TrackError):
     code = "port_collision"
+
+
+class UnusedSlot(TrackError):
+    """A switch slot that no rectangle end plugs into."""
+
+    code = "unused_slot"
 
 
 class CellShapeError(TrackError):
@@ -64,8 +71,7 @@ def is_big(port: str) -> bool:
     return port == BIG
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     id: int
     end0: Slot
     end1: Slot
@@ -78,8 +84,7 @@ class Rect:
         return (self.end0, self.end1)
 
 
-@dataclass(frozen=True)
-class Plaque:
+class Plaque(NamedTuple):
     """Trigon cell; switches stored counterclockwise along its boundary."""
 
     id: int
@@ -96,8 +101,7 @@ class Plaque:
         return self.switches_ccw[(self.position(t) + 1) % 3]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     genus: int
     n_switches: int
@@ -162,7 +166,7 @@ class TrainTrack:
         for s in self.switch_ids:
             for p in PORTS:
                 if (s, p) not in m:
-                    raise PortCollision(f"slot {(s, p)} is unused")
+                    raise UnusedSlot(f"slot {(s, p)} is unused")
         self._slot_map = m
         return m
 
@@ -454,13 +458,15 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
 # -- oriented spanning trees -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OrientedTree:
-    track: TrainTrack
-    edges: FrozenSet[int]
-    root: int
-    root_bit: int
-    orientation: Mapping[int, int]  # switch -> 0 canonical / 1 reversed
+    """A maximal tree with its tie orientations; read-only, with per-tree caches."""
+
+    __setattr__ = __delattr__ = frozen_attribute
+
+    def __init__(self, track: TrainTrack, edges: FrozenSet[int], root: int, root_bit: int,
+                 orientation: Mapping[int, int]):  # switch -> 0 canonical / 1 reversed
+        vars(self).update(track=track, edges=edges, root=root, root_bit=root_bit,
+                          orientation=orientation)
 
     def bit(self, s: int) -> int:
         return self.orientation[s]
@@ -582,8 +588,7 @@ def subtree(track: TrainTrack, switches: Iterable[int], edges: Iterable[int],
     return OrientedTree(track, edge_set, root, root_bit, o)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     orientable: FrozenSet[int]
     u_left: FrozenSet[int]
     u_right: FrozenSet[int]
@@ -646,7 +651,6 @@ def _classify(tree: OrientedTree) -> Classification:
     )
 
 
-@dataclass(frozen=True)
 class CoverLifts:
     """Chosen lifts in the orientation double cover.
 
@@ -657,8 +661,10 @@ class CoverLifts:
     agreeing with the tree orientation at end0.
     """
 
-    tree: OrientedTree
-    r_bit: Mapping[int, int]
+    __setattr__ = __delattr__ = frozen_attribute
+
+    def __init__(self, tree: OrientedTree, r_bit: Mapping[int, int]):
+        vars(self).update(tree=tree, r_bit=r_bit)
 
     @cached_property
     def _solver_plans(self) -> Dict[Tuple[int, str], object]:
@@ -702,8 +708,7 @@ def orientation_cover(tree: OrientedTree) -> CoverLifts:
 # -- boundary walk -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     type: str  # "leaf" | "switch" | "rectangle"
     switch: Optional[int] = None
     side: Optional[str] = None

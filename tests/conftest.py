@@ -1,6 +1,60 @@
+import contextlib
+import gc
+import io
+
 import pytest
 
 from switchyard import cocyclic as cc
+from switchyard.cli import main
+
+
+class CliResult:
+    """What one in-process CLI run left: its exit code, what it wrote to stdout
+    (``stdout``), to stderr (``stderr``) and to both in order (``output``), and
+    the exception it ended with (None on exit 0)."""
+
+    def __init__(self, exit_code, stdout, stderr, output, exception):
+        self.exit_code, self.exception = exit_code, exception
+        self.stdout, self.stderr, self.output = stdout, stderr, output
+
+
+class _Both:
+    """A text stream that writes to its own buffer and to a shared one."""
+
+    def __init__(self, own, shared):
+        self.own, self.shared = own, shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return self.own.write(text)
+
+    def flush(self):
+        pass
+
+
+def _run_cli(argv):
+    """Run ``main(argv)`` with stdout and stderr captured; a `SystemExit` gives the
+    exit code, any other exception exit code 1."""
+    out, err, both = io.StringIO(), io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    try:
+        with contextlib.redirect_stdout(_Both(out, both)), \
+                contextlib.redirect_stderr(_Both(err, both)):
+            main(argv)
+    except SystemExit as done:
+        code = done.code or 0
+        exception = done if code else None
+    except Exception as exc:
+        code, exception = 1, exc
+    finally:
+        gc.unfreeze()  # each report freezes the heap; the test process keeps nothing frozen
+    return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
+@pytest.fixture(scope="session")
+def run_cli():
+    """The in-process CLI: ``run_cli(argv)`` returns a `CliResult`."""
+    return _run_cli
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchyard
 from switchyard import algebra as al
@@ -15,57 +16,50 @@ from switchyard import cocyclic as cc
 from switchyard import obstruction as obs
 from switchyard import io
 from switchyard import traintrack as tt
-from switchyard.cli import main
 
 TRACK_G2 = str(Path(__file__).parent / "data" / "track_g2_s1.json")  # no stored tree
 TRACK_G3 = str(Path(__file__).parent / "data" / "track_g3_s2.json")  # no stored tree
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
+def workdir(tmp_path_factory, run_cli):
     base = tmp_path_factory.mktemp("cli")
-    runner = CliRunner()
-    r = runner.invoke(main, ["--seed", "5", "gen-fixture", "--genus", "2",
-                             "--out", str(base / "track.json")])
+    r = run_cli(["--seed", "5", "gen-fixture", "--genus", "2",
+                 "--out", str(base / "track.json")])
     assert r.exit_code == 0, r.output
-    r = runner.invoke(main, ["--seed", "5", "tree", str(base / "track.json"),
-                             "--out", str(base / "tree.json")])
+    r = run_cli(["--seed", "5", "tree", str(base / "track.json"),
+                 "--out", str(base / "tree.json")])
     assert r.exit_code == 0, r.output
-    r = runner.invoke(main, ["--seed", "5", "--d", "3", "sample-y", str(base / "tree.json"),
-                             "--count", "2", "--torsion", "1", "--out", str(base / "pts.json")])
+    r = run_cli(["--seed", "5", "--d", "3", "sample-y", str(base / "tree.json"),
+                 "--count", "2", "--torsion", "1", "--out", str(base / "pts.json")])
     assert r.exit_code == 0, r.output
     return base
 
 
 class TestValidate:
-    def test_valid_fixture_exits_zero(self, runner, workdir):
-        r = runner.invoke(main, ["validate", str(workdir / "track.json")])
+    def test_valid_fixture_exits_zero(self, run_cli, workdir):
+        r = run_cli(["validate", str(workdir / "track.json")])
         assert r.exit_code == 0
         assert "check structure: pass" in r.output
         assert "switches: 12" in r.output
 
-    def test_malformed_json_exits_two_with_location(self, runner, tmp_path):
+    def test_malformed_json_exits_two_with_location(self, run_cli, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"genus": 2, "switches": [')
-        r = runner.invoke(main, ["validate", str(bad)])
+        r = run_cli(["validate", str(bad)])
         assert r.exit_code == 2
         assert "line 1" in r.stderr
 
-    def test_missing_file_exits_two(self, runner, tmp_path):
-        r = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
+    def test_missing_file_exits_two(self, run_cli, tmp_path):
+        r = run_cli(["validate", str(tmp_path / "nope.json")])
         assert r.exit_code == 2
 
-    def test_genus_mismatch_exits_one(self, runner, workdir, tmp_path):
+    def test_genus_mismatch_exits_one(self, run_cli, workdir, tmp_path):
         doc = json.loads((workdir / "track.json").read_text())
         doc["genus"] = 3
         bad = tmp_path / "wrong_genus.json"
         bad.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["validate", str(bad)])
+        r = run_cli(["validate", str(bad)])
         assert r.exit_code == 1
         assert "check structure: FAIL" in r.output
 
@@ -90,7 +84,7 @@ class TestMalformedTrack:
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @pytest.mark.parametrize("command", ["validate", "tree", "sample-y", "torsion", "corfinal"])
-    def test_exit_code_without_traceback(self, runner, workdir, tmp_path, mutation, command):
+    def test_exit_code_without_traceback(self, run_cli, workdir, tmp_path, mutation, command):
         doc = _mutate_track(json.loads((workdir / "track.json").read_text()), mutation)
         bad = tmp_path / "mutated.json"
         bad.write_text(json.dumps(doc))
@@ -102,7 +96,7 @@ class TestMalformedTrack:
             "torsion": ["torsion", str(bad), str(workdir / "pts.json")],
             "corfinal": ["corfinal", str(bad), str(workdir / "pts.json")],
         }[command]
-        r = runner.invoke(main, args)
+        r = run_cli(args)
         assert isinstance(r.exception, SystemExit), r.exception
         if command == "validate" and mutation != "non-integer genus":
             assert r.exit_code == 1
@@ -112,7 +106,7 @@ class TestMalformedTrack:
             assert r.stderr.startswith("input error:")
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
-    def test_validate_tree_file_like_track_file(self, runner, workdir, tmp_path, mutation):
+    def test_validate_tree_file_like_track_file(self, run_cli, workdir, tmp_path, mutation):
         """The stored tree is built only on a valid track, so it cannot turn a
         structural defect into an input error."""
         codes = []
@@ -120,7 +114,7 @@ class TestMalformedTrack:
             bad = tmp_path / name
             bad.write_text(json.dumps(_mutate_track(json.loads((workdir / name).read_text()),
                                                     mutation)))
-            r = runner.invoke(main, ["validate", str(bad)])
+            r = run_cli(["validate", str(bad)])
             assert isinstance(r.exception, SystemExit), r.exception
             codes.append(r.exit_code)
         assert codes[0] == codes[1] == (2 if mutation == "non-integer genus" else 1)
@@ -187,14 +181,14 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_two(runner, workdir, tmp_path, case):
+def test_malformed_input_exits_two(run_cli, workdir, tmp_path, case):
     """Each document here gave a traceback, a math-failure exit or a silent
     exit 0 before the decoders checked types, ranges and slot keys."""
     args, build = MALFORMED[case]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(build(workdir)))
     subst = {"BAD": str(bad), "TREE": str(workdir / "tree.json")}
-    r = runner.invoke(main, [subst.get(a, a) for a in args])
+    r = run_cli([subst.get(a, a) for a in args])
     assert isinstance(r.exception, SystemExit), r.exception
     assert r.exit_code == 2, r.output
     assert r.stderr.startswith("input error:")
@@ -202,47 +196,101 @@ def test_malformed_input_exits_two(runner, workdir, tmp_path, case):
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("args", [["torsion", "TREE", "PTS"], ["ob", "--clock-shift"]])
-def test_tolerance_outside_range_exits_two(runner, workdir, tolerance, args):
+def test_tolerance_outside_range_exits_two(run_cli, workdir, tolerance, args):
     """nan failed every check, -1 failed valid input and inf passed anything."""
     subst = {"PTS": str(workdir / "pts.json"), "TREE": str(workdir / "tree.json")}
-    r = runner.invoke(main, ["--tolerance", tolerance, *[subst.get(a, a) for a in args]])
+    r = run_cli(["--tolerance", tolerance, *[subst.get(a, a) for a in args]])
     assert isinstance(r.exception, SystemExit), r.exception
     assert r.exit_code == 2, r.output
     assert r.stderr.startswith("input error: tolerance")
 
 
+# global options, valid and not: abbreviations and unknown names are usage errors
+GLOBALS = [["--seed", "3"], ["--seed", "-2"], ["--seed", "x"], ["--seed"], ["--d", "2"],
+           ["--d", "4"], ["--d", "1"], ["--d", "65"], ["--d", "x"], ["--group", "zd:12"],
+           ["--group", "real"], ["--group", "quaternion"], ["--tolerance", "1e-6"],
+           ["--tolerance", "-1"], ["--tolerance", "nan"], ["--json"], ["--se", "1"],
+           ["--tol", "1e-3"], ["--bogus"]]
+# per command: argument lists with good, bad, missing, extra and abbreviated entries
+COMMAND_ARGS = {
+    "validate": [["TRACK"], ["TREE"], [], ["TRACK", "TREE"], ["NOPE"]],
+    "gen-fixture": [["--genus", "2", "--out", "OUT"], ["--genus", "1", "--out", "OUT"],
+                    ["--genus", "x", "--out", "OUT"], ["--gen", "2", "--out", "OUT"],
+                    ["--genus", "2"]],
+    "tree": [["TRACK", "--out", "OUT"], ["TRACK"], ["--out", "OUT"]],
+    "classify": [["TREE"], ["TRACK"], []],
+    "sample-y": [["TREE", "--out", "OUT"], ["TREE", "--count", "2", "--torsion", "1",
+                                              "--out", "OUT"],
+                 ["TREE", "--count", "-1", "--out", "OUT"],
+                 ["TREE", "--torsion", "9", "--out", "OUT"], ["TREE", "--cou", "2", "--out", "OUT"],
+                 ["TREE"]],
+    "torsion": [["TREE", "PTS"], ["TRACK", "PTS"], ["TREE"], ["TREE", "PTS", "--json"]],
+    "corfinal": [["TREE", "PTS"], ["TRACK", "PTS"], ["PTS", "TREE"], []],
+    "ob": [["--clock-shift"], ["--identity"], [], ["--clock-shift", "--identity"], ["--clock"],
+           ["MATS"]],
+    "flags": [["MATS"], ["MATS", "--which", "double"], ["MATS", "--which", "quad"],
+              ["MATS", "--index", "1,1,1"], ["MATS", "--ind", "1,1,1"], []],
+    "selftest": [[], ["--seed", "1"]],
+    "nosuch": [[]],
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_argv_keeps_exit_code_contract(run_cli, workdir, tmp_path_factory, data):
+    """Any command line exits 0, 1 or 2 without a traceback, and a usage or
+    input error prints nothing on stdout."""
+    mats = workdir / "argv_mats.json"
+    mats.write_text(json.dumps(_matrices(3, 3, 3)))
+    subst = {"TRACK": str(workdir / "track.json"), "TREE": str(workdir / "tree.json"),
+             "PTS": str(workdir / "pts.json"), "MATS": str(mats),
+             "NOPE": str(workdir / "nope.json"),
+             "OUT": str(tmp_path_factory.mktemp("argv") / "out.json")}
+    argv = [a for opt in data.draw(st.lists(st.sampled_from(GLOBALS), max_size=2)) for a in opt]
+    name = data.draw(st.sampled_from(sorted(COMMAND_ARGS) + [None]), label="command")
+    if name is not None:
+        argv += [name, *data.draw(st.sampled_from(COMMAND_ARGS[name]), label="args")]
+    r = run_cli([subst.get(a, a) for a in argv])
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code in (0, 1, 2)
+    assert "Traceback" not in r.output
+    if r.exit_code == 2:
+        assert r.stdout == ""
+        assert r.stderr.startswith(("usage: switchyard", "input error:")), r.stderr
+
+
 class TestOneCheckPerPoint:
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
-    def test_command_checks_its_point_once(self, runner, workdir, tmp_path, member_checks,
+    def test_command_checks_its_point_once(self, run_cli, workdir, tmp_path, member_checks,
                                            command):
         doc = _read(workdir, "pts.json")
         doc["points"], doc["count"] = doc["points"][:1], 1
         one = tmp_path / "one.json"
         one.write_text(json.dumps(doc))
-        r = runner.invoke(main, [command, str(workdir / "tree.json"), str(one)])
+        r = run_cli([command, str(workdir / "tree.json"), str(one)])
         assert r.exit_code == 0, r.output
         assert len(member_checks) == 1
 
-    def test_sample_y_checks_each_point_once(self, runner, workdir, tmp_path, member_checks):
-        r = runner.invoke(main, ["--seed", "5", "--d", "4", "sample-y", str(workdir / "tree.json"),
-                                 "--count", "3", "--out", str(tmp_path / "pts.json")])
+    def test_sample_y_checks_each_point_once(self, run_cli, workdir, tmp_path, member_checks):
+        r = run_cli(["--seed", "5", "--d", "4", "sample-y", str(workdir / "tree.json"),
+                     "--count", "3", "--out", str(tmp_path / "pts.json")])
         assert r.exit_code == 0, r.output
         assert len(member_checks) == 3
 
 
 class TestFixtureAndTree:
-    def test_gen_fixture_rejects_small_genus(self, runner, tmp_path):
-        r = runner.invoke(main, ["gen-fixture", "--genus", "1",
-                                 "--out", str(tmp_path / "x.json")])
+    def test_gen_fixture_rejects_small_genus(self, run_cli, tmp_path):
+        r = run_cli(["gen-fixture", "--genus", "1",
+                     "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2
 
-    def test_tree_reports_edge_count(self, runner, workdir):
-        r = runner.invoke(main, ["validate", str(workdir / "tree.json")])
+    def test_tree_reports_edge_count(self, run_cli, workdir):
+        r = run_cli(["validate", str(workdir / "tree.json")])
         assert r.exit_code == 0
         assert "tree edges: 11" in r.output
 
-    def test_classify_counts(self, runner, workdir):
-        r = runner.invoke(main, ["--json", "classify", str(workdir / "tree.json")])
+    def test_classify_counts(self, run_cli, workdir):
+        r = run_cli(["--json", "classify", str(workdir / "tree.json")])
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert all(c["pass"] for c in doc["checks"])
@@ -250,35 +298,35 @@ class TestFixtureAndTree:
         free = vals["orientable"] + vals["u_left"] + vals["u_right"]
         assert free == 7
 
-    def test_classify_needs_tree(self, runner, workdir):
-        r = runner.invoke(main, ["classify", str(workdir / "track.json")])
+    def test_classify_needs_tree(self, run_cli, workdir):
+        r = run_cli(["classify", str(workdir / "track.json")])
         assert r.exit_code == 2
 
 
 class TestSampleAndTorsion:
-    def test_count_zero_writes_empty_file(self, runner, workdir, tmp_path):
+    def test_count_zero_writes_empty_file(self, run_cli, workdir, tmp_path):
         out = tmp_path / "empty.json"
-        r = runner.invoke(main, ["sample-y", str(workdir / "tree.json"),
-                                 "--count", "0", "--out", str(out)])
+        r = run_cli(["sample-y", str(workdir / "tree.json"),
+                     "--count", "0", "--out", str(out)])
         assert r.exit_code == 0
         assert json.loads(out.read_text())["points"] == []
 
-    def test_bad_torsion_residue_rejected(self, runner, workdir, tmp_path):
-        r = runner.invoke(main, ["--d", "3", "sample-y", str(workdir / "tree.json"),
-                                 "--torsion", "3", "--out", str(tmp_path / "x.json")])
+    def test_bad_torsion_residue_rejected(self, run_cli, workdir, tmp_path):
+        r = run_cli(["--d", "3", "sample-y", str(workdir / "tree.json"),
+                     "--torsion", "3", "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2
 
-    def test_bad_group_rejected(self, runner, workdir, tmp_path):
-        r = runner.invoke(main, ["--group", "quaternion", "sample-y",
-                                 str(workdir / "tree.json"),
-                                 "--out", str(tmp_path / "x.json")])
+    def test_bad_group_rejected(self, run_cli, workdir, tmp_path):
+        r = run_cli(["--group", "quaternion", "sample-y",
+                     str(workdir / "tree.json"),
+                     "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2
 
-    def test_bad_cyclic_modulus_rejected(self, runner, workdir, tmp_path):
+    def test_bad_cyclic_modulus_rejected(self, run_cli, workdir, tmp_path):
         for tag in ("zd:abc", "zd:+3", "zd: 3", "zd:03", "zd:\u0663"):
-            r = runner.invoke(main, ["--group", tag, "sample-y",
-                                     str(workdir / "tree.json"),
-                                     "--out", str(tmp_path / "x.json")])
+            r = run_cli(["--group", tag, "sample-y",
+                         str(workdir / "tree.json"),
+                         "--out", str(tmp_path / "x.json")])
             assert r.exit_code == 2, tag
             assert isinstance(r.exception, SystemExit)
             assert r.stderr.startswith("input error:")
@@ -286,16 +334,16 @@ class TestSampleAndTorsion:
     @pytest.mark.parametrize("args", [["sample-y", "TREE", "--out", "OUT"],
                                       ["ob", "--clock-shift"], ["ob", "--identity"]])
     @pytest.mark.parametrize("d", ["1", "65"])
-    def test_d_outside_range_rejected(self, runner, workdir, tmp_path, args, d):
+    def test_d_outside_range_rejected(self, run_cli, workdir, tmp_path, args, d):
         subst = {"TREE": str(workdir / "tree.json"), "OUT": str(tmp_path / "x.json")}
-        r = runner.invoke(main, ["--d", d, *(subst.get(a, a) for a in args)])
+        r = run_cli(["--d", d, *(subst.get(a, a) for a in args)])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
         assert r.stderr == f"input error: d {d} outside 2..64\n"
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
     @pytest.mark.parametrize("shift,tolerance", [(5e-8, None), (1e-5, "1e-4")])
-    def test_near_tolerance_point_fails_cleanly(self, runner, workdir, tmp_path,
+    def test_near_tolerance_point_fails_cleanly(self, run_cli, workdir, tmp_path,
                                                 command, shift, tolerance):
         """A point inside the CLI's membership tolerance but off the exact chart
         is reported, never a traceback."""
@@ -307,12 +355,12 @@ class TestSampleAndTorsion:
         bad = tmp_path / "near.json"
         bad.write_text(json.dumps(coords))
         opts = [] if tolerance is None else ["--tolerance", tolerance]
-        r = runner.invoke(main, [*opts, command, str(workdir / "tree.json"), str(bad)])
+        r = run_cli([*opts, command, str(workdir / "tree.json"), str(bad)])
         assert isinstance(r.exception, SystemExit), repr(r.exception)
         assert r.exit_code in (0, 1)
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
-    def test_huge_finite_point_fails_cleanly(self, runner, workdir, tmp_path, command):
+    def test_huge_finite_point_fails_cleanly(self, run_cli, workdir, tmp_path, command):
         """Finite values that the decoder accepts but whose sums overflow a float
         fail the membership check, never raise out of the command."""
         doc = json.loads((workdir / "pts.json").read_text())
@@ -321,44 +369,44 @@ class TestSampleAndTorsion:
                 value[0] = 1e308
         big = tmp_path / "big.json"
         big.write_text(json.dumps(doc))
-        r = runner.invoke(main, [command, str(workdir / "tree.json"), str(big)])
+        r = run_cli([command, str(workdir / "tree.json"), str(big)])
         assert isinstance(r.exception, SystemExit), repr(r.exception)
         assert r.exit_code == 1
         assert "check membership: FAIL" in r.output
         assert "error: balance equation overflows at pair index" in r.output
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
-    def test_coords_missing_switch_exits_two(self, runner, workdir, tmp_path, command):
+    def test_coords_missing_switch_exits_two(self, run_cli, workdir, tmp_path, command):
         doc = json.loads((workdir / "pts.json").read_text())
         del doc["points"][0]["coords"]["z"]["0"]
         bad = tmp_path / "missing_switch.json"
         bad.write_text(json.dumps(doc))
-        r = runner.invoke(main, [command, str(workdir / "tree.json"), str(bad)])
+        r = run_cli([command, str(workdir / "tree.json"), str(bad)])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
         assert r.stderr.startswith("input error:")
         assert "missing [0]" in r.stderr
 
-    def test_coords_missing_triple_index_exits_two(self, runner, workdir, tmp_path):
+    def test_coords_missing_triple_index_exits_two(self, run_cli, workdir, tmp_path):
         doc = json.loads((workdir / "pts.json").read_text())
         slots = doc["points"][0]["coords"]["z"]["0"]
         del slots[next(iter(slots))]
         bad = tmp_path / "missing_triple.json"
         bad.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["torsion", str(workdir / "tree.json"), str(bad)])
+        r = run_cli(["torsion", str(workdir / "tree.json"), str(bad)])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
         assert "switch 0 does not carry" in r.stderr
 
-    def test_torsion_residue_matches_request(self, runner, workdir):
-        r = runner.invoke(main, ["--json", "torsion", str(workdir / "tree.json"),
-                                 str(workdir / "pts.json")])
+    def test_torsion_residue_matches_request(self, run_cli, workdir):
+        r = run_cli(["--json", "torsion", str(workdir / "tree.json"),
+                     str(workdir / "pts.json")])
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["values"]["residue"] == 1
         assert all(c["pass"] for c in doc["checks"])
 
-    def test_non_member_exits_one(self, runner, workdir, tmp_path):
+    def test_non_member_exits_one(self, run_cli, workdir, tmp_path):
         doc = json.loads((workdir / "pts.json").read_text())
         coords = doc["points"][0]["coords"]
         rect = next(iter(coords["v"]))
@@ -366,20 +414,20 @@ class TestSampleAndTorsion:
         coords["v"][rect][slot][0] += 0.75
         bad = tmp_path / "corrupt.json"
         bad.write_text(json.dumps(coords))
-        r = runner.invoke(main, ["torsion", str(workdir / "tree.json"), str(bad)])
+        r = run_cli(["torsion", str(workdir / "tree.json"), str(bad)])
         assert r.exit_code == 1
         assert "membership: FAIL" in r.output
 
 
 class TestCorfinal:
-    def test_sampled_point_passes(self, runner, workdir):
-        r = runner.invoke(main, ["corfinal", str(workdir / "tree.json"),
-                                 str(workdir / "pts.json")])
+    def test_sampled_point_passes(self, run_cli, workdir):
+        r = run_cli(["corfinal", str(workdir / "tree.json"),
+                     str(workdir / "pts.json")])
         assert r.exit_code == 0
         assert "ledger vs closed form: pass" in r.output
         assert "negated total vs tor_prime: pass" in r.output
 
-    def test_corrupted_point_exits_one(self, runner, workdir, tmp_path):
+    def test_corrupted_point_exits_one(self, run_cli, workdir, tmp_path):
         doc = json.loads((workdir / "pts.json").read_text())
         coords = doc["points"][0]["coords"]
         switch = next(iter(coords["z"]))
@@ -387,7 +435,7 @@ class TestCorfinal:
         coords["z"][switch][slot][0] -= 1.25
         bad = tmp_path / "corrupt2.json"
         bad.write_text(json.dumps(coords))
-        r = runner.invoke(main, ["corfinal", str(workdir / "tree.json"), str(bad)])
+        r = run_cli(["corfinal", str(workdir / "tree.json"), str(bad)])
         assert r.exit_code == 1
 
 
@@ -396,31 +444,31 @@ class TestPointsBindTree:
     the tree; --seed picks it only for a bare coords document."""
 
     @pytest.fixture(scope="class")
-    def points(self, tmp_path_factory):
+    def points(self, tmp_path_factory, run_cli):
         out = tmp_path_factory.mktemp("bind") / "pts.json"
-        r = CliRunner().invoke(main, ["--seed", "3", "--d", "3", "sample-y", TRACK_G3,
-                                      "--torsion", "1", "--out", str(out)])
+        r = run_cli(["--seed", "3", "--d", "3", "sample-y", TRACK_G3,
+                     "--torsion", "1", "--out", str(out)])
         assert r.exit_code == 0, r.output
         return out
 
-    def test_torsion_under_another_seed_reads_the_sampled_tree(self, runner, points):
-        r = runner.invoke(main, ["--json", "torsion", TRACK_G3, str(points)])
+    def test_torsion_under_another_seed_reads_the_sampled_tree(self, run_cli, points):
+        r = run_cli(["--json", "torsion", TRACK_G3, str(points)])
         assert r.exit_code == 0, r.stderr
         doc = json.loads(r.output)
         assert doc["values"]["residue"] == 1
         assert all(c["pass"] for c in doc["checks"])
 
-    def test_corfinal_under_another_seed_reads_the_sampled_tree(self, runner, points):
-        r = runner.invoke(main, ["--seed", "8", "corfinal", TRACK_G3, str(points)])
+    def test_corfinal_under_another_seed_reads_the_sampled_tree(self, run_cli, points):
+        r = run_cli(["--seed", "8", "corfinal", TRACK_G3, str(points)])
         assert r.exit_code == 0, r.stderr
         assert "FAIL" not in r.output
 
-    def test_bare_coords_use_the_command_seed(self, runner, points, tmp_path):
+    def test_bare_coords_use_the_command_seed(self, run_cli, points, tmp_path):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps(json.loads(points.read_text())["points"][0]["coords"]))
-        r = runner.invoke(main, ["--seed", "3", "torsion", TRACK_G3, str(bare)])
+        r = run_cli(["--seed", "3", "torsion", TRACK_G3, str(bare)])
         assert r.exit_code == 0, r.stderr
-        r = runner.invoke(main, ["torsion", TRACK_G3, str(bare)])
+        r = run_cli(["torsion", TRACK_G3, str(bare)])
         assert r.exit_code == 2
         assert "free rectangle ids do not match the track" in r.stderr
 
@@ -493,10 +541,13 @@ class TestParityForms:
 
 # the names of the switchyard modules a process has loaded, as Python source
 _LAYERS = "sorted(m[len('switchyard.'):] for m in sys.modules if m.startswith('switchyard.'))"
+# source asserting that the process has loaded neither click nor dataclasses
+_NO_CLICK = "\nheavy = {'click', 'dataclasses'} & set(sys.modules)\nassert not heavy, heavy"
 
 
 class TestLeanProcess:
-    """Each command imports the layers it runs; only ob, flags and selftest load numpy."""
+    """Each command imports the layers it runs; only ob, flags and selftest load numpy,
+    and no command loads click or dataclasses."""
 
     def test_chart_commands_leave_numpy_unloaded(self, tmp_path):
         # the chart commands in pipeline order, grouped with the modules loaded
@@ -517,7 +568,7 @@ class TestLeanProcess:
         code = "\n".join(
             _main_exits_zero([["--seed", "5", *argv] for argv in argvs])
             + f"\nassert {_LAYERS} == {loaded!r}, {_LAYERS}"
-            + "\nassert 'numpy' not in sys.modules, 'numpy loaded'"
+            + "\nassert 'numpy' not in sys.modules, 'numpy loaded'" + _NO_CLICK
             for argvs, loaded in groups)
         r = _run_in_fresh_process(code, tmp_path)
         assert r.returncode == 0, r.stderr
@@ -527,7 +578,7 @@ class TestLeanProcess:
                                       ["selftest"]])
     def test_matrix_command_runs_first_in_a_process(self, tmp_path, argv):
         (tmp_path / "mats.json").write_text(json.dumps(_matrices(3, 3, 3)))
-        code = _main_exits_zero([argv]) + "\nassert 'numpy' in sys.modules"
+        code = _main_exits_zero([argv]) + "\nassert 'numpy' in sys.modules" + _NO_CLICK
         if argv != ["selftest"]:  # selftest runs every layer
             chart = ["cocyclic", "homology", "slither", "traintrack"]
             code += f"\nassert not set({chart!r}) & set({_LAYERS}), {_LAYERS}"
@@ -537,28 +588,28 @@ class TestLeanProcess:
 
 
 class TestOb:
-    def test_clock_shift_builder(self, runner):
-        r = runner.invoke(main, ["--json", "--d", "5", "ob", "--clock-shift"])
+    def test_clock_shift_builder(self, run_cli):
+        r = run_cli(["--json", "--d", "5", "ob", "--clock-shift"])
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["values"]["residue"] in (1, 4)
 
-    def test_largest_d_accepted(self, runner):
-        r = runner.invoke(main, ["--d", "64", "ob", "--clock-shift"])
+    def test_largest_d_accepted(self, run_cli):
+        r = run_cli(["--d", "64", "ob", "--clock-shift"])
         assert r.exit_code == 0, r.output
 
-    def test_identity_builder(self, runner):
-        r = runner.invoke(main, ["--d", "4", "ob", "--identity"])
+    def test_identity_builder(self, run_cli):
+        r = run_cli(["--d", "4", "ob", "--identity"])
         assert r.exit_code == 0
         assert "residue: 0" in r.output
 
-    def test_rep_file_roundtrip(self, runner, tmp_path):
+    def test_rep_file_roundtrip(self, run_cli, tmp_path):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(io.rep_to_json(obs.clock_shift_rep(3))))
-        r = runner.invoke(main, ["ob", str(path)])
+        r = run_cli(["ob", str(path)])
         assert r.exit_code == 0
 
-    def test_non_scalar_product_exits_one(self, runner, tmp_path):
+    def test_non_scalar_product_exits_one(self, run_cli, tmp_path):
         rng = random.Random(3)
         rel = obs.standard_relator(2)
         mats = {n: np.eye(2, dtype=complex) for n in rel.generators()}
@@ -566,14 +617,14 @@ class TestOb:
         mats["b1"] = obs.unit_determinant(np.array([[2.0, 0.0], [1.5, 1.0]]))
         path = tmp_path / "nonscalar.json"
         path.write_text(json.dumps(io.rep_to_json(obs.LiftedRep(rel, 2, mats))))
-        r = runner.invoke(main, ["ob", str(path)])
+        r = run_cli(["ob", str(path)])
         assert r.exit_code == 1
         assert "scalar relator product: FAIL" in r.output
 
-    def test_builder_flags_are_exclusive(self, runner):
-        r = runner.invoke(main, ["ob", "--clock-shift", "--identity"])
+    def test_builder_flags_are_exclusive(self, run_cli):
+        r = run_cli(["ob", "--clock-shift", "--identity"])
         assert r.exit_code == 2
-        r = runner.invoke(main, ["ob"])
+        r = run_cli(["ob"])
         assert r.exit_code == 2
 
 
@@ -587,49 +638,49 @@ class TestFlags:
             mats.append(obs.symmetric_power(obs.unit_determinant(m), d))
         return mats
 
-    def test_power_triple_has_unit_ratio(self, runner, tmp_path):
+    def test_power_triple_has_unit_ratio(self, run_cli, tmp_path):
         path = tmp_path / "mats.json"
         path.write_text(json.dumps(
             {"matrices": [io.matrix_to_json(m) for m in self._power_matrices(4)]}))
-        r = runner.invoke(main, ["--json", "flags", str(path),
-                                 "--which", "triple", "--index", "1,2,1"])
+        r = run_cli(["--json", "flags", str(path),
+                     "--which", "triple", "--index", "1,2,1"])
         assert r.exit_code == 0
         doc = json.loads(r.output)
         assert doc["values"]["value"].startswith("1")
         assert all(c["pass"] for c in doc["checks"])
 
-    def test_degenerate_triple_exits_one(self, runner, tmp_path):
+    def test_degenerate_triple_exits_one(self, run_cli, tmp_path):
         m = np.eye(3)
         path = tmp_path / "degenerate.json"
         path.write_text(json.dumps({"matrices": [io.matrix_to_json(m)] * 3}))
-        r = runner.invoke(main, ["flags", str(path), "--which", "triple"])
+        r = run_cli(["flags", str(path), "--which", "triple"])
         assert r.exit_code == 1
 
-    def test_bad_index_rejected(self, runner, tmp_path):
+    def test_bad_index_rejected(self, run_cli, tmp_path):
         path = tmp_path / "mats3.json"
         path.write_text(json.dumps(
             {"matrices": [io.matrix_to_json(m) for m in self._power_matrices(3)]}))
-        r = runner.invoke(main, ["flags", str(path), "--index", "1,1,7"])
+        r = run_cli(["flags", str(path), "--index", "1,1,7"])
         assert r.exit_code == 2
 
 
 class TestDeterminism:
-    def test_sample_files_reproduce_byte_identically(self, runner, workdir, tmp_path):
+    def test_sample_files_reproduce_byte_identically(self, run_cli, workdir, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            r = runner.invoke(main, ["--seed", "9", "--d", "4", "--group", "zd:12",
-                                     "sample-y", str(workdir / "tree.json"),
-                                     "--count", "3", "--out", str(out)])
+            r = run_cli(["--seed", "9", "--d", "4", "--group", "zd:12",
+                         "sample-y", str(workdir / "tree.json"),
+                         "--count", "3", "--out", str(out)])
             assert r.exit_code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_json_reports_identical_up_to_wall_time(self, runner, workdir):
+    def test_json_reports_identical_up_to_wall_time(self, run_cli, workdir):
         docs = []
         for _ in range(2):
-            r = runner.invoke(main, ["--json", "--seed", "7", "torsion",
-                                     str(workdir / "tree.json"), str(workdir / "pts.json")])
+            r = run_cli(["--json", "--seed", "7", "torsion",
+                         str(workdir / "tree.json"), str(workdir / "pts.json")])
             assert r.exit_code == 0
             doc = json.loads(r.output)
             doc.pop("wall_time_ms")
@@ -638,7 +689,7 @@ class TestDeterminism:
 
 
 class TestSelftest:
-    def test_selftest_passes(self, runner):
-        r = runner.invoke(main, ["--seed", "3", "selftest"])
+    def test_selftest_passes(self, run_cli):
+        r = run_cli(["--seed", "3", "selftest"])
         assert r.exit_code == 0, r.output
         assert "FAIL" not in r.output

@@ -13,7 +13,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,18 +20,16 @@ import switchyard
 from switchyard import cocyclic as cc
 from switchyard import io
 from switchyard import obstruction as obs
-from switchyard.cli import main
 
 
 @pytest.fixture(scope="module")
-def base(tmp_path_factory):
+def base(tmp_path_factory, run_cli):
     base = tmp_path_factory.mktemp("io")
-    runner = CliRunner()
     for args in (["gen-fixture", "--genus", "2", "--out", "track.json"],
                  ["tree", "track.json", "--out", "tree.json"],
                  ["sample-y", "tree.json", "--count", "1", "--out", "pts.json"]):
-        r = runner.invoke(main, ["--seed", "5", *(str(base / a) if a.endswith(".json") else a
-                                                  for a in args)])
+        r = run_cli(["--seed", "5", *(str(base / a) if a.endswith(".json") else a
+                                      for a in args)])
         assert r.exit_code == 0, r.output
     io.write(str(base / "rep.json"), io.rep_to_json(obs.clock_shift_rep(3)))
     rng = random.Random(2)
@@ -98,14 +95,14 @@ def _mutate(doc, data):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_mutated_document_keeps_exit_code_contract(base, tmp_path_factory, name, data):
+def test_mutated_document_keeps_exit_code_contract(base, tmp_path_factory, run_cli, name, data):
     work = tmp_path_factory.mktemp("mut")
     doc = _mutate(json.loads((base / name).read_text()), data)
     bad = work / name
     bad.write_text(json.dumps(doc))
     args, decoder = data.draw(st.sampled_from(COMMANDS[name]), label="command")
     subst = {"BAD": str(bad), "TREE": str(base / "tree.json"), "OUT": str(work / "out.json")}
-    r = CliRunner().invoke(main, [subst.get(a, a) for a in args])
+    r = run_cli([subst.get(a, a) for a in args])
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert r.exit_code in (0, 1, 2)
     if r.exit_code == 2:
@@ -128,11 +125,11 @@ def test_decoding_track_and_coords_leaves_numpy_unloaded(base):
     assert r.returncode == 0, r.stderr
 
 
-def _triple_ratio(path):
+def _triple_ratio(run_cli, path):
     """The `flags` command's triple ratio; any numpy warning is an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = CliRunner().invoke(main, ["--json", "flags", str(path)])
+        r = run_cli(["--json", "flags", str(path)])
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert r.exit_code == 0, r.output
     return complex(json.loads(r.output)["values"]["value"].replace("i", "j"))
@@ -144,23 +141,24 @@ MAGNITUDES = st.builds(lambda sign, exp: sign * 10.0 ** exp,
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(flag=st.integers(0, 2), col=st.integers(0, 2), scale=MAGNITUDES)
-def test_flag_column_magnitude_leaves_triple_ratio(base, tmp_path_factory, flag, col, scale):
+def test_flag_column_magnitude_leaves_triple_ratio(base, tmp_path_factory, run_cli, flag, col,
+                                                   scale):
     """A rescaled column spans the same line, so the invariant must not move."""
     doc = json.loads((base / "mats.json").read_text())
     doc["matrices"][flag][col] = [[re * scale, im * scale] for re, im in doc["matrices"][flag][col]]
     path = tmp_path_factory.mktemp("mag") / "mats.json"
     path.write_text(json.dumps(doc))
-    want = _triple_ratio(base / "mats.json")
-    assert abs(_triple_ratio(path) - want) <= 1e-9 * abs(want)
+    want = _triple_ratio(run_cli, base / "mats.json")
+    assert abs(_triple_ratio(run_cli, path) - want) <= 1e-9 * abs(want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(flag=st.integers(0, 2), col=st.integers(0, 2), row=st.integers(0, 2),
        part=st.integers(0, 1), entry=MAGNITUDES)
-def test_flag_entry_of_any_magnitude_is_accepted(base, tmp_path_factory, flag, col, row,
-                                                 part, entry):
+def test_flag_entry_of_any_magnitude_is_accepted(base, tmp_path_factory, run_cli, flag, col,
+                                                 row, part, entry):
     doc = json.loads((base / "mats.json").read_text())
     doc["matrices"][flag][col][row][part] = entry
     path = tmp_path_factory.mktemp("mag") / "mats.json"
     path.write_text(json.dumps(doc))
-    assert math.isfinite(abs(_triple_ratio(path)))
+    assert math.isfinite(abs(_triple_ratio(run_cli, path)))

@@ -67,6 +67,13 @@ class TestValidation:
         assert not rep.valid
         assert rep.errors[0] == ("port_collision", "rectangle ids are not unique")
 
+    def test_missing_rectangle_leaves_an_unused_slot(self, g2):
+        first = g2.rects[0]
+        rep = tt.validate(tt.TrainTrack(2, g2.switch_ids, g2.rects[1:]))
+        assert not rep.valid
+        assert rep.errors == (("unused_slot", f"slot {min(first.ends)} is unused"),)
+        assert issubclass(tt.UnusedSlot, tt.TrackError)
+
     def test_cell_shape_error(self, g2):
         # swap partners between two rectangles until a cell stops being a trigon
         rects = list(g2.rects)
