@@ -274,6 +274,10 @@ def sample_y(cfg, path, count, torsion_k, out):
     (track, stored), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
+    try:
+        anchors = cc.default_anchors(otree, d)
+    except cc.AnchorError as err:
+        report.fail("anchors", err, cfg["json"])
     tol = cfg["member_tol"]
     points = []
     member_ok, torsion_ok, worst = True, True, 0.0
@@ -281,9 +285,9 @@ def sample_y(cfg, path, count, torsion_k, out):
         rng = random.Random(cfg["seed"] * 1_000_003 + n)
         k = torsion_k if torsion_k is not None else rng.randrange(d)
         eps = al.torsion_element(kind, d, k)
-        c = cc.sample_y(otree, d, kind, rng, eps=eps)
+        c = cc.sample_y(otree, d, kind, rng, anchors, eps)
         member_ok = member_ok and cc.is_member(otree, c, tol)
-        got = cc.tor_prime(otree, c)
+        got = cc.tor_prime(otree, c, anchors)
         gap = al.distance(got.value, eps)
         worst = max(worst, gap)
         torsion_ok = torsion_ok and gap <= tol

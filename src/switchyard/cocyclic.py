@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 from . import algebra as al
 from .algebra import GroupElement, PairIndex, TorsionValue, TripleIndex
 from .homology import GA, RotationViolated, check_diamond, rotation_pairs
-from .traintrack import OrientedTree, TrainTrack, classify
+from .traintrack import OrientedTree, TrainTrack, classify, memo
 
 
 class MembershipError(ValueError):
@@ -150,10 +150,7 @@ class Chart(NamedTuple):
 
 def chart(tree: OrientedTree, d: int) -> Chart:
     """The slot numbering of ``tree`` at ``d``, built once per (tree, d)."""
-    charts = tree._charts
-    if d not in charts:
-        charts[d] = _record_chart(tree, d)
-    return charts[d]
+    return memo(tree, "chart", _record_chart, d)
 
 
 def _record_chart(tree: OrientedTree, d: int) -> Chart:
@@ -311,10 +308,12 @@ def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> boo
 def recorded_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
     """The rows of ``formula(tree, d, v, z, *args)``, signed term lists over a point's
     v and z, run once per (tree, d, formula, args) over the slot numbers of `chart`."""
-    rows, key, ch = tree._recorded_rows, (formula, d) + args, chart(tree, d)
-    if key not in rows:
-        rows[key] = tuple(map(tuple, formula(tree, d, *slot_views(ch, range(len(ch.slot))), *args)))
-    return rows[key]
+    return memo(tree, "recorded_rows", _record_rows, d, formula, *args)
+
+
+def _record_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
+    ch = chart(tree, d)
+    return tuple(map(tuple, formula(tree, d, *slot_views(ch, range(len(ch.slot))), *args)))
 
 
 def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms]:
@@ -401,11 +400,7 @@ def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
     Unlike `inverse_plan`, this accepts anchors the inverse rejects, so that
     `random_free` can draw on them.
     """
-    layouts = tree._free_layouts
-    layout = layouts.get((d, anchors))
-    if layout is None:
-        layout = layouts[d, anchors] = _build_free_layout(tree, d, anchors)
-    return layout
+    return memo(tree, "free_layout", _build_free_layout, d, anchors)
 
 
 def _build_free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
@@ -453,11 +448,7 @@ class InversePlan(NamedTuple):
 
 def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
     """The recorded inverse, built once per (tree, d, anchors) and keyed by the anchors' value."""
-    plans = tree._inverse_plans
-    plan = plans.get((d, anchors))
-    if plan is None:
-        plan = plans[d, anchors] = _record_inverse(tree, d, anchors)
-    return plan
+    return memo(tree, "inverse_plan", _record_inverse, d, anchors)
 
 
 def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:

@@ -25,6 +25,7 @@ from .traintrack import (
     TrainTrack,
     classify,
     is_big,
+    memo,
 )
 
 GA = Tuple[GroupElement, ...]
@@ -192,10 +193,7 @@ ZField = Mapping[int, Mapping[Tuple[int, int, int], GroupElement]]
 def rotation_pairs(track: TrainTrack, d: int):
     """(t, j, t+, rot+ j) for every switch t, plaque by plaque, and triple index j,
     built once per (track, d)."""
-    pairs = track._rotation_pairs
-    if d not in pairs:
-        pairs[d] = _record_rotation_pairs(track, d)
-    return pairs[d]
+    return memo(track, "rotation_pairs", _record_rotation_pairs, d)
 
 
 def _record_rotation_pairs(track: TrainTrack, d: int):
@@ -286,10 +284,7 @@ class SolverPlan(NamedTuple):
 
 
 def solver_plan(lifts: CoverLifts, d: int, order: str = "low_first") -> SolverPlan:
-    plans = lifts._solver_plans
-    if (d, order) not in plans:
-        plans[d, order] = _record_plan(lifts, d, order)
-    return plans[d, order]
+    return memo(lifts, "solver_plan", _record_plan, d, order)
 
 
 def _record_plan(lifts: CoverLifts, d: int, order: str) -> SolverPlan:

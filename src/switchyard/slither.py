@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, TripleIndex, to_cylinder
 from .cocyclic import Coords, chart, point_lanes, recorded_rows, require_member
-from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
+from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify, memo
 
 CYL = "cylinder"
 
@@ -199,10 +199,7 @@ def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
 def ledger_row(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
     """The middle-index ledger total without cube roots, built once per (tree, d): ``(pi,
     row)`` stands for pi times pi*i plus ``row`` over the slots of `cocyclic.chart`."""
-    rows = tree._ledger_rows
-    if d not in rows:
-        rows[d] = _compile_ledger(tree, d)
-    return rows[d]
+    return memo(tree, "ledger_row", _compile_ledger, d)
 
 
 def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:

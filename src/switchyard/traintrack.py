@@ -15,7 +15,6 @@ small port.  All boundary walks keep the surface on the left.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import frozen_attribute
@@ -133,6 +132,48 @@ def transport_preserves(p0: str, p1: str) -> bool:
     return is_big(p0) != is_big(p1)
 
 
+Corner = Tuple[int, str, int]
+
+
+def _corners(track: "TrainTrack", switches: Iterable[int],
+             crosses: FrozenSet[int]) -> Dict[Corner, Tuple[str, object, Corner]]:
+    """The boundary arc out of each corner at ``switches``: (kind, payload, next corner).
+
+    Three arcs run inside each switch, the middle one its cusp; each port's arc
+    crosses its rectangle if ``crosses`` holds it, else exits along the tie.
+    """
+    slots = track.slot_map()
+    succ: Dict[Corner, Tuple[str, object, Corner]] = {}
+    for s in switches:
+        succ[(s, BIG, 0)] = ("h", None, (s, SMALL_FIRST, 0))
+        succ[(s, SMALL_FIRST, 1)] = ("cusp", s, (s, SMALL_SECOND, 0))
+        succ[(s, SMALL_SECOND, 1)] = ("h", None, (s, BIG, 1))
+        for p in PORTS:
+            rid, e = slots[(s, p)]
+            if rid in crosses:
+                succ[out_corner(s, p)] = ("h", None, in_corner(*track.rect_by_id[rid].end(1 - e)))
+            else:
+                succ[out_corner(s, p)] = ("exit", (rid, e), in_corner(s, p))
+    return succ
+
+
+def memo(obj, key: str, build, *args):
+    """``build(obj, *args)``, kept in the one store of ``obj`` under ``(key, *args)``.
+
+    Everything derived from a track, a tree or a cover is kept this way, once per
+    object and ``args`` (hashed by value); a build that raises keeps nothing.
+    """
+    k = (key, *args)
+    try:
+        return obj._memo[k]
+    except AttributeError:
+        vars(obj)["_memo"] = {}
+    except KeyError:
+        pass
+    value = obj._memo[k] = build(obj, *args)
+    return value
+
+
 class TrainTrack:
     def __init__(self, genus: int, switch_ids: Sequence[int], rects: Sequence[Rect]):
         self.genus = int(genus)
@@ -141,50 +182,16 @@ class TrainTrack:
         self.rect_by_id: Dict[int, Rect] = {r.id: r for r in self.rects}
         self._plaques: Optional[Tuple[Plaque, ...]] = None
         self._plaque_of_switch: Dict[int, int] = {}
-        self._slot_map: Optional[Dict[Slot, Tuple[int, int]]] = None
-        # d -> the rotation relations' switch and index pairs, filled by `homology`
-        self._rotation_pairs: Dict[int, tuple] = {}
 
     # -- structure ---------------------------------------------------------
 
     def slot_map(self) -> Dict[Slot, Tuple[int, int]]:
         """(switch, port) -> (rect id, end index); raises on collisions."""
-        if self._slot_map is not None:
-            return self._slot_map
-        if len(self.rect_by_id) != len(self.rects):
-            raise PortCollision("rectangle ids are not unique")
-        m: Dict[Slot, Tuple[int, int]] = {}
-        sset = set(self.switch_ids)
-        for r in self.rects:
-            for e, slot in enumerate(r.ends):
-                s, p = slot
-                if s not in sset or p not in PORTS:
-                    raise PortCollision(f"rectangle {r.id} end {e} targets unknown slot {slot}")
-                if slot in m:
-                    raise PortCollision(f"slot {slot} used by rectangles {m[slot][0]} and {r.id}")
-                m[slot] = (r.id, e)
-        for s in self.switch_ids:
-            for p in PORTS:
-                if (s, p) not in m:
-                    raise UnusedSlot(f"slot {(s, p)} is unused")
-        self._slot_map = m
-        return m
-
-    def other_end(self, rid: int, e: int) -> Slot:
-        return self.rect_by_id[rid].end(1 - e)
+        return memo(self, "slot_map", _map_slots)
 
     def _trace_cells(self) -> List[List[int]]:
         """Trace full boundary; returns each cell's switch cycle in cw order."""
-        slots = self.slot_map()
-        succ: Dict[Tuple[int, str, int], Tuple[str, object]] = {}
-        for s in self.switch_ids:
-            succ[(s, BIG, 0)] = ("h", (s, SMALL_FIRST, 0))
-            succ[(s, SMALL_FIRST, 1)] = ("cusp", (s, SMALL_SECOND, 0))
-            succ[(s, SMALL_SECOND, 1)] = ("h", (s, BIG, 1))
-            for p in PORTS:
-                rid, e = slots[(s, p)]
-                s1, p1 = self.other_end(rid, e)
-                succ[out_corner(s, p)] = ("h", in_corner(s1, p1))
+        succ = _corners(self, self.switch_ids, frozenset(self.rect_by_id))
         cells: List[List[int]] = []
         seen = set()
         for start in sorted(succ):
@@ -194,10 +201,9 @@ class TrainTrack:
             c = start
             while True:
                 seen.add(c)
-                kind, nxt = succ[c]
+                kind, payload, c = succ[c]
                 if kind == "cusp":
-                    cusps.append(c[0])
-                c = nxt  # type: ignore[assignment]
+                    cusps.append(payload)
                 if c == start:
                     break
             cells.append(cusps)
@@ -207,7 +213,7 @@ class TrainTrack:
         """Check all structural invariants; compute plaques."""
         if self._plaques is not None:
             return
-        slots = self.slot_map()
+        self.slot_map()
         if self.genus < 2:
             raise GenusMismatch(f"genus {self.genus} < 2")
         g = self.genus
@@ -257,6 +263,26 @@ class TrainTrack:
     def plaque_of_switch(self, t: int) -> Plaque:
         self.finalize()
         return self.plaques[self._plaque_of_switch[t]]
+
+
+def _map_slots(track: TrainTrack) -> Dict[Slot, Tuple[int, int]]:
+    if len(track.rect_by_id) != len(track.rects):
+        raise PortCollision("rectangle ids are not unique")
+    m: Dict[Slot, Tuple[int, int]] = {}
+    sset = set(track.switch_ids)
+    for r in track.rects:
+        for e, slot in enumerate(r.ends):
+            s, p = slot
+            if s not in sset or p not in PORTS:
+                raise PortCollision(f"rectangle {r.id} end {e} targets unknown slot {slot}")
+            if slot in m:
+                raise PortCollision(f"slot {slot} used by rectangles {m[slot][0]} and {r.id}")
+            m[slot] = (r.id, e)
+    for s in track.switch_ids:
+        for p in PORTS:
+            if (s, p) not in m:
+                raise UnusedSlot(f"slot {(s, p)} is unused")
+    return m
 
 
 def validate(track: TrainTrack) -> ValidationReport:
@@ -459,7 +485,7 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
 
 
 class OrientedTree:
-    """A maximal tree with its tie orientations; read-only, with per-tree caches."""
+    """A maximal tree with its tie orientations; read-only, its derived data kept by `memo`."""
 
     __setattr__ = __delattr__ = frozen_attribute
 
@@ -474,39 +500,6 @@ class OrientedTree:
     def flipped(self) -> "OrientedTree":
         flipped = {s: b ^ 1 for s, b in self.orientation.items()}
         return OrientedTree(self.track, self.edges, self.root, self.root_bit ^ 1, flipped)
-
-    @cached_property
-    def _classification(self) -> "Classification":
-        return _classify(self)
-
-    @cached_property
-    def _boundary(self) -> Tuple["Step", ...]:
-        return tuple(_walk(self))
-
-    @cached_property
-    def _ledger_rows(self) -> Dict[int, object]:
-        # d -> the compiled boundary-product row, filled by `slither`
-        return {}
-
-    @cached_property
-    def _charts(self) -> Dict[int, object]:
-        # d -> the slot numbering of a point and its balance rows, filled by `cocyclic`
-        return {}
-
-    @cached_property
-    def _free_layouts(self) -> Dict[object, object]:
-        # (d, anchors) -> the free slots of the chart, filled by `cocyclic.free_layout`
-        return {}
-
-    @cached_property
-    def _inverse_plans(self) -> Dict[object, object]:
-        # (d, anchors) -> the recorded explicit inverse, filled by `cocyclic`
-        return {}
-
-    @cached_property
-    def _recorded_rows(self) -> Dict[object, object]:
-        # (formula, d, args) -> its rows, filled by `cocyclic.recorded_rows`
-        return {}
 
 
 def _propagate(track: TrainTrack, edges: FrozenSet[int], root: int, root_bit: int) -> Dict[int, int]:
@@ -603,8 +596,8 @@ class Classification(NamedTuple):
 
 
 def classify(tree: OrientedTree) -> Classification:
-    """Rectangle and switch classes of a tree, computed once and cached on the tree."""
-    return tree._classification
+    """Rectangle and switch classes of a tree, computed once per tree."""
+    return memo(tree, "classify", _classify)
 
 
 def _classify(tree: OrientedTree) -> Classification:
@@ -666,11 +659,6 @@ class CoverLifts:
     def __init__(self, tree: OrientedTree, r_bit: Mapping[int, int]):
         vars(self).update(tree=tree, r_bit=r_bit)
 
-    @cached_property
-    def _solver_plans(self) -> Dict[Tuple[int, str], object]:
-        # (d, order) -> the recorded tree elimination, filled by `homology`
-        return {}
-
     def end_bit(self, rid: int, lift_bit: int, e: int) -> int:
         r = self.tree.track.rect_by_id[rid]
         if e == 0:
@@ -719,33 +707,18 @@ class Step(NamedTuple):
 
 
 def boundary_walk(tree: OrientedTree) -> Tuple[Step, ...]:
-    """Counterclockwise boundary of the tree as typed steps, walked once and cached on the tree.
+    """Counterclockwise boundary of the tree as typed steps, walked once per tree.
 
     Crossings (switch cusps and exit ties) alternate with leaf steps; each
     leaf step is a maximal horizontal run.
     """
-    return tree._boundary
+    return memo(tree, "boundary_walk", _walk)
 
 
-def _walk(tree: OrientedTree) -> List[Step]:
+def _walk(tree: OrientedTree) -> Tuple[Step, ...]:
     track = tree.track
-    track.finalize()
-    slots = track.slot_map()
     o = tree.orientation
-    sw = set(o.keys())
-
-    succ: Dict[Tuple[int, str, int], Tuple[str, object, Tuple[int, str, int]]] = {}
-    for s in sw:
-        succ[(s, BIG, 0)] = ("h", None, (s, SMALL_FIRST, 0))
-        succ[(s, SMALL_FIRST, 1)] = ("cusp", s, (s, SMALL_SECOND, 0))
-        succ[(s, SMALL_SECOND, 1)] = ("h", None, (s, BIG, 1))
-        for p in PORTS:
-            rid, e = slots[(s, p)]
-            if rid in tree.edges:
-                s1, p1 = track.other_end(rid, e)
-                succ[out_corner(s, p)] = ("h", None, in_corner(s1, p1))
-            else:
-                succ[out_corner(s, p)] = ("exit", (rid, e), in_corner(s, p))
+    succ = _corners(track, o, tree.edges)
 
     start = min(succ)
     arcs = []
@@ -779,7 +752,7 @@ def _walk(tree: OrientedTree) -> List[Step]:
             s, p = track.rect_by_id[rid].end(e)
             steps.append(Step(type="rectangle", rect=rid, end=e, side=exit_side(p, o[s])))
     steps.append(Step(type="leaf", arcs=run))
-    return steps
+    return tuple(steps)
 
 
 # The track document format lives in `io`; these names stay importable here.

@@ -311,6 +311,26 @@ class TestSampleAndTorsion:
         assert r.exit_code == 0
         assert json.loads(out.read_text())["points"] == []
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_single_sided_tree_fails_the_anchors_check_at_d4(self, run_cli, tmp_path, as_json):
+        # seed 36's fixture under tree seed 2: every plaque exits on one side
+        track, tree = tmp_path / "t.json", tmp_path / "tt.json"
+        assert run_cli(["--seed", "36", "gen-fixture", "--genus", "2", "--out", str(track)]).exit_code == 0
+        assert run_cli(["--seed", "2", "tree", str(track), "--out", str(tree)]).exit_code == 0
+        r = run_cli(["--d", "4", *(["--json"] if as_json else []), "sample-y", str(tree),
+                     "--out", str(tmp_path / "p.json")])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert "Traceback" not in r.output and r.stderr == ""
+        error = "every plaque is single-sided; no valid anchor for d=4"
+        if as_json:
+            doc = json.loads(r.output)
+            assert doc["checks"] == [{"name": "anchors", "pass": False, "residual": None}]
+            assert doc["values"] == {"error": error}
+        else:
+            assert "check anchors: FAIL" in r.output and f"error: {error}" in r.output
+        assert not (tmp_path / "p.json").exists()
+
     def test_bad_torsion_residue_rejected(self, run_cli, workdir, tmp_path):
         r = run_cli(["--d", "3", "sample-y", str(workdir / "tree.json"),
                      "--torsion", "3", "--out", str(tmp_path / "x.json")])

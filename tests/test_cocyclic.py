@@ -614,9 +614,9 @@ class TestInversePlan:
             with pytest.raises(cc.InversePlanError, match="^recorded inverse breaks the rotation "
                                                           "relation at switch "):
                 cc.inverse_plan(tree, 5, anchors)
-        assert not tree._inverse_plans
+        assert not [key for key in tree._memo if key[0] == "inverse_plan"]
         monkeypatch.setattr(cc, "_inverse_steps", real)
-        assert cc.inverse_plan(tree, 5, anchors) is tree._inverse_plans[5, anchors]
+        assert cc.inverse_plan(tree, 5, anchors) is tree._memo["inverse_plan", 5, anchors]
 
     def test_inverse_runs_no_rotation_check(self, monkeypatch):
         calls = []

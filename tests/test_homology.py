@@ -257,7 +257,7 @@ class TestSolveTree:
         plan = hm.solver_plan(fresh, 3)
         # the lanes of v_free[orientable] follow the w lanes
         lane = 2 * (len(track.switch_ids) + plan.rects.index(orientable))
-        fresh._solver_plans[3, "low_first"] = plan._replace(
+        fresh._memo["solver_plan", 3, "low_first"] = plan._replace(
             last=tuple(row + ((1, lane + k),) for k, row in enumerate(plan.last)))
         with pytest.raises(hm.SolvabilityViolated, match="^balance defect "):
             hm.solve_tree(fresh, v, w, "real", 3)

@@ -378,8 +378,13 @@ class TestCompiledRow:
         steps = tt.boundary_walk(tree)
         first = next(n for n, st in enumerate(steps) if st.type == "switch")
         monkeypatch.setattr(sl, "boundary_walk", lambda t: steps[:first] + steps[first + 1:])
-        with pytest.raises(sl.RootFoldError, match="not divisible by 3"):
-            sl.ledger_row(tree, 3)
+        # a row that fails to fold is not kept: every call raises
+        for _ in range(2):
+            with pytest.raises(sl.RootFoldError, match="not divisible by 3"):
+                sl.ledger_row(tree, 3)
+        assert not [key for key in tree._memo if key[0] == "ledger_row"]
+        monkeypatch.setattr(sl, "boundary_walk", tt.boundary_walk)
+        assert sl.ledger_row(tree, 3) is tree._memo["ledger_row", 3]
 
 
 class TestCompiledOnce:
@@ -442,3 +447,32 @@ class TestCompiledOnce:
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         assert counts["plan"][-1] == (6, "high_first") and len(counts["plan"]) == 6
+
+    def test_derived_data_is_kept_in_one_store(self):
+        # a fresh track, its tree and its cover after one chart op: each holds its
+        # constructor fields and one `tt.memo` store, keyed by the getters' names
+        (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
+        tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
+        lifts = tt.orientation_cover(tree)
+        rng = random.Random(18)
+        kind, d = CYL, 4
+        anchors = cc.default_anchors(tree, d)
+        free = cc.random_free(tree, d, kind, rng, anchors)
+        c = cc.i2_inverse(tree, free, al.torsion_element(kind, d, 1), anchors)
+        assert cc.is_member(tree, c, al.MEMBER_TOL)
+        cc.tor_prime(tree, c, anchors)
+        cc.i2_forward(tree, c, anchors)
+        sl.total_mid_log(tree, c)
+        sl.closed_form_total(tree, c)
+        v = {rid: hm.ga_zero(kind, d) for rid in set(r.id for r in track.rects) - tree.edges}
+        w = {s: hm.ga_zero(kind, d) for s in track.switch_ids}
+        hm.solve_tree(lifts, v, w, kind, d)
+        fresh = tt.TrainTrack(track.genus, track.switch_ids, track.rects)
+        assert set(vars(track)) == set(vars(fresh)) | {"_memo"}
+        assert set(vars(tree)) == {"track", "edges", "root", "root_bit", "orientation", "_memo"}
+        assert set(vars(lifts)) == {"tree", "r_bit", "_memo"}
+        assert {key[0] for key in track._memo} == {"slot_map", "rotation_pairs"}
+        assert {key[0] for key in tree._memo} == {"classify", "boundary_walk", "chart",
+                                                  "recorded_rows", "free_layout",
+                                                  "inverse_plan", "ledger_row"}
+        assert {key[0] for key in lifts._memo} == {"solver_plan"}
