@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,6 +128,8 @@ class GroupElement:
 
 
 _set_kind, _set_value = GroupElement.kind.__set__, GroupElement.value.__set__
+
+GA = Tuple[GroupElement, ...]  # an A-indexed vector: entry k for the pair index (k+1, d-k-1)
 
 
 def real(x: float) -> GroupElement:

@@ -11,11 +11,11 @@ starts, so the wall time counts only its own work.  Beside `algebra` and
 `io`, which every command loads:
 
 - `gen-fixture`, `tree`, `validate` and `classify` load `traintrack`;
-- `sample-y` and `torsion` add `homology` and `cocyclic`;
+- `sample-y` and `torsion` add `cocyclic`, and no command loads `homology`;
 - `corfinal` adds `slither` as well;
 - `ob` loads numpy and `obstruction`, `flags` numpy and `flags`, and no chart
   module;
-- `selftest` loads every module.
+- `selftest` loads the chart modules and `obstruction`.
 
 The helpers the commands share (`oriented_tree_for`, `load_member`) import
 the same layers again, which after the command's own import only looks them
@@ -24,7 +24,7 @@ up.
 The parser is `argparse`, and no module builds a dataclass, so no command
 loads `click` or `dataclasses`.  What start-up is left is the interpreter and
 compiling these modules when no bytecode is cached (`PYTHONDONTWRITEBYTECODE=1`;
-about 30 ms for `gen-fixture` up to 55 ms for `corfinal`).
+about 25 ms for `gen-fixture` up to 45 ms for `corfinal`).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A point assigns an A-indexed vector to every rectangle off the chosen
 maximal tree and a B-indexed vector to every switch.  `chart` numbers these
 slots once per (tree, d), v[r][k] by rectangle id and then z[t][j] by switch
 id, and records each balance equation as two `al.Row`s over that numbering.
-Membership means the per-plaque rotation relations (`homology.check_diamond`,
-their only home) and the balance equations hold, over finite values.
+Membership means the per-plaque rotation relations (`check_diamond`, their
+only home) and the balance equations hold, over finite values.
 `require_member` is the gate of every point handed in: it returns a read-only
 `Member` holding the point's slots and their lanes in chart order, which the
 chart functions accept without checking it again.  The space carries a
@@ -26,8 +26,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import algebra as al
-from .algebra import GroupElement, PairIndex, TorsionValue, TripleIndex
-from .homology import GA, RotationViolated, check_diamond, rotation_pairs
+from .algebra import GA, GroupElement, PairIndex, TorsionValue, TripleIndex
 from .traintrack import OrientedTree, TrainTrack, classify, memo
 
 
@@ -45,6 +44,13 @@ class ParityFormsDisagree(ValueError):
 
 class InversePlanError(ValueError):
     """A recorded inverse whose output breaks a rotation relation."""
+
+
+class RotationViolated(ValueError):
+    pass
+
+
+ZField = Mapping[int, Mapping[TripleIndex, GroupElement]]
 
 
 class CocyclicCoords:
@@ -67,7 +73,7 @@ class Member(NamedTuple):
     d: int
     kind: str
     v: Mapping[int, GA]
-    z: Mapping[int, Mapping[TripleIndex, GroupElement]]
+    z: ZField
     tree: OrientedTree
     tol: float
     vals: Tuple[GroupElement, ...]
@@ -84,22 +90,21 @@ class Anchors:
     """The anchor plaque, the anchor rectangle and each plaque's representative switch.
 
     ``reps`` is stored as a read-only copy, so anchors hash and compare by
-    value and can key the recorded inverse (`inverse_plan`).
+    value, a key built once, and can key the recorded inverse (`inverse_plan`).
     """
 
     __setattr__ = __delattr__ = al.frozen_attribute
 
     def __init__(self, t_bar: int, r_bar: int, reps: Mapping[int, int]):
-        vars(self).update(t_bar=t_bar, r_bar=r_bar, reps=MappingProxyType(dict(reps)))
-
-    def _key(self):
-        return self.t_bar, self.r_bar, frozenset(self.reps.items())
+        reps = MappingProxyType(dict(reps))
+        vars(self).update(t_bar=t_bar, r_bar=r_bar, reps=reps,
+                          _value=(t_bar, r_bar, frozenset(reps.items())))
 
     def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is Anchors else NotImplemented
+        return self._value == other._value if other.__class__ is Anchors else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._value)
 
 
 def ensure_right_unorientable(tree: OrientedTree) -> OrientedTree:
@@ -126,6 +131,29 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
         t_bar, rep = found
         reps[t_bar] = rep
     return Anchors(t_bar=t_bar, r_bar=r_bar, reps=reps)
+
+
+# -- the rotation relation -----------------------------------------------------
+
+
+def rotation_pairs(track: TrainTrack, d: int):
+    """(t, j, t+, rot+ j) for every switch t, plaque by plaque, and triple index j,
+    built once per (track, d)."""
+    return memo(track, "rotation_pairs", _record_rotation_pairs, d)
+
+
+def _record_rotation_pairs(track: TrainTrack, d: int):
+    tables = al.index_tables(d)
+    return tuple((t, j, pl.plus(t), al.rot_plus(j))
+                 for pl in track.plaques for t in pl.switches_ccw for j in tables.B)
+
+
+def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_TOL) -> None:
+    """Rotation compatibility: the value at a switch equals the value at the
+    next switch clockwise around the plaque under the index rotation."""
+    for t, j, tp, jp in rotation_pairs(track, d):
+        if not al.elements_equal(z[t][j], z[tp][jp], tol):
+            raise RotationViolated(f"rotation relation fails at switch {t}, index {j}")
 
 
 # -- the slot numbering and the membership gates ------------------------------
@@ -174,11 +202,6 @@ def _slots(ch: Chart, v, z) -> tuple:
     """The values of ``v`` and ``z`` in the slot order of ``ch``."""
     return tuple([v[r][k] for r in ch.rects for k in range(ch.d - 1)]
                  + [z[t][j] for t in ch.switches for j in al.index_tables(ch.d).B])
-
-
-def flatten(tree: OrientedTree, c: Coords) -> Tuple[GroupElement, ...]:
-    """The slots of ``c`` in the order of `chart`: a `Member`'s ``vals``."""
-    return _slots(chart(tree, c.d), c.v, c.z)
 
 
 def point_lanes(tree: OrientedTree, c: Coords) -> tuple:
@@ -682,11 +705,8 @@ def _solve_d4_anchor(add, tables, cls, zf, t_bar, rep_bar, tau_minus,
 # -- auxiliary identities ------------------------------------------------------
 
 
-def nice_combination_check(track: TrainTrack,
-                           z: Mapping[int, Mapping[TripleIndex, GroupElement]],
-                           t: int, d: int, kind: str,
-                           tol: float = al.DEFAULT_TOL
-                           ) -> Tuple[GroupElement, GroupElement]:
+def nice_combination_check(track: TrainTrack, z: ZField, t: int, d: int, kind: str,
+                           tol: float = al.DEFAULT_TOL) -> Tuple[GroupElement, GroupElement]:
     tables = al.index_tables(d)
     pl = track.plaque_of_switch(t)
     trio = (t, pl.plus(t), pl.minus(t))

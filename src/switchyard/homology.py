@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement
+from .algebra import GA, GroupElement
+from .cocyclic import ZField, check_diamond
 from .io import element_to_json
 from .traintrack import (
     CoverLifts,
@@ -28,14 +29,8 @@ from .traintrack import (
     memo,
 )
 
-GA = Tuple[GroupElement, ...]
-
 
 class SolvabilityViolated(ValueError):
-    pass
-
-
-class RotationViolated(ValueError):
     pass
 
 
@@ -103,9 +98,6 @@ class _Chain:
 
     def equal(self, other: "_Chain", tol: float = al.DEFAULT_TOL) -> bool:
         return self.sub(other).is_zero(tol)
-
-    def display(self) -> List[Tuple[Tuple[int, int], List[object]]]:
-        return [(k, [element_to_json(x) for x in self.coeffs[k]]) for k in self.support()]
 
 
 class Chain1(_Chain):
@@ -186,28 +178,6 @@ def delta(tree: OrientedTree, w: Mapping[int, GA], kind: str, d: int) -> Chain0:
 
 
 # -- theta-type coordinates ---------------------------------------------------
-
-ZField = Mapping[int, Mapping[Tuple[int, int, int], GroupElement]]
-
-
-def rotation_pairs(track: TrainTrack, d: int):
-    """(t, j, t+, rot+ j) for every switch t, plaque by plaque, and triple index j,
-    built once per (track, d)."""
-    return memo(track, "rotation_pairs", _record_rotation_pairs, d)
-
-
-def _record_rotation_pairs(track: TrainTrack, d: int):
-    tables = al.index_tables(d)
-    return tuple((t, j, pl.plus(t), al.rot_plus(j))
-                 for pl in track.plaques for t in pl.switches_ccw for j in tables.B)
-
-
-def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_TOL) -> None:
-    """Rotation compatibility: the value at a switch equals the value at the
-    next switch clockwise around the plaque under the index rotation."""
-    for t, j, tp, jp in rotation_pairs(track, d):
-        if not al.elements_equal(z[t][j], z[tp][jp], tol):
-            raise RotationViolated(f"rotation relation fails at switch {t}, index {j}")
 
 
 def k_theta(track: TrainTrack, z: ZField, kind: str, d: int, tol: float = al.DEFAULT_TOL) -> Chain0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 

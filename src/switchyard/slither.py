@@ -10,11 +10,12 @@ product collapses to a closed form whose negative is the d-torsion
 invariant of the coordinate point; the per-step route and the closed form
 are kept separate so they can be checked against each other.
 
-Every step's log is an integer form in the point's v and z values
-(`LogRow`).  The forms of one walk, summed once per tree and d with the cube
-roots folded away, give `ledger_row`: pi*i times an int plus an `al.Row` over
-`cocyclic.chart`'s slots, evaluated on a `Member`'s slots by `total_mid_log`.
-`build_ledger` stays the per-point walk behind reports and tests.
+Every step's log is an integer form over a point's v and z (`LogRow`).  The
+forms of one walk, run once per tree and d over the slot numbers of
+`cocyclic.chart` and summed with the cube roots folded away, give
+`ledger_row`: pi*i times an int plus an `al.Row`, evaluated on a `Member`'s
+slots by `total_mid_log`.  `build_ledger` runs the same walk over the point's
+own values, behind reports and tests.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement, TorsionValue, TripleIndex, to_cylinder
-from .cocyclic import Coords, chart, point_lanes, recorded_rows, require_member
+from .algebra import GroupElement, TorsionValue, to_cylinder
+from .cocyclic import Coords, chart, point_lanes, recorded_rows, require_member, slot_views
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify, memo
 
 CYL = "cylinder"
@@ -68,14 +69,13 @@ class LogRow(NamedTuple):
     """An integer-linear form in a point's slots, valued in the cylinder group.
 
     Its value is ``pi`` times pi*i, plus n times the cube root of plaque p for
-    each (p, n) in ``root``, plus n * z[t][j] for each (n, t, j) in ``z`` and
-    n * v[r][k] for each (n, r, k) in ``v``.
+    each (p, n) in ``root``, plus n * x for each (n, x) in ``terms``, x a slot
+    value read from the point's v or z.
     """
 
     pi: int = 0
     root: Tuple[Tuple[int, int], ...] = ()
-    z: Tuple[Tuple[int, int, TripleIndex], ...] = ()
-    v: Tuple[Tuple[int, int, int], ...] = ()
+    terms: Tuple[Tuple[int, object], ...] = ()
 
 
 class RootFoldError(ValueError):
@@ -87,21 +87,23 @@ def _check_index(m: int, d: int) -> None:
         raise ValueError(f"basis index {m} out of range 1..{d}")
 
 
-def _switch_row(track: TrainTrack, m: int, t: int, side: str, d: int) -> LogRow:
+def _switch_row(track: TrainTrack, m: int, t: int, side: str, d: int, z) -> LogRow:
     _check_index(m, d)
     if side not in (LEFT, RIGHT):
         raise ValueError(f"unknown side {side!r}")
     bound = m - 1 if side == RIGHT else d - m
     return LogRow(pi=bound, root=((track.plaque_of_switch(t).id, -2),),
-                  z=tuple((1, t, j) for j in al.index_tables(d).B if j[1] <= bound))
+                  terms=tuple((1, z[t][j]) for j in al.index_tables(d).B if j[1] <= bound))
 
 
-def _rectangle_row(m: int, rid: int, klass: str, d: int) -> LogRow:
+def _rectangle_row(m: int, rid: int, klass: str, d: int, v) -> LogRow:
     _check_index(m, d)
     if klass == "orientable":
         return LogRow()
     if klass not in ("u_left", "u_right"):
         raise ValueError(f"unknown rectangle class {klass!r}")
+    if rid not in v:
+        raise ValueError(f"rectangle {rid} carries no pair vector (tree edge?)")
     if m <= (d + 1) // 2:
         span = range(m, d - m + 1)
         positive = klass == "u_left"
@@ -109,12 +111,11 @@ def _rectangle_row(m: int, rid: int, klass: str, d: int) -> LogRow:
         span = range(d - m + 1, m)
         positive = klass == "u_right"
     sign = 1 if positive else -1
-    return LogRow(pi=d - 1, v=tuple((sign, rid, i1 - 1) for i1 in span))
+    return LogRow(pi=d - 1, terms=tuple((sign, v[rid][i1 - 1]) for i1 in span))
 
 
-def _evaluate(row: LogRow, c: Coords, roots: Optional[PlaqueRoot]) -> GroupElement:
-    terms = [(n, to_cylinder(c.z[t][j])) for n, t, j in row.z]
-    terms += [(n, to_cylinder(c.v[r][k])) for n, r, k in row.v]
+def _evaluate(row: LogRow, roots: Optional[PlaqueRoot]) -> GroupElement:
+    terms = [(n, to_cylinder(x)) for n, x in row.terms]
     terms += [(n, roots.values[p]) for p, n in row.root]
     terms.append((row.pi, _sign_log(1)))
     return al.combine(CYL, terms)
@@ -122,14 +123,11 @@ def _evaluate(row: LogRow, c: Coords, roots: Optional[PlaqueRoot]) -> GroupEleme
 
 def switch_step_log(track: TrainTrack, m: int, t: int, side: str,
                     c: Coords, roots: PlaqueRoot) -> GroupElement:
-    return _evaluate(_switch_row(track, m, t, side, c.d), c, roots)
+    return _evaluate(_switch_row(track, m, t, side, c.d, c.z), roots)
 
 
 def rectangle_pair_log(m: int, rid: int, klass: str, c: Coords) -> GroupElement:
-    row = _rectangle_row(m, rid, klass, c.d)
-    if klass != "orientable" and rid not in c.v:
-        raise ValueError(f"rectangle {rid} carries no pair vector (tree edge?)")
-    return _evaluate(row, c, None)
+    return _evaluate(_rectangle_row(m, rid, klass, c.d, c.v), None)
 
 
 class LedgerEntry(NamedTuple):
@@ -152,13 +150,11 @@ class SlitherLedger(NamedTuple):
     def lines(self) -> List[str]:
         return [e.line() for e in self.entries]
 
-    def report(self) -> str:
-        return "\n".join(self.lines())
 
-
-def _ledger_steps(tree: OrientedTree, m: int, d: int):
-    """The boundary walk at basis index m as (n, kind, payload, row) per step;
-    row is None on the opening half of a rectangle pair."""
+def _ledger_steps(tree: OrientedTree, m: int, d: int, v, z):
+    """The boundary walk at basis index m as (n, kind, payload, row) per step, each
+    row a form over the point's ``v`` and ``z``; row is None on the opening half
+    of a rectangle pair."""
     track = tree.track
     cls = classify(tree)
     klass_of = {rid: "orientable" for rid in cls.orientable}
@@ -170,10 +166,10 @@ def _ledger_steps(tree: OrientedTree, m: int, d: int):
             yield n, "leaf", f"run={st.arcs}", LogRow()
         elif st.type == "switch":
             yield (n, "switch", f"switch={st.switch} side={st.side}",
-                   _switch_row(track, m, st.switch, st.side, d))
+                   _switch_row(track, m, st.switch, st.side, d, z))
         elif st.rect in open_rect:
             payload = f"rect={st.rect} end={st.end} closes={open_rect.pop(st.rect)}"
-            yield n, "rectangle", payload, _rectangle_row(m, st.rect, klass_of[st.rect], d)
+            yield n, "rectangle", payload, _rectangle_row(m, st.rect, klass_of[st.rect], d, v)
         else:
             open_rect[st.rect] = n
             yield n, "rectangle", f"rect={st.rect} end={st.end} opens", None
@@ -190,8 +186,8 @@ def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
         m = (c.d + 1) // 2
     if roots is None:
         roots = plaque_roots(tree.track, c)
-    entries = tuple(LedgerEntry(n, kind, payload, None if row is None else _evaluate(row, c, roots))
-                    for n, kind, payload, row in _ledger_steps(tree, m, c.d))
+    entries = tuple(LedgerEntry(n, kind, payload, None if row is None else _evaluate(row, roots))
+                    for n, kind, payload, row in _ledger_steps(tree, m, c.d, c.v, c.z))
     total = al.combine(CYL, ((1, e.contribution) for e in entries if e.contribution is not None))
     return SlitherLedger(d=c.d, m=m, entries=entries, total=total)
 
@@ -203,28 +199,25 @@ def ledger_row(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
 
 
 def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
-    slot = chart(tree, d).slot
+    ch = chart(tree, d)
+    v, z = slot_views(ch, range(len(ch.slot)))
     pi, root = 0, {}
     total: Dict[int, int] = {}  # chart slot -> coefficient
-    for _, _, _, row in _ledger_steps(tree, (d + 1) // 2, d):
+    for _, _, _, row in _ledger_steps(tree, (d + 1) // 2, d, v, z):
         if row is None:
             continue
         pi += row.pi
         for p, n in row.root:
             root[p] = root.get(p, 0) + n
-        for n, at, index in row.z + row.v:
-            s = slot[at, index]
+        for n, s in row.terms:
             total[s] = total.get(s, 0) + n
     # 3 r(p) is the plaque's B-sum at its first switch modulo 2*pi*i, so a
     # multiple n of r(p) folds into n/3 times that sum for every cube root
-    tables = al.index_tables(d)
     for pl in tree.track.plaques:
         n = root.get(pl.id, 0)
         if n % 3:
             raise RootFoldError(f"plaque {pl.id} root coefficient {n} is not divisible by 3")
-        t0 = pl.switches_ccw[0]
-        for j in tables.B:
-            s = slot[t0, j]
+        for s in z[pl.switches_ccw[0]].values():
             total[s] = total.get(s, 0) + n // 3
     return pi % 2, tuple((n, s) for s, n in sorted(total.items()) if n)
 

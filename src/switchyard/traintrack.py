@@ -304,8 +304,18 @@ def validate(track: TrainTrack) -> ValidationReport:
 
 # -- fixtures ---------------------------------------------------------------
 
+# Node cap of one fixture-search attempt.  The restart budget reaches it after
+# 11 attempts at g=2 and 8 at g=10; a capped attempt costs 0.5-0.8 s at
+# g=4..6 on a 2-vCPU host, so it bounds how long one attempt can stall.
+MAX_SEARCH_NODES = 30_000
 
-def generate_fixture(g: int, seed: int, max_nodes: int = 30_000, attempts: int = 200) -> TrainTrack:
+# Attempts before the search gives up.  The hardest seed measured (g=10, seed
+# 3) needed 9; 200 bounds one call at a few minutes of capped attempts, so an
+# unlucky seed fails with `FixtureSearchError` rather than running on.
+MAX_SEARCH_ATTEMPTS = 200
+
+
+def generate_fixture(g: int, seed: int) -> TrainTrack:
     """Seeded backtracking search for a valid genus-g track.
 
     Slots are paired one at a time.  Open boundary chains are maintained
@@ -318,24 +328,24 @@ def generate_fixture(g: int, seed: int, max_nodes: int = 30_000, attempts: int =
     are tried in a seeded random order.
 
     Restart schedule: attempt k searches at most
-    ``min(max_nodes, 4 * n_slots * 1.5**k)`` nodes before it restarts with
-    fresh randomization, so a stuck attempt is abandoned early and later
-    attempts get geometrically more room.  Everything is deterministic in
-    the seed; ``FixtureSearchError`` is raised after ``attempts`` attempts.
+    ``min(MAX_SEARCH_NODES, 4 * n_slots * 1.5**k)`` nodes before it restarts
+    with fresh randomization, so a stuck attempt is abandoned early and later
+    attempts get geometrically more room.  Everything is deterministic in the
+    seed; ``FixtureSearchError`` is raised after ``MAX_SEARCH_ATTEMPTS`` attempts.
     """
     if g < 2:
         raise GenusMismatch(f"genus {g} < 2")
     n_slots = 3 * (12 * g - 12)
     budget = 4.0 * n_slots
     last = None
-    for attempt in range(attempts):
-        cap = int(min(max_nodes, budget))
+    for attempt in range(MAX_SEARCH_ATTEMPTS):
+        cap = int(min(MAX_SEARCH_NODES, budget))
         try:
             return _generate_once(g, random.Random(seed * 1_000_003 + attempt), cap)
         except FixtureSearchError as err:
             last = err
         budget *= 1.5
-    raise FixtureSearchError(f"no valid track after {attempts} attempts: {last}")
+    raise FixtureSearchError(f"no valid track after {MAX_SEARCH_ATTEMPTS} attempts: {last}")
 
 
 def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
@@ -565,22 +575,6 @@ def maximal_tree(
     return OrientedTree(track, edge_set, root, root_bit, o)
 
 
-def subtree(track: TrainTrack, switches: Iterable[int], edges: Iterable[int],
-            root: Optional[int] = None, root_bit: int = 0) -> OrientedTree:
-    """Oriented tree on a subset of switches (not necessarily spanning)."""
-    track.finalize()
-    sw = sorted(set(switches))
-    edge_set = frozenset(edges)
-    if root is None:
-        root = sw[0]
-    o = _propagate(track, edge_set, root, root_bit)
-    for s in sw:
-        o.setdefault(s, root_bit)  # isolated stumpy switch
-    if set(o) != set(sw) or len(edge_set) != len(sw) - 1:
-        raise TreeStructureError("edge set does not form a tree on the given switches")
-    return OrientedTree(track, edge_set, root, root_bit, o)
-
-
 class Classification(NamedTuple):
     orientable: FrozenSet[int]
     u_left: FrozenSet[int]
@@ -666,31 +660,9 @@ class CoverLifts:
         (_, p0), (_, p1) = r.ends
         return lift_bit if transport_preserves(p0, p1) else lift_bit ^ 1
 
-    def end_in_m_o(self, rid: int, lift_bit: int, e: int) -> bool:
-        s = self.tree.track.rect_by_id[rid].end(e)[0]
-        return self.end_bit(rid, lift_bit, e) == self.tree.bit(s)
-
-    def t_cw_bit(self, s: int) -> int:
-        # The clockwise orientation around the adjacent plaque is canonical.
-        return 0
-
-    def t_o_bit(self, s: int) -> int:
-        return self.tree.bit(s)
-
 
 def orientation_cover(tree: OrientedTree) -> CoverLifts:
-    r_bit = {}
-    for r in tree.track.rects:
-        s0 = r.end0[0]
-        if s0 in tree.orientation:
-            r_bit[r.id] = tree.bit(s0)
-        else:
-            r_bit[r.id] = 0
-    lifts = CoverLifts(tree, r_bit)
-    cls = classify(tree)
-    for s in tree.orientation:
-        assert (lifts.t_o_bit(s) == lifts.t_cw_bit(s)) == (s in cls.s_right)
-    return lifts
+    return CoverLifts(tree, {r.id: tree.orientation.get(r.end0[0], 0) for r in tree.track.rects})
 
 
 # -- boundary walk -----------------------------------------------------------
@@ -700,7 +672,6 @@ class Step(NamedTuple):
     type: str  # "leaf" | "switch" | "rectangle"
     switch: Optional[int] = None
     side: Optional[str] = None
-    plaque: Optional[int] = None
     rect: Optional[int] = None
     end: Optional[int] = None
     arcs: int = 0
@@ -746,7 +717,7 @@ def _walk(tree: OrientedTree) -> Tuple[Step, ...]:
         if kind == "cusp":
             s = payload  # type: ignore[assignment]
             side = RIGHT if o[s] == 0 else LEFT
-            steps.append(Step(type="switch", switch=s, side=side, plaque=track.plaque_of_switch(s).id))
+            steps.append(Step(type="switch", switch=s, side=side))
         else:
             rid, e = payload  # type: ignore[misc]
             s, p = track.rect_by_id[rid].end(e)

@@ -581,9 +581,9 @@ class TestLeanProcess:
               ["classify", "tree.json"]], ["algebra", "cli", "io", "traintrack"]),
             ([["sample-y", "tree.json", "--count", "2", "--out", "pts.json"],
               ["torsion", "tree.json", "pts.json"]],
-             ["algebra", "cli", "cocyclic", "homology", "io", "traintrack"]),
+             ["algebra", "cli", "cocyclic", "io", "traintrack"]),
             ([["corfinal", "tree.json", "pts.json"]],
-             ["algebra", "cli", "cocyclic", "homology", "io", "slither", "traintrack"]),
+             ["algebra", "cli", "cocyclic", "io", "slither", "traintrack"]),
         ]
         code = "\n".join(
             _main_exits_zero([["--seed", "5", *argv] for argv in argvs])

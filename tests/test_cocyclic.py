@@ -103,14 +103,14 @@ class TestCheckers:
     def test_diamond_zero_true(self):
         for d in (2, 3, 4, 5):
             c = zero_coords(d, "real")
-            hm.check_diamond(TRACK, c.z, c.d)
+            cc.check_diamond(TRACK, c.z, c.d)
 
     def test_diamond_rotated_random_true(self):
         rng = random.Random(3)
         for d in (3, 4, 5):
             for kind in KINDS:
                 c = random_coords(d, kind, rng, rotated=True)
-                hm.check_diamond(TRACK, c.z, c.d)
+                cc.check_diamond(TRACK, c.z, c.d)
 
     def test_diamond_perturbed_false(self):
         rng = random.Random(4)
@@ -119,7 +119,7 @@ class TestCheckers:
         j = al.index_tables(4).B[0]
         c.z[t][j] = al.group_add(c.z[t][j], al.real(0.5))
         with pytest.raises(ValueError, match="rotation relation"):
-            hm.check_diamond(TRACK, c.z, c.d)
+            cc.check_diamond(TRACK, c.z, c.d)
 
     def test_is_member_false_on_rotation_only_violation(self):
         rng = random.Random(40)
@@ -132,7 +132,7 @@ class TestCheckers:
             c.z[t][(2, 1, 1)] = al.group_sub(c.z[t][(2, 1, 1)], bump)
             assert all(cc.check_club(TREE, c, i) for i in al.index_tables(4).A)
             with pytest.raises(ValueError, match="rotation relation"):
-                hm.check_diamond(TRACK, c.z, c.d)
+                cc.check_diamond(TRACK, c.z, c.d)
             assert cc.is_member(TREE, c) is False
             with pytest.raises(cc.MembershipError, match="rotation relations fail"):
                 cc.require_member(TREE, c)
@@ -143,7 +143,7 @@ class TestCheckers:
             c = plain(cc.sample_y(TREE, 3, bump.kind, rng))
             r = min(CLS.u_right)
             c.v[r] = (al.group_add(c.v[r][0], bump), c.v[r][1])
-            hm.check_diamond(TRACK, c.z, c.d)
+            cc.check_diamond(TRACK, c.z, c.d)
             assert cc.is_member(TREE, c) is False
             with pytest.raises(cc.MembershipError, match="balance equation fails at pair index"):
                 cc.require_member(TREE, c)
@@ -437,7 +437,7 @@ class TestI2:
             free = cc.random_free(TREE, d, kind, rng, anchors)
             eps = al.torsion_element(kind, d, rng.randrange(d))
             c = cc.i2_inverse(TREE, free, eps, anchors)
-            hm.check_diamond(TRACK, c.z, c.d)
+            cc.check_diamond(TRACK, c.z, c.d)
             for i in al.index_tables(d).A:
                 assert cc.check_club(TREE, c, i)
 
@@ -501,7 +501,7 @@ def _tor_formula(c):
 def _holds_reduced_system(c):
     tables = al.index_tables(c.d)
     try:
-        hm.check_diamond(TRACK, c.z, c.d)
+        cc.check_diamond(TRACK, c.z, c.d)
     except ValueError:
         return False
     if not all(cc.check_club(TREE, c, i) for i in tables.A_dprime):
@@ -721,7 +721,7 @@ class TestChart:
             checked = cc.require_member(TREE, plain(recorded), al.MEMBER_TOL)
             assert checked is not recorded and checked.vals == recorded.vals
             for m in (recorded, checked):
-                assert m.vals == cc.flatten(TREE, m)
+                assert m.vals == cc._slots(cc.chart(TREE, d), m.v, m.z)
                 assert set(m.v) == set(ch.rects) and set(m.z) == set(ch.switches)
                 assert all(len(m.v[r]) == d - 1 for r in m.v)
                 assert all(len(m.z[t]) == len(al.index_tables(d).B) for t in m.z)

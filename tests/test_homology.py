@@ -330,11 +330,3 @@ class TestSolveTree:
                 for row in plan.steps + plan.last:
                     assert row and all(n in (1, -1) for n, _ in row)
                 assert all(lane < inputs + len(plan.steps) for row in plan.last for _, lane in row)
-
-    def test_display_sorted(self, setup):
-        track, tree, lifts, free = setup
-        c = hm.Chain1("real", 3, {(track.rects[3].id, 1): unit_vector("real", 3),
-                                  (track.rects[1].id, 0): unit_vector("real", 3)})
-        listing = c.display()
-        assert listing == sorted(listing)
-        assert all(len(entry) == 2 for entry in listing)
