@@ -191,14 +191,15 @@ def validate(cfg, path):
     sys.exit(report.finish(cfg["json"]))
 
 
-@command(arg("--genus", type=int, default=2, help="surface genus, >= 2 (default 2)"),
+@command(arg("--genus", type=int, default=2,
+             help="surface genus, >= 2 and <= traintrack.MAX_GENUS (default 2)"),
          OUT, name="gen-fixture")
 def gen_fixture(cfg, genus, out):
     """Search for a valid genus-g track and write it as JSON."""
-    if genus < 2:
-        raise io.InputError(f"genus {genus} < 2")
     from . import traintrack as tt
 
+    if not 2 <= genus <= tt.MAX_GENUS:
+        raise io.InputError(f"genus {genus} outside 2..{tt.MAX_GENUS}")
     report = Report("gen-fixture", cfg["seed"])
     try:
         track = tt.generate_fixture(genus, cfg["seed"])

@@ -227,13 +227,7 @@ class TrainTrack:
         for r in self.rects:
             adj[r.end0[0]].append(r.end1[0])
             adj[r.end1[0]].append(r.end0[0])
-        todo = [self.switch_ids[0]]
-        reach = {self.switch_ids[0]}
-        while todo:
-            for n in adj[todo.pop()]:
-                if n not in reach:
-                    reach.add(n)
-                    todo.append(n)
+        reach = _reach(self.switch_ids[0], adj.__getitem__)
         if len(reach) != len(self.switch_ids):
             raise DisconnectedTrack(f"only {len(reach)} of {len(self.switch_ids)} switches reachable")
         cells = self._trace_cells()
@@ -263,6 +257,17 @@ class TrainTrack:
     def plaque_of_switch(self, t: int) -> Plaque:
         self.finalize()
         return self.plaques[self._plaque_of_switch[t]]
+
+
+def _reach(start: int, neighbours) -> set:
+    """The switches reachable from ``start`` along ``neighbours(switch)``."""
+    reach, todo = {start}, [start]
+    while todo:
+        for n in neighbours(todo.pop()):
+            if n not in reach:
+                reach.add(n)
+                todo.append(n)
+    return reach
 
 
 def _map_slots(track: TrainTrack) -> Dict[Slot, Tuple[int, int]]:
@@ -304,19 +309,98 @@ def validate(track: TrainTrack) -> ValidationReport:
 
 # -- fixtures ---------------------------------------------------------------
 
-# Node cap of one fixture-search attempt.  The restart budget reaches it after
-# 11 attempts at g=2 and 8 at g=10; a capped attempt costs 0.5-0.8 s at
-# g=4..6 on a 2-vCPU host, so it bounds how long one attempt can stall.
+# Largest genus `generate_fixture` builds and `gen-fixture --genus` accepts.  A
+# call costs about g^2, since each of its g-2 handle steps connects every fixed
+# pair: seeds 1-10 took at most 0.99 s at g=100 (p50 0.84 s) and 87 ms at g=20
+# on a 2-vCPU host, so a mistyped genus fails at once instead of running on.
+MAX_GENUS = 100
+
+# Node cap of one search attempt.  Attempt k of a step may search
+# 4 * n_free * 1.5**k nodes (n_free is 36 at genus 2, 38 for a handle), which
+# reaches this cap from the 15th attempt on; a capped attempt costs about 0.3 s
+# on a 2-vCPU host (an unpairable odd slot set, searched to the cap), so it
+# bounds how long one attempt can stall.
 MAX_SEARCH_NODES = 30_000
 
-# Attempts before the search gives up.  The hardest seed measured (g=10, seed
-# 3) needed 9; 200 bounds one call at a few minutes of capped attempts, so an
-# unlucky seed fails with `FixtureSearchError` rather than running on.
+# Attempts per step before the search gives up.  The hardest step measured
+# (genus 2 for seeds 1-200, every handle up to g=20 for seeds 1-50) needed 5,
+# and 97% of the handles at most 2; 200 bounds one step at about a minute of
+# capped attempts, so an unlucky seed fails with `FixtureSearchError` rather
+# than running on.
 MAX_SEARCH_ATTEMPTS = 200
 
 
 def generate_fixture(g: int, seed: int) -> TrainTrack:
-    """Seeded backtracking search for a valid genus-g track.
+    """Seeded genus-g track: a genus-2 search, then g-2 handles.
+
+    Base case: `_pair_slots` pairs every slot of switches 0..11.  Handle step:
+    one seeded-random rectangle is removed, 12 switches with the next ids are
+    added, and the 38 free slots are re-paired around the fixed pairs of the
+    rest.  A step that leaves the track disconnected, as when its freed slots
+    pair back with each other and cut the new switches off, is retried like a
+    capped one.  Each handle adds 12 switches, 18 rectangles and 4 trigons.
+
+    Restart schedule: attempt k of a step searches at most
+    ``min(MAX_SEARCH_NODES, 4 * n_free * 1.5**k)`` nodes before it restarts
+    with fresh randomization (and, past genus 2, another rectangle), so a stuck
+    attempt is abandoned early and later attempts get geometrically more room.
+    Everything is deterministic in the seed; ``FixtureSearchError`` is raised
+    when one step fails ``MAX_SEARCH_ATTEMPTS`` attempts.  Rectangles are
+    numbered in slot order, and `validate` checks the result.
+    """
+    if g < 2:
+        raise GenusMismatch(f"genus {g} < 2")
+    if g > MAX_GENUS:
+        raise GenusMismatch(f"genus {g} > MAX_GENUS = {MAX_GENUS}")
+    pairing: Dict[Slot, Slot] = {}
+    for h in range(2, g + 1):
+        last = None
+        for attempt in range(MAX_SEARCH_ATTEMPTS):
+            try:
+                pairing = _grow(pairing, h, seed, attempt)
+                break
+            except FixtureSearchError as err:
+                last = err
+        else:
+            raise FixtureSearchError(
+                f"no valid genus-{h} track after {MAX_SEARCH_ATTEMPTS} attempts: {last}")
+    n_sw = 12 * g - 12
+    ends = [(a, pairing[a]) for a in _slots(range(n_sw)) if a < pairing[a]]
+    track = TrainTrack(g, range(n_sw), [Rect(i, *pair) for i, pair in enumerate(ends)])
+    report = validate(track)
+    if not report.valid:
+        raise FixtureSearchError(f"search produced invalid track: {report.errors}")
+    return track
+
+
+def _slots(switches: Iterable[int]) -> List[Slot]:
+    return [(s, p) for s in switches for p in PORTS]
+
+
+def _grow(pairing: Dict[Slot, Slot], g: int, seed: int, attempt: int) -> Dict[Slot, Slot]:
+    """Attempt ``attempt`` at a genus-g pairing: the genus-2 search when
+    ``pairing`` is empty, else one handle on the genus-(g-1) ``pairing``."""
+    # at genus 2 this is seed * 1_000_003 + attempt, the stream of the pinned genus-2 tracks
+    rng = random.Random(seed * 1_000_003 + attempt + (g - 2) * 1_000_000_007)
+    n_sw = 12 * g - 12
+    fixed = dict(pairing)
+    free = _slots(range(n_sw - 12, n_sw))
+    if pairing:
+        a = rng.choice(_slots(range(n_sw - 12)))
+        b = fixed.pop(a)
+        del fixed[b]
+        free[:0] = (a, b)
+    cap = int(min(MAX_SEARCH_NODES, 4 * len(free) * 1.5 ** attempt))
+    grown = _pair_slots(n_sw, fixed, free, rng, cap)
+    if len(_reach(0, lambda s: [grown[(s, p)][0] for p in PORTS])) < n_sw:
+        raise FixtureSearchError("the re-paired track is disconnected")
+    return grown
+
+
+def _pair_slots(n_sw: int, fixed: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
+                max_nodes: int) -> Dict[Slot, Slot]:
+    """Pair the ``free`` slots of switches 0..n_sw-1 around the ``fixed`` pairs
+    so that every cell is a trigon; returns the whole pairing.
 
     Slots are paired one at a time.  Open boundary chains are maintained
     incrementally; a branch is cut as soon as a chain accumulates more than
@@ -325,35 +409,11 @@ def generate_fixture(g: int, seed: int) -> TrainTrack:
     Selection order: each node pairs the most constrained unmatched slot,
     the one whose outgoing and incoming chains carry the most cusps between
     them (ties go to the earlier slot in the unmatched list).  Its partners
-    are tried in a seeded random order.
-
-    Restart schedule: attempt k searches at most
-    ``min(MAX_SEARCH_NODES, 4 * n_slots * 1.5**k)`` nodes before it restarts
-    with fresh randomization, so a stuck attempt is abandoned early and later
-    attempts get geometrically more room.  Everything is deterministic in the
-    seed; ``FixtureSearchError`` is raised after ``MAX_SEARCH_ATTEMPTS`` attempts.
+    are tried in a seeded random order.  More than ``max_nodes`` nodes raise
+    ``FixtureSearchError``.
     """
-    if g < 2:
-        raise GenusMismatch(f"genus {g} < 2")
-    n_slots = 3 * (12 * g - 12)
-    budget = 4.0 * n_slots
-    last = None
-    for attempt in range(MAX_SEARCH_ATTEMPTS):
-        cap = int(min(MAX_SEARCH_NODES, budget))
-        try:
-            return _generate_once(g, random.Random(seed * 1_000_003 + attempt), cap)
-        except FixtureSearchError as err:
-            last = err
-        budget *= 1.5
-    raise FixtureSearchError(f"no valid track after {MAX_SEARCH_ATTEMPTS} attempts: {last}")
-
-
-def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
-    n_sw = 12 * g - 12
-    switch_ids = list(range(n_sw))
-    slots: List[Slot] = [(s, p) for s in switch_ids for p in PORTS]
-    out_of = {a: out_corner(*a) for a in slots}
-    in_of = {a: in_corner(*a) for a in slots}
+    out_of = {a: out_corner(*a) for a in free}
+    in_of = {a: in_corner(*a) for a in free}
 
     # Open chains keyed by endpoints: head_of[tail] = head, tail_of[head] =
     # tail, cusps[head] = count.  The static switch arcs seed one 0-cusp
@@ -367,7 +427,7 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
         head_of[tail] = head
         cusps[head] = c
 
-    for s in switch_ids:
+    for s in range(n_sw):
         add_chain((s, BIG, 0), (s, SMALL_FIRST, 0), 0)
         add_chain((s, SMALL_FIRST, 1), (s, SMALL_SECOND, 0), 1)
         add_chain((s, SMALL_SECOND, 1), (s, BIG, 1), 0)
@@ -420,12 +480,16 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
             return None
         return (t1, t2)
 
+    # a fixed pair never breaks a trigon: its chains run along cells of a valid track
+    for a, b in fixed.items():
+        connect(out_corner(*a), in_corner(*b))
+
     def pressure(a: Slot) -> int:
         # cusps on the chains through a's corners; 3 on either forces a trigon
         return cusps[head_of[out_of[a]]] + cusps[in_of[a]]
 
     # Unmatched slots: swap-pop removal and append restore, both O(1).
-    unmatched = list(slots)
+    unmatched = list(free)
     index = {a: i for i, a in enumerate(unmatched)}
 
     def take(a: Slot) -> None:
@@ -439,7 +503,7 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
         index[a] = len(unmatched)
         unmatched.append(a)
 
-    pairing: Dict[Slot, Slot] = {}
+    pairing = dict(fixed)
     nodes = 0
 
     def search() -> bool:
@@ -471,24 +535,7 @@ def _generate_once(g: int, rng: random.Random, max_nodes: int) -> TrainTrack:
 
     if not search():
         raise FixtureSearchError("no pairing found")
-
-    rects = []
-    used = set()
-    rid = 0
-    for a in slots:
-        if a in used:
-            continue
-        b = pairing[a]
-        used.add(a)
-        used.add(b)
-        rects.append(Rect(rid, a, b))
-        rid += 1
-    track = TrainTrack(g, switch_ids, rects)
-    report = validate(track)
-    if not report.valid:
-        # connectivity is not pruned during the search
-        raise FixtureSearchError(f"search produced invalid track: {report.errors}")
-    return track
+    return pairing
 
 
 # -- oriented spanning trees -------------------------------------------------

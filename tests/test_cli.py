@@ -216,7 +216,7 @@ COMMAND_ARGS = {
     "validate": [["TRACK"], ["TREE"], [], ["TRACK", "TREE"], ["NOPE"]],
     "gen-fixture": [["--genus", "2", "--out", "OUT"], ["--genus", "1", "--out", "OUT"],
                     ["--genus", "x", "--out", "OUT"], ["--gen", "2", "--out", "OUT"],
-                    ["--genus", "2"]],
+                    ["--genus", "2"], ["--genus", str(tt.MAX_GENUS + 1), "--out", "OUT"]],
     "tree": [["TRACK", "--out", "OUT"], ["TRACK"], ["--out", "OUT"]],
     "classify": [["TREE"], ["TRACK"], []],
     "sample-y": [["TREE", "--out", "OUT"], ["TREE", "--count", "2", "--torsion", "1",
@@ -283,6 +283,13 @@ class TestFixtureAndTree:
         r = run_cli(["gen-fixture", "--genus", "1",
                      "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("genus", [tt.MAX_GENUS + 1, 10**9])
+    def test_gen_fixture_rejects_genus_above_bound(self, run_cli, tmp_path, genus):
+        r = run_cli(["gen-fixture", "--genus", str(genus), "--out", str(tmp_path / "x.json")])
+        assert r.exit_code == 2
+        assert r.stderr == f"input error: genus {genus} outside 2..{tt.MAX_GENUS}\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_tree_reports_edge_count(self, run_cli, workdir):
         r = run_cli(["validate", str(workdir / "tree.json")])

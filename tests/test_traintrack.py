@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -28,18 +29,40 @@ class TestValidation:
         rep = tt.validate(g3)
         assert rep.valid and rep.n_rectangles == 36
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("g", range(2, 13))
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_generated_fixtures_validate(self, g, seed):
         rep = tt.validate(tt.generate_fixture(g, seed))
         assert rep.valid
         assert rep.n_plaques == 4 * g - 4
 
-    @pytest.mark.parametrize("g, seed", [(2, 3), (4, 2)])
+    @pytest.mark.parametrize("g, seed", [(2, 3), (4, 2), (8, 4)])
     def test_fixture_search_deterministic(self, g, seed):
         first = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
         second = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
         assert first == second
+
+    # sha256 of each genus-2 track document: every higher genus grows from this
+    # base case, and seeds 5 and 36 are the tracks of the CLI walkthrough and
+    # its tests.
+    G2_DIGESTS = {
+        1: "c086385836aa1f635c0ccba62b80073fc47edd3b44cef334475bdbc4a155295a",
+        2: "2a920979a19ab6fa744ae59a7bb5e42a22ae625a36b2ed2e65b0a3bd97390877",
+        3: "b9abf72ffc6543cb4200c0a6e5ae35d339bbe3d0bfaf545a0e55ad3cdf77a01e",
+        4: "c427bc865228923efc857486828c8ec0a36d0e1a143f878ab1a365cbcd7f8dfb",
+        5: "a64e8e75a1b812510a923ecdf5bbe543347b4d39e036fcf7a847e29be0b066c7",
+        6: "6248754ae77936e0814c3a25bd2f5f997e36b1b3033ff4e428d9abbe1351fab9",
+        7: "93c84c52ee235618efaafda3568fffb14b7ee1861c790b7b0ee12699301d262a",
+        8: "465fefd79e340d5db0e52ab9de66fc2696cb44107199401fa250227a05103ee1",
+        9: "8dcee5bbe1001f5fc1cde6b12f8a80a1ec3ebce29054fd0c425312e5a16f2a6e",
+        10: "0a51e933385b6f73604c24b642506f377f702fba1125909eddf87ed209cb61cc",
+        36: "bba66da91d3aef8df3b942b93c872317791c9f43b46037b484794f4da44700cf",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(G2_DIGESTS))
+    def test_genus_two_tracks_are_pinned(self, seed):
+        doc = json.dumps(tt.track_to_json(tt.generate_fixture(2, seed)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.G2_DIGESTS[seed]
 
     def test_exhausted_search_raises_fixture_error(self, monkeypatch):
         monkeypatch.setattr(tt, "MAX_SEARCH_NODES", 5)
@@ -47,9 +70,23 @@ class TestValidation:
         with pytest.raises(tt.FixtureSearchError):
             tt.generate_fixture(3, seed=1)
 
+    def test_exhausted_handle_step_raises_fixture_error(self, monkeypatch):
+        # 18 nodes pair a genus-2 track with no backtracking, as seed 5's first
+        # attempt does, but a handle re-pairs 38 slots and needs at least 19
+        monkeypatch.setattr(tt, "MAX_SEARCH_NODES", 18)
+        monkeypatch.setattr(tt, "MAX_SEARCH_ATTEMPTS", 1)
+        assert tt.validate(tt.generate_fixture(2, seed=5)).valid
+        with pytest.raises(tt.FixtureSearchError, match="genus-3"):
+            tt.generate_fixture(3, seed=5)
+
     def test_g1_rejected(self):
         with pytest.raises(tt.GenusMismatch):
             tt.generate_fixture(1, seed=1)
+
+    @pytest.mark.parametrize("g", [tt.MAX_GENUS + 1, 10**9])
+    def test_genus_above_bound_rejected(self, g):
+        with pytest.raises(tt.GenusMismatch, match="MAX_GENUS"):
+            tt.generate_fixture(g, seed=1)
 
     def test_port_collision(self, g2):
         rects = list(g2.rects)
