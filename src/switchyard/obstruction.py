@@ -125,9 +125,11 @@ class LiftedRep(NamedTuple):
         return m if exp == 1 else np.linalg.inv(m)
 
     def product(self) -> np.ndarray:
+        syms = self.relator.symbols
+        inverses = iter(np.linalg.inv(np.stack([self.matrices[n] for n, e in syms if e == -1])))
         out = np.eye(self.d, dtype=complex)
-        for i in range(len(self.relator)):
-            out = out @ self.position_matrix(i)
+        for name, exp in syms:
+            out = out @ (self.matrices[name] if exp == 1 else next(inverses))
         return out
 
 
@@ -280,8 +282,6 @@ def lift_independence(rep: LiftedRep, rng: Optional[random.Random] = None,
     variants = [LiftedRep(rep.relator, d, rescaled)]
     for k in (1, 4, len(rep.relator) - 1):
         variants.append(LiftedRep(rep.relator.rotated(k), d, rep.matrices))
-    return all(
-        ob(v).residue == reference.residue
-        and al.elements_equal(ob(v).value, reference.value, tol)
-        for v in variants
-    )
+    return all(x.residue == reference.residue
+               and al.elements_equal(x.value, reference.value, tol)
+               for x in map(ob, variants))

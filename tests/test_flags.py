@@ -56,6 +56,11 @@ class TestFlagType:
         f = fl.Flag(np.eye(3) * 1e-8)
         assert f.d == 3
 
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+            with pytest.raises(fl.DegenerateFlagError, match="non-finite"):
+                fl.Flag([[bad, 0], [0, 1]])
+
 
 class TestGeneralPosition:
     def test_standard_vs_reversed_transverse(self):
@@ -73,6 +78,14 @@ class TestGeneralPosition:
             rng = random.Random(seed)
             flags = [fl.random_flag(4, rng) for _ in range(3)]
             assert fl.general_position(flags)
+
+    def test_nan_minor_is_not_general_position(self):
+        # Flag refuses non-finite entries, so a nan reaches the guard only
+        # through a matrix edited after construction
+        f = fl.standard_flag(2)
+        f.unit = np.array([[math.nan, 0], [0, 1]], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            assert not fl.general_position([f, fl.reversed_standard_flag(2)])
 
     def test_single_pattern(self):
         a, b = fl.standard_flag(3), fl.reversed_standard_flag(3)
