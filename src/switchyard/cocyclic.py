@@ -22,6 +22,7 @@ alone.  Every recorded row is evaluated on lanes (`al.evaluate`).
 from __future__ import annotations
 
 from math import isfinite
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -374,25 +375,13 @@ def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
 # -- parametrization -----------------------------------------------------------
 
 
-class FreeCoords:
-    """The unconstrained slots of a point: those of the free rectangles and the
-    anchor rectangle, and those of each plaque's representative and the anchor plaque."""
-
-    def __init__(self, d: int, kind: str, v_other: Dict[int, GA],
-                 v_anchor: Dict[PairIndex, GroupElement],
-                 z_other: Dict[int, Dict[TripleIndex, GroupElement]],
-                 z_anchor: Dict[TripleIndex, GroupElement]):
-        self.d, self.kind, self.v_other, self.v_anchor = d, kind, v_other, v_anchor
-        self.z_other, self.z_anchor = z_other, z_anchor
-
-
 class FreeLayout(NamedTuple):
     """The free slots of the chart in `random_free`'s draw order.
 
     Each rectangle of ``rects`` carries |A| slots, the anchor rectangle the
     pair indices ``pairs``, each plaque of ``plaques`` |B| slots at its
     representative switch, and the anchor plaque the triple indices
-    ``triples``.
+    ``triples``; ``slots`` holds the slot of `chart` that each one is.
     """
 
     d: int
@@ -400,21 +389,38 @@ class FreeLayout(NamedTuple):
     pairs: Tuple[PairIndex, ...]
     plaques: Tuple[int, ...]
     triples: Tuple[TripleIndex, ...]
+    slots: Tuple[int, ...]
 
-    def size(self) -> int:
-        return ((self.d - 1) * len(self.rects) + len(self.pairs)
-                + len(al.index_tables(self.d).B) * len(self.plaques) + len(self.triples))
 
-    def flat(self, free: FreeCoords) -> List[GroupElement]:
-        """The slots of ``free`` as one list, in this order."""
-        b = al.index_tables(self.d).B
-        vals = [e for r in self.rects for e in free.v_other[r]]
-        vals += [free.v_anchor[i] for i in self.pairs]
-        for p in self.plaques:
-            vec = free.z_other[p]
-            vals += [vec[j] for j in b]
-        vals += [free.z_anchor[j] for j in self.triples]
-        return vals
+class FreeCoords(NamedTuple):
+    """The unconstrained slots of a point, ``vals`` in `FreeLayout` order, and the
+    read-only views of them that `free_coords` builds: those of the free rectangles and
+    the anchor rectangle, and those of each plaque's representative and the anchor plaque."""
+
+    d: int
+    kind: str
+    vals: Tuple[GroupElement, ...]
+    v_other: Mapping[int, GA]
+    v_anchor: Mapping[PairIndex, GroupElement]
+    z_other: ZField
+    z_anchor: Mapping[TripleIndex, GroupElement]
+
+    __setattr__ = __delattr__ = al.frozen_attribute
+
+
+def free_coords(layout: FreeLayout, kind: str, vals) -> FreeCoords:
+    """The free point whose slots are ``vals``, in ``layout`` order, with its views."""
+    vals, n, b = tuple(vals), layout.d - 1, al.index_tables(layout.d).B
+    nb, a0 = len(b), n * len(layout.rects)
+    z0 = a0 + len(layout.pairs)
+    z1 = z0 + nb * len(layout.plaques)
+    return FreeCoords(
+        layout.d, kind, vals,
+        MappingProxyType({r: vals[n * q:n * q + n] for q, r in enumerate(layout.rects)}),
+        MappingProxyType(dict(zip(layout.pairs, vals[a0:z0]))),
+        MappingProxyType({p: MappingProxyType(dict(zip(b, vals[z0 + nb * q:z0 + nb * q + nb])))
+                          for q, p in enumerate(layout.plaques)}),
+        MappingProxyType(dict(zip(layout.triples, vals[z1:]))))
 
 
 def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
@@ -429,31 +435,30 @@ def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
 def _build_free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
     tables = al.index_tables(d)
     track = tree.track
+    slot = chart(tree, d).slot
+    if (anchors.r_bar, 0) not in slot:
+        raise AnchorError(f"anchor rectangle {anchors.r_bar} carries no slot off the tree")
     solved = set(tables.B_dprime) | {tables.j_prime}  # the anchor plaque's solved slots
-    return FreeLayout(
-        d=d,
-        rects=tuple(r.id for r in track.rects
-                    if r.id not in tree.edges and r.id != anchors.r_bar),
-        # at d=2 the lone anchor slot is spent on the torsion invariant instead
-        pairs=() if d == 2 else tuple(i for i in tables.A if i not in tables.A_prime),
-        plaques=tuple(pl.id for pl in track.plaques if pl.id != anchors.t_bar),
-        triples=tuple(j for j in tables.B if j not in solved))
+    rects = tuple(r.id for r in track.rects if r.id not in tree.edges and r.id != anchors.r_bar)
+    # at d=2 the lone anchor slot is spent on the torsion invariant instead
+    pairs = () if d == 2 else tuple(i for i in tables.A if i not in tables.A_prime)
+    plaques = tuple(pl.id for pl in track.plaques if pl.id != anchors.t_bar)
+    triples = tuple(j for j in tables.B if j not in solved)
+    slots = ([slot[r, k] for r in rects for k in range(d - 1)]
+             + [slot[anchors.r_bar, i[0] - 1] for i in pairs]
+             + [slot[anchors.reps[p], j] for p in plaques for j in tables.B]
+             + [slot[anchors.reps[anchors.t_bar], j] for j in triples])
+    return FreeLayout(d, rects, pairs, plaques, triples, tuple(slots))
 
 
 def i2_forward(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
                tol: float = al.MEMBER_TOL) -> Tuple[FreeCoords, TorsionValue]:
-    d = c.d
     if anchors is None:
-        anchors = default_anchors(tree, d)
+        anchors = default_anchors(tree, c.d)
+    c = require_member(tree, c, tol)
     eps = tor_prime(tree, c, anchors, tol)
-    layout = free_layout(tree, d, anchors)
-    v_bar = c.v[anchors.r_bar]
-    z_bar = c.z[anchors.reps[anchors.t_bar]]
-    return FreeCoords(d, c.kind,
-                      {r: c.v[r] for r in layout.rects},
-                      {i: v_bar[i[0] - 1] for i in layout.pairs},
-                      {p: dict(c.z[anchors.reps[p]]) for p in layout.plaques},
-                      {j: z_bar[j] for j in layout.triples}), eps
+    layout = free_layout(tree, c.d, anchors)
+    return free_coords(layout, c.kind, itemgetter(*layout.slots)(c.vals)), eps
 
 
 class InversePlan(NamedTuple):
@@ -476,7 +481,7 @@ def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
 
 def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
     layout = free_layout(tree, d, anchors)
-    inputs = layout.size() + 1  # the free slots and epsilon
+    inputs = len(layout.slots) + 1  # the free slots and epsilon
     steps: List[al.Row] = []
 
     def add(terms) -> int:
@@ -502,8 +507,11 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     if not al.is_d_torsion(eps_val, d, tol):
         raise ValueError(f"epsilon is not {d}-torsion: {eps_val}")
     plan = inverse_plan(tree, d, anchors)
-    vals = plan.layout.flat(free)
-    vals.append(eps_val)
+    if (tuple(free.v_other), tuple(free.z_other), len(free.vals)) != (
+            plan.layout.rects, plan.layout.plaques, len(plan.layout.slots)):
+        raise ValueError("the free point's slots are not those of this tree's free layout "
+                         f"at d = {d} and these anchors")
+    vals = [*free.vals, eps_val]
     # a free slot is named by the first slot of `chart` it fills
     lanes = al.unpack(kind, vals, lambda q: "epsilon" if q == len(vals) - 1
                       else _slot_name(chart(tree, d), plan.out.index(q)))
@@ -512,35 +520,6 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     vals += [al.GroupElement(kind, x) for x in lanes[len(vals):]]
     return _require_recorded(tree, d, kind, tuple([vals[s] for s in plan.out]),
                              tuple([lanes[s] for s in plan.out]), tol)
-
-
-class _PlaqueField:
-    """Per-plaque B-vectors at representative switches, with rotation lookup."""
-
-    def __init__(self, track: TrainTrack, reps: Mapping[int, int], d: int):
-        self.tables = al.index_tables(d)
-        self.vecs: Dict[int, Dict[TripleIndex, Optional[GroupElement]]] = {}
-        self.role: Dict[int, Tuple[int, int]] = {}
-        for pl in track.plaques:
-            rep = reps[pl.id]
-            self.vecs[pl.id] = {j: None for j in self.tables.B}
-            self.role[rep] = (pl.id, 0)
-            self.role[pl.plus(rep)] = (pl.id, +1)
-            self.role[pl.minus(rep)] = (pl.id, -1)
-
-    def get(self, t: int, j: TripleIndex) -> GroupElement:
-        pid, role = self.role[t]
-        val = self.vecs[pid][j if role == 0 else al.rot_minus(j) if role == +1 else al.rot_plus(j)]
-        if val is None:
-            raise AssertionError(f"slot ({t}, {j}) read before being set")
-        return val
-
-    def set_class(self, pid: int, j: TripleIndex, val: GroupElement) -> None:
-        self.vecs[pid][j] = val
-
-    def materialize(self, track: TrainTrack) -> Dict[int, Dict[TripleIndex, GroupElement]]:
-        return {t: {j: self.get(t, j) for j in self.tables.B}
-                for pl in track.plaques for t in pl.switches_ccw}
 
 
 def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):
@@ -560,14 +539,27 @@ def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, val
     v_bar: List[Optional[GroupElement]] = [None] * (d - 1)
     for i in layout.pairs:
         v_bar[i[0] - 1] = next(slot)
-    zf = _PlaqueField(track, anchors.reps, d)
+    z: Dict[int, Dict[TripleIndex, GroupElement]] = {t: {} for t in track.switch_ids}
+
+    def set_z(pid: int, j: TripleIndex, val) -> None:
+        # slot j of plaque pid's representative, carried around the plaque as
+        # `rotation_pairs` relates its switches
+        pl, t = track.plaques[pid], anchors.reps[pid]
+        for _ in range(3):
+            z[t][j] = val
+            t, j = pl.plus(t), al.rot_plus(j)
+
+    def get_z(t: int, j: TripleIndex):
+        assert j in z[t], f"slot ({t}, {j}) read before being set"
+        return z[t][j]
+
     t_bar = anchors.t_bar
     rep_bar = anchors.reps[t_bar]
     for p in layout.plaques:
         for j in tables.B:
-            zf.set_class(p, j, next(slot))
+            set_z(p, j, next(slot))
     for j in layout.triples:
-        zf.set_class(t_bar, j, next(slot))
+        set_z(t_bar, j, next(slot))
     eps_val = next(slot)
 
     if d == 2:
@@ -575,40 +567,35 @@ def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, val
                        + [(-1, v[r][0]) for r in cls.u_right if r != anchors.r_bar]
                        + [(1, v[r][0]) for r in cls.u_left])
 
-    bar_plaque = next(pl for pl in track.plaques if pl.id == t_bar)
-    tau_minus = bar_plaque.minus(rep_bar)
-    tau_plus = bar_plaque.plus(rep_bar)
+    tau_minus = track.plaques[t_bar].minus(rep_bar)
+    tau_plus = track.plaques[t_bar].plus(rep_bar)
 
     # the step formulas are lists of signed terms (n, slot value), each summed
     # by one `add`
     def vsum(n: int, ids, i1: int) -> Terms:
-        terms = []
-        for r in ids:
-            e = (v_bar if r == anchors.r_bar else v[r])[i1 - 1]
-            if e is None:
-                raise AssertionError("anchor slot read before being set")
-            terms.append((n, e))
+        terms = [(n, (v_bar if r == anchors.r_bar else v[r])[i1 - 1]) for r in ids]
+        assert all(e is not None for _, e in terms), "anchor slot read before being set"
         return terms
 
     def zsum(n: int, switches, indices, exclude=()) -> Terms:
         skip = set(exclude)
-        return [(n, zf.get(t, j)) for t in switches for j in indices if (t, j) not in skip]
+        return [(n, get_z(t, j)) for t in switches for j in indices if (t, j) not in skip]
 
     all_switches = list(track.switch_ids)
     s_left = [t for t in all_switches if t in cls.s_left]
     s_right = [t for t in all_switches if t in cls.s_right]
 
     if d == 4:
-        _solve_d4_anchor(add, tables, cls, zf, t_bar, rep_bar, tau_minus,
+        _solve_d4_anchor(add, tables, cls, set_z, t_bar, rep_bar, tau_minus,
                          vsum, zsum, s_left, s_right, eps_val)
     else:
         if d % 2 == 0 and d >= 6:
-            _step1_even(add, tables, cls, zf, t_bar, tau_minus,
+            _step1_even(add, tables, cls, set_z, t_bar, tau_minus,
                         vsum, zsum, s_left, s_right)
         if d >= 3:
-            _step2(add, tables, zf, track, anchors, t_bar, rep_bar,
+            _step2(add, tables, set_z, track, anchors, t_bar, rep_bar,
                    vsum, zsum, s_left, cls, eps_val)
-        _step3(add, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d)
+        _step3(add, tables, set_z, t_bar, tau_minus, tau_plus, zsum, all_switches, d)
 
     if d >= 3:
         u_right = [r for r in cls.u_right if r != anchors.r_bar]
@@ -623,10 +610,10 @@ def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, val
 
     assert all(e is not None for e in v_bar)
     v[anchors.r_bar] = tuple(v_bar)
-    return v, zf.materialize(track)
+    return v, z
 
 
-def _step1_even(add, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_right):
+def _step1_even(add, tables, cls, set_z, t_bar, tau_minus, vsum, zsum, s_left, s_right):
     i0 = tables.i_zero[0]
     b0 = list(tables.B_zero)
     j0m = al.rot_minus(tables.j_zero)
@@ -637,10 +624,10 @@ def _step1_even(add, tables, cls, zf, t_bar, tau_minus, vsum, zsum, s_left, s_ri
              + zsum(s, [t for t in s_left if t != tau_minus], b0)
              + zsum(-s, [t for t in s_right if t != tau_minus], b0)
              + zsum(-1, [tau_minus], [j for j in b0 if j != j0m]))
-    zf.set_class(t_bar, tables.j_zero, add(terms))
+    set_z(t_bar, tables.j_zero, add(terms))
 
 
-def _step2(add, tables, zf, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, cls, eps_val):
+def _step2(add, tables, set_z, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, cls, eps_val):
     jp = tables.j_prime
     b_star = list(tables.B_star)
     other_reps = [anchors.reps[pl.id] for pl in track.plaques if pl.id != t_bar]
@@ -650,10 +637,10 @@ def _step2(add, tables, zf, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, 
         i0 = tables.i_zero[0]
         terms += (vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
                   + zsum(-1, s_left, list(tables.B_zero)))
-    zf.set_class(t_bar, jp, add(terms))
+    set_z(t_bar, jp, add(terms))
 
 
-def _step3(add, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
+def _step3(add, tables, set_z, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
     fl = (d - 1) // 2
     if fl < 2:
         return
@@ -668,17 +655,17 @@ def _step3(add, tables, zf, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
     i1 = fl
     i2 = d - i1
     terms = zsum(1, all_switches, column(i1)) + zsum(-1, all_switches, column(i2), skip_minus)
-    zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
+    set_z(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
 
     for i1 in range(fl - 1, 1, -1):
         i2 = d - i1
         terms = (zsum(1, all_switches, column(i1), skip_plus)
                  + zsum(-1, all_switches, column(i2), skip_minus)
-                 + [(1, zf.get(tau_plus, (1, i1, d - 1 - i1)))])
-        zf.set_class(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
+                 + zsum(1, [tau_plus], [(1, i1, d - 1 - i1)]))
+        set_z(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
 
 
-def _solve_d4_anchor(add, tables, cls, zf, t_bar, rep_bar, tau_minus,
+def _solve_d4_anchor(add, tables, cls, set_z, t_bar, rep_bar, tau_minus,
                      vsum, zsum, s_left, s_right, eps_val):
     """Coupled anchor slots for d=4; requires rep and minus-neighbour on
     opposite sides, solving the torsion equation first and then the balance
@@ -695,9 +682,9 @@ def _solve_d4_anchor(add, tables, cls, zf, t_bar, rep_bar, tau_minus,
         first, second, left_out, right_out = tables.j_prime, tables.j_zero, rep_bar, tau_minus
     i0 = tables.i_zero[0]
     uv = vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
-    zf.set_class(t_bar, first, add(
+    set_z(t_bar, first, add(
         uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
-    zf.set_class(t_bar, second, add(
+    set_z(t_bar, second, add(
         zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
         + [(-2 * n, x) for n, x in uv]))
 
@@ -743,13 +730,7 @@ def random_free(tree: OrientedTree, d: int, kind: str, rng,
     if anchors is None:
         anchors = default_anchors(tree, d)
     layout = free_layout(tree, d, anchors)
-    tables = al.index_tables(d)
-    drawn = iter([al.random_element(kind, rng) for _ in range(layout.size())])  # layout order
-    v_other = {r: tuple([next(drawn) for _ in tables.A]) for r in layout.rects}
-    v_anchor = {i: next(drawn) for i in layout.pairs}
-    z_other = {p: {j: next(drawn) for j in tables.B} for p in layout.plaques}
-    z_anchor = {j: next(drawn) for j in layout.triples}
-    return FreeCoords(d, kind, v_other, v_anchor, z_other, z_anchor)
+    return free_coords(layout, kind, [al.random_element(kind, rng) for _ in layout.slots])
 
 
 def sample_y(tree: OrientedTree, d: int, kind: str, rng,

@@ -180,8 +180,6 @@ class TrainTrack:
         self.switch_ids: Tuple[int, ...] = tuple(sorted(switch_ids))
         self.rects: Tuple[Rect, ...] = tuple(sorted(rects, key=lambda r: r.id))
         self.rect_by_id: Dict[int, Rect] = {r.id: r for r in self.rects}
-        self._plaques: Optional[Tuple[Plaque, ...]] = None
-        self._plaque_of_switch: Dict[int, int] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -211,52 +209,52 @@ class TrainTrack:
 
     def finalize(self) -> None:
         """Check all structural invariants; compute plaques."""
-        if self._plaques is not None:
-            return
-        self.slot_map()
-        if self.genus < 2:
-            raise GenusMismatch(f"genus {self.genus} < 2")
-        g = self.genus
-        if len(self.switch_ids) != 12 * g - 12 or len(self.rects) != 18 * g - 18:
-            raise GenusMismatch(
-                f"expected {12 * g - 12} switches / {18 * g - 18} rectangles, "
-                f"got {len(self.switch_ids)} / {len(self.rects)}"
-            )
-        # Connectivity of the switch graph.
-        adj: Dict[int, List[int]] = {s: [] for s in self.switch_ids}
-        for r in self.rects:
-            adj[r.end0[0]].append(r.end1[0])
-            adj[r.end1[0]].append(r.end0[0])
-        reach = _reach(self.switch_ids[0], adj.__getitem__)
-        if len(reach) != len(self.switch_ids):
-            raise DisconnectedTrack(f"only {len(reach)} of {len(self.switch_ids)} switches reachable")
-        cells = self._trace_cells()
-        for cusps in cells:
-            if len(cusps) != 3:
-                raise CellShapeError(f"cell crosses {len(cusps)} switch cusps, expected 3")
-        euler = (len(self.switch_ids) - len(self.rects)) + len(cells)
-        if euler != 2 - 2 * g:
-            raise GenusMismatch(f"euler characteristic {euler} != {2 - 2 * g}")
-        plaques = []
-        for cusps in cells:
-            ccw = tuple(reversed(cusps))
-            k = ccw.index(min(ccw))
-            plaques.append(tuple(ccw[k:] + ccw[:k]))
-        plaques.sort()
-        self._plaques = tuple(Plaque(i, sw) for i, sw in enumerate(plaques))
-        for pl in self._plaques:
-            for t in pl.switches_ccw:
-                self._plaque_of_switch[t] = pl.id
+        self.plaques
 
     @property
     def plaques(self) -> Tuple[Plaque, ...]:
-        self.finalize()
-        assert self._plaques is not None
-        return self._plaques
+        """The plaques in id order, traced once the structural invariants hold."""
+        return memo(self, "plaques", _trace_plaques)
 
     def plaque_of_switch(self, t: int) -> Plaque:
-        self.finalize()
-        return self.plaques[self._plaque_of_switch[t]]
+        return memo(self, "plaque_of_switch", _map_plaque_of_switch)[t]
+
+
+def _trace_plaques(track: TrainTrack) -> Tuple[Plaque, ...]:
+    track.slot_map()
+    g = track.genus
+    if g < 2:
+        raise GenusMismatch(f"genus {g} < 2")
+    if len(track.switch_ids) != 12 * g - 12 or len(track.rects) != 18 * g - 18:
+        raise GenusMismatch(
+            f"expected {12 * g - 12} switches / {18 * g - 18} rectangles, "
+            f"got {len(track.switch_ids)} / {len(track.rects)}"
+        )
+    # Connectivity of the switch graph.
+    adj: Dict[int, List[int]] = {s: [] for s in track.switch_ids}
+    for r in track.rects:
+        adj[r.end0[0]].append(r.end1[0])
+        adj[r.end1[0]].append(r.end0[0])
+    reach = _reach(track.switch_ids[0], adj.__getitem__)
+    if len(reach) != len(track.switch_ids):
+        raise DisconnectedTrack(f"only {len(reach)} of {len(track.switch_ids)} switches reachable")
+    cells = track._trace_cells()
+    for cusps in cells:
+        if len(cusps) != 3:
+            raise CellShapeError(f"cell crosses {len(cusps)} switch cusps, expected 3")
+    euler = (len(track.switch_ids) - len(track.rects)) + len(cells)
+    if euler != 2 - 2 * g:
+        raise GenusMismatch(f"euler characteristic {euler} != {2 - 2 * g}")
+    plaques = []
+    for cusps in cells:
+        ccw = tuple(reversed(cusps))
+        k = ccw.index(min(ccw))
+        plaques.append(tuple(ccw[k:] + ccw[:k]))
+    return tuple(Plaque(i, sw) for i, sw in enumerate(sorted(plaques)))
+
+
+def _map_plaque_of_switch(track: TrainTrack) -> Dict[int, Plaque]:
+    return {t: pl for pl in track.plaques for t in pl.switches_ccw}
 
 
 def _reach(start: int, neighbours) -> set:
@@ -296,13 +294,12 @@ def validate(track: TrainTrack) -> ValidationReport:
         track.finalize()
     except TrackError as err:
         errors.append((err.code, str(err)))
-    n_plaques = len(track._plaques) if track._plaques is not None else 0
     return ValidationReport(
         valid=not errors,
         genus=track.genus,
         n_switches=len(track.switch_ids),
         n_rectangles=len(track.rects),
-        n_plaques=n_plaques,
+        n_plaques=0 if errors else len(track.plaques),
         errors=tuple(errors),
     )
 

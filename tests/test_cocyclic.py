@@ -312,6 +312,16 @@ class TestAnchors:
         assert tt.classify(fixed).u_right == cls.u_left
         cc.default_anchors(fixed, 3)
 
+    def test_anchor_rectangle_on_the_tree_is_refused(self):
+        # a tree edge carries no v slots, so no free slot can be drawn for it
+        base = cc.default_anchors(TREE, 3)
+        edge = min(TREE.edges)
+        bad = cc.Anchors(t_bar=base.t_bar, r_bar=edge, reps=base.reps)
+        for d in (2, 3):
+            with pytest.raises(cc.AnchorError, match=f"^anchor rectangle {edge} carries no slot "
+                                                     "off the tree$"):
+                cc.random_free(TREE, d, "real", random.Random(16), bad)
+
     def test_ensure_right_unorientable_keeps_good_tree(self):
         assert cc.ensure_right_unorientable(TREE) is TREE
 
@@ -356,7 +366,7 @@ class TestI2:
             free, _ = cc.i2_forward(TREE, zero_coords(d, "real"))
             layout = cc.free_layout(TREE, d, cc.default_anchors(TREE, d))
             assert_free_fills_layout(free, layout)
-            assert len(layout.flat(free)) == al.dimension_count(d, TRACK.genus)
+            assert len(free.vals) == al.dimension_count(d, TRACK.genus)
 
     def test_slot_count_genus_three(self):
         (track, _), _ = io.load(DATA / "track_g3_s2.json", io.track_from_json)
@@ -366,7 +376,7 @@ class TestI2:
             free = cc.random_free(tree, d, "real", rng)
             layout = cc.free_layout(tree, d, cc.default_anchors(tree, d))
             assert_free_fills_layout(free, layout)
-            assert len(layout.flat(free)) == al.dimension_count(d, 3)
+            assert len(free.vals) == al.dimension_count(d, 3)
 
     def test_zero_free_identity_eps_gives_zero_point(self):
         for d in (2, 3, 4, 5):
@@ -536,7 +546,7 @@ class TestInversePlan:
                     free = cc.random_free(tree, d, kind, rng, anchors)
                     eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
                     got = cc.i2_inverse(tree, free, eps, anchors)
-                    v, z = cc._inverse_steps(tree, layout, anchors, layout.flat(free) + [eps],
+                    v, z = cc._inverse_steps(tree, layout, anchors, [*free.vals, eps],
                                              lambda terms: al.combine(kind, terms))
                     assert dict(got.v) == v, (name, d, kind)
                     assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
@@ -547,7 +557,7 @@ class TestInversePlan:
         tree = _tree_of(name)
         for d in range(2, 9):
             plan = cc.inverse_plan(tree, d, cc.default_anchors(tree, d))
-            inputs = plan.layout.size() + 1  # the free slots and epsilon
+            inputs = len(plan.layout.slots) + 1  # the free slots and epsilon
             # each step reads only the inputs and the steps before it
             for q, row in enumerate(plan.steps):
                 assert all(s < inputs + q for _, s in row), (name, d, q)
@@ -642,7 +652,7 @@ class TestInversePlan:
             for tol in (al.MEMBER_TOL, 1e-13, 1e-15, 0.0):
                 free = cc.random_free(TREE, d, kind, rng, anchors)
                 eps = al.zero(kind)
-                v, z = cc._inverse_steps(TREE, layout, anchors, layout.flat(free) + [eps],
+                v, z = cc._inverse_steps(TREE, layout, anchors, [*free.vals, eps],
                                          lambda terms: al.combine(kind, terms))
                 outcomes = []
                 for gate in (lambda: cc.i2_inverse(TREE, free, eps, anchors, tol),
@@ -666,15 +676,16 @@ class TestInversePlan:
         orientable = next(r for r in layout.rects if r in CLS.orientable)
         plaque = layout.plaques[0]
         j = al.index_tables(d).B[0]
+        slot = cc.chart(TREE, d).slot
+        at = {"orientable v": layout.slots.index(slot[orientable, 0]),
+              "free z": layout.slots.index(slot[anchors.reps[plaque], j])}
         # an infinity in a free z slot meets its negative in the inverse's sums
         for x, where in itertools.product((math.nan, math.inf, -math.inf),
                                           ("orientable v", "free z")):
             bad = al.GroupElement(kind, (x, 0.0) if kind == "cylinder" else x)
-            free = cc.random_free(TREE, d, kind, random.Random(75), anchors)
-            if where == "orientable v":
-                free.v_other[orientable] = (bad,) + free.v_other[orientable][1:]
-            else:
-                free.z_other[plaque][j] = bad
+            vals = list(cc.random_free(TREE, d, kind, random.Random(75), anchors).vals)
+            vals[at[where]] = bad
+            free = cc.free_coords(layout, kind, vals)
             eps = al.zero(kind)
             with pytest.raises(cc.MembershipError, match="^non-finite value at ") as got:
                 cc.i2_inverse(TREE, free, eps, anchors)
@@ -682,7 +693,7 @@ class TestInversePlan:
                 # it enters no equation: only the finiteness check sees it
                 assert str(got.value) == (f"non-finite value at rectangle {orientable}, "
                                           f"pair index {(1, d - 1)}")
-            v, z = cc._inverse_steps(TREE, layout, anchors, layout.flat(free) + [eps],
+            v, z = cc._inverse_steps(TREE, layout, anchors, [*free.vals, eps],
                                      lambda terms: al.combine(kind, terms))
             point = cc.CocyclicCoords(d, kind, v, z)
             with pytest.raises(cc.MembershipError) as again:
@@ -697,6 +708,54 @@ class TestInversePlan:
                                                      r"index \(1, 2\)$") as got:
             cc.require_member(TREE, c)
         assert isinstance(got.value.__cause__, al.SumOverflow)
+
+
+class TestFreePoint:
+    """A free point is one slot vector in the order of its layout."""
+
+    @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
+    def test_free_slots_are_chart_slots_in_layout_order(self, name):
+        tree = _tree_of(name)
+        rng = random.Random(96)
+        for d in range(2, 9):
+            anchors = cc.default_anchors(tree, d)
+            layout = cc.free_layout(tree, d, anchors)
+            assert len(layout.slots) == al.dimension_count(d, tree.track.genus)
+            assert len(set(layout.slots)) == len(layout.slots)
+            c = cc.sample_y(tree, d, "zd:12", rng, anchors)
+            free, eps = cc.i2_forward(tree, c, anchors)
+            assert free.vals == tuple(c.vals[s] for s in layout.slots), d
+            drawn = cc.random_free(tree, d, "zd:12", rng, anchors)
+            back, _ = cc.i2_forward(tree, cc.i2_inverse(tree, drawn, eps, anchors), anchors)
+            assert back.vals == drawn.vals, d
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_views_are_read_only(self, d):
+        anchors = cc.default_anchors(TREE, d)
+        layout = cc.free_layout(TREE, d, anchors)
+        free = cc.random_free(TREE, d, "real", random.Random(97), anchors)
+        r, p, x = layout.rects[0], layout.plaques[0], al.real(0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            free.vals = ()
+        for view, key in ((free.v_other, r), (free.v_other[r], 0), (free.v_anchor, (1, d - 1)),
+                          (free.z_other, p), (free.z_other[p], (1, 1, d - 2)),
+                          (free.z_anchor, (1, 1, d - 2))):
+            with pytest.raises(TypeError):
+                view[key] = x
+
+    def test_a_free_point_of_another_layout_is_refused(self):
+        g2, g3 = _tree_of("track_g2_s1"), _tree_of("track_g3_s2")
+        base = cc.default_anchors(g2, 3)
+        # the same tree with another anchor plaque: as many slots, other plaques
+        other_plaque = cc.Anchors(t_bar=max(pl.id for pl in g2.track.plaques),
+                                  r_bar=base.r_bar, reps=base.reps)
+        for drawn_on, drawn_at, used_on in ((g3, None, g2), (g2, None, g3),
+                                            (g2, other_plaque, g2)):
+            free = cc.random_free(drawn_on, 3, "real", random.Random(98), drawn_at)
+            with pytest.raises(ValueError, match="^the free point's slots are not those of "
+                                                 "this tree's free layout at d = 3 and these "
+                                                 "anchors$"):
+                cc.i2_inverse(used_on, free, al.torsion_element("real", 3, 0))
 
 
 class TestChart:
@@ -1057,12 +1116,15 @@ class TestLanes:
     @pytest.mark.parametrize("kind,other", PROBES)
     def test_i2_inverse_names_a_stray_free_slot_or_epsilon(self, kind, other):
         anchors = cc.default_anchors(TREE, 3)
+        layout = cc.free_layout(TREE, 3, anchors)
         free = cc.random_free(TREE, 3, kind, random.Random(1), anchors)
         eps = al.zero(kind)
         with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
                                                     "at epsilon$"):
             cc.i2_inverse(TREE, free, al.zero(other), anchors)
-        free.v_other[self.LONE] = (free.v_other[self.LONE][0], al.zero(other))
+        vals = list(free.vals)
+        vals[layout.slots.index(cc.chart(TREE, 3).slot[self.LONE, 1])] = al.zero(other)
+        free = cc.free_coords(layout, kind, vals)
         with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' at "
                                                     f"rectangle {self.LONE}, pair index"):
             cc.i2_inverse(TREE, free, eps, anchors)

@@ -470,7 +470,8 @@ class TestCompiledOnce:
         assert set(vars(track)) == set(vars(fresh)) | {"_memo"}
         assert set(vars(tree)) == {"track", "edges", "root", "root_bit", "orientation", "_memo"}
         assert set(vars(lifts)) == {"tree", "r_bit", "_memo"}
-        assert {key[0] for key in track._memo} == {"slot_map", "rotation_pairs"}
+        assert {key[0] for key in track._memo} == {"slot_map", "plaques", "plaque_of_switch",
+                                                   "rotation_pairs"}
         assert {key[0] for key in tree._memo} == {"classify", "boundary_walk", "chart",
                                                   "recorded_rows", "free_layout",
                                                   "inverse_plan", "ledger_row"}
