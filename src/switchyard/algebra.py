@@ -297,14 +297,14 @@ def torsion_order(kind: str, d: int) -> int:
     return math.gcd(_modulus(kind), d)
 
 
-def random_element(kind: str, rng: random.Random, scale: float = 1.0) -> GroupElement:
+def random_element(kind: str, rng: random.Random) -> GroupElement:
     """The one draw rule: a gaussian real part, a uniform angle, a uniform residue."""
     if kind == "real":
-        return GroupElement(kind, rng.gauss(0.0, scale))
+        return GroupElement(kind, rng.gauss(0.0, 1.0))
     if kind == "circle":
         return GroupElement(kind, rng.uniform(0.0, TWO_PI))
     if kind == "cylinder":
-        return GroupElement(kind, (rng.gauss(0.0, scale), rng.uniform(0.0, TWO_PI)))
+        return GroupElement(kind, (rng.gauss(0.0, 1.0), rng.uniform(0.0, TWO_PI)))
     return GroupElement(kind, rng.randrange(_modulus(kind)))
 
 

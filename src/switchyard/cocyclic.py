@@ -134,6 +134,30 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
     return Anchors(t_bar=t_bar, r_bar=r_bar, reps=reps)
 
 
+def _check_anchors(tree: OrientedTree, anchors: Anchors) -> None:
+    """Raise `AnchorError` naming the first fault of ``anchors`` on ``tree``.
+
+    The d=4 condition on the anchor plaque is left to the inverse's step code,
+    so that `random_free` can draw on anchors the inverse rejects.
+    """
+    r_bar, plaques = anchors.r_bar, tree.track.plaques
+    ids = {pl.id for pl in plaques}
+    if r_bar in tree.edges:
+        raise AnchorError(f"anchor rectangle {r_bar} carries no slot off the tree")
+    if r_bar not in classify(tree).u_right:
+        raise AnchorError(f"anchor rectangle {r_bar} is not a right-exiting unorientable "
+                          "rectangle off the tree")
+    if anchors.t_bar not in ids:
+        raise AnchorError(f"anchor plaque {anchors.t_bar} is not a plaque of the track")
+    if anchors.reps.keys() != ids:
+        raise AnchorError(f"the representatives name plaques {sorted(anchors.reps)}, "
+                          f"not the track's plaques {sorted(ids)}")
+    for pl in plaques:
+        if anchors.reps[pl.id] not in pl.switches_ccw:
+            raise AnchorError(f"representative {anchors.reps[pl.id]} is not a switch of "
+                              f"plaque {pl.id}")
+
+
 # -- the rotation relation -----------------------------------------------------
 
 
@@ -343,6 +367,7 @@ def _record_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ..
 def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms]:
     """The torsion invariant's signed terms over a point's ``v`` and ``z``: one form
     at odd d; at even d the left and then the right parity form."""
+    _check_anchors(tree, anchors)
     tables = al.index_tables(d)
     cls = classify(tree)
     base = [(-1, z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
@@ -433,11 +458,10 @@ def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
 
 
 def _build_free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
+    _check_anchors(tree, anchors)
     tables = al.index_tables(d)
     track = tree.track
     slot = chart(tree, d).slot
-    if (anchors.r_bar, 0) not in slot:
-        raise AnchorError(f"anchor rectangle {anchors.r_bar} carries no slot off the tree")
     solved = set(tables.B_dprime) | {tables.j_prime}  # the anchor plaque's solved slots
     rects = tuple(r.id for r in track.rects if r.id not in tree.edges and r.id != anchors.r_bar)
     # at d=2 the lone anchor slot is spent on the torsion invariant instead
@@ -568,7 +592,6 @@ def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, val
                        + [(1, v[r][0]) for r in cls.u_left])
 
     tau_minus = track.plaques[t_bar].minus(rep_bar)
-    tau_plus = track.plaques[t_bar].plus(rep_bar)
 
     # the step formulas are lists of signed terms (n, slot value), each summed
     # by one `add`
@@ -578,24 +601,62 @@ def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, val
         return terms
 
     def zsum(n: int, switches, indices, exclude=()) -> Terms:
-        skip = set(exclude)
-        return [(n, get_z(t, j)) for t in switches for j in indices if (t, j) not in skip]
+        return [(n, get_z(t, j)) for t in switches for j in indices if (t, j) not in exclude]
 
     all_switches = list(track.switch_ids)
     s_left = [t for t in all_switches if t in cls.s_left]
     s_right = [t for t in all_switches if t in cls.s_right]
+    b0 = list(tables.B_zero)
+    if d % 2 == 0:
+        # the middle v-column summed over u_right less its sum over u_left
+        uv = vsum(1, cls.u_right, tables.i_zero[0]) + vsum(-1, cls.u_left, tables.i_zero[0])
 
     if d == 4:
-        _solve_d4_anchor(add, tables, cls, set_z, t_bar, rep_bar, tau_minus,
-                         vsum, zsum, s_left, s_right, eps_val)
-    else:
-        if d % 2 == 0 and d >= 6:
-            _step1_even(add, tables, cls, set_z, t_bar, tau_minus,
-                        vsum, zsum, s_left, s_right)
-        if d >= 3:
-            _step2(add, tables, set_z, track, anchors, t_bar, rep_bar,
-                   vsum, zsum, s_left, cls, eps_val)
-        _step3(add, tables, set_z, t_bar, tau_minus, tau_plus, zsum, all_switches, d)
+        # the coupled anchor slots, solvable only when the representative and
+        # tau_minus exit on opposite sides: the torsion equation leaves the left
+        # one of them out of its known s_left sum, then the balance equation for
+        # the middle pair index the right one out of its s_right sum
+        rep_side_right = rep_bar in cls.s_right
+        if rep_side_right == (tau_minus in cls.s_right):
+            raise AnchorError("anchor plaque is single-sided at d=4; pick mixed-side anchors")
+        if rep_side_right:
+            first, second, left_out, right_out = tables.j_zero, tables.j_prime, tau_minus, rep_bar
+        else:
+            first, second, left_out, right_out = tables.j_prime, tables.j_zero, rep_bar, tau_minus
+        set_z(t_bar, first, add(
+            uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
+        set_z(t_bar, second, add(
+            zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
+            + [(-2 * n, x) for n, x in uv]))
+    elif d >= 3:
+        if d % 2 == 0:
+            # step 1: the form changes sign with the side tau_minus exits on and
+            # leaves tau_minus out of that side's sum; tau_minus's B_zero slots
+            # other than rot- j_zero enter with -1
+            s = 1 if tau_minus in cls.s_right else -1
+            j0m = al.rot_minus(tables.j_zero)
+            set_z(t_bar, tables.j_zero, add(
+                [(-2 * s * n, x) for n, x in uv]
+                + zsum(s, [t for t in s_left if t != tau_minus], b0)
+                + zsum(-s, [t for t in s_right if t != tau_minus], b0)
+                + zsum(-1, [tau_minus], [j for j in b0 if j != j0m])))
+        # step 2: the torsion invariant, solved for j_prime at the anchor plaque
+        b_star = list(tables.B_star)
+        other_reps = [anchors.reps[pl.id] for pl in track.plaques if pl.id != t_bar]
+        terms = ([(-1, eps_val)] + zsum(-1, other_reps, b_star)
+                 + zsum(-1, [rep_bar], [j for j in b_star if j != tables.j_prime]))
+        if d % 2 == 0:
+            terms += uv + zsum(-1, s_left, b0)
+        set_z(t_bar, tables.j_prime, add(terms))
+        # step 3, largest first coordinate first: column i1 reads only slots set
+        # before it, column d-i1 leaves out its one unknown, slot (i1-1, d-i1, 1)
+        # at tau_minus
+        for i1 in range((d - 1) // 2, 1, -1):
+            unknown = (i1 - 1, d - i1, 1)
+            terms = (zsum(1, all_switches, [j for j in tables.B if j[1] == i1])
+                     + zsum(-1, all_switches, [j for j in tables.B if j[1] == d - i1],
+                            {(tau_minus, unknown)}))
+            set_z(t_bar, al.rot_plus(unknown), add(terms))
 
     if d >= 3:
         u_right = [r for r in cls.u_right if r != anchors.r_bar]
@@ -611,82 +672,6 @@ def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, val
     assert all(e is not None for e in v_bar)
     v[anchors.r_bar] = tuple(v_bar)
     return v, z
-
-
-def _step1_even(add, tables, cls, set_z, t_bar, tau_minus, vsum, zsum, s_left, s_right):
-    i0 = tables.i_zero[0]
-    b0 = list(tables.B_zero)
-    j0m = al.rot_minus(tables.j_zero)
-    # the form changes sign with the side tau_minus exits on and leaves tau_minus
-    # out of that side's sum; tau_minus's B_zero slots other than j0m enter with -1
-    s = 1 if tau_minus in cls.s_right else -1
-    terms = (vsum(2 * s, cls.u_left, i0) + vsum(-2 * s, cls.u_right, i0)
-             + zsum(s, [t for t in s_left if t != tau_minus], b0)
-             + zsum(-s, [t for t in s_right if t != tau_minus], b0)
-             + zsum(-1, [tau_minus], [j for j in b0 if j != j0m]))
-    set_z(t_bar, tables.j_zero, add(terms))
-
-
-def _step2(add, tables, set_z, track, anchors, t_bar, rep_bar, vsum, zsum, s_left, cls, eps_val):
-    jp = tables.j_prime
-    b_star = list(tables.B_star)
-    other_reps = [anchors.reps[pl.id] for pl in track.plaques if pl.id != t_bar]
-    terms = ([(-1, eps_val)] + zsum(-1, other_reps, b_star)
-             + zsum(-1, [rep_bar], [j for j in b_star if j != jp]))
-    if tables.d % 2 == 0:
-        i0 = tables.i_zero[0]
-        terms += (vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
-                  + zsum(-1, s_left, list(tables.B_zero)))
-    set_z(t_bar, jp, add(terms))
-
-
-def _step3(add, tables, set_z, t_bar, tau_minus, tau_plus, zsum, all_switches, d):
-    fl = (d - 1) // 2
-    if fl < 2:
-        return
-    # B' rotated onto tau_minus and tau_plus: the unknown slots, left out of the sums
-    skip_minus = [(tau_minus, al.rot_minus(j)) for j in tables.B_prime]
-    skip_plus = [(tau_plus, al.rot_plus(j)) for j in tables.B_prime]
-
-    def column(m: int) -> List[TripleIndex]:
-        return [j for j in tables.B if j[1] == m]
-
-    # largest first-coordinate case: single unknown on the minus side
-    i1 = fl
-    i2 = d - i1
-    terms = zsum(1, all_switches, column(i1)) + zsum(-1, all_switches, column(i2), skip_minus)
-    set_z(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
-
-    for i1 in range(fl - 1, 1, -1):
-        i2 = d - i1
-        terms = (zsum(1, all_switches, column(i1), skip_plus)
-                 + zsum(-1, all_switches, column(i2), skip_minus)
-                 + zsum(1, [tau_plus], [(1, i1, d - 1 - i1)]))
-        set_z(t_bar, al.rot_plus((i1 - 1, i2, 1)), add(terms))
-
-
-def _solve_d4_anchor(add, tables, cls, set_z, t_bar, rep_bar, tau_minus,
-                     vsum, zsum, s_left, s_right, eps_val):
-    """Coupled anchor slots for d=4; requires rep and minus-neighbour on
-    opposite sides, solving the torsion equation first and then the balance
-    equation for the middle pair index."""
-    b0 = list(tables.B_zero)
-    rep_side_right = rep_bar in cls.s_right
-    if rep_side_right == (tau_minus in cls.s_right):
-        raise AnchorError("anchor plaque is single-sided at d=4; pick mixed-side anchors")
-    # the torsion equation leaves the left one of rep and tau_minus out of its
-    # known s_left sum, the balance equation the right one out of its s_right sum
-    if rep_side_right:
-        first, second, left_out, right_out = tables.j_zero, tables.j_prime, tau_minus, rep_bar
-    else:
-        first, second, left_out, right_out = tables.j_prime, tables.j_zero, rep_bar, tau_minus
-    i0 = tables.i_zero[0]
-    uv = vsum(1, cls.u_right, i0) + vsum(-1, cls.u_left, i0)
-    set_z(t_bar, first, add(
-        uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
-    set_z(t_bar, second, add(
-        zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
-        + [(-2 * n, x) for n, x in uv]))
 
 
 # -- auxiliary identities ------------------------------------------------------

@@ -322,6 +322,37 @@ class TestAnchors:
                                                      "off the tree$"):
                 cc.random_free(TREE, d, "real", random.Random(16), bad)
 
+    @pytest.mark.parametrize("d", [3, 5, 6])
+    def test_invalid_anchors_are_refused_in_one_place(self, d):
+        # drawing, inverting and the torsion invariant each name the same fault
+        base = cc.default_anchors(TREE, d)
+        left, orientable = min(CLS.u_left), min(CLS.orientable)
+        other = TRACK.plaques[1].switches_ccw[0]
+        ids = sorted(pl.id for pl in TRACK.plaques)
+        cases = [
+            (cc.Anchors(base.t_bar, left, base.reps),
+             f"anchor rectangle {left} is not a right-exiting unorientable rectangle off the tree"),
+            (cc.Anchors(base.t_bar, orientable, base.reps),
+             f"anchor rectangle {orientable} is not a right-exiting unorientable rectangle "
+             "off the tree"),
+            (cc.Anchors(99, base.r_bar, base.reps),
+             "anchor plaque 99 is not a plaque of the track"),
+            (cc.Anchors(base.t_bar, base.r_bar, {p: s for p, s in base.reps.items() if p != 0}),
+             f"the representatives name plaques {ids[1:]}, not the track's plaques {ids}"),
+            (cc.Anchors(base.t_bar, base.r_bar, {**base.reps, 0: other}),
+             f"representative {other} is not a switch of plaque 0"),
+        ]
+        member = cc.sample_y(TREE, d, "cylinder", random.Random(17))
+        free = cc.random_free(TREE, d, "cylinder", random.Random(18), base)
+        eps = al.torsion_element("cylinder", d, 1)
+        for bad, message in cases:
+            for call in (lambda: cc.random_free(TREE, d, "cylinder", random.Random(19), bad),
+                         lambda: cc.i2_inverse(TREE, free, eps, bad),
+                         lambda: cc.tor_prime(TREE, member, bad)):
+                with pytest.raises(cc.AnchorError) as got:
+                    call()
+                assert str(got.value) == message
+
     def test_ensure_right_unorientable_keeps_good_tree(self):
         assert cc.ensure_right_unorientable(TREE) is TREE
 
@@ -537,7 +568,7 @@ class TestInversePlan:
         d4_sides = set()  # the coupled d=4 slots are solved in one order or the other
         for name in self.TRACKS:
             tree = _tree_of(name)
-            for d in (2, 3, 4, 5, 6):
+            for d in range(2, 9):
                 anchors = cc.default_anchors(tree, d)
                 if d == 4:
                     d4_sides.add(anchors.reps[anchors.t_bar] in tt.classify(tree).s_right)
