@@ -3,11 +3,12 @@
 A flag is stored as an invertible matrix of column vectors; its k-dimensional
 subspace is the span of the first k columns.  Wedge powers are determinants
 of leading columns, so every ratio below is invariant under both projective
-transformations and per-flag rescaling.  Each family of small matrices (an
-invariant's minors, an adapted basis's line intersections) is evaluated in
-one stacked numpy call.  The module also builds bases adapted to flag
-triples, the unipotent transformation matching two flags of a transverse
-triple, and chained compatible bases.
+transformations and per-flag rescaling.  Each family of small matrices is
+evaluated in one stacked numpy call: an invariant's minors, and the line
+intersections and then the scalings of every adapted basis a compatible
+triple needs.  The module also builds bases adapted to flag triples, the
+unipotent transformation matching two flags of a transverse triple (its
+annihilators all come from one complete QR), and chained compatible bases.
 """
 
 from __future__ import annotations
@@ -148,13 +149,9 @@ def _compositions(total: int, m: int):
 def general_position(flags: Sequence[Flag], pattern: Optional[Sequence[int]] = None,
                      tol: float = FLAG_TOL) -> bool:
     d = flags[0].d
-    if pattern is not None:
-        if sum(pattern) != d:
-            raise ValueError("pattern must sum to the ambient dimension")
-        patterns = [pattern]
-    else:
-        patterns = list(_compositions(d, len(flags)))
-    _, rel = _minors(flags, patterns)
+    if pattern is not None and sum(pattern) != d:
+        raise ValueError("pattern must sum to the ambient dimension")
+    _, rel = _minors(flags, [pattern] if pattern is not None else list(_compositions(d, len(flags))))
     return bool(np.all(rel > tol))  # a nan minor is not in general position
 
 
@@ -220,47 +217,49 @@ def adapted_basis(triple: Sequence[Flag]) -> np.ndarray:
 
     The global scalar is pinned so the first nonzero coordinate of g_1 is 1.
     """
-    f1, f2, f3 = triple
-    d = f1.d
+    return _adapted_bases([triple])[0]
+
+
+def _adapted_bases(triples: Sequence[Sequence[Flag]]) -> np.ndarray:
+    """`adapted_basis` of each triple, as one (n, d, d) stack from one stacked
+    SVD of every line intersection and one of every scaling."""
+    f1, f2, f3 = np.array([[f.unit for f in t] for t in triples]).swapaxes(0, 1)
+    d = f1.shape[-1]
     # column m of g spans F1^m meet F3^(d-m+1): the null vector x_m of
-    # [F1^m | -F3^(d-m+1)] gives g_m = F1^m x_m[:m], for all m in one SVD
-    both = np.hstack([f1.unit, -f3.unit])
+    # [F1^m | -F3^(d-m+1)] gives g_m = F1^m x_m[:m]
+    both = np.concatenate([f1, -f3], axis=2)
     idx = np.array([[*range(m), *range(d, 2 * d - m + 1)] for m in range(1, d + 1)])
-    x = _null_vector(np.moveaxis(both[:, idx], 1, 0))
-    g = f1.unit @ np.triu(x[:, :d].T)
-    if not np.all(np.linalg.norm(g, axis=0) >= RANK_TOL * np.linalg.norm(x, axis=1)):
+    x = _null_vector(np.moveaxis(both[:, :, idx], 2, 1))
+    g = f1 @ np.triu(x[..., :d].transpose(0, 2, 1))
+    if not np.all(np.linalg.norm(g, axis=1) >= RANK_TOL * np.linalg.norm(x, axis=2)):
         raise DegenerateFlagError("subspaces meet non-transversally")
-    x = _null_vector(np.hstack([g, -f2.cols(1)]))
-    c, t = x[:d], x[d]
-    if abs(t) < RANK_TOL or np.min(np.abs(c)) < ENTRY_FLOOR * np.max(np.abs(c)):
+    x = _null_vector(np.concatenate([g, -f2[:, :, :1]], axis=2))
+    c = np.abs(x[:, :d])
+    if np.any(np.abs(x[:, d]) < RANK_TOL) or np.any(c.min(axis=1) < ENTRY_FLOOR * c.max(axis=1)):
         raise DegenerateFlagError("no adapted scaling exists")
-    g = g * c
-    lead = g[:, 0]
-    k = next(idx for idx in range(d) if abs(lead[idx]) > ENTRY_FLOOR * np.max(np.abs(lead)))
-    return g / lead[k]
+    g = g * x[:, None, :d]
+    # pin the first coordinate of g_1 above ENTRY_FLOOR of its largest to 1
+    lead = np.abs(g[:, :, 0])
+    k = np.argmax(lead > ENTRY_FLOOR * lead.max(axis=1, keepdims=True), axis=1)
+    return g / g[np.arange(len(g)), k, 0][:, None, None]
 
 
 def unipotent_fixing(f2: Flag, f1: Flag, f3: Flag) -> np.ndarray:
     """The unipotent matrix fixing the first flag and carrying f1^k onto f3^k.
 
     Solved as a linear system for the strict upper triangle in a basis listing
-    the fixed flag, with one annihilator condition per carried subspace.
+    the fixed flag, with one annihilator condition per carried subspace.  One
+    complete QR of f3 gives every annihilator: rows k.. of Q^H vanish on F3^k.
     """
     d = f2.d
     p = f2.unit
     y = np.linalg.solve(p, f1.unit)
-
-    # unknown n is the entry (a[n], b[n]) of the strict upper triangle
+    qp = np.linalg.qr(f3.unit, mode="complete")[0].conj().T @ p
+    # unknown i is the entry (a[i], b[i]) of the strict upper triangle N, and
+    # equation i asks row b[i] of Q^H p to vanish on (1 + N) y[:, a[i]]
     a, b = np.triu_indices(d, 1)
-    rows: List[np.ndarray] = []
-    rhs: List[np.ndarray] = []
-    for k in range(1, d):
-        left = np.linalg.svd(f3.cols(k), full_matrices=True)[0]
-        m = left[:, k:].conj().T @ p
-        rows.append(m[:, a] * y[b, k - 1])
-        rhs.append(-(m @ y[:, k - 1]))
-    sys_mat = np.concatenate(rows)
-    sys_rhs = np.concatenate(rhs)
+    sys_mat = qp[np.ix_(b, a)] * y.T[np.ix_(a, b)]
+    sys_rhs = -(qp @ y)[b, a]
     try:
         sol = np.linalg.solve(sys_mat, sys_rhs)
     except np.linalg.LinAlgError as exc:
@@ -295,9 +294,7 @@ def compatible_triple(triple: Sequence[Flag], r: GroupElement,
     if not al.elements_equal(al.int_scale(3, r), total, tol):
         raise ValueError("r is not a cube root of the triple-ratio sum")
     s = exp_value(r)
-    g = adapted_basis((triple[0], triple[1], triple[2]))
-    f0 = adapted_basis((triple[2], triple[0], triple[1]))
-    h0 = adapted_basis((triple[1], triple[2], triple[0]))
+    g, f0, h0 = _adapted_bases([(*triple[i:], *triple[:i]) for i in (0, 2, 1)])
     f = f0 * (_vector_ratio(g[:, d - 1], f0[:, 0]) / (s * s))
     h = h0 * (s * s * _vector_ratio(g[:, 0], h0[:, d - 1]))
     return f, g, h

@@ -12,6 +12,7 @@ projective group to the special linear group.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -71,21 +72,13 @@ class RelatorWord:
         return len(self.symbols)
 
     def generators(self) -> Tuple[str, ...]:
-        out: List[str] = []
-        for name, _ in self.symbols:
-            if name not in out:
-                out.append(name)
-        return tuple(out)
+        return tuple(dict.fromkeys(name for name, _ in self.symbols))
 
     def pairing(self) -> Dict[int, int]:
         where: Dict[str, List[int]] = {}
         for k, (name, _) in enumerate(self.symbols):
             where.setdefault(name, []).append(k)
-        out: Dict[int, int] = {}
-        for a, b in where.values():
-            out[a] = b
-            out[b] = a
-        return out
+        return {a: b for pair in where.values() for a, b in (pair, pair[::-1])}
 
     def rotated(self, k: int) -> "RelatorWord":
         k %= len(self.symbols)
@@ -127,10 +120,8 @@ class LiftedRep(NamedTuple):
     def product(self) -> np.ndarray:
         syms = self.relator.symbols
         inverses = iter(np.linalg.inv(np.stack([self.matrices[n] for n, e in syms if e == -1])))
-        out = np.eye(self.d, dtype=complex)
-        for name, exp in syms:
-            out = out @ (self.matrices[name] if exp == 1 else next(inverses))
-        return out
+        return functools.reduce(np.matmul, [self.matrices[n] if e == 1 else next(inverses)
+                                            for n, e in syms], np.eye(self.d, dtype=complex))
 
 
 def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
@@ -165,17 +156,28 @@ class ObValue(NamedTuple):
 
 
 def ob(rep: LiftedRep, scalar_tol: float = SCALAR_TOL) -> ObValue:
-    d = rep.d
-    p = rep.product()
-    s = np.trace(p) / d
-    off = np.linalg.norm(p - s * np.eye(d)) / max(np.linalg.norm(p), NORM_FLOOR)
-    if not off <= scalar_tol:  # an overflowed product gives nan, which must not pass
-        raise ValueError(f"relator product is not scalar (off-scalar residual {off:.3e})")
-    k, residual = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
-    if residual > scalar_tol:
-        raise ValueError(f"scalar {s} is not a {d}-th root of unity (residual {residual:.3e})")
-    return ObValue(torsion=al.TorsionValue(value=al.torsion_element("cylinder", d, k), d=d),
-                   residue=k, residual=max(residual, off))
+    return _scalar_classes(rep.product()[None], scalar_tol)[0]
+
+
+def _scalar_classes(products: np.ndarray, scalar_tol: float) -> List[ObValue]:
+    """ob of each relator product in a stack; the first that is not a scalar
+    d-th root of unity raises.  A norm is summed as `np.linalg.norm` sums one
+    matrix (two dot products, real and imaginary parts): a stack of one is ob."""
+    n, d, _ = products.shape
+    scalars = np.trace(products, axis1=1, axis2=2) / d
+    flat = np.concatenate([products - scalars[:, None, None] * np.eye(d), products])
+    re, im = (x.reshape(2 * n, 1, -1) for x in (flat.real, flat.imag))
+    norm = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
+    out = []
+    for s, off in zip(scalars.tolist(), (norm[:n] / np.maximum(norm[n:], NORM_FLOOR)).tolist()):
+        if not off <= scalar_tol:  # an overflowed product gives nan, which must not pass
+            raise ValueError(f"relator product is not scalar (off-scalar residual {off:.3e})")
+        k, residual = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
+        if residual > scalar_tol:
+            raise ValueError(f"scalar {s} is not a {d}-th root of unity (residual {residual:.3e})")
+        out.append(ObValue(torsion=al.TorsionValue(value=al.torsion_element("cylinder", d, k), d=d),
+                           residue=k, residual=max(residual, off)))
+    return out
 
 
 # -- builders -----------------------------------------------------------------
@@ -195,9 +197,7 @@ def clock_shift_rep(d: int, g: int = 2) -> LiftedRep:
     shift = unit_determinant(np.roll(np.eye(d, dtype=complex), 1, axis=0))
     clock = unit_determinant(np.diag([omega ** k for k in range(d)]))
     mats = {name: np.eye(d, dtype=complex) for name in rel.generators()}
-    mats["a1"] = shift
-    mats["b1"] = clock
-    return lifted_rep(rel, mats)
+    return lifted_rep(rel, {**mats, "a1": shift, "b1": clock})
 
 
 def diagonal_rep(d: int, g: int, rng: random.Random) -> LiftedRep:
@@ -227,10 +227,8 @@ def symmetric_power(m: np.ndarray, d: int) -> np.ndarray:
                           for p in range(d - col + 1)])
         second = np.array([math.comb(col - 1, q) * b ** (col - 1 - q) * e ** q
                            for q in range(col)])
-        coeffs = np.convolve(first, second)
-        for t in range(1, d + 1):
-            out[t - 1, col - 1] = (math.comb(d - 1, col - 1) / math.comb(d - 1, t - 1)
-                                   ) * coeffs[t - 1]
+        weights = [math.comb(d - 1, col - 1) / math.comb(d - 1, t) for t in range(d)]
+        out[:, col - 1] = np.multiply(weights, np.convolve(first, second))
     return out
 
 
@@ -274,14 +272,19 @@ def fuchsian_octagon(d: int = 2) -> LiftedRep:
 
 def lift_independence(rep: LiftedRep, rng: Optional[random.Random] = None,
                       tol: float = al.DEFAULT_TOL) -> bool:
+    """ob is unchanged by rescaling each generator by a random d-th root of
+    unity and by rotating the relator 1, 4 and len - 1 places."""
     rng = rng or random.Random(0)
-    reference = ob(rep)
-    d = rep.d
-    rescaled = {name: m * cmath.exp(2j * math.pi * rng.randrange(d) / d)
-                for name, m in rep.matrices.items()}
-    variants = [LiftedRep(rep.relator, d, rescaled)]
-    for k in (1, 4, len(rep.relator) - 1):
-        variants.append(LiftedRep(rep.relator.rotated(k), d, rep.matrices))
+    d, n, names = rep.d, len(rep.relator), list(rep.matrices)
+    plain = np.stack(list(rep.matrices.values()))
+    roots = np.array([cmath.exp(2j * math.pi * rng.randrange(d) / d) for _ in names])
+    gens = np.concatenate([plain, plain * roots[:, None, None]])
+    table = np.concatenate([gens, np.linalg.inv(gens)])
+    # rows of `table`: plain generators, rescaled ones, then their inverses;
+    # row i of `factors` holds position i of each of the five relator words
+    at = [names.index(name) + (0 if exp == 1 else len(gens)) for name, exp in rep.relator.symbols]
+    factors = table[[(at[i], at[i] + len(names), at[(i + 1) % n], at[(i + 4) % n], at[i - 1])
+                     for i in range(n)]]
+    reference, *variants = _scalar_classes(functools.reduce(np.matmul, factors), SCALAR_TOL)
     return all(x.residue == reference.residue
-               and al.elements_equal(x.value, reference.value, tol)
-               for x in map(ob, variants))
+               and al.elements_equal(x.value, reference.value, tol) for x in variants)

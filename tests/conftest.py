@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import gc
 import io
 
+import numpy as np
 import pytest
 
 from switchyard import cocyclic as cc
@@ -76,4 +78,23 @@ def member_checks(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cc, name, counted)
+    return calls
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """A `Counter` of the calls made to `np.linalg.svd`, `qr` and `inv`.
+
+    The flag and obstruction modules look these up on `np.linalg` at each call,
+    so wrapping them there counts every factorisation, however many matrices
+    one stacked call takes."""
+    calls = collections.Counter()
+    for name in ("svd", "qr", "inv"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls

@@ -258,7 +258,7 @@ class TestUnipotent:
 
     def test_unipotency_and_flag_action(self):
         rng = random.Random(16)
-        for d in (2, 3, 4, 5):
+        for d in range(2, 9):
             f1, f2, f3 = fl.random_flag_triple(d, rng)
             u = fl.unipotent_fixing(f2, f1, f3)
             nil = np.linalg.matrix_power(u - np.eye(d), d)
@@ -269,10 +269,11 @@ class TestUnipotent:
                 assert subspaces_match(u @ f1.cols(k), f3.cols(k), 1e-8)
 
     def test_formula_on_seeded_triples(self):
-        # fifty triples per dimension; the linear solve is the oracle and the
-        # sign-and-exponential expression is the claim under test
+        # fifty triples per dimension, up to the largest d the matrix benchmark
+        # runs; the linear solve is the oracle and the sign-and-exponential
+        # expression is the claim under test
         rng = random.Random(17)
-        for d in (2, 3, 4, 5, 6):
+        for d in range(2, 9):
             tables = al.index_tables(d)
             for _ in range(50):
                 f1, f2, f3 = fl.random_flag_triple(d, rng)
@@ -280,11 +281,12 @@ class TestUnipotent:
                 f = fl.adapted_basis((f2, f3, f1))
                 fp0 = fl.adapted_basis((f3, f1, f2))
                 fp = fp0 * fl._vector_ratio(f[:, 0], fp0[:, d - 1])
+                ratios = {j: fl.triple_ratio((f1, f2, f3), j) for j in tables.B}
                 for m in range(1, d + 1):
                     prod = 1.0 + 0j
-                    for j in tables.B:
+                    for j, x in ratios.items():
                         if j[1] < m:
-                            prod *= fl.triple_ratio((f1, f2, f3), j)
+                            prod *= x
                     lhs = u @ f[:, m - 1]
                     rhs = (-1) ** (m - 1) * prod * fp[:, d - m]
                     scale = max(np.max(np.abs(rhs)), 1e-30)
@@ -336,6 +338,51 @@ class TestCompatibleTriple:
         bad = al.group_add(r, al.cylinder(0.31, 0.0))
         with pytest.raises(ValueError):
             fl.compatible_triple(triple, bad)
+
+    def test_stacked_bases_are_the_single_triple_bases(self):
+        """g is adapted_basis(triple) bit for bit, and f, h are the bases of
+        the two rotations scaled as the docstring says."""
+        rng = random.Random(22)
+        for d in range(2, 9):
+            t1, t2, t3 = triple = fl.random_flag_triple(d, rng)
+            r = self.cube_root(triple, d)
+            f, g, h = fl.compatible_triple(triple, r)
+            s2 = fl.exp_value(r) ** 2
+            g0, f0, h0 = (fl.adapted_basis(t) for t in (triple, (t3, t1, t2), (t2, t3, t1)))
+            assert np.array_equal(g, g0)
+            assert np.array_equal(f, f0 * (fl._vector_ratio(g0[:, d - 1], f0[:, 0]) / s2))
+            assert np.array_equal(h, h0 * (s2 * fl._vector_ratio(g0[:, 0], h0[:, d - 1])))
+
+    def test_degenerate_triple_in_a_stack_raises(self):
+        rng = random.Random(23)
+        for d in (2, 3, 5, 8):
+            good = fl.random_flag_triple(d, rng)
+            bad = (good[0], good[1], good[0])
+            for at in range(3):
+                stack = [good, good]
+                stack.insert(at, bad)
+                with pytest.raises(fl.DegenerateFlagError):
+                    fl._adapted_bases(stack)
+            assert fl._adapted_bases([good, good]).shape == (2, d, d)
+
+
+class TestStackedCalls:
+    """Each family of small matrices is one LAPACK call, whatever d is."""
+
+    def test_unipotent_fixing_takes_one_qr(self, lapack_calls):
+        for d in (2, 5, 8):
+            f1, f2, f3 = fl.random_flag_triple(d, random.Random(d))
+            lapack_calls.clear()
+            fl.unipotent_fixing(f2, f1, f3)
+            assert (lapack_calls["qr"], lapack_calls["svd"]) == (1, 0)
+
+    def test_compatible_triple_takes_two_svds(self, lapack_calls):
+        for d in (2, 5, 8):
+            triple = fl.random_flag_triple(d, random.Random(d))
+            r = TestCompatibleTriple.cube_root(triple, d)
+            lapack_calls.clear()
+            fl.compatible_triple(triple, r)
+            assert lapack_calls["svd"] == 2
 
 
 class TestProjectiveInvariance:

@@ -196,6 +196,20 @@ class TestOb:
             assert ob.lift_independence(ob.clock_shift_rep(d), rng)
         assert ob.lift_independence(ob.fuchsian_octagon(3), rng)
 
+    def test_non_scalar_variant_raises(self):
+        """At d = 5 the octagon's own product is scalar to 1e-6 but a rotated
+        one is not: the stacked variants raise rather than return False."""
+        rep = ob.fuchsian_octagon(5)
+        assert ob.ob(rep).residue == 0
+        with pytest.raises(ValueError, match="relator product is not scalar"):
+            ob.lift_independence(rep, random.Random(5))
+
+    def test_lift_independence_takes_one_inverse(self, lapack_calls):
+        for rep in (ob.clock_shift_rep(3), ob.diagonal_rep(8, 3, random.Random(8))):
+            lapack_calls.clear()
+            assert ob.lift_independence(rep, random.Random(0))
+            assert lapack_calls["inv"] == 1
+
     def test_explicit_root_rescale_and_rotation(self):
         d = 5
         rep = ob.clock_shift_rep(d)
