@@ -86,6 +86,24 @@ def frozen_attribute(self, name, *value):
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+def memo(obj, key: str, build, *args):
+    """``build(obj, *args)``, kept in the one store of ``obj`` under ``(key, *args)``.
+
+    Everything derived from a track, a tree, a cover or a flag tuple is kept
+    this way, once per object and ``args`` (hashed by value, a flag by
+    identity); a build that raises keeps nothing.
+    """
+    k = (key, *args)
+    try:
+        return obj._memo[k]
+    except AttributeError:
+        vars(obj)["_memo"] = {}
+    except KeyError:
+        pass
+    value = obj._memo[k] = build(obj, *args)
+    return value
+
+
 class GroupElement:
     """A value in one of the supported coefficient groups, normalized on construction.
 

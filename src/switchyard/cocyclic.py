@@ -27,8 +27,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import algebra as al
-from .algebra import GA, GroupElement, PairIndex, TorsionValue, TripleIndex
-from .traintrack import OrientedTree, TrainTrack, classify, memo
+from .algebra import GA, GroupElement, PairIndex, TorsionValue, TripleIndex, memo
+from .traintrack import OrientedTree, TrainTrack, classify
 
 
 class MembershipError(ValueError):

@@ -3,12 +3,15 @@
 A flag is stored as an invertible matrix of column vectors; its k-dimensional
 subspace is the span of the first k columns.  Wedge powers are determinants
 of leading columns, so every ratio below is invariant under both projective
-transformations and per-flag rescaling.  Each family of small matrices is
-evaluated in one stacked numpy call: an invariant's minors, and the line
-intersections and then the scalings of every adapted basis a compatible
-triple needs.  The module also builds bases adapted to flag triples, the
-unipotent transformation matching two flags of a transverse triple (its
-annihilators all come from one complete QR), and chained compatible bases.
+transformations and per-flag rescaling.  Each minor of a flag tuple is
+computed once: the tuple's minors, and its log-ratio sum, are kept in the
+memo of its first flag, keyed by the partner flags (so they hold references
+to them), and the minors an invariant still lacks go into one stacked
+determinant.  The line intersections and then the scalings of every adapted
+basis a compatible triple needs are one stacked numpy call each.  The module
+also builds bases adapted to flag triples, the unipotent transformation
+matching two flags of a transverse triple (its annihilators all come from
+one complete QR), and chained compatible bases.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class Flag:
     ``mat`` is the matrix as given.  Computations read ``unit``: each column
     divided by the power of two that puts its largest real or imaginary part
     in [1, 2).  That leaves every span unchanged, is exact in floating point,
-    and keeps norms and minors finite for any finite entries.
+    and keeps norms and minors finite for any finite entries.  ``unit`` is
+    read-only, since the minors kept in the memo are computed from it.
     """
 
     def __init__(self, mat) -> None:
@@ -93,6 +97,7 @@ class Flag:
             raise DegenerateFlagError("flag has a zero column")
         if abs(np.linalg.det(unit / norms)) <= FLAG_TOL:
             raise DegenerateFlagError("flag columns are linearly dependent")
+        unit.setflags(write=False)
         self.mat = m
         self.unit = unit
 
@@ -112,14 +117,31 @@ def reversed_standard_flag(d: int) -> Flag:
     return Flag(np.fliplr(np.eye(d)))
 
 
-def _minors(flags: Sequence[Flag], patterns: Sequence[Sequence[int]]
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    """Minors of the flags' leading columns, with their sizes relative to the
-    Hadamard bound: pattern (k_1, .., k_n) takes the first k_i columns of
-    flag i, and every pattern's matrix goes into one stacked determinant.
-    Unit columns have norm at least 1, so the bound is never zero."""
+def _minors(flags: Sequence[Flag], patterns: Sequence[Tuple[int, ...]]
+            ) -> List[Tuple[complex, float]]:
+    """Each pattern's minor of the flags' leading columns, with its size
+    relative to the Hadamard bound: pattern (k_1, .., k_n) takes the first
+    k_i columns of flag i.  A minor is computed once per flag tuple and kept
+    in the first flag's memo, keyed by the others; the distinct patterns not
+    yet kept go into one stacked determinant."""
+    table = al.memo(flags[0], "minors", _minor_table, *flags[1:])
+    missing = [p for p in dict.fromkeys(patterns) if p not in table]
+    if missing:
+        det, rel = _stacked_minors(flags, missing)
+        table.update(zip(missing, zip(det.tolist(), rel.tolist())))
+    return [table[p] for p in patterns]
+
+
+def _minor_table(*flags: Flag) -> dict:
+    return {}
+
+
+def _stacked_minors(flags: Sequence[Flag], patterns: Sequence[Tuple[int, ...]]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The minors of `_minors` from one stacked determinant.  Unit columns
+    have norm at least 1, so the Hadamard bound is never zero."""
     d = flags[0].d
-    ks = np.asarray(patterns, dtype=np.intp).reshape(-1, len(flags))
+    ks = np.asarray(patterns, dtype=np.intp)
     # row r of `cols` numbers the columns of pattern r within the flags'
     # columns laid end to end: column c of flag i is i*d + c, taken if c < k_i
     taken = np.arange(d) < ks[:, :, None]
@@ -129,12 +151,12 @@ def _minors(flags: Sequence[Flag], patterns: Sequence[Sequence[int]]
     return det, np.abs(det) / np.prod(np.linalg.norm(columns, axis=1)[cols], axis=1)
 
 
-def _ratio_minors(flags: Sequence[Flag], patterns: Sequence[Sequence[int]]) -> List[complex]:
+def _ratio_minors(flags: Sequence[Flag], patterns: Sequence[Tuple[int, ...]]) -> List[complex]:
     """Minors an invariant divides by; any at rounding level is refused."""
-    det, rel = _minors(flags, patterns)
-    if not np.all(rel >= MINOR_FLOOR):
+    minors = _minors(flags, patterns)
+    if not all(rel >= MINOR_FLOOR for _, rel in minors):  # a nan minor is refused
         raise DegenerateFlagError("degenerate minor")
-    return det.tolist()
+    return [det for det, _ in minors]
 
 
 def _compositions(total: int, m: int):
@@ -151,14 +173,18 @@ def general_position(flags: Sequence[Flag], pattern: Optional[Sequence[int]] = N
     d = flags[0].d
     if pattern is not None and sum(pattern) != d:
         raise ValueError("pattern must sum to the ambient dimension")
-    _, rel = _minors(flags, [pattern] if pattern is not None else list(_compositions(d, len(flags))))
-    return bool(np.all(rel > tol))  # a nan minor is not in general position
+    patterns = [tuple(pattern)] if pattern is not None else list(_compositions(d, len(flags)))
+    # a nan minor is not in general position
+    return all(rel > tol for _, rel in _minors(flags, patterns))
 
 
 # Offsets from j of the six minors of the triple ratio at j, in the order
 # `_six_ratio` takes them: numerator, denominator, numerator, ...
-_TRIPLE_OFFSETS = np.array([(1, 0, -1), (-1, 0, 1), (0, -1, 1),
-                            (0, 1, -1), (-1, 1, 0), (1, -1, 0)])
+_TRIPLE_OFFSETS = ((1, 0, -1), (-1, 0, 1), (0, -1, 1), (0, 1, -1), (-1, 1, 0), (1, -1, 0))
+
+
+def _triple_patterns(j: TripleIndex) -> List[TripleIndex]:
+    return [(j[0] + a, j[1] + b, j[2] + c) for a, b, c in _TRIPLE_OFFSETS]
 
 
 def _six_ratio(w: Sequence[complex]) -> complex:
@@ -166,7 +192,7 @@ def _six_ratio(w: Sequence[complex]) -> complex:
 
 
 def triple_ratio(triple: Sequence[Flag], j: TripleIndex) -> complex:
-    return _six_ratio(_ratio_minors(triple, np.add(j, _TRIPLE_OFFSETS)))
+    return _six_ratio(_ratio_minors(triple, _triple_patterns(j)))
 
 
 def double_ratio(g1: Flag, g2: Flag, h1: Flag, h2: Flag, i: PairIndex) -> complex:
@@ -183,9 +209,14 @@ def log_invariant(x: complex) -> GroupElement:
 
 
 def log_ratio_sum(triple: Sequence[Flag], d: int) -> GroupElement:
-    """Sum of the logarithms of all triple ratios, in C mod 2 pi i."""
+    """Sum of the logarithms of all triple ratios, in C mod 2 pi i, kept in
+    the first flag's memo beside the triple's minors."""
+    return al.memo(triple[0], "log_ratio_sum", _sum_logs, d, *triple[1:])
+
+
+def _sum_logs(first: Flag, d: int, *partners: Flag) -> GroupElement:
     index = al.index_tables(d).B
-    w = _ratio_minors(triple, np.add(np.reshape(index, (-1, 1, 3)), _TRIPLE_OFFSETS))
+    w = _ratio_minors((first, *partners), [p for j in index for p in _triple_patterns(j)])
     return al.group_sum("cylinder", (log_invariant(_six_ratio(w[6 * n:6 * n + 6]))
                                      for n in range(len(index))))
 
@@ -302,8 +333,8 @@ def compatible_triple(triple: Sequence[Flag], r: GroupElement,
 
 def random_flag(d: int, rng) -> Flag:
     while True:
-        mat = np.array([[complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                         for _ in range(d)] for _ in range(d)])
+        # entries row by row, each a real then an imaginary gaussian
+        mat = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex).reshape(d, d)
         try:
             return Flag(mat)
         except DegenerateFlagError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GA, GroupElement
+from .algebra import GA, GroupElement, memo
 from .cocyclic import ZField, check_diamond
 from .io import element_to_json
 from .traintrack import (
@@ -26,7 +26,6 @@ from .traintrack import (
     TrainTrack,
     classify,
     is_big,
-    memo,
 )
 
 

@@ -138,10 +138,12 @@ def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
             d = m.shape[0]
         elif m.shape[0] != d:
             raise ValueError("generator matrices have mixed sizes")
-        if abs(np.linalg.det(m) - 1.0) > tol:
-            raise ValueError(f"matrix for {name} does not have unit determinant")
         mats[name] = m
     assert d is not None
+    # every determinant in one stacked call; the first bad generator is named
+    bad = np.abs(np.linalg.det(np.array(list(mats.values()))) - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"matrix for {list(mats)[bad.argmax()]} does not have unit determinant")
     return LiftedRep(relator=relator, d=d, matrices=mats)
 
 

@@ -24,9 +24,9 @@ import math
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement, TorsionValue, to_cylinder
+from .algebra import GroupElement, TorsionValue, memo, to_cylinder
 from .cocyclic import Coords, chart, point_lanes, recorded_rows, require_member, slot_views
-from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify, memo
+from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
 

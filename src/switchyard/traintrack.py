@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import frozen_attribute
+from .algebra import frozen_attribute, memo
 
 BIG = "big"
 SMALL_FIRST = "small_first"
@@ -155,23 +155,6 @@ def _corners(track: "TrainTrack", switches: Iterable[int],
             else:
                 succ[out_corner(s, p)] = ("exit", (rid, e), in_corner(s, p))
     return succ
-
-
-def memo(obj, key: str, build, *args):
-    """``build(obj, *args)``, kept in the one store of ``obj`` under ``(key, *args)``.
-
-    Everything derived from a track, a tree or a cover is kept this way, once per
-    object and ``args`` (hashed by value); a build that raises keeps nothing.
-    """
-    k = (key, *args)
-    try:
-        return obj._memo[k]
-    except AttributeError:
-        vars(obj)["_memo"] = {}
-    except KeyError:
-        pass
-    value = obj._memo[k] = build(obj, *args)
-    return value
 
 
 class TrainTrack:

@@ -81,19 +81,33 @@ def member_checks(monkeypatch):
     return calls
 
 
+class LapackCalls(collections.Counter):
+    """Calls per `np.linalg` function, and ``shapes[name]``, the shape of the
+    matrix or stack each call took; `clear` empties both."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = collections.defaultdict(list)
+
+    def clear(self):
+        super().clear()
+        self.shapes.clear()
+
+
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """A `Counter` of the calls made to `np.linalg.svd`, `qr` and `inv`.
+    """A `LapackCalls` of the calls made to `np.linalg.svd`, `qr`, `inv` and `det`.
 
     The flag and obstruction modules look these up on `np.linalg` at each call,
     so wrapping them there counts every factorisation, however many matrices
     one stacked call takes."""
-    calls = collections.Counter()
-    for name in ("svd", "qr", "inv"):
+    calls = LapackCalls()
+    for name in ("svd", "qr", "inv", "det"):
         real = getattr(np.linalg, name)
 
         def counted(*args, name=name, real=real, **kwargs):
             calls[name] += 1
+            calls.shapes[name].append(np.shape(args[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

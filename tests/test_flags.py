@@ -56,6 +56,12 @@ class TestFlagType:
         f = fl.Flag(np.eye(3) * 1e-8)
         assert f.d == 3
 
+    def test_unit_is_read_only(self):
+        # the minors kept in a flag's memo are computed from unit
+        f = fl.standard_flag(3)
+        with pytest.raises(ValueError, match="read-only"):
+            f.unit[0, 0] = 2.0
+
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
             with pytest.raises(fl.DegenerateFlagError, match="non-finite"):
@@ -383,6 +389,45 @@ class TestStackedCalls:
             lapack_calls.clear()
             fl.compatible_triple(triple, r)
             assert lapack_calls["svd"] == 2
+
+    def test_guarded_triple_keeps_every_minor(self, lapack_calls):
+        # the guard of random_flag_triple fills the triple's minor table, so
+        # every ratio, the log sum and the cube-root check are lookups
+        d = 8
+        triple = fl.random_flag_triple(d, random.Random(8))
+        lapack_calls.clear()
+        for j in al.index_tables(d).B:
+            fl.triple_ratio(triple, j)
+        total = fl.log_ratio_sum(triple, d)
+        fl.compatible_triple(triple, al.cylinder(total.value[0] / 3.0, total.value[1] / 3.0))
+        assert lapack_calls["det"] == 0
+
+    def test_one_off_ratio_takes_six_minors(self, lapack_calls):
+        # unitary flags: a gaussian 64 x 64 matrix fails Flag's dependence test
+        rng = np.random.default_rng(64)
+        triple = [fl.Flag(np.linalg.qr(rng.standard_normal((64, 64)))[0]) for _ in range(3)]
+        lapack_calls.clear()
+        fl.triple_ratio(triple, (1, 1, 62))
+        assert lapack_calls.shapes["det"] == [(6, 64, 64)]
+
+    def test_log_ratio_sum_stacks_distinct_minors(self, lapack_calls):
+        rng = random.Random(8)
+        triple = [fl.random_flag(8, rng) for _ in range(3)]
+        lapack_calls.clear()
+        fl.log_ratio_sum(triple, 8)
+        assert lapack_calls.shapes["det"] == [(42, 8, 8)]
+        # 6|B| = 126 minors, each kept once
+        assert len(triple[0]._memo["minors", triple[1], triple[2]]) == 42
+
+    def test_kept_minors_match_fresh_flags(self):
+        # a lookup returns the bits a fresh computation would
+        for d in (3, 5, 8):
+            triple = fl.random_flag_triple(d, random.Random(d))
+            for j in al.index_tables(d).B:
+                fresh = [fl.Flag(f.mat) for f in triple]
+                assert fl.triple_ratio(triple, j) == fl.triple_ratio(fresh, j)
+            fresh = [fl.Flag(f.mat) for f in triple]
+            assert fl.log_ratio_sum(triple, d) == fl.log_ratio_sum(fresh, d)
 
 
 class TestProjectiveInvariance:

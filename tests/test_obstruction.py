@@ -74,6 +74,17 @@ class TestLiftedRep:
         with pytest.raises(ValueError):
             ob.lifted_rep(rel, mats)
 
+    def test_first_bad_determinant_named(self, lapack_calls):
+        # every determinant is one stacked call, and the error names the
+        # first generator in relator order whose determinant is off
+        rel = ob.standard_relator(2)
+        mats = {n: np.eye(3, dtype=complex) for n in rel.generators()}
+        mats["b2"] = 2.0 * np.eye(3)
+        mats["b1"] = 3.0 * np.eye(3)
+        with pytest.raises(ValueError, match="matrix for b1 does not"):
+            ob.lifted_rep(rel, mats)
+        assert lapack_calls.shapes["det"] == [(4, 3, 3)]
+
     def test_missing_generator_rejected(self):
         rel = ob.standard_relator(2)
         mats = {n: np.eye(2, dtype=complex) for n in rel.generators() if n != "b2"}

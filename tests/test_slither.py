@@ -449,7 +449,7 @@ class TestCompiledOnce:
 
     def test_derived_data_is_kept_in_one_store(self):
         # a fresh track, its tree and its cover after one chart op: each holds its
-        # constructor fields and one `tt.memo` store, keyed by the getters' names
+        # constructor fields and one `al.memo` store, keyed by the getters' names
         (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
         tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
         lifts = tt.orientation_cover(tree)
