@@ -8,7 +8,8 @@ Four group kinds are supported, selected by a runtime string tag:
     "zd:<n>"    integers mod n
 
 Mixed-kind arithmetic is an error, never a coercion.  An element's raw value is
-its "lane": the chart's recorded `Row`s are evaluated on lanes (`evaluate`).
+its "lane": the chart's recorded `Row`s are evaluated on lanes by the one lane
+runner `run`, a plan of rows at a time, each row reading the lanes before it.
 """
 from __future__ import annotations
 
@@ -145,6 +146,7 @@ class GroupElement:
         return GroupElement, (self.kind, self.value)
 
 
+_new = GroupElement.__new__
 _set_kind, _set_value = GroupElement.kind.__set__, GroupElement.value.__set__
 
 GA = Tuple[GroupElement, ...]  # an A-indexed vector: entry k for the pair index (k+1, d-k-1)
@@ -225,30 +227,77 @@ def combine(kind: str, terms) -> GroupElement:
 
 
 def evaluate(kind: str, row: Row, lanes):
-    """The lane of the sum of n * lanes[s] over ``row``, for lanes of ``kind``: an
-    exact integer sum for "zd:<n>", else a correctly rounded `math.fsum` of each
-    float part (nan where it sums -inf and +inf), normalized once as by
-    `GroupElement`, so it does not depend on the order of the terms."""
+    """The lane of the sum of n * lanes[s] over ``row``: `run` of a one-row plan."""
+    return run(kind, (row,), lanes)[0]
+
+
+def run(kind: str, rows, lanes) -> list:
+    """The lanes of ``rows``, a sequence of `Row`s over lanes of ``kind``, in turn:
+    row q reads ``lanes`` and, from lane number len(lanes) on, the lanes of the
+    rows before it.
+
+    Each row's lane is the sum of n * lane s over its terms (n, s): an exact
+    integer sum for "zd:<n>", else a correctly rounded `math.fsum` of each float
+    part (nan where it sums -inf and +inf), normalized once as by `GroupElement`,
+    so it does not depend on the order of the terms.  A float sum that overflows
+    raises `SumOverflow`.  The kind is dispatched once per plan, not per row.
+    """
+    out = list(lanes)
+    first = len(out)
     try:
-        if kind == "cylinder":
-            return (_fsum([n * lanes[s][0] for n, s in row]),
-                    _norm_angle(_fsum([n * lanes[s][1] for n, s in row])))
-        if kind == "circle":
-            return _norm_angle(_fsum([n * lanes[s] for n, s in row]))
-        if kind == "real":
-            return _fsum([n * lanes[s] for n, s in row])
-    except OverflowError as err:
-        raise SumOverflow(f"a {kind} sum of {len(row)} terms overflows a float") from err
-    return sum([n * lanes[s] for n, s in row]) % _modulus(kind)
+        _run(kind, rows, out, math.fsum)
+    except (ValueError, OverflowError):
+        # fsum refused a row (-inf + inf, or an overflow): that row and the rest
+        # again, each float part summed by `_fsum`
+        try:
+            _run(kind, rows[len(out) - first:], out, _fsum)
+        except OverflowError as err:
+            row = rows[len(out) - first]
+            raise SumOverflow(f"a {kind} sum of {len(row)} terms overflows a float") from err
+    return out[first:]
+
+
+def _run(kind: str, rows, out: list, fsum) -> None:
+    """Append the lane of each row of ``rows``, over ``out``, to ``out``: the one lane
+    arithmetic, float parts summed by ``fsum``."""
+    put = out.append
+    if kind == "cylinder":
+        for row in rows:
+            put((fsum([n * out[s][0] for n, s in row]),
+                 _norm_angle(fsum([n * out[s][1] for n, s in row]))))
+    elif kind == "circle":
+        for row in rows:
+            put(_norm_angle(fsum([n * out[s] for n, s in row])))
+    elif kind == "real":
+        for row in rows:
+            put(fsum([n * out[s] for n, s in row]))
+    else:
+        m = _modulus(kind)
+        for row in rows:
+            put(sum([n * out[s] for n, s in row]) % m)
+
+
+def _from_lanes(kind: str, lanes) -> list:
+    """The elements of ``kind`` whose lanes are ``lanes``, which `run` or a draw has
+    already normalized: built without `GroupElement.__init__`, which would
+    normalize each again."""
+    out = []
+    for x in lanes:
+        e = _new(GroupElement)
+        _set_kind(e, kind)
+        _set_value(e, x)
+        out.append(e)
+    return out
 
 
 def unpack(kind: str, elements, name) -> list:
     """The lanes of ``elements``, each checked to be of ``kind``: the error names the
     first that is not by ``name(q)``, q its position."""
-    bad = next((q for q, x in enumerate(elements) if x.kind != kind), None)
-    if bad is not None:
+    lanes = [x.value for x in elements if x.kind == kind]
+    if len(lanes) != len(elements):
+        bad = next(q for q, x in enumerate(elements) if x.kind != kind)
         raise GroupKindError(f"kind mismatch: {kind!r} vs {elements[bad].kind!r} at {name(bad)}")
-    return [x.value for x in elements]
+    return lanes
 
 
 def _angle_dist(a: float, b: float) -> float:
@@ -316,14 +365,24 @@ def torsion_order(kind: str, d: int) -> int:
 
 
 def random_element(kind: str, rng: random.Random) -> GroupElement:
-    """The one draw rule: a gaussian real part, a uniform angle, a uniform residue."""
+    """One draw of `random_elements`."""
+    return random_elements(kind, rng, 1)[0]
+
+
+def random_elements(kind: str, rng: random.Random, count: int) -> list:
+    """``count`` draws of the one draw rule: a gaussian real part, a uniform angle,
+    a uniform residue."""
+    gauss, uniform = rng.gauss, rng.uniform
     if kind == "real":
-        return GroupElement(kind, rng.gauss(0.0, 1.0))
-    if kind == "circle":
-        return GroupElement(kind, rng.uniform(0.0, TWO_PI))
-    if kind == "cylinder":
-        return GroupElement(kind, (rng.gauss(0.0, 1.0), rng.uniform(0.0, TWO_PI)))
-    return GroupElement(kind, rng.randrange(_modulus(kind)))
+        lanes = [gauss(0.0, 1.0) for _ in range(count)]
+    elif kind == "circle":
+        lanes = [_norm_angle(uniform(0.0, TWO_PI)) for _ in range(count)]
+    elif kind == "cylinder":
+        lanes = [(gauss(0.0, 1.0), _norm_angle(uniform(0.0, TWO_PI))) for _ in range(count)]
+    else:
+        n = _modulus(kind)
+        lanes = [rng.randrange(n) for _ in range(count)]
+    return _from_lanes(kind, lanes)
 
 
 # ---------------------------------------------------------------------------

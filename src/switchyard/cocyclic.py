@@ -16,7 +16,7 @@ integer-linear: its step formulas are recorded as an `InversePlan` whose
 outputs fill the chart's slots.  Recording a plan proves the rotation
 relations for every point it builds (both sides of each relation read one
 slot), so `i2_inverse` gates its output by finite slots and the balance rows
-alone.  Every recorded row is evaluated on lanes (`al.evaluate`).
+alone.  Every recorded plan of rows is evaluated on lanes by one `al.run`.
 """
 
 from __future__ import annotations
@@ -239,9 +239,8 @@ def point_lanes(tree: OrientedTree, c: Coords) -> tuple:
 
 
 def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
-    lanes = point_lanes(tree, c)
-    return tuple(al.GroupElement(c.kind, al.evaluate(c.kind, row, lanes))
-                 for row in chart(tree, c.d).balance[i])
+    return al._from_lanes(c.kind, al.run(c.kind, chart(tree, c.d).balance[i],
+                                         point_lanes(tree, c)))
 
 
 def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
@@ -272,20 +271,34 @@ def _check_finite(ch: Chart, kind: str, lanes) -> None:
     """
     if kind == "cylinder":
         finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
-    else:  # a "zd:<n>" residue is an int, always finite
+    elif kind in ("real", "circle"):
         finite = list(map(isfinite, lanes))
+    else:  # a "zd:<n>" residue is an int, always finite
+        return
     if not all(finite):
         raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
 
 
 def _require_balance(ch: Chart, kind: str, lanes, tol: float) -> None:
-    for i, (lhs, rhs) in ch.balance.items():
+    """Raise `MembershipError` naming the first pair index whose balance equation
+    fails, or overflows a float, on ``lanes``.
+
+    Every row is evaluated in one `al.run`; only after an overflow are the
+    pairs run again one at a time, to find the first that fails or overflows.
+    """
+    pairs = ch.balance.items()
+    try:
+        sides = al._from_lanes(kind, al.run(kind, [row for _, rows in pairs for row in rows],
+                                            lanes))
+    except al.SumOverflow:
+        sides = None
+    for q, (i, rows) in enumerate(pairs):
         try:
-            holds = al.elements_equal(al.GroupElement(kind, al.evaluate(kind, lhs, lanes)),
-                                      al.GroupElement(kind, al.evaluate(kind, rhs, lanes)), tol)
+            lhs, rhs = (sides[2 * q:2 * q + 2] if sides is not None
+                        else al._from_lanes(kind, al.run(kind, rows, lanes)))
         except al.SumOverflow as err:
             raise MembershipError(f"balance equation overflows at pair index {i}") from err
-        if not holds:
+        if not al.elements_equal(lhs, rhs, tol):
             raise MembershipError(f"balance equation fails at pair index {i}")
 
 
@@ -388,8 +401,8 @@ def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
     d, kind = c.d, c.kind
     if anchors is None:
         anchors = default_anchors(tree, d)
-    val, *right = (al.GroupElement(kind, al.evaluate(kind, row, c.lanes))
-                   for row in recorded_rows(tree, d, _tor_forms, anchors))
+    val, *right = al._from_lanes(kind, al.run(kind, recorded_rows(tree, d, _tor_forms, anchors),
+                                              c.lanes))
     if right and not al.elements_equal(val, right[0], tol):
         raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
     if not al.is_d_torsion(val, d, tol):
@@ -489,8 +502,9 @@ class InversePlan(NamedTuple):
     """`i2_inverse` on one (tree, d, anchors), recorded once by `inverse_plan`.
 
     Plan slots are numbered in order: the free slots in ``layout`` order, then
-    epsilon, then one per row of ``steps``, valued by `al.evaluate` on the plan
-    slots before it.  ``out[s]`` is the plan slot that fills slot s of `chart`.
+    epsilon, then one per row of ``steps``, valued on the plan slots before it;
+    one `al.run` evaluates them all.  ``out[s]`` is the plan slot that fills
+    slot s of `chart`.
     """
 
     layout: FreeLayout
@@ -539,11 +553,11 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     # a free slot is named by the first slot of `chart` it fills
     lanes = al.unpack(kind, vals, lambda q: "epsilon" if q == len(vals) - 1
                       else _slot_name(chart(tree, d), plan.out.index(q)))
-    for row in plan.steps:
-        lanes.append(al.evaluate(kind, row, lanes))
-    vals += [al.GroupElement(kind, x) for x in lanes[len(vals):]]
-    return _require_recorded(tree, d, kind, tuple([vals[s] for s in plan.out]),
-                             tuple([lanes[s] for s in plan.out]), tol)
+    steps = al.run(kind, plan.steps, lanes)
+    lanes += steps
+    vals += al._from_lanes(kind, steps)
+    return _require_recorded(tree, d, kind, tuple(map(vals.__getitem__, plan.out)),
+                             tuple(map(lanes.__getitem__, plan.out)), tol)
 
 
 def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):
@@ -715,7 +729,7 @@ def random_free(tree: OrientedTree, d: int, kind: str, rng,
     if anchors is None:
         anchors = default_anchors(tree, d)
     layout = free_layout(tree, d, anchors)
-    return free_coords(layout, kind, [al.random_element(kind, rng) for _ in layout.slots])
+    return free_coords(layout, kind, al.random_elements(kind, rng, len(layout.slots)))
 
 
 def sample_y(tree: OrientedTree, d: int, kind: str, rng,

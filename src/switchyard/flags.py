@@ -45,6 +45,14 @@ GUARD_TOL = 1e-8
 # generator that cannot draw flags in general position.
 MAX_TRIPLE_ATTEMPTS = 200
 
+# Draws `random_flag` makes before giving up.  A gaussian matrix almost never
+# fails `Flag`'s dependence test at small d: over seeds 0..1999 at each
+# d = 2..8, and 0..99 at d = 16 and 32, every first draw passed, and so did
+# 50 draws at d = 40.  Past that it fails more and more often (38 of 50 draws
+# at d = 48, about all at d = 64), so without a cap the redraws never end
+# there; at d = 48 all 100 fail with probability about 0.76**100, 1e-12.
+MAX_FLAG_ATTEMPTS = 100
+
 # `triple_ratio` and `double_ratio` divide by minors; one below this fraction
 # of its Hadamard bound is zero up to rounding, and dividing by it is refused.
 MINOR_FLOOR = 1e-12
@@ -332,13 +340,16 @@ def compatible_triple(triple: Sequence[Flag], r: GroupElement,
 
 
 def random_flag(d: int, rng) -> Flag:
-    while True:
+    """A flag of gaussian columns, redrawn until `Flag` accepts it."""
+    for _ in range(MAX_FLAG_ATTEMPTS):
         # entries row by row, each a real then an imaginary gaussian
         mat = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex).reshape(d, d)
         try:
             return Flag(mat)
         except DegenerateFlagError:
             continue
+    raise DegenerateFlagError(f"could not draw a flag with independent columns at d = {d} "
+                              f"in {MAX_FLAG_ATTEMPTS} attempts")
 
 
 def random_flag_triple(d: int, rng) -> Tuple[Flag, Flag, Flag]:

@@ -59,7 +59,7 @@ def ga_equal(a: GA, b: GA, tol: float = al.DEFAULT_TOL) -> bool:
 
 
 def ga_random(kind: str, d: int, rng) -> GA:
-    return tuple(al.random_element(kind, rng) for _ in range(d - 1))
+    return tuple(al.random_elements(kind, rng, d - 1))
 
 
 class _Chain:
@@ -240,10 +240,10 @@ class SolverPlan(NamedTuple):
 
     Lanes are numbered in order: w[s][k] for each switch s in id order and
     k < d-1, v_free[r][k] for each rectangle r off the tree (``rects``, in id
-    order), then one per row of ``steps``, valued by `al.evaluate` on the lanes
-    before it: d-1 for each edge of ``solved``.  The rows of ``last``, the
-    final switch's residual, are minus `balance_defect`: they vanish exactly
-    on a balanced input.
+    order), then one per row of ``steps``, valued on the lanes before it: d-1
+    for each edge of ``solved``.  The rows of ``last``, the final switch's
+    residual, are minus `balance_defect`: they vanish exactly on a balanced
+    input.  One `al.run` evaluates ``steps`` and then ``last``.
     """
 
     rects: Tuple[int, ...]
@@ -340,12 +340,10 @@ def solve_tree(
     lanes = al.unpack(kind, [vec[k] for vec in vecs for k in range(n)],
                       lambda q: f"switch {switches[q // n]}" if q < n * len(switches)
                       else f"rectangle {plan.rects[q // n - len(switches)]}")
-    first = len(lanes)
-    for row in plan.steps:
-        lanes.append(al.evaluate(kind, row, lanes))
-    defect = [al.group_neg(al.GroupElement(kind, al.evaluate(kind, row, lanes)))
-              for row in plan.last]
+    out = al.run(kind, plan.steps + plan.last, lanes)
+    first = len(plan.steps)
+    defect = [al.group_neg(x) for x in al._from_lanes(kind, out[first:])]
     if not ga_is_zero(defect, tol):
         raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
-    return {rid: tuple([al.GroupElement(kind, x) for x in lanes[first + n * q:first + n * q + n]])
-            for q, rid in enumerate(plan.solved)}
+    solved = al._from_lanes(kind, out[:first])
+    return {rid: tuple(solved[n * q:n * q + n]) for q, rid in enumerate(plan.solved)}

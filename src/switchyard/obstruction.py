@@ -140,8 +140,13 @@ def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
             raise ValueError("generator matrices have mixed sizes")
         mats[name] = m
     assert d is not None
-    # every determinant in one stacked call; the first bad generator is named
-    bad = np.abs(np.linalg.det(np.array(list(mats.values()))) - 1.0) > tol
+    # every check in one stacked call; the first bad generator is named.  A
+    # non-finite entry is refused first: its nan determinant fails no comparison
+    stack = np.array(list(mats.values()))
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"matrix for {list(mats)[finite.argmin()]} has a non-finite entry")
+    bad = np.abs(np.linalg.det(stack) - 1.0) > tol
     if bad.any():
         raise ValueError(f"matrix for {list(mats)[bad.argmax()]} does not have unit determinant")
     return LiftedRep(relator=relator, d=d, matrices=mats)

@@ -230,8 +230,8 @@ def total_mid_log(tree: OrientedTree, c: Coords, tol: float = al.MEMBER_TOL) -> 
     """
     c = require_member(tree, c, tol)
     pi, row = ledger_row(tree, c.d)
-    return al.group_add(to_cylinder(al.GroupElement(c.kind, al.evaluate(c.kind, row, c.lanes))),
-                        _sign_log(pi))
+    total, = al.run(c.kind, (row,), c.lanes)
+    return al.group_add(to_cylinder(al.GroupElement(c.kind, total)), _sign_log(pi))
 
 
 def _closed_form(tree: OrientedTree, d: int, v, z) -> List[List[Tuple[int, object]]]:
@@ -254,10 +254,17 @@ def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:
     for even d the middle-column rectangle and left-switch terms enter.  It is
     one recorded row, each lane of which is embedded in the cylinder.
     """
-    row, = recorded_rows(tree, c.d, _closed_form)
+    slots, rows = memo(tree, "closed_form", _record_closed_form, c.d)
     lanes = point_lanes(tree, c)
-    return al.GroupElement(CYL, al.evaluate(CYL, row, {s: al.cylinder_lane(c.kind, lanes[s])
-                                                       for _, s in row}))
+    total, = al.run(CYL, rows, [al.cylinder_lane(c.kind, lanes[s]) for s in slots])
+    return al.GroupElement(CYL, total)
+
+
+def _record_closed_form(tree: OrientedTree, d: int) -> Tuple[Tuple[int, ...], Tuple[al.Row]]:
+    """The closed form's recorded row as ``(slots, rows)``, built once per (tree, d):
+    term q of the one row reads lane q, the cylinder image of slot ``slots[q]``."""
+    row, = recorded_rows(tree, d, _closed_form)
+    return tuple(s for _, s in row), (tuple((n, q) for q, (n, _) in enumerate(row)),)
 
 
 def ob_from_product(total: GroupElement, d: int) -> TorsionValue:

@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from switchyard import algebra as al
 from switchyard import cocyclic as cc
 from switchyard.cli import main
 
@@ -112,3 +113,36 @@ def lapack_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+class LaneWork:
+    """What the chart asked of `algebra`: ``plans``, the rows handed to each
+    `algebra.run` call, and ``built``, every element `GroupElement.__init__`
+    initialized (kept alive, so no two share an id)."""
+
+    def __init__(self):
+        self.plans, self.built = [], []
+
+    def built_any(self, elements) -> bool:
+        ids = {id(x) for x in self.built}
+        return any(id(x) in ids for x in elements)
+
+
+@pytest.fixture
+def lane_work(monkeypatch):
+    """A `LaneWork` of the calls made from here on.  The chart modules look
+    `run` up on `algebra` at each call, so wrapping it there counts every plan."""
+    work = LaneWork()
+    run, init = al.run, al.GroupElement.__init__
+
+    def counted_run(kind, rows, lanes):
+        work.plans.append(rows)
+        return run(kind, rows, lanes)
+
+    def counted_init(self, kind, value):
+        work.built.append(self)
+        init(self, kind, value)
+
+    monkeypatch.setattr(al, "run", counted_run)
+    monkeypatch.setattr(al.GroupElement, "__init__", counted_init)
+    return work

@@ -301,6 +301,10 @@ def bits(value):
     return tuple(x.hex() if isinstance(x, float) else x for x in parts)
 
 
+def bits_list(values):
+    return [bits(x) for x in values]
+
+
 class TestLanes:
     """`evaluate` on lanes and `combine` on elements share one arithmetic."""
 
@@ -363,6 +367,72 @@ class TestLanes:
         for _ in range(200):
             e = rnd(kind, rng.random())
             assert bits(al.cylinder_lane(kind, e.value)) == bits(al.to_cylinder(e).value)
+
+
+class TestRun:
+    """`run` evaluates a plan of rows in one pass; each row is `evaluate`'s sum."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_chained_plan_agrees_with_combine_row_by_row(self, kind):
+        # later rows read the lanes of earlier rows, numbered after the inputs
+        rng = random.Random(26)
+        for _ in range(100):
+            elements = [rnd(kind, rng.random()) for _ in range(rng.randrange(1, 8))]
+            inputs = len(elements)
+            rows = []
+            for _ in range(rng.randrange(1, 12)):
+                row = tuple((rng.randint(-3, 3), rng.randrange(inputs + len(rows)))
+                            for _ in range(rng.randrange(0, 10)))
+                rows.append(row)
+                elements.append(al.combine(kind, [(n, elements[s]) for n, s in row]))
+            got = al.run(kind, tuple(rows), [x.value for x in elements[:inputs]])
+            assert bits_list(got) == [bits(x.value) for x in elements[inputs:]]
+
+    def test_a_refused_row_gives_nan_and_later_rows_still_evaluate(self):
+        rows = (((1, 2),), ((1, 0), (1, 1)), ((2, 3), (1, 2)), ((1, 4), (1, 3)), ((-1, 5),))
+        assert bits_list(al.run("real", rows, [-math.inf, math.inf, 1.0])) == bits_list(
+            [1.0, math.nan, 3.0, math.nan, -3.0])
+        # a cylinder row keeps its angle when only its real part is refused
+        lanes = [(-math.inf, 1.0), (math.inf, 2.0), (1.0, 0.5)]
+        out = al.run("cylinder", (((1, 0), (1, 1)), ((1, 2), (1, 3))), lanes)
+        assert math.isnan(out[0][0]) and out[0][1] == 3.0
+        assert math.isnan(out[1][0]) and out[1][1] == 3.5
+
+    def test_an_overflowing_row_raises_sum_overflow(self):
+        for kind, lane in (("real", 1e308), ("cylinder", (1e308, 0.0))):
+            rows = (((1, 0),), ((1, 0), (1, 1), (1, 0)), ((1, 0), (-1, 0)))
+            with pytest.raises(al.SumOverflow, match=f"^a {kind} sum of 3 terms overflows"):
+                al.run(kind, rows, [lane])
+        # past a row refused for -inf + inf, the overflow is still named by its row
+        rows = (((1, 0), (1, 1)), ((1, 2),), ((1, 2), (1, 4), (-1, 2), (1, 4)))
+        with pytest.raises(al.SumOverflow, match="^a real sum of 4 terms overflows"):
+            al.run("real", rows, [-math.inf, math.inf, 1e308])
+
+    def test_evaluate_is_the_one_row_case(self):
+        rows = (((1, 0), (-2, 1)), ((3, 1),))
+        for kind, lanes in (("real", [0.5, 2.0]), ("zd:12", [5, 11]),
+                            ("cylinder", [(0.5, 1.0), (2.0, 6.0)]), ("circle", [0.5, 6.0])):
+            assert al.run(kind, rows, lanes) == [al.evaluate(kind, row, lanes) for row in rows]
+            assert al.run(kind, (), lanes) == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_elements_keep_the_draw_rule_and_stream(self, kind):
+        # the rule spelled out through the normalizing constructor, one draw at a time
+        def draw(rng):
+            if kind == "real":
+                return al.GroupElement(kind, rng.gauss(0.0, 1.0))
+            if kind == "circle":
+                return al.GroupElement(kind, rng.uniform(0.0, al.TWO_PI))
+            if kind == "cylinder":
+                return al.GroupElement(kind, (rng.gauss(0.0, 1.0), rng.uniform(0.0, al.TWO_PI)))
+            return al.GroupElement(kind, rng.randrange(int(kind[3:])))
+
+        a, b = random.Random(27), random.Random(27)
+        got = al.random_elements(kind, a, 50)
+        want = [draw(b) for _ in range(50)]
+        assert bits_list(x.value for x in got) == bits_list(x.value for x in want)
+        assert a.random() == b.random()
+        assert al.random_element(kind, a) == draw(b)
 
 
 class TestGroupElement:

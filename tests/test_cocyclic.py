@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -583,6 +584,23 @@ class TestInversePlan:
                     assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
         assert d4_sides == {True, False}
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_inverse_runs_its_plan_once_and_builds_no_output(self, kind, lane_work):
+        # one `al.run` for the steps and one for every balance row; the slots
+        # it fills are taken from the runner's lanes, not renormalized
+        d, rng = 6, random.Random(71)
+        anchors = cc.default_anchors(TREE, d)
+        eps = al.torsion_element(kind, d, 1)
+        cc.i2_inverse(TREE, cc.random_free(TREE, d, kind, rng, anchors), eps, anchors)
+        free = cc.random_free(TREE, d, kind, rng, anchors)
+        lane_work.plans.clear()
+        c = cc.i2_inverse(TREE, free, eps, anchors)
+        plan = cc.inverse_plan(TREE, d, anchors)
+        assert len(lane_work.plans) == 2 and lane_work.plans[0] is plan.steps
+        assert len(lane_work.plans[1]) == 2 * len(cc.chart(TREE, d).balance)
+        assert not lane_work.built_any(c.vals)
+        assert not lane_work.built_any(free.vals)  # drawn in one call, not one by one
+
     @pytest.mark.parametrize("name", TRACKS)
     def test_plan_is_a_straight_line_row_program(self, name):
         tree = _tree_of(name)
@@ -739,6 +757,17 @@ class TestInversePlan:
                                                      r"index \(1, 2\)$") as got:
             cc.require_member(TREE, c)
         assert isinstance(got.value.__cause__, al.SumOverflow)
+
+    @pytest.mark.parametrize("first,message", [
+        (2.0, "fails at pair index (1, 2)"), (1.0, "overflows at pair index (2, 1)")])
+    def test_balance_names_the_first_pair_that_fails_or_overflows(self, first, message):
+        # the rows run in one pass; after an overflow the pairs are run again in
+        # order, so a failing pair before the overflowing one is still named
+        balance = {(1, 2): (((1, 0),), ((1, 1),)), (2, 1): (((1, 2), (1, 2)), ((1, 0),))}
+        ch = cc.Chart(3, (), (), {}, balance)
+        with pytest.raises(cc.MembershipError, match=f"^balance equation {re.escape(message)}$"):
+            cc._require_balance(ch, "real", (1.0, first, 1e308), al.DEFAULT_TOL)
+        cc._require_balance(ch, "real", (1.0, 1.0, 0.5), al.DEFAULT_TOL)
 
 
 class TestFreePoint:

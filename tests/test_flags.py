@@ -62,6 +62,21 @@ class TestFlagType:
         with pytest.raises(ValueError, match="read-only"):
             f.unit[0, 0] = 2.0
 
+    def test_random_flag_gives_up_after_its_cap(self):
+        # a generator whose every draw is dependent makes MAX_FLAG_ATTEMPTS
+        # draws of 2d^2 gaussians, then fails instead of looping for ever
+        class Zeros:
+            draws = 0
+
+            def gauss(self, mu, sigma):
+                self.draws += 1
+                return 0.0
+
+        rng = Zeros()
+        with pytest.raises(fl.DegenerateFlagError, match=f"in {fl.MAX_FLAG_ATTEMPTS} attempts$"):
+            fl.random_flag(3, rng)
+        assert rng.draws == fl.MAX_FLAG_ATTEMPTS * 2 * 3 * 3
+
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
             with pytest.raises(fl.DegenerateFlagError, match="non-finite"):

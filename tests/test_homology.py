@@ -177,6 +177,20 @@ class TestKTheta:
 
 
 class TestSolveTree:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_solve_runs_its_plan_once_and_builds_no_output(self, setup, kind, lane_work):
+        # the steps and the last switch's rows are one `al.run`, and the solved
+        # vectors are taken from its lanes, not renormalized
+        track, tree, lifts, free = setup
+        d, rng = 5, random.Random(35)
+        hm.solve_tree(lifts, *solvable_instance(track, tree, free, kind, d, rng), kind, d)
+        v, w = solvable_instance(track, tree, free, kind, d, rng)
+        lane_work.plans.clear()
+        out = hm.solve_tree(lifts, v, w, kind, d)
+        plan = hm.solver_plan(lifts, d)
+        assert lane_work.plans == [plan.steps + plan.last]
+        assert not lane_work.built_any([x for vec in out.values() for x in vec])
+
     def test_all_zero(self, setup):
         track, tree, lifts, free = setup
         v = {rid: hm.ga_zero("real", 3) for rid in free}

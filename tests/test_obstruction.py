@@ -85,6 +85,18 @@ class TestLiftedRep:
             ob.lifted_rep(rel, mats)
         assert lapack_calls.shapes["det"] == [(4, 3, 3)]
 
+    def test_non_finite_generator_named(self, lapack_calls):
+        # a nan determinant fails no comparison, so a non-finite entry is
+        # refused before any determinant is taken, naming its generator
+        rel = ob.standard_relator(2)
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            mats = {n: np.eye(2, dtype=complex) for n in rel.generators()}
+            mats["a2"] = np.array([[bad, 0], [0, 1]])
+            mats["b2"] = 2.0 * np.eye(2)
+            with pytest.raises(ValueError, match="^matrix for a2 has a non-finite entry$"):
+                ob.lifted_rep(rel, mats)
+        assert lapack_calls.shapes["det"] == []
+
     def test_missing_generator_rejected(self):
         rel = ob.standard_relator(2)
         mats = {n: np.eye(2, dtype=complex) for n in rel.generators() if n != "b2"}

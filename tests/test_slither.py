@@ -474,5 +474,5 @@ class TestCompiledOnce:
                                                    "rotation_pairs"}
         assert {key[0] for key in tree._memo} == {"classify", "boundary_walk", "chart",
                                                   "recorded_rows", "free_layout",
-                                                  "inverse_plan", "ledger_row"}
+                                                  "inverse_plan", "ledger_row", "closed_form"}
         assert {key[0] for key in lifts._memo} == {"solver_plan"}
