@@ -94,7 +94,7 @@ class Report:
             print(f"wall time: {wall_ms:.1f} ms")
         return 1 if failed else 0
 
-    def fail(self, name: str, err: Exception, as_json: bool) -> NoReturn:
+    def fail(self, name: str, err, as_json: bool) -> NoReturn:
         """Record a failed check and its error, print the report and exit 1."""
         self.check(name, False)
         self.value("error", str(err))
@@ -303,8 +303,9 @@ def sample_y(cfg, path, count, torsion_k, out):
 
 
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
-    """Load a track, its oriented tree and a coords file; exit 1 unless the point is a
-    member, else return the tree and the point as a `cocyclic.Member`.
+    """Load a track, its oriented tree and a coords file; exit 1 unless every point is
+    a member (naming a failing later point's index), else return the tree and the
+    first point as a `cocyclic.Member`.
 
     A track without a stored tree gets the tree `sample-y` drew the points on:
     the one of the seed a points file records, or of --seed for a bare coords
@@ -320,14 +321,15 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
         otree = oriented_tree_for(track, stored, cfg["seed"] if seed is None else seed)
         return otree, io.coords_from_json(doc, otree)
 
-    (otree, c), raw = io.load(coords_path, decode)
+    (otree, points), raw = io.load(coords_path, decode)
     report.add_input("coords", raw)
-    try:
-        c = cc.require_member(otree, c, cfg["member_tol"])
-    except cc.MembershipError as err:
-        report.fail("membership", err, cfg["json"])
+    for n, c in enumerate(points):
+        try:
+            points[n] = cc.require_member(otree, c, cfg["member_tol"])
+        except cc.MembershipError as err:
+            report.fail("membership", f"point {n}: {err}" if n else err, cfg["json"])
     report.check("membership", True)
-    return otree, c
+    return otree, points[0]
 
 
 @command(arg("track_path"), arg("coords_path"))

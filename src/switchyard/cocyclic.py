@@ -7,20 +7,18 @@ id, and records each balance equation as two `al.Row`s over that numbering.
 Membership means the per-plaque rotation relations (`check_diamond`, their
 only home) and the balance equations hold, over finite values.
 `require_member` is the gate of every point handed in: it returns a read-only
-`Member` holding the point's slots and their lanes in chart order, which the
+`Member`, the point's slot vector in chart order with its lanes, which the
 chart functions accept without checking it again.  The space carries a
 torsion invariant, whose forms are rows recorded once per (tree, d, anchors),
 and an explicit linear parametrization by unconstrained slots plus one
-d-torsion slot; both directions are implemented here.  The inverse is
-integer-linear: its step formulas are recorded as an `InversePlan` whose
-outputs fill the chart's slots.  Recording a plan proves the rotation
-relations for every point it builds (both sides of each relation read one
-slot), so `i2_inverse` gates its output by finite slots and the balance rows
-alone.  Every recorded plan of rows is evaluated on lanes by one `al.run`.
+d-torsion slot, whose integer-linear inverse is recorded as an `InversePlan`
+that proves the rotation relations of every point it builds.  Every recorded
+plan of rows is evaluated on lanes by one `al.run`.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import isfinite
 from operator import itemgetter
 from types import MappingProxyType
@@ -62,25 +60,23 @@ class CocyclicCoords:
         self.d, self.kind, self.v, self.z = d, kind, v, z
 
 
-class Member(NamedTuple):
+class Member:
     """A point checked to be a member of the chart of ``tree`` at ``tol``.
 
-    ``vals`` holds its slots in the order of `chart`, and ``lanes`` their lanes for
-    the recorded rows; it is read like `CocyclicCoords` through ``v`` and ``z``,
-    read-only views of ``vals``, so the check it records stays true.  Only the
-    membership gates build one: `require_member`, and `i2_inverse` for its own output.
+    ``vals`` holds its slots in `chart` order and ``lanes`` their lanes; ``v`` and ``z``
+    are read-only views of ``vals``, built by `slot_views` on first read and kept.
+    The gates build one, `require_member` and `i2_inverse` (for its own output); `io`
+    decodes a point into one at tol = inf, which any gate at a finite tol checks.
     """
 
-    d: int
-    kind: str
-    v: Mapping[int, GA]
-    z: ZField
-    tree: OrientedTree
-    tol: float
-    vals: Tuple[GroupElement, ...]
-    lanes: tuple
-
     __setattr__ = __delattr__ = al.frozen_attribute
+
+    def __init__(self, d: int, kind: str, tree: OrientedTree, tol: float, vals, lanes):
+        vars(self).update(d=d, kind=kind, tree=tree, tol=tol, vals=vals, lanes=lanes)
+
+    _views = cached_property(lambda self: slot_views(chart(self.tree, self.d), self.vals))
+    v = property(lambda self: self._views[0])
+    z = property(lambda self: self._views[1])
 
 
 Coords = Union[CocyclicCoords, Member]
@@ -262,23 +258,6 @@ def _slot_name(ch: Chart, s: int) -> str:
     return f"switch {at}, index {index}"
 
 
-def _check_finite(ch: Chart, kind: str, lanes) -> None:
-    """Raise `MembershipError` naming the first slot of ``lanes``, in the order of
-    ``ch``, that is not finite.
-
-    A non-finite value fails no equation it does not enter, and the v slots
-    of an orientable rectangle enter none.
-    """
-    if kind == "cylinder":
-        finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
-    elif kind in ("real", "circle"):
-        finite = list(map(isfinite, lanes))
-    else:  # a "zd:<n>" residue is an int, always finite
-        return
-    if not all(finite):
-        raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
-
-
 def _require_balance(ch: Chart, kind: str, lanes, tol: float) -> None:
     """Raise `MembershipError` naming the first pair index whose balance equation
     fails, or overflows a float, on ``lanes``.
@@ -313,46 +292,51 @@ def slot_views(ch: Chart, vals) -> tuple:
     return MappingProxyType(v), MappingProxyType(z)
 
 
-def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
-    """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol``.
+def _gate(tree: OrientedTree, d: int, kind: str, vals: tuple, lanes: tuple, tol: float) -> Member:
+    """``vals`` and their ``lanes``, in `chart` order, as a `Member` checked at ``tol``:
+    every slot finite (a non-finite value fails no equation it does not enter, and
+    an orientable rectangle's v slots enter none), then the balance equations."""
+    ch = chart(tree, d)
+    if kind == "cylinder":
+        finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
+    elif kind in ("real", "circle"):
+        finite = list(map(isfinite, lanes))
+    else:  # a "zd:<n>" residue is an int, always finite
+        finite = ()
+    if not all(finite):
+        raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
+    _require_balance(ch, kind, lanes, tol)
+    return Member(d, kind, tree, tol, vals, lanes)
 
-    A `Member` already checked on this tree object at a tol no looser is
-    returned as it is; every other point is copied in the slot order of `chart`
-    and checked (vector shapes, finite slots, rotation relations, then balance equations).
-    """
-    if isinstance(c, Member) and c.tree is tree and c.tol <= tol:
-        return c
-    ch = chart(tree, c.d)
-    if set(c.v) != set(ch.rects) or set(c.z) != set(ch.switches):
-        raise MembershipError("the point's rectangles or switches are not the chart's")
-    b = set(al.index_tables(c.d).B)
-    for r in ch.rects:
-        if len(c.v[r]) != c.d - 1:
-            raise MembershipError(f"rectangle {r} does not carry d-1 = {c.d - 1} values")
-    for t in ch.switches:
-        if c.z[t].keys() != b:
-            raise MembershipError(f"switch {t} does not carry the triple indices of d = {c.d}")
-    vals = _slots(ch, c.v, c.z)
-    lanes = tuple(al.unpack(c.kind, vals, lambda s: _slot_name(ch, s)))
-    _check_finite(ch, c.kind, lanes)
-    member = Member(c.d, c.kind, *slot_views(ch, vals), tree, tol, vals, lanes)
+
+def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
+    """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol`` by `_gate`
+    and then the rotation relations.  A `Member` of this tree object checked at a tol
+    no looser is returned as it is; a point that is no `Member` of it is first copied
+    in `chart` order (vector shapes, then kinds)."""
+    if isinstance(c, Member) and c.tree is tree:
+        if c.tol <= tol:
+            return c
+        vals, lanes = c.vals, c.lanes
+    else:
+        ch = chart(tree, c.d)
+        if set(c.v) != set(ch.rects) or set(c.z) != set(ch.switches):
+            raise MembershipError("the point's rectangles or switches are not the chart's")
+        b = set(al.index_tables(c.d).B)
+        for r in ch.rects:
+            if len(c.v[r]) != c.d - 1:
+                raise MembershipError(f"rectangle {r} does not carry d-1 = {c.d - 1} values")
+        for t in ch.switches:
+            if c.z[t].keys() != b:
+                raise MembershipError(f"switch {t} does not carry the triple indices of d = {c.d}")
+        vals = _slots(ch, c.v, c.z)
+        lanes = tuple(al.unpack(c.kind, vals, lambda s: _slot_name(ch, s)))
+    member = _gate(tree, c.d, c.kind, vals, lanes, tol)
     try:
         check_diamond(tree.track, member.z, c.d, tol)
     except RotationViolated as err:
         raise MembershipError("rotation relations fail") from err
-    _require_balance(ch, c.kind, lanes, tol)
     return member
-
-
-def _require_recorded(tree: OrientedTree, d: int, kind: str, vals: tuple, lanes: tuple,
-                      tol: float) -> Member:
-    """The gate of the slots ``vals`` (and ``lanes``), in the order of `chart`, that
-    `i2_inverse` has just evaluated: its plan's rotation relations were proven when
-    it was recorded, so only `require_member`'s finite-slot and balance checks remain."""
-    ch = chart(tree, d)
-    _check_finite(ch, kind, lanes)
-    _require_balance(ch, kind, lanes, tol)
-    return Member(d, kind, *slot_views(ch, vals), tree, tol, vals, lanes)
 
 
 def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
@@ -556,8 +540,8 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     steps = al.run(kind, plan.steps, lanes)
     lanes += steps
     vals += al._from_lanes(kind, steps)
-    return _require_recorded(tree, d, kind, tuple(map(vals.__getitem__, plan.out)),
-                             tuple(map(lanes.__getitem__, plan.out)), tol)
+    return _gate(tree, d, kind, tuple(map(vals.__getitem__, plan.out)),
+                 tuple(map(lanes.__getitem__, plan.out)), tol)
 
 
 def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):

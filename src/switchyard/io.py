@@ -152,12 +152,12 @@ def points_seed(doc):
     return _int(doc["seed"], "seed") if "points" in doc else None
 
 
-def coords_from_json(doc, tree):
-    """Decode a coords document checked against ``tree``.  Of a points file every
-    point is decoded and checked, with the file's count, d and group; the first
-    point is returned."""
+def coords_from_json(doc, tree) -> list:
+    """Decode a coords document checked against ``tree`` into its points, each a
+    `cocyclic.Member` at tol = inf: a bare document's one point, or every point of a
+    points file, checked against the file's count, d and group."""
     if "points" not in doc:
-        return _coords(doc, tree)
+        return [_coords(doc, tree)]
     points = doc["points"]
     if type(points) is not list or not points:
         raise ValueError("points is not a non-empty list")
@@ -171,39 +171,52 @@ def coords_from_json(doc, tree):
         if (c.d, c.kind) != (d, kind):
             raise ValueError(f"point {n} has d={c.d} group {c.kind}, the file d={d} group {kind}")
         coords.append(c)
-    return coords[0]
+    return coords
+
+
+def _key_table(tree, d: int) -> dict:
+    """For "v" and "z" of a coords document on ``tree`` at ``d``, each canonical id key's
+    first slot in `cocyclic.chart`, and each canonical index key's offset from it."""
+    from .cocyclic import chart
+
+    ch, n, b = chart(tree, d), d - 1, al.index_tables(d).B
+    return {"v": ({str(r): n * q for q, r in enumerate(ch.rects)},
+                  {str(i + 1): i for i in range(n)}),
+            "z": ({str(t): n * len(ch.rects) + len(b) * q for q, t in enumerate(ch.switches)},
+                  {",".join(map(str, j)): q for q, j in enumerate(b)})}
+
+
+def _refuse(part: str, key: str, d: int):
+    """Raise the parse error of ``key``, a "v" pair or "z" triple index with no slot."""
+    if part == "v":
+        _key(key, "pair index", 1, d - 1)
+    for p in key.split(","):
+        _key(p, "triple index part", 1, d)
+    raise ValueError(f"triple index {key!r} is not three positive parts summing to {d}")
 
 
 def _coords(doc, tree):
-    from .cocyclic import CocyclicCoords
+    from .cocyclic import Member, chart
 
-    d, kind, track = _int(doc["d"], "d", 2, al.MAX_D), al.check_kind(doc["group"]), tree.track
-    free = {r.id for r in track.rects} - tree.edges
-    for label, got, want in (("switch", doc["z"], set(track.switch_ids)),
-                             ("free rectangle", doc["v"], free)):
-        got = {_key(k, f"{label} id") for k in got}
+    d, kind = _int(doc["d"], "d", 2, al.MAX_D), al.check_kind(doc["group"])
+    table = al.memo(tree, "key_table", _key_table, d)
+    for label, got, part in (("switch", doc["z"], "z"), ("free rectangle", doc["v"], "v")):
+        got, want = {_key(k, f"{label} id") for k in got}, set(map(int, table[part][0]))
         if got != want:
             raise ValueError(f"{label} ids do not match the track: "
                              f"missing {sorted(want - got)}, unknown {sorted(got - want)}")
-    v, z = {}, {}
-    for r, vec in doc["v"].items():
-        slots = {_key(k, "pair index", 1, d - 1): element_from_json(kind, e)
-                 for k, e in vec.items()}
-        if len(slots) != d - 1:
-            raise ValueError(f"rectangle {r} does not carry the d={d} pair indices")
-        v[int(r)] = tuple(slots[i] for i in range(1, d))
-    for t, vec in doc["z"].items():
-        z[int(t)] = {_triple(k, d): element_from_json(kind, e) for k, e in vec.items()}
-        if len(z[int(t)]) != (d - 1) * (d - 2) // 2:
-            raise ValueError(f"switch {t} does not carry the d={d} triple indices")
-    return CocyclicCoords(d=d, kind=kind, v=v, z=z)
-
-
-def _triple(key: str, d: int) -> tuple:
-    j = tuple(_key(p, "triple index part", 1, d) for p in key.split(","))
-    if len(j) != 3 or sum(j) != d:
-        raise ValueError(f"triple index {key!r} is not three positive parts summing to {d}")
-    return j
+    vals = [None] * len(chart(tree, d).slot)
+    for part, label, index in (("v", "rectangle", "pair"), ("z", "switch", "triple")):
+        starts, offsets = table[part]
+        for at, vec in doc[part].items():
+            start = starts[at]
+            for k, e in vec.items():
+                if k not in offsets:
+                    _refuse(part, k, d)
+                vals[start + offsets[k]] = element_from_json(kind, e)
+            if len(vec) != len(offsets):
+                raise ValueError(f"{label} {at} does not carry the d={d} {index} indices")
+    return Member(d, kind, tree, math.inf, tuple(vals), tuple(x.value for x in vals))
 
 
 def matrix_to_json(mat) -> list:

@@ -64,21 +64,19 @@ def run_cli():
 def member_checks(monkeypatch):
     """A list that grows by one per membership check run in the chart modules.
 
-    Every check `require_member` runs tests the rotation relations, and
-    `i2_inverse` checks its fresh output with `_require_recorded` instead, so
-    wrapping `check_diamond` where `cocyclic` looks it up, and
-    `_require_recorded`, counts the checks that are run, not the ones
+    Every check runs `_gate` once: `require_member` before the rotation
+    relations, and `i2_inverse` on its fresh output, so wrapping `_gate` where
+    `cocyclic` looks it up counts the checks that are run, not the ones
     `require_member` reuses.  A name missing from `cocyclic` fails the fixture.
     """
     calls = []
-    for name in ("check_diamond", "_require_recorded"):
-        real = getattr(cc, name)
+    real = cc._gate
 
-        def counted(*args, real=real, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(cc, name, counted)
+    monkeypatch.setattr(cc, "_gate", counted)
     return calls
 
 

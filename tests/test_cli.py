@@ -271,6 +271,14 @@ class TestOneCheckPerPoint:
         assert r.exit_code == 0, r.output
         assert len(member_checks) == 1
 
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_command_checks_every_point_once(self, run_cli, workdir, member_checks, command):
+        count = _read(workdir, "pts.json")["count"]
+        assert count == 2
+        r = run_cli([command, str(workdir / "tree.json"), str(workdir / "pts.json")])
+        assert r.exit_code == 0, r.output
+        assert len(member_checks) == count
+
     def test_sample_y_checks_each_point_once(self, run_cli, workdir, tmp_path, member_checks):
         r = run_cli(["--seed", "5", "--d", "4", "sample-y", str(workdir / "tree.json"),
                      "--count", "3", "--out", str(tmp_path / "pts.json")])
@@ -446,6 +454,32 @@ class TestSampleAndTorsion:
         assert "membership: FAIL" in r.output
 
 
+class TestEveryPointGated:
+    """A points file is gated point by point: a later point off the chart fails
+    the membership check by its index, as the first point would."""
+
+    @pytest.fixture(scope="class")
+    def off_chart(self, tmp_path_factory, run_cli, workdir):
+        base = tmp_path_factory.mktemp("every")
+        r = run_cli(["--seed", "5", "--d", "3", "sample-y", str(workdir / "tree.json"),
+                     "--count", "3", "--out", str(base / "pts.json")])
+        assert r.exit_code == 0, r.output
+        doc = json.loads((base / "pts.json").read_text())
+        z = doc["points"][1]["coords"]["z"]
+        z[next(iter(z))]["1,1,1"][0] += 0.5
+        (base / "off.json").write_text(json.dumps(doc))
+        return base / "off.json"
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_later_point_off_the_chart_exits_one(self, run_cli, workdir, off_chart, command):
+        r = run_cli([command, str(workdir / "tree.json"), str(off_chart)])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1, r.output
+        assert "check membership: FAIL" in r.stdout
+        assert "error: point 1: " in r.stdout
+        assert "Traceback" not in r.output
+
+
 class TestCorfinal:
     def test_sampled_point_passes(self, run_cli, workdir):
         r = run_cli(["corfinal", str(workdir / "tree.json"),
@@ -542,7 +576,7 @@ class TestParityForms:
         v[rect][mid] = al.group_add(v[rect][mid], al.GroupElement(kind, shift))
         path = tmp_path / "off_chart.json"
         path.write_text(json.dumps(io.coords_to_json(cc.CocyclicCoords(d, kind, v, c.z))))
-        point = io.coords_from_json(json.loads(path.read_text()), otree)
+        [point] = io.coords_from_json(json.loads(path.read_text()), otree)
         residual = al.distance(*cc._club_sides(otree, point, al.index_tables(d).i_zero))
         return otree, point, path, residual
 

@@ -1041,7 +1041,7 @@ class TestSerialization:
             for kind in KINDS:
                 c = cc.sample_y(TREE, d, kind, rng)
                 blob = json.dumps(io.coords_to_json(c))
-                back = io.coords_from_json(json.loads(blob), TREE)
+                [back] = io.coords_from_json(json.loads(blob), TREE)
                 tol = 0.0 if kind == "zd:12" else 1e-12
                 assert back.d == c.d and back.kind == c.kind
                 assert coords_equal(c, back, tol)
@@ -1057,6 +1057,37 @@ class TestSerialization:
         for t, slots in doc["z"].items():
             int(t)
             assert set(slots) == {"1,1,1"}
+
+    @pytest.mark.parametrize("kind,d", [(kind, d) for kind in KINDS for d in range(2, 9)]
+                             + [("cylinder", 16)])
+    def test_decoded_point_is_the_slot_vector(self, kind, d):
+        m = cc.sample_y(TREE, d, kind, random.Random(37 + d))
+        [back] = io.coords_from_json(json.loads(json.dumps(io.coords_to_json(m))), TREE)
+        assert isinstance(back, cc.Member) and back.tree is TREE and back.tol == math.inf
+        gated = cc.require_member(TREE, back, al.MEMBER_TOL)
+        assert gated.vals == m.vals and repr(gated.lanes) == repr(m.lanes)
+
+    # (edit of a d = 4 document, the message it is refused with)
+    REFUSED = [
+        (lambda doc, r, t: doc["v"][r].__setitem__("01", doc["v"][r].pop("1")),
+         "pair index '01' is not a canonical integer"),
+        (lambda doc, r, t: doc["z"][t].__setitem__("1,1,3", doc["z"][t].pop("1,1,2")),
+         "triple index '1,1,3' is not three positive parts summing to 4"),
+        (lambda doc, r, t: doc["z"][t].__setitem__("0,2,2", doc["z"][t].pop("1,1,2")),
+         "triple index part 0 is outside 1..4"),
+        (lambda doc, r, t: doc["z"].pop(t),
+         "switch ids do not match the track: missing [{t}], unknown []"),
+        (lambda doc, r, t: doc["v"].__setitem__(str(min(TREE.edges)), doc["v"][r]),
+         f"free rectangle ids do not match the track: missing [], unknown [{min(TREE.edges)}]"),
+    ]
+
+    @pytest.mark.parametrize("edit,message", REFUSED)
+    def test_refused_keys_keep_their_messages(self, edit, message):
+        doc = io.coords_to_json(cc.sample_y(TREE, 4, "real", random.Random(38)))
+        r, t = str(FREE_RECTS[1]), str(sorted(TRACK.switch_ids)[1])
+        edit(doc, r, t)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(t=t))}$"):
+            io.coords_from_json(doc, TREE)
 
     def test_missing_slot_rejected(self):
         c = cc.sample_y(TREE, 3, "real", random.Random(36))
@@ -1110,6 +1141,26 @@ class TestMember:
             c.z[t] = {}
         with pytest.raises(TypeError):
             c.z[t][j] = al.real(0.0)
+
+    def test_chart_functions_build_no_views(self, monkeypatch):
+        calls = []
+        views = cc.slot_views
+        monkeypatch.setattr(cc, "slot_views", lambda *args: calls.append(args) or views(*args))
+        rng = random.Random(54)
+        for warm in (True, False):
+            for kind, d in self.MIX:
+                anchors = cc.default_anchors(TREE, d)
+                m = cc.sample_y(TREE, d, kind, rng, anchors)
+                assert cc.is_member(TREE, m, al.MEMBER_TOL)
+                cc.tor_prime(TREE, m, anchors)
+                cc.i2_forward(TREE, m, anchors)
+                sl.total_mid_log(TREE, m)
+                sl.closed_form_total(TREE, m)
+            if warm:  # recording reads views over slot numbers, once per tree and d
+                calls.clear()
+        assert calls == []
+        assert m.z is m.z and m.v is m.v
+        assert len(calls) == 1 and calls[0][1] is m.vals
 
     def test_member_is_a_copy(self):
         src = zero_coords(3, "real")
