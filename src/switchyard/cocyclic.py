@@ -6,14 +6,15 @@ slots once per (tree, d), v[r][k] by rectangle id and then z[t][j] by switch
 id, and records each balance equation as two `al.Row`s over that numbering.
 Membership means the per-plaque rotation relations (`check_diamond`, their
 only home) and the balance equations hold, over finite values.
-`require_member` is the gate of every point handed in: it returns a read-only
-`Member`, the point's slot vector in chart order with its lanes, which the
-chart functions accept without checking it again.  The space carries a
-torsion invariant, whose forms are rows recorded once per (tree, d, anchors),
-and an explicit linear parametrization by unconstrained slots plus one
-d-torsion slot, whose integer-linear inverse is recorded as an `InversePlan`
-that proves the rotation relations of every point it builds.  Every recorded
-plan of rows is evaluated on lanes by one `al.run`.
+A point is a read-only `Member`, its slot vector in chart order with its
+lanes.  `require_member` is the gate of every point handed in, which the chart
+functions accept without checking it again; a `Member` of another tree object
+is read where both charts number the same slots (`lanes_on`).  The space
+carries a torsion invariant, whose forms are rows recorded once per (tree, d,
+anchors), and an explicit linear parametrization by unconstrained slots plus
+one d-torsion slot, whose integer-linear inverse is recorded as an
+`InversePlan` that proves the rotation relations of every point it builds.
+Every recorded plan of rows is evaluated on lanes by one `al.run`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from math import isfinite
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GA, GroupElement, PairIndex, TorsionValue, TripleIndex, memo
@@ -52,16 +53,8 @@ class RotationViolated(ValueError):
 ZField = Mapping[int, Mapping[TripleIndex, GroupElement]]
 
 
-class CocyclicCoords:
-    """A point as plain data: an A-indexed vector per free rectangle, a B-indexed one per switch."""
-
-    def __init__(self, d: int, kind: str, v: Dict[int, GA],
-                 z: Dict[int, Dict[TripleIndex, GroupElement]]):
-        self.d, self.kind, self.v, self.z = d, kind, v, z
-
-
 class Member:
-    """A point checked to be a member of the chart of ``tree`` at ``tol``.
+    """A point of the chart of ``tree``, checked to be a member at ``tol`` (not at inf).
 
     ``vals`` holds its slots in `chart` order and ``lanes`` their lanes; ``v`` and ``z``
     are read-only views of ``vals``, built by `slot_views` on first read and kept.
@@ -79,7 +72,6 @@ class Member:
     z = property(lambda self: self._views[1])
 
 
-Coords = Union[CocyclicCoords, Member]
 Terms = List[Tuple[int, GroupElement]]  # (n, x) stands for n * x, summed by `al.combine`
 
 
@@ -225,26 +217,26 @@ def _slots(ch: Chart, v, z) -> tuple:
                  + [z[t][j] for t in ch.switches for j in al.index_tables(ch.d).B])
 
 
-def point_lanes(tree: OrientedTree, c: Coords) -> tuple:
-    """The lanes of ``c`` in the order of `chart`, each checked to be of ``c.kind``:
-    a `Member`'s ``lanes``."""
-    if isinstance(c, Member) and c.tree is tree:
-        return c.lanes
-    ch = chart(tree, c.d)
-    return al.unpack(c.kind, _slots(ch, c.v, c.z), lambda q: _slot_name(ch, q))
+def lanes_on(tree: OrientedTree, c: Member) -> tuple:
+    """``c.lanes``, read in the chart of ``tree``: ``c``'s own tree object, or one whose
+    chart numbers the same slots (the same rectangles off the tree and switches)."""
+    if c.tree is not tree:
+        ch, own = chart(tree, c.d), chart(c.tree, c.d)
+        if (ch.rects, ch.switches) != (own.rects, own.switches):
+            raise MembershipError("the point's rectangles or switches are not the chart's")
+    return c.lanes
 
 
-def _club_sides(tree: OrientedTree, c: Coords, i: PairIndex):
-    return al._from_lanes(c.kind, al.run(c.kind, chart(tree, c.d).balance[i],
-                                         point_lanes(tree, c)))
+def _club_sides(tree: OrientedTree, c: Member, i: PairIndex):
+    return al._from_lanes(c.kind, al.run(c.kind, chart(tree, c.d).balance[i], lanes_on(tree, c)))
 
 
-def check_club(tree: OrientedTree, c: Coords, i: PairIndex,
+def check_club(tree: OrientedTree, c: Member, i: PairIndex,
                tol: float = al.DEFAULT_TOL) -> bool:
     return al.elements_equal(*_club_sides(tree, c, i), tol)
 
 
-def check_spade(c: Coords, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
+def check_spade(c: Member, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
     kind = c.kind
     lhs = al.group_sum(kind, (c.z[t][j] for t in c.z for j in c.z[t] if j[1] == i[1]))
     rhs = al.group_sum(kind, (c.z[t][j] for t in c.z for j in c.z[t] if j[1] == i[0]))
@@ -309,29 +301,15 @@ def _gate(tree: OrientedTree, d: int, kind: str, vals: tuple, lanes: tuple, tol:
     return Member(d, kind, tree, tol, vals, lanes)
 
 
-def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> Member:
+def require_member(tree: OrientedTree, c: Member, tol: float = al.DEFAULT_TOL) -> Member:
     """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol`` by `_gate`
     and then the rotation relations.  A `Member` of this tree object checked at a tol
-    no looser is returned as it is; a point that is no `Member` of it is first copied
-    in `chart` order (vector shapes, then kinds)."""
-    if isinstance(c, Member) and c.tree is tree:
-        if c.tol <= tol:
-            return c
-        vals, lanes = c.vals, c.lanes
-    else:
-        ch = chart(tree, c.d)
-        if set(c.v) != set(ch.rects) or set(c.z) != set(ch.switches):
-            raise MembershipError("the point's rectangles or switches are not the chart's")
-        b = set(al.index_tables(c.d).B)
-        for r in ch.rects:
-            if len(c.v[r]) != c.d - 1:
-                raise MembershipError(f"rectangle {r} does not carry d-1 = {c.d - 1} values")
-        for t in ch.switches:
-            if c.z[t].keys() != b:
-                raise MembershipError(f"switch {t} does not carry the triple indices of d = {c.d}")
-        vals = _slots(ch, c.v, c.z)
-        lanes = tuple(al.unpack(c.kind, vals, lambda s: _slot_name(ch, s)))
-    member = _gate(tree, c.d, c.kind, vals, lanes, tol)
+    no looser is returned as it is; any other is checked again from its own slots,
+    read by `lanes_on`."""
+    lanes = lanes_on(tree, c)
+    if c.tree is tree and c.tol <= tol:
+        return c
+    member = _gate(tree, c.d, c.kind, c.vals, lanes, tol)
     try:
         check_diamond(tree.track, member.z, c.d, tol)
     except RotationViolated as err:
@@ -339,7 +317,7 @@ def require_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -
     return member
 
 
-def is_member(tree: OrientedTree, c: Coords, tol: float = al.DEFAULT_TOL) -> bool:
+def is_member(tree: OrientedTree, c: Member, tol: float = al.DEFAULT_TOL) -> bool:
     try:
         require_member(tree, c, tol)
     except MembershipError:
@@ -379,7 +357,7 @@ def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms
             + [(-1, z[t][j]) for t in cls.s_right for j in tables.B_zero]]
 
 
-def tor_prime(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
+def tor_prime(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
               tol: float = al.MEMBER_TOL) -> TorsionValue:
     c = require_member(tree, c, tol)
     d, kind = c.d, c.kind
@@ -414,35 +392,36 @@ class FreeLayout(NamedTuple):
     slots: Tuple[int, ...]
 
 
-class FreeCoords(NamedTuple):
-    """The unconstrained slots of a point, ``vals`` in `FreeLayout` order, and the
-    read-only views of them that `free_coords` builds: those of the free rectangles and
-    the anchor rectangle, and those of each plaque's representative and the anchor plaque."""
-
-    d: int
-    kind: str
-    vals: Tuple[GroupElement, ...]
-    v_other: Mapping[int, GA]
-    v_anchor: Mapping[PairIndex, GroupElement]
-    z_other: ZField
-    z_anchor: Mapping[TripleIndex, GroupElement]
-
-    __setattr__ = __delattr__ = al.frozen_attribute
-
-
-def free_coords(layout: FreeLayout, kind: str, vals) -> FreeCoords:
-    """The free point whose slots are ``vals``, in ``layout`` order, with its views."""
-    vals, n, b = tuple(vals), layout.d - 1, al.index_tables(layout.d).B
+def free_views(layout: FreeLayout, vals) -> tuple:
+    """Read-only views of ``vals``, a free point's slots in ``layout`` order: those of
+    the free rectangles and the anchor rectangle, then those of each plaque's
+    representative and the anchor plaque."""
+    n, b = layout.d - 1, al.index_tables(layout.d).B
     nb, a0 = len(b), n * len(layout.rects)
     z0 = a0 + len(layout.pairs)
     z1 = z0 + nb * len(layout.plaques)
-    return FreeCoords(
-        layout.d, kind, vals,
-        MappingProxyType({r: vals[n * q:n * q + n] for q, r in enumerate(layout.rects)}),
-        MappingProxyType(dict(zip(layout.pairs, vals[a0:z0]))),
-        MappingProxyType({p: MappingProxyType(dict(zip(b, vals[z0 + nb * q:z0 + nb * q + nb])))
-                          for q, p in enumerate(layout.plaques)}),
-        MappingProxyType(dict(zip(layout.triples, vals[z1:]))))
+    return (MappingProxyType({r: vals[n * q:n * q + n] for q, r in enumerate(layout.rects)}),
+            MappingProxyType(dict(zip(layout.pairs, vals[a0:z0]))),
+            MappingProxyType({p: MappingProxyType(dict(zip(b, vals[z0 + nb * q:z0 + nb * q + nb])))
+                              for q, p in enumerate(layout.plaques)}),
+            MappingProxyType(dict(zip(layout.triples, vals[z1:]))))
+
+
+class FreeCoords:
+    """The unconstrained slots of a point, read-only like a `Member`: ``vals`` in the
+    order of ``layout``, with views that `free_views` builds on first read and keeps."""
+
+    __setattr__ = __delattr__ = al.frozen_attribute
+
+    def __init__(self, layout: FreeLayout, kind: str, vals):
+        vars(self).update(layout=layout, kind=kind, vals=tuple(vals))
+
+    d = property(lambda self: self.layout.d)
+    _views = cached_property(lambda self: free_views(self.layout, self.vals))
+    v_other = property(lambda self: self._views[0])
+    v_anchor = property(lambda self: self._views[1])
+    z_other = property(lambda self: self._views[2])
+    z_anchor = property(lambda self: self._views[3])
 
 
 def free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayout:
@@ -472,14 +451,14 @@ def _build_free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayo
     return FreeLayout(d, rects, pairs, plaques, triples, tuple(slots))
 
 
-def i2_forward(tree: OrientedTree, c: Coords, anchors: Optional[Anchors] = None,
+def i2_forward(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
                tol: float = al.MEMBER_TOL) -> Tuple[FreeCoords, TorsionValue]:
     if anchors is None:
         anchors = default_anchors(tree, c.d)
     c = require_member(tree, c, tol)
     eps = tor_prime(tree, c, anchors, tol)
     layout = free_layout(tree, c.d, anchors)
-    return free_coords(layout, c.kind, itemgetter(*layout.slots)(c.vals)), eps
+    return FreeCoords(layout, c.kind, itemgetter(*layout.slots)(c.vals)), eps
 
 
 class InversePlan(NamedTuple):
@@ -529,8 +508,7 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     if not al.is_d_torsion(eps_val, d, tol):
         raise ValueError(f"epsilon is not {d}-torsion: {eps_val}")
     plan = inverse_plan(tree, d, anchors)
-    if (tuple(free.v_other), tuple(free.z_other), len(free.vals)) != (
-            plan.layout.rects, plan.layout.plaques, len(plan.layout.slots)):
+    if free.layout != plan.layout:
         raise ValueError("the free point's slots are not those of this tree's free layout "
                          f"at d = {d} and these anchors")
     vals = [*free.vals, eps_val]
@@ -713,7 +691,7 @@ def random_free(tree: OrientedTree, d: int, kind: str, rng,
     if anchors is None:
         anchors = default_anchors(tree, d)
     layout = free_layout(tree, d, anchors)
-    return free_coords(layout, kind, al.random_elements(kind, rng, len(layout.slots)))
+    return FreeCoords(layout, kind, al.random_elements(kind, rng, len(layout.slots)))
 
 
 def sample_y(tree: OrientedTree, d: int, kind: str, rng,

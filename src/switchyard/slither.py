@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, memo, to_cylinder
-from .cocyclic import Coords, chart, point_lanes, recorded_rows, require_member, slot_views
+from .cocyclic import Member, chart, lanes_on, recorded_rows, require_member, slot_views
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -47,7 +47,7 @@ class PlaqueRoot(NamedTuple):
     branches: Mapping[int, int]
 
 
-def plaque_roots(track: TrainTrack, c: Coords,
+def plaque_roots(track: TrainTrack, c: Member,
                  branches: Optional[Mapping[int, int]] = None) -> PlaqueRoot:
     tables = al.index_tables(c.d)
     values: Dict[int, GroupElement] = {}
@@ -122,11 +122,11 @@ def _evaluate(row: LogRow, roots: Optional[PlaqueRoot]) -> GroupElement:
 
 
 def switch_step_log(track: TrainTrack, m: int, t: int, side: str,
-                    c: Coords, roots: PlaqueRoot) -> GroupElement:
+                    c: Member, roots: PlaqueRoot) -> GroupElement:
     return _evaluate(_switch_row(track, m, t, side, c.d, c.z), roots)
 
 
-def rectangle_pair_log(m: int, rid: int, klass: str, c: Coords) -> GroupElement:
+def rectangle_pair_log(m: int, rid: int, klass: str, c: Member) -> GroupElement:
     return _evaluate(_rectangle_row(m, rid, klass, c.d, c.v), None)
 
 
@@ -177,7 +177,7 @@ def _ledger_steps(tree: OrientedTree, m: int, d: int, v, z):
         raise AssertionError(f"unpaired rectangle steps: {sorted(open_rect)}")
 
 
-def build_ledger(tree: OrientedTree, c: Coords, m: Optional[int] = None,
+def build_ledger(tree: OrientedTree, c: Member, m: Optional[int] = None,
                  roots: Optional[PlaqueRoot] = None,
                  tol: float = al.MEMBER_TOL) -> SlitherLedger:
     """Walk the boundary for one point, step by step, with the given cube roots."""
@@ -222,7 +222,7 @@ def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
     return pi % 2, tuple((n, s) for s, n in sorted(total.items()) if n)
 
 
-def total_mid_log(tree: OrientedTree, c: Coords, tol: float = al.MEMBER_TOL) -> GroupElement:
+def total_mid_log(tree: OrientedTree, c: Member, tol: float = al.MEMBER_TOL) -> GroupElement:
     """The boundary-product total at the middle index, from the compiled ledger row.
 
     It equals `build_ledger(tree, c).total` modulo 2*pi*i, for every choice of
@@ -247,15 +247,15 @@ def _closed_form(tree: OrientedTree, d: int, v, z) -> List[List[Tuple[int, objec
     return [terms]
 
 
-def closed_form_total(tree: OrientedTree, c: Coords) -> GroupElement:
+def closed_form_total(tree: OrientedTree, c: Member) -> GroupElement:
     """Evaluate the boundary-product total without walking the boundary.
 
     Kept separate from `build_ledger` so the two routes can be compared;
-    for even d the middle-column rectangle and left-switch terms enter.  It is
-    one recorded row, each lane of which is embedded in the cylinder.
-    """
+    for even d the middle-column rectangle and left-switch terms enter.  It is one
+    recorded row, run unchecked on the point's lanes (read by `cocyclic.lanes_on`),
+    each lane embedded in the cylinder."""
+    lanes = lanes_on(tree, c)
     slots, rows = memo(tree, "closed_form", _record_closed_form, c.d)
-    lanes = point_lanes(tree, c)
     total, = al.run(CYL, rows, [al.cylinder_lane(c.kind, lanes[s]) for s in slots])
     return al.GroupElement(CYL, total)
 
@@ -271,7 +271,7 @@ def ob_from_product(total: GroupElement, d: int) -> TorsionValue:
     return TorsionValue(value=al.group_neg(to_cylinder(total)), d=d)
 
 
-def cube_root_invariance(tree: OrientedTree, c: Coords,
+def cube_root_invariance(tree: OrientedTree, c: Member,
                          roots_a: PlaqueRoot, roots_b: PlaqueRoot,
                          tol: float = al.DEFAULT_TOL) -> bool:
     ta = build_ledger(tree, c, roots=roots_a).total

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import gc
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,14 @@ import pytest
 from switchyard import algebra as al
 from switchyard import cocyclic as cc
 from switchyard.cli import main
+
+
+def as_member(tree, d, kind, v, z):
+    """The point with slots ``v[r][k]`` and ``z[t][j]`` as a `cocyclic.Member` of ``tree``
+    at tol = inf, in `cocyclic.chart` order and unchecked, as `io` decodes one: the
+    chart functions gate it.  Tests that build or perturb a point from dicts use it."""
+    vals = cc._slots(cc.chart(tree, d), v, z)
+    return cc.Member(d, kind, tree, math.inf, vals, tuple(x.value for x in vals))
 
 
 class CliResult:

@@ -17,6 +17,8 @@ from switchyard import obstruction as obs
 from switchyard import io
 from switchyard import traintrack as tt
 
+from conftest import as_member
+
 TRACK_G2 = str(Path(__file__).parent / "data" / "track_g2_s1.json")  # no stored tree
 TRACK_G3 = str(Path(__file__).parent / "data" / "track_g3_s2.json")  # no stored tree
 
@@ -575,7 +577,7 @@ class TestParityForms:
         v = {r: list(vec) for r, vec in c.v.items()}
         v[rect][mid] = al.group_add(v[rect][mid], al.GroupElement(kind, shift))
         path = tmp_path / "off_chart.json"
-        path.write_text(json.dumps(io.coords_to_json(cc.CocyclicCoords(d, kind, v, c.z))))
+        path.write_text(json.dumps(io.coords_to_json(as_member(otree, d, kind, v, c.z))))
         [point] = io.coords_from_json(json.loads(path.read_text()), otree)
         residual = al.distance(*cc._club_sides(otree, point, al.index_tables(d).i_zero))
         return otree, point, path, residual

@@ -15,12 +15,16 @@ from switchyard import io
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
+from conftest import as_member
+
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
 (TRACK, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
 TREE = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
 CLS = tt.classify(TREE)
 FREE_RECTS = sorted(r.id for r in TRACK.rects if r.id not in TREE.edges)
+# an orientable rectangle off the tree: its v slots enter no equation
+LONE = min(r for r in CLS.orientable if r in FREE_RECTS)
 
 KINDS = ("real", "circle", "cylinder", "zd:12")
 
@@ -30,7 +34,7 @@ def zero_coords(d, kind):
     zero = al.zero(kind)
     v = {r: tuple(zero for _ in tables.A) for r in FREE_RECTS}
     z = {t: {j: zero for j in tables.B} for t in TRACK.switch_ids}
-    return cc.CocyclicCoords(d=d, kind=kind, v=v, z=z)
+    return as_member(TREE, d, kind, v, z)
 
 
 def random_rotated_z(d, kind, rng, track=TRACK):
@@ -54,12 +58,19 @@ def random_coords(d, kind, rng, rotated=True):
     else:
         z = {t: {j: al.random_element(kind, rng) for j in tables.B}
              for t in TRACK.switch_ids}
-    return cc.CocyclicCoords(d=d, kind=kind, v=v, z=z)
+    return as_member(TREE, d, kind, v, z)
 
 
 def plain(c):
-    """A mutable copy of a (read-only) `Member`, for tests that perturb it."""
-    return cc.CocyclicCoords(c.d, c.kind, dict(c.v), {t: dict(vec) for t, vec in c.z.items()})
+    """Mutable copies of the v and z of ``c``, for tests that perturb a point and
+    rebuild it with `as_member`."""
+    return {r: list(vec) for r, vec in c.v.items()}, {t: dict(vec) for t, vec in c.z.items()}
+
+
+def unchecked(c):
+    """``c`` at tol = inf, copied in chart order from its views: the next gate checks it
+    again in full."""
+    return as_member(c.tree, c.d, c.kind, c.v, c.z)
 
 
 def coords_equal(c1, c2, tol=1e-9):
@@ -115,22 +126,23 @@ class TestCheckers:
 
     def test_diamond_perturbed_false(self):
         rng = random.Random(4)
-        c = random_coords(4, "real", rng, rotated=True)
+        _, z = plain(random_coords(4, "real", rng, rotated=True))
         t = min(TRACK.switch_ids)
         j = al.index_tables(4).B[0]
-        c.z[t][j] = al.group_add(c.z[t][j], al.real(0.5))
+        z[t][j] = al.group_add(z[t][j], al.real(0.5))
         with pytest.raises(ValueError, match="rotation relation"):
-            cc.check_diamond(TRACK, c.z, c.d)
+            cc.check_diamond(TRACK, z, 4)
 
     def test_is_member_false_on_rotation_only_violation(self):
         rng = random.Random(40)
         for kind in ("real", "zd:12"):
-            c = plain(cc.sample_y(TREE, 4, kind, rng))
+            v, z = plain(cc.sample_y(TREE, 4, kind, rng))
             t = min(TRACK.switch_ids)
             # (1, 1, 2) and (2, 1, 1) share the middle index every balance sum filters on
             bump = al.random_element(kind, rng)
-            c.z[t][(1, 1, 2)] = al.group_add(c.z[t][(1, 1, 2)], bump)
-            c.z[t][(2, 1, 1)] = al.group_sub(c.z[t][(2, 1, 1)], bump)
+            z[t][(1, 1, 2)] = al.group_add(z[t][(1, 1, 2)], bump)
+            z[t][(2, 1, 1)] = al.group_sub(z[t][(2, 1, 1)], bump)
+            c = as_member(TREE, 4, kind, v, z)
             assert all(cc.check_club(TREE, c, i) for i in al.index_tables(4).A)
             with pytest.raises(ValueError, match="rotation relation"):
                 cc.check_diamond(TRACK, c.z, c.d)
@@ -141,9 +153,10 @@ class TestCheckers:
     def test_is_member_false_on_balance_only_violation(self):
         rng = random.Random(41)
         for bump in (al.real(0.5), al.cyclic(12, 1)):
-            c = plain(cc.sample_y(TREE, 3, bump.kind, rng))
+            v, z = plain(cc.sample_y(TREE, 3, bump.kind, rng))
             r = min(CLS.u_right)
-            c.v[r] = (al.group_add(c.v[r][0], bump), c.v[r][1])
+            v[r][0] = al.group_add(v[r][0], bump)
+            c = as_member(TREE, 3, bump.kind, v, z)
             cc.check_diamond(TRACK, c.z, c.d)
             assert cc.is_member(TREE, c) is False
             with pytest.raises(cc.MembershipError, match="balance equation fails at pair index"):
@@ -192,10 +205,9 @@ class TestCheckers:
                 for trial in range(20):
                     c = random_coords(d, "real", rng, rotated=True)
                     lhs, rhs = cc._club_sides(TREE, c, i)
-                    defect = al.group_sub(rhs, lhs)
-                    vec = list(c.v[r0])
-                    vec[i[0] - 1] = al.group_add(vec[i[0] - 1], defect)
-                    c.v[r0] = tuple(vec)
+                    v, z = plain(c)
+                    v[r0][i[0] - 1] = al.group_add(v[r0][i[0] - 1], al.group_sub(rhs, lhs))
+                    c = as_member(TREE, d, "real", v, z)
                     assert cc.check_club(TREE, c, i)
                     i_hat = al.hat_pair(i)
                     assert cc.check_club(TREE, c, i_hat) == cc.check_spade(c, i)
@@ -205,22 +217,19 @@ class TestCheckers:
         d = 5
         i = (2, 3)
         tables = al.index_tables(d)
-        c = random_coords(d, "real", rng, rotated=True)
+        v, z = plain(random_coords(d, "real", rng, rotated=True))
         # make the switch sums at i agree by moving one z slot
         j_fix = next(j for j in tables.B if j[1] == i[0])
         t_fix = min(TRACK.switch_ids)
-        lhs = al.group_sum("real", (c.z[t][j] for t in c.z for j in c.z[t]
-                                    if j[1] == i[1]))
-        rhs = al.group_sum("real", (c.z[t][j] for t in c.z for j in c.z[t]
-                                    if j[1] == i[0]))
-        c.z[t_fix][j_fix] = al.group_add(c.z[t_fix][j_fix], al.group_sub(lhs, rhs))
+        lhs = al.group_sum("real", (z[t][j] for t in z for j in z[t] if j[1] == i[1]))
+        rhs = al.group_sum("real", (z[t][j] for t in z for j in z[t] if j[1] == i[0]))
+        z[t_fix][j_fix] = al.group_add(z[t_fix][j_fix], al.group_sub(lhs, rhs))
+        c = as_member(TREE, d, "real", v, z)
         assert cc.check_spade(c, i)
         lhs, rhs = cc._club_sides(TREE, c, i)
-        defect = al.group_sub(rhs, lhs)
         r0 = min(r for r in CLS.u_right if r in FREE_RECTS)
-        vec = list(c.v[r0])
-        vec[i[0] - 1] = al.group_add(vec[i[0] - 1], defect)
-        c.v[r0] = tuple(vec)
+        v[r0][i[0] - 1] = al.group_add(v[r0][i[0] - 1], al.group_sub(rhs, lhs))
+        c = as_member(TREE, d, "real", v, z)
         assert cc.check_club(TREE, c, i)
         assert cc.check_club(TREE, c, al.hat_pair(i))
 
@@ -504,7 +513,7 @@ class TestI2:
         for _ in range(3):
             eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
             c = cc.sample_y(TREE, d, kind, rng, anchors, eps)
-            assert cc.is_member(TREE, plain(c), al.MEMBER_TOL)
+            assert cc.is_member(TREE, unchecked(c), al.MEMBER_TOL)
             assert al.elements_equal(cc.tor_prime(TREE, c, anchors).value, eps, tol)
             free, back_eps = cc.i2_forward(TREE, c, anchors)
             assert al.elements_equal(back_eps.value, eps, tol)
@@ -686,7 +695,7 @@ class TestInversePlan:
                 c = cc.sample_y(TREE, d, kind, rng)
                 assert isinstance(c, cc.Member) and c.tree is TREE and c.tol == al.MEMBER_TOL
         assert calls == []
-        cc.require_member(TREE, plain(c), al.MEMBER_TOL)
+        cc.require_member(TREE, unchecked(c), al.MEMBER_TOL)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
@@ -705,7 +714,7 @@ class TestInversePlan:
                                          lambda terms: al.combine(kind, terms))
                 outcomes = []
                 for gate in (lambda: cc.i2_inverse(TREE, free, eps, anchors, tol),
-                             lambda: cc.require_member(TREE, cc.CocyclicCoords(d, kind, v, z),
+                             lambda: cc.require_member(TREE, as_member(TREE, d, kind, v, z),
                                                        tol)):
                     try:
                         m = gate()
@@ -734,7 +743,7 @@ class TestInversePlan:
             bad = al.GroupElement(kind, (x, 0.0) if kind == "cylinder" else x)
             vals = list(cc.random_free(TREE, d, kind, random.Random(75), anchors).vals)
             vals[at[where]] = bad
-            free = cc.free_coords(layout, kind, vals)
+            free = cc.FreeCoords(layout, kind, vals)
             eps = al.zero(kind)
             with pytest.raises(cc.MembershipError, match="^non-finite value at ") as got:
                 cc.i2_inverse(TREE, free, eps, anchors)
@@ -744,15 +753,16 @@ class TestInversePlan:
                                           f"pair index {(1, d - 1)}")
             v, z = cc._inverse_steps(TREE, layout, anchors, [*free.vals, eps],
                                      lambda terms: al.combine(kind, terms))
-            point = cc.CocyclicCoords(d, kind, v, z)
+            point = as_member(TREE, d, kind, v, z)
             with pytest.raises(cc.MembershipError) as again:
                 cc.require_member(TREE, point)
             assert str(again.value) == str(got.value), (x, where)
             assert not cc.is_member(TREE, point)
 
     def test_overflowing_balance_is_a_membership_error(self):
-        c = plain(cc.sample_y(TREE, 3, "cylinder", random.Random(76)))
-        c.v = {r: tuple(al.cylinder(1e308, x.value[1]) for x in vec) for r, vec in c.v.items()}
+        m = cc.sample_y(TREE, 3, "cylinder", random.Random(76))
+        v = {r: tuple(al.cylinder(1e308, x.value[1]) for x in vec) for r, vec in m.v.items()}
+        c = as_member(TREE, 3, "cylinder", v, m.z)
         with pytest.raises(cc.MembershipError, match=r"^balance equation overflows at pair "
                                                      r"index \(1, 2\)$") as got:
             cc.require_member(TREE, c)
@@ -809,13 +819,23 @@ class TestFreePoint:
         # the same tree with another anchor plaque: as many slots, other plaques
         other_plaque = cc.Anchors(t_bar=max(pl.id for pl in g2.track.plaques),
                                   r_bar=base.r_bar, reps=base.reps)
-        for drawn_on, drawn_at, used_on in ((g3, None, g2), (g2, None, g3),
-                                            (g2, other_plaque, g2)):
-            free = cc.random_free(drawn_on, 3, "real", random.Random(98), drawn_at)
+        # (d, drawn on, drawn at, used on)
+        cases = [(3, g3, None, g2), (3, g2, None, g3), (3, g2, other_plaque, g2)]
+        # another representative of one plaque: the same rectangles, plaques and
+        # length, other slots of the chart
+        pl = max(g2.track.plaques, key=lambda p: p.id)
+        for d in (5, 6):
+            base = cc.default_anchors(g2, d)
+            other_rep = cc.Anchors(t_bar=base.t_bar, r_bar=base.r_bar,
+                                   reps={**base.reps, pl.id: max(pl.switches_ccw)})
+            assert other_rep.reps != base.reps
+            cases.append((d, g2, other_rep, g2))
+        for d, drawn_on, drawn_at, used_on in cases:
+            free = cc.random_free(drawn_on, d, "real", random.Random(98), drawn_at)
             with pytest.raises(ValueError, match="^the free point's slots are not those of "
-                                                 "this tree's free layout at d = 3 and these "
+                                                 f"this tree's free layout at d = {d} and these "
                                                  "anchors$"):
-                cc.i2_inverse(used_on, free, al.torsion_element("real", 3, 0))
+                cc.i2_inverse(used_on, free, al.torsion_element("real", d, 0))
 
 
 class TestChart:
@@ -837,7 +857,7 @@ class TestChart:
         rng = random.Random(90 + d)
         for kind in KINDS:
             recorded = cc.sample_y(TREE, d, kind, rng)
-            checked = cc.require_member(TREE, plain(recorded), al.MEMBER_TOL)
+            checked = cc.require_member(TREE, unchecked(recorded), al.MEMBER_TOL)
             assert checked is not recorded and checked.vals == recorded.vals
             for m in (recorded, checked):
                 assert m.vals == cc._slots(cc.chart(TREE, d), m.v, m.z)
@@ -848,40 +868,6 @@ class TestChart:
                 for (at, index), s in ch.slot.items():
                     view = m.v[at][index] if isinstance(index, int) else m.z[at][index]
                     assert view is m.vals[s], (kind, at, index)
-
-    def test_a_point_carries_exactly_the_chart_keys(self):
-        m = cc.sample_y(TREE, 3, "real", random.Random(91))
-        missing, extra, stray = plain(m), plain(m), plain(m)
-        del missing.v[min(CLS.orientable)]  # a slot that enters no equation
-        extra.v[min(TREE.edges)] = (al.real(math.nan),) * 2  # a tree edge carries no slots
-        stray.z[max(TRACK.switch_ids) + 1] = dict(m.z[min(TRACK.switch_ids)])
-        for c in (missing, extra, stray):
-            with pytest.raises(cc.MembershipError, match="^the point's rectangles or switches "
-                                                         "are not the chart's$"):
-                cc.require_member(TREE, c)
-            assert not cc.is_member(TREE, c)
-
-
-    def test_malformed_vectors_are_named(self):
-        m = cc.sample_y(TREE, 3, "real", random.Random(92))
-        r, t = FREE_RECTS[1], sorted(TRACK.switch_ids)[1]
-        short, long, popped, extra, both = (plain(m) for _ in range(5))
-        short.v[r] = m.v[r][:1]
-        long.v[r] = m.v[r] + (al.real(0.0),)
-        del popped.z[t][(1, 1, 1)]
-        extra.z[t][(2, 1, 0)] = al.real(0.0)
-        # the first bad vector in chart order is named: v before z, ids ascending
-        both.v[FREE_RECTS[2]] = m.v[FREE_RECTS[2]][:1]
-        both.v[r] = m.v[r][:1]
-        del both.z[min(TRACK.switch_ids)][(1, 1, 1)]
-        for c, at in ((short, f"rectangle {r} does not carry d-1 = 2 values"),
-                      (long, f"rectangle {r} does not carry d-1 = 2 values"),
-                      (popped, f"switch {t} does not carry the triple indices of d = 3"),
-                      (extra, f"switch {t} does not carry the triple indices of d = 3"),
-                      (both, f"rectangle {r} does not carry d-1 = 2 values")):
-            with pytest.raises(cc.MembershipError, match=f"^{at}$"):
-                cc.require_member(TREE, c)
-            assert not cc.is_member(TREE, c)
 
     @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
     def test_balance_rows_and_the_solver_defect_agree(self, name):
@@ -895,7 +881,7 @@ class TestChart:
             for kind in KINDS:
                 v = {r: hm.ga_random(kind, d, rng) for r in ch.rects}
                 z = {t: {j: al.random_element(kind, rng) for j in tables.B} for t in ch.switches}
-                lanes = cc.point_lanes(tree, cc.CocyclicCoords(d, kind, v, z))
+                lanes = as_member(tree, d, kind, v, z).lanes
                 defect = hm.balance_defect(tree, v, hm.w_from_z(tree, z, kind, d), kind, d)
                 for k, i in enumerate(tables.A):
                     lhs, rhs = (al.GroupElement(kind, al.evaluate(kind, row, lanes))
@@ -932,17 +918,16 @@ class TestSystemEquivalence:
             u_free = [r for r in FREE_RECTS
                       if r in set(CLS.u_right) | set(CLS.u_left)]
             for trial in range(30):
-                c = plain(cc.sample_y(TREE, d, kind, rng))
+                v, z = plain(cc.sample_y(TREE, d, kind, rng))
                 if trial % 2 == 0 or not triples:
                     r = u_free[trial % len(u_free)]
                     k = trial % (d - 1)
-                    vec = list(c.v[r])
-                    vec[k] = al.group_add(vec[k], bump)
-                    c.v[r] = tuple(vec)
+                    v[r][k] = al.group_add(v[r][k], bump)
                 else:
-                    t = sorted(c.z)[trial % len(c.z)]
+                    t = sorted(z)[trial % len(z)]
                     j = triples[trial % len(triples)]
-                    c.z[t][j] = al.group_add(c.z[t][j], bump)
+                    z[t][j] = al.group_add(z[t][j], bump)
+                c = as_member(TREE, d, kind, v, z)
                 assert not cc.is_member(TREE, c)
                 assert not _holds_reduced_system(c)
 
@@ -1079,6 +1064,15 @@ class TestSerialization:
          "switch ids do not match the track: missing [{t}], unknown []"),
         (lambda doc, r, t: doc["v"].__setitem__(str(min(TREE.edges)), doc["v"][r]),
          f"free rectangle ids do not match the track: missing [], unknown [{min(TREE.edges)}]"),
+        (lambda doc, r, t: doc["v"][r].pop("2"),
+         "rectangle {r} does not carry the d=4 pair indices"),
+        (lambda doc, r, t: doc["v"][r].__setitem__("4", doc["v"][r]["1"]),
+         "pair index 4 is outside 1..3"),
+        (lambda doc, r, t: doc["v"].pop(str(LONE)),
+         f"free rectangle ids do not match the track: missing [{LONE}], unknown []"),
+        (lambda doc, r, t: doc["z"].__setitem__(str(max(TRACK.switch_ids) + 1), doc["z"][t]),
+         f"switch ids do not match the track: missing [], "
+         f"unknown [{max(TRACK.switch_ids) + 1}]"),
     ]
 
     @pytest.mark.parametrize("edit,message", REFUSED)
@@ -1086,7 +1080,7 @@ class TestSerialization:
         doc = io.coords_to_json(cc.sample_y(TREE, 4, "real", random.Random(38)))
         r, t = str(FREE_RECTS[1]), str(sorted(TRACK.switch_ids)[1])
         edit(doc, r, t)
-        with pytest.raises(ValueError, match=f"^{re.escape(message.format(t=t))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(r=r, t=t))}$"):
             io.coords_from_json(doc, TREE)
 
     def test_missing_slot_rejected(self):
@@ -1119,6 +1113,7 @@ class TestMember:
             assert len(member_checks) - before == 1, (kind, d)
 
     def test_plain_point_is_checked_once_per_call(self, member_checks):
+        # a point at tol = inf, as `io` decodes one, is checked by every call
         c = zero_coords(3, "cylinder")
         cc.tor_prime(TREE, c)
         sl.total_mid_log(TREE, c)
@@ -1143,9 +1138,11 @@ class TestMember:
             c.z[t][j] = al.real(0.0)
 
     def test_chart_functions_build_no_views(self, monkeypatch):
-        calls = []
-        views = cc.slot_views
+        calls, free_calls = [], []
+        views, free_views = cc.slot_views, cc.free_views
         monkeypatch.setattr(cc, "slot_views", lambda *args: calls.append(args) or views(*args))
+        monkeypatch.setattr(cc, "free_views",
+                            lambda *args: free_calls.append(args) or free_views(*args))
         rng = random.Random(54)
         for warm in (True, False):
             for kind, d in self.MIX:
@@ -1153,25 +1150,18 @@ class TestMember:
                 m = cc.sample_y(TREE, d, kind, rng, anchors)
                 assert cc.is_member(TREE, m, al.MEMBER_TOL)
                 cc.tor_prime(TREE, m, anchors)
-                cc.i2_forward(TREE, m, anchors)
+                free, eps = cc.i2_forward(TREE, m, anchors)
+                cc.i2_inverse(TREE, cc.random_free(TREE, d, kind, rng, anchors), eps, anchors)
                 sl.total_mid_log(TREE, m)
                 sl.closed_form_total(TREE, m)
             if warm:  # recording reads views over slot numbers, once per tree and d
                 calls.clear()
-        assert calls == []
+        assert calls == [] and free_calls == []
         assert m.z is m.z and m.v is m.v
         assert len(calls) == 1 and calls[0][1] is m.vals
-
-    def test_member_is_a_copy(self):
-        src = zero_coords(3, "real")
-        m = cc.require_member(TREE, src)
-        t = next(iter(src.z))
-        j = next(iter(src.z[t]))
-        src.z[t][j] = al.real(1.0)
-        src.v.clear()
-        assert m.z[t][j] == al.real(0.0)
-        assert set(m.v) == set(FREE_RECTS)
-        assert (m.d, m.kind, m.tree, m.tol) == (3, "real", TREE, al.DEFAULT_TOL)
+        assert free.v_other is free.v_other and free.z_anchor is free.z_anchor
+        assert free.v_anchor is free.v_anchor and free.z_other is free.z_other
+        assert len(free_calls) == 1 and free_calls[0][1] is free.vals
 
     def test_reused_only_on_the_same_tree_at_a_tol_no_looser(self, member_checks):
         c = cc.sample_y(TREE, 3, "cylinder", random.Random(52))
@@ -1189,12 +1179,45 @@ class TestMember:
         assert again is not c and again.tree is other
         assert len(member_checks) == before + 2
 
+    def test_a_point_of_another_tree_is_read_by_its_numbering(self):
+        # another tree object with the same edges numbers the same slots: its
+        # closed form and its gate read the point's own lanes; a tree with other
+        # edges numbers other slots, and both refuse the point
+        same = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
+        other = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=2))
+        assert same is not TREE and same.edges == TREE.edges and other.edges != TREE.edges
+        rng, refused = random.Random(55), set()
+        for d in (3, 4):
+            for kind in KINDS:
+                m = cc.sample_y(TREE, d, kind, rng)
+                v, z = plain(m)
+                r = min(CLS.u_right)
+                v[r][0] = al.group_add(v[r][0], al.random_element(kind, rng))
+                for c in (m, as_member(TREE, d, kind, v, z)):
+                    bits = [repr(sl.closed_form_total(tree, c)) for tree in (TREE, same)]
+                    assert bits[0] == bits[1], (d, kind)
+                    verdicts = []
+                    for tree in (TREE, same):
+                        try:
+                            verdicts.append(cc.require_member(tree, c, al.DEFAULT_TOL).vals)
+                        except cc.MembershipError as err:
+                            verdicts.append(str(err))
+                    assert verdicts[0] == verdicts[1], (d, kind)
+                    refused.add(isinstance(verdicts[0], str))
+                    for call in (cc.require_member, sl.closed_form_total):
+                        with pytest.raises(cc.MembershipError, match="^the point's rectangles "
+                                                                     "or switches are not the "
+                                                                     "chart's$"):
+                            call(other, c)
+                    assert not cc.is_member(other, c)
+        assert refused == {True, False}
+
     def test_recheck_can_fail(self):
         # the stricter tol is checked, not taken from the looser one
-        c = plain(cc.sample_y(TREE, 3, "real", random.Random(53)))
+        v, z = plain(cc.sample_y(TREE, 3, "real", random.Random(53)))
         r = min(CLS.u_right)
-        c.v[r] = (al.group_add(c.v[r][0], al.real(1e-8)), c.v[r][1])
-        m = cc.require_member(TREE, c, al.MEMBER_TOL)
+        v[r][0] = al.group_add(v[r][0], al.real(1e-8))
+        m = cc.require_member(TREE, as_member(TREE, 3, "real", v, z), al.MEMBER_TOL)
         with pytest.raises(cc.MembershipError, match="balance equation"):
             cc.require_member(TREE, m, al.DEFAULT_TOL)
 
@@ -1205,25 +1228,6 @@ class TestLanes:
 
     # (the point's kind, the stray element's kind)
     PROBES = [("real", "cylinder"), ("cylinder", "real"), ("real", "zd:12"), ("zd:12", "real")]
-    # an orientable rectangle off the tree: its v slots enter no equation
-    LONE = min(r for r in CLS.orientable if r in FREE_RECTS)
-
-    @pytest.mark.parametrize("kind,other", PROBES)
-    def test_require_member_names_the_first_stray_kind(self, kind, other):
-        m = cc.sample_y(TREE, 3, kind, random.Random(1))
-        t = min(TRACK.switch_ids)
-        at_switch, both = plain(m), plain(m)
-        at_switch.z[t][(1, 1, 1)] = al.zero(other)
-        both.z[t][(1, 1, 1)] = al.zero(other)
-        both.v[self.LONE] = (m.v[self.LONE][0], al.zero(other))
-        for c, at in ((both, f"rectangle {self.LONE}, pair index \\(2, 1\\)"),
-                      (at_switch, f"switch {t}, index \\(1, 1, 1\\)")):
-            with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
-                                                        f"at {at}$"):
-                cc.require_member(TREE, c)
-            with pytest.raises(al.GroupKindError):
-                cc.is_member(TREE, c)
-
     @pytest.mark.parametrize("kind,other", PROBES)
     def test_i2_inverse_names_a_stray_free_slot_or_epsilon(self, kind, other):
         anchors = cc.default_anchors(TREE, 3)
@@ -1234,10 +1238,10 @@ class TestLanes:
                                                     "at epsilon$"):
             cc.i2_inverse(TREE, free, al.zero(other), anchors)
         vals = list(free.vals)
-        vals[layout.slots.index(cc.chart(TREE, 3).slot[self.LONE, 1])] = al.zero(other)
-        free = cc.free_coords(layout, kind, vals)
+        vals[layout.slots.index(cc.chart(TREE, 3).slot[LONE, 1])] = al.zero(other)
+        free = cc.FreeCoords(layout, kind, vals)
         with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' at "
-                                                    f"rectangle {self.LONE}, pair index"):
+                                                    f"rectangle {LONE}, pair index"):
             cc.i2_inverse(TREE, free, eps, anchors)
 
     def test_members_carry_their_lanes(self):
@@ -1245,11 +1249,10 @@ class TestLanes:
         for d in (2, 3, 6):
             for kind in KINDS:
                 recorded = cc.sample_y(TREE, d, kind, rng)
-                checked = cc.require_member(TREE, plain(recorded), al.MEMBER_TOL)
+                checked = cc.require_member(TREE, unchecked(recorded), al.MEMBER_TOL)
                 for m in (recorded, checked):
                     assert m.lanes == tuple(x.value for x in m.vals)
-                    assert cc.point_lanes(TREE, m) is m.lanes
-                assert cc.point_lanes(TREE, plain(recorded)) == list(recorded.lanes)
+                    assert cc.lanes_on(TREE, m) is m.lanes
 
     @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
     def test_recorded_tor_rows_are_the_hand_formula(self, name):

@@ -12,6 +12,8 @@ from switchyard import io
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
+from conftest import as_member
+
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
 (TRACK, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
 TREE = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
@@ -28,7 +30,7 @@ def zero_coords(track, tree, d, kind=CYL):
     z = {t: {j: al.zero(kind) for j in tables.B} for t in track.switch_ids}
     v = {r.id: tuple(al.zero(kind) for _ in tables.A)
          for r in track.rects if r.id not in tree.edges}
-    return cc.CocyclicCoords(d=d, kind=kind, v=v, z=z)
+    return as_member(tree, d, kind, v, z)
 
 
 def random_rotated_coords(track, tree, d, rng, kind=CYL):
@@ -43,7 +45,7 @@ def random_rotated_coords(track, tree, d, rng, kind=CYL):
         z[pl.minus(t0)] = {al.rot_minus(j): base[j] for j in tables.B}
     v = {r.id: tuple(al.random_element(kind, rng) for _ in tables.A)
          for r in track.rects if r.id not in tree.edges}
-    return cc.CocyclicCoords(d=d, kind=kind, v=v, z=z)
+    return as_member(tree, d, kind, v, z)
 
 
 def closed_form(tree, c):
@@ -222,7 +224,9 @@ class TestLedger:
         rng = random.Random(8)
         c = random_rotated_coords(TRACK, TREE, 3, rng)
         t = TRACK.switch_ids[0]
-        c.z[t][(1, 1, 1)] = al.group_add(c.z[t][(1, 1, 1)], al.cylinder(0.5, 0.0))
+        z = {s: dict(vec) for s, vec in c.z.items()}
+        z[t][(1, 1, 1)] = al.group_add(z[t][(1, 1, 1)], al.cylinder(0.5, 0.0))
+        c = as_member(TREE, 3, CYL, c.v, z)
         with pytest.raises(ValueError):
             sl.build_ledger(TREE, c)
 
@@ -286,7 +290,7 @@ class TestTotal:
     def test_closed_form_is_one_recorded_row(self, monkeypatch):
         # recorded once per (tree, d) from `_closed_form` over slot numbers, it
         # gives the bits of the formula over the point's own elements, each
-        # embedded in the cylinder, on members and on plain points alike
+        # embedded in the cylinder, on gated and unchecked points alike
         runs = []
         formula = sl._closed_form
 
