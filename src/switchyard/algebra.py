@@ -105,8 +105,21 @@ def memo(obj, key: str, build, *args):
     return value
 
 
+def normalize(kind: str, value):
+    """The lane of ``value`` in ``kind``: the one rule of `GroupElement` and of `io`."""
+    # the float kinds are named first: `_modulus` is a cache lookup
+    if kind == "cylinder":
+        re, ang = value
+        return (float(re), _norm_angle(float(ang)))
+    if kind == "circle":
+        return _norm_angle(float(value))
+    if kind == "real":
+        return float(value)
+    return int(value) % _modulus(kind)
+
+
 class GroupElement:
-    """A value in one of the supported coefficient groups, normalized on construction.
+    """A value in one of the supported coefficient groups, normalized by `normalize`.
 
     value is a float for "real" and "circle", a (real, angle) pair for
     "cylinder", and an int residue for "zd:<n>".  Immutable, equal and
@@ -117,17 +130,7 @@ class GroupElement:
 
     def __init__(self, kind: str, value: object):
         _set_kind(self, kind)
-        # the float kinds are named first: `_modulus` is a cache lookup
-        if kind == "cylinder":
-            re, ang = value
-            value = (float(re), _norm_angle(float(ang)))
-        elif kind == "circle":
-            value = _norm_angle(float(value))
-        elif kind == "real":
-            value = float(value)
-        else:
-            value = int(value) % _modulus(kind)
-        _set_value(self, value)
+        _set_value(self, normalize(kind, value))
 
     __setattr__ = __delattr__ = frozen_attribute
 
@@ -277,17 +280,16 @@ def _run(kind: str, rows, out: list, fsum) -> None:
             put(sum([n * out[s] for n, s in row]) % m)
 
 
-def _from_lanes(kind: str, lanes) -> list:
-    """The elements of ``kind`` whose lanes are ``lanes``, which `run` or a draw has
-    already normalized: built without `GroupElement.__init__`, which would
-    normalize each again."""
+def _from_lanes(kind: str, lanes) -> tuple:
+    """The elements of ``kind`` whose lanes are ``lanes``, normalized already (by `run`,
+    a draw or `normalize`): built without `GroupElement.__init__`'s second pass."""
     out = []
     for x in lanes:
         e = _new(GroupElement)
         _set_kind(e, kind)
         _set_value(e, x)
         out.append(e)
-    return out
+    return tuple(out)
 
 
 def unpack(kind: str, elements, name) -> list:
@@ -365,24 +367,22 @@ def torsion_order(kind: str, d: int) -> int:
 
 
 def random_element(kind: str, rng: random.Random) -> GroupElement:
-    """One draw of `random_elements`."""
-    return random_elements(kind, rng, 1)[0]
+    """One draw of `random_lanes`, as an element."""
+    return _from_lanes(kind, random_lanes(kind, rng, 1))[0]
 
 
-def random_elements(kind: str, rng: random.Random, count: int) -> list:
-    """``count`` draws of the one draw rule: a gaussian real part, a uniform angle,
-    a uniform residue."""
+def random_lanes(kind: str, rng: random.Random, count: int) -> list:
+    """The lanes of ``count`` draws of the one draw rule: a gaussian real part, a
+    uniform angle, a uniform residue."""
     gauss, uniform = rng.gauss, rng.uniform
     if kind == "real":
-        lanes = [gauss(0.0, 1.0) for _ in range(count)]
-    elif kind == "circle":
-        lanes = [_norm_angle(uniform(0.0, TWO_PI)) for _ in range(count)]
-    elif kind == "cylinder":
-        lanes = [(gauss(0.0, 1.0), _norm_angle(uniform(0.0, TWO_PI))) for _ in range(count)]
-    else:
-        n = _modulus(kind)
-        lanes = [rng.randrange(n) for _ in range(count)]
-    return _from_lanes(kind, lanes)
+        return [gauss(0.0, 1.0) for _ in range(count)]
+    if kind == "circle":
+        return [_norm_angle(uniform(0.0, TWO_PI)) for _ in range(count)]
+    if kind == "cylinder":
+        return [(gauss(0.0, 1.0), _norm_angle(uniform(0.0, TWO_PI))) for _ in range(count)]
+    n = _modulus(kind)
+    return [rng.randrange(n) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

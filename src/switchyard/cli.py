@@ -265,10 +265,14 @@ def classify(cfg, path):
 def sample_y(cfg, path, count, torsion_k, out):
     """Draw member points with prescribed torsion and write them to a file."""
     d, kind = io.depth(cfg["d"]), io.group_kind(cfg["group"])
-    if count < 0:
-        raise io.InputError(f"count {count} < 0")
+    if count < 1:
+        raise io.InputError(f"count {count} < 1")
+    step = d // al.torsion_order(kind, d)  # the residues the group reaches: step's multiples
     if torsion_k is not None and not 0 <= torsion_k < d:
         raise io.InputError(f"torsion residue {torsion_k} outside 0..{d - 1}")
+    if torsion_k is not None and torsion_k % step:
+        raise io.InputError(f"torsion residue {torsion_k} is not reached by group {kind} at d={d}; "
+                            f"reachable residues: {', '.join(map(str, range(0, d, step)))}")
     from . import cocyclic as cc
 
     report = Report("sample-y", cfg["seed"])
@@ -284,15 +288,15 @@ def sample_y(cfg, path, count, torsion_k, out):
     member_ok, torsion_ok, worst = True, True, 0.0
     for n in range(count):
         rng = random.Random(cfg["seed"] * 1_000_003 + n)
-        k = torsion_k if torsion_k is not None else rng.randrange(d)
-        eps = al.torsion_element(kind, d, k)
+        k = rng.randrange(d) if torsion_k is None else torsion_k // step
+        eps = al.torsion_element(kind, d, k)  # of residue k * step mod d, its label
         c = cc.sample_y(otree, d, kind, rng, anchors, eps)
         member_ok = member_ok and cc.is_member(otree, c, tol)
         got = cc.tor_prime(otree, c, anchors)
         gap = al.distance(got.value, eps)
         worst = max(worst, gap)
         torsion_ok = torsion_ok and gap <= tol
-        points.append({"torsion": k, "coords": io.coords_to_json(c)})
+        points.append({"torsion": al.snap_torsion(eps, d)[0], "coords": io.coords_to_json(c)})
     report.check("membership", member_ok)
     report.check("torsion", torsion_ok, worst)
     doc = {"d": d, "group": kind, "seed": cfg["seed"], "count": count, "points": points}
@@ -432,7 +436,7 @@ def flags(cfg, matrices_path, which, index_str):
     if index_str is None:
         idx = (1, 1, d - 2) if which == "triple" else (1, d - 1)
     else:
-        if not all(p.strip().isdecimal() for p in index_str.split(",")):
+        if not index_str.isascii() or not all(p.strip().isdecimal() for p in index_str.split(",")):
             raise io.InputError(f"bad index {index_str!r}")
         idx = tuple(map(int, index_str.split(",")))
     want_len = 3 if which == "triple" else 2

@@ -6,15 +6,15 @@ slots once per (tree, d), v[r][k] by rectangle id and then z[t][j] by switch
 id, and records each balance equation as two `al.Row`s over that numbering.
 Membership means the per-plaque rotation relations (`check_diamond`, their
 only home) and the balance equations hold, over finite values.
-A point is a read-only `Member`, its slot vector in chart order with its
-lanes.  `require_member` is the gate of every point handed in, which the chart
-functions accept without checking it again; a `Member` of another tree object
-is read where both charts number the same slots (`lanes_on`).  The space
-carries a torsion invariant, whose forms are rows recorded once per (tree, d,
-anchors), and an explicit linear parametrization by unconstrained slots plus
-one d-torsion slot, whose integer-linear inverse is recorded as an
-`InversePlan` that proves the rotation relations of every point it builds.
-Every recorded plan of rows is evaluated on lanes by one `al.run`.
+A point is a read-only `Member`, one tuple of lanes (raw slot values) in chart
+order; its elements are built only when its v/z views are read.  `require_member`
+is the gate of every point handed in, which the chart functions accept without
+checking it again; a `Member` of another tree object is read where both charts
+number the same slots (`lanes_on`).  The space carries a torsion invariant,
+whose forms are rows recorded once per (tree, d, anchors), and an explicit
+linear parametrization by unconstrained slots (`FreeCoords`) plus one d-torsion
+slot, inverted by a recorded `InversePlan` that proves the rotation relations
+of every point it builds.  Every plan of rows runs on lanes in one `al.run`.
 """
 
 from __future__ import annotations
@@ -56,18 +56,19 @@ ZField = Mapping[int, Mapping[TripleIndex, GroupElement]]
 class Member:
     """A point of the chart of ``tree``, checked to be a member at ``tol`` (not at inf).
 
-    ``vals`` holds its slots in `chart` order and ``lanes`` their lanes; ``v`` and ``z``
-    are read-only views of ``vals``, built by `slot_views` on first read and kept.
+    ``lanes`` holds its slots' lanes in `chart` order; ``v`` and ``z`` are read-only
+    views of their elements, built from ``lanes`` by `slot_views` on first read and kept.
     The gates build one, `require_member` and `i2_inverse` (for its own output); `io`
     decodes a point into one at tol = inf, which any gate at a finite tol checks.
     """
 
     __setattr__ = __delattr__ = al.frozen_attribute
 
-    def __init__(self, d: int, kind: str, tree: OrientedTree, tol: float, vals, lanes):
-        vars(self).update(d=d, kind=kind, tree=tree, tol=tol, vals=vals, lanes=lanes)
+    def __init__(self, d: int, kind: str, tree: OrientedTree, tol: float, lanes: tuple):
+        vars(self).update(d=d, kind=kind, tree=tree, tol=tol, lanes=lanes)
 
-    _views = cached_property(lambda self: slot_views(chart(self.tree, self.d), self.vals))
+    _views = cached_property(
+        lambda m: slot_views(chart(m.tree, m.d), al._from_lanes(m.kind, m.lanes)))
     v = property(lambda self: self._views[0])
     z = property(lambda self: self._views[1])
 
@@ -284,10 +285,10 @@ def slot_views(ch: Chart, vals) -> tuple:
     return MappingProxyType(v), MappingProxyType(z)
 
 
-def _gate(tree: OrientedTree, d: int, kind: str, vals: tuple, lanes: tuple, tol: float) -> Member:
-    """``vals`` and their ``lanes``, in `chart` order, as a `Member` checked at ``tol``:
-    every slot finite (a non-finite value fails no equation it does not enter, and
-    an orientable rectangle's v slots enter none), then the balance equations."""
+def _gate(tree: OrientedTree, d: int, kind: str, lanes: tuple, tol: float) -> Member:
+    """``lanes``, a point's slots of ``kind`` in `chart` order, as a `Member` checked at
+    ``tol``: every slot finite (a non-finite value fails no equation it does not enter,
+    and an orientable rectangle's v slots enter none), then the balance equations."""
     ch = chart(tree, d)
     if kind == "cylinder":
         finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
@@ -298,7 +299,7 @@ def _gate(tree: OrientedTree, d: int, kind: str, vals: tuple, lanes: tuple, tol:
     if not all(finite):
         raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
     _require_balance(ch, kind, lanes, tol)
-    return Member(d, kind, tree, tol, vals, lanes)
+    return Member(d, kind, tree, tol, lanes)
 
 
 def require_member(tree: OrientedTree, c: Member, tol: float = al.DEFAULT_TOL) -> Member:
@@ -309,7 +310,7 @@ def require_member(tree: OrientedTree, c: Member, tol: float = al.DEFAULT_TOL) -
     lanes = lanes_on(tree, c)
     if c.tree is tree and c.tol <= tol:
         return c
-    member = _gate(tree, c.d, c.kind, c.vals, lanes, tol)
+    member = _gate(tree, c.d, c.kind, lanes, tol)
     try:
         check_diamond(tree.track, member.z, c.d, tol)
     except RotationViolated as err:
@@ -408,16 +409,16 @@ def free_views(layout: FreeLayout, vals) -> tuple:
 
 
 class FreeCoords:
-    """The unconstrained slots of a point, read-only like a `Member`: ``vals`` in the
-    order of ``layout``, with views that `free_views` builds on first read and keeps."""
+    """The unconstrained slots of a point, read-only like a `Member`: ``lanes`` in the
+    order of ``layout``, with views that `free_views` builds from them on first read."""
 
     __setattr__ = __delattr__ = al.frozen_attribute
 
-    def __init__(self, layout: FreeLayout, kind: str, vals):
-        vars(self).update(layout=layout, kind=kind, vals=tuple(vals))
+    def __init__(self, layout: FreeLayout, kind: str, lanes):
+        vars(self).update(layout=layout, kind=kind, lanes=tuple(lanes))
 
     d = property(lambda self: self.layout.d)
-    _views = cached_property(lambda self: free_views(self.layout, self.vals))
+    _views = cached_property(lambda f: free_views(f.layout, al._from_lanes(f.kind, f.lanes)))
     v_other = property(lambda self: self._views[0])
     v_anchor = property(lambda self: self._views[1])
     z_other = property(lambda self: self._views[2])
@@ -458,7 +459,7 @@ def i2_forward(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
     c = require_member(tree, c, tol)
     eps = tor_prime(tree, c, anchors, tol)
     layout = free_layout(tree, c.d, anchors)
-    return FreeCoords(layout, c.kind, itemgetter(*layout.slots)(c.vals)), eps
+    return FreeCoords(layout, c.kind, itemgetter(*layout.slots)(c.lanes)), eps
 
 
 class InversePlan(NamedTuple):
@@ -511,15 +512,9 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     if free.layout != plan.layout:
         raise ValueError("the free point's slots are not those of this tree's free layout "
                          f"at d = {d} and these anchors")
-    vals = [*free.vals, eps_val]
-    # a free slot is named by the first slot of `chart` it fills
-    lanes = al.unpack(kind, vals, lambda q: "epsilon" if q == len(vals) - 1
-                      else _slot_name(chart(tree, d), plan.out.index(q)))
-    steps = al.run(kind, plan.steps, lanes)
-    lanes += steps
-    vals += al._from_lanes(kind, steps)
-    return _gate(tree, d, kind, tuple(map(vals.__getitem__, plan.out)),
-                 tuple(map(lanes.__getitem__, plan.out)), tol)
+    lanes = [*free.lanes, *al.unpack(kind, [eps_val], lambda q: "epsilon")]
+    lanes += al.run(kind, plan.steps, lanes)
+    return _gate(tree, d, kind, tuple(map(lanes.__getitem__, plan.out)), tol)
 
 
 def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):
@@ -691,7 +686,7 @@ def random_free(tree: OrientedTree, d: int, kind: str, rng,
     if anchors is None:
         anchors = default_anchors(tree, d)
     layout = free_layout(tree, d, anchors)
-    return FreeCoords(layout, kind, al.random_elements(kind, rng, len(layout.slots)))
+    return FreeCoords(layout, kind, al.random_lanes(kind, rng, len(layout.slots)))
 
 
 def sample_y(tree: OrientedTree, d: int, kind: str, rng,

@@ -59,7 +59,7 @@ def ga_equal(a: GA, b: GA, tol: float = al.DEFAULT_TOL) -> bool:
 
 
 def ga_random(kind: str, d: int, rng) -> GA:
-    return tuple(al.random_elements(kind, rng, d - 1))
+    return tuple(al._from_lanes(kind, al.random_lanes(kind, rng, d - 1)))
 
 
 class _Chain:

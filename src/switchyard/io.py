@@ -97,10 +97,11 @@ def element_to_json(a: al.GroupElement):
     return list(a.value) if a.kind == "cylinder" else a.value
 
 
-def element_from_json(kind: str, data) -> al.GroupElement:
-    if al.check_kind(kind) == "cylinder":
-        return al.cylinder(*_pair(data, "cylinder value"))
-    return al.GroupElement(kind, _int(data, "residue") if kind.startswith("zd:") else _real(data))
+def lane_from_json(kind: str, data):
+    """The lane of ``data``, a JSON value of the checked kind ``kind``, by `al.normalize`."""
+    if kind == "cylinder":
+        return al.normalize(kind, _pair(data, "cylinder value"))
+    return al.normalize(kind, _int(data, "residue") if kind.startswith("zd:") else _real(data))
 
 
 def track_to_json(track, tree=None) -> dict:
@@ -154,8 +155,8 @@ def points_seed(doc):
 
 def coords_from_json(doc, tree) -> list:
     """Decode a coords document checked against ``tree`` into its points, each a
-    `cocyclic.Member` at tol = inf: a bare document's one point, or every point of a
-    points file, checked against the file's count, d and group."""
+    `cocyclic.Member` of lanes at tol = inf, built without an element: a bare document's
+    one point, or every point of a points file, checked against its count, d and group."""
     if "points" not in doc:
         return [_coords(doc, tree)]
     points = doc["points"]
@@ -205,7 +206,7 @@ def _coords(doc, tree):
         if got != want:
             raise ValueError(f"{label} ids do not match the track: "
                              f"missing {sorted(want - got)}, unknown {sorted(got - want)}")
-    vals = [None] * len(chart(tree, d).slot)
+    lanes = [None] * len(chart(tree, d).slot)
     for part, label, index in (("v", "rectangle", "pair"), ("z", "switch", "triple")):
         starts, offsets = table[part]
         for at, vec in doc[part].items():
@@ -213,10 +214,10 @@ def _coords(doc, tree):
             for k, e in vec.items():
                 if k not in offsets:
                     _refuse(part, k, d)
-                vals[start + offsets[k]] = element_from_json(kind, e)
+                lanes[start + offsets[k]] = lane_from_json(kind, e)
             if len(vec) != len(offsets):
                 raise ValueError(f"{label} {at} does not carry the d={d} {index} indices")
-    return Member(d, kind, tree, math.inf, tuple(vals), tuple(x.value for x in vals))
+    return Member(d, kind, tree, math.inf, tuple(lanes))
 
 
 def matrix_to_json(mat) -> list:

@@ -17,7 +17,7 @@ def as_member(tree, d, kind, v, z):
     at tol = inf, in `cocyclic.chart` order and unchecked, as `io` decodes one: the
     chart functions gate it.  Tests that build or perturb a point from dicts use it."""
     vals = cc._slots(cc.chart(tree, d), v, z)
-    return cc.Member(d, kind, tree, math.inf, vals, tuple(x.value for x in vals))
+    return cc.Member(d, kind, tree, math.inf, tuple(x.value for x in vals))
 
 
 class CliResult:
@@ -124,11 +124,12 @@ def lapack_calls(monkeypatch):
 
 class LaneWork:
     """What the chart asked of `algebra`: ``plans``, the rows handed to each
-    `algebra.run` call, and ``built``, every element `GroupElement.__init__`
-    initialized (kept alive, so no two share an id)."""
+    `algebra.run` call, ``built``, every element `GroupElement.__init__`
+    initialized (kept alive, so no two share an id), and ``from_lanes``, the
+    number of elements each `algebra._from_lanes` call built from lanes."""
 
     def __init__(self):
-        self.plans, self.built = [], []
+        self.plans, self.built, self.from_lanes = [], [], []
 
     def built_any(self, elements) -> bool:
         ids = {id(x) for x in self.built}
@@ -137,10 +138,11 @@ class LaneWork:
 
 @pytest.fixture
 def lane_work(monkeypatch):
-    """A `LaneWork` of the calls made from here on.  The chart modules look
-    `run` up on `algebra` at each call, so wrapping it there counts every plan."""
+    """A `LaneWork` of the calls made from here on.  The chart modules look `run`
+    and `_from_lanes` up on `algebra` at each call, so wrapping them there counts
+    every plan and every element built from lanes."""
     work = LaneWork()
-    run, init = al.run, al.GroupElement.__init__
+    run, init, from_lanes = al.run, al.GroupElement.__init__, al._from_lanes
 
     def counted_run(kind, rows, lanes):
         work.plans.append(rows)
@@ -150,6 +152,12 @@ def lane_work(monkeypatch):
         work.built.append(self)
         init(self, kind, value)
 
+    def counted_from_lanes(kind, lanes):
+        out = from_lanes(kind, lanes)
+        work.from_lanes.append(len(out))
+        return out
+
     monkeypatch.setattr(al, "run", counted_run)
+    monkeypatch.setattr(al, "_from_lanes", counted_from_lanes)
     monkeypatch.setattr(al.GroupElement, "__init__", counted_init)
     return work

@@ -321,12 +321,55 @@ class TestFixtureAndTree:
 
 
 class TestSampleAndTorsion:
-    def test_count_zero_writes_empty_file(self, run_cli, workdir, tmp_path):
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_refused(self, run_cli, workdir, tmp_path, count):
+        # `torsion` and `corfinal` refuse a file without points
         out = tmp_path / "empty.json"
-        r = run_cli(["sample-y", str(workdir / "tree.json"),
-                     "--count", "0", "--out", str(out)])
-        assert r.exit_code == 0
-        assert json.loads(out.read_text())["points"] == []
+        r = run_cli(["sample-y", str(workdir / "tree.json"), "--count", count,
+                     "--out", str(out)])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert r.stderr == f"input error: count {count} < 1\n"
+        assert not out.exists()
+
+    # (global options, sample-y options): the real group reaches only residue 0, and
+    # zd:12 at d = 8 only the even residues
+    LABELLED = [(["--d", "3", "--group", "real"], ["--count", "3"]),
+                (["--d", "8", "--group", "zd:12"], ["--count", "3"]),
+                (["--d", "8", "--group", "zd:12"], ["--torsion", "6"]),
+                (["--d", "3", "--group", "real"], ["--torsion", "0"]),
+                (["--d", "4", "--group", "cylinder"], ["--count", "3"]),
+                (["--d", "4", "--group", "cylinder"], ["--torsion", "3"])]
+
+    @pytest.mark.parametrize("opts,args", LABELLED)
+    def test_each_label_is_the_residue_torsion_reads(self, run_cli, workdir, tmp_path,
+                                                     opts, args):
+        out = tmp_path / "pts.json"
+        r = run_cli(["--seed", "5", *opts, "sample-y", str(workdir / "tree.json"), *args,
+                     "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(out.read_text())
+        if "--torsion" in args:
+            assert {p["torsion"] for p in doc["points"]} == {int(args[1])}
+        for n, point in enumerate(doc["points"]):
+            one = tmp_path / f"one{n}.json"
+            one.write_text(json.dumps(dict(doc, count=1, points=[point])))
+            r = run_cli(["--json", "torsion", str(workdir / "tree.json"), str(one)])
+            assert r.exit_code == 0, r.output
+            assert json.loads(r.output)["values"]["residue"] == point["torsion"], (opts, n)
+
+    @pytest.mark.parametrize("opts,k,reachable", [
+        (["--d", "3", "--group", "real"], "2", "0"),
+        (["--d", "8", "--group", "zd:12"], "1", "0, 2, 4, 6"),
+        (["--d", "8", "--group", "zd:12"], "5", "0, 2, 4, 6")])
+    def test_unreachable_torsion_residue_is_refused(self, run_cli, workdir, tmp_path, opts, k,
+                                                    reachable):
+        out = tmp_path / "x.json"
+        r = run_cli([*opts, "sample-y", str(workdir / "tree.json"), "--torsion", k,
+                     "--out", str(out)])
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit)
+        assert r.stderr == (f"input error: torsion residue {k} is not reached by group "
+                            f"{opts[3]} at d={opts[1]}; reachable residues: {reachable}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_single_sided_tree_fails_the_anchors_check_at_d4(self, run_cli, tmp_path, as_json):
@@ -723,8 +766,10 @@ class TestFlags:
         path = tmp_path / "mats3.json"
         path.write_text(json.dumps(
             {"matrices": [io.matrix_to_json(m) for m in self._power_matrices(3)]}))
-        r = run_cli(["flags", str(path), "--index", "1,1,7"])
-        assert r.exit_code == 2
+        for index in ("1,1,7", "\uff11,\uff11,\uff11", "1,\u0661,1", "+1,1,1"):
+            r = run_cli(["flags", str(path), "--index", index])
+            assert r.exit_code == 2, index
+            assert isinstance(r.exception, SystemExit) and r.stderr.startswith("input error:")
 
 
 class TestDeterminism:

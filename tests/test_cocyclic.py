@@ -407,7 +407,7 @@ class TestI2:
             free, _ = cc.i2_forward(TREE, zero_coords(d, "real"))
             layout = cc.free_layout(TREE, d, cc.default_anchors(TREE, d))
             assert_free_fills_layout(free, layout)
-            assert len(free.vals) == al.dimension_count(d, TRACK.genus)
+            assert len(free.lanes) == al.dimension_count(d, TRACK.genus)
 
     def test_slot_count_genus_three(self):
         (track, _), _ = io.load(DATA / "track_g3_s2.json", io.track_from_json)
@@ -417,7 +417,7 @@ class TestI2:
             free = cc.random_free(tree, d, "real", rng)
             layout = cc.free_layout(tree, d, cc.default_anchors(tree, d))
             assert_free_fills_layout(free, layout)
-            assert len(free.vals) == al.dimension_count(d, 3)
+            assert len(free.lanes) == al.dimension_count(d, 3)
 
     def test_zero_free_identity_eps_gives_zero_point(self):
         for d in (2, 3, 4, 5):
@@ -587,7 +587,8 @@ class TestInversePlan:
                     free = cc.random_free(tree, d, kind, rng, anchors)
                     eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
                     got = cc.i2_inverse(tree, free, eps, anchors)
-                    v, z = cc._inverse_steps(tree, layout, anchors, [*free.vals, eps],
+                    v, z = cc._inverse_steps(tree, layout, anchors,
+                                             [*al._from_lanes(kind, free.lanes), eps],
                                              lambda terms: al.combine(kind, terms))
                     assert dict(got.v) == v, (name, d, kind)
                     assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
@@ -603,12 +604,41 @@ class TestInversePlan:
         cc.i2_inverse(TREE, cc.random_free(TREE, d, kind, rng, anchors), eps, anchors)
         free = cc.random_free(TREE, d, kind, rng, anchors)
         lane_work.plans.clear()
-        c = cc.i2_inverse(TREE, free, eps, anchors)
+        lane_work.from_lanes.clear()
+        cc.i2_inverse(TREE, free, eps, anchors)
         plan = cc.inverse_plan(TREE, d, anchors)
+        sides = 2 * len(cc.chart(TREE, d).balance)
         assert len(lane_work.plans) == 2 and lane_work.plans[0] is plan.steps
-        assert len(lane_work.plans[1]) == 2 * len(cc.chart(TREE, d).balance)
-        assert not lane_work.built_any(c.vals)
-        assert not lane_work.built_any(free.vals)  # drawn in one call, not one by one
+        assert len(lane_work.plans[1]) == sides
+        # the output is lanes: only the balance sides are compared as elements
+        assert lane_work.from_lanes == [sides]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_round_trip_builds_no_slot_element_until_a_view_is_read(self, kind, lane_work):
+        # drawing, inverting and reading back a point build elements only for the
+        # gate's balance sides, tor_prime's forms (i2_forward's epsilon) and three
+        # d-torsion checks; each view's elements are built from the lanes on its
+        # first read, all at once, and kept
+        d, rng = 6, random.Random(72)
+        anchors = cc.default_anchors(TREE, d)
+        eps = al.torsion_element(kind, d, 1)
+        warm = cc.i2_inverse(TREE, cc.random_free(TREE, d, kind, rng, anchors), eps, anchors)
+        cc.i2_forward(TREE, warm, anchors)
+        lane_work.from_lanes.clear()
+        built = len(lane_work.built)
+        free = cc.random_free(TREE, d, kind, rng, anchors)
+        c = cc.i2_inverse(TREE, free, eps, anchors)
+        back, _ = cc.i2_forward(TREE, c, anchors)
+        forms = cc.recorded_rows(TREE, d, cc._tor_forms, anchors)
+        assert lane_work.from_lanes == [2 * len(cc.chart(TREE, d).balance), len(forms)]
+        slots = len(cc.free_layout(TREE, d, anchors).slots)
+        # i2_inverse's epsilon, tor_prime and its `TorsionValue`: d * x and zero each
+        assert len(lane_work.built) - built == 3 * 2
+        for point, view, size in ((free, "v_other", slots), (back, "z_anchor", slots),
+                                  (c, "z", len(cc.chart(TREE, d).slot))):
+            lane_work.from_lanes.clear()
+            assert getattr(point, view) is getattr(point, view)
+            assert lane_work.from_lanes == [size], view
 
     @pytest.mark.parametrize("name", TRACKS)
     def test_plan_is_a_straight_line_row_program(self, name):
@@ -710,7 +740,8 @@ class TestInversePlan:
             for tol in (al.MEMBER_TOL, 1e-13, 1e-15, 0.0):
                 free = cc.random_free(TREE, d, kind, rng, anchors)
                 eps = al.zero(kind)
-                v, z = cc._inverse_steps(TREE, layout, anchors, [*free.vals, eps],
+                v, z = cc._inverse_steps(TREE, layout, anchors,
+                                         [*al._from_lanes(kind, free.lanes), eps],
                                          lambda terms: al.combine(kind, terms))
                 outcomes = []
                 for gate in (lambda: cc.i2_inverse(TREE, free, eps, anchors, tol),
@@ -740,10 +771,9 @@ class TestInversePlan:
         # an infinity in a free z slot meets its negative in the inverse's sums
         for x, where in itertools.product((math.nan, math.inf, -math.inf),
                                           ("orientable v", "free z")):
-            bad = al.GroupElement(kind, (x, 0.0) if kind == "cylinder" else x)
-            vals = list(cc.random_free(TREE, d, kind, random.Random(75), anchors).vals)
-            vals[at[where]] = bad
-            free = cc.FreeCoords(layout, kind, vals)
+            lanes = list(cc.random_free(TREE, d, kind, random.Random(75), anchors).lanes)
+            lanes[at[where]] = (x, 0.0) if kind == "cylinder" else x
+            free = cc.FreeCoords(layout, kind, lanes)
             eps = al.zero(kind)
             with pytest.raises(cc.MembershipError, match="^non-finite value at ") as got:
                 cc.i2_inverse(TREE, free, eps, anchors)
@@ -751,7 +781,8 @@ class TestInversePlan:
                 # it enters no equation: only the finiteness check sees it
                 assert str(got.value) == (f"non-finite value at rectangle {orientable}, "
                                           f"pair index {(1, d - 1)}")
-            v, z = cc._inverse_steps(TREE, layout, anchors, [*free.vals, eps],
+            v, z = cc._inverse_steps(TREE, layout, anchors,
+                                     [*al._from_lanes(kind, free.lanes), eps],
                                      lambda terms: al.combine(kind, terms))
             point = as_member(TREE, d, kind, v, z)
             with pytest.raises(cc.MembershipError) as again:
@@ -794,10 +825,10 @@ class TestFreePoint:
             assert len(set(layout.slots)) == len(layout.slots)
             c = cc.sample_y(tree, d, "zd:12", rng, anchors)
             free, eps = cc.i2_forward(tree, c, anchors)
-            assert free.vals == tuple(c.vals[s] for s in layout.slots), d
+            assert free.lanes == tuple(c.lanes[s] for s in layout.slots), d
             drawn = cc.random_free(tree, d, "zd:12", rng, anchors)
             back, _ = cc.i2_forward(tree, cc.i2_inverse(tree, drawn, eps, anchors), anchors)
-            assert back.vals == drawn.vals, d
+            assert back.lanes == drawn.lanes, d
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_views_are_read_only(self, d):
@@ -806,7 +837,7 @@ class TestFreePoint:
         free = cc.random_free(TREE, d, "real", random.Random(97), anchors)
         r, p, x = layout.rects[0], layout.plaques[0], al.real(0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            free.vals = ()
+            free.lanes = ()
         for view, key in ((free.v_other, r), (free.v_other[r], 0), (free.v_anchor, (1, d - 1)),
                           (free.z_other, p), (free.z_other[p], (1, 1, d - 2)),
                           (free.z_anchor, (1, 1, d - 2))):
@@ -858,16 +889,16 @@ class TestChart:
         for kind in KINDS:
             recorded = cc.sample_y(TREE, d, kind, rng)
             checked = cc.require_member(TREE, unchecked(recorded), al.MEMBER_TOL)
-            assert checked is not recorded and checked.vals == recorded.vals
+            assert checked is not recorded and checked.lanes == recorded.lanes
             for m in (recorded, checked):
-                assert m.vals == cc._slots(cc.chart(TREE, d), m.v, m.z)
+                assert m.lanes == tuple(x.value for x in cc._slots(cc.chart(TREE, d), m.v, m.z))
                 assert set(m.v) == set(ch.rects) and set(m.z) == set(ch.switches)
                 assert all(len(m.v[r]) == d - 1 for r in m.v)
                 assert all(len(m.z[t]) == len(al.index_tables(d).B) for t in m.z)
-                # the views read the slot vector itself
+                # the views are built from the lane vector itself
                 for (at, index), s in ch.slot.items():
                     view = m.v[at][index] if isinstance(index, int) else m.z[at][index]
-                    assert view is m.vals[s], (kind, at, index)
+                    assert view.kind == kind and view.value is m.lanes[s], (kind, at, index)
 
     @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
     def test_balance_rows_and_the_solver_defect_agree(self, name):
@@ -1031,6 +1062,17 @@ class TestSerialization:
                 assert back.d == c.d and back.kind == c.kind
                 assert coords_equal(c, back, tol)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decoding_builds_no_element(self, kind, lane_work):
+        # each value is decoded straight to its lane by the one normalization rule
+        m = cc.sample_y(TREE, 6, kind, random.Random(35))
+        doc = json.loads(json.dumps(io.coords_to_json(m)))
+        lane_work.built.clear()
+        lane_work.from_lanes.clear()
+        [back] = io.coords_from_json(doc, TREE)
+        assert lane_work.built == [] and lane_work.from_lanes == []
+        assert repr(back.lanes) == repr(m.lanes)
+
     def test_document_shape(self):
         c = cc.sample_y(TREE, 3, "real", random.Random(35))
         doc = io.coords_to_json(c)
@@ -1050,7 +1092,7 @@ class TestSerialization:
         [back] = io.coords_from_json(json.loads(json.dumps(io.coords_to_json(m))), TREE)
         assert isinstance(back, cc.Member) and back.tree is TREE and back.tol == math.inf
         gated = cc.require_member(TREE, back, al.MEMBER_TOL)
-        assert gated.vals == m.vals and repr(gated.lanes) == repr(m.lanes)
+        assert repr(gated.lanes) == repr(m.lanes)
 
     # (edit of a d = 4 document, the message it is refused with)
     REFUSED = [
@@ -1158,10 +1200,10 @@ class TestMember:
                 calls.clear()
         assert calls == [] and free_calls == []
         assert m.z is m.z and m.v is m.v
-        assert len(calls) == 1 and calls[0][1] is m.vals
+        assert len(calls) == 1 and [x.value for x in calls[0][1]] == list(m.lanes)
         assert free.v_other is free.v_other and free.z_anchor is free.z_anchor
         assert free.v_anchor is free.v_anchor and free.z_other is free.z_other
-        assert len(free_calls) == 1 and free_calls[0][1] is free.vals
+        assert len(free_calls) == 1 and [x.value for x in free_calls[0][1]] == list(free.lanes)
 
     def test_reused_only_on_the_same_tree_at_a_tol_no_looser(self, member_checks):
         c = cc.sample_y(TREE, 3, "cylinder", random.Random(52))
@@ -1199,7 +1241,7 @@ class TestMember:
                     verdicts = []
                     for tree in (TREE, same):
                         try:
-                            verdicts.append(cc.require_member(tree, c, al.DEFAULT_TOL).vals)
+                            verdicts.append(cc.require_member(tree, c, al.DEFAULT_TOL).lanes)
                         except cc.MembershipError as err:
                             verdicts.append(str(err))
                     assert verdicts[0] == verdicts[1], (d, kind)
@@ -1230,19 +1272,12 @@ class TestLanes:
     PROBES = [("real", "cylinder"), ("cylinder", "real"), ("real", "zd:12"), ("zd:12", "real")]
     @pytest.mark.parametrize("kind,other", PROBES)
     def test_i2_inverse_names_a_stray_free_slot_or_epsilon(self, kind, other):
+        # a free point is lanes of its own kind, so only epsilon, an element, can stray
         anchors = cc.default_anchors(TREE, 3)
-        layout = cc.free_layout(TREE, 3, anchors)
         free = cc.random_free(TREE, 3, kind, random.Random(1), anchors)
-        eps = al.zero(kind)
         with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' "
                                                     "at epsilon$"):
             cc.i2_inverse(TREE, free, al.zero(other), anchors)
-        vals = list(free.vals)
-        vals[layout.slots.index(cc.chart(TREE, 3).slot[LONE, 1])] = al.zero(other)
-        free = cc.FreeCoords(layout, kind, vals)
-        with pytest.raises(al.GroupKindError, match=f"^kind mismatch: '{kind}' vs '{other}' at "
-                                                    f"rectangle {LONE}, pair index"):
-            cc.i2_inverse(TREE, free, eps, anchors)
 
     def test_members_carry_their_lanes(self):
         rng = random.Random(94)
@@ -1251,7 +1286,9 @@ class TestLanes:
                 recorded = cc.sample_y(TREE, d, kind, rng)
                 checked = cc.require_member(TREE, unchecked(recorded), al.MEMBER_TOL)
                 for m in (recorded, checked):
-                    assert m.lanes == tuple(x.value for x in m.vals)
+                    # one lane tuple, and no elements but the views' once read
+                    assert set(vars(m)) - {"_views"} == {"d", "kind", "tree", "tol", "lanes"}
+                    assert type(m.lanes) is tuple and len(m.lanes) == len(cc.chart(TREE, d).slot)
                     assert cc.lanes_on(TREE, m) is m.lanes
 
     @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
