@@ -8,8 +8,8 @@ Four group kinds are supported, selected by a runtime string tag:
     "zd:<n>"    integers mod n
 
 Mixed-kind arithmetic is an error, never a coercion.  An element's raw value is
-its "lane": the chart's recorded `Row`s are evaluated on lanes by the one lane
-runner `run`, a plan of rows at a time, each row reading the lanes before it.
+its "lane": the one lane runner `run` evaluates the chart's recorded `Row`s on
+lanes, a plan at a time, and the one residual rule `lane_distance` compares two.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
-# Default tolerance of a float comparison (`elements_equal`, the rotation and
-# balance checks): sums of a few hundred O(1) terms carry rounding near 1e-13,
+# Default tolerance of a float comparison by `lane_distance` (the gate's checks,
+# `elements_equal`): sums of a few hundred O(1) terms carry rounding near 1e-13,
 # and 1e-9 stays far below the smallest torsion lattice spacing 2*pi/MAX_D.
 DEFAULT_TOL = 1e-9
 
@@ -303,25 +303,26 @@ def unpack(kind: str, elements, name) -> list:
 
 
 def _angle_dist(a: float, b: float) -> float:
-    # callers pass elements' angles, which construction has already normalized
+    # callers pass normalized angles: lanes, or elements' values
     d = abs(a - b)
     return min(d, TWO_PI - d)
 
 
-def distance(a: GroupElement, b: GroupElement) -> float:
-    """The one residual rule: |difference| for "real", the wrapped angle for
-    "circle", the larger of the two for "cylinder"; for "zd:<n>" 0.0 on equal
-    residues and inf otherwise, so any finite tol compares them exactly."""
-    _require_same_kind(a, b)
-    if a.kind == "real":
-        return abs(a.value - b.value)
-    if a.kind == "circle":
-        return _angle_dist(a.value, b.value)
-    if a.kind == "cylinder":
-        ang = _angle_dist(a.value[1], b.value[1])
+def lane_distance(kind: str, x, y) -> float:
+    """The one residual rule, on lanes: |x - y| for "real", the wrapped angle for "circle",
+    the larger of both for "cylinder"; for "zd:<n>" 0.0 if x == y, else inf (exact at any tol)."""
+    if kind == "cylinder":
+        ang = _angle_dist(x[1], y[1])
         # max(x, nan) is x: a nan angle must not be dropped
-        return ang if math.isnan(ang) else max(abs(a.value[0] - b.value[0]), ang)
-    return 0.0 if a.value == b.value else math.inf
+        return ang if math.isnan(ang) else max(abs(x[0] - y[0]), ang)
+    if kind in ("real", "circle"):
+        return abs(x - y) if kind == "real" else _angle_dist(x, y)
+    return 0.0 if x == y else math.inf
+
+
+def distance(a: GroupElement, b: GroupElement) -> float:
+    _require_same_kind(a, b)
+    return lane_distance(a.kind, a.value, b.value)
 
 
 def elements_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:

@@ -17,9 +17,9 @@ starts, so the wall time counts only its own work.  Beside `algebra` and
   module;
 - `selftest` loads the chart modules and `obstruction`.
 
-The helpers the commands share (`oriented_tree_for`, `load_member`) import
-the same layers again, which after the command's own import only looks them
-up.
+The helpers the commands share (`oriented_tree_for`, `load_member`,
+`check_labels`) import the same layers again, which after the command's own
+import only looks them up.
 
 The parser is `argparse`, and no module builds a dataclass, so no command
 loads `click` or `dataclasses`.  What start-up is left is the interpreter and
@@ -308,8 +308,9 @@ def sample_y(cfg, path, count, torsion_k, out):
 
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
     """Load a track, its oriented tree and a coords file; exit 1 unless every point is
-    a member (naming a failing later point's index), else return the tree and the
-    first point as a `cocyclic.Member`.
+    a member (naming a failing later point's index), else return the tree and each
+    point as a checked `cocyclic.Member` with its `torsion` label (None for a bare
+    coords document).
 
     A track without a stored tree gets the tree `sample-y` drew the points on:
     the one of the seed a points file records, or of --seed for a bare coords
@@ -327,13 +328,30 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
 
     (otree, points), raw = io.load(coords_path, decode)
     report.add_input("coords", raw)
-    for n, c in enumerate(points):
+    for n, (c, label) in enumerate(points):
         try:
-            points[n] = cc.require_member(otree, c, cfg["member_tol"])
+            points[n] = cc.require_member(otree, c, cfg["member_tol"]), label
         except cc.MembershipError as err:
             report.fail("membership", f"point {n}: {err}" if n else err, cfg["json"])
     report.check("membership", True)
-    return otree, points[0]
+    return otree, points
+
+
+def check_labels(cfg, report: Report, otree, points, tor) -> None:
+    """Exit 1 naming the first point whose `torsion` label is not the residue of its
+    tor', or whose tor' fails; ``tor`` is the first point's, computed already.  The
+    point of a bare coords document carries no label."""
+    from . import cocyclic as cc
+
+    for n, (c, label) in enumerate(points):
+        try:
+            value = (cc.tor_prime(otree, c, tol=cfg["member_tol"]) if n else tor).value
+        except ValueError as err:
+            report.fail("torsion labels", f"point {n}: {err}", cfg["json"])
+        k = al.snap_torsion(value, c.d)[0]
+        if label is not None and k != label:
+            report.fail("torsion labels", f"point {n}: torsion label {label} is not the "
+                        f"residue {k} of tor_prime", cfg["json"])
 
 
 @command(arg("track_path"), arg("coords_path"))
@@ -342,13 +360,15 @@ def torsion(cfg, track_path, coords_path):
     from . import cocyclic as cc
 
     report = Report("torsion", cfg["seed"])
-    otree, c = load_member(cfg, report, track_path, coords_path)
+    otree, points = load_member(cfg, report, track_path, coords_path)
+    c = points[0][0]
     try:
         tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
     except ValueError as err:
         report.fail("torsion lattice", err, cfg["json"])
     k, err = al.snap_torsion(tor.value, c.d)
     report.check("torsion lattice", err <= cfg["member_tol"], err)
+    check_labels(cfg, report, otree, points, tor)
     report.value("tor_prime", al.format_log(tor.value))
     report.value("residue", k)
     sys.exit(report.finish(cfg["json"]))
@@ -361,7 +381,8 @@ def corfinal(cfg, track_path, coords_path):
     from . import slither as sl
 
     report = Report("corfinal", cfg["seed"])
-    otree, c = load_member(cfg, report, track_path, coords_path)
+    otree, points = load_member(cfg, report, track_path, coords_path)
+    c = points[0][0]
     tol = cfg["tol"]
     try:
         total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
@@ -375,6 +396,7 @@ def corfinal(cfg, track_path, coords_path):
     except ValueError as err:
         report.fail("negated total vs tor_prime", err, cfg["json"])
     report.check("negated total vs tor_prime", gap_tor <= tol, gap_tor)
+    check_labels(cfg, report, otree, points, tor)
     report.value("total", al.format_log(total))
     report.value("tor_prime", al.format_log(tor.value))
     sys.exit(report.finish(cfg["json"]))

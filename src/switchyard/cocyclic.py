@@ -1,20 +1,19 @@
 """The coordinate space of compatible rectangle/plaque data on a track.
 
-A point assigns an A-indexed vector to every rectangle off the chosen
-maximal tree and a B-indexed vector to every switch.  `chart` numbers these
-slots once per (tree, d), v[r][k] by rectangle id and then z[t][j] by switch
-id, and records each balance equation as two `al.Row`s over that numbering.
-Membership means the per-plaque rotation relations (`check_diamond`, their
-only home) and the balance equations hold, over finite values.
-A point is a read-only `Member`, one tuple of lanes (raw slot values) in chart
-order; its elements are built only when its v/z views are read.  `require_member`
-is the gate of every point handed in, which the chart functions accept without
-checking it again; a `Member` of another tree object is read where both charts
-number the same slots (`lanes_on`).  The space carries a torsion invariant,
-whose forms are rows recorded once per (tree, d, anchors), and an explicit
-linear parametrization by unconstrained slots (`FreeCoords`) plus one d-torsion
-slot, inverted by a recorded `InversePlan` that proves the rotation relations
-of every point it builds.  Every plan of rows runs on lanes in one `al.run`.
+A point assigns an A-indexed vector to every rectangle off the chosen maximal tree
+and a B-indexed vector to every switch.  `chart` numbers these slots once per
+(tree, d), v[r][k] by rectangle id and then z[t][j] by switch id, and records over
+them each balance equation as two `al.Row`s and each per-plaque rotation relation
+as a slot pair; a point is a member when both hold on its finite lanes (raw slot
+values) by the residual rule `al.lane_distance`.  A point is a read-only `Member`,
+one tuple of lanes in chart order, whose v/z element views only the oracles
+(`check_diamond`, `check_spade`) read.  `require_member` gates every point handed
+in, which the chart functions accept without checking it again; a `Member` of
+another tree object is read where both charts number the same slots (`lanes_on`).
+The torsion invariant's forms are rows recorded once per (tree, d, anchors), and
+the explicit linear parametrization by unconstrained slots (`FreeCoords`) plus one
+d-torsion slot is inverted by a recorded `InversePlan` that proves the rotation
+relations of every point it builds.  Every plan of rows runs on lanes in one `al.run`.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class ParityFormsDisagree(ValueError):
 
 class InversePlanError(ValueError):
     """A recorded inverse whose output breaks a rotation relation."""
-
-
-class RotationViolated(ValueError):
-    pass
 
 
 ZField = Mapping[int, Mapping[TripleIndex, GroupElement]]
@@ -164,10 +159,10 @@ def _record_rotation_pairs(track: TrainTrack, d: int):
 
 def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_TOL) -> None:
     """Rotation compatibility: the value at a switch equals the value at the
-    next switch clockwise around the plaque under the index rotation."""
+    next switch clockwise around the plaque under the index rotation, on elements."""
     for t, j, tp, jp in rotation_pairs(track, d):
         if not al.elements_equal(z[t][j], z[tp][jp], tol):
-            raise RotationViolated(f"rotation relation fails at switch {t}, index {j}")
+            raise MembershipError(f"rotation relation fails at switch {t}, index {j}")
 
 
 # -- the slot numbering and the membership gates ------------------------------
@@ -176,11 +171,11 @@ def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_
 class Chart(NamedTuple):
     """The numbering of a point's slots on one tree at one d, built once by `chart`.
 
-    ``slot`` numbers each key in order: (r, k) for v[r][k], for each rectangle
-    r off the tree (``rects``, in id order) and k < d-1; then (t, j) for
-    z[t][j], for each switch t (``switches``, in id order) and j in
-    ``index_tables(d).B``.  ``balance`` maps each pair index to the (lhs, rhs)
-    rows of its balance equation.
+    ``slot`` numbers each key in order: (r, k) for v[r][k], for each rectangle r off
+    the tree (``rects``, in id order) and k < d-1; then (t, j) for z[t][j], for each
+    switch t (``switches``, in id order) and j in ``index_tables(d).B``.  ``balance``
+    maps each pair index to the (lhs, rhs) rows of its balance equation; ``rotation``
+    holds (left slots, right slots) of the rotation relations, in `rotation_pairs` order.
     """
 
     d: int
@@ -188,6 +183,7 @@ class Chart(NamedTuple):
     switches: Tuple[int, ...]
     slot: Mapping[Tuple[int, object], int]
     balance: Mapping[PairIndex, Tuple[al.Row, al.Row]]
+    rotation: Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def chart(tree: OrientedTree, d: int) -> Chart:
@@ -209,7 +205,9 @@ def _record_chart(tree: OrientedTree, d: int) -> Chart:
                                                               (-1, cls.s_right, i[0]))
                          for t in side for j in tables.B if j[1] == mid))
                for i in tables.A}
-    return Chart(d, rects, switches, slot, balance)
+    rotation = tuple(zip(*[(slot[t, j], slot[tp, jp])
+                           for t, j, tp, jp in rotation_pairs(tree.track, d)])) or ((), ())
+    return Chart(d, rects, switches, slot, balance, rotation)
 
 
 def _slots(ch: Chart, v, z) -> tuple:
@@ -228,13 +226,13 @@ def lanes_on(tree: OrientedTree, c: Member) -> tuple:
     return c.lanes
 
 
-def _club_sides(tree: OrientedTree, c: Member, i: PairIndex):
-    return al._from_lanes(c.kind, al.run(c.kind, chart(tree, c.d).balance[i], lanes_on(tree, c)))
+def _club_sides(tree: OrientedTree, c: Member, i: PairIndex) -> list:
+    return al.run(c.kind, chart(tree, c.d).balance[i], lanes_on(tree, c))
 
 
 def check_club(tree: OrientedTree, c: Member, i: PairIndex,
                tol: float = al.DEFAULT_TOL) -> bool:
-    return al.elements_equal(*_club_sides(tree, c, i), tol)
+    return al.lane_distance(c.kind, *_club_sides(tree, c, i)) <= tol
 
 
 def check_spade(c: Member, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
@@ -260,18 +258,23 @@ def _require_balance(ch: Chart, kind: str, lanes, tol: float) -> None:
     """
     pairs = ch.balance.items()
     try:
-        sides = al._from_lanes(kind, al.run(kind, [row for _, rows in pairs for row in rows],
-                                            lanes))
+        sides = al.run(kind, [row for _, rows in pairs for row in rows], lanes)
     except al.SumOverflow:
         sides = None
     for q, (i, rows) in enumerate(pairs):
         try:
-            lhs, rhs = (sides[2 * q:2 * q + 2] if sides is not None
-                        else al._from_lanes(kind, al.run(kind, rows, lanes)))
+            lhs, rhs = sides[2 * q:2 * q + 2] if sides is not None else al.run(kind, rows, lanes)
         except al.SumOverflow as err:
             raise MembershipError(f"balance equation overflows at pair index {i}") from err
-        if not al.elements_equal(lhs, rhs, tol):
+        if not al.lane_distance(kind, lhs, rhs) <= tol:
             raise MembershipError(f"balance equation fails at pair index {i}")
+
+
+def _require_rotation(ch: Chart, kind: str, lanes, tol: float) -> None:
+    """Raise `MembershipError` unless every rotation relation of ``ch`` holds on ``lanes``."""
+    for s, p in zip(*ch.rotation):
+        if not al.lane_distance(kind, lanes[s], lanes[p]) <= tol:
+            raise MembershipError("rotation relations fail")
 
 
 def slot_views(ch: Chart, vals) -> tuple:
@@ -303,18 +306,14 @@ def _gate(tree: OrientedTree, d: int, kind: str, lanes: tuple, tol: float) -> Me
 
 
 def require_member(tree: OrientedTree, c: Member, tol: float = al.DEFAULT_TOL) -> Member:
-    """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol`` by `_gate`
-    and then the rotation relations.  A `Member` of this tree object checked at a tol
-    no looser is returned as it is; any other is checked again from its own slots,
-    read by `lanes_on`."""
+    """Return ``c`` as a `Member` of the chart of ``tree``, checked at ``tol`` by `_gate` and
+    `_require_rotation`.  A `Member` of this tree object checked at a tol no looser is
+    returned as it is; any other is checked again from its own lanes, read by `lanes_on`."""
     lanes = lanes_on(tree, c)
     if c.tree is tree and c.tol <= tol:
         return c
     member = _gate(tree, c.d, c.kind, lanes, tol)
-    try:
-        check_diamond(tree.track, member.z, c.d, tol)
-    except RotationViolated as err:
-        raise MembershipError("rotation relations fail") from err
+    _require_rotation(chart(tree, c.d), c.kind, lanes, tol)
     return member
 
 
@@ -364,10 +363,10 @@ def tor_prime(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
     d, kind = c.d, c.kind
     if anchors is None:
         anchors = default_anchors(tree, d)
-    val, *right = al._from_lanes(kind, al.run(kind, recorded_rows(tree, d, _tor_forms, anchors),
-                                              c.lanes))
-    if right and not al.elements_equal(val, right[0], tol):
+    val, *right = al.run(kind, recorded_rows(tree, d, _tor_forms, anchors), c.lanes)
+    if right and not al.lane_distance(kind, val, right[0]) <= tol:
         raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
+    [val] = al._from_lanes(kind, [val])
     if not al.is_d_torsion(val, d, tol):
         raise ValueError(f"torsion invariant is not {d}-torsion: {val}")
     return TorsionValue(value=val, d=d)
@@ -490,14 +489,14 @@ def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan
         steps.append(tuple(terms))
         return inputs + len(steps) - 1
 
-    v, z = _inverse_steps(tree, layout, anchors, range(inputs), add)
-    # every point the plan builds then satisfies the rotation relations, so
-    # `i2_inverse` need not check them
-    for t, j, tp, jp in rotation_pairs(tree.track, d):
-        if z[t][j] != z[tp][jp]:
-            raise InversePlanError(f"recorded inverse breaks the rotation relation at switch {t}, "
-                                   f"index {j}: slot {z[t][j]} against slot {z[tp][jp]}")
-    return InversePlan(layout, tuple(steps), _slots(chart(tree, d), v, z))
+    ch = chart(tree, d)
+    out = _slots(ch, *_inverse_steps(tree, layout, anchors, range(inputs), add))
+    # every point the plan builds then keeps the rotation relations: `i2_inverse` skips them
+    for s, p in zip(*ch.rotation):
+        if out[s] != out[p]:
+            raise InversePlanError(f"recorded inverse breaks the rotation relation at "
+                                   f"{_slot_name(ch, s)}: slot {out[s]} against slot {out[p]}")
+    return InversePlan(layout, tuple(steps), out)
 
 
 def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,

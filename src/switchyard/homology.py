@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 from . import algebra as al
 from .algebra import GA, GroupElement, memo
 from .cocyclic import ZField, check_diamond
-from .io import element_to_json
+from .io import lane_to_json
 from .traintrack import (
     CoverLifts,
     OrientedTree,
@@ -344,6 +344,6 @@ def solve_tree(
     first = len(plan.steps)
     defect = [al.group_neg(x) for x in al._from_lanes(kind, out[first:])]
     if not ga_is_zero(defect, tol):
-        raise SolvabilityViolated(f"balance defect {[element_to_json(x) for x in defect]}")
+        raise SolvabilityViolated(f"balance defect {[lane_to_json(x.value) for x in defect]}")
     solved = al._from_lanes(kind, out[:first])
     return {rid: tuple(solved[n * q:n * q + n]) for q, rid in enumerate(plan.solved)}

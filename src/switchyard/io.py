@@ -93,8 +93,8 @@ def _pair(x, what: str) -> tuple:
     return _real(x[0]), _real(x[1])
 
 
-def element_to_json(a: al.GroupElement):
-    return list(a.value) if a.kind == "cylinder" else a.value
+def lane_to_json(x):  # a cylinder's (re, angle) lane is written as a list
+    return list(x) if type(x) is tuple else x
 
 
 def lane_from_json(kind: str, data):
@@ -140,11 +140,11 @@ def track_from_json(doc, check: bool = True):
 
 
 def coords_to_json(c) -> dict:
-    return {"d": c.d, "group": c.kind,
-            "v": {str(r): {str(k + 1): element_to_json(e) for k, e in enumerate(vec)}
-                  for r, vec in sorted(c.v.items())},
-            "z": {str(t): {",".join(map(str, j)): element_to_json(e) for j, e in sorted(vec.items())}
-                  for t, vec in sorted(c.z.items())}}
+    """A `cocyclic.Member`'s lanes, written under the decoder's keys (`_key_table`)."""
+    lanes, table = c.lanes, al.memo(c.tree, "key_table", _key_table, c.d)
+    return {"d": c.d, "group": c.kind, **{
+        part: {at: {k: lane_to_json(lanes[start + q]) for k, q in offsets.items()}
+               for at, start in starts.items()} for part, (starts, offsets) in table.items()}}
 
 
 def points_seed(doc):
@@ -154,11 +154,12 @@ def points_seed(doc):
 
 
 def coords_from_json(doc, tree) -> list:
-    """Decode a coords document checked against ``tree`` into its points, each a
-    `cocyclic.Member` of lanes at tol = inf, built without an element: a bare document's
-    one point, or every point of a points file, checked against its count, d and group."""
+    """Decode a coords document checked against ``tree`` into its points, each a pair of
+    a `cocyclic.Member` of lanes at tol = inf, built without an element, and its
+    `torsion` label: a bare document's one point, labelled None, or every point of a
+    points file, checked against its count, d and group."""
     if "points" not in doc:
-        return [_coords(doc, tree)]
+        return [(_coords(doc, tree), None)]
     points = doc["points"]
     if type(points) is not list or not points:
         raise ValueError("points is not a non-empty list")
@@ -167,11 +168,11 @@ def coords_from_json(doc, tree) -> list:
     d, kind = _int(doc["d"], "d", 2, al.MAX_D), al.check_kind(doc["group"])
     coords = []
     for n, p in enumerate(points):
-        _int(p["torsion"], f"point {n} torsion", 0, d - 1)
+        label = _int(p["torsion"], f"point {n} torsion", 0, d - 1)
         c = _coords(p["coords"], tree)
         if (c.d, c.kind) != (d, kind):
             raise ValueError(f"point {n} has d={c.d} group {c.kind}, the file d={d} group {kind}")
-        coords.append(c)
+        coords.append((c, label))
     return coords
 
 

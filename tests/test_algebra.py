@@ -70,7 +70,7 @@ class TestGroupOps:
     @given(st.sampled_from(KINDS), st.integers(0, 10 ** 6))
     def test_json_roundtrip(self, kind, seed):
         a = al.random_element(kind, random.Random(seed))
-        [back] = al._from_lanes(kind, [io.lane_from_json(kind, io.element_to_json(a))])
+        [back] = al._from_lanes(kind, [io.lane_from_json(kind, io.lane_to_json(a.value))])
         assert al.elements_equal(a, back, tol=1e-12)
 
 

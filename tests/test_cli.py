@@ -525,6 +525,75 @@ class TestEveryPointGated:
         assert "Traceback" not in r.output
 
 
+class TestEveryPointChecked:
+    """Each point of a points file is checked whole: a later point that breaks only
+    the rotation relations, or whose `torsion` label is not its residue, fails by
+    its index."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, run_cli, workdir):
+        base, tree = tmp_path_factory.mktemp("checked"), str(workdir / "tree.json")
+        for d, count in (("4", "2"), ("3", "3")):
+            r = run_cli(["--seed", "5", "--d", d, "sample-y", tree, "--count", count,
+                         "--torsion", "1", "--out", str(base / f"d{d}.json")])
+            assert r.exit_code == 0, r.output
+        # (1, 1, 2) and (2, 1, 1) share the middle index every balance sum filters on
+        doc = json.loads((base / "d4.json").read_text())
+        z = doc["points"][1]["coords"]["z"]
+        s = z[next(iter(z))]
+        s["1,1,2"][0] += 0.5
+        s["2,1,1"][0] -= 0.5
+        (base / "rotation.json").write_text(json.dumps(doc))
+        doc = json.loads((base / "d3.json").read_text())
+        assert doc["points"][2]["torsion"] == 1
+        doc["points"][2]["torsion"] = 2
+        (base / "label.json").write_text(json.dumps(doc))
+        return base
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_rotation_only_violation_of_a_later_point_exits_one(self, run_cli, workdir,
+                                                                files, command):
+        r = run_cli(["--d", "4", command, str(workdir / "tree.json"),
+                     str(files / "rotation.json")])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1, r.output
+        assert "check membership: FAIL" in r.stdout
+        assert "error: point 1: rotation relations fail\n" in r.stdout
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_wrong_label_of_a_later_point_exits_one(self, run_cli, workdir, files, command):
+        r = run_cli([command, str(workdir / "tree.json"), str(files / "label.json")])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1, r.output
+        assert "check torsion labels: FAIL" in r.stdout
+        assert "error: point 2: torsion label 2 is not the residue 1 of tor_prime\n" in r.stdout
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_honest_labels_add_no_report_line(self, run_cli, workdir, files, command):
+        r = run_cli([command, str(workdir / "tree.json"), str(files / "d3.json")])
+        assert r.exit_code == 0, r.output
+        assert "label" not in r.stdout
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_failing_tor_prime_of_a_later_point_names_it(self, run_cli, workdir, monkeypatch,
+                                                          command):
+        real, calls = cc.tor_prime, []
+
+        def tor_prime(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise cc.ParityFormsDisagree("the two parity forms disagree")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cc, "tor_prime", tor_prime)
+        r = run_cli([command, str(workdir / "tree.json"), str(workdir / "pts.json")])
+        assert r.exit_code == 1, r.output
+        assert "error: point 1: the two parity forms disagree\n" in r.stdout
+        assert "Traceback" not in r.output
+
+
 class TestCorfinal:
     def test_sampled_point_passes(self, run_cli, workdir):
         r = run_cli(["corfinal", str(workdir / "tree.json"),
@@ -621,8 +690,8 @@ class TestParityForms:
         v[rect][mid] = al.group_add(v[rect][mid], al.GroupElement(kind, shift))
         path = tmp_path / "off_chart.json"
         path.write_text(json.dumps(io.coords_to_json(as_member(otree, d, kind, v, c.z))))
-        [point] = io.coords_from_json(json.loads(path.read_text()), otree)
-        residual = al.distance(*cc._club_sides(otree, point, al.index_tables(d).i_zero))
+        [(point, _)] = io.coords_from_json(json.loads(path.read_text()), otree)
+        residual = al.lane_distance(kind, *cc._club_sides(otree, point, al.index_tables(d).i_zero))
         return otree, point, path, residual
 
     @pytest.mark.parametrize("case", PARITY_CASES)

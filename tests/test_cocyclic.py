@@ -111,6 +111,15 @@ def free_equal(f1, f2, tol=1e-9):
     return True
 
 
+def _holds(check, *args):
+    """Whether ``check(*args)`` returns without raising a `ValueError`."""
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
 class TestCheckers:
     def test_diamond_zero_true(self):
         for d in (2, 3, 4, 5):
@@ -135,20 +144,32 @@ class TestCheckers:
 
     def test_is_member_false_on_rotation_only_violation(self):
         rng = random.Random(40)
-        for kind in ("real", "zd:12"):
-            v, z = plain(cc.sample_y(TREE, 4, kind, rng))
-            t = min(TRACK.switch_ids)
-            # (1, 1, 2) and (2, 1, 1) share the middle index every balance sum filters on
+        t = min(TRACK.switch_ids)
+        for d, kind in itertools.product(range(4, 9), KINDS):
+            m = cc.sample_y(TREE, d, kind, rng)
+            v, z = plain(m)
+            # (1, 1, d-2) and (d-2, 1, 1) share the middle index every balance sum filters on
             bump = al.random_element(kind, rng)
-            z[t][(1, 1, 2)] = al.group_add(z[t][(1, 1, 2)], bump)
-            z[t][(2, 1, 1)] = al.group_sub(z[t][(2, 1, 1)], bump)
-            c = as_member(TREE, 4, kind, v, z)
-            assert all(cc.check_club(TREE, c, i) for i in al.index_tables(4).A)
+            z[t][(1, 1, d - 2)] = al.group_add(z[t][(1, 1, d - 2)], bump)
+            z[t][(d - 2, 1, 1)] = al.group_sub(z[t][(d - 2, 1, 1)], bump)
+            c = as_member(TREE, d, kind, v, z)
+            assert all(cc.check_club(TREE, c, i) for i in al.index_tables(d).A)
             with pytest.raises(ValueError, match="rotation relation"):
                 cc.check_diamond(TRACK, c.z, c.d)
             assert cc.is_member(TREE, c) is False
-            with pytest.raises(cc.MembershipError, match="rotation relations fail"):
+            with pytest.raises(cc.MembershipError, match="^rotation relations fail$"):
                 cc.require_member(TREE, c)
+            # the gate's lane check and the element oracle agree on either side of
+            # the bump, and on the point before it
+            gap = al.distance(bump, al.zero(kind))
+            for point, tol in itertools.product((c, unchecked(m)), (al.DEFAULT_TOL, gap / 2,
+                                                                    2 * gap)):
+                if math.isfinite(tol):
+                    oracle = _holds(cc.check_diamond, TRACK, point.z, d, tol)
+                    assert _holds(cc._require_rotation, cc.chart(TREE, d), kind, point.lanes,
+                                  tol) == oracle, (d, kind, tol)
+                    assert cc.is_member(TREE, point, tol) == oracle, (d, kind, tol)
+            assert cc.is_member(TREE, unchecked(m)) and _holds(cc.check_diamond, TRACK, m.z, d)
 
     def test_is_member_false_on_balance_only_violation(self):
         rng = random.Random(41)
@@ -204,7 +225,7 @@ class TestCheckers:
             for i in pairs:
                 for trial in range(20):
                     c = random_coords(d, "real", rng, rotated=True)
-                    lhs, rhs = cc._club_sides(TREE, c, i)
+                    lhs, rhs = al._from_lanes("real", cc._club_sides(TREE, c, i))
                     v, z = plain(c)
                     v[r0][i[0] - 1] = al.group_add(v[r0][i[0] - 1], al.group_sub(rhs, lhs))
                     c = as_member(TREE, d, "real", v, z)
@@ -226,7 +247,7 @@ class TestCheckers:
         z[t_fix][j_fix] = al.group_add(z[t_fix][j_fix], al.group_sub(lhs, rhs))
         c = as_member(TREE, d, "real", v, z)
         assert cc.check_spade(c, i)
-        lhs, rhs = cc._club_sides(TREE, c, i)
+        lhs, rhs = al._from_lanes("real", cc._club_sides(TREE, c, i))
         r0 = min(r for r in CLS.u_right if r in FREE_RECTS)
         v[r0][i[0] - 1] = al.group_add(v[r0][i[0] - 1], al.group_sub(rhs, lhs))
         c = as_member(TREE, d, "real", v, z)
@@ -610,15 +631,15 @@ class TestInversePlan:
         sides = 2 * len(cc.chart(TREE, d).balance)
         assert len(lane_work.plans) == 2 and lane_work.plans[0] is plan.steps
         assert len(lane_work.plans[1]) == sides
-        # the output is lanes: only the balance sides are compared as elements
-        assert lane_work.from_lanes == [sides]
+        # the output is lanes, and the balance sides are compared as lanes
+        assert lane_work.from_lanes == []
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_warm_round_trip_builds_no_slot_element_until_a_view_is_read(self, kind, lane_work):
-        # drawing, inverting and reading back a point build elements only for the
-        # gate's balance sides, tor_prime's forms (i2_forward's epsilon) and three
-        # d-torsion checks; each view's elements are built from the lanes on its
-        # first read, all at once, and kept
+        # drawing, inverting and reading back a point build elements only for
+        # tor_prime's value (i2_forward's epsilon) and three d-torsion checks; each
+        # view's elements are built from the lanes on its first read, all at once,
+        # and kept
         d, rng = 6, random.Random(72)
         anchors = cc.default_anchors(TREE, d)
         eps = al.torsion_element(kind, d, 1)
@@ -629,8 +650,7 @@ class TestInversePlan:
         free = cc.random_free(TREE, d, kind, rng, anchors)
         c = cc.i2_inverse(TREE, free, eps, anchors)
         back, _ = cc.i2_forward(TREE, c, anchors)
-        forms = cc.recorded_rows(TREE, d, cc._tor_forms, anchors)
-        assert lane_work.from_lanes == [2 * len(cc.chart(TREE, d).balance), len(forms)]
+        assert lane_work.from_lanes == [1]
         slots = len(cc.free_layout(TREE, d, anchors).slots)
         # i2_inverse's epsilon, tor_prime and its `TorsionValue`: d * x and zero each
         assert len(lane_work.built) - built == 3 * 2
@@ -718,7 +738,9 @@ class TestInversePlan:
 
     def test_inverse_runs_no_rotation_check(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(cc, "check_diamond", lambda *args: calls.append(args))
+        real = cc._require_rotation
+        monkeypatch.setattr(cc, "_require_rotation",
+                            lambda *args: calls.append(args) or real(*args))
         rng = random.Random(73)
         for d in range(2, 9):
             for kind in KINDS:
@@ -805,7 +827,7 @@ class TestInversePlan:
         # the rows run in one pass; after an overflow the pairs are run again in
         # order, so a failing pair before the overflowing one is still named
         balance = {(1, 2): (((1, 0),), ((1, 1),)), (2, 1): (((1, 2), (1, 2)), ((1, 0),))}
-        ch = cc.Chart(3, (), (), {}, balance)
+        ch = cc.Chart(3, (), (), {}, balance, ((), ()))
         with pytest.raises(cc.MembershipError, match=f"^balance equation {re.escape(message)}$"):
             cc._require_balance(ch, "real", (1.0, first, 1e308), al.DEFAULT_TOL)
         cc._require_balance(ch, "real", (1.0, 1.0, 0.5), al.DEFAULT_TOL)
@@ -1057,7 +1079,8 @@ class TestSerialization:
             for kind in KINDS:
                 c = cc.sample_y(TREE, d, kind, rng)
                 blob = json.dumps(io.coords_to_json(c))
-                [back] = io.coords_from_json(json.loads(blob), TREE)
+                [(back, label)] = io.coords_from_json(json.loads(blob), TREE)
+                assert label is None
                 tol = 0.0 if kind == "zd:12" else 1e-12
                 assert back.d == c.d and back.kind == c.kind
                 assert coords_equal(c, back, tol)
@@ -1069,9 +1092,34 @@ class TestSerialization:
         doc = json.loads(json.dumps(io.coords_to_json(m)))
         lane_work.built.clear()
         lane_work.from_lanes.clear()
-        [back] = io.coords_from_json(doc, TREE)
+        [(back, _)] = io.coords_from_json(doc, TREE)
         assert lane_work.built == [] and lane_work.from_lanes == []
         assert repr(back.lanes) == repr(m.lanes)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_decoding_gating_and_encoding_a_point_build_no_element(self, kind, lane_work):
+        # a file's point is read, checked and written back on its lanes alone
+        m = cc.sample_y(TREE, 6, kind, random.Random(39))
+        label = al.snap_torsion(cc.tor_prime(TREE, m).value, 6)[0]
+        doc = json.loads(json.dumps({"d": 6, "group": kind, "seed": 0, "count": 1,
+                                     "points": [{"torsion": label,
+                                                 "coords": io.coords_to_json(m)}]}))
+        lane_work.built.clear()
+        lane_work.from_lanes.clear()
+        [(back, got)] = io.coords_from_json(doc, TREE)
+        gated = cc.require_member(TREE, back, al.MEMBER_TOL)
+        written = io.coords_to_json(gated)
+        assert lane_work.built == [] and lane_work.from_lanes == []
+        assert got == label and gated is not back and gated.tol == al.MEMBER_TOL
+        assert written == doc["points"][0]["coords"]
+
+    def test_rotation_table_is_one_slot_pair_per_rotation_pair(self):
+        for d in (3, 5, 8):
+            ch, pairs = cc.chart(TREE, d), cc.rotation_pairs(TRACK, d)
+            assert ch.rotation == tuple(zip(*[(ch.slot[t, j], ch.slot[tp, jp])
+                                              for t, j, tp, jp in pairs]))
+            # one pair per z slot: the table grows as the slots do
+            assert len(ch.rotation[0]) == len(TRACK.switch_ids) * len(al.index_tables(d).B)
 
     def test_document_shape(self):
         c = cc.sample_y(TREE, 3, "real", random.Random(35))
@@ -1089,7 +1137,7 @@ class TestSerialization:
                              + [("cylinder", 16)])
     def test_decoded_point_is_the_slot_vector(self, kind, d):
         m = cc.sample_y(TREE, d, kind, random.Random(37 + d))
-        [back] = io.coords_from_json(json.loads(json.dumps(io.coords_to_json(m))), TREE)
+        [(back, _)] = io.coords_from_json(json.loads(json.dumps(io.coords_to_json(m))), TREE)
         assert isinstance(back, cc.Member) and back.tree is TREE and back.tol == math.inf
         gated = cc.require_member(TREE, back, al.MEMBER_TOL)
         assert repr(gated.lanes) == repr(m.lanes)
