@@ -171,10 +171,12 @@ def cyclic(n: int, residue: int) -> GroupElement:
     return GroupElement(f"zd:{n}", residue)
 
 
+def zero_lane(kind: str):
+    return (0.0, 0.0) if kind == "cylinder" else normalize(kind, 0)
+
+
 def zero(kind: str) -> GroupElement:
-    if kind == "cylinder":
-        return GroupElement(kind, (0.0, 0.0))
-    return GroupElement(kind, 0)
+    return GroupElement(kind, zero_lane(kind))
 
 
 def _require_same_kind(a: GroupElement, b: GroupElement):
@@ -335,10 +337,12 @@ def is_zero(a: GroupElement, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_d_torsion(a: GroupElement, d: int, tol: float = DEFAULT_TOL) -> bool:
-    """True iff d*a is the identity (exact for cyclic kinds)."""
+    """The one d-torsion rule: ``a`` lies within ``tol`` of the lattice by `snap_torsion`;
+    for "zd:<n>" exactly, d * a = 0 mod n."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return is_zero(int_scale(d, a), tol)
+    n = _modulus(a.kind)
+    return snap_torsion(a, d)[1] <= tol if n is None else d * a.value % n == 0
 
 
 def torsion_element(kind: str, d: int, k: int = 1) -> GroupElement:
@@ -422,21 +426,23 @@ def format_log(e: GroupElement) -> str:
 
 def snap_torsion(e: GroupElement, d: int) -> Tuple[int, float]:
     """Snap ``e`` to the d-torsion lattice point 2*pi*k/d i nearest its cylinder image;
-    returns ``(k, distance to that point)``."""
-    c = to_cylinder(e)
-    k = round(d * c.value[1] / TWO_PI) % d
-    return k, distance(c, cylinder(0.0, TWO_PI * k / d))
+    returns ``(k, distance to that point)``, on lanes."""
+    c = cylinder_lane(e.kind, e.value)
+    k = round(d * c[1] / TWO_PI) % d
+    return k, lane_distance("cylinder", c, (0.0, _norm_angle(TWO_PI * k / d)))
 
 
 class TorsionValue:
-    """An element checked to be d-torsion (to MEMBER_TOL for the float kinds); read-only."""
+    """An element checked to be d-torsion at ``tol`` by `is_d_torsion`, with ``residue``
+    and ``residual``, its lattice point's k and distance by `snap_torsion`; read-only."""
 
     __setattr__ = __delattr__ = frozen_attribute
 
-    def __init__(self, value: GroupElement, d: int):
-        if not is_d_torsion(value, d, MEMBER_TOL):
+    def __init__(self, value: GroupElement, d: int, tol: float = MEMBER_TOL):
+        if not is_d_torsion(value, d, tol):
             raise ValueError(f"element is not {d}-torsion: {value}")
-        vars(self).update(value=value, d=d)
+        residue, residual = snap_torsion(value, d)
+        vars(self).update(value=value, d=d, residue=residue, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ starts, so the wall time counts only its own work.  Beside `algebra` and
 - `selftest` loads the chart modules and `obstruction`.
 
 The helpers the commands share (`oriented_tree_for`, `load_member`,
-`check_labels`) import the same layers again, which after the command's own
+`point_tor`) import the same layers again, which after the command's own
 import only looks them up.
 
 The parser is `argparse`, and no module builds a dataclass, so no command
@@ -94,9 +94,9 @@ class Report:
             print(f"wall time: {wall_ms:.1f} ms")
         return 1 if failed else 0
 
-    def fail(self, name: str, err, as_json: bool) -> NoReturn:
+    def fail(self, name: str, err, as_json: bool, residual: Optional[float] = None) -> NoReturn:
         """Record a failed check and its error, print the report and exit 1."""
-        self.check(name, False)
+        self.check(name, False, residual)
         self.value("error", str(err))
         sys.exit(self.finish(as_json))
 
@@ -306,11 +306,16 @@ def sample_y(cfg, path, count, torsion_k, out):
     sys.exit(report.finish(cfg["json"]))
 
 
+def _at(n: int, err) -> str:
+    """The error ``err`` of point ``n``, prefixed `point <n>: ` after the first point."""
+    return f"point {n}: {err}" if n else str(err)
+
+
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
     """Load a track, its oriented tree and a coords file; exit 1 unless every point is
-    a member (naming a failing later point's index), else return the tree and each
-    point as a checked `cocyclic.Member` with its `torsion` label (None for a bare
-    coords document).
+    a member (naming a failing point by `_at`), else return the tree and each point
+    as a checked `cocyclic.Member` with its `torsion` label (None for a bare coords
+    document).
 
     A track without a stored tree gets the tree `sample-y` drew the points on:
     the one of the seed a points file records, or of --seed for a bare coords
@@ -332,73 +337,74 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
         try:
             points[n] = cc.require_member(otree, c, cfg["member_tol"]), label
         except cc.MembershipError as err:
-            report.fail("membership", f"point {n}: {err}" if n else err, cfg["json"])
+            report.fail("membership", _at(n, err), cfg["json"])
     report.check("membership", True)
     return otree, points
 
 
-def check_labels(cfg, report: Report, otree, points, tor) -> None:
-    """Exit 1 naming the first point whose `torsion` label is not the residue of its
-    tor', or whose tor' fails; ``tor`` is the first point's, computed already.  The
-    point of a bare coords document carries no label."""
+def point_tor(cfg, report: Report, otree, n: int, c, label, check: str):
+    """The tor′ of point ``n``, ``c``, at the member tolerance; exit 1 naming the point
+    (`_at`) if it fails (the check ``check``), or if ``label`` is not its residue (the
+    `torsion labels` check).  The point of a bare coords document carries no label."""
     from . import cocyclic as cc
 
-    for n, (c, label) in enumerate(points):
-        try:
-            value = (cc.tor_prime(otree, c, tol=cfg["member_tol"]) if n else tor).value
-        except ValueError as err:
-            report.fail("torsion labels", f"point {n}: {err}", cfg["json"])
-        k = al.snap_torsion(value, c.d)[0]
-        if label is not None and k != label:
-            report.fail("torsion labels", f"point {n}: torsion label {label} is not the "
-                        f"residue {k} of tor_prime", cfg["json"])
+    try:
+        tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
+    except ValueError as err:
+        report.fail(check, _at(n, err), cfg["json"])
+    if label is not None and tor.residue != label:
+        report.fail("torsion labels", _at(n, f"torsion label {label} is not the residue "
+                                             f"{tor.residue} of tor_prime"), cfg["json"])
+    return tor
 
 
 @command(arg("track_path"), arg("coords_path"))
 def torsion(cfg, track_path, coords_path):
     """Print the torsion invariant and its residue for a member point."""
-    from . import cocyclic as cc
+    from . import cocyclic  # noqa: F401 (`point_tor` runs it; loaded before the report starts)
 
     report = Report("torsion", cfg["seed"])
     otree, points = load_member(cfg, report, track_path, coords_path)
-    c = points[0][0]
-    try:
-        tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
-    except ValueError as err:
-        report.fail("torsion lattice", err, cfg["json"])
-    k, err = al.snap_torsion(tor.value, c.d)
-    report.check("torsion lattice", err <= cfg["member_tol"], err)
-    check_labels(cfg, report, otree, points, tor)
-    report.value("tor_prime", al.format_log(tor.value))
-    report.value("residue", k)
+    tors = [point_tor(cfg, report, otree, n, c, label, "torsion lattice")
+            for n, (c, label) in enumerate(points)]
+    report.check("torsion lattice", True, max(tor.residual for tor in tors))
+    report.value("tor_prime", al.format_log(tors[0].value))
+    report.value("residue", tors[0].residue)
     sys.exit(report.finish(cfg["json"]))
 
 
 @command(arg("track_path"), arg("coords_path"))
 def corfinal(cfg, track_path, coords_path):
     """Compare the boundary-product ledger with its closed form and tor'."""
-    from . import cocyclic as cc
     from . import slither as sl
 
     report = Report("corfinal", cfg["seed"])
     otree, points = load_member(cfg, report, track_path, coords_path)
-    c = points[0][0]
-    tol = cfg["tol"]
-    try:
-        total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
-    except ValueError as err:
-        report.fail("ledger vs closed form", err, cfg["json"])
-    gap_form = al.distance(total, sl.closed_form_total(otree, c))
-    report.check("ledger vs closed form", gap_form <= tol, gap_form)
-    try:
-        tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
-        gap_tor = al.distance(sl.ob_from_product(total, c.d).value, al.to_cylinder(tor.value))
-    except ValueError as err:
-        report.fail("negated total vs tor_prime", err, cfg["json"])
-    report.check("negated total vs tor_prime", gap_tor <= tol, gap_tor)
-    check_labels(cfg, report, otree, points, tor)
-    report.value("total", al.format_log(total))
-    report.value("tor_prime", al.format_log(tor.value))
+    ledger, negated = "ledger vs closed form", "negated total vs tor_prime"
+    tol, worst = cfg["tol"], {ledger: 0.0, negated: 0.0}
+    for n, (c, label) in enumerate(points):
+        try:
+            total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
+        except ValueError as err:
+            report.fail(ledger, _at(n, err), cfg["json"])
+        tor = point_tor(cfg, report, otree, n, c, label, negated)
+        try:
+            ob_value = sl.ob_from_product(total, c.d, cfg["member_tol"])
+        except ValueError as err:
+            report.fail(negated, _at(n, err), cfg["json"])
+        gaps = {ledger: al.distance(total, sl.closed_form_total(otree, c)),
+                negated: al.distance(ob_value.value, al.to_cylinder(tor.value))}
+        for name, gap in gaps.items():
+            if not gap <= tol:
+                report.fail(name, _at(n, f"residual {gap:.3g} is above the tolerance {tol:.3g}"),
+                            cfg["json"], gap)
+            worst[name] = max(worst[name], gap)
+        if not n:
+            first = total, tor
+    for name, gap in worst.items():
+        report.check(name, True, gap)
+    report.value("total", al.format_log(first[0]))
+    report.value("tor_prime", al.format_log(first[1].value))
     sys.exit(report.finish(cfg["json"]))
 
 

@@ -145,16 +145,11 @@ def _check_anchors(tree: OrientedTree, anchors: Anchors) -> None:
 # -- the rotation relation -----------------------------------------------------
 
 
-def rotation_pairs(track: TrainTrack, d: int):
-    """(t, j, t+, rot+ j) for every switch t, plaque by plaque, and triple index j,
-    built once per (track, d)."""
-    return memo(track, "rotation_pairs", _record_rotation_pairs, d)
-
-
-def _record_rotation_pairs(track: TrainTrack, d: int):
-    tables = al.index_tables(d)
-    return tuple((t, j, pl.plus(t), al.rot_plus(j))
-                 for pl in track.plaques for t in pl.switches_ccw for j in tables.B)
+def rotation_pairs(track: TrainTrack, d: int) -> list:
+    """(t, j, t+, rot+ j) for every switch t, plaque by plaque, and triple index j."""
+    b = al.index_tables(d).B
+    return [(t, j, pl.plus(t), al.rot_plus(j))
+            for pl in track.plaques for t in pl.switches_ccw for j in b]
 
 
 def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_TOL) -> None:
@@ -171,17 +166,19 @@ def check_diamond(track: TrainTrack, z: ZField, d: int, tol: float = al.DEFAULT_
 class Chart(NamedTuple):
     """The numbering of a point's slots on one tree at one d, built once by `chart`.
 
-    ``slot`` numbers each key in order: (r, k) for v[r][k], for each rectangle r off
-    the tree (``rects``, in id order) and k < d-1; then (t, j) for z[t][j], for each
-    switch t (``switches``, in id order) and j in ``index_tables(d).B``.  ``balance``
-    maps each pair index to the (lhs, rhs) rows of its balance equation; ``rotation``
-    holds (left slots, right slots) of the rotation relations, in `rotation_pairs` order.
+    Of its ``size`` slots, v[r][k] is ``v_start[r] + k`` for each rectangle r off the
+    tree and k < d-1, then z[t][j] is ``z_start[t] + z_offset[j]`` for each switch t and
+    j in ``index_tables(d).B``, the blocks in id order.
+    ``balance`` maps each pair index to the (lhs, rhs) rows of its balance equation;
+    ``rotation`` holds (left slots, right slots) of the rotation relations, in
+    `rotation_pairs` order.
     """
 
     d: int
-    rects: Tuple[int, ...]
-    switches: Tuple[int, ...]
-    slot: Mapping[Tuple[int, object], int]
+    v_start: Mapping[int, int]
+    z_start: Mapping[int, int]
+    z_offset: Mapping[TripleIndex, int]
+    size: int
     balance: Mapping[PairIndex, Tuple[al.Row, al.Row]]
     rotation: Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -194,26 +191,28 @@ def chart(tree: OrientedTree, d: int) -> Chart:
 def _record_chart(tree: OrientedTree, d: int) -> Chart:
     tables = al.index_tables(d)
     cls = classify(tree)
-    rects = tuple(sorted(r.id for r in tree.track.rects if r.id not in tree.edges))
-    switches = tuple(sorted(tree.track.switch_ids))
-    keys = ([(r, k) for r in rects for k in range(d - 1)]
-            + [(t, j) for t in switches for j in tables.B])
-    slot = {key: s for s, key in enumerate(keys)}
-    balance = {i: (tuple((n, slot[r, k - 1]) for n, side in ((1, cls.u_right), (-1, cls.u_left))
+    n, nb = d - 1, len(tables.B)
+    rects = sorted(r.id for r in tree.track.rects if r.id not in tree.edges)
+    v_start = {r: n * q for q, r in enumerate(rects)}
+    z_start = {t: n * len(rects) + nb * q for q, t in enumerate(sorted(tree.track.switch_ids))}
+    z_offset = {j: q for q, j in enumerate(tables.B)}
+    balance = {i: (tuple((m, v_start[r] + k - 1) for m, side in ((1, cls.u_right), (-1, cls.u_left))
                          for r in side for k in i),
-                   tuple((n, slot[t, j]) for n, side, mid in ((1, cls.s_left, i[1]),
-                                                              (-1, cls.s_right, i[0]))
+                   tuple((m, z_start[t] + z_offset[j]) for m, side, mid in ((1, cls.s_left, i[1]),
+                                                                          (-1, cls.s_right, i[0]))
                          for t in side for j in tables.B if j[1] == mid))
                for i in tables.A}
-    rotation = tuple(zip(*[(slot[t, j], slot[tp, jp])
-                           for t, j, tp, jp in rotation_pairs(tree.track, d)])) or ((), ())
-    return Chart(d, rects, switches, slot, balance, rotation)
+    turned = [z_offset[al.rot_plus(j)] for j in tables.B]
+    ends = [(z_start[t], z_start[pl.plus(t)]) for pl in tree.track.plaques for t in pl.switches_ccw]
+    rotation = (tuple(s + q for s, _ in ends for q in range(nb)),
+                tuple(p + q for _, p in ends for q in turned))
+    return Chart(d, v_start, z_start, z_offset, n * len(rects) + nb * len(z_start), balance, rotation)
 
 
 def _slots(ch: Chart, v, z) -> tuple:
     """The values of ``v`` and ``z`` in the slot order of ``ch``."""
-    return tuple([v[r][k] for r in ch.rects for k in range(ch.d - 1)]
-                 + [z[t][j] for t in ch.switches for j in al.index_tables(ch.d).B])
+    return tuple([v[r][k] for r in ch.v_start for k in range(ch.d - 1)]
+                 + [z[t][j] for t in ch.z_start for j in ch.z_offset])
 
 
 def lanes_on(tree: OrientedTree, c: Member) -> tuple:
@@ -221,7 +220,7 @@ def lanes_on(tree: OrientedTree, c: Member) -> tuple:
     chart numbers the same slots (the same rectangles off the tree and switches)."""
     if c.tree is not tree:
         ch, own = chart(tree, c.d), chart(c.tree, c.d)
-        if (ch.rects, ch.switches) != (own.rects, own.switches):
+        if (ch.v_start, ch.z_start) != (own.v_start, own.z_start):
             raise MembershipError("the point's rectangles or switches are not the chart's")
     return c.lanes
 
@@ -243,10 +242,11 @@ def check_spade(c: Member, i: PairIndex, tol: float = al.DEFAULT_TOL) -> bool:
 
 
 def _slot_name(ch: Chart, s: int) -> str:
-    at, index = list(ch.slot)[s]
-    if s < (ch.d - 1) * len(ch.rects):
-        return f"rectangle {at}, pair index {al.index_tables(ch.d).A[index]}"
-    return f"switch {at}, index {index}"
+    v, z = slot_views(ch, range(ch.size))
+    for r, vec in v.items():
+        if s in vec:
+            return f"rectangle {r}, pair index {al.index_tables(ch.d).A[vec.index(s)]}"
+    return next(f"switch {t}, index {j}" for t, vec in z.items() for j, x in vec.items() if x == s)
 
 
 def _require_balance(ch: Chart, kind: str, lanes, tol: float) -> None:
@@ -280,11 +280,9 @@ def _require_rotation(ch: Chart, kind: str, lanes, tol: float) -> None:
 def slot_views(ch: Chart, vals) -> tuple:
     """Read-only v and z views of ``vals``, a point's slots in the order of ``ch``;
     over ``range`` they name each slot by its number, as the recorders read them."""
-    n, b = ch.d - 1, al.index_tables(ch.d).B
-    nb, z0 = len(b), n * len(ch.rects)
-    v = {r: vals[n * q:n * q + n] for q, r in enumerate(ch.rects)}
-    z = {t: MappingProxyType(dict(zip(b, vals[z0 + nb * q:z0 + nb * q + nb])))
-         for q, t in enumerate(ch.switches)}
+    n, nb = ch.d - 1, len(ch.z_offset)
+    v = {r: vals[s:s + n] for r, s in ch.v_start.items()}
+    z = {t: MappingProxyType(dict(zip(ch.z_offset, vals[s:s + nb]))) for t, s in ch.z_start.items()}
     return MappingProxyType(v), MappingProxyType(z)
 
 
@@ -330,13 +328,14 @@ def is_member(tree: OrientedTree, c: Member, tol: float = al.DEFAULT_TOL) -> boo
 
 def recorded_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
     """The rows of ``formula(tree, d, v, z, *args)``, signed term lists over a point's
-    v and z, run once per (tree, d, formula, args) over the slot numbers of `chart`."""
-    return memo(tree, "recorded_rows", _record_rows, d, formula, *args)
+    v and z, `slot_rows` kept once per (tree, d, formula, args)."""
+    return memo(tree, "recorded_rows", slot_rows, d, formula, *args)
 
 
-def _record_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
+def slot_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
+    """The rows of ``formula(tree, d, v, z, *args)``, run over the slot numbers of `chart`."""
     ch = chart(tree, d)
-    return tuple(map(tuple, formula(tree, d, *slot_views(ch, range(len(ch.slot))), *args)))
+    return tuple(map(tuple, formula(tree, d, *slot_views(ch, range(ch.size)), *args)))
 
 
 def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms]:
@@ -366,10 +365,7 @@ def tor_prime(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
     val, *right = al.run(kind, recorded_rows(tree, d, _tor_forms, anchors), c.lanes)
     if right and not al.lane_distance(kind, val, right[0]) <= tol:
         raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
-    [val] = al._from_lanes(kind, [val])
-    if not al.is_d_torsion(val, d, tol):
-        raise ValueError(f"torsion invariant is not {d}-torsion: {val}")
-    return TorsionValue(value=val, d=d)
+    return TorsionValue(al._from_lanes(kind, [val])[0], d, tol)
 
 
 # -- parametrization -----------------------------------------------------------
@@ -437,17 +433,17 @@ def _build_free_layout(tree: OrientedTree, d: int, anchors: Anchors) -> FreeLayo
     _check_anchors(tree, anchors)
     tables = al.index_tables(d)
     track = tree.track
-    slot = chart(tree, d).slot
+    ch = chart(tree, d)
     solved = set(tables.B_dprime) | {tables.j_prime}  # the anchor plaque's solved slots
     rects = tuple(r.id for r in track.rects if r.id not in tree.edges and r.id != anchors.r_bar)
     # at d=2 the lone anchor slot is spent on the torsion invariant instead
     pairs = () if d == 2 else tuple(i for i in tables.A if i not in tables.A_prime)
     plaques = tuple(pl.id for pl in track.plaques if pl.id != anchors.t_bar)
     triples = tuple(j for j in tables.B if j not in solved)
-    slots = ([slot[r, k] for r in rects for k in range(d - 1)]
-             + [slot[anchors.r_bar, i[0] - 1] for i in pairs]
-             + [slot[anchors.reps[p], j] for p in plaques for j in tables.B]
-             + [slot[anchors.reps[anchors.t_bar], j] for j in triples])
+    slots = ([ch.v_start[r] + k for r in rects for k in range(d - 1)]
+             + [ch.v_start[anchors.r_bar] + i[0] - 1 for i in pairs]
+             + [ch.z_start[anchors.reps[p]] + q for p in plaques for q in ch.z_offset.values()]
+             + [ch.z_start[anchors.reps[anchors.t_bar]] + ch.z_offset[j] for j in triples])
     return FreeLayout(d, rects, pairs, plaques, triples, tuple(slots))
 
 

@@ -342,8 +342,9 @@ def solve_tree(
                       else f"rectangle {plan.rects[q // n - len(switches)]}")
     out = al.run(kind, plan.steps + plan.last, lanes)
     first = len(plan.steps)
-    defect = [al.group_neg(x) for x in al._from_lanes(kind, out[first:])]
-    if not ga_is_zero(defect, tol):
-        raise SolvabilityViolated(f"balance defect {[lane_to_json(x.value) for x in defect]}")
+    zero = al.zero_lane(kind)
+    if not all(al.lane_distance(kind, x, zero) <= tol for x in out[first:]):
+        defect = [al.group_neg(x).value for x in al._from_lanes(kind, out[first:])]
+        raise SolvabilityViolated(f"balance defect {list(map(lane_to_json, defect))}")
     solved = al._from_lanes(kind, out[:first])
     return {rid: tuple(solved[n * q:n * q + n]) for q, rid in enumerate(plan.solved)}

@@ -181,11 +181,11 @@ def _key_table(tree, d: int) -> dict:
     first slot in `cocyclic.chart`, and each canonical index key's offset from it."""
     from .cocyclic import chart
 
-    ch, n, b = chart(tree, d), d - 1, al.index_tables(d).B
-    return {"v": ({str(r): n * q for q, r in enumerate(ch.rects)},
-                  {str(i + 1): i for i in range(n)}),
-            "z": ({str(t): n * len(ch.rects) + len(b) * q for q, t in enumerate(ch.switches)},
-                  {",".join(map(str, j)): q for q, j in enumerate(b)})}
+    ch = chart(tree, d)
+    return {"v": ({str(r): s for r, s in ch.v_start.items()},
+                  {str(i[0]): k for k, i in enumerate(al.index_tables(d).A)}),
+            "z": ({str(t): s for t, s in ch.z_start.items()},
+                  {",".join(map(str, j)): q for j, q in ch.z_offset.items()})}
 
 
 def _refuse(part: str, key: str, d: int):
@@ -207,7 +207,7 @@ def _coords(doc, tree):
         if got != want:
             raise ValueError(f"{label} ids do not match the track: "
                              f"missing {sorted(want - got)}, unknown {sorted(got - want)}")
-    lanes = [None] * len(chart(tree, d).slot)
+    lanes = [None] * chart(tree, d).size
     for part, label, index in (("v", "rectangle", "pair"), ("z", "switch", "triple")):
         starts, offsets = table[part]
         for at, vec in doc[part].items():

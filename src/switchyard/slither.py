@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GroupElement, TorsionValue, memo, to_cylinder
-from .cocyclic import Member, chart, lanes_on, recorded_rows, require_member, slot_views
+from .cocyclic import Member, chart, lanes_on, require_member, slot_rows, slot_views
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -200,7 +200,7 @@ def ledger_row(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
 
 def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
     ch = chart(tree, d)
-    v, z = slot_views(ch, range(len(ch.slot)))
+    v, z = slot_views(ch, range(ch.size))
     pi, root = 0, {}
     total: Dict[int, int] = {}  # chart slot -> coefficient
     for _, _, _, row in _ledger_steps(tree, (d + 1) // 2, d, v, z):
@@ -263,12 +263,12 @@ def closed_form_total(tree: OrientedTree, c: Member) -> GroupElement:
 def _record_closed_form(tree: OrientedTree, d: int) -> Tuple[Tuple[int, ...], Tuple[al.Row]]:
     """The closed form's recorded row as ``(slots, rows)``, built once per (tree, d):
     term q of the one row reads lane q, the cylinder image of slot ``slots[q]``."""
-    row, = recorded_rows(tree, d, _closed_form)
+    row, = slot_rows(tree, d, _closed_form)
     return tuple(s for _, s in row), (tuple((n, q) for q, (n, _) in enumerate(row)),)
 
 
-def ob_from_product(total: GroupElement, d: int) -> TorsionValue:
-    return TorsionValue(value=al.group_neg(to_cylinder(total)), d=d)
+def ob_from_product(total: GroupElement, d: int, tol: float = al.MEMBER_TOL) -> TorsionValue:
+    return TorsionValue(al.group_neg(to_cylinder(total)), d, tol)
 
 
 def cube_root_invariance(tree: OrientedTree, c: Member,

@@ -426,7 +426,7 @@ class TestSampleAndTorsion:
     def test_near_tolerance_point_fails_cleanly(self, run_cli, workdir, tmp_path,
                                                 command, shift, tolerance):
         """A point inside the CLI's membership tolerance but off the exact chart
-        is reported, never a traceback."""
+        is reported, passing or failing, never with a traceback."""
         doc = json.loads((workdir / "pts.json").read_text())
         coords = doc["points"][0]["coords"]
         switch = next(iter(coords["z"]))
@@ -436,8 +436,29 @@ class TestSampleAndTorsion:
         bad.write_text(json.dumps(coords))
         opts = [] if tolerance is None else ["--tolerance", tolerance]
         r = run_cli([*opts, command, str(workdir / "tree.json"), str(bad)])
-        assert isinstance(r.exception, SystemExit), repr(r.exception)
-        assert r.exit_code in (0, 1)
+        assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code in (0, 1) and "Traceback" not in r.output
+
+    def test_near_tolerance_point_is_measured_by_the_lattice_rule(self, run_cli, workdir,
+                                                                  tmp_path):
+        # 5e-8 on one z real part: tor' is 5e-8 from the lattice, inside the member
+        # tolerance, so `torsion` passes; the ledger and the closed form then differ
+        # by 1e-7, above the default tolerance, so `corfinal` fails
+        doc = json.loads((workdir / "pts.json").read_text())
+        coords = doc["points"][0]["coords"]
+        z = coords["z"][next(iter(coords["z"]))]
+        z[next(iter(z))][0] += 5e-8
+        near = tmp_path / "near.json"
+        near.write_text(json.dumps(coords))
+        r = run_cli(["torsion", str(workdir / "tree.json"), str(near)])
+        assert r.exit_code == 0 and r.exception is None, r.output
+        assert "check torsion lattice: pass residual=5e-08\n" in r.stdout
+        assert "FAIL" not in r.output
+        r = run_cli(["corfinal", str(workdir / "tree.json"), str(near)])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "check ledger vs closed form: FAIL residual=1e-07\n" in r.stdout
+        assert "error: residual 1e-07 is above the tolerance 1e-09\n" in r.stdout
+        assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
     def test_huge_finite_point_fails_cleanly(self, run_cli, workdir, tmp_path, command):
@@ -592,6 +613,79 @@ class TestEveryPointChecked:
         assert r.exit_code == 1, r.output
         assert "error: point 1: the two parity forms disagree\n" in r.stdout
         assert "Traceback" not in r.output
+
+
+class TestOneTorsionRule:
+    """tor′ is d-torsion when its `algebra.snap_torsion` distance is within the
+    tolerance the CLI passes, and `torsion` and `corfinal` run every check on every
+    point, each reporting its worst residual over the file."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, workdir):
+        base = tmp_path_factory.mktemp("rule")
+        # every z angle of point 0 turned by 1e-7: tor' is 4e-7 from the lattice,
+        # 3 * tor' 1.2e-6 from zero
+        doc = json.loads((workdir / "pts.json").read_text())
+        for vec in doc["points"][0]["coords"]["z"].values():
+            for value in vec.values():
+                value[1] += 1e-7
+        (base / "turned.json").write_text(json.dumps(doc))
+        # point 1's first z real part moved by 5e-8: a member whose ledger is off
+        doc = json.loads((workdir / "pts.json").read_text())
+        z = doc["points"][1]["coords"]["z"]
+        s = z[next(iter(z))]
+        s[next(iter(s))][0] += 5e-8
+        (base / "later.json").write_text(json.dumps(doc))
+        return base
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_torsion_is_checked_at_the_tolerance_passed(self, run_cli, workdir, files,
+                                                        command):
+        r = run_cli(["--tolerance", "1e-5", command, str(workdir / "tree.json"),
+                     str(files / "turned.json")])
+        assert r.exit_code == 0 and r.exception is None, r.output
+        assert "FAIL" not in r.output
+        if command == "torsion":
+            assert "check torsion lattice: pass residual=4e-07\n" in r.stdout
+            assert "residue: 1\n" in r.stdout
+        # at the default tolerance the turned point is not a member
+        r = run_cli([command, str(workdir / "tree.json"), str(files / "turned.json")])
+        assert r.exit_code == 1, r.output
+        assert "check membership: FAIL" in r.stdout and "Traceback" not in r.output
+
+    def test_a_later_point_fails_the_ledger_by_its_index(self, run_cli, workdir, files):
+        r = run_cli(["corfinal", str(workdir / "tree.json"), str(files / "later.json")])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1, r.output
+        assert "check ledger vs closed form: FAIL residual=1e-07\n" in r.stdout
+        assert "error: point 1: residual 1e-07 is above the tolerance 1e-09\n" in r.stdout
+        assert "Traceback" not in r.output
+
+    def test_torsion_reports_the_worst_residual_of_the_file(self, run_cli, workdir, files):
+        # point 0's tor' is on the lattice to rounding, point 1's 5e-8 off it; the
+        # values printed are point 0's
+        r = run_cli(["torsion", str(workdir / "tree.json"), str(files / "later.json")])
+        assert r.exit_code == 0, r.output
+        assert "check torsion lattice: pass residual=5e-08\n" in r.stdout
+        one = run_cli(["torsion", str(workdir / "tree.json"), str(workdir / "pts.json")])
+        values = [[line for line in out.stdout.splitlines()
+                   if line.startswith(("tor_prime: ", "residue: "))] for out in (one, r)]
+        assert values[0] == values[1] and len(values[0]) == 2
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_every_point_is_measured(self, run_cli, workdir, monkeypatch, command):
+        from switchyard import slither as sl
+
+        calls = []
+        for mod, name in ((cc, "tor_prime"), (sl, "total_mid_log"), (sl, "closed_form_total")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *args, real=real, name=name, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
+        r = run_cli([command, str(workdir / "tree.json"), str(workdir / "pts.json")])
+        assert r.exit_code == 0, r.output
+        want = ["tor_prime"] if command == "torsion" else [
+            "total_mid_log", "tor_prime", "closed_form_total"]
+        assert sorted(calls) == sorted(want * 2)
 
 
 class TestCorfinal:

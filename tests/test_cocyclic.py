@@ -637,7 +637,7 @@ class TestInversePlan:
     @pytest.mark.parametrize("kind", KINDS)
     def test_warm_round_trip_builds_no_slot_element_until_a_view_is_read(self, kind, lane_work):
         # drawing, inverting and reading back a point build elements only for
-        # tor_prime's value (i2_forward's epsilon) and three d-torsion checks; each
+        # tor_prime's value (i2_forward's epsilon), and its d-torsion checks none; each
         # view's elements are built from the lanes on its first read, all at once,
         # and kept
         d, rng = 6, random.Random(72)
@@ -652,10 +652,10 @@ class TestInversePlan:
         back, _ = cc.i2_forward(TREE, c, anchors)
         assert lane_work.from_lanes == [1]
         slots = len(cc.free_layout(TREE, d, anchors).slots)
-        # i2_inverse's epsilon, tor_prime and its `TorsionValue`: d * x and zero each
-        assert len(lane_work.built) - built == 3 * 2
+        # i2_inverse's epsilon and tor_prime's `TorsionValue` are snapped on lanes
+        assert len(lane_work.built) - built == 0
         for point, view, size in ((free, "v_other", slots), (back, "z_anchor", slots),
-                                  (c, "z", len(cc.chart(TREE, d).slot))):
+                                  (c, "z", cc.chart(TREE, d).size)):
             lane_work.from_lanes.clear()
             assert getattr(point, view) is getattr(point, view)
             assert lane_work.from_lanes == [size], view
@@ -787,9 +787,9 @@ class TestInversePlan:
         orientable = next(r for r in layout.rects if r in CLS.orientable)
         plaque = layout.plaques[0]
         j = al.index_tables(d).B[0]
-        slot = cc.chart(TREE, d).slot
-        at = {"orientable v": layout.slots.index(slot[orientable, 0]),
-              "free z": layout.slots.index(slot[anchors.reps[plaque], j])}
+        ch = cc.chart(TREE, d)
+        at = {"orientable v": layout.slots.index(ch.v_start[orientable]),
+              "free z": layout.slots.index(ch.z_start[anchors.reps[plaque]] + ch.z_offset[j])}
         # an infinity in a free z slot meets its negative in the inverse's sums
         for x, where in itertools.product((math.nan, math.inf, -math.inf),
                                           ("orientable v", "free z")):
@@ -827,7 +827,7 @@ class TestInversePlan:
         # the rows run in one pass; after an overflow the pairs are run again in
         # order, so a failing pair before the overflowing one is still named
         balance = {(1, 2): (((1, 0),), ((1, 1),)), (2, 1): (((1, 2), (1, 2)), ((1, 0),))}
-        ch = cc.Chart(3, (), (), {}, balance, ((), ()))
+        ch = cc.Chart(3, {}, {}, {}, 3, balance, ((), ()))
         with pytest.raises(cc.MembershipError, match=f"^balance equation {re.escape(message)}$"):
             cc._require_balance(ch, "real", (1.0, first, 1e308), al.DEFAULT_TOL)
         cc._require_balance(ch, "real", (1.0, 1.0, 0.5), al.DEFAULT_TOL)
@@ -901,8 +901,44 @@ class TestChart:
                 + [(t, j) for t in sorted(TRACK.switch_ids) for j in b])
         assert len(keys) == (d - 1) * len(FREE_RECTS) + len(b) * len(TRACK.switch_ids)
         # v first, then z, each in id order; every key once, numbered 0..N-1
-        assert list(ch.slot) == keys and len(set(keys)) == len(keys)
-        assert list(ch.slot.values()) == list(range(len(keys)))
+        assert list(ch.v_start) == FREE_RECTS and list(ch.z_start) == sorted(TRACK.switch_ids)
+        assert list(ch.z_offset) == list(b) and ch.size == len(keys)
+        slots = [ch.v_start[at] + index if isinstance(index, int)
+                 else ch.z_start[at] + ch.z_offset[index] for at, index in keys]
+        assert slots == list(range(len(keys)))
+
+    def test_chart_keeps_no_per_slot_map(self):
+        # the layout is each block's start, each triple index's offset in a z block
+        # and the count: no table in it grows with the slots
+        for d in (2, 5, 8):
+            ch = cc.chart(TREE, d)
+            assert ch._fields == ("d", "v_start", "z_start", "z_offset", "size", "balance",
+                                  "rotation")
+            assert (len(ch.v_start), len(ch.z_start)) == (len(FREE_RECTS), len(TRACK.switch_ids))
+            assert len(ch.z_offset) == len(al.index_tables(d).B)
+            assert len(ch.balance) == d - 1
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_each_slot_is_named_by_its_key(self, d):
+        # v[r][k] as rectangle r and the pair index (k+1, d-k-1), z[t][j] as switch
+        # t and j, in slot order
+        ch, tables = cc.chart(TREE, d), al.index_tables(d)
+        names = ([f"rectangle {r}, pair index {i}" for r in FREE_RECTS for i in tables.A]
+                 + [f"switch {t}, index {j}" for t in sorted(TRACK.switch_ids) for j in tables.B])
+        assert [cc._slot_name(ch, s) for s in range(ch.size)] == names
+
+    @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
+    def test_rotation_table_is_built_from_the_plaques(self, name):
+        # on a fresh track: the table is the slots of `rotation_pairs`, in its
+        # order, which no chart keeps
+        tree = _tree_of(name)
+        for d in range(2, 9):
+            ch = cc.chart(tree, d)
+            slot = lambda t, j: ch.z_start[t] + ch.z_offset[j]
+            pairs = cc.rotation_pairs(tree.track, d)
+            assert ch.rotation == (tuple(slot(t, j) for t, j, _, _ in pairs),
+                                   tuple(slot(tp, jp) for _, _, tp, jp in pairs)), (name, d)
+        assert not [key for key in tree.track._memo if key[0] == "rotation_pairs"]
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_members_hold_their_slots_in_chart_order(self, d):
@@ -914,13 +950,16 @@ class TestChart:
             assert checked is not recorded and checked.lanes == recorded.lanes
             for m in (recorded, checked):
                 assert m.lanes == tuple(x.value for x in cc._slots(cc.chart(TREE, d), m.v, m.z))
-                assert set(m.v) == set(ch.rects) and set(m.z) == set(ch.switches)
+                assert set(m.v) == set(ch.v_start) and set(m.z) == set(ch.z_start)
                 assert all(len(m.v[r]) == d - 1 for r in m.v)
                 assert all(len(m.z[t]) == len(al.index_tables(d).B) for t in m.z)
                 # the views are built from the lane vector itself
-                for (at, index), s in ch.slot.items():
-                    view = m.v[at][index] if isinstance(index, int) else m.z[at][index]
-                    assert view.kind == kind and view.value is m.lanes[s], (kind, at, index)
+                views = ([(m.v[r][k], start + k) for r, start in ch.v_start.items()
+                          for k in range(d - 1)]
+                         + [(m.z[t][j], start + q) for t, start in ch.z_start.items()
+                            for j, q in ch.z_offset.items()])
+                for view, s in views:
+                    assert view.kind == kind and view.value is m.lanes[s], (kind, s)
 
     @pytest.mark.parametrize("name", TestInversePlan.TRACKS)
     def test_balance_rows_and_the_solver_defect_agree(self, name):
@@ -932,8 +971,8 @@ class TestChart:
         for d in range(2, 8):
             ch, tables = cc.chart(tree, d), al.index_tables(d)
             for kind in KINDS:
-                v = {r: hm.ga_random(kind, d, rng) for r in ch.rects}
-                z = {t: {j: al.random_element(kind, rng) for j in tables.B} for t in ch.switches}
+                v = {r: hm.ga_random(kind, d, rng) for r in ch.v_start}
+                z = {t: {j: al.random_element(kind, rng) for j in tables.B} for t in ch.z_start}
                 lanes = as_member(tree, d, kind, v, z).lanes
                 defect = hm.balance_defect(tree, v, hm.w_from_z(tree, z, kind, d), kind, d)
                 for k, i in enumerate(tables.A):
@@ -1116,7 +1155,8 @@ class TestSerialization:
     def test_rotation_table_is_one_slot_pair_per_rotation_pair(self):
         for d in (3, 5, 8):
             ch, pairs = cc.chart(TREE, d), cc.rotation_pairs(TRACK, d)
-            assert ch.rotation == tuple(zip(*[(ch.slot[t, j], ch.slot[tp, jp])
+            slot = lambda t, j: ch.z_start[t] + ch.z_offset[j]
+            assert ch.rotation == tuple(zip(*[(slot(t, j), slot(tp, jp))
                                               for t, j, tp, jp in pairs]))
             # one pair per z slot: the table grows as the slots do
             assert len(ch.rotation[0]) == len(TRACK.switch_ids) * len(al.index_tables(d).B)
@@ -1336,7 +1376,7 @@ class TestLanes:
                 for m in (recorded, checked):
                     # one lane tuple, and no elements but the views' once read
                     assert set(vars(m)) - {"_views"} == {"d", "kind", "tree", "tol", "lanes"}
-                    assert type(m.lanes) is tuple and len(m.lanes) == len(cc.chart(TREE, d).slot)
+                    assert type(m.lanes) is tuple and len(m.lanes) == cc.chart(TREE, d).size
                     assert cc.lanes_on(TREE, m) is m.lanes
 
     @pytest.mark.parametrize("name", TestInversePlan.TRACKS)

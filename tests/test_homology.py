@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,20 @@ class TestSolveTree:
         assert lane_work.plans == [plan.steps + plan.last]
         assert not lane_work.built_any([x for vec in out.values() for x in vec])
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_balanced_input_builds_only_the_solved_outputs(self, setup, kind, lane_work):
+        # the final lanes are compared with the zero lane; the negated defect is
+        # built only for the message of an unbalanced input
+        track, tree, lifts, free = setup
+        d = 5
+        v, w = solvable_instance(track, tree, free, kind, d, random.Random(36))
+        hm.solver_plan(lifts, d)
+        lane_work.built.clear()
+        lane_work.from_lanes.clear()
+        out = hm.solve_tree(lifts, v, w, kind, d)
+        assert lane_work.built == []
+        assert lane_work.from_lanes == [(d - 1) * len(out)]
+
     def test_all_zero(self, setup):
         track, tree, lifts, free = setup
         v = {rid: hm.ga_zero("real", 3) for rid in free}
@@ -295,12 +310,15 @@ class TestSolveTree:
                 for row in plan.steps:
                     lanes.append(al.evaluate(kind, row, lanes))
                 defect = hm.balance_defect(tree, v, w, kind, d)
-                for row, want in zip(plan.last, defect, strict=True):
-                    got = al.group_neg(al.GroupElement(kind, al.evaluate(kind, row, lanes)))
-                    assert al.distance(got, want) <= tol, (d, kind)
+                got = [al.group_neg(al.GroupElement(kind, al.evaluate(kind, row, lanes)))
+                       for row in plan.last]
+                for x, want in zip(got, defect, strict=True):
+                    assert al.distance(x, want) <= tol, (d, kind)
                 if hm.ga_is_zero(defect):  # a random zd:12 input can balance
                     continue
-                with pytest.raises(hm.SolvabilityViolated, match="^balance defect "):
+                # the message lists the negated final lanes
+                message = f"balance defect {[io.lane_to_json(x.value) for x in got]}"
+                with pytest.raises(hm.SolvabilityViolated, match=f"^{re.escape(message)}$"):
                     hm.solve_tree(lifts, v, w, kind, d)
 
     @pytest.mark.parametrize("kind,other", [("real", "cylinder"), ("cylinder", "real"),

@@ -372,7 +372,7 @@ class TestCompiledRow:
             # the cube roots are folded away: every term reads one slot of the chart
             slots = [s for _, s in row]
             assert pi in (0, 1) and len(set(slots)) == len(slots)
-            assert all(0 <= s < len(cc.chart(TREE, d).slot) for s in slots)
+            assert all(0 <= s < cc.chart(TREE, d).size for s in slots)
             assert all(n != 0 for n, _ in row)
 
     def test_root_coefficient_must_fold(self, monkeypatch):
@@ -413,9 +413,10 @@ class TestCompiledOnce:
         counting(sl, "_compile_ledger", "row")
         counting(hm, "_record_plan", "plan")
         counting(cc, "_record_inverse", "inverse")
-        counting(cc, "_record_rotation_pairs", "rotation")
+        counting(cc, "rotation_pairs", "rotation")
         counting(cc, "_record_chart", "chart")
-        # a fresh track: the rotation pairs are cached on the track
+        # a fresh track and tree: the chart is kept on the tree, and its rotation
+        # table is built from the plaques, not from `rotation_pairs`
         (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
         tree = cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
         lifts = tt.orientation_cover(tree)
@@ -445,7 +446,7 @@ class TestCompiledOnce:
         assert sorted(counts["plan"]) == [(d, "low_first") for d in (2, 3, 4, 5, 6)]
         # the anchors are rebuilt for every point; the inverse is keyed by their value
         assert sorted(d for d, _ in counts["inverse"]) == [2, 3, 4, 5, 6]
-        assert sorted(counts["rotation"]) == [2, 3, 4, 5, 6]
+        assert counts["rotation"] == []
         assert sorted(counts["chart"]) == [2, 3, 4, 5, 6]
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
         hm.solve_tree(lifts, v, w, kind, d, order="high_first")
@@ -474,9 +475,10 @@ class TestCompiledOnce:
         assert set(vars(track)) == set(vars(fresh)) | {"_memo"}
         assert set(vars(tree)) == {"track", "edges", "root", "root_bit", "orientation", "_memo"}
         assert set(vars(lifts)) == {"tree", "r_bit", "_memo"}
-        assert {key[0] for key in track._memo} == {"slot_map", "plaques", "plaque_of_switch",
-                                                   "rotation_pairs"}
+        assert {key[0] for key in track._memo} == {"slot_map", "plaques", "plaque_of_switch"}
         assert {key[0] for key in tree._memo} == {"classify", "boundary_walk", "chart",
                                                   "recorded_rows", "free_layout",
                                                   "inverse_plan", "ledger_row", "closed_form"}
         assert {key[0] for key in lifts._memo} == {"solver_plan"}
+        # the closed form's row is kept once, renumbered, not also over chart slots
+        assert [key for key in tree._memo if sl._closed_form in key] == []
