@@ -452,20 +452,12 @@ def hat_pair(i: PairIndex) -> PairIndex:
     return (i[1], i[0])
 
 
-def hat_triple(j: TripleIndex) -> TripleIndex:
-    return (j[1], j[0], j[2])
-
-
 def rot_plus(j: TripleIndex) -> TripleIndex:
     return (j[1], j[2], j[0])
 
 
 def rot_minus(j: TripleIndex) -> TripleIndex:
     return (j[2], j[0], j[1])
-
-
-def op_triple(j: TripleIndex) -> TripleIndex:
-    return (j[2], j[1], j[0])
 
 
 class IndexTables(NamedTuple):

@@ -48,9 +48,8 @@ def _digest(data: bytes) -> str:
 
 
 class Report:
-    def __init__(self, command: str, seed: int):
-        self.command = command
-        self.seed = seed
+    def __init__(self, command: str, seed: int, as_json: bool):
+        self.command, self.seed, self.as_json = command, seed, as_json
         self.inputs, self.checks, self.values = {}, [], {}
         # a collection set off by allocations made before the report would
         # land in its wall time; freezing resets the generation-0 count
@@ -67,10 +66,10 @@ class Report:
     def value(self, key: str, val) -> None:
         self.values[key] = val
 
-    def finish(self, as_json: bool) -> int:
+    def finish(self) -> int:
         wall_ms = (time.perf_counter() - self._t0) * 1000.0
         failed = [c for c in self.checks if not c["pass"]]
-        if as_json:
+        if self.as_json:
             payload = {
                 "command": self.command,
                 "seed": self.seed,
@@ -94,11 +93,11 @@ class Report:
             print(f"wall time: {wall_ms:.1f} ms")
         return 1 if failed else 0
 
-    def fail(self, name: str, err, as_json: bool, residual: Optional[float] = None) -> NoReturn:
+    def fail(self, name: str, err, residual: Optional[float] = None) -> NoReturn:
         """Record a failed check and its error, print the report and exit 1."""
         self.check(name, False, residual)
         self.value("error", str(err))
-        sys.exit(self.finish(as_json))
+        sys.exit(self.finish())
 
 
 def oriented_tree_for(track, tree, seed: int):
@@ -174,7 +173,7 @@ def validate(cfg, path):
     """Check a track file: slot pairing, cell shapes, genus, connectivity."""
     from . import traintrack as tt
 
-    report = Report("validate", cfg["seed"])
+    report = Report("validate", cfg["seed"], cfg["json"])
     # Unchecked: a structurally invalid track is reported, not rejected.
     (track, tree), raw = io.load(path, io.track_from_json, False)
     report.add_input("track", raw)
@@ -188,7 +187,7 @@ def validate(cfg, path):
     report.value("plaques", result.n_plaques)
     if tree is not None:
         report.value("tree edges", len(tree.edges))
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command(arg("--genus", type=int, default=2,
@@ -200,11 +199,11 @@ def gen_fixture(cfg, genus, out):
 
     if not 2 <= genus <= tt.MAX_GENUS:
         raise io.InputError(f"genus {genus} outside 2..{tt.MAX_GENUS}")
-    report = Report("gen-fixture", cfg["seed"])
+    report = Report("gen-fixture", cfg["seed"], cfg["json"])
     try:
         track = tt.generate_fixture(genus, cfg["seed"])
     except tt.FixtureSearchError as err:
-        report.fail("search", err, cfg["json"])
+        report.fail("search", err)
     g = track.genus
     report.check("switch count", len(track.switch_ids) == 12 * g - 12)
     report.check("rectangle count", len(track.rects) == 18 * g - 18)
@@ -212,7 +211,7 @@ def gen_fixture(cfg, genus, out):
     report.add_input("track out", io.write(out, io.track_to_json(track)))
     report.value("genus", g)
     report.value("path", out)
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command(arg("path"), OUT)
@@ -220,7 +219,7 @@ def tree(cfg, path, out):
     """Choose a seeded oriented maximal tree and write track+tree JSON."""
     from . import traintrack as tt
 
-    report = Report("tree", cfg["seed"])
+    report = Report("tree", cfg["seed"], cfg["json"])
     (track, _), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     chosen = tt.maximal_tree(track, seed=cfg["seed"])
@@ -230,7 +229,7 @@ def tree(cfg, path, out):
     report.value("edges", len(chosen.edges))
     report.value("root", chosen.root)
     report.value("path", out)
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command(arg("path"))
@@ -238,7 +237,7 @@ def classify(cfg, path):
     """Report the rectangle census of an oriented tree."""
     from . import traintrack as tt
 
-    report = Report("classify", cfg["seed"])
+    report = Report("classify", cfg["seed"], cfg["json"])
     (track, stored), raw = io.load(path, io.track_from_json)
     if stored is None:
         raise io.InputError(f"{path}: no tree present; run the tree command first")
@@ -255,7 +254,12 @@ def classify(cfg, path):
     report.value("u_right", len(cls.u_right))
     report.value("s_left", len(cls.s_left))
     report.value("s_right", len(cls.s_right))
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
+
+
+def _at(n: int, err) -> str:
+    """The error ``err`` of point ``n``, prefixed `point <n>: ` after the first point."""
+    return f"point {n}: {err}" if n else str(err)
 
 
 @command(arg("path"), arg("--count", type=int, default=1, help="points to draw (default 1)"),
@@ -275,40 +279,37 @@ def sample_y(cfg, path, count, torsion_k, out):
                             f"reachable residues: {', '.join(map(str, range(0, d, step)))}")
     from . import cocyclic as cc
 
-    report = Report("sample-y", cfg["seed"])
+    report = Report("sample-y", cfg["seed"], cfg["json"])
     (track, stored), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
     try:
         anchors = cc.default_anchors(otree, d)
     except cc.AnchorError as err:
-        report.fail("anchors", err, cfg["json"])
+        report.fail("anchors", err)
     tol = cfg["member_tol"]
     points = []
-    member_ok, torsion_ok, worst = True, True, 0.0
+    torsion_ok, worst = True, 0.0
     for n in range(count):
         rng = random.Random(cfg["seed"] * 1_000_003 + n)
         k = rng.randrange(d) if torsion_k is None else torsion_k // step
         eps = al.torsion_element(kind, d, k)  # of residue k * step mod d, its label
-        c = cc.sample_y(otree, d, kind, rng, anchors, eps)
-        member_ok = member_ok and cc.is_member(otree, c, tol)
+        try:
+            c = cc.sample_y(otree, d, kind, rng, anchors, eps)
+        except cc.MembershipError as err:
+            report.fail("membership", _at(n, err))
         got = cc.tor_prime(otree, c, anchors)
         gap = al.distance(got.value, eps)
         worst = max(worst, gap)
         torsion_ok = torsion_ok and gap <= tol
         points.append({"torsion": al.snap_torsion(eps, d)[0], "coords": io.coords_to_json(c)})
-    report.check("membership", member_ok)
+    report.check("membership", True)
     report.check("torsion", torsion_ok, worst)
     doc = {"d": d, "group": kind, "seed": cfg["seed"], "count": count, "points": points}
     report.add_input("points out", io.write(out, doc))
     report.value("count", count)
     report.value("path", out)
-    sys.exit(report.finish(cfg["json"]))
-
-
-def _at(n: int, err) -> str:
-    """The error ``err`` of point ``n``, prefixed `point <n>: ` after the first point."""
-    return f"point {n}: {err}" if n else str(err)
+    sys.exit(report.finish())
 
 
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
@@ -337,7 +338,7 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
         try:
             points[n] = cc.require_member(otree, c, cfg["member_tol"]), label
         except cc.MembershipError as err:
-            report.fail("membership", _at(n, err), cfg["json"])
+            report.fail("membership", _at(n, err))
     report.check("membership", True)
     return otree, points
 
@@ -351,10 +352,10 @@ def point_tor(cfg, report: Report, otree, n: int, c, label, check: str):
     try:
         tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
     except ValueError as err:
-        report.fail(check, _at(n, err), cfg["json"])
+        report.fail(check, _at(n, err))
     if label is not None and tor.residue != label:
         report.fail("torsion labels", _at(n, f"torsion label {label} is not the residue "
-                                             f"{tor.residue} of tor_prime"), cfg["json"])
+                                             f"{tor.residue} of tor_prime"))
     return tor
 
 
@@ -363,14 +364,14 @@ def torsion(cfg, track_path, coords_path):
     """Print the torsion invariant and its residue for a member point."""
     from . import cocyclic  # noqa: F401 (`point_tor` runs it; loaded before the report starts)
 
-    report = Report("torsion", cfg["seed"])
+    report = Report("torsion", cfg["seed"], cfg["json"])
     otree, points = load_member(cfg, report, track_path, coords_path)
     tors = [point_tor(cfg, report, otree, n, c, label, "torsion lattice")
             for n, (c, label) in enumerate(points)]
     report.check("torsion lattice", True, max(tor.residual for tor in tors))
     report.value("tor_prime", al.format_log(tors[0].value))
     report.value("residue", tors[0].residue)
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command(arg("track_path"), arg("coords_path"))
@@ -378,7 +379,7 @@ def corfinal(cfg, track_path, coords_path):
     """Compare the boundary-product ledger with its closed form and tor'."""
     from . import slither as sl
 
-    report = Report("corfinal", cfg["seed"])
+    report = Report("corfinal", cfg["seed"], cfg["json"])
     otree, points = load_member(cfg, report, track_path, coords_path)
     ledger, negated = "ledger vs closed form", "negated total vs tor_prime"
     tol, worst = cfg["tol"], {ledger: 0.0, negated: 0.0}
@@ -386,18 +387,18 @@ def corfinal(cfg, track_path, coords_path):
         try:
             total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
         except ValueError as err:
-            report.fail(ledger, _at(n, err), cfg["json"])
+            report.fail(ledger, _at(n, err))
         tor = point_tor(cfg, report, otree, n, c, label, negated)
         try:
             ob_value = sl.ob_from_product(total, c.d, cfg["member_tol"])
         except ValueError as err:
-            report.fail(negated, _at(n, err), cfg["json"])
+            report.fail(negated, _at(n, err))
         gaps = {ledger: al.distance(total, sl.closed_form_total(otree, c)),
                 negated: al.distance(ob_value.value, al.to_cylinder(tor.value))}
         for name, gap in gaps.items():
             if not gap <= tol:
                 report.fail(name, _at(n, f"residual {gap:.3g} is above the tolerance {tol:.3g}"),
-                            cfg["json"], gap)
+                            gap)
             worst[name] = max(worst[name], gap)
         if not n:
             first = total, tor
@@ -405,7 +406,7 @@ def corfinal(cfg, track_path, coords_path):
         report.check(name, True, gap)
     report.value("total", al.format_log(first[0]))
     report.value("tor_prime", al.format_log(first[1].value))
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command(arg("rep_path", nargs="?"),
@@ -420,7 +421,7 @@ def ob(cfg, rep_path, use_clock, use_identity):
         raise io.InputError("provide exactly one of REP_PATH, --clock-shift, --identity")
     from . import obstruction as obs
 
-    report = Report("ob", cfg["seed"])
+    report = Report("ob", cfg["seed"], cfg["json"])
     if use_clock or use_identity:
         d = io.depth(cfg["d"])
         rep = obs.clock_shift_rep(d) if use_clock else obs.identity_rep(d)
@@ -432,12 +433,12 @@ def ob(cfg, rep_path, use_clock, use_identity):
     try:
         value = obs.ob(rep, scalar_tol=scalar_tol)
     except ValueError as err:
-        report.fail("scalar relator product", err, cfg["json"])
+        report.fail("scalar relator product", err)
     report.check("scalar relator product", True, value.residual)
     report.value("ob", al.format_log(value.value))
     report.value("residue", value.residue)
     report.value("d", rep.d)
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command(arg("matrices_path"),
@@ -449,7 +450,7 @@ def flags(cfg, matrices_path, which, index_str):
     """Print a flag invariant (triple or double ratio) and its log."""
     from . import flags as fl
 
-    report = Report("flags", cfg["seed"])
+    report = Report("flags", cfg["seed"], cfg["json"])
     mats, raw = io.load(matrices_path, io.matrices_from_json)
     report.add_input("matrices", raw)
     need = 3 if which == "triple" else 4
@@ -459,7 +460,7 @@ def flags(cfg, matrices_path, which, index_str):
     try:
         flag_list = [fl.Flag(m) for m in mats]
     except fl.DegenerateFlagError as err:
-        report.fail("nondegenerate flags", err, cfg["json"])
+        report.fail("nondegenerate flags", err)
     report.check("nondegenerate flags", True)
     if index_str is None:
         idx = (1, 1, d - 2) if which == "triple" else (1, d - 1)
@@ -477,13 +478,13 @@ def flags(cfg, matrices_path, which, index_str):
             value = fl.double_ratio(*flag_list, idx)
         log = fl.log_invariant(value)
     except (fl.DegenerateFlagError, ValueError) as err:
-        report.fail("invariant defined", err, cfg["json"])
+        report.fail("invariant defined", err)
     report.check("invariant defined", True)
     report.value("which", which)
     report.value("index", ",".join(map(str, idx)))
     report.value("value", f"{value.real:.12g}{value.imag:+.12g}i")
     report.value("log", al.format_log(log))
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 @command()
@@ -494,7 +495,7 @@ def selftest(cfg):
     from . import slither as sl
     from . import traintrack as tt
 
-    report = Report("selftest", cfg["seed"])
+    report = Report("selftest", cfg["seed"], cfg["json"])
     seed, tol = cfg["seed"], max(cfg["tol"], al.DEFAULT_TOL)
 
     ok = all(al.dimension_count(d, g) == (d * d - 1) * (2 * g - 2)
@@ -518,8 +519,9 @@ def selftest(cfg):
     for d, kind in ((3, "cylinder"), (4, "zd:12"), (2, "real")):
         k = rng.randrange(d)
         eps = al.torsion_element(kind, d, k)
-        c = cc.sample_y(otree, d, kind, rng, eps=eps)
-        if not cc.is_member(otree, c, al.MEMBER_TOL):
+        try:
+            c = cc.sample_y(otree, d, kind, rng, eps=eps)
+        except cc.MembershipError:
             worst = math.inf
             break
         worst = max(worst, al.distance(cc.tor_prime(otree, c).value, eps))
@@ -527,7 +529,11 @@ def selftest(cfg):
 
     worst = 0.0
     for d in (2, 3, 4):
-        c = cc.sample_y(otree, d, "cylinder", rng)
+        try:
+            c = cc.sample_y(otree, d, "cylinder", rng)
+        except cc.MembershipError:
+            worst = math.inf
+            break
         total = sl.total_mid_log(otree, c)
         worst = max(worst, al.distance(total, sl.closed_form_total(otree, c)))
         worst = max(worst, al.distance(sl.ob_from_product(total, d).value,
@@ -545,7 +551,7 @@ def selftest(cfg):
     report.check("clock-shift obstruction", worst <= al.DEFAULT_TOL, worst)
     report.check("octagon obstruction", obs.ob(obs.fuchsian_octagon(3)).residue == 0)
 
-    sys.exit(report.finish(cfg["json"]))
+    sys.exit(report.finish())
 
 
 if __name__ == "__main__":

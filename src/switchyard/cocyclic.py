@@ -10,10 +10,12 @@ one tuple of lanes in chart order, whose v/z element views only the oracles
 (`check_diamond`, `check_spade`) read.  `require_member` gates every point handed
 in, which the chart functions accept without checking it again; a `Member` of
 another tree object is read where both charts number the same slots (`lanes_on`).
-The torsion invariant's forms are rows recorded once per (tree, d, anchors), and
-the explicit linear parametrization by unconstrained slots (`FreeCoords`) plus one
-d-torsion slot is inverted by a recorded `InversePlan` that proves the rotation
-relations of every point it builds.  Every plan of rows runs on lanes in one `al.run`.
+The torsion invariant tor′ is one linear form at every d, a row recorded once per
+(tree, d, anchors): at even d the paper's second parity form differs from it by a
+balance equation the gate has checked, so it is not evaluated.  The explicit linear
+parametrization by unconstrained slots (`FreeCoords`) plus one d-torsion slot is
+inverted by a recorded `InversePlan` that proves the rotation relations of every
+point it builds.  Every plan of rows runs on lanes in one `al.run`.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class MembershipError(ValueError):
 
 class AnchorError(ValueError):
     pass
-
-
-class ParityFormsDisagree(ValueError):
-    """At even d, the two forms of the torsion invariant differ by more than tol."""
 
 
 class InversePlanError(ValueError):
@@ -196,17 +194,22 @@ def _record_chart(tree: OrientedTree, d: int) -> Chart:
     v_start = {r: n * q for q, r in enumerate(rects)}
     z_start = {t: n * len(rects) + nb * q for q, t in enumerate(sorted(tree.track.switch_ids))}
     z_offset = {j: q for q, j in enumerate(tables.B)}
-    balance = {i: (tuple((m, v_start[r] + k - 1) for m, side in ((1, cls.u_right), (-1, cls.u_left))
+    size = n * len(rects) + nb * len(z_start)
+    slot = tuple(range(size))  # one int object per slot, shared by every term that names it
+    # the z offsets of the triple indices with middle entry k, in B order
+    by_mid = {k: [q for j, q in z_offset.items() if j[1] == k] for k in range(1, d)}
+    balance = {i: (tuple((m, slot[v_start[r] + k - 1])
+                         for m, side in ((1, cls.u_right), (-1, cls.u_left))
                          for r in side for k in i),
-                   tuple((m, z_start[t] + z_offset[j]) for m, side, mid in ((1, cls.s_left, i[1]),
-                                                                          (-1, cls.s_right, i[0]))
-                         for t in side for j in tables.B if j[1] == mid))
+                   tuple((m, slot[z_start[t] + q])
+                         for m, side, mid in ((1, cls.s_left, i[1]), (-1, cls.s_right, i[0]))
+                         for t in side for q in by_mid[mid]))
                for i in tables.A}
     turned = [z_offset[al.rot_plus(j)] for j in tables.B]
     ends = [(z_start[t], z_start[pl.plus(t)]) for pl in tree.track.plaques for t in pl.switches_ccw]
-    rotation = (tuple(s + q for s, _ in ends for q in range(nb)),
-                tuple(p + q for _, p in ends for q in turned))
-    return Chart(d, v_start, z_start, z_offset, n * len(rects) + nb * len(z_start), balance, rotation)
+    rotation = (tuple(slot[s + q] for s, _ in ends for q in range(nb)),
+                tuple(slot[p + q] for _, p in ends for q in turned))
+    return Chart(d, v_start, z_start, z_offset, size, balance, rotation)
 
 
 def _slots(ch: Chart, v, z) -> tuple:
@@ -339,21 +342,25 @@ def slot_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
 
 
 def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms]:
-    """The torsion invariant's signed terms over a point's ``v`` and ``z``: one form
-    at odd d; at even d the left and then the right parity form."""
+    """The torsion invariant's one form, signed terms over a point's ``v`` and ``z``:
+    the form that step 2 of the explicit inverse solves for j_prime.
+
+    At even d it is the left parity form: the paper's right form differs from it by
+    the i0 = (d/2, d/2) balance equation, which the gate checks, so it is not
+    evaluated (`test_parity_forms_differ_by_the_i0_balance_row` proves that identity
+    over integer coefficients).
+    """
     _check_anchors(tree, anchors)
     tables = al.index_tables(d)
     cls = classify(tree)
-    base = [(-1, z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
-    if d % 2 == 1:
-        return [base]
-    # base + (ur - ul) - zl and base - (ur - ul) - zr, ur/ul the middle v-column
-    # summed over u_right/u_left, zl/zr the B_zero slots over s_left/s_right
-    mid = tables.i_zero[0] - 1
-    uv = [(n, v[r][mid]) for n, rects in ((1, cls.u_right), (-1, cls.u_left)) for r in rects]
-    return [base + uv + [(-1, z[t][j]) for t in cls.s_left for j in tables.B_zero],
-            base + [(-n, x) for n, x in uv]
-            + [(-1, z[t][j]) for t in cls.s_right for j in tables.B_zero]]
+    form = [(-1, z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
+    if d % 2 == 0:
+        # + (ur - ul) - zl: ur/ul the middle v-column summed over u_right/u_left,
+        # zl the B_zero slots over s_left
+        mid = tables.i_zero[0] - 1
+        form += [(n, v[r][mid]) for n, rects in ((1, cls.u_right), (-1, cls.u_left)) for r in rects]
+        form += [(-1, z[t][j]) for t in cls.s_left for j in tables.B_zero]
+    return [form]
 
 
 def tor_prime(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
@@ -362,9 +369,7 @@ def tor_prime(tree: OrientedTree, c: Member, anchors: Optional[Anchors] = None,
     d, kind = c.d, c.kind
     if anchors is None:
         anchors = default_anchors(tree, d)
-    val, *right = al.run(kind, recorded_rows(tree, d, _tor_forms, anchors), c.lanes)
-    if right and not al.lane_distance(kind, val, right[0]) <= tol:
-        raise ParityFormsDisagree("the two parity forms disagree; equations inconsistent")
+    val, = al.run(kind, recorded_rows(tree, d, _tor_forms, anchors), c.lanes)
     return TorsionValue(al._from_lanes(kind, [val])[0], d, tol)
 
 

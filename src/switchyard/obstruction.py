@@ -74,12 +74,6 @@ class RelatorWord:
     def generators(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(name for name, _ in self.symbols))
 
-    def pairing(self) -> Dict[int, int]:
-        where: Dict[str, List[int]] = {}
-        for k, (name, _) in enumerate(self.symbols):
-            where.setdefault(name, []).append(k)
-        return {a: b for pair in where.values() for a, b in (pair, pair[::-1])}
-
     def rotated(self, k: int) -> "RelatorWord":
         k %= len(self.symbols)
         return RelatorWord(self.symbols[k:] + self.symbols[:k])
@@ -111,11 +105,6 @@ class LiftedRep(NamedTuple):
     relator: RelatorWord
     d: int
     matrices: Mapping[str, np.ndarray]
-
-    def position_matrix(self, i: int) -> np.ndarray:
-        name, exp = self.relator.symbols[i]
-        m = self.matrices[name]
-        return m if exp == 1 else np.linalg.inv(m)
 
     def product(self) -> np.ndarray:
         syms = self.relator.symbols

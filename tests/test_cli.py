@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -605,14 +606,34 @@ class TestEveryPointChecked:
         def tor_prime(*args, **kwargs):
             calls.append(args)
             if len(calls) > 1:
-                raise cc.ParityFormsDisagree("the two parity forms disagree")
+                raise ValueError("tor_prime failed")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cc, "tor_prime", tor_prime)
         r = run_cli([command, str(workdir / "tree.json"), str(workdir / "pts.json")])
         assert r.exit_code == 1, r.output
-        assert "error: point 1: the two parity forms disagree\n" in r.stdout
+        assert "error: point 1: tor_prime failed\n" in r.stdout
         assert "Traceback" not in r.output
+
+    def test_failing_gate_of_a_later_sampled_point_names_it(self, run_cli, workdir, tmp_path,
+                                                            monkeypatch):
+        real, calls = cc._gate, []
+
+        def gate(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise cc.MembershipError("gate failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cc, "_gate", gate)
+        r = run_cli(["--seed", "5", "sample-y", str(workdir / "tree.json"), "--count", "3",
+                     "--out", str(tmp_path / "pts.json")])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1, r.output
+        assert "check membership: FAIL\n" in r.stdout
+        assert "error: point 1: gate failed\n" in r.stdout
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "pts.json").exists()
 
 
 class TestOneTorsionRule:
@@ -762,18 +783,20 @@ def _main_exits_zero(argvs):
     ])
 
 
-# (d, kind, sample seed, rectangle, shift): sampled on TRACK_G2's seed-0 tree,
-# the middle v entry of one unorientable rectangle moved by the shift
-PARITY_CASES = [(4, "circle", 22, 6, 7e-8), (6, "real", 7, 6, 6.6e-8)]
+# (d, kind, sample seed, rectangle, shift, residue): sampled on TRACK_G2's seed-0 tree,
+# the middle v entry of one unorientable rectangle moved by the shift, and the residue
+# of its tor′
+PARITY_CASES = [(4, "circle", 22, 6, 7e-8, 2), (6, "real", 7, 6, 6.6e-8, 0)]
 
 
 class TestParityForms:
-    """At even d the two parity forms of tor' differ by the i0 balance
-    residual up to rounding.  At a tolerance equal to that residual the point
-    passes the membership check, and the forms can still disagree."""
+    """At even d tor′ is the left parity form alone; the right form differs from it by
+    the i0 balance equation, which the gate checks (`test_cocyclic`'s
+    `test_parity_forms_differ_by_the_i0_balance_row`).  A point moved off that one
+    equation is refused below its i0 residual and accepted at it, where tor′ answers."""
 
     @staticmethod
-    def off_chart(tmp_path, d, kind, seed, rect, shift):
+    def off_chart(tmp_path, d, kind, seed, rect, shift, residue):
         """Write the moved point as a bare coords file; return the tree, the
         decoded point, the file and its i0 balance residual."""
         (track, _), _ = io.load(TRACK_G2, io.track_from_json)
@@ -790,22 +813,46 @@ class TestParityForms:
 
     @pytest.mark.parametrize("case", PARITY_CASES)
     def test_tor_prime_raises_a_value_error(self, tmp_path, case):
+        # below the i0 residual the gate refuses the point at i0
         otree, point, _, residual = self.off_chart(tmp_path, *case)
-        member = cc.require_member(otree, point, residual)
-        with pytest.raises(cc.ParityFormsDisagree, match="parity forms disagree"):
-            cc.tor_prime(otree, member, tol=residual)
-        assert issubclass(cc.ParityFormsDisagree, ValueError)
+        i0 = al.index_tables(case[0]).i_zero
+        with pytest.raises(cc.MembershipError, match=re.escape(f"fails at pair index {i0}")):
+            cc.tor_prime(otree, point, tol=residual / 2)
+        assert issubclass(cc.MembershipError, ValueError)
 
     @pytest.mark.parametrize("case", PARITY_CASES)
     def test_torsion_reports_the_failed_check(self, tmp_path, case):
+        # the CLI's member tolerance, max(--tolerance, MEMBER_TOL), is under the residual
         _, _, path, residual = self.off_chart(tmp_path, *case)
-        argv = ["--tolerance", repr(residual), "torsion", TRACK_G2, str(path)]
+        assert max(residual / 2, al.MEMBER_TOL) < residual
+        argv = ["--tolerance", repr(residual / 2), "torsion", TRACK_G2, str(path)]
         r = _run_in_fresh_process(f"from switchyard.cli import main\nmain({argv!r})", tmp_path)
         assert r.returncode == 1, r.stderr
         assert "Traceback" not in r.stderr
+        assert "check membership: FAIL" in r.stdout
+        i0 = al.index_tables(case[0]).i_zero
+        assert f"error: balance equation fails at pair index {i0}\n" in r.stdout
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_tor_prime_answers_at_the_residual(self, tmp_path, case):
+        otree, point, _, residual = self.off_chart(tmp_path, *case)
+        shift, residue = case[4:]
+        tor = cc.tor_prime(otree, cc.require_member(otree, point, residual), tol=residual)
+        assert isinstance(tor, al.TorsionValue)
+        assert tor.residue == residue
+        # the moved entry enters the left form once and the i0 equation twice
+        assert tor.residual == pytest.approx(shift, rel=1e-6)
+        assert residual == pytest.approx(2 * shift, rel=1e-6)
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_torsion_passes_at_the_residual(self, tmp_path, case):
+        _, _, path, residual = self.off_chart(tmp_path, *case)
+        argv = ["--tolerance", repr(residual), "torsion", TRACK_G2, str(path)]
+        r = _run_in_fresh_process(f"from switchyard.cli import main\nmain({argv!r})", tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
         assert "check membership: pass" in r.stdout
-        assert "check torsion lattice: FAIL" in r.stdout
-        assert "error: the two parity forms disagree" in r.stdout
+        assert "check torsion lattice: pass" in r.stdout
+        assert f"residue: {case[5]}\n" in r.stdout
 
 
 # the names of the switchyard modules a process has loaded, as Python source
@@ -964,3 +1011,15 @@ class TestSelftest:
         r = run_cli(["--seed", "3", "selftest"])
         assert r.exit_code == 0, r.output
         assert "FAIL" not in r.output
+
+    def test_refused_samples_fail_their_checks(self, run_cli, monkeypatch):
+        def gate(*args, **kwargs):
+            raise cc.MembershipError("gate failed")
+
+        monkeypatch.setattr(cc, "_gate", gate)
+        r = run_cli(["--seed", "3", "selftest"])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 1, r.output
+        assert "check sample and torsion: FAIL residual=inf\n" in r.stdout
+        assert "check boundary product: FAIL residual=inf\n" in r.stdout
+        assert "check clock-shift obstruction: pass" in r.stdout

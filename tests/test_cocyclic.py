@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -255,6 +256,32 @@ class TestCheckers:
         assert cc.check_club(TREE, c, al.hat_pair(i))
 
 
+G4_TRACK = Path(__file__).parent.parent / "perfbench" / "data" / "g4_track.json"
+
+
+def _right_parity_form(tree, d, v, z, anchors):
+    """The paper's right parity form of tor′ at even d, the reference that
+    `cocyclic._tor_forms` no longer evaluates: base − (ur − ul) − zr, where base is
+    minus the B_star slots of every plaque's representative, ur/ul the middle v
+    column summed over u_right/u_left and zr the B_zero slots over s_right."""
+    tables = al.index_tables(d)
+    cls = tt.classify(tree)
+    mid = tables.i_zero[0] - 1
+    return [[(-1, z[anchors.reps[pl.id]][j]) for pl in tree.track.plaques for j in tables.B_star]
+            + [(-1, v[r][mid]) for r in cls.u_right] + [(1, v[r][mid]) for r in cls.u_left]
+            + [(-1, z[t][j]) for t in cls.s_right for j in tables.B_zero]]
+
+
+def _coefficients(*signed_rows):
+    """The integer coefficient of each slot in the sum of sign * row over
+    ``signed_rows``, (sign, row) pairs, with zero coefficients left out."""
+    total = collections.Counter()
+    for sign, row in signed_rows:
+        for n, slot in row:
+            total[slot] += sign * n
+    return {slot: n for slot, n in total.items() if n}
+
+
 class TestTorPrime:
     def test_zero_coords_identity(self):
         for d in (2, 3, 4, 5, 6):
@@ -284,13 +311,22 @@ class TestTorPrime:
                 t2 = cc.tor_prime(TREE, c, alt)
                 assert al.elements_equal(t1.value, t2.value, 1e-9)
 
-    def test_even_parity_forms_agree_on_members(self):
-        # tor_prime evaluates both even-d expressions and refuses to return
-        # if they disagree, so plain calls exercise the comparison
-        rng = random.Random(13)
-        for d in (4, 6):
-            for kind in KINDS:
-                cc.tor_prime(TREE, cc.sample_y(TREE, d, kind, rng))
+    @pytest.mark.parametrize("name", ["track_g2_s1", "track_g2_s7", "track_g3_s2", "g4"])
+    def test_parity_forms_differ_by_the_i0_balance_row(self, name):
+        # tor′ evaluates the left form alone: left − right is, coefficient for
+        # coefficient, lhs − rhs of the i0 balance equation, which the gate checks
+        if name == "g4":
+            (_, stored), _ = io.load(G4_TRACK, io.track_from_json)
+            tree, ds = cc.ensure_right_unorientable(stored), (*range(2, 17, 2), 32, 64)
+        else:
+            tree, ds = _tree_of(name), range(2, 17, 2)
+        for d in ds:
+            anchors = cc.default_anchors(tree, d)
+            left, = cc.recorded_rows(tree, d, cc._tor_forms, anchors)
+            right, = cc.slot_rows(tree, d, _right_parity_form, anchors)
+            lhs, rhs = cc.chart(tree, d).balance[(d // 2, d // 2)]
+            difference = _coefficients((1, left), (-1, right))
+            assert difference and difference == _coefficients((1, lhs), (-1, rhs)), (name, d)
 
     def test_non_member_raises(self):
         rng = random.Random(14)
@@ -1389,10 +1425,9 @@ class TestLanes:
             anchors = cc.default_anchors(tree, d)
             rows = cc.recorded_rows(tree, d, cc._tor_forms, anchors)
             assert cc.recorded_rows(tree, d, cc._tor_forms, anchors) is rows
-            assert len(rows) == 1 + (d % 2 == 0)
+            assert len(rows) == 1
             for kind in KINDS:
                 c = cc.sample_y(tree, d, kind, rng, anchors)
-                forms = cc._tor_forms(tree, d, c.v, c.z, anchors)
-                assert cc.tor_prime(tree, c, anchors).value == al.combine(kind, forms[0])
-                for row, form in zip(rows, forms):
-                    assert al.evaluate(kind, row, c.lanes) == al.combine(kind, form).value
+                [form] = cc._tor_forms(tree, d, c.v, c.z, anchors)
+                assert cc.tor_prime(tree, c, anchors).value == al.combine(kind, form)
+                assert al.evaluate(kind, rows[0], c.lanes) == al.combine(kind, form).value

@@ -38,17 +38,6 @@ class TestRelatorWord:
                 exps = [e for n, e in rel.symbols if n == name]
                 assert sorted(exps) == [-1, 1]
 
-    def test_pairing_is_fixed_point_free_involution(self):
-        rel = ob.standard_relator(3)
-        pairing = rel.pairing()
-        assert set(pairing) == set(range(12))
-        for i, j in pairing.items():
-            assert i != j
-            assert pairing[j] == i
-            ni, ei = rel.symbols[i]
-            nj, ej = rel.symbols[j]
-            assert ni == nj and ei == -ej
-
     def test_invalid_words_rejected(self):
         with pytest.raises(ValueError):
             ob.RelatorWord((("a", 1), ("a", 1)))
@@ -102,12 +91,6 @@ class TestLiftedRep:
         mats = {n: np.eye(2, dtype=complex) for n in rel.generators() if n != "b2"}
         with pytest.raises(ValueError):
             ob.lifted_rep(rel, mats)
-
-    def test_position_matrix_inverts(self):
-        rep = ob.clock_shift_rep(3)
-        a1 = rep.matrices["a1"]
-        assert np.allclose(rep.position_matrix(0), a1)
-        assert np.allclose(rep.position_matrix(2) @ a1, np.eye(3), atol=1e-12)
 
 
 class TestOb:
