@@ -264,22 +264,35 @@ def run(kind: str, rows, lanes) -> list:
 
 def _run(kind: str, rows, out: list, fsum) -> None:
     """Append the lane of each row of ``rows``, over ``out``, to ``out``: the one lane
-    arithmetic, float parts summed by ``fsum``."""
+    arithmetic, float parts summed by ``fsum``.
+
+    Each row's products are gathered by a plain loop in this frame: a comprehension
+    is a function call of its own (before Python 3.12), which costs more than the
+    sum of a row of a few terms.  A row is appended only once its sums succeed.
+    """
     put = out.append
     if kind == "cylinder":
         for row in rows:
-            put((fsum([n * out[s][0] for n, s in row]),
-                 _norm_angle(fsum([n * out[s][1] for n, s in row]))))
-    elif kind == "circle":
+            re, ang = [], []
+            for n, s in row:
+                x = out[s]
+                re.append(n * x[0])
+                ang.append(n * x[1])
+            put((fsum(re), _norm_angle(fsum(ang))))
+    elif kind in ("real", "circle"):
+        circle = kind == "circle"
         for row in rows:
-            put(_norm_angle(fsum([n * out[s] for n, s in row])))
-    elif kind == "real":
-        for row in rows:
-            put(fsum([n * out[s] for n, s in row]))
+            parts = []
+            for n, s in row:
+                parts.append(n * out[s])
+            put(_norm_angle(fsum(parts)) if circle else fsum(parts))
     else:
         m = _modulus(kind)
         for row in rows:
-            put(sum([n * out[s] for n, s in row]) % m)
+            total = 0
+            for n, s in row:
+                total += n * out[s]
+            put(total % m)
 
 
 def _from_lanes(kind: str, lanes) -> tuple:

@@ -274,9 +274,12 @@ def _require_balance(ch: Chart, kind: str, lanes, tol: float) -> None:
 
 
 def _require_rotation(ch: Chart, kind: str, lanes, tol: float) -> None:
-    """Raise `MembershipError` unless every rotation relation of ``ch`` holds on ``lanes``."""
+    """Raise `MembershipError` unless every rotation relation of ``ch`` holds on ``lanes``.
+
+    Equal lanes are at distance 0, so only a pair that differs is measured: the
+    verdict is `lane_distance`'s on finite lanes, which `_gate` has checked."""
     for s, p in zip(*ch.rotation):
-        if not al.lane_distance(kind, lanes[s], lanes[p]) <= tol:
+        if lanes[s] != lanes[p] and not al.lane_distance(kind, lanes[s], lanes[p]) <= tol:
             raise MembershipError("rotation relations fail")
 
 

@@ -332,14 +332,29 @@ def solve_tree(
     Solves switch by switch, stripping degree-one switches of the tree, by
     the plan `solver_plan` records once per (lifts, d, order), on lanes; the
     final switch's residual is the balance condition, checked at ``tol``.
+    Each switch and each rectangle off the tree needs a vector of d-1 entries.
     """
     plan = solver_plan(lifts, d, order)
     n = d - 1
     switches = lifts.tree.track.switch_ids
-    vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
-    lanes = al.unpack(kind, [vec[k] for vec in vecs for k in range(n)],
-                      lambda q: f"switch {switches[q // n]}" if q < n * len(switches)
-                      else f"rectangle {plan.rects[q // n - len(switches)]}")
+
+    def where(q: int) -> str:  # vector q of w, then of v_free
+        if q < len(switches):
+            return f"switch {switches[q]}"
+        return f"rectangle {plan.rects[q - len(switches)]}"
+
+    try:
+        vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
+    except KeyError:
+        for name, ids, given in (("switch", switches, w), ("rectangle", plan.rects, v_free)):
+            missing = [i for i in ids if i not in given]
+            if missing:
+                raise ValueError(f"missing {name} coefficients: {missing}") from None
+        raise
+    if set(map(len, vecs)) != {n}:
+        q = next(q for q, vec in enumerate(vecs) if len(vec) != n)
+        raise ValueError(f"{where(q)} coefficients have {len(vecs[q])} entries, not d-1 = {n}")
+    lanes = al.unpack(kind, [x for vec in vecs for x in vec], lambda q: where(q // n))
     out = al.run(kind, plan.steps + plan.last, lanes)
     first = len(plan.steps)
     zero = al.zero_lane(kind)

@@ -372,21 +372,44 @@ class TestLanes:
 class TestRun:
     """`run` evaluates a plan of rows in one pass; each row is `evaluate`'s sum."""
 
+    # the rows of a plan: the tree solver's (1 to 4 terms of sign +-1, mostly over the
+    # lanes just before), rows of 100 terms and more, and short rows of any small n
+    SHAPES = {
+        "solver": lambda rng, size: tuple(
+            (rng.choice((1, -1)), rng.randrange(max(0, size - 6), size))
+            for _ in range(rng.randint(1, 4))),
+        "long": lambda rng, size: tuple(
+            (rng.randint(-3, 3), rng.randrange(size)) for _ in range(rng.randrange(100, 300))),
+        "short": lambda rng, size: tuple(
+            (rng.randint(-3, 3), rng.randrange(size)) for _ in range(rng.randrange(0, 10))),
+    }
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_chained_plan_agrees_with_combine_row_by_row(self, kind):
-        # later rows read the lanes of earlier rows, numbered after the inputs
+        # later rows read the lanes of earlier rows, numbered after the inputs; each row
+        # is checked against `reference_sum`, and `combine` on elements must agree
         rng = random.Random(26)
-        for _ in range(100):
-            elements = [rnd(kind, rng.random()) for _ in range(rng.randrange(1, 8))]
-            inputs = len(elements)
-            rows = []
-            for _ in range(rng.randrange(1, 12)):
-                row = tuple((rng.randint(-3, 3), rng.randrange(inputs + len(rows)))
-                            for _ in range(rng.randrange(0, 10)))
-                rows.append(row)
-                elements.append(al.combine(kind, [(n, elements[s]) for n, s in row]))
-            got = al.run(kind, tuple(rows), [x.value for x in elements[:inputs]])
+        for shape in [*self.SHAPES] * 40:
+            elements = [TestLanes.special(kind, rng) if rng.random() < 0.1
+                        else rnd(kind, rng.random()) for _ in range(rng.randrange(1, 8))]
+            inputs, rows = len(elements), []
+            lanes = [x.value for x in elements]
+            try:
+                for _ in range(rng.randrange(1, 12)):
+                    row = self.SHAPES[shape](rng, len(elements))
+                    if kind.startswith("zd:") and rng.random() < 0.2:
+                        row += ((rng.choice([10**40 + 7, -(3**90)]), rng.randrange(len(elements))),)
+                    rows.append(row)
+                    elements.append(reference_sum(kind, [(n, elements[s]) for n, s in row]))
+            except OverflowError:
+                with pytest.raises(al.SumOverflow):
+                    al.run(kind, tuple(rows), lanes)
+                continue
+            got = al.run(kind, tuple(rows), lanes)
             assert bits_list(got) == [bits(x.value) for x in elements[inputs:]]
+            for row, want in zip(rows, elements[inputs:]):
+                terms = [(n, elements[s]) for n, s in row]
+                assert bits(al.combine(kind, terms).value) == bits(want.value)
 
     def test_a_refused_row_gives_nan_and_later_rows_still_evaluate(self):
         rows = (((1, 2),), ((1, 0), (1, 1)), ((2, 3), (1, 2)), ((1, 4), (1, 3)), ((-1, 5),))

@@ -18,9 +18,12 @@ DATA = Path(__file__).parent / "data"
 
 CASES = [("cylinder", 3), ("cylinder", 6), ("cylinder", 8), ("zd:12", 6), ("real", 5),
          ("circle", 4)]
+# long rows: at d = 32 the inverse's rows run to 484 terms
+LONG_CASES = [("cylinder", 32), ("zd:12", 16)]
 
 SAMPLE_DIGEST = "ea77bf14c0aeca3a626a370422dc962b5cc99a64016cabf2a901d15d2b0d259a"
 FULL_DIGEST = "34c4e6f9f39b4c37d1ac56b2f066cc6ad7237945581342e678c2941bd2df9c6d"
+LONG_DIGEST = "ea833c3f0e677992464009c0108de1bf2d5f87efc6265cfad749dc790af4c1e6"
 
 
 def bits(e) -> str:
@@ -36,13 +39,13 @@ def free_bits(free) -> list:
     return out + [bits(free.z_anchor[j]) for j in sorted(free.z_anchor)]
 
 
-def digests():
+def digests(cases=CASES):
     (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
     tree = cc.ensure_right_unorientable(maximal_tree(track, seed=1))
     lifts = orientation_cover(tree)
     rects = sorted(set(r.id for r in track.rects) - tree.edges)
     sample, full = hashlib.sha256(), hashlib.sha256()
-    for kind, d in CASES:
+    for kind, d in cases:
         rng = random.Random(5)
         for _ in range(2):
             c = cc.sample_y(tree, d, kind, rng)
@@ -64,3 +67,7 @@ def digests():
 
 def test_chart_outputs_are_bit_identical():
     assert digests() == (SAMPLE_DIGEST, FULL_DIGEST)
+
+
+def test_long_rows_are_bit_identical():
+    assert digests(LONG_CASES)[1] == LONG_DIGEST

@@ -259,10 +259,39 @@ class TestSolveTree:
         assert resid.is_zero(0.0)
 
     def test_malformed_input(self, setup):
+        # a missing rectangle or switch is named as `beta` and `delta` name it
         track, tree, lifts, free = setup
-        w = {s: hm.ga_zero("real", 3) for s in track.switch_ids}
-        with pytest.raises((KeyError, ValueError)):
+        v, w = solvable_instance(track, tree, free, "real", 3, random.Random(38))
+        with pytest.raises(ValueError, match=re.escape(f"missing rectangle coefficients: {free}")):
             hm.solve_tree(lifts, {}, w, "real", 3)
+        s = track.switch_ids[0]
+        w_short = {t: w[t] for t in track.switch_ids if t != s}
+        message = re.escape(f"missing switch coefficients: [{s}]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hm.delta(tree, w_short, "real", 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hm.solve_tree(lifts, v, w_short, "real", 3)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_a_vector_of_another_length_is_named(self, setup, extra):
+        # a longer vector was once cut to d-1 entries, a shorter one raised IndexError
+        track, tree, lifts, free = setup
+        d = 3
+        v, w = solvable_instance(track, tree, free, "real", d, random.Random(39))
+        s, r = track.switch_ids[1], free[0]
+
+        def resized(vec, longer):
+            return vec + (al.real(0.0),) if longer else vec[:1]
+
+        w_bad, v_bad = {**w, s: resized(w[s], extra > 0)}, {**v, r: resized(v[r], extra > 0)}
+        message = f"coefficients have {d - 1 + extra} entries, not d-1 = {d - 1}$"
+        with pytest.raises(ValueError, match=f"^switch {s} {message}"):
+            hm.solve_tree(lifts, v, w_bad, "real", d)
+        with pytest.raises(ValueError, match=f"^rectangle {r} {message}"):
+            hm.solve_tree(lifts, v_bad, w, "real", d)
+        # a longer and a shorter vector do not cancel in the lane count
+        with pytest.raises(ValueError, match=f"^switch {s} {message}"):
+            hm.solve_tree(lifts, {**v, r: resized(v[r], extra < 0)}, w_bad, "real", d)
 
     def test_plan_recorded_once_per_lifts_and_order(self, setup):
         track, tree, lifts, free = setup
