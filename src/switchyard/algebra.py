@@ -350,12 +350,18 @@ def is_zero(a: GroupElement, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_d_torsion(a: GroupElement, d: int, tol: float = DEFAULT_TOL) -> bool:
-    """The one d-torsion rule: ``a`` lies within ``tol`` of the lattice by `snap_torsion`;
-    for "zd:<n>" exactly, d * a = 0 mod n."""
+    """Whether ``a`` is d-torsion at ``tol``, by the rule of `_torsion_snap`."""
+    return _torsion_snap(a, d, tol) is not None
+
+
+def _torsion_snap(a: GroupElement, d: int, tol: float) -> Optional[Tuple[int, float]]:
+    """The one d-torsion rule: ``a``'s `snap_torsion` if ``a`` lies within ``tol`` of
+    the lattice (for "zd:<n>" exactly, d * a = 0 mod n), else None."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    snap = snap_torsion(a, d)
     n = _modulus(a.kind)
-    return snap_torsion(a, d)[1] <= tol if n is None else d * a.value % n == 0
+    return snap if (snap[1] <= tol if n is None else d * a.value % n == 0) else None
 
 
 def torsion_element(kind: str, d: int, k: int = 1) -> GroupElement:
@@ -446,16 +452,17 @@ def snap_torsion(e: GroupElement, d: int) -> Tuple[int, float]:
 
 
 class TorsionValue:
-    """An element checked to be d-torsion at ``tol`` by `is_d_torsion`, with ``residue``
-    and ``residual``, its lattice point's k and distance by `snap_torsion`; read-only."""
+    """An element checked to be d-torsion at ``tol`` by the rule of `is_d_torsion`, with
+    ``residue`` and ``residual``, its lattice point's k and distance by `snap_torsion`,
+    snapped once; read-only."""
 
     __setattr__ = __delattr__ = frozen_attribute
 
     def __init__(self, value: GroupElement, d: int, tol: float = MEMBER_TOL):
-        if not is_d_torsion(value, d, tol):
+        snap = _torsion_snap(value, d, tol)
+        if snap is None:
             raise ValueError(f"element is not {d}-torsion: {value}")
-        residue, residual = snap_torsion(value, d)
-        vars(self).update(value=value, d=d, residue=residue, residual=residual)
+        vars(self).update(value=value, d=d, residue=snap[0], residual=snap[1])
 
 
 # ---------------------------------------------------------------------------

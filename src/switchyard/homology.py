@@ -332,7 +332,8 @@ def solve_tree(
     Solves switch by switch, stripping degree-one switches of the tree, by
     the plan `solver_plan` records once per (lifts, d, order), on lanes; the
     final switch's residual is the balance condition, checked at ``tol``.
-    Each switch and each rectangle off the tree needs a vector of d-1 entries.
+    Each switch and each rectangle off the tree needs a vector of d-1 entries;
+    a key for any other id, a tree edge among them, is refused.
     """
     plan = solver_plan(lifts, d, order)
     n = d - 1
@@ -346,11 +347,15 @@ def solve_tree(
     try:
         vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
     except KeyError:
+        vecs = None
+    if vecs is None or len(w) != len(switches) or len(v_free) != len(plan.rects):
         for name, ids, given in (("switch", switches, w), ("rectangle", plan.rects, v_free)):
             missing = [i for i in ids if i not in given]
             if missing:
-                raise ValueError(f"missing {name} coefficients: {missing}") from None
-        raise
+                raise ValueError(f"missing {name} coefficients: {missing}")
+            unread = [i for i in given if i not in ids]
+            if unread:
+                raise ValueError(f"{name} coefficients the solver does not read: {unread}")
     if set(map(len, vecs)) != {n}:
         q = next(q for q, vec in enumerate(vecs) if len(vec) != n)
         raise ValueError(f"{where(q)} coefficients have {len(vecs[q])} entries, not d-1 = {n}")

@@ -113,11 +113,21 @@ class ValidationReport(NamedTuple):
 # on its left leaves a switch block into a rectangle at out_corner and
 # re-enters at in_corner.
 def out_corner(s: int, port: str) -> Tuple[int, str, int]:
-    return (s, port, 1 if is_big(port) else 0)
+    return (s, port, 1 if port == BIG else 0)
 
 
 def in_corner(s: int, port: str) -> Tuple[int, str, int]:
-    return (s, port, 0 if is_big(port) else 1)
+    return (s, port, 0 if port == BIG else 1)
+
+
+# A switch's three internal arcs, keyed by the port whose in-corner each one
+# leaves: the arc's kind and the port whose out-corner it reaches.  The arc
+# between the two smalls crosses the switch's cusp.
+SWITCH_ARCS: Dict[str, Tuple[str, str]] = {
+    BIG: ("h", SMALL_FIRST),
+    SMALL_FIRST: ("cusp", SMALL_SECOND),
+    SMALL_SECOND: ("h", BIG),
+}
 
 
 def exit_side(port: str, bit: int) -> str:
@@ -133,28 +143,39 @@ def transport_preserves(p0: str, p1: str) -> bool:
 
 
 Corner = Tuple[int, str, int]
+Arc = Tuple[str, object, Corner]  # (kind, payload, next corner)
 
 
 def _corners(track: "TrainTrack", switches: Iterable[int],
-             crosses: FrozenSet[int]) -> Dict[Corner, Tuple[str, object, Corner]]:
+             crosses: FrozenSet[int]) -> Dict[Corner, Arc]:
     """The boundary arc out of each corner at ``switches``: (kind, payload, next corner).
 
-    Three arcs run inside each switch, the middle one its cusp; each port's arc
-    crosses its rectangle if ``crosses`` holds it, else exits along the tie.
+    The `SWITCH_ARCS` run inside each switch, with the switch as payload; each
+    port's out-corner crosses its rectangle if ``crosses`` holds it (payload
+    None), else exits along the tie (payload (rect id, end)).
     """
-    slots = track.slot_map()
-    succ: Dict[Corner, Tuple[str, object, Corner]] = {}
+    slots, rects = track.slot_map(), track.rect_by_id
+    succ: Dict[Corner, Arc] = {}
     for s in switches:
-        succ[(s, BIG, 0)] = ("h", None, (s, SMALL_FIRST, 0))
-        succ[(s, SMALL_FIRST, 1)] = ("cusp", s, (s, SMALL_SECOND, 0))
-        succ[(s, SMALL_SECOND, 1)] = ("h", None, (s, BIG, 1))
-        for p in PORTS:
+        for p, (kind, q) in SWITCH_ARCS.items():
+            enter = in_corner(s, p)
+            succ[enter] = (kind, s, out_corner(s, q))
             rid, e = slots[(s, p)]
             if rid in crosses:
-                succ[out_corner(s, p)] = ("h", None, in_corner(*track.rect_by_id[rid].end(1 - e)))
+                succ[out_corner(s, p)] = ("h", None, in_corner(*rects[rid].end(1 - e)))
             else:
-                succ[out_corner(s, p)] = ("exit", (rid, e), in_corner(s, p))
+                succ[out_corner(s, p)] = ("exit", (rid, e), enter)
     return succ
+
+
+def _loop(succ: Dict[Corner, Arc], start: Corner) -> List[Arc]:
+    """Pop the loop through ``start`` from ``succ``; returns its arcs in order."""
+    arcs, c = [], start
+    while c in succ:
+        arc = succ.pop(c)
+        arcs.append(arc)
+        c = arc[2]
+    return arcs
 
 
 class TrainTrack:
@@ -173,22 +194,8 @@ class TrainTrack:
     def _trace_cells(self) -> List[List[int]]:
         """Trace full boundary; returns each cell's switch cycle in cw order."""
         succ = _corners(self, self.switch_ids, frozenset(self.rect_by_id))
-        cells: List[List[int]] = []
-        seen = set()
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            cusps: List[int] = []
-            c = start
-            while True:
-                seen.add(c)
-                kind, payload, c = succ[c]
-                if kind == "cusp":
-                    cusps.append(payload)
-                if c == start:
-                    break
-            cells.append(cusps)
-        return cells
+        loops = [_loop(succ, start) for start in sorted(succ) if start in succ]
+        return [[payload for kind, payload, _ in arcs if kind == "cusp"] for arcs in loops]
 
     def finalize(self) -> None:
         """Check all structural invariants; compute plaques."""
@@ -289,10 +296,12 @@ def validate(track: TrainTrack) -> ValidationReport:
 
 # -- fixtures ---------------------------------------------------------------
 
-# Largest genus `generate_fixture` builds and `gen-fixture --genus` accepts.  A
-# call costs about g^2, since each of its g-2 handle steps connects every fixed
-# pair: seeds 1-10 took at most 0.99 s at g=100 (p50 0.84 s) and 87 ms at g=20
-# on a 2-vCPU host, so a mistyped genus fails at once instead of running on.
+# Largest genus `generate_fixture` builds and `gen-fixture --genus` accepts, so
+# that a mistyped genus fails at once instead of running on.  Each of a call's
+# g-2 handle steps searches only the 38 chains it opens, and each attempt still
+# copies the pairing and checks connectivity over the whole track, so a call
+# grows as g with a small g^2 part: seeds 1-10 took at most 165 ms at g=100
+# (p50 149 ms) and 30 ms at g=20 on a 2-vCPU host, best of three runs each.
 MAX_GENUS = 100
 
 # Node cap of one search attempt.  Attempt k of a step may search
@@ -316,9 +325,12 @@ def generate_fixture(g: int, seed: int) -> TrainTrack:
     Base case: `_pair_slots` pairs every slot of switches 0..11.  Handle step:
     one seeded-random rectangle is removed, 12 switches with the next ids are
     added, and the 38 free slots are re-paired around the fixed pairs of the
-    rest.  A step that leaves the track disconnected, as when its freed slots
-    pair back with each other and cut the new switches off, is retried like a
-    capped one.  Each handle adds 12 switches, 18 rectangles and 4 trigons.
+    rest.  The search of a step reads only the chains its free slots open, so
+    its cost does not grow with the genus; the copy of the pairing and the
+    connectivity check of each attempt do.  A step that leaves the track
+    disconnected, as when its freed slots pair back with each other and cut
+    the new switches off, is retried like a capped one.  Each handle adds 12
+    switches, 18 rectangles and 4 trigons.
 
     Restart schedule: attempt k of a step searches at most
     ``min(MAX_SEARCH_NODES, 4 * n_free * 1.5**k)`` nodes before it restarts
@@ -366,25 +378,30 @@ def _grow(pairing: Dict[Slot, Slot], g: int, seed: int, attempt: int) -> Dict[Sl
     fixed = dict(pairing)
     free = _slots(range(n_sw - 12, n_sw))
     if pairing:
-        a = rng.choice(_slots(range(n_sw - 12)))
+        s, i = divmod(rng.choice(range(3 * (n_sw - 12))), 3)
+        a = (s, PORTS[i])
         b = fixed.pop(a)
         del fixed[b]
         free[:0] = (a, b)
     cap = int(min(MAX_SEARCH_NODES, 4 * len(free) * 1.5 ** attempt))
-    grown = _pair_slots(n_sw, fixed, free, rng, cap)
+    grown = _pair_slots(fixed, free, rng, cap)
     if len(_reach(0, lambda s: [grown[(s, p)][0] for p in PORTS])) < n_sw:
         raise FixtureSearchError("the re-paired track is disconnected")
     return grown
 
 
-def _pair_slots(n_sw: int, fixed: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
+def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
                 max_nodes: int) -> Dict[Slot, Slot]:
-    """Pair the ``free`` slots of switches 0..n_sw-1 around the ``fixed`` pairs
-    so that every cell is a trigon; returns the whole pairing.
+    """Pair the ``free`` slots around the fixed pairs of ``pairing``, into
+    ``pairing``, so that every cell is a trigon; returns ``pairing``.
 
-    Slots are paired one at a time.  Open boundary chains are maintained
-    incrementally; a branch is cut as soon as a chain accumulates more than
-    three cusps or closes on a number other than three.
+    Slots are paired one at a time along open boundary chains.  One chain
+    starts at each free slot's in-corner and runs along `SWITCH_ARCS` and
+    fixed pairs to the first free out-corner; every other chain is a closed
+    trigon of the fixed part, so a handle step seeds its 38 chains by walking
+    only the cells around the freed rectangle, not the whole track.  A branch
+    is cut as soon as a chain accumulates more than three cusps or closes on
+    a number other than three.
 
     Selection order: each node pairs the most constrained unmatched slot,
     the one whose outgoing and incoming chains carry the most cusps between
@@ -396,21 +413,21 @@ def _pair_slots(n_sw: int, fixed: Dict[Slot, Slot], free: List[Slot], rng: rando
     in_of = {a: in_corner(*a) for a in free}
 
     # Open chains keyed by endpoints: head_of[tail] = head, tail_of[head] =
-    # tail, cusps[head] = count.  The static switch arcs seed one 0-cusp
-    # chain per horizontal edge and one 1-cusp chain per cusp.
+    # tail, cusps[head] = count.
     tail_of: Dict[Tuple[int, str, int], Tuple[int, str, int]] = {}
     head_of: Dict[Tuple[int, str, int], Tuple[int, str, int]] = {}
     cusps: Dict[Tuple[int, str, int], int] = {}
-
-    def add_chain(head, tail, c):
-        tail_of[head] = tail
-        head_of[tail] = head
-        cusps[head] = c
-
-    for s in range(n_sw):
-        add_chain((s, BIG, 0), (s, SMALL_FIRST, 0), 0)
-        add_chain((s, SMALL_FIRST, 1), (s, SMALL_SECOND, 0), 1)
-        add_chain((s, SMALL_SECOND, 1), (s, BIG, 1), 0)
+    for a in free:
+        (s, p), count = a, 0
+        while True:
+            kind, q = SWITCH_ARCS[p]
+            count += kind == "cusp"
+            if (s, q) in out_of:
+                break
+            s, p = pairing[(s, q)]
+        tail_of[in_of[a]] = out_of[(s, q)]
+        head_of[out_of[(s, q)]] = in_of[a]
+        cusps[in_of[a]] = count
 
     def connect(u, v):
         """Join the chain ending at u to the one starting at v.
@@ -460,10 +477,6 @@ def _pair_slots(n_sw: int, fixed: Dict[Slot, Slot], free: List[Slot], rng: rando
             return None
         return (t1, t2)
 
-    # a fixed pair never breaks a trigon: its chains run along cells of a valid track
-    for a, b in fixed.items():
-        connect(out_corner(*a), in_corner(*b))
-
     def pressure(a: Slot) -> int:
         # cusps on the chains through a's corners; 3 on either forces a trigon
         return cusps[head_of[out_of[a]]] + cusps[in_of[a]]
@@ -483,7 +496,6 @@ def _pair_slots(n_sw: int, fixed: Dict[Slot, Slot], free: List[Slot], rng: rando
         index[a] = len(unmatched)
         unmatched.append(a)
 
-    pairing = dict(fixed)
     nodes = 0
 
     def search() -> bool:
@@ -717,24 +729,15 @@ def _walk(tree: OrientedTree) -> Tuple[Step, ...]:
     track = tree.track
     o = tree.orientation
     succ = _corners(track, o, tree.edges)
-
-    start = min(succ)
-    arcs = []
-    c = start
-    while True:
-        kind, payload, nxt = succ[c]
-        arcs.append((kind, payload))
-        c = nxt
-        if c == start:
-            break
-    if len(arcs) != len(succ):
+    arcs = _loop(succ, min(succ))
+    if succ:
         raise TreeStructureError("tree boundary is not a single loop")
 
-    first_cross = next(i for i, (k, _) in enumerate(arcs) if k != "h")
+    first_cross = next(i for i, (k, _, _) in enumerate(arcs) if k != "h")
     arcs = arcs[first_cross:] + arcs[:first_cross]
     steps: List[Step] = []
     run = 0
-    for kind, payload in arcs:
+    for kind, payload, _ in arcs:
         if kind == "h":
             run += 1
             continue

@@ -90,6 +90,23 @@ class TestTorsion:
         assert al.is_d_torsion(al.real(0.0), 5)
         assert not al.is_d_torsion(al.real(0.5), 5)
 
+    @pytest.mark.parametrize("value", [al.cylinder(1e-9, al.TWO_PI / 3), al.cyclic(12, 4)])
+    def test_torsion_value_snaps_once(self, value, monkeypatch):
+        calls = []
+        snap = al.snap_torsion
+        monkeypatch.setattr(al, "snap_torsion", lambda a, d: calls.append(d) or snap(a, d))
+        t = al.TorsionValue(value, 3, 1e-8)
+        assert calls == [3]
+        assert (t.residue, t.residual) == snap(value, 3)
+        assert t.residue == 1
+
+    def test_torsion_value_checks_d_first(self):
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                al.TorsionValue(al.cylinder(0.0, 0.0), d)
+        with pytest.raises(ValueError, match="element is not 3-torsion"):
+            al.TorsionValue(al.cylinder(0.0, 1.0), 3)
+
     def test_torsion_orders(self):
         assert al.torsion_order("circle", 5) == 5
         assert al.torsion_order("cylinder", 4) == 4

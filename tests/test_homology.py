@@ -272,6 +272,20 @@ class TestSolveTree:
         with pytest.raises(ValueError, match=f"^{message}$"):
             hm.solve_tree(lifts, v, w_short, "real", 3)
 
+    def test_keys_the_solver_does_not_read_are_named(self, setup):
+        # a tree edge's vector was once dropped for the solved one without a word,
+        # and so were unknown rectangle and switch ids
+        track, tree, lifts, free = setup
+        v, w = solvable_instance(track, tree, free, "real", 3, random.Random(40))
+        edge = min(tree.edges)
+        stray = (al.real(-0.95), al.real(0.0))
+        for v_bad, w_bad, message in (
+                ({**v, edge: stray}, w, f"rectangle coefficients the solver does not read: [{edge}]"),
+                ({**v, 999: stray}, w, "rectangle coefficients the solver does not read: [999]"),
+                (v, {**w, 999: stray}, "switch coefficients the solver does not read: [999]")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                hm.solve_tree(lifts, v_bad, w_bad, "real", 3)
+
     @pytest.mark.parametrize("extra", [1, -1])
     def test_a_vector_of_another_length_is_named(self, setup, extra):
         # a longer vector was once cut to d-1 entries, a shorter one raised IndexError

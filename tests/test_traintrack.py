@@ -36,12 +36,6 @@ class TestValidation:
         assert rep.valid
         assert rep.n_plaques == 4 * g - 4
 
-    @pytest.mark.parametrize("g, seed", [(2, 3), (4, 2), (8, 4)])
-    def test_fixture_search_deterministic(self, g, seed):
-        first = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
-        second = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
-        assert first == second
-
     # sha256 of each genus-2 track document: every higher genus grows from this
     # base case, and seeds 5 and 36 are the tracks of the CLI walkthrough and
     # its tests.
@@ -63,6 +57,28 @@ class TestValidation:
     def test_genus_two_tracks_are_pinned(self, seed):
         doc = json.dumps(tt.track_to_json(tt.generate_fixture(2, seed)))
         assert hashlib.sha256(doc.encode()).hexdigest() == self.G2_DIGESTS[seed]
+
+    # one sha256 over the track documents of g = 3..12 for seeds 1-5 and g = 20 for
+    # seeds 1-3, in that order: each handle step must make the same choices in the
+    # same order, so every track grown from a pinned genus-2 base stays byte-identical
+    HANDLE_DIGEST = "ea4425c1ecabc97b5736f12e4cd9f68115e3e928bc060217354762d6cf3965dc"
+
+    def test_handle_grown_tracks_are_pinned(self):
+        digest = hashlib.sha256()
+        for g, seeds in [*((g, range(1, 6)) for g in range(3, 13)), (20, range(1, 4))]:
+            for seed in seeds:
+                digest.update(json.dumps(tt.track_to_json(tt.generate_fixture(g, seed))).encode())
+        assert digest.hexdigest() == self.HANDLE_DIGEST
+
+    def test_disconnected_handle_is_retried(self):
+        # seed 14's first genus-3 attempt pairs a track that falls apart; the
+        # second attempt draws another rectangle and grows the pinned track
+        base = tt._grow({}, 2, 14, 0)
+        with pytest.raises(tt.FixtureSearchError, match="the re-paired track is disconnected"):
+            tt._grow(base, 3, 14, 0)
+        doc = json.dumps(tt.track_to_json(tt.generate_fixture(3, 14)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "9bfe81f4b658d3519c99b1d9b43076cb8164b5129ffc6fe3b92ff20de5b1c3ea")
 
     def test_exhausted_search_raises_fixture_error(self, monkeypatch):
         monkeypatch.setattr(tt, "MAX_SEARCH_NODES", 5)
