@@ -36,6 +36,12 @@ class TestValidation:
         assert rep.valid
         assert rep.n_plaques == 4 * g - 4
 
+    @pytest.mark.parametrize("g, seed", [(2, 3), (4, 2), (8, 4)])
+    def test_fixture_search_deterministic(self, g, seed):
+        first = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
+        second = json.dumps(tt.track_to_json(tt.generate_fixture(g, seed)))
+        assert first == second
+
     # sha256 of each genus-2 track document: every higher genus grows from this
     # base case, and seeds 5 and 36 are the tracks of the CLI walkthrough and
     # its tests.
