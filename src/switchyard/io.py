@@ -25,7 +25,9 @@ def load(path, decode, *args):
         return decode(json.loads(raw), *args), raw
     except OSError as err:
         raise InputError(f"{path}: {err.strerror}") from None
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError,
+    except KeyError as err:  # str(err) is the key's repr alone
+        raise InputError(f"{path}: missing key {err}") from None
+    except (IndexError, TypeError, ValueError, AttributeError, OverflowError,
             RecursionError) as err:  # RecursionError: JSON nested too deep
         raise InputError(f"{path}: {err}") from None
 

@@ -298,10 +298,11 @@ def validate(track: TrainTrack) -> ValidationReport:
 
 # Largest genus `generate_fixture` builds and `gen-fixture --genus` accepts, so
 # that a mistyped genus fails at once instead of running on.  Each of a call's
-# g-2 handle steps searches only the 38 chains it opens, and each attempt still
-# copies the pairing and checks connectivity over the whole track, so a call
-# grows as g with a small g^2 part: seeds 1-10 took at most 165 ms at g=100
-# (p50 149 ms) and 30 ms at g=20 on a 2-vCPU host, best of three runs each.
+# g-2 handle steps searches only the 38 chains it opens, their ends numbered in
+# three int lists, and each attempt still copies the pairing and walks the
+# whole track for connectivity, so a call grows as g with a small g^2 part:
+# seeds 1-10 took at most 96 ms at g=100 (p50 84 ms) and 15 ms at g=20 on a
+# 2-vCPU host, best of three runs each (a noisier session read up to 147 ms).
 MAX_GENUS = 100
 
 # Node cap of one search attempt.  Attempt k of a step may search
@@ -325,12 +326,13 @@ def generate_fixture(g: int, seed: int) -> TrainTrack:
     Base case: `_pair_slots` pairs every slot of switches 0..11.  Handle step:
     one seeded-random rectangle is removed, 12 switches with the next ids are
     added, and the 38 free slots are re-paired around the fixed pairs of the
-    rest.  The search of a step reads only the chains its free slots open, so
-    its cost does not grow with the genus; the copy of the pairing and the
-    connectivity check of each attempt do.  A step that leaves the track
-    disconnected, as when its freed slots pair back with each other and cut
-    the new switches off, is retried like a capped one.  Each handle adds 12
-    switches, 18 rectangles and 4 trigons.
+    rest.  The search of a step reads only the chains its free slots open,
+    their ends numbered by free slot in three int lists, so its cost does not
+    grow with the genus; the copy of the pairing and the connectivity walk
+    of each attempt do.  A step that leaves the track disconnected, as when
+    its freed slots pair back with each other and cut the new switches off,
+    is retried like a capped one.  Each handle adds 12 switches, 18
+    rectangles and 4 trigons.
 
     Restart schedule: attempt k of a step searches at most
     ``min(MAX_SEARCH_NODES, 4 * n_free * 1.5**k)`` nodes before it restarts
@@ -385,7 +387,15 @@ def _grow(pairing: Dict[Slot, Slot], g: int, seed: int, attempt: int) -> Dict[Sl
         free[:0] = (a, b)
     cap = int(min(MAX_SEARCH_NODES, 4 * len(free) * 1.5 ** attempt))
     grown = _pair_slots(fixed, free, rng, cap)
-    if len(_reach(0, lambda s: [grown[(s, p)][0] for p in PORTS])) < n_sw:
+    reach, todo = {0}, [0]  # the switches reachable from switch 0 through grown's pairs
+    while todo:
+        s = todo.pop()
+        for p in PORTS:
+            t = grown[s, p][0]
+            if t not in reach:
+                reach.add(t)
+                todo.append(t)
+    if len(reach) < n_sw:
         raise FixtureSearchError("the re-paired track is disconnected")
     return grown
 
@@ -403,96 +413,77 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
     is cut as soon as a chain accumulates more than three cusps or closes on
     a number other than three.
 
+    Chain ends are numbered: free slot i is ``free[i]``, and its out-corner
+    (a chain's tail) and in-corner (a chain's head) both carry the number i.
+    Three int lists hold the open chains: ``head_of[tail]``, ``tail_of[head]``
+    and ``cusps[head]``.  A join leaves the entries of the two ends it closes
+    as they were, so its undo record restores only the three entries it
+    wrote, and closing a trigon writes none.  A search node builds no corner
+    tuple: slots are mapped back through ``free`` only when a pair is written
+    into ``pairing``, on the way back from a complete pairing.
+
     Selection order: each node pairs the most constrained unmatched slot,
     the one whose outgoing and incoming chains carry the most cusps between
     them (ties go to the earlier slot in the unmatched list).  Its partners
     are tried in a seeded random order.  More than ``max_nodes`` nodes raise
     ``FixtureSearchError``.
     """
-    out_of = {a: out_corner(*a) for a in free}
-    in_of = {a: in_corner(*a) for a in free}
-
-    # Open chains keyed by endpoints: head_of[tail] = head, tail_of[head] =
-    # tail, cusps[head] = count.
-    tail_of: Dict[Tuple[int, str, int], Tuple[int, str, int]] = {}
-    head_of: Dict[Tuple[int, str, int], Tuple[int, str, int]] = {}
-    cusps: Dict[Tuple[int, str, int], int] = {}
-    for a in free:
-        (s, p), count = a, 0
+    number = {a: i for i, a in enumerate(free)}
+    head_of, tail_of, cusps = [0] * len(free), [0] * len(free), [0] * len(free)
+    for i, (s, p) in enumerate(free):
+        count = 0
         while True:
             kind, q = SWITCH_ARCS[p]
             count += kind == "cusp"
-            if (s, q) in out_of:
+            j = number.get((s, q))
+            if j is not None:
                 break
             s, p = pairing[(s, q)]
-        tail_of[in_of[a]] = out_of[(s, q)]
-        head_of[out_of[(s, q)]] = in_of[a]
-        cusps[in_of[a]] = count
+        tail_of[i], head_of[j], cusps[i] = j, i, count
 
-    def connect(u, v):
-        """Join the chain ending at u to the one starting at v.
-
-        Returns an undo token, or None if the trigon condition is violated.
-        """
+    def connect(u: int, v: int):
+        """Join the chain ending at out-corner u to the one starting at
+        in-corner v: an undo record (empty when a trigon closes), or None if
+        the trigon condition is violated."""
         head = head_of[u]
-        tail = tail_of[v]
         if head == v:
-            # closes a cycle; it must be a trigon
-            if cusps[head] != 3:
-                return None
-            del head_of[u], tail_of[v]
-            c = cusps.pop(head)
-            return ("cycle", u, v, c)
-        c1, c2 = cusps[head], cusps[v]
-        if c1 + c2 > 3:
+            return () if cusps[v] == 3 else None
+        c = cusps[head]
+        if c + cusps[v] > 3:
             return None
-        del head_of[u], tail_of[v], cusps[v]
-        tail_of[head] = tail
-        head_of[tail] = head
-        cusps[head] = c1 + c2
-        return ("merge", u, v, head, tail, c1, c2)
+        tail = tail_of[v]
+        tail_of[head], head_of[tail], cusps[head] = tail, head, c + cusps[v]
+        return head, u, c, tail, v
 
-    def undo(token):
-        if token[0] == "cycle":
-            _, u, v, c = token
-            head_of[u] = v
-            tail_of[v] = u
-            cusps[v] = c
-        else:
-            _, u, v, head, tail, c1, c2 = token
-            tail_of[head] = u
-            head_of[u] = head
-            cusps[head] = c1
-            tail_of[v] = tail
-            head_of[tail] = v
-            cusps[v] = c2
+    def undo(record) -> None:
+        if record:
+            head, u, c, tail, v = record
+            tail_of[head], head_of[tail], cusps[head] = u, v, c
 
-    def try_pair(a: Slot, b: Slot):
-        t1 = connect(out_of[a], in_of[b])
-        if t1 is None:
+    def try_pair(a: int, b: int):
+        """Join out(a) -> in(b), then out(b) -> in(a); returns an undo record,
+        or None if either join breaks the trigon condition."""
+        first = connect(a, b)
+        if first is None:
             return None
-        t2 = connect(out_of[b], in_of[a])
-        if t2 is None:
-            undo(t1)
+        second = connect(b, a)
+        if second is None:
+            undo(first)
             return None
-        return (t1, t2)
+        return first, second
 
-    def pressure(a: Slot) -> int:
-        # cusps on the chains through a's corners; 3 on either forces a trigon
-        return cusps[head_of[out_of[a]]] + cusps[in_of[a]]
+    # Unmatched slot numbers: swap-pop removal and append restore, both O(1).
+    unmatched = list(range(len(free)))
+    index = list(unmatched)
 
-    # Unmatched slots: swap-pop removal and append restore, both O(1).
-    unmatched = list(free)
-    index = {a: i for i, a in enumerate(unmatched)}
-
-    def take(a: Slot) -> None:
-        i = index.pop(a)
+    def take(a: int) -> None:
+        i = index[a]
         moved = unmatched.pop()
         if moved != a:
             unmatched[i] = moved
             index[moved] = i
 
-    def put(a: Slot) -> None:
+    def put(a: int) -> None:
         index[a] = len(unmatched)
         unmatched.append(a)
 
@@ -505,23 +496,27 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
         nodes += 1
         if nodes > max_nodes:
             raise FixtureSearchError(f"search exceeded {max_nodes} nodes; retry with a new seed")
-        a = max(unmatched, key=pressure)
+        # cusps on the chains through a slot's corners; 3 on either forces a
+        # trigon.  The first slot of the greatest pressure wins.
+        a, most = 0, -1
+        for x in unmatched:
+            pressure = cusps[head_of[x]] + cusps[x]
+            if pressure > most:
+                a, most = x, pressure
         take(a)
         order = unmatched[:]
         rng.shuffle(order)
         for b in order:
-            tokens = try_pair(a, b)
-            if tokens is None:
+            record = try_pair(a, b)
+            if record is None:
                 continue
             take(b)
-            pairing[a] = b
-            pairing[b] = a
             if search():
+                pairing[free[a]], pairing[free[b]] = free[b], free[a]
                 return True
-            del pairing[a], pairing[b]
             put(b)
-            undo(tokens[1])
-            undo(tokens[0])
+            undo(record[1])
+            undo(record[0])
         put(a)
         return False
 
@@ -604,6 +599,9 @@ def maximal_tree(
         edge_set = frozenset(chosen)
     else:
         edge_set = frozenset(edges)
+        unknown = edge_set - track.rect_by_id.keys()
+        if unknown:
+            raise TreeStructureError(f"edges {sorted(unknown)} are not rectangles")
     if len(edge_set) != n - 1:
         raise TreeStructureError(f"{len(edge_set)} edges cannot span {n} switches")
     if root is None:

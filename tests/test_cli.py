@@ -57,6 +57,19 @@ class TestValidate:
         r = run_cli(["validate", str(tmp_path / "nope.json")])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "tree"])
+    def test_track_without_rectangles_names_the_key(self, run_cli, workdir, tmp_path, command):
+        doc = json.loads((workdir / "track.json").read_text())
+        del doc["rectangles"]
+        bad = tmp_path / "no_rectangles.json"
+        bad.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "out.json")] if command == "tree" else []
+        for path in (bad, workdir / "pts.json"):  # a points file has no rectangles either
+            r = run_cli([command, str(path), *out])
+            assert isinstance(r.exception, SystemExit), r.exception
+            assert r.exit_code == 2
+            assert r.stderr == f"input error: {path}: missing key 'rectangles'\n"
+
     def test_genus_mismatch_exits_one(self, run_cli, workdir, tmp_path):
         doc = json.loads((workdir / "track.json").read_text())
         doc["genus"] = 3
@@ -315,6 +328,16 @@ class TestFixtureAndTree:
         vals = doc["values"]
         free = vals["orientable"] + vals["u_left"] + vals["u_right"]
         assert free == 7
+
+    def test_tree_edge_off_the_track_is_named(self, run_cli, workdir, tmp_path):
+        doc = json.loads((workdir / "tree.json").read_text())
+        doc["tree"]["edges"][0] = 999
+        bad = tmp_path / "bad_edge.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli(["classify", str(bad)])
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code == 2
+        assert r.stderr == f"input error: {bad}: edges [999] are not rectangles\n"
 
     def test_classify_needs_tree(self, run_cli, workdir):
         r = run_cli(["classify", str(workdir / "track.json")])

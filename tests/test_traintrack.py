@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -75,6 +76,51 @@ class TestValidation:
             for seed in seeds:
                 digest.update(json.dumps(tt.track_to_json(tt.generate_fixture(g, seed))).encode())
         assert digest.hexdigest() == self.HANDLE_DIGEST
+
+    # the seeds the `search` benchmark workload runs: g = 3 for seeds 1-84 and
+    # g = 4 for seeds 1-16, in that order.  Unlike the handle digest's range,
+    # this window has attempts that hit the node cap (17) or fall apart (9).
+    SEARCH_WINDOW = [(3, seed) for seed in range(1, 85)] + [(4, seed) for seed in range(1, 17)]
+    # one sha256 over the window's track documents
+    WINDOW_DIGEST = "b7ce7abd77da3c67f3957b513d24f7de9be178739131778c4a3bcd3e8b806f8a"
+    # one sha256 over the search's path through the window: the length of each
+    # shuffle (one per search node) and each attempt's outcome
+    PATH_DIGEST = "eb085ce23f332f7b14a1780446ff11574c7d9f7614777ee45e0d674421e8ed84"
+
+    def test_search_window_tracks_are_pinned(self):
+        digest = hashlib.sha256()
+        for g, seed in self.SEARCH_WINDOW:
+            digest.update(json.dumps(tt.track_to_json(tt.generate_fixture(g, seed))).encode())
+        assert digest.hexdigest() == self.WINDOW_DIGEST
+
+    def test_search_path_through_the_window_is_pinned(self, monkeypatch):
+        # every node shuffles its partners once, so the shuffle lengths and the
+        # attempt outcomes show the search visits the same nodes in the same order
+        events = []
+
+        class Recording(random.Random):
+            def shuffle(self, x):
+                events.append(len(x))
+                return super().shuffle(x)
+
+        grow = tt._grow
+
+        def recorded_grow(*args):
+            try:
+                grown = grow(*args)
+            except tt.FixtureSearchError as err:
+                events.append("cap" if "nodes" in str(err) else
+                              "disconnected" if "disconnected" in str(err) else str(err))
+                raise
+            events.append("ok")
+            return grown
+
+        monkeypatch.setattr(tt.random, "Random", Recording)
+        monkeypatch.setattr(tt, "_grow", recorded_grow)
+        for g, seed in self.SEARCH_WINDOW:
+            tt.generate_fixture(g, seed)
+        assert (events.count("ok"), events.count("cap"), events.count("disconnected")) == (216, 17, 9)
+        assert hashlib.sha256(json.dumps(events).encode()).hexdigest() == self.PATH_DIGEST
 
     def test_disconnected_handle_is_retried(self):
         # seed 14's first genus-3 attempt pairs a track that falls apart; the
@@ -200,6 +246,11 @@ class TestTrees:
         tree = tt.maximal_tree(g2, seed=0)
         assert len(tree.edges) == 11
         assert set(tree.orientation) == set(g2.switch_ids)
+
+    def test_unknown_edge_rejected(self, g2):
+        edges = set(tt.maximal_tree(g2, seed=0).edges)
+        with pytest.raises(tt.TreeStructureError, match=r"edges \[999\] are not rectangles"):
+            tt.maximal_tree(g2, edges=edges - {min(edges)} | {999})
 
     def test_cycle_rejected(self, g2):
         tree = tt.maximal_tree(g2, seed=0)
