@@ -397,16 +397,29 @@ def random_element(kind: str, rng: random.Random) -> GroupElement:
 
 def random_lanes(kind: str, rng: random.Random, count: int) -> list:
     """The lanes of ``count`` draws of the one draw rule: a gaussian real part, a
-    uniform angle, a uniform residue."""
-    gauss, uniform = rng.gauss, rng.uniform
+    uniform angle, a uniform residue.
+
+    Each lane and the generator's final state are the stdlib calls': ``TWO_PI *
+    rng.random()`` is ``_norm_angle(rng.uniform(0.0, TWO_PI))``, since ``uniform``
+    adds it to 0.0 and the largest ``random()`` gives 2*pi less one ulp, and the
+    residue loop is ``randrange(n)``'s own, ``getrandbits`` of n's bit length
+    drawn again while it is n or more."""
+    gauss, rand = rng.gauss, rng.random
     if kind == "real":
         return [gauss(0.0, 1.0) for _ in range(count)]
     if kind == "circle":
-        return [_norm_angle(uniform(0.0, TWO_PI)) for _ in range(count)]
+        return [TWO_PI * rand() for _ in range(count)]
     if kind == "cylinder":
-        return [(gauss(0.0, 1.0), _norm_angle(uniform(0.0, TWO_PI))) for _ in range(count)]
+        return [(gauss(0.0, 1.0), TWO_PI * rand()) for _ in range(count)]
     n = _modulus(kind)
-    return [rng.randrange(n) for _ in range(count)]
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    lanes = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        lanes.append(r)
+    return lanes
 
 
 # ---------------------------------------------------------------------------

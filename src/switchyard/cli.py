@@ -134,7 +134,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="switchyard", allow_abbrev=False,
         description="Train-track coordinates, torsion invariants, and lifting obstructions.")
     parser.add_argument("--seed", type=int, default=0,
-                        help="root of all randomness; every trial reseeds from it (default 0)")
+                        help="root of all randomness, >= 0; every trial reseeds from it (default 0)")
     parser.add_argument("--group", default="cylinder",
                         help="coefficient group: real, circle, cylinder, zd:<n> (default cylinder)")
     parser.add_argument("--d", type=int, default=3,
@@ -160,6 +160,8 @@ def main(argv=None) -> NoReturn:
     tol = al.DEFAULT_TOL if tolerance is None else tolerance
     cfg = {key: args.pop(key) for key in ("seed", "group", "d", "json")}
     try:
+        if cfg["seed"] < 0:  # random.Random seeds by abs(), so -5 would alias 5
+            raise io.InputError(f"seed {cfg['seed']} < 0")
         cfg.update(tol=io.tolerance(tol), member_tol=max(tol, al.MEMBER_TOL),
                    tol_explicit=tolerance is not None)
         run(cfg, **args)

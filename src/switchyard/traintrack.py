@@ -301,21 +301,21 @@ def validate(track: TrainTrack) -> ValidationReport:
 # g-2 handle steps searches only the 38 chains it opens, their ends numbered in
 # three int lists, and each attempt still copies the pairing and walks the
 # whole track for connectivity, so a call grows as g with a small g^2 part:
-# seeds 1-10 took at most 96 ms at g=100 (p50 84 ms) and 15 ms at g=20 on a
-# 2-vCPU host, best of three runs each (a noisier session read up to 147 ms).
+# seeds 1-10 took at most 87 ms at g=100 (p50 81 ms) and 13 ms at g=20 on a
+# 2-vCPU host, best of six runs each.
 MAX_GENUS = 100
 
 # Node cap of one search attempt.  Attempt k of a step may search
 # 4 * n_free * 1.5**k nodes (n_free is 36 at genus 2, 38 for a handle), which
-# reaches this cap from the 15th attempt on; a capped attempt costs about 0.3 s
-# on a 2-vCPU host (an unpairable odd slot set, searched to the cap), so it
-# bounds how long one attempt can stall.
+# reaches this cap from the 15th attempt on; a capped attempt costs about 0.1 s
+# on a 2-vCPU host (at most 173 ms over 108 searches of an unpairable odd slot
+# set to the cap), so it bounds how long one attempt can stall.
 MAX_SEARCH_NODES = 30_000
 
 # Attempts per step before the search gives up.  The hardest step measured
 # (genus 2 for seeds 1-200, every handle up to g=20 for seeds 1-50) needed 5,
-# and 97% of the handles at most 2; 200 bounds one step at about a minute of
-# capped attempts, so an unlucky seed fails with `FixtureSearchError` rather
+# and 97% of the handles at most 2; 200 bounds one step at about half a minute
+# of capped attempts, so an unlucky seed fails with `FixtureSearchError` rather
 # than running on.
 MAX_SEARCH_ATTEMPTS = 200
 
@@ -425,8 +425,8 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
     Selection order: each node pairs the most constrained unmatched slot,
     the one whose outgoing and incoming chains carry the most cusps between
     them (ties go to the earlier slot in the unmatched list).  Its partners
-    are tried in a seeded random order.  More than ``max_nodes`` nodes raise
-    ``FixtureSearchError``.
+    are tried in the order `_shuffle` draws from ``rng``.  More than
+    ``max_nodes`` nodes raise ``FixtureSearchError``.
     """
     number = {a: i for i, a in enumerate(free)}
     head_of, tail_of, cusps = [0] * len(free), [0] * len(free), [0] * len(free)
@@ -487,7 +487,7 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
         index[a] = len(unmatched)
         unmatched.append(a)
 
-    nodes = 0
+    nodes, getrandbits = 0, rng.getrandbits
 
     def search() -> bool:
         nonlocal nodes
@@ -505,7 +505,7 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
                 a, most = x, pressure
         take(a)
         order = unmatched[:]
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         for b in order:
             record = try_pair(a, b)
             if record is None:
@@ -523,6 +523,23 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
     if not search():
         raise FixtureSearchError("no pairing found")
     return pairing
+
+
+def _shuffle(x: list, getrandbits) -> None:
+    """Shuffle ``x`` in place as `random.Random.shuffle` does, drawing from
+    ``getrandbits``, a `random.Random`'s bound method, in this one frame.
+
+    CPython 3.10-3.12 swaps ``x[i]`` with ``x[j]`` for i from the end down to 1,
+    each j being ``getrandbits(k)``, k the bit length of i + 1, drawn again while
+    it exceeds i (`_randbelow_with_getrandbits`).  Here no ``_randbelow`` call is
+    made per element, and the permutation and generator state stay the stdlib's.
+    """
+    for i in reversed(range(1, len(x))):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 # -- oriented spanning trees -------------------------------------------------
@@ -581,7 +598,7 @@ def maximal_tree(
     if edges is None:
         rng = random.Random(seed)
         order = list(track.rects)
-        rng.shuffle(order)
+        _shuffle(order, rng.getrandbits)
         parent = {s: s for s in track.switch_ids}
 
         def find(x: int) -> int:

@@ -455,24 +455,42 @@ class TestRun:
             assert al.run(kind, rows, lanes) == [al.evaluate(kind, row, lanes) for row in rows]
             assert al.run(kind, (), lanes) == []
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", [*KINDS, "zd:1", "zd:8", "zd:1000003"])
     def test_random_elements_keep_the_draw_rule_and_stream(self, kind):
-        # the rule spelled out through the normalizing constructor, one draw at a time
+        # the stdlib calls the rule stands for, one draw at a time: the same bits and
+        # the same generator state after the draws, on every Python the suite runs
         def draw(rng):
             if kind == "real":
-                return al.GroupElement(kind, rng.gauss(0.0, 1.0))
+                return rng.gauss(0.0, 1.0)
             if kind == "circle":
-                return al.GroupElement(kind, rng.uniform(0.0, al.TWO_PI))
+                return al._norm_angle(rng.uniform(0.0, al.TWO_PI))
             if kind == "cylinder":
-                return al.GroupElement(kind, (rng.gauss(0.0, 1.0), rng.uniform(0.0, al.TWO_PI)))
-            return al.GroupElement(kind, rng.randrange(int(kind[3:])))
+                return (rng.gauss(0.0, 1.0), al._norm_angle(rng.uniform(0.0, al.TWO_PI)))
+            return rng.randrange(int(kind[3:]))
 
-        a, b = random.Random(27), random.Random(27)
-        got = al.random_lanes(kind, a, 50)
-        want = [draw(b) for _ in range(50)]
-        assert bits_list(got) == bits_list(x.value for x in want)
-        assert a.random() == b.random()
-        assert al.random_element(kind, a) == draw(b)
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            got = al.random_lanes(kind, a, 37)
+            assert bits_list(got) == bits_list(draw(b) for _ in range(37))
+            assert a.getstate() == b.getstate()
+            assert bits(al.random_element(kind, a).value) == bits(draw(b))
+
+    def test_extreme_unit_draws_give_the_stdlib_angle(self):
+        # random() lies in [0, 1 - 2**-53]: both ends give the angle of the stdlib
+        # rule, and the top end stays below 2*pi, so no fmod is needed
+        class Ends(random.Random):
+            """random() returns 0.0, then 1 - 2**-53, and so on in turn."""
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return 0.0 if self.calls % 2 else 1.0 - 2.0 ** -53
+
+        got = al.random_lanes("circle", Ends(), 2)
+        stdlib = Ends()
+        assert bits_list(got) == bits_list(al._norm_angle(stdlib.uniform(0.0, al.TWO_PI))
+                                           for _ in range(2))
+        assert got == [0.0, math.nextafter(al.TWO_PI, 0.0)]
 
 
 class TestGroupElement:

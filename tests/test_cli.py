@@ -1028,6 +1028,19 @@ class TestDeterminism:
             docs.append(doc)
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("command", [["gen-fixture", "--genus", "2"], ["tree", "TRACK"],
+                                         ["sample-y", "TREE"]])
+    def test_negative_seed_is_refused(self, run_cli, workdir, tmp_path, command):
+        # random.Random seeds an int by its absolute value, so -5 would write the
+        # bytes of 5; it is refused before any file is written
+        paths = {"TRACK": str(workdir / "track.json"), "TREE": str(workdir / "tree.json")}
+        out = tmp_path / "neg.json"
+        r = run_cli(["--seed", "-5", *(paths.get(a, a) for a in command), "--out", str(out)])
+        assert isinstance(r.exception, SystemExit), repr(r.exception)
+        assert r.exit_code == 2
+        assert (r.stdout, r.stderr) == ("", "input error: seed -5 < 0\n")
+        assert not out.exists()
+
 
 class TestSelftest:
     def test_selftest_passes(self, run_cli):

@@ -97,11 +97,11 @@ class TestValidation:
         # every node shuffles its partners once, so the shuffle lengths and the
         # attempt outcomes show the search visits the same nodes in the same order
         events = []
+        shuffle = tt._shuffle
 
-        class Recording(random.Random):
-            def shuffle(self, x):
-                events.append(len(x))
-                return super().shuffle(x)
+        def recorded_shuffle(x, getrandbits):
+            events.append(len(x))
+            shuffle(x, getrandbits)
 
         grow = tt._grow
 
@@ -115,7 +115,7 @@ class TestValidation:
             events.append("ok")
             return grown
 
-        monkeypatch.setattr(tt.random, "Random", Recording)
+        monkeypatch.setattr(tt, "_shuffle", recorded_shuffle)
         monkeypatch.setattr(tt, "_grow", recorded_grow)
         for g, seed in self.SEARCH_WINDOW:
             tt.generate_fixture(g, seed)
@@ -239,6 +239,21 @@ class TestValidation:
     def test_each_switch_in_one_plaque(self, g2):
         seen = [t for pl in g2.plaques for t in pl.switches_ccw]
         assert sorted(seen) == sorted(g2.switch_ids)
+
+
+class TestShuffle:
+    # every length a search node shuffles (at most 37 partners) and more, plus the
+    # rectangle count `maximal_tree` shuffles at MAX_GENUS; the suite runs on every
+    # CI Python, so a change to the stdlib's shuffle or _randbelow fails here
+    @pytest.mark.parametrize("n", [*range(65), 18 * (tt.MAX_GENUS - 1)])
+    def test_shuffle_is_the_stdlib_shuffle(self, n):
+        for seed in range(200):
+            a, b = random.Random(seed), random.Random(seed)
+            got, want = list(range(n)), list(range(n))
+            tt._shuffle(got, a.getrandbits)
+            b.shuffle(want)
+            assert got == want
+            assert a.getstate() == b.getstate()
 
 
 class TestTrees:
