@@ -6,6 +6,11 @@ and wall time.  With a fixed seed and fixed inputs everything except the
 wall-time field reproduces byte-identically.  Exit codes: 0 success,
 1 mathematical-check failure, 2 input error.
 
+A command returns its report, or `Report.fail` ends it at its first failed
+check.  `main` alone ends a run: it writes the report, also to a stdout closed
+early, and exits with its code, or 2 on an `io.InputError`.  Per point,
+`Report.attempt` fails a check on an error and `Report.bound` on a residual.
+
 Every command imports the layers it runs inside itself, before its report
 starts, so the wall time counts only its own work.  Beside `algebra` and
 `io`, which every command loads:
@@ -34,6 +39,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -47,10 +53,19 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+class _Failed(Exception):
+    """A check failed; `main` writes the report, its one argument, and exits 1."""
+
+
+def _at(n: int, err) -> str:
+    """The error ``err`` of point ``n``, prefixed `point <n>: ` after the first point."""
+    return f"point {n}: {err}" if n else str(err)
+
+
 class Report:
     def __init__(self, command: str, seed: int, as_json: bool):
         self.command, self.seed, self.as_json = command, seed, as_json
-        self.inputs, self.checks, self.values = {}, [], {}
+        self.inputs, self.checks, self.values, self.worst = {}, [], {}, {}
         # a collection set off by allocations made before the report would
         # land in its wall time; freezing resets the generation-0 count
         gc.freeze()
@@ -67,37 +82,54 @@ class Report:
         self.values[key] = val
 
     def finish(self) -> int:
+        """Write the report once and return its exit code, 1 if a check failed, else 0.
+        A stdout closed early keeps that code: the rest of the report goes to devnull,
+        as the Python docs advise for SIGPIPE, so no traceback follows."""
         wall_ms = (time.perf_counter() - self._t0) * 1000.0
         failed = [c for c in self.checks if not c["pass"]]
+        if not failed:  # each bounded check once, after the explicit ones
+            for name, gap in self.worst.items():
+                self.check(name, True, gap)
         if self.as_json:
-            payload = {
-                "command": self.command,
-                "seed": self.seed,
-                "inputs": self.inputs,
-                "checks": self.checks,
-                "values": self.values,
-                "ok": not failed,
-                "wall_time_ms": round(wall_ms, 3),
-            }
-            print(json.dumps(payload, sort_keys=True))
+            text = json.dumps({"command": self.command, "seed": self.seed, "inputs": self.inputs,
+                               "checks": self.checks, "values": self.values, "ok": not failed,
+                               "wall_time_ms": round(wall_ms, 3)}, sort_keys=True)
         else:
-            print(f"command: {self.command}")
-            print(f"seed: {self.seed}")
-            for label, dig in self.inputs.items():
-                print(f"input {label}: sha256:{dig}")
+            lines = [f"command: {self.command}", f"seed: {self.seed}"]
+            lines += [f"input {label}: sha256:{dig}" for label, dig in self.inputs.items()]
             for c in self.checks:
                 tail = "" if c["residual"] is None else f" residual={c['residual']:.3g}"
-                print(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}{tail}")
-            for key, val in self.values.items():
-                print(f"{key}: {val}")
-            print(f"wall time: {wall_ms:.1f} ms")
+                lines.append(f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'}{tail}")
+            lines += [f"{key}: {val}" for key, val in self.values.items()]
+            lines.append(f"wall time: {wall_ms:.1f} ms")
+            text = "\n".join(lines)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1 if failed else 0
 
     def fail(self, name: str, err, residual: Optional[float] = None) -> NoReturn:
-        """Record a failed check and its error, print the report and exit 1."""
+        """Record a failed check and its error, and end the run: `main` writes the report."""
         self.check(name, False, residual)
         self.value("error", str(err))
-        sys.exit(self.finish())
+        raise _Failed(self)
+
+    def attempt(self, name: str, n: int, errors, call, *args, **kwargs):
+        """``call(*args, **kwargs)`` for point ``n``; if it raises one of ``errors``, fail
+        check ``name`` with that error, named by `_at`."""
+        try:
+            return call(*args, **kwargs)
+        except errors as err:
+            self.fail(name, _at(n, err))
+
+    def bound(self, name: str, n: int, gap: float, tol: float) -> None:
+        """Fail check ``name`` at point ``n`` if its residual ``gap`` is above ``tol``;
+        else keep the worst gap, which a passing report gives the check."""
+        if not gap <= tol:
+            self.fail(name, _at(n, f"residual {gap:.3g} is above the tolerance {tol:.3g}"), gap)
+        self.worst[name] = max(self.worst.get(name, gap), gap)
 
 
 def oriented_tree_for(track, tree, seed: int):
@@ -140,7 +172,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--d", type=int, default=3,
                         help="coordinate depth, the matrix size downstream (default 3)")
     parser.add_argument("--tolerance", type=float,
-                        help=f"comparison tolerance, finite and >= 0 (default {al.DEFAULT_TOL:g})")
+                        help=f"comparison tolerance, finite and >= 0 (default {al.DEFAULT_TOL:g}); "
+                             f"the chart checks use max(--tolerance, {al.MEMBER_TOL:g}), and ob "
+                             "uses obstruction.SCALAR_TOL = 1e-06 unless it is given")
     parser.add_argument("--json", action="store_true", help="print a machine-readable report")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     for name, (run, args) in _COMMANDS.items():
@@ -153,8 +187,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> NoReturn:
-    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and exit with
-    its code; the single place where an input error becomes exit 2."""
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None), write its report
+    and exit with its code; the one place a run ends, and an input error becomes exit 2."""
     args = vars(_parser().parse_args(argv))
     run, tolerance = args.pop("run"), args.pop("tolerance")
     tol = al.DEFAULT_TOL if tolerance is None else tolerance
@@ -164,10 +198,13 @@ def main(argv=None) -> NoReturn:
             raise io.InputError(f"seed {cfg['seed']} < 0")
         cfg.update(tol=io.tolerance(tol), member_tol=max(tol, al.MEMBER_TOL),
                    tol_explicit=tolerance is not None)
-        run(cfg, **args)
+        report = run(cfg, **args)
+    except _Failed as failed:
+        report, = failed.args
     except io.InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         sys.exit(2)
+    sys.exit(report.finish())
 
 
 @command(arg("path"))
@@ -189,7 +226,7 @@ def validate(cfg, path):
     report.value("plaques", result.n_plaques)
     if tree is not None:
         report.value("tree edges", len(tree.edges))
-    sys.exit(report.finish())
+    return report
 
 
 @command(arg("--genus", type=int, default=2,
@@ -202,10 +239,8 @@ def gen_fixture(cfg, genus, out):
     if not 2 <= genus <= tt.MAX_GENUS:
         raise io.InputError(f"genus {genus} outside 2..{tt.MAX_GENUS}")
     report = Report("gen-fixture", cfg["seed"], cfg["json"])
-    try:
-        track = tt.generate_fixture(genus, cfg["seed"])
-    except tt.FixtureSearchError as err:
-        report.fail("search", err)
+    track = report.attempt("search", 0, tt.FixtureSearchError, tt.generate_fixture, genus,
+                           cfg["seed"])
     g = track.genus
     report.check("switch count", len(track.switch_ids) == 12 * g - 12)
     report.check("rectangle count", len(track.rects) == 18 * g - 18)
@@ -213,7 +248,7 @@ def gen_fixture(cfg, genus, out):
     report.add_input("track out", io.write(out, io.track_to_json(track)))
     report.value("genus", g)
     report.value("path", out)
-    sys.exit(report.finish())
+    return report
 
 
 @command(arg("path"), OUT)
@@ -231,7 +266,7 @@ def tree(cfg, path, out):
     report.value("edges", len(chosen.edges))
     report.value("root", chosen.root)
     report.value("path", out)
-    sys.exit(report.finish())
+    return report
 
 
 @command(arg("path"))
@@ -256,12 +291,7 @@ def classify(cfg, path):
     report.value("u_right", len(cls.u_right))
     report.value("s_left", len(cls.s_left))
     report.value("s_right", len(cls.s_right))
-    sys.exit(report.finish())
-
-
-def _at(n: int, err) -> str:
-    """The error ``err`` of point ``n``, prefixed `point <n>: ` after the first point."""
-    return f"point {n}: {err}" if n else str(err)
+    return report
 
 
 @command(arg("path"), arg("--count", type=int, default=1, help="points to draw (default 1)"),
@@ -285,40 +315,30 @@ def sample_y(cfg, path, count, torsion_k, out):
     (track, stored), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
-    try:
-        anchors = cc.default_anchors(otree, d)
-    except cc.AnchorError as err:
-        report.fail("anchors", err)
-    tol = cfg["member_tol"]
+    anchors = report.attempt("anchors", 0, cc.AnchorError, cc.default_anchors, otree, d)
     points = []
-    torsion_ok, worst = True, 0.0
     for n in range(count):
         rng = random.Random(cfg["seed"] * 1_000_003 + n)
         k = rng.randrange(d) if torsion_k is None else torsion_k // step
         eps = al.torsion_element(kind, d, k)  # of residue k * step mod d, its label
-        try:
-            c = cc.sample_y(otree, d, kind, rng, anchors, eps)
-        except cc.MembershipError as err:
-            report.fail("membership", _at(n, err))
-        got = cc.tor_prime(otree, c, anchors)
-        gap = al.distance(got.value, eps)
-        worst = max(worst, gap)
-        torsion_ok = torsion_ok and gap <= tol
+        c = report.attempt("membership", n, cc.MembershipError,
+                           cc.sample_y, otree, d, kind, rng, anchors, eps)
+        gap = al.distance(cc.tor_prime(otree, c, anchors).value, eps)
+        report.bound("torsion", n, gap, cfg["member_tol"])
         points.append({"torsion": al.snap_torsion(eps, d)[0], "coords": io.coords_to_json(c)})
     report.check("membership", True)
-    report.check("torsion", torsion_ok, worst)
     doc = {"d": d, "group": kind, "seed": cfg["seed"], "count": count, "points": points}
     report.add_input("points out", io.write(out, doc))
     report.value("count", count)
     report.value("path", out)
-    sys.exit(report.finish())
+    return report
 
 
 def load_member(cfg, report: Report, track_path: str, coords_path: str):
-    """Load a track, its oriented tree and a coords file; exit 1 unless every point is
-    a member (naming a failing point by `_at`), else return the tree and each point
-    as a checked `cocyclic.Member` with its `torsion` label (None for a bare coords
-    document).
+    """Load a track, its oriented tree and a coords file; fail the `membership` check
+    unless every point is a member (naming a failing point by `_at`), else return the
+    tree and each point as a checked `cocyclic.Member` with its `torsion` label (None
+    for a bare coords document).
 
     A track without a stored tree gets the tree `sample-y` drew the points on:
     the one of the seed a points file records, or of --seed for a bare coords
@@ -337,24 +357,19 @@ def load_member(cfg, report: Report, track_path: str, coords_path: str):
     (otree, points), raw = io.load(coords_path, decode)
     report.add_input("coords", raw)
     for n, (c, label) in enumerate(points):
-        try:
-            points[n] = cc.require_member(otree, c, cfg["member_tol"]), label
-        except cc.MembershipError as err:
-            report.fail("membership", _at(n, err))
+        points[n] = report.attempt("membership", n, cc.MembershipError,
+                                   cc.require_member, otree, c, cfg["member_tol"]), label
     report.check("membership", True)
     return otree, points
 
 
 def point_tor(cfg, report: Report, otree, n: int, c, label, check: str):
-    """The tor′ of point ``n``, ``c``, at the member tolerance; exit 1 naming the point
-    (`_at`) if it fails (the check ``check``), or if ``label`` is not its residue (the
-    `torsion labels` check).  The point of a bare coords document carries no label."""
+    """The tor′ of point ``n``, ``c``, at the member tolerance; fail the check ``check``
+    naming the point (`_at`) if it fails, or the `torsion labels` check if ``label`` is
+    not its residue.  The point of a bare coords document carries no label."""
     from . import cocyclic as cc
 
-    try:
-        tor = cc.tor_prime(otree, c, tol=cfg["member_tol"])
-    except ValueError as err:
-        report.fail(check, _at(n, err))
+    tor = report.attempt(check, n, ValueError, cc.tor_prime, otree, c, tol=cfg["member_tol"])
     if label is not None and tor.residue != label:
         report.fail("torsion labels", _at(n, f"torsion label {label} is not the residue "
                                              f"{tor.residue} of tor_prime"))
@@ -368,12 +383,13 @@ def torsion(cfg, track_path, coords_path):
 
     report = Report("torsion", cfg["seed"], cfg["json"])
     otree, points = load_member(cfg, report, track_path, coords_path)
-    tors = [point_tor(cfg, report, otree, n, c, label, "torsion lattice")
-            for n, (c, label) in enumerate(points)]
-    report.check("torsion lattice", True, max(tor.residual for tor in tors))
-    report.value("tor_prime", al.format_log(tors[0].value))
-    report.value("residue", tors[0].residue)
-    sys.exit(report.finish())
+    for n, (c, label) in enumerate(points):
+        tor = point_tor(cfg, report, otree, n, c, label, "torsion lattice")
+        report.bound("torsion lattice", n, tor.residual, cfg["member_tol"])
+        first = tor if not n else first
+    report.value("tor_prime", al.format_log(first.value))
+    report.value("residue", first.residue)
+    return report
 
 
 @command(arg("track_path"), arg("coords_path"))
@@ -384,31 +400,18 @@ def corfinal(cfg, track_path, coords_path):
     report = Report("corfinal", cfg["seed"], cfg["json"])
     otree, points = load_member(cfg, report, track_path, coords_path)
     ledger, negated = "ledger vs closed form", "negated total vs tor_prime"
-    tol, worst = cfg["tol"], {ledger: 0.0, negated: 0.0}
+    tol, member_tol = cfg["tol"], cfg["member_tol"]
     for n, (c, label) in enumerate(points):
-        try:
-            total = sl.total_mid_log(otree, c, tol=cfg["member_tol"])
-        except ValueError as err:
-            report.fail(ledger, _at(n, err))
+        total = report.attempt(ledger, n, ValueError, sl.total_mid_log, otree, c, tol=member_tol)
         tor = point_tor(cfg, report, otree, n, c, label, negated)
-        try:
-            ob_value = sl.ob_from_product(total, c.d, cfg["member_tol"])
-        except ValueError as err:
-            report.fail(negated, _at(n, err))
-        gaps = {ledger: al.distance(total, sl.closed_form_total(otree, c)),
-                negated: al.distance(ob_value.value, al.to_cylinder(tor.value))}
-        for name, gap in gaps.items():
-            if not gap <= tol:
-                report.fail(name, _at(n, f"residual {gap:.3g} is above the tolerance {tol:.3g}"),
-                            gap)
-            worst[name] = max(worst[name], gap)
-        if not n:
-            first = total, tor
-    for name, gap in worst.items():
-        report.check(name, True, gap)
+        ob_value = report.attempt(negated, n, ValueError, sl.ob_from_product, total, c.d,
+                                  member_tol)
+        report.bound(ledger, n, al.distance(total, sl.closed_form_total(otree, c)), tol)
+        report.bound(negated, n, al.distance(ob_value.value, al.to_cylinder(tor.value)), tol)
+        first = (total, tor) if not n else first
     report.value("total", al.format_log(first[0]))
     report.value("tor_prime", al.format_log(first[1].value))
-    sys.exit(report.finish())
+    return report
 
 
 @command(arg("rep_path", nargs="?"),
@@ -432,15 +435,13 @@ def ob(cfg, rep_path, use_clock, use_identity):
         rep, raw = io.load(rep_path, io.rep_from_json)
         report.add_input("rep", raw)
     scalar_tol = cfg["tol"] if cfg["tol_explicit"] else obs.SCALAR_TOL
-    try:
-        value = obs.ob(rep, scalar_tol=scalar_tol)
-    except ValueError as err:
-        report.fail("scalar relator product", err)
+    value = report.attempt("scalar relator product", 0, ValueError, obs.ob, rep,
+                           scalar_tol=scalar_tol)
     report.check("scalar relator product", True, value.residual)
     report.value("ob", al.format_log(value.value))
     report.value("residue", value.residue)
     report.value("d", rep.d)
-    sys.exit(report.finish())
+    return report
 
 
 @command(arg("matrices_path"),
@@ -459,10 +460,8 @@ def flags(cfg, matrices_path, which, index_str):
     if len(mats) != need:
         raise io.InputError(f"{which} ratio needs {need} matrices, got {len(mats)}")
     d = mats[0].shape[0]
-    try:
-        flag_list = [fl.Flag(m) for m in mats]
-    except fl.DegenerateFlagError as err:
-        report.fail("nondegenerate flags", err)
+    flag_list = report.attempt("nondegenerate flags", 0, fl.DegenerateFlagError,
+                               lambda: [fl.Flag(m) for m in mats])
     report.check("nondegenerate flags", True)
     if index_str is None:
         idx = (1, 1, d - 2) if which == "triple" else (1, d - 1)
@@ -473,20 +472,15 @@ def flags(cfg, matrices_path, which, index_str):
     want_len = 3 if which == "triple" else 2
     if len(idx) != want_len or any(p < 1 for p in idx) or sum(idx) != d:
         raise io.InputError(f"index {idx} must have {want_len} positive parts summing to {d}")
-    try:
-        if which == "triple":
-            value = fl.triple_ratio(flag_list, idx)
-        else:
-            value = fl.double_ratio(*flag_list, idx)
-        log = fl.log_invariant(value)
-    except (fl.DegenerateFlagError, ValueError) as err:
-        report.fail("invariant defined", err)
+    ratio = (fl.triple_ratio, flag_list) if which == "triple" else (fl.double_ratio, *flag_list)
+    value = report.attempt("invariant defined", 0, ValueError, *ratio, idx)
+    log = report.attempt("invariant defined", 0, ValueError, fl.log_invariant, value)
     report.check("invariant defined", True)
     report.value("which", which)
     report.value("index", ",".join(map(str, idx)))
     report.value("value", f"{value.real:.12g}{value.imag:+.12g}i")
     report.value("log", al.format_log(log))
-    sys.exit(report.finish())
+    return report
 
 
 @command()
@@ -553,7 +547,7 @@ def selftest(cfg):
     report.check("clock-shift obstruction", worst <= al.DEFAULT_TOL, worst)
     report.check("octagon obstruction", obs.ob(obs.fuchsian_octagon(3)).residue == 0)
 
-    sys.exit(report.finish())
+    return report
 
 
 if __name__ == "__main__":

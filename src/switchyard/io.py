@@ -151,8 +151,8 @@ def coords_to_json(c) -> dict:
 
 def points_seed(doc):
     """The seed a points file records, which chose the tree its points were drawn
-    on; None for a bare coords document."""
-    return _int(doc["seed"], "seed") if "points" in doc else None
+    on, >= 0 as --seed is; None for a bare coords document."""
+    return _int(doc["seed"], "seed", 0) if "points" in doc else None
 
 
 def coords_from_json(doc, tree) -> list:

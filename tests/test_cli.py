@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -544,21 +545,24 @@ class TestSampleAndTorsion:
         assert "membership: FAIL" in r.output
 
 
+@pytest.fixture(scope="module")
+def off_chart(tmp_path_factory, run_cli, workdir):
+    """A three-point file on the workdir tree, its point 1 moved 0.5 off the chart, beside
+    the unmoved `pts.json`."""
+    base = tmp_path_factory.mktemp("every")
+    r = run_cli(["--seed", "5", "--d", "3", "sample-y", str(workdir / "tree.json"),
+                 "--count", "3", "--out", str(base / "pts.json")])
+    assert r.exit_code == 0, r.output
+    doc = json.loads((base / "pts.json").read_text())
+    z = doc["points"][1]["coords"]["z"]
+    z[next(iter(z))]["1,1,1"][0] += 0.5
+    (base / "off.json").write_text(json.dumps(doc))
+    return base / "off.json"
+
+
 class TestEveryPointGated:
     """A points file is gated point by point: a later point off the chart fails
     the membership check by its index, as the first point would."""
-
-    @pytest.fixture(scope="class")
-    def off_chart(self, tmp_path_factory, run_cli, workdir):
-        base = tmp_path_factory.mktemp("every")
-        r = run_cli(["--seed", "5", "--d", "3", "sample-y", str(workdir / "tree.json"),
-                     "--count", "3", "--out", str(base / "pts.json")])
-        assert r.exit_code == 0, r.output
-        doc = json.loads((base / "pts.json").read_text())
-        z = doc["points"][1]["coords"]["z"]
-        z[next(iter(z))]["1,1,1"][0] += 0.5
-        (base / "off.json").write_text(json.dumps(doc))
-        return base / "off.json"
 
     @pytest.mark.parametrize("command", ["torsion", "corfinal"])
     def test_later_point_off_the_chart_exits_one(self, run_cli, workdir, off_chart, command):
@@ -657,6 +661,31 @@ class TestEveryPointChecked:
         assert "error: point 1: gate failed\n" in r.stdout
         assert "Traceback" not in r.output
         assert not (tmp_path / "pts.json").exists()
+
+    def test_sample_y_stops_at_the_first_point_off_its_torsion(self, run_cli, workdir, tmp_path,
+                                                               monkeypatch):
+        # point 1's tor′ reads 1e-6 off its ε: the torsion check fails there, by its
+        # index, and no points file is written
+        real, calls = cc.tor_prime, []
+
+        def tor_prime(*args, **kwargs):
+            tor = real(*args, **kwargs)
+            calls.append(args)
+            if len(calls) != 2:
+                return tor
+            return types.SimpleNamespace(value=al.group_add(
+                tor.value, al.GroupElement("cylinder", (1e-6, 0.0))))
+
+        monkeypatch.setattr(cc, "tor_prime", tor_prime)
+        out = tmp_path / "pts.json"
+        r = run_cli(["--seed", "5", "sample-y", str(workdir / "tree.json"), "--count", "3",
+                     "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        assert len(calls) == 2
+        assert "check torsion: FAIL residual=1e-06\n" in r.stdout
+        assert "error: point 1: residual 1e-06 is above the tolerance 1e-07\n" in r.stdout
+        assert "Traceback" not in r.output
+        assert not out.exists()
 
 
 class TestOneTorsionRule:
@@ -784,6 +813,38 @@ class TestPointsBindTree:
         r = run_cli(["torsion", TRACK_G3, str(bare)])
         assert r.exit_code == 2
         assert "free rectangle ids do not match the track" in r.stderr
+
+    @pytest.mark.parametrize("command", ["torsion", "corfinal"])
+    def test_negative_recorded_seed_is_refused(self, run_cli, points, tmp_path, command):
+        # a recorded seed of -3 would pick the tree of seed 3, as --seed -3 would
+        doc = json.loads(points.read_text())
+        doc["seed"] = -3
+        neg = tmp_path / "neg.json"
+        neg.write_text(json.dumps(doc))
+        r = run_cli([command, TRACK_G3, str(neg)])
+        assert r.exit_code == 2
+        assert (r.stdout, r.stderr) == ("", f"input error: {neg}: seed -3 is outside 0..inf\n")
+
+
+class TestClosedStdout:
+    """A stdout closed before the report is written keeps the report's exit code and
+    prints no traceback.  The in-process `run_cli` has no pipe to close, so each run
+    is its own process."""
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    @pytest.mark.parametrize("points, code", [("pts", 0), ("off", 1)])
+    def test_exit_code_survives_a_closed_stdout(self, workdir, off_chart, as_json, points,
+                                                code):
+        src = str(Path(switchyard.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = off_chart.with_name(f"{points}.json")
+        with subprocess.Popen([sys.executable, "-m", "switchyard.cli", *as_json, "torsion",
+                               str(workdir / "tree.json"), str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == code, err
+        assert "Traceback" not in err
 
 
 def _run_in_fresh_process(code, cwd):
@@ -927,6 +988,14 @@ class TestLeanProcess:
 
 
 class TestOb:
+    def test_help_states_the_tolerances_in_use(self, run_cli):
+        r = run_cli(["--help"])
+        assert r.exit_code == 0
+        text = " ".join(r.stdout.split())
+        assert f"(default {al.DEFAULT_TOL:g})" in text
+        assert f"max(--tolerance, {al.MEMBER_TOL:g})" in text
+        assert f"obstruction.SCALAR_TOL = {obs.SCALAR_TOL:g} unless it is given" in text
+
     def test_clock_shift_builder(self, run_cli):
         r = run_cli(["--json", "--d", "5", "ob", "--clock-shift"])
         assert r.exit_code == 0
