@@ -9,6 +9,11 @@ chosen.
 Coefficient conventions: the hat involution on an A-indexed vector reverses
 it; on a triple index it reverses the triple (this pairs with reversing a
 vertex labeling, which also flips the sign of the stored value).
+
+Chain maps return signed term lists summed by `_Chain._summed`: each of the
+d-1 entries at a key once, by `al.combine`, in no order that matters.  Maps
+that read vectors by id need d-1 entries for each id they read; `_require`
+names the first id that lacks them, in `solve_tree`'s words.
 """
 
 from __future__ import annotations
@@ -19,14 +24,7 @@ from . import algebra as al
 from .algebra import GA, GroupElement, memo
 from .cocyclic import ZField, check_diamond
 from .io import lane_to_json
-from .traintrack import (
-    CoverLifts,
-    OrientedTree,
-    PORTS,
-    TrainTrack,
-    classify,
-    is_big,
-)
+from .traintrack import PORTS, CoverLifts, OrientedTree, TrainTrack, classify, is_big
 
 
 class SolvabilityViolated(ValueError):
@@ -35,10 +33,6 @@ class SolvabilityViolated(ValueError):
 
 def ga_zero(kind: str, d: int) -> GA:
     return tuple(al.zero(kind) for _ in range(d - 1))
-
-
-def ga_add(a: GA, b: GA) -> GA:
-    return tuple(al.group_add(x, y) for x, y in zip(a, b))
 
 
 def ga_neg(a: GA) -> GA:
@@ -67,11 +61,19 @@ class _Chain:
         self.kind, self.d = kind, d
         self.coeffs = {} if coeffs is None else coeffs
 
-    def get(self, key: Tuple[int, int]) -> GA:
-        return self.coeffs.get(key, ga_zero(self.kind, self.d))
+    @classmethod
+    def _summed(cls, kind: str, d: int, terms) -> "_Chain":
+        """The chain whose entry k at a key is the sum of n * vec[k] over the terms
+        (n, key, vec) at that key, summed once by `al.combine`."""
+        by_key: Dict[Tuple[int, int], List[Tuple[int, GA]]] = {}
+        for n, key, vec in terms:
+            by_key.setdefault(key, []).append((n, vec))
+        return cls(kind, d, {
+            key: tuple(al.combine(kind, [(n, vec[k]) for n, vec in group]) for k in range(d - 1))
+            for key, group in by_key.items()})
 
-    def accumulate(self, key: Tuple[int, int], val: GA) -> None:
-        self.coeffs[key] = ga_add(self.get(key), val)
+    def _terms(self, n: int):
+        return ((n, k, v) for k, v in self.coeffs.items())
 
     def support(self) -> List[Tuple[int, int]]:
         return sorted(k for k, v in self.coeffs.items() if not ga_is_zero(v))
@@ -79,21 +81,14 @@ class _Chain:
     def is_zero(self, tol: float = al.DEFAULT_TOL) -> bool:
         return all(ga_is_zero(v, tol) for v in self.coeffs.values())
 
-    def _like(self, coeffs) -> "_Chain":
-        return type(self)(self.kind, self.d, coeffs)
-
     def add(self, other: "_Chain") -> "_Chain":
-        out = dict(self.coeffs)
-        res = self._like(out)
-        for k, v in other.coeffs.items():
-            res.accumulate(k, v)
-        return res
+        return self._summed(self.kind, self.d, [*self._terms(1), *other._terms(1)])
 
     def neg(self) -> "_Chain":
-        return self._like({k: ga_neg(v) for k, v in self.coeffs.items()})
+        return self._summed(self.kind, self.d, self._terms(-1))
 
     def sub(self, other: "_Chain") -> "_Chain":
-        return self.add(other.neg())
+        return self._summed(self.kind, self.d, [*self._terms(1), *other._terms(-1)])
 
     def equal(self, other: "_Chain", tol: float = al.DEFAULT_TOL) -> bool:
         return self.sub(other).is_zero(tol)
@@ -109,7 +104,7 @@ class Chain0(_Chain):
 
 def iota_star(c: _Chain) -> _Chain:
     if isinstance(c, Chain1):
-        return Chain1(c.kind, c.d, {(r, b ^ 1): ga_neg(v) for (r, b), v in c.coeffs.items()})
+        return Chain1._summed(c.kind, c.d, ((-1, (r, b ^ 1), v) for (r, b), v in c.coeffs.items()))
     return Chain0(c.kind, c.d, {(t, b ^ 1): v for (t, b), v in c.coeffs.items()})
 
 
@@ -135,15 +130,13 @@ def forward_end(track: TrainTrack, lifts: CoverLifts, rid: int, lift_bit: int) -
 
 def boundary(lifts: CoverLifts, c: Chain1) -> Chain0:
     track = lifts.tree.track
-    out = Chain0(c.kind, c.d)
+    terms = []
     for (rid, b), g in c.coeffs.items():
         fwd = forward_end(track, lifts, rid, b)
         r = track.rect_by_id[rid]
         for e in (0, 1):
-            s = r.end(e)[0]
-            key = (s, lifts.end_bit(rid, b, e))
-            out.accumulate(key, g if e == fwd else ga_neg(g))
-    return out
+            terms.append((1 if e == fwd else -1, (r.end(e)[0], lifts.end_bit(rid, b, e)), g))
+    return Chain0._summed(c.kind, c.d, terms)
 
 
 def beta(lifts: CoverLifts, u_tree: Mapping[int, GA], u_free: Mapping[int, GA],
@@ -153,68 +146,53 @@ def beta(lifts: CoverLifts, u_tree: Mapping[int, GA], u_free: Mapping[int, GA],
     if overlap:
         raise ValueError(f"rectangle coefficients given twice: {sorted(overlap)}")
     u = {**u_tree, **u_free}
-    missing = [r.id for r in track.rects if r.id not in u]
-    if missing:
-        raise ValueError(f"missing rectangle coefficients: {missing}")
-    out = Chain1(kind, d)
-    for r in track.rects:
-        b = lifts.r_bit[r.id]
-        out.accumulate((r.id, b), u[r.id])
-        out.accumulate((r.id, b ^ 1), ga_hat(u[r.id]))
-    return out
+    ids = [r.id for r in track.rects]
+    _require("rectangle", ids, u, d - 1)
+    return Chain1._summed(kind, d, [(1, (r, lifts.r_bit[r] ^ b), ga_hat(u[r]) if b else u[r])
+                                    for r in ids for b in (0, 1)])
 
 
 def delta(tree: OrientedTree, w: Mapping[int, GA], kind: str, d: int) -> Chain0:
-    missing = [s for s in tree.track.switch_ids if s not in w]
+    _require("switch", tree.track.switch_ids, w, d - 1)
+    return Chain0._summed(kind, d, [(1 - 2 * b, (s, tree.bit(s) ^ b), ga_hat(w[s]) if b else w[s])
+                                    for s in tree.track.switch_ids for b in (0, 1)])
+
+
+def _require(name: str, ids, given: Mapping[int, GA], n: int) -> None:
+    """Refuse ``given`` unless it holds a vector of n = d-1 entries for each of ``ids``,
+    naming the ids missing, else the first of another length."""
+    missing = [i for i in ids if i not in given]
     if missing:
-        raise ValueError(f"missing switch coefficients: {missing}")
-    out = Chain0(kind, d)
-    for s in tree.track.switch_ids:
-        b = tree.bit(s)
-        out.accumulate((s, b), w[s])
-        out.accumulate((s, b ^ 1), ga_neg(ga_hat(w[s])))
-    return out
+        raise ValueError(f"missing {name} coefficients: {missing}")
+    for i in ids:
+        if len(given[i]) != n:
+            raise ValueError(f"{name} {i} coefficients have {len(given[i])} entries, not d-1 = {n}")
 
 
 # -- theta-type coordinates ---------------------------------------------------
+
+
+def _theta_end(kind: str, tables, zt, b: int) -> GA:
+    """The A-vector of theta-type data ``zt`` at a switch's lift b: for i in A, the sum
+    of zt[j] over j with j[1] == i[b], negated on the canonical lift (b = 0)."""
+    n = 2 * b - 1
+    return tuple(al.combine(kind, [(n, zt[j]) for j in tables.B if j[1] == i[b]])
+                 for i in tables.A)
 
 
 def k_theta(track: TrainTrack, z: ZField, kind: str, d: int, tol: float = al.DEFAULT_TOL) -> Chain0:
     """Endpoint class of the theta-type data, computed lift by lift."""
     check_diamond(track, z, d, tol)
     tables = al.index_tables(d)
-    out = Chain0(kind, d)
-    for t in track.switch_ids:
-        canon = tuple(
-            al.combine(kind, [(-1, z[t][j]) for j in tables.B if j[1] == i[0]])
-            for i in tables.A
-        )
-        rev = tuple(
-            al.group_sum(kind, (z[t][j] for j in tables.B if j[1] == i[1]))
-            for i in tables.A
-        )
-        out.accumulate((t, 0), canon)
-        out.accumulate((t, 1), rev)
-    return out
+    return Chain0(kind, d, {(t, b): _theta_end(kind, tables, z[t], b)
+                            for t in track.switch_ids for b in (0, 1)})
 
 
 def w_from_z(tree: OrientedTree, z: ZField, kind: str, d: int) -> Dict[int, GA]:
     """Per-switch A-vectors whose delta-chain matches k_theta."""
     tables = al.index_tables(d)
-    cls = classify(tree)
-    w: Dict[int, GA] = {}
-    for t in tree.track.switch_ids:
-        if t in cls.s_left:
-            w[t] = tuple(
-                al.group_sum(kind, (z[t][j] for j in tables.B if j[1] == i[1]))
-                for i in tables.A
-            )
-        else:
-            w[t] = tuple(
-                al.combine(kind, [(-1, z[t][j]) for j in tables.B if j[1] == i[0]])
-                for i in tables.A
-            )
-    return w
+    s_left = classify(tree).s_left
+    return {t: _theta_end(kind, tables, z[t], int(t in s_left)) for t in tree.track.switch_ids}
 
 
 # -- tree solver --------------------------------------------------------------
@@ -224,11 +202,12 @@ def balance_defect(tree: OrientedTree, v_free: Mapping[int, GA], w: Mapping[int,
                    kind: str, d: int) -> GA:
     """Left side minus right side of the solvability condition."""
     cls = classify(tree)
-    top = d - 2
+    _require("switch", tree.track.switch_ids, w, d - 1)
+    _require("rectangle", sorted(cls.unorientable), v_free, d - 1)
 
     def at(k: int) -> GroupElement:
         terms = [(n, v_free[r][i]) for n, rects in ((1, cls.u_right), (-1, cls.u_left))
-                 for r in rects for i in (k, top - k)]
+                 for r in rects for i in (k, d - 2 - k)]
         terms += [(-1, w[t][k]) for t in tree.track.switch_ids]
         return al.combine(kind, terms)
 
@@ -253,6 +232,8 @@ class SolverPlan(NamedTuple):
 
 
 def solver_plan(lifts: CoverLifts, d: int, order: str = "low_first") -> SolverPlan:
+    if order not in ("low_first", "high_first"):
+        raise ValueError(f"order must be 'low_first' or 'high_first', not {order!r}")
     return memo(lifts, "solver_plan", _record_plan, d, order)
 
 
@@ -350,9 +331,7 @@ def solve_tree(
         vecs = None
     if vecs is None or len(w) != len(switches) or len(v_free) != len(plan.rects):
         for name, ids, given in (("switch", switches, w), ("rectangle", plan.rects, v_free)):
-            missing = [i for i in ids if i not in given]
-            if missing:
-                raise ValueError(f"missing {name} coefficients: {missing}")
+            _require(name, ids, given, n)
             unread = [i for i in given if i not in ids]
             if unread:
                 raise ValueError(f"{name} coefficients the solver does not read: {unread}")

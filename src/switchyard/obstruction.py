@@ -142,13 +142,9 @@ def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
 
 
 class ObValue(NamedTuple):
-    torsion: al.TorsionValue
+    value: al.GroupElement
     residue: int
     residual: float
-
-    @property
-    def value(self) -> al.GroupElement:
-        return self.torsion.value
 
 
 def ob(rep: LiftedRep, scalar_tol: float = SCALAR_TOL) -> ObValue:
@@ -171,8 +167,7 @@ def _scalar_classes(products: np.ndarray, scalar_tol: float) -> List[ObValue]:
         k, residual = al.snap_torsion(al.cylinder(math.log(abs(s)), cmath.phase(s)), d)
         if residual > scalar_tol:
             raise ValueError(f"scalar {s} is not a {d}-th root of unity (residual {residual:.3e})")
-        out.append(ObValue(torsion=al.TorsionValue(value=al.torsion_element("cylinder", d, k), d=d),
-                           residue=k, residual=max(residual, off)))
+        out.append(ObValue(al.torsion_element("cylinder", d, k), k, max(residual, off)))
     return out
 
 

@@ -52,6 +52,16 @@ def solvable_instance(track, tree, free, kind, d, rng):
     return v, w
 
 
+def bits(c):
+    """A chain's entries by key, each value by its repr: equal only bit for bit."""
+    return {k: [repr(x.value) for x in v] for k, v in c.coeffs.items()}
+
+
+def off_by_one(vec, extra):
+    """``vec`` one entry longer (extra = 1) or shorter (extra = -1)."""
+    return vec + (al.real(5.0),) if extra > 0 else vec[:-1]
+
+
 def unit_vector(kind, d, slot=0):
     one = {"real": al.real(1.0), "circle": al.circle(1.0),
            "cylinder": al.cylinder(1.0, 1.0), "zd:12": al.cyclic(12, 1)}[kind]
@@ -79,6 +89,20 @@ class TestChainOps:
         lhs = hm.boundary(lifts, c1.add(c2))
         rhs = hm.boundary(lifts, c1).add(hm.boundary(lifts, c2))
         assert lhs.equal(rhs, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["real", "cylinder"])
+    def test_boundary_does_not_depend_on_key_order(self, setup, kind):
+        # each entry is summed once; pairwise sums in insertion order once
+        # differed in the last place on most seeds
+        track, tree, lifts, free = setup
+        for seed in range(8):
+            rng = random.Random(seed)
+            coeffs = {(r.id, b): hm.ga_random(kind, 4, rng) for r in track.rects for b in (0, 1)}
+            forward = hm.boundary(lifts, hm.Chain1(kind, 4, coeffs))
+            backward = hm.boundary(lifts, hm.Chain1(kind, 4, dict(reversed(coeffs.items()))))
+            assert bits(forward) == bits(backward), seed
+            total = forward.add(hm.boundary(lifts, hm.Chain1(kind, 4, coeffs)))
+            assert bits(total) == bits(backward.add(forward))
 
     def test_iota_star_involutions(self, setup):
         track, tree, lifts, free = setup
@@ -124,6 +148,36 @@ class TestChainOps:
         u = {r.id: hm.ga_zero("real", 3) for r in track.rects[:-1]}
         with pytest.raises(ValueError, match="missing rectangle"):
             hm.beta(lifts, {}, u, "real", 3)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_beta_delta_and_balance_defect_name_a_vector_of_another_length(self, setup, extra):
+        # a longer vector was once cut to d-1 entries (a longer w[s] also reversed
+        # into the other lift), a shorter one kept, or raised IndexError
+        track, tree, lifts, free = setup
+        d = 3
+        v, w = solvable_instance(track, tree, free, "real", d, random.Random(41))
+        u = hm.solve_tree(lifts, v, w, "real", d)
+        r, s = min(classify(tree).unorientable), track.switch_ids[1]
+        assert r in v
+        message = f"coefficients have {d - 1 + extra} entries, not d-1 = {d - 1}"
+        v_bad, w_bad = {**v, r: off_by_one(v[r], extra)}, {**w, s: off_by_one(w[s], extra)}
+        for call, name in ((lambda: hm.beta(lifts, u, v_bad, "real", d), f"rectangle {r}"),
+                           (lambda: hm.delta(tree, w_bad, "real", d), f"switch {s}"),
+                           (lambda: hm.balance_defect(tree, v_bad, w, "real", d), f"rectangle {r}"),
+                           (lambda: hm.balance_defect(tree, v, w_bad, "real", d), f"switch {s}")):
+            with pytest.raises(ValueError, match=f"^{name} {message}$"):
+                call()
+
+    def test_balance_defect_checks_only_the_rectangles_it_reads(self, setup):
+        track, tree, lifts, free = setup
+        v, w = solvable_instance(track, tree, free, "real", 3, random.Random(42))
+        r = min(classify(tree).orientable & set(free))
+        want = hm.balance_defect(tree, v, w, "real", 3)
+        got = hm.balance_defect(tree, {q: x for q, x in v.items() if q != r}, w, "real", 3)
+        assert got == want
+        unread = sorted(classify(tree).unorientable)
+        with pytest.raises(ValueError, match=re.escape(f"missing rectangle coefficients: {unread}")):
+            hm.balance_defect(tree, {}, w, "real", 3)
 
     def test_delta(self, setup):
         track, tree, lifts, free = setup
@@ -316,6 +370,18 @@ class TestSolveTree:
         assert hm.solver_plan(fresh, 4) is not plan
         assert hm.solver_plan(orientation_cover(tree), 3) is not plan
         assert sorted(plan.solved) == sorted(tree.edges)
+
+    def test_an_unknown_order_is_refused_before_any_plan_is_kept(self, setup):
+        # a misspelled order once ran the low-first plan and kept it under its own key
+        track, tree, lifts, free = setup
+        fresh = orientation_cover(tree)
+        v, w = solvable_instance(track, tree, free, "real", 3, random.Random(43))
+        message = "^order must be 'low_first' or 'high_first', not 'highfirst'$"
+        with pytest.raises(ValueError, match=message):
+            hm.solve_tree(fresh, v, w, "real", 3, order="highfirst")
+        with pytest.raises(ValueError, match=message):
+            hm.solver_plan(fresh, 3, "highfirst")
+        assert not [k for k in getattr(fresh, "_memo", {}) if k[0] == "solver_plan"]
 
     def test_final_switch_checked_at_tol(self, setup):
         # an extra term on the last equation, off by 1e-8: between the

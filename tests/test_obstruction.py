@@ -177,6 +177,13 @@ class TestOb:
         assert v.residue == 1
         assert al.elements_equal(v.value, al.cylinder(0.0, math.pi), 1e-12)
 
+    def test_ob_value_is_its_lattice_point(self):
+        # the value is the lattice point of its residue, built once and kept as is
+        assert ob.ObValue._fields == ("value", "residue", "residual")
+        for d in range(2, 6):
+            v = ob.ob(ob.clock_shift_rep(d))
+            assert v.value == al.torsion_element("cylinder", d, v.residue)
+
     def test_abelian_reps_are_zero(self):
         rng = random.Random(2)
         for d in (2, 3, 5):
