@@ -20,15 +20,22 @@ from typing import NamedTuple, Optional, Tuple
 
 TWO_PI = 2.0 * math.pi
 
-# Default tolerance of a float comparison by `lane_distance` (the gate's checks,
-# `elements_equal`): sums of a few hundred O(1) terms carry rounding near 1e-13,
-# and 1e-9 stays far below the smallest torsion lattice spacing 2*pi/MAX_D.
+# Default tolerances, one per family of checks; the CLI checks each family at
+# max(--tolerance, its default), so no --tolerance tightens a check below it.
+# Float comparisons by `lane_distance` (the gate's checks, `elements_equal`, the
+# ledger): sums of a few hundred O(1) terms carry rounding near 1e-13, and 1e-9
+# stays far below the smallest torsion lattice spacing 2*pi/MAX_D.
 DEFAULT_TOL = 1e-9
 
-# Default tolerance of the chart's float membership and torsion checks: points
-# rebuilt by the explicit inverse, and torsion values summed from them, carry
-# the rounding of long chains of additions and angle wraps.
+# The chart's float membership and torsion checks: points rebuilt by the
+# explicit inverse, and torsion values summed from them, carry the rounding of
+# long chains of additions and angle wraps.
 MEMBER_TOL = 1e-7
+
+# `obstruction.ob`, a relator product's distance from a scalar d-th root of
+# unity: 5.0e-7 for the octagon at d = 5, its largest depth, and at most 8.9e-16
+# for the clock-and-shift reps up to MAX_D.
+SCALAR_TOL = 1e-6
 
 # Largest supported depth d: index_tables(d) builds (d-1)(d-2)/2 triples per
 # switch and obstruction builds d x d matrices, so work and file size grow as

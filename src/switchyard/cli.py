@@ -49,10 +49,6 @@ from . import algebra as al
 from . import io
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
 class _Failed(Exception):
     """A check failed; `main` writes the report, its one argument, and exits 1."""
 
@@ -63,8 +59,8 @@ def _at(n: int, err) -> str:
 
 
 class Report:
-    def __init__(self, command: str, seed: int, as_json: bool):
-        self.command, self.seed, self.as_json = command, seed, as_json
+    def __init__(self, cfg):  # the run's command, seed and --json, from `main`
+        self.command, self.seed, self.as_json = cfg["command"], cfg["seed"], cfg["json"]
         self.inputs, self.checks, self.values, self.worst = {}, [], {}, {}
         # a collection set off by allocations made before the report would
         # land in its wall time; freezing resets the generation-0 count
@@ -72,7 +68,7 @@ class Report:
         self._t0 = time.perf_counter()
 
     def add_input(self, label: str, data: bytes) -> None:
-        self.inputs[label] = _digest(data)
+        self.inputs[label] = hashlib.sha256(data).hexdigest()[:16]
 
     def check(self, name: str, ok: bool, residual: Optional[float] = None) -> None:
         self.checks.append({"name": name, "pass": bool(ok),
@@ -171,10 +167,11 @@ def _parser() -> argparse.ArgumentParser:
                         help="coefficient group: real, circle, cylinder, zd:<n> (default cylinder)")
     parser.add_argument("--d", type=int, default=3,
                         help="coordinate depth, the matrix size downstream (default 3)")
-    parser.add_argument("--tolerance", type=float,
+    parser.add_argument("--tolerance", type=float, default=al.DEFAULT_TOL,
                         help=f"comparison tolerance, finite and >= 0 (default {al.DEFAULT_TOL:g}); "
-                             f"the chart checks use max(--tolerance, {al.MEMBER_TOL:g}), and ob "
-                             "uses obstruction.SCALAR_TOL = 1e-06 unless it is given")
+                             "each check uses max(--tolerance, its floor): "
+                             f"{al.DEFAULT_TOL:g} for the ledger, {al.MEMBER_TOL:g} for the "
+                             f"chart's membership and torsion, {al.SCALAR_TOL:g} for ob")
     parser.add_argument("--json", action="store_true", help="print a machine-readable report")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     for name, (run, args) in _COMMANDS.items():
@@ -182,7 +179,7 @@ def _parser() -> argparse.ArgumentParser:
                                   allow_abbrev=False)
         for flags, kwargs in args:
             sub.add_argument(*flags, **kwargs)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, command=name)
     return parser
 
 
@@ -191,13 +188,12 @@ def main(argv=None) -> NoReturn:
     and exit with its code; the one place a run ends, and an input error becomes exit 2."""
     args = vars(_parser().parse_args(argv))
     run, tolerance = args.pop("run"), args.pop("tolerance")
-    tol = al.DEFAULT_TOL if tolerance is None else tolerance
-    cfg = {key: args.pop(key) for key in ("seed", "group", "d", "json")}
+    cfg = {key: args.pop(key) for key in ("command", "seed", "group", "d", "json")}
     try:
         if cfg["seed"] < 0:  # random.Random seeds by abs(), so -5 would alias 5
             raise io.InputError(f"seed {cfg['seed']} < 0")
-        cfg.update(tol=io.tolerance(tol), member_tol=max(tol, al.MEMBER_TOL),
-                   tol_explicit=tolerance is not None)
+        tol = max(io.tolerance(tolerance), al.DEFAULT_TOL)
+        cfg.update(tol=tol, member_tol=max(tol, al.MEMBER_TOL))
         report = run(cfg, **args)
     except _Failed as failed:
         report, = failed.args
@@ -212,7 +208,7 @@ def validate(cfg, path):
     """Check a track file: slot pairing, cell shapes, genus, connectivity."""
     from . import traintrack as tt
 
-    report = Report("validate", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     # Unchecked: a structurally invalid track is reported, not rejected.
     (track, tree), raw = io.load(path, io.track_from_json, False)
     report.add_input("track", raw)
@@ -238,7 +234,7 @@ def gen_fixture(cfg, genus, out):
 
     if not 2 <= genus <= tt.MAX_GENUS:
         raise io.InputError(f"genus {genus} outside 2..{tt.MAX_GENUS}")
-    report = Report("gen-fixture", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     track = report.attempt("search", 0, tt.FixtureSearchError, tt.generate_fixture, genus,
                            cfg["seed"])
     g = track.genus
@@ -256,7 +252,7 @@ def tree(cfg, path, out):
     """Choose a seeded oriented maximal tree and write track+tree JSON."""
     from . import traintrack as tt
 
-    report = Report("tree", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     (track, _), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     chosen = tt.maximal_tree(track, seed=cfg["seed"])
@@ -274,7 +270,7 @@ def classify(cfg, path):
     """Report the rectangle census of an oriented tree."""
     from . import traintrack as tt
 
-    report = Report("classify", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     (track, stored), raw = io.load(path, io.track_from_json)
     if stored is None:
         raise io.InputError(f"{path}: no tree present; run the tree command first")
@@ -311,7 +307,7 @@ def sample_y(cfg, path, count, torsion_k, out):
                             f"reachable residues: {', '.join(map(str, range(0, d, step)))}")
     from . import cocyclic as cc
 
-    report = Report("sample-y", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     (track, stored), raw = io.load(path, io.track_from_json)
     report.add_input("track", raw)
     otree = oriented_tree_for(track, stored, cfg["seed"])
@@ -381,7 +377,7 @@ def torsion(cfg, track_path, coords_path):
     """Print the torsion invariant and its residue for a member point."""
     from . import cocyclic  # noqa: F401 (`point_tor` runs it; loaded before the report starts)
 
-    report = Report("torsion", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     otree, points = load_member(cfg, report, track_path, coords_path)
     for n, (c, label) in enumerate(points):
         tor = point_tor(cfg, report, otree, n, c, label, "torsion lattice")
@@ -397,7 +393,7 @@ def corfinal(cfg, track_path, coords_path):
     """Compare the boundary-product ledger with its closed form and tor'."""
     from . import slither as sl
 
-    report = Report("corfinal", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     otree, points = load_member(cfg, report, track_path, coords_path)
     ledger, negated = "ledger vs closed form", "negated total vs tor_prime"
     tol, member_tol = cfg["tol"], cfg["member_tol"]
@@ -421,22 +417,19 @@ def corfinal(cfg, track_path, coords_path):
              help="use the identity representation"))
 def ob(cfg, rep_path, use_clock, use_identity):
     """Evaluate the lifting obstruction of a relator product."""
-    picked = sum((rep_path is not None, use_clock, use_identity))
-    if picked != 1:
+    if sum((rep_path is not None, use_clock, use_identity)) != 1:
         raise io.InputError("provide exactly one of REP_PATH, --clock-shift, --identity")
     from . import obstruction as obs
 
-    report = Report("ob", cfg["seed"], cfg["json"])
-    if use_clock or use_identity:
-        d = io.depth(cfg["d"])
-        rep = obs.clock_shift_rep(d) if use_clock else obs.identity_rep(d)
-        report.add_input("rep", io.dumps(io.rep_to_json(rep)))
+    report = Report(cfg)
+    if rep_path is None:
+        rep = (obs.clock_shift_rep if use_clock else obs.identity_rep)(io.depth(cfg["d"]))
+        raw = io.dumps(io.rep_to_json(rep))
     else:
         rep, raw = io.load(rep_path, io.rep_from_json)
-        report.add_input("rep", raw)
-    scalar_tol = cfg["tol"] if cfg["tol_explicit"] else obs.SCALAR_TOL
+    report.add_input("rep", raw)
     value = report.attempt("scalar relator product", 0, ValueError, obs.ob, rep,
-                           scalar_tol=scalar_tol)
+                           scalar_tol=max(cfg["tol"], al.SCALAR_TOL))
     report.check("scalar relator product", True, value.residual)
     report.value("ob", al.format_log(value.value))
     report.value("residue", value.residue)
@@ -453,7 +446,7 @@ def flags(cfg, matrices_path, which, index_str):
     """Print a flag invariant (triple or double ratio) and its log."""
     from . import flags as fl
 
-    report = Report("flags", cfg["seed"], cfg["json"])
+    report = Report(cfg)
     mats, raw = io.load(matrices_path, io.matrices_from_json)
     report.add_input("matrices", raw)
     need = 3 if which == "triple" else 4
@@ -491,8 +484,8 @@ def selftest(cfg):
     from . import slither as sl
     from . import traintrack as tt
 
-    report = Report("selftest", cfg["seed"], cfg["json"])
-    seed, tol = cfg["seed"], max(cfg["tol"], al.DEFAULT_TOL)
+    report = Report(cfg)
+    seed, tol = cfg["seed"], cfg["tol"]
 
     ok = all(al.dimension_count(d, g) == (d * d - 1) * (2 * g - 2)
              for d in range(2, 9) for g in (2, 3, 4))
@@ -512,39 +505,32 @@ def selftest(cfg):
 
     rng = random.Random(seed)
     worst = 0.0
-    for d, kind in ((3, "cylinder"), (4, "zd:12"), (2, "real")):
-        k = rng.randrange(d)
-        eps = al.torsion_element(kind, d, k)
-        try:
+    try:
+        for d, kind in ((3, "cylinder"), (4, "zd:12"), (2, "real")):
+            eps = al.torsion_element(kind, d, rng.randrange(d))
             c = cc.sample_y(otree, d, kind, rng, eps=eps)
-        except cc.MembershipError:
-            worst = math.inf
-            break
-        worst = max(worst, al.distance(cc.tor_prime(otree, c).value, eps))
+            worst = max(worst, al.distance(cc.tor_prime(otree, c).value, eps))
+    except cc.MembershipError:
+        worst = math.inf
     report.check("sample and torsion", worst <= cfg["member_tol"], worst)
 
     worst = 0.0
-    for d in (2, 3, 4):
-        try:
+    try:
+        for d in (2, 3, 4):
             c = cc.sample_y(otree, d, "cylinder", rng)
-        except cc.MembershipError:
-            worst = math.inf
-            break
-        total = sl.total_mid_log(otree, c)
-        worst = max(worst, al.distance(total, sl.closed_form_total(otree, c)))
-        worst = max(worst, al.distance(sl.ob_from_product(total, d).value,
-                                       cc.tor_prime(otree, c).value))
+            total = sl.total_mid_log(otree, c)
+            worst = max(worst, al.distance(total, sl.closed_form_total(otree, c)),
+                        al.distance(sl.ob_from_product(total, d).value,
+                                    cc.tor_prime(otree, c).value))
+    except cc.MembershipError:
+        worst = math.inf
     report.check("boundary product", worst <= tol, worst)
 
     worst = 0.0
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5):  # ob's value is the lattice point of its residue by construction
         value = obs.ob(obs.clock_shift_rep(d))
-        target = al.torsion_element("cylinder", d, value.residue)
-        ok = value.residue in (1, d - 1) and al.elements_equal(value.value, target)
-        if not ok:
-            worst = math.inf
-        worst = max(worst, value.residual)
-    report.check("clock-shift obstruction", worst <= al.DEFAULT_TOL, worst)
+        worst = max(worst, value.residual if value.residue in (1, d - 1) else math.inf)
+    report.check("clock-shift obstruction", worst <= tol, worst)
     report.check("octagon obstruction", obs.ob(obs.fuchsian_octagon(3)).residue == 0)
 
     return report

@@ -11,9 +11,10 @@ it; on a triple index it reverses the triple (this pairs with reversing a
 vertex labeling, which also flips the sign of the stored value).
 
 Chain maps return signed term lists summed by `_Chain._summed`: each of the
-d-1 entries at a key once, by `al.combine`, in no order that matters.  Maps
-that read vectors by id need d-1 entries for each id they read; `_require`
-names the first id that lacks them, in `solve_tree`'s words.
+d-1 entries at a key once, by `al.combine`, in no order that matters.  A
+chain needs d-1 entries at each key, and a map that reads vectors by id d-1
+for each id it reads; `_require` names the first that lacks them, in
+`solve_tree`'s words.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def ga_is_zero(a: GA, tol: float = al.DEFAULT_TOL) -> bool:
 
 
 def ga_equal(a: GA, b: GA, tol: float = al.DEFAULT_TOL) -> bool:
-    return all(al.elements_equal(x, y, tol) for x, y in zip(a, b))
+    return len(a) == len(b) and all(al.elements_equal(x, y, tol) for x, y in zip(a, b))
 
 
 def ga_random(kind: str, d: int, rng) -> GA:
@@ -60,6 +61,7 @@ class _Chain:
     def __init__(self, kind: str, d: int, coeffs: Optional[Dict[Tuple[int, int], GA]] = None):
         self.kind, self.d = kind, d
         self.coeffs = {} if coeffs is None else coeffs
+        _require("lift", self.coeffs, self.coeffs, d - 1)  # d-1 entries at each lift key
 
     @classmethod
     def _summed(cls, kind: str, d: int, terms) -> "_Chain":
@@ -161,12 +163,14 @@ def delta(tree: OrientedTree, w: Mapping[int, GA], kind: str, d: int) -> Chain0:
 def _require(name: str, ids, given: Mapping[int, GA], n: int) -> None:
     """Refuse ``given`` unless it holds a vector of n = d-1 entries for each of ``ids``,
     naming the ids missing, else the first of another length."""
-    missing = [i for i in ids if i not in given]
-    if missing:
-        raise ValueError(f"missing {name} coefficients: {missing}")
-    for i in ids:
-        if len(given[i]) != n:
-            raise ValueError(f"{name} {i} coefficients have {len(given[i])} entries, not d-1 = {n}")
+    try:
+        wrong = [i for i in ids if len(given[i]) != n]
+    except KeyError:
+        missing = [i for i in ids if i not in given]
+        raise ValueError(f"missing {name} coefficients: {missing}") from None
+    if wrong:
+        i = wrong[0]
+        raise ValueError(f"{name} {i} coefficients have {len(given[i])} entries, not d-1 = {n}")
 
 
 # -- theta-type coordinates ---------------------------------------------------
@@ -325,19 +329,12 @@ def solve_tree(
             return f"switch {switches[q]}"
         return f"rectangle {plan.rects[q - len(switches)]}"
 
-    try:
-        vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
-    except KeyError:
-        vecs = None
-    if vecs is None or len(w) != len(switches) or len(v_free) != len(plan.rects):
-        for name, ids, given in (("switch", switches, w), ("rectangle", plan.rects, v_free)):
-            _require(name, ids, given, n)
+    for name, ids, given in (("switch", switches, w), ("rectangle", plan.rects, v_free)):
+        _require(name, ids, given, n)
+        if len(given) != len(ids):  # every id is there, so some key is not one
             unread = [i for i in given if i not in ids]
-            if unread:
-                raise ValueError(f"{name} coefficients the solver does not read: {unread}")
-    if set(map(len, vecs)) != {n}:
-        q = next(q for q, vec in enumerate(vecs) if len(vec) != n)
-        raise ValueError(f"{where(q)} coefficients have {len(vecs[q])} entries, not d-1 = {n}")
+            raise ValueError(f"{name} coefficients the solver does not read: {unread}")
+    vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
     lanes = al.unpack(kind, [x for vec in vecs for x in vec], lambda q: where(q // n))
     out = al.run(kind, plan.steps + plan.last, lanes)
     first = len(plan.steps)

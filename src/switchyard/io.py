@@ -246,7 +246,14 @@ def matrices_from_json(doc) -> list:
 
 
 def rep_to_json(rep) -> dict:
-    return {"d": rep.d, "genus": len(rep.relator) // 4,
+    """The document of ``rep``, whose relator must be the standard one `rep_from_json` rebuilds."""
+    from . import obstruction as obs
+
+    genus, word = len(rep.relator) // 4, rep.relator.symbols
+    if genus < 2 or word != obs.standard_relator(genus).symbols:
+        raise ValueError(f"relator {' '.join(n if e == 1 else n + '^-1' for n, e in word)} "
+                         "is not a standard relator a1 b1 a1^-1 b1^-1 ...")
+    return {"d": rep.d, "genus": genus,
             "matrices": {name: matrix_to_json(m) for name, m in sorted(rep.matrices.items())}}
 
 

@@ -20,9 +20,12 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import algebra as al
+from .algebra import SCALAR_TOL
 
+# `lifted_rep` refuses a determinant further than this from one: the builders
+# here reach 1.2e-12 (the octagon at d = 5), 8.7e-15 (clock-and-shift) and 4.7e-15
+# (diagonal) up to MAX_D, so a matrix further off is a wrong matrix, not rounding.
 DET_TOL = 1e-8
-SCALAR_TOL = 1e-6
 
 # `unit_determinant` treats a determinant below this as zero: rescaling by
 # det**(-1/d) would multiply the entries, and their rounding, by more than

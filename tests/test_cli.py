@@ -993,8 +993,9 @@ class TestOb:
         assert r.exit_code == 0
         text = " ".join(r.stdout.split())
         assert f"(default {al.DEFAULT_TOL:g})" in text
-        assert f"max(--tolerance, {al.MEMBER_TOL:g})" in text
-        assert f"obstruction.SCALAR_TOL = {obs.SCALAR_TOL:g} unless it is given" in text
+        assert "each check uses max(--tolerance, its floor)" in text
+        assert (f"{al.DEFAULT_TOL:g} for the ledger, {al.MEMBER_TOL:g} for the chart's "
+                f"membership and torsion, {obs.SCALAR_TOL:g} for ob") in text
 
     def test_clock_shift_builder(self, run_cli):
         r = run_cli(["--json", "--d", "5", "ob", "--clock-shift"])
@@ -1034,6 +1035,53 @@ class TestOb:
         assert r.exit_code == 2
         r = run_cli(["ob"])
         assert r.exit_code == 2
+
+
+def _near_scalar_rep():
+    """The d=3 genus-2 standard relator, every generator the identity except
+    a1 = I + 3e-4 E12 and b1 = I + 3e-4 E21, both exactly unimodular: its relator
+    product is 7.35e-8 off a scalar, between DEFAULT_TOL and SCALAR_TOL."""
+    rel = obs.standard_relator(2)
+    mats = {n: np.eye(3, dtype=complex) for n in rel.generators()}
+    mats["a1"][0, 1] = mats["b1"][1, 0] = 3e-4
+    return obs.lifted_rep(rel, mats)
+
+
+def _without_wall_time(text):
+    return re.sub(r'wall time: [0-9.]+ ms|"wall_time_ms": [0-9.]+', "", text)
+
+
+class TestOneToleranceRule:
+    """Each check runs at max(--tolerance, its floor), the floor one of DEFAULT_TOL,
+    MEMBER_TOL and SCALAR_TOL, so no --tolerance below a floor tightens a check."""
+
+    @pytest.fixture(scope="class")
+    def files(self, workdir, tmp_path_factory):
+        near = tmp_path_factory.mktemp("near") / "near.json"
+        near.write_text(json.dumps(io.rep_to_json(_near_scalar_rep())))
+        return {"TREE": str(workdir / "tree.json"), "PTS": str(workdir / "pts.json"),
+                "NEAR": str(near)}
+
+    def test_the_near_scalar_rep_lies_between_the_floors(self):
+        residual = obs.ob(_near_scalar_rep()).residual
+        assert al.DEFAULT_TOL < residual < al.SCALAR_TOL
+        assert residual == pytest.approx(7.35e-8, rel=1e-3)
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]])
+    @pytest.mark.parametrize("command", [["torsion", "TREE", "PTS"], ["corfinal", "TREE", "PTS"],
+                                         ["ob", "--clock-shift"], ["ob", "NEAR"], ["selftest"]])
+    def test_restating_the_default_changes_no_report(self, run_cli, files, command, as_json):
+        argv = [*as_json, *(files.get(a, a) for a in command)]
+        plain, restated = run_cli(argv), run_cli(["--tolerance", "1e-09", *argv])
+        assert plain.exit_code == restated.exit_code == 0, restated.output
+        assert _without_wall_time(restated.stdout) == _without_wall_time(plain.stdout)
+
+    @pytest.mark.parametrize("command", [["--d", "3", "ob", "--clock-shift"], ["ob", "NEAR"],
+                                         ["selftest"]])
+    def test_a_tolerance_below_every_floor_fails_no_exact_input(self, run_cli, files, command):
+        r = run_cli(["--tolerance", "0", *(files.get(a, a) for a in command)])
+        assert r.exit_code == 0, r.output
+        assert "FAIL" not in r.stdout
 
 
 class TestFlags:

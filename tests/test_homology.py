@@ -200,6 +200,20 @@ class TestChainOps:
         b = hm.boundary(lifts, hm.beta(lifts, {}, u, kind, 3))
         assert hm.iota_star(b).equal(hm.hat(b).neg())
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_a_chain_refuses_a_vector_of_another_length(self, setup, extra):
+        rid = setup[0].rects[0].id
+        vec = off_by_one(unit_vector("real", 3), extra)
+        with pytest.raises(ValueError, match=re.escape(
+                f"lift {(rid, 0)} coefficients have {2 + extra} entries, not d-1 = 2")):
+            hm.Chain1("real", 3, {(rid, 0): vec})
+
+    def test_vectors_of_unequal_lengths_are_not_equal(self):
+        one = unit_vector("real", 2)
+        assert not hm.ga_equal(one, off_by_one(one, 1))
+        assert not hm.ga_equal(off_by_one(one, 1), one)
+        assert hm.ga_equal(one, one)
+
 
 class TestKTheta:
     def test_zero_and_d2(self, setup):

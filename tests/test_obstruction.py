@@ -324,6 +324,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             io.rep_from_json(doc)
 
+    @pytest.mark.parametrize("rep", [ob.fuchsian_octagon(5), ob.LiftedRep(
+        ob.standard_relator(2).rotated(1), 2, ob.clock_shift_rep(2).matrices)])
+    def test_a_relator_rep_from_json_does_not_rebuild_is_refused(self, rep):
+        # the reader always rebuilds standard_relator(genus), so the file would not
+        # read back or would read back as another representation
+        with pytest.raises(ValueError, match=r"^relator \S+ .* is not a standard relator"):
+            io.rep_to_json(rep)
+
     def test_nonstandard_names_rejected(self):
         doc = io.rep_to_json(ob.clock_shift_rep(2))
         doc["matrices"]["q7"] = doc["matrices"].pop("a1")
