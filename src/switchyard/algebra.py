@@ -192,26 +192,19 @@ def _require_same_kind(a: GroupElement, b: GroupElement):
 
 
 def group_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    _require_same_kind(a, b)
-    if a.kind == "cylinder":
-        return GroupElement("cylinder", (a.value[0] + b.value[0], a.value[1] + b.value[1]))
-    return GroupElement(a.kind, a.value + b.value)
+    return combine(a.kind, ((1, a), (1, b)))
 
 
 def group_neg(a: GroupElement) -> GroupElement:
-    if a.kind == "cylinder":
-        return GroupElement("cylinder", (-a.value[0], -a.value[1]))
-    return GroupElement(a.kind, -a.value)
+    return combine(a.kind, ((-1, a),))
 
 
 def group_sub(a: GroupElement, b: GroupElement) -> GroupElement:
-    return group_add(a, group_neg(b))
+    return combine(a.kind, ((1, a), (-1, b)))
 
 
 def int_scale(n: int, a: GroupElement) -> GroupElement:
-    if a.kind == "cylinder":
-        return GroupElement("cylinder", (n * a.value[0], n * a.value[1]))
-    return GroupElement(a.kind, n * a.value)
+    return combine(a.kind, ((n, a),))
 
 
 def group_sum(kind: str, elements) -> GroupElement:

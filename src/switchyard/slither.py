@@ -11,11 +11,12 @@ invariant of the coordinate point; the per-step route and the closed form
 are kept separate so they can be checked against each other.
 
 Every step's log is an integer form over a point's v and z (`LogRow`).  The
-forms of one walk, run once per tree and d over the slot numbers of
-`cocyclic.chart` and summed with the cube roots folded away, give
-`ledger_row`: pi*i times an int plus an `al.Row`, evaluated on a `Member`'s
-slots by `total_mid_log`.  `build_ledger` runs the same walk over the point's
-own values, behind reports and tests.
+forms of one walk, summed with the cube roots folded away and the signs
+cancelled, give `_ledger_form`, one form over v and z; it and `_closed_form`
+are recorded once per tree and d by `cocyclic.recorded_rows`, as tor′ is, and
+each is run by one `al.run` on a `Member`'s lanes in the point's own group,
+then embedded in the cylinder.  `build_ledger` runs the same walk over the
+point's own values, step by step, behind reports and tests.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
-from .algebra import GroupElement, TorsionValue, memo, to_cylinder
-from .cocyclic import Member, chart, lanes_on, require_member, slot_rows, slot_views
+from .algebra import GroupElement, TorsionValue, to_cylinder
+from .cocyclic import Member, lanes_on, recorded_rows, require_member
 from .traintrack import LEFT, RIGHT, OrientedTree, TrainTrack, boundary_walk, classify
 
 CYL = "cylinder"
@@ -79,7 +80,8 @@ class LogRow(NamedTuple):
 
 
 class RootFoldError(ValueError):
-    """A plaque's cube root enters the ledger row with a coefficient not divisible by 3."""
+    """The ledger form does not fold: a plaque's cube root enters it with a coefficient
+    not divisible by 3, or its steps' signs leave an odd multiple of pi*i."""
 
 
 def _check_index(m: int, d: int) -> None:
@@ -192,17 +194,16 @@ def build_ledger(tree: OrientedTree, c: Member, m: Optional[int] = None,
     return SlitherLedger(d=c.d, m=m, entries=entries, total=total)
 
 
-def ledger_row(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
-    """The middle-index ledger total without cube roots, built once per (tree, d): ``(pi,
-    row)`` stands for pi times pi*i plus ``row`` over the slots of `cocyclic.chart`."""
-    return memo(tree, "ledger_row", _compile_ledger, d)
+def _ledger_form(tree: OrientedTree, d: int, v, z) -> List[List[Tuple[int, object]]]:
+    """The middle-index ledger total over a point's ``v`` and ``z``, as one form: the
+    walk's step forms summed by slot, each plaque's cube root folded away.
 
-
-def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
-    ch = chart(tree, d)
-    v, z = slot_views(ch, range(ch.size))
+    At m = floor((d+1)/2) the walk's pi*i count is |s_right|(m-1) + |s_left|(d-m)
+    + |U|(d-1), U the unorientable rectangles off the tree: it is even exactly
+    when |U| + |s_right| is (the sign parity the CLI's `classify` command
+    checks), so the signs cancel and the form carries no pi*i."""
     pi, root = 0, {}
-    total: Dict[int, int] = {}  # chart slot -> coefficient
+    total: Dict[object, int] = {}  # slot -> coefficient
     for _, _, _, row in _ledger_steps(tree, (d + 1) // 2, d, v, z):
         if row is None:
             continue
@@ -219,19 +220,25 @@ def _compile_ledger(tree: OrientedTree, d: int) -> Tuple[int, al.Row]:
             raise RootFoldError(f"plaque {pl.id} root coefficient {n} is not divisible by 3")
         for s in z[pl.switches_ccw[0]].values():
             total[s] = total.get(s, 0) + n // 3
-    return pi % 2, tuple((n, s) for s, n in sorted(total.items()) if n)
+    if pi % 2:
+        raise RootFoldError(f"the walk's signs leave an odd multiple {pi} of pi*i")
+    return [[(n, s) for s, n in total.items() if n]]
+
+
+def _run_form(tree: OrientedTree, c: Member, formula) -> GroupElement:
+    """``formula``'s recorded row, run on ``c``'s lanes in its own group, embedded in
+    the cylinder once."""
+    total, = al.run(c.kind, recorded_rows(tree, c.d, formula), lanes_on(tree, c))
+    return GroupElement(CYL, al.cylinder_lane(c.kind, total))
 
 
 def total_mid_log(tree: OrientedTree, c: Member, tol: float = al.MEMBER_TOL) -> GroupElement:
-    """The boundary-product total at the middle index, from the compiled ledger row.
+    """The boundary-product total at the middle index, from the recorded ledger form.
 
     It equals `build_ledger(tree, c).total` modulo 2*pi*i, for every choice of
     cube roots; the sum is taken in the point's own group and rounded once.
     """
-    c = require_member(tree, c, tol)
-    pi, row = ledger_row(tree, c.d)
-    total, = al.run(c.kind, (row,), c.lanes)
-    return al.group_add(to_cylinder(al.GroupElement(c.kind, total)), _sign_log(pi))
+    return _run_form(tree, require_member(tree, c, tol), _ledger_form)
 
 
 def _closed_form(tree: OrientedTree, d: int, v, z) -> List[List[Tuple[int, object]]]:
@@ -251,20 +258,10 @@ def closed_form_total(tree: OrientedTree, c: Member) -> GroupElement:
     """Evaluate the boundary-product total without walking the boundary.
 
     Kept separate from `build_ledger` so the two routes can be compared;
-    for even d the middle-column rectangle and left-switch terms enter.  It is one
-    recorded row, run unchecked on the point's lanes (read by `cocyclic.lanes_on`),
-    each lane embedded in the cylinder."""
-    lanes = lanes_on(tree, c)
-    slots, rows = memo(tree, "closed_form", _record_closed_form, c.d)
-    total, = al.run(CYL, rows, [al.cylinder_lane(c.kind, lanes[s]) for s in slots])
-    return al.GroupElement(CYL, total)
-
-
-def _record_closed_form(tree: OrientedTree, d: int) -> Tuple[Tuple[int, ...], Tuple[al.Row]]:
-    """The closed form's recorded row as ``(slots, rows)``, built once per (tree, d):
-    term q of the one row reads lane q, the cylinder image of slot ``slots[q]``."""
-    row, = slot_rows(tree, d, _closed_form)
-    return tuple(s for _, s in row), (tuple((n, q) for q, (n, _) in enumerate(row)),)
+    for even d the middle-column rectangle and left-switch terms enter.  It is
+    run unchecked on the point's lanes (read by `cocyclic.lanes_on`) in its own
+    group, as `total_mid_log` is."""
+    return _run_form(tree, c, _closed_form)
 
 
 def ob_from_product(total: GroupElement, d: int, tol: float = al.MEMBER_TOL) -> TorsionValue:

@@ -39,6 +39,12 @@ class TestGroupOps:
         with pytest.raises(al.GroupKindError):
             al.group_add(al.cyclic(5, 1), al.cyclic(7, 1))
 
+    def test_binary_ops_follow_the_summation_rule(self):
+        # each is `combine`: an overflowing sum raises, a negated zero is +0.0
+        with pytest.raises(al.SumOverflow):
+            al.group_add(al.real(1e308), al.real(1e308))
+        assert math.copysign(1.0, al.group_neg(al.circle(0.0)).value) == 1.0
+
     def test_circle_equality_wraps(self):
         assert al.elements_equal(al.circle(al.TWO_PI - 1e-12), al.circle(0.0))
         assert not al.elements_equal(al.circle(0.1), al.circle(0.0))

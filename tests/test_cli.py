@@ -382,6 +382,18 @@ class TestSampleAndTorsion:
             assert r.exit_code == 0, r.output
             assert json.loads(r.output)["values"]["residue"] == point["torsion"], (opts, n)
 
+    @pytest.mark.parametrize("d", ["2", "3", "6"])
+    def test_zd_ledger_and_closed_form_agree_exactly(self, run_cli, workdir, tmp_path, d):
+        # over zd:12 both totals are integer sums, embedded in the cylinder once
+        out = tmp_path / "zd.json"
+        r = run_cli(["--seed", "5", "--d", d, "--group", "zd:12", "sample-y",
+                     str(workdir / "tree.json"), "--count", "2", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        r = run_cli(["--json", "corfinal", str(workdir / "tree.json"), str(out)])
+        assert r.exit_code == 0, r.output
+        checks = {c["name"]: c for c in json.loads(r.output)["checks"]}
+        assert checks["ledger vs closed form"]["residual"] == 0.0
+
     @pytest.mark.parametrize("opts,k,reachable", [
         (["--d", "3", "--group", "real"], "2", "0"),
         (["--d", "8", "--group", "zd:12"], "1", "0, 2, 4, 6"),

@@ -22,8 +22,8 @@ CASES = [("cylinder", 3), ("cylinder", 6), ("cylinder", 8), ("zd:12", 6), ("real
 LONG_CASES = [("cylinder", 32), ("zd:12", 16)]
 
 SAMPLE_DIGEST = "ea77bf14c0aeca3a626a370422dc962b5cc99a64016cabf2a901d15d2b0d259a"
-FULL_DIGEST = "34c4e6f9f39b4c37d1ac56b2f066cc6ad7237945581342e678c2941bd2df9c6d"
-LONG_DIGEST = "ea833c3f0e677992464009c0108de1bf2d5f87efc6265cfad749dc790af4c1e6"
+FULL_DIGEST = "cf899cb5c1947c68e9e51fa34315a89cda4cffe851ce6c671ca97b848644b7a4"
+LONG_DIGEST = "a7b96ad8bc20ecd4305386c8410cd6252f32f0afcfd654a0f2aed6073983f2fd"
 
 
 def bits(e) -> str:

@@ -289,8 +289,9 @@ class TestTotal:
 
     def test_closed_form_is_one_recorded_row(self, monkeypatch):
         # recorded once per (tree, d) from `_closed_form` over slot numbers, it
-        # gives the bits of the formula over the point's own elements, each
-        # embedded in the cylinder, on gated and unchecked points alike
+        # gives the bits of the formula summed over the point's own elements in
+        # their own group, then embedded in the cylinder, on gated and unchecked
+        # points alike
         runs = []
         formula = sl._closed_form
 
@@ -307,7 +308,7 @@ class TestTotal:
                 c = random_rotated_coords(TRACK3, tree, d, rng, kind)
                 for point in (m, c):
                     terms = formula(tree, d, point.v, point.z)[0]
-                    want = al.combine(CYL, [(n, sl.to_cylinder(x)) for n, x in terms])
+                    want = sl.to_cylinder(al.combine(kind, terms))
                     assert sl.closed_form_total(tree, point) == want, (d, kind)
         assert runs == [2, 3, 4, 5, 6]
 
@@ -366,12 +367,12 @@ class TestCompiledRow:
 
     def test_row_is_folded_and_cached(self):
         for d in (2, 3, 4, 5, 6):
-            entry = sl.ledger_row(TREE, d)
-            assert sl.ledger_row(TREE, d) is entry
-            pi, row = entry
+            rows = cc.recorded_rows(TREE, d, sl._ledger_form)
+            assert cc.recorded_rows(TREE, d, sl._ledger_form) is rows
+            row, = rows
             # the cube roots are folded away: every term reads one slot of the chart
             slots = [s for _, s in row]
-            assert pi in (0, 1) and len(set(slots)) == len(slots)
+            assert len(set(slots)) == len(slots)
             assert all(0 <= s < cc.chart(TREE, d).size for s in slots)
             assert all(n != 0 for n, _ in row)
 
@@ -384,10 +385,41 @@ class TestCompiledRow:
         # a row that fails to fold is not kept: every call raises
         for _ in range(2):
             with pytest.raises(sl.RootFoldError, match="not divisible by 3"):
-                sl.ledger_row(tree, 3)
-        assert not [key for key in tree._memo if key[0] == "ledger_row"]
+                cc.recorded_rows(tree, 3, sl._ledger_form)
+        assert not [key for key in tree._memo if sl._ledger_form in key]
         monkeypatch.setattr(sl, "boundary_walk", tt.boundary_walk)
-        assert sl.ledger_row(tree, 3) is tree._memo["ledger_row", 3]
+        rows = cc.recorded_rows(tree, 3, sl._ledger_form)
+        assert rows is tree._memo["recorded_rows", 3, sl._ledger_form]
+
+    def test_odd_sign_count_must_not_be_recorded(self, monkeypatch):
+        # one switch step's pi*i count raised by 1 makes the walk's count odd: the
+        # signs no longer cancel, so every call raises and nothing is kept
+        tree = cc.ensure_right_unorientable(tt.maximal_tree(TRACK, seed=1))
+        c = cc.sample_y(tree, 3, CYL, random.Random(19))
+        t0 = TRACK.switch_ids[0]
+        switch_row = sl._switch_row
+
+        def shifted(track, m, t, side, d, z):
+            row = switch_row(track, m, t, side, d, z)
+            return row._replace(pi=row.pi + 1) if t == t0 else row
+
+        monkeypatch.setattr(sl, "_switch_row", shifted)
+        for _ in range(2):
+            with pytest.raises(sl.RootFoldError, match="odd multiple"):
+                sl.total_mid_log(tree, c)
+        assert not [key for key in tree._memo if sl._ledger_form in key]
+        monkeypatch.setattr(sl, "_switch_row", switch_row)
+        assert al.elements_equal(sl.total_mid_log(tree, c), sl.build_ledger(tree, c).total)
+
+    def test_zd_totals_are_exact(self):
+        # over "zd:<n>" the ledger and the closed form are integer sums in the
+        # point's own group, embedded in the cylinder once: equal bit for bit
+        rng = random.Random(20)
+        for tree in (TREE, TREE3):
+            for d in (2, 3, 4, 5, 6, 7, 8, 16):
+                for _ in range(3):
+                    c = cc.sample_y(tree, d, "zd:12", rng)
+                    assert sl.closed_form_total(tree, c) == sl.total_mid_log(tree, c), d
 
 
 class TestCompiledOnce:
@@ -410,7 +442,7 @@ class TestCompiledOnce:
             monkeypatch.setattr(mod, name, wrapped)
 
         counting(tt, "_walk", "walk")
-        counting(sl, "_compile_ledger", "row")
+        counting(sl, "_ledger_form", "row")
         counting(hm, "_record_plan", "plan")
         counting(cc, "_record_inverse", "inverse")
         counting(cc, "rotation_pairs", "rotation")
@@ -478,7 +510,8 @@ class TestCompiledOnce:
         assert {key[0] for key in track._memo} == {"slot_map", "plaques", "plaque_of_switch"}
         assert {key[0] for key in tree._memo} == {"classify", "boundary_walk", "chart",
                                                   "recorded_rows", "free_layout",
-                                                  "inverse_plan", "ledger_row", "closed_form"}
+                                                  "inverse_plan"}
         assert {key[0] for key in lifts._memo} == {"solver_plan"}
-        # the closed form's row is kept once, renumbered, not also over chart slots
-        assert [key for key in tree._memo if sl._closed_form in key] == []
+        # tor', the ledger and the closed form are each one recorded row
+        assert {key[2] for key in tree._memo if key[0] == "recorded_rows"} == {
+            cc._tor_forms, sl._ledger_form, sl._closed_form}
