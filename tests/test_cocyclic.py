@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -625,6 +627,44 @@ def _tree_of(name):
     return cc.ensure_right_unorientable(tt.maximal_tree(track, seed=1))
 
 
+# sha256 of every recorded inverse `_pinned_inverses` lists: its layout's slots, its
+# out and each step row's terms in sorted order, since `al.run` sums a row's terms in
+# any order to the same bits; or the `AnchorError` message of anchors it refuses
+PLAN_DIGEST = "fad446f70e87fb067b2f935d9550bda5ec20eb26953213ef55736fb3f6546761"
+
+
+@functools.cache
+def _pinned_inverses():
+    """(case, tree, plan or `AnchorError` message) for default anchors on the data tracks'
+    trees of seeds 1-3 and the g4 benchmark tree at d = 2-16, then on each data
+    track's seed-1 tree at d = 3-8 for anchors with every plaque's second or third
+    switch as its representative and the first or second right-exiting unorientable
+    rectangle as the anchor rectangle."""
+    trees = []
+    for name in TestInversePlan.TRACKS:
+        (track, _), _ = io.load(DATA / f"{name}.json", io.track_from_json)
+        trees += [((name, seed), cc.ensure_right_unorientable(tt.maximal_tree(track, seed=seed)))
+                  for seed in (1, 2, 3)]
+    (_, g4), _ = io.load(G4_TRACK, io.track_from_json)
+    trees.append((("g4_track", None), cc.ensure_right_unorientable(g4)))
+    cases = [(at, tree, d, cc.default_anchors(tree, d)) for at, tree in trees for d in range(2, 17)]
+    for (name, seed), tree in trees[:9:3]:
+        u_right = sorted(tt.classify(tree).u_right)
+        for d, k, r_bar in itertools.product(range(3, 9), (1, 2), u_right[:2]):
+            reps = {pl.id: sorted(pl.switches_ccw)[k] for pl in tree.track.plaques}
+            cases.append(((name, seed), tree, d,
+                          cc.Anchors(cc.default_anchors(tree, d).t_bar, r_bar, reps)))
+    out = []
+    for at, tree, d, anchors in cases:
+        try:
+            plan = cc.inverse_plan(tree, d, anchors)
+        except cc.AnchorError as err:
+            plan = str(err)
+        out.append(((at, d, anchors.t_bar, anchors.r_bar, sorted(anchors.reps.items())),
+                    tree, plan))
+    return out
+
+
 class TestInversePlan:
     """The recorded inverse against the step code it is recorded from."""
 
@@ -650,6 +690,24 @@ class TestInversePlan:
                     assert dict(got.v) == v, (name, d, kind)
                     assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
         assert d4_sides == {True, False}
+
+    def test_pinned_plans_are_unchanged(self):
+        digest = hashlib.sha256()
+        for case, _, plan in _pinned_inverses():
+            if not isinstance(plan, str):
+                plan = (plan.layout.slots, plan.out, tuple(tuple(sorted(row)) for row in plan.steps))
+            digest.update(repr((case, plan)).encode())
+        assert digest.hexdigest() == PLAN_DIGEST
+
+    def test_pinned_plans_keep_every_rotation_pair(self):
+        # both slots of each pair are filled from one plan slot, so the relation
+        # holds on every point a plan builds
+        recorded = [(case[1], tree, plan) for case, tree, plan in _pinned_inverses()
+                    if not isinstance(plan, str)]
+        assert len(recorded) == 218
+        for d, tree, plan in recorded:
+            for s, p in zip(*cc.chart(tree, d).rotation):
+                assert plan.out[s] == plan.out[p], (d, s, p)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_warm_inverse_runs_its_plan_once_and_builds_no_output(self, kind, lane_work):
