@@ -321,10 +321,9 @@ def sample_y(cfg, path, count, torsion_k, out):
                            cc.sample_y, otree, d, kind, rng, anchors, eps)
         gap = al.distance(cc.tor_prime(otree, c, anchors).value, eps)
         report.bound("torsion", n, gap, cfg["member_tol"])
-        points.append({"torsion": al.snap_torsion(eps, d)[0], "coords": io.coords_to_json(c)})
+        points.append((c, al.snap_torsion(eps, d)[0]))
     report.check("membership", True)
-    doc = {"d": d, "group": kind, "seed": cfg["seed"], "count": count, "points": points}
-    report.add_input("points out", io.write(out, doc))
+    report.add_input("points out", io.write(out, io.points_to_json(d, kind, cfg["seed"], points)))
     report.value("count", count)
     report.value("path", out)
     return report

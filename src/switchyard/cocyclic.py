@@ -14,8 +14,10 @@ The torsion invariant tor′ is one linear form at every d, a row recorded once 
 (tree, d, anchors): at even d the paper's second parity form differs from it by a
 balance equation the gate has checked, so it is not evaluated.  The explicit linear
 parametrization by unconstrained slots (`FreeCoords`) plus one d-torsion slot is
-inverted by a recorded `InversePlan` that proves the rotation relations of every
-point it builds.  Every plan of rows runs on lanes in one `al.run`.
+inverted by a recorded `InversePlan`: the chart's own balance rows and the tor′ row,
+each solved for one unknown in turn, over slots that each rotation orbit shares, so
+every point it builds keeps the rotation relations.  Every plan of rows runs on
+lanes in one `al.run`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 from math import isfinite
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
 from .algebra import GA, GroupElement, PairIndex, TorsionValue, TripleIndex, memo
@@ -40,7 +42,7 @@ class AnchorError(ValueError):
 
 
 class InversePlanError(ValueError):
-    """A recorded inverse whose output breaks a rotation relation."""
+    """An inverse step list that does not solve each slot once, from slots solved before."""
 
 
 ZField = Mapping[int, Mapping[TripleIndex, GroupElement]]
@@ -119,8 +121,8 @@ def default_anchors(tree: OrientedTree, d: int) -> Anchors:
 def _check_anchors(tree: OrientedTree, anchors: Anchors) -> None:
     """Raise `AnchorError` naming the first fault of ``anchors`` on ``tree``.
 
-    The d=4 condition on the anchor plaque is left to the inverse's step code,
-    so that `random_free` can draw on anchors the inverse rejects.
+    The d=4 condition on the anchor plaque is left to `_inverse_equations`, so
+    that `random_free` can draw on anchors the inverse rejects.
     """
     r_bar, plaques = anchors.r_bar, tree.track.plaques
     ids = {pl.id for pl in plaques}
@@ -210,12 +212,6 @@ def _record_chart(tree: OrientedTree, d: int) -> Chart:
     rotation = (tuple(slot[s + q] for s, _ in ends for q in range(nb)),
                 tuple(slot[p + q] for _, p in ends for q in turned))
     return Chart(d, v_start, z_start, z_offset, size, balance, rotation)
-
-
-def _slots(ch: Chart, v, z) -> tuple:
-    """The values of ``v`` and ``z`` in the slot order of ``ch``."""
-    return tuple([v[r][k] for r in ch.v_start for k in range(ch.d - 1)]
-                 + [z[t][j] for t in ch.z_start for j in ch.z_offset])
 
 
 def lanes_on(tree: OrientedTree, c: Member) -> tuple:
@@ -346,7 +342,7 @@ def slot_rows(tree: OrientedTree, d: int, formula, *args) -> Tuple[al.Row, ...]:
 
 def _tor_forms(tree: OrientedTree, d: int, v, z, anchors: Anchors) -> List[Terms]:
     """The torsion invariant's one form, signed terms over a point's ``v`` and ``z``:
-    the form that step 2 of the explicit inverse solves for j_prime.
+    the row the explicit inverse sets to epsilon and solves for j_prime (v[r̄][0] at d=2).
 
     At even d it is the left parity form: the paper's right form differs from it by
     the i0 = (d/2, d/2) balance equation, which the gate checks, so it is not
@@ -471,7 +467,7 @@ class InversePlan(NamedTuple):
     Plan slots are numbered in order: the free slots in ``layout`` order, then
     epsilon, then one per row of ``steps``, valued on the plan slots before it;
     one `al.run` evaluates them all.  ``out[s]`` is the plan slot that fills
-    slot s of `chart`.
+    slot s of `chart`, one for all three slots of a rotation orbit.
     """
 
     layout: FreeLayout
@@ -485,22 +481,91 @@ def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
 
 
 def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
-    layout = free_layout(tree, d, anchors)
-    inputs = len(layout.slots) + 1  # the free slots and epsilon
-    steps: List[al.Row] = []
+    """Solve `_inverse_equations` in turn.  The three z slots of a rotation orbit
+    (`ch.rotation` carries each to the next) share the plan slot of the free slot that
+    seeds it or of the step that solves it, so every point the plan builds keeps the
+    rotation relations: `i2_inverse` skips them."""
+    layout, ch = free_layout(tree, d, anchors), chart(tree, d)
+    turn = dict(zip(*ch.rotation))
+    out, steps = [None] * ch.size, []
+    eps = len(layout.slots)  # epsilon's plan slot; step q's is eps + 1 + q
 
-    def add(terms) -> int:
-        steps.append(tuple(terms))
-        return inputs + len(steps) - 1
+    def orbit(s: int) -> tuple:
+        return (s, turn[s], turn[turn[s]]) if s in turn else (s,)
 
-    ch = chart(tree, d)
-    out = _slots(ch, *_inverse_steps(tree, layout, anchors, range(inputs), add))
-    # every point the plan builds then keeps the rotation relations: `i2_inverse` skips them
-    for s, p in zip(*ch.rotation):
-        if out[s] != out[p]:
-            raise InversePlanError(f"recorded inverse breaks the rotation relation at "
-                                   f"{_slot_name(ch, s)}: slot {out[s]} against slot {out[p]}")
-    return InversePlan(layout, tuple(steps), out)
+    def solve(row, unknown: int, target: Optional[int] = None) -> None:
+        # row = target (0 if None): the unknown's orbit enters it with c = ±1, so
+        # unknown = c (target - the rest of the row), which reads solved slots only
+        merged = {}
+        for n, s in row:
+            merged[s] = merged.get(s, 0) + n
+        own = orbit(unknown)
+        c = sum(merged.get(s, 0) for s in own)
+        if out[unknown] is not None or c not in (1, -1):
+            why = "is solved already" if out[unknown] is not None else f"has coefficient {c}"
+            raise InversePlanError(f"recorded inverse: {_slot_name(ch, unknown)} {why}")
+        terms = []
+        for s, n in merged.items():
+            if n and s not in own:
+                if out[s] is None:
+                    raise InversePlanError(f"recorded inverse: {_slot_name(ch, unknown)} is "
+                                           f"solved from {_slot_name(ch, s)}, not solved yet")
+                terms.append((-c * n, out[s]))
+        steps.append((*terms, (c, target)) if target is not None else tuple(terms))
+        for s in own:
+            out[s] = eps + len(steps)
+
+    for q, s in enumerate(layout.slots):
+        for x in orbit(s):
+            out[x] = q
+    for row, unknown, tor in _inverse_equations(tree, d, anchors):
+        solve(row, unknown, eps if tor else None)
+    if None in out:
+        raise InversePlanError(f"recorded inverse: {_slot_name(ch, out.index(None))} is unsolved")
+    return InversePlan(layout, tuple(steps), tuple(out))
+
+
+def _inverse_equations(tree: OrientedTree, d: int, anchors: Anchors) -> list:
+    """The explicit inverse's equations in the paper's order, each (row, unknown, tor):
+    row = epsilon if tor, else row = 0, solved for the chart slot unknown.
+
+    A balance row is its lhs less its rhs.  At d = 2 tor′ fixes v[r̄][0].  At d = 4 tor′
+    reads the coupled j0 orbit (at the representative's minus-neighbour) or j′ orbit (at
+    the representative) where that switch exits left, so the two must exit on opposite
+    sides; the i0 balance fixes the other.  Otherwise the i0 balance fixes j0 (even d),
+    tor′ fixes j′, and each spade column i1 = (d-1)//2 .. 2, the z sides of the
+    (d-i1, i1) and (i1, d-i1) balance rows, fixes rot+(i1-1, d-i1, 1).  Each A′
+    balance then fixes v[r̄][i0-1].
+    """
+    tables, ch = al.index_tables(d), chart(tree, d)
+    rep, v_bar = anchors.reps[anchors.t_bar], ch.v_start[anchors.r_bar]
+    tor, = recorded_rows(tree, d, _tor_forms, anchors)
+
+    def z_bar(j: TripleIndex) -> int:
+        return ch.z_start[rep] + ch.z_offset[j]
+
+    def minus(lhs: al.Row, rhs: al.Row) -> list:
+        return [*lhs, *((-n, s) for n, s in rhs)]
+
+    if d == 2:
+        return [(tor, v_bar, True)]
+    if d == 4:
+        cls = classify(tree)
+        right = rep in cls.s_right
+        if right == (tree.track.plaques[anchors.t_bar].minus(rep) in cls.s_right):
+            raise AnchorError("anchor plaque is single-sided at d=4; pick mixed-side anchors")
+        coupled = (tables.j_zero, tables.j_prime)
+        first, second = coupled if right else coupled[::-1]
+        equations = [(tor, z_bar(first), True),
+                     (minus(*ch.balance[tables.i_zero]), z_bar(second), False)]
+    else:
+        equations = [(minus(*ch.balance[tables.i_zero]), z_bar(tables.j_zero), False)
+                     ] if d % 2 == 0 else []
+        equations.append((tor, z_bar(tables.j_prime), True))
+        equations += [(minus(ch.balance[d - i1, i1][1], ch.balance[i1, d - i1][1]),
+                       z_bar(al.rot_plus((i1 - 1, d - i1, 1))), False)
+                      for i1 in range((d - 1) // 2, 1, -1)]
+    return equations + [(minus(*ch.balance[i]), v_bar + i[0] - 1, False) for i in tables.A_prime]
 
 
 def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,
@@ -518,134 +583,6 @@ def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anch
     lanes = [*free.lanes, *al.unpack(kind, [eps_val], lambda q: "epsilon")]
     lanes += al.run(kind, plan.steps, lanes)
     return _gate(tree, d, kind, tuple(map(lanes.__getitem__, plan.out)), tol)
-
-
-def _inverse_steps(tree: OrientedTree, layout: FreeLayout, anchors: Anchors, vals, add):
-    """The explicit inverse's step formulas over ``vals``, the free slots in
-    ``layout`` order and then epsilon; ``add`` sums each formula's signed
-    terms.  Returns the point's v and z.
-
-    Over slot numbers with a recording ``add`` this builds the `InversePlan`;
-    over elements with `al.combine` it is the plan's test oracle.
-    """
-    d = layout.d
-    tables = al.index_tables(d)
-    track = tree.track
-    cls = classify(tree)
-    slot = iter(vals)
-    v = {r: tuple([next(slot) for _ in tables.A]) for r in layout.rects}
-    v_bar: List[Optional[GroupElement]] = [None] * (d - 1)
-    for i in layout.pairs:
-        v_bar[i[0] - 1] = next(slot)
-    z: Dict[int, Dict[TripleIndex, GroupElement]] = {t: {} for t in track.switch_ids}
-
-    def set_z(pid: int, j: TripleIndex, val) -> None:
-        # slot j of plaque pid's representative, carried around the plaque as
-        # `rotation_pairs` relates its switches
-        pl, t = track.plaques[pid], anchors.reps[pid]
-        for _ in range(3):
-            z[t][j] = val
-            t, j = pl.plus(t), al.rot_plus(j)
-
-    def get_z(t: int, j: TripleIndex):
-        assert j in z[t], f"slot ({t}, {j}) read before being set"
-        return z[t][j]
-
-    t_bar = anchors.t_bar
-    rep_bar = anchors.reps[t_bar]
-    for p in layout.plaques:
-        for j in tables.B:
-            set_z(p, j, next(slot))
-    for j in layout.triples:
-        set_z(t_bar, j, next(slot))
-    eps_val = next(slot)
-
-    if d == 2:
-        v_bar[0] = add([(1, eps_val)]
-                       + [(-1, v[r][0]) for r in cls.u_right if r != anchors.r_bar]
-                       + [(1, v[r][0]) for r in cls.u_left])
-
-    tau_minus = track.plaques[t_bar].minus(rep_bar)
-
-    # the step formulas are lists of signed terms (n, slot value), each summed
-    # by one `add`
-    def vsum(n: int, ids, i1: int) -> Terms:
-        terms = [(n, (v_bar if r == anchors.r_bar else v[r])[i1 - 1]) for r in ids]
-        assert all(e is not None for _, e in terms), "anchor slot read before being set"
-        return terms
-
-    def zsum(n: int, switches, indices, exclude=()) -> Terms:
-        return [(n, get_z(t, j)) for t in switches for j in indices if (t, j) not in exclude]
-
-    all_switches = list(track.switch_ids)
-    s_left = [t for t in all_switches if t in cls.s_left]
-    s_right = [t for t in all_switches if t in cls.s_right]
-    b0 = list(tables.B_zero)
-    if d % 2 == 0:
-        # the middle v-column summed over u_right less its sum over u_left
-        uv = vsum(1, cls.u_right, tables.i_zero[0]) + vsum(-1, cls.u_left, tables.i_zero[0])
-
-    if d == 4:
-        # the coupled anchor slots, solvable only when the representative and
-        # tau_minus exit on opposite sides: the torsion equation leaves the left
-        # one of them out of its known s_left sum, then the balance equation for
-        # the middle pair index the right one out of its s_right sum
-        rep_side_right = rep_bar in cls.s_right
-        if rep_side_right == (tau_minus in cls.s_right):
-            raise AnchorError("anchor plaque is single-sided at d=4; pick mixed-side anchors")
-        if rep_side_right:
-            first, second, left_out, right_out = tables.j_zero, tables.j_prime, tau_minus, rep_bar
-        else:
-            first, second, left_out, right_out = tables.j_prime, tables.j_zero, rep_bar, tau_minus
-        set_z(t_bar, first, add(
-            uv + [(-1, eps_val)] + zsum(-1, [t for t in s_left if t != left_out], b0)))
-        set_z(t_bar, second, add(
-            zsum(1, s_left, b0) + zsum(-1, [t for t in s_right if t != right_out], b0)
-            + [(-2 * n, x) for n, x in uv]))
-    elif d >= 3:
-        if d % 2 == 0:
-            # step 1: the form changes sign with the side tau_minus exits on and
-            # leaves tau_minus out of that side's sum; tau_minus's B_zero slots
-            # other than rot- j_zero enter with -1
-            s = 1 if tau_minus in cls.s_right else -1
-            j0m = al.rot_minus(tables.j_zero)
-            set_z(t_bar, tables.j_zero, add(
-                [(-2 * s * n, x) for n, x in uv]
-                + zsum(s, [t for t in s_left if t != tau_minus], b0)
-                + zsum(-s, [t for t in s_right if t != tau_minus], b0)
-                + zsum(-1, [tau_minus], [j for j in b0 if j != j0m])))
-        # step 2: the torsion invariant, solved for j_prime at the anchor plaque
-        b_star = list(tables.B_star)
-        other_reps = [anchors.reps[pl.id] for pl in track.plaques if pl.id != t_bar]
-        terms = ([(-1, eps_val)] + zsum(-1, other_reps, b_star)
-                 + zsum(-1, [rep_bar], [j for j in b_star if j != tables.j_prime]))
-        if d % 2 == 0:
-            terms += uv + zsum(-1, s_left, b0)
-        set_z(t_bar, tables.j_prime, add(terms))
-        # step 3, largest first coordinate first: column i1 reads only slots set
-        # before it, column d-i1 leaves out its one unknown, slot (i1-1, d-i1, 1)
-        # at tau_minus
-        for i1 in range((d - 1) // 2, 1, -1):
-            unknown = (i1 - 1, d - i1, 1)
-            terms = (zsum(1, all_switches, [j for j in tables.B if j[1] == i1])
-                     + zsum(-1, all_switches, [j for j in tables.B if j[1] == d - i1],
-                            {(tau_minus, unknown)}))
-            set_z(t_bar, al.rot_plus(unknown), add(terms))
-
-    if d >= 3:
-        u_right = [r for r in cls.u_right if r != anchors.r_bar]
-        for i in tables.A_prime:
-            # the mirrored anchor slot was fixed in advance
-            hat_val = v_bar[al.hat_pair(i)[0] - 1]
-            assert hat_val is not None
-            terms = (zsum(1, s_left, [j for j in tables.B if j[1] == i[1]])
-                     + zsum(-1, s_right, [j for j in tables.B if j[1] == i[0]])
-                     + [term for k in i for term in vsum(1, cls.u_left, k) + vsum(-1, u_right, k)])
-            v_bar[i[0] - 1] = add(terms + [(-1, hat_val)])
-
-    assert all(e is not None for e in v_bar)
-    v[anchors.r_bar] = tuple(v_bar)
-    return v, z
 
 
 # -- auxiliary identities ------------------------------------------------------

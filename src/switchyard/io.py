@@ -149,6 +149,13 @@ def coords_to_json(c) -> dict:
                for at, start in starts.items()} for part, (starts, offsets) in table.items()}}
 
 
+def points_to_json(d: int, kind: str, seed: int, points) -> dict:
+    """The points file of ``points``, the (`cocyclic.Member`, torsion label) pairs of one d
+    and group that ``seed`` drew: the document `coords_from_json` and `points_seed` read."""
+    return {"d": d, "group": kind, "seed": seed, "count": len(points),
+            "points": [{"torsion": label, "coords": coords_to_json(c)} for c, label in points]}
+
+
 def points_seed(doc):
     """The seed a points file records, which chose the tree its points were drawn
     on, >= 0 as --seed is; None for a bare coords document."""
@@ -239,6 +246,11 @@ def matrix_from_json(cols):
 
 
 def matrices_from_json(doc) -> list:
+    """Square complex matrices of one size in 2..MAX_D, the size checked before any entry
+    is decoded."""
+    for m in doc["matrices"]:
+        if type(m) is list and m:
+            _int(len(m), "matrix size", 2, al.MAX_D)
     mats = [matrix_from_json(m) for m in doc["matrices"]]
     if len({m.shape for m in mats}) > 1:
         raise ValueError(f"matrices have mixed sizes {sorted({m.shape[0] for m in mats})}")

@@ -16,8 +16,22 @@ def as_member(tree, d, kind, v, z):
     """The point with slots ``v[r][k]`` and ``z[t][j]`` as a `cocyclic.Member` of ``tree``
     at tol = inf, in `cocyclic.chart` order and unchecked, as `io` decodes one: the
     chart functions gate it.  Tests that build or perturb a point from dicts use it."""
-    vals = cc._slots(cc.chart(tree, d), v, z)
+    ch = cc.chart(tree, d)
+    vals = ([v[r][k] for r in ch.v_start for k in range(d - 1)]
+            + [z[t][j] for t in ch.z_start for j in ch.z_offset])
     return cc.Member(d, kind, tree, math.inf, tuple(x.value for x in vals))
+
+
+def plan_point(tree, free, eps, anchors):
+    """The point `cocyclic.i2_inverse` builds from ``free`` and ``eps`` on ``anchors``,
+    unchecked: the recorded plan's steps summed one at a time on elements by
+    `algebra.combine`, then placed by its ``out``, as a `cocyclic.Member` at tol = inf."""
+    d, kind = free.d, free.kind
+    plan = cc.inverse_plan(tree, d, anchors)
+    vals = [*al._from_lanes(kind, free.lanes), eps]
+    for row in plan.steps:
+        vals.append(al.combine(kind, [(n, vals[s]) for n, s in row]))
+    return cc.Member(d, kind, tree, math.inf, tuple(vals[p].value for p in plan.out))
 
 
 class CliResult:

@@ -182,6 +182,8 @@ MALFORMED = {
     "flags empty matrix": (["flags", "BAD"], lambda w: _put(
         _matrices(3, 3, 3), ("matrices", 0), [])),
     "flags matrix sizes 3 3 4": (["flags", "BAD"], lambda w: _matrices(3, 3, 4)),
+    "flags matrix size 1": (["flags", "BAD"], lambda w: _matrices(1, 1, 1)),
+    "flags matrix size 65": (["flags", "BAD"], lambda w: _matrices(65, 65, 65)),
     "tree root_bit 7": (["classify", "BAD"], lambda w: _put(
         _read(w, "tree.json"), ("tree", "root_bit"), 7)),
     "rep d 1": (["ob", "BAD"], lambda w: {

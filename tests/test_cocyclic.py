@@ -18,7 +18,7 @@ from switchyard import io
 from switchyard import slither as sl
 from switchyard import traintrack as tt
 
-from conftest import as_member
+from conftest import as_member, plan_point
 
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
@@ -647,7 +647,8 @@ def _pinned_inverses():
                   for seed in (1, 2, 3)]
     (_, g4), _ = io.load(G4_TRACK, io.track_from_json)
     trees.append((("g4_track", None), cc.ensure_right_unorientable(g4)))
-    cases = [(at, tree, d, cc.default_anchors(tree, d)) for at, tree in trees for d in range(2, 17)]
+    cases = [(at, tree, d, cc.default_anchors(tree, d))
+             for at, tree in trees for d in range(2, 17)]
     for (name, seed), tree in trees[:9:3]:
         u_right = sorted(tt.classify(tree).u_right)
         for d, k, r_bar in itertools.product(range(3, 9), (1, 2), u_right[:2]):
@@ -666,7 +667,8 @@ def _pinned_inverses():
 
 
 class TestInversePlan:
-    """The recorded inverse against the step code it is recorded from."""
+    """The recorded inverse: the chart's balance rows and tor′ row, each solved for
+    one unknown orbit in turn."""
 
     TRACKS = ("track_g2_s1", "track_g2_s7", "track_g3_s2")
 
@@ -679,23 +681,22 @@ class TestInversePlan:
                 anchors = cc.default_anchors(tree, d)
                 if d == 4:
                     d4_sides.add(anchors.reps[anchors.t_bar] in tt.classify(tree).s_right)
-                layout = cc.free_layout(tree, d, anchors)
                 for kind in KINDS:
                     free = cc.random_free(tree, d, kind, rng, anchors)
                     eps = al.torsion_element(kind, d, rng.randrange(al.torsion_order(kind, d)))
                     got = cc.i2_inverse(tree, free, eps, anchors)
-                    v, z = cc._inverse_steps(tree, layout, anchors,
-                                             [*al._from_lanes(kind, free.lanes), eps],
-                                             lambda terms: al.combine(kind, terms))
-                    assert dict(got.v) == v, (name, d, kind)
-                    assert {t: dict(vec) for t, vec in got.z.items()} == z, (name, d, kind)
+                    point = plan_point(tree, free, eps, anchors)
+                    assert dict(got.v) == dict(point.v), (name, d, kind)
+                    assert ({t: dict(vec) for t, vec in got.z.items()}
+                            == {t: dict(vec) for t, vec in point.z.items()}), (name, d, kind)
         assert d4_sides == {True, False}
 
     def test_pinned_plans_are_unchanged(self):
         digest = hashlib.sha256()
         for case, _, plan in _pinned_inverses():
             if not isinstance(plan, str):
-                plan = (plan.layout.slots, plan.out, tuple(tuple(sorted(row)) for row in plan.steps))
+                rows = tuple(tuple(sorted(row)) for row in plan.steps)
+                plan = (plan.layout.slots, plan.out, rows)
             digest.update(repr((case, plan)).encode())
         assert digest.hexdigest() == PLAN_DIGEST
 
@@ -808,27 +809,50 @@ class TestInversePlan:
         assert len(built) == 1
 
 
-    def test_plan_breaking_a_rotation_pair_is_not_recorded(self, monkeypatch):
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_plan_with_a_step_dropped_or_swapped_is_not_recorded(self, d, monkeypatch):
+        # dropping any step leaves its unknown unsolved; the z step after tor′ (the
+        # d = 4 i0 balance, or the first spade column) and each spade column after
+        # that read the orbit the step before them solves, so swapping the two fails
         tree = _tree_of("track_g2_s1")
-        anchors = cc.default_anchors(tree, 5)
-        pl = tree.track.plaques[0]
-        t = pl.plus(anchors.reps[pl.id])
-        j, other = al.index_tables(5).B[:2]
-        real = cc._inverse_steps
-
-        def misrouted(*args):
-            v, z = real(*args)
-            z[t][j] = z[t][other]  # one z output pointed at the wrong slot
-            return v, z
-
-        monkeypatch.setattr(cc, "_inverse_steps", misrouted)
-        for _ in range(2):
-            with pytest.raises(cc.InversePlanError, match="^recorded inverse breaks the rotation "
-                                                          "relation at switch "):
-                cc.inverse_plan(tree, 5, anchors)
+        anchors = cc.default_anchors(tree, d)
+        real = cc._inverse_equations
+        equations = real(tree, d, anchors)
+        tor = next(q for q, (_, _, is_tor) in enumerate(equations) if is_tor)
+        z_steps = len(equations) - len(al.index_tables(d).A_prime)
+        edits = [equations[:q] + equations[q + 1:] for q in range(len(equations))]
+        edits += [equations[:q] + [equations[q + 1], equations[q]] + equations[q + 2:]
+                  for q in range(tor, z_steps - 1)]
+        assert len(edits) == len(equations) + z_steps - 1 - tor > len(equations)
+        for edited in edits:
+            monkeypatch.setattr(cc, "_inverse_equations", lambda *args: edited)
+            for _ in range(2):
+                with pytest.raises(cc.InversePlanError, match="^recorded inverse: "):
+                    cc.inverse_plan(tree, d, anchors)
         assert not [key for key in tree._memo if key[0] == "inverse_plan"]
-        monkeypatch.setattr(cc, "_inverse_steps", real)
-        assert cc.inverse_plan(tree, 5, anchors) is tree._memo["inverse_plan", 5, anchors]
+        monkeypatch.setattr(cc, "_inverse_equations", real)
+        assert cc.inverse_plan(tree, d, anchors) is tree._memo["inverse_plan", d, anchors]
+
+    @pytest.mark.parametrize("name", TRACKS)
+    def test_d4_plan_is_recorded_on_mixed_side_anchors_only(self, name):
+        # every plaque and representative as the d = 4 anchor: the coupled j0 and j′
+        # slots are solvable exactly when the representative and its minus-neighbour
+        # exit on opposite sides
+        tree = _tree_of(name)
+        base, s_right = cc.default_anchors(tree, 4), tt.classify(tree).s_right
+        sides = collections.Counter()
+        for pl in tree.track.plaques:
+            for rep in pl.switches_ccw:
+                anchors = cc.Anchors(pl.id, base.r_bar, {**base.reps, pl.id: rep})
+                mixed = (rep in s_right) != (pl.minus(rep) in s_right)
+                sides[mixed] += 1
+                if mixed:
+                    cc.inverse_plan(tree, 4, anchors)
+                else:
+                    with pytest.raises(cc.AnchorError, match="^anchor plaque is single-sided "
+                                                             "at d=4; pick mixed-side anchors$"):
+                        cc.inverse_plan(tree, 4, anchors)
+        assert sides[True] > 0 and sides[False] > 0
 
     def test_inverse_runs_no_rotation_check(self, monkeypatch):
         calls = []
@@ -850,19 +874,15 @@ class TestInversePlan:
         # also at tols tight enough for the balance equations to fail on rounding
         rng = random.Random(74 + d)
         anchors = cc.default_anchors(TREE, d)
-        layout = cc.free_layout(TREE, d, anchors)
         verdicts = set()
         for kind in KINDS:
             for tol in (al.MEMBER_TOL, 1e-13, 1e-15, 0.0):
                 free = cc.random_free(TREE, d, kind, rng, anchors)
                 eps = al.zero(kind)
-                v, z = cc._inverse_steps(TREE, layout, anchors,
-                                         [*al._from_lanes(kind, free.lanes), eps],
-                                         lambda terms: al.combine(kind, terms))
+                point = plan_point(TREE, free, eps, anchors)
                 outcomes = []
                 for gate in (lambda: cc.i2_inverse(TREE, free, eps, anchors, tol),
-                             lambda: cc.require_member(TREE, as_member(TREE, d, kind, v, z),
-                                                       tol)):
+                             lambda: cc.require_member(TREE, point, tol)):
                     try:
                         m = gate()
                     except cc.MembershipError as err:
@@ -897,10 +917,7 @@ class TestInversePlan:
                 # it enters no equation: only the finiteness check sees it
                 assert str(got.value) == (f"non-finite value at rectangle {orientable}, "
                                           f"pair index {(1, d - 1)}")
-            v, z = cc._inverse_steps(TREE, layout, anchors,
-                                     [*al._from_lanes(kind, free.lanes), eps],
-                                     lambda terms: al.combine(kind, terms))
-            point = as_member(TREE, d, kind, v, z)
+            point = plan_point(TREE, free, eps, anchors)
             with pytest.raises(cc.MembershipError) as again:
                 cc.require_member(TREE, point)
             assert str(again.value) == str(got.value), (x, where)
@@ -1043,7 +1060,7 @@ class TestChart:
             checked = cc.require_member(TREE, unchecked(recorded), al.MEMBER_TOL)
             assert checked is not recorded and checked.lanes == recorded.lanes
             for m in (recorded, checked):
-                assert m.lanes == tuple(x.value for x in cc._slots(cc.chart(TREE, d), m.v, m.z))
+                assert m.lanes == as_member(TREE, d, kind, m.v, m.z).lanes
                 assert set(m.v) == set(ch.v_start) and set(m.z) == set(ch.z_start)
                 assert all(len(m.v[r]) == d - 1 for r in m.v)
                 assert all(len(m.z[t]) == len(al.index_tables(d).B) for t in m.z)

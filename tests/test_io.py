@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchyard
+from switchyard import algebra as al
 from switchyard import cocyclic as cc
 from switchyard import io
 from switchyard import obstruction as obs
@@ -123,6 +124,32 @@ def test_decoding_track_and_coords_leaves_numpy_unloaded(base):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("kind,d", [("cylinder", 3), ("zd:12", 4), ("real", 6)])
+def test_points_file_round_trips(base, kind, d):
+    tree, rng, eps = _oriented_tree(base), random.Random(d), al.torsion_element(kind, d, 0)
+    points = [(cc.sample_y(tree, d, kind, rng, eps=eps), 0) for _ in range(2)]
+    doc = json.loads(io.dumps(io.points_to_json(d, kind, 7, points)))
+    assert (doc["d"], doc["group"], doc["count"], io.points_seed(doc)) == (d, kind, 2, 7)
+    back = io.coords_from_json(doc, tree)
+    assert [(c.lanes, label) for c, label in back] == [(c.lanes, 0) for c, _ in points]
+    assert all((c.d, c.kind, c.tree) == (d, kind, tree) for c, _ in back)
+
+
+@pytest.mark.parametrize("size", [1, 65])
+def test_matrix_size_outside_2_to_max_d_is_refused_before_any_entry(size):
+    doc = {"matrices": [[[None] * size for _ in range(size)]]}  # no entry decodes
+    with pytest.raises(ValueError, match=f"^matrix size {size} is outside 2..64$"):
+        io.matrices_from_json(doc)
+
+
+def test_matrix_of_size_max_d_decodes():
+    rng = random.Random(64)
+    cols = [[[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(64)] for _ in range(64)]
+    mats = io.matrices_from_json({"matrices": [cols, cols]})
+    assert [m.shape for m in mats] == [(64, 64), (64, 64)]
+    assert mats[0][3, 5] == complex(*cols[5][3])
 
 
 def _triple_ratio(run_cli, path):
