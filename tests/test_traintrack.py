@@ -122,6 +122,39 @@ class TestValidation:
         assert (events.count("ok"), events.count("cap"), events.count("disconnected")) == (216, 17, 9)
         assert hashlib.sha256(json.dumps(events).encode()).hexdigest() == self.PATH_DIGEST
 
+    # one sha256 over the window's plaques, and the boundary walk and classes of each
+    # track's seeded maximal tree, then over the `validate` errors of malformed genus-2
+    # tracks: every swap of two rectangles' end1 slots (cells of 0, 1, 2, 4, 5, 6 or 9
+    # cusps, each the first bad cell in corner order), each rectangle removed (an unused
+    # slot) and two disjoint copies (a disconnected track)
+    WALK_DIGEST = "53cdcd3894f39abca695749c016bad7ac4a3adf965a2895f0fb4ebabd20b8b37"
+
+    def test_walks_and_cell_errors_are_pinned(self, g2):
+        digest = hashlib.sha256()
+        for g, seed in self.SEARCH_WINDOW:
+            track = tt.generate_fixture(g, seed)
+            tree = tt.maximal_tree(track, seed=seed)
+            classes = [tuple(sorted(part)) for part in tt.classify(tree)]
+            digest.update(repr((track.plaques, tt.boundary_walk(tree), classes)).encode())
+        rects, shift = list(g2.rects), 100
+        malformed = []
+        for a in range(len(rects)):
+            for b in range(a + 1, len(rects)):
+                swapped = list(rects)
+                swapped[a] = tt.Rect(rects[a].id, rects[a].end0, rects[b].end1)
+                swapped[b] = tt.Rect(rects[b].id, rects[b].end0, rects[a].end1)
+                malformed.append(tt.TrainTrack(2, g2.switch_ids, swapped))
+        malformed += [tt.TrainTrack(2, g2.switch_ids, rects[:i] + rects[i + 1:])
+                      for i in range(len(rects))]
+        copy = [tt.Rect(r.id + shift, (r.end0[0] + shift, r.end0[1]),
+                        (r.end1[0] + shift, r.end1[1])) for r in rects]
+        malformed.append(tt.TrainTrack(3, [*g2.switch_ids, *(s + shift for s in g2.switch_ids)],
+                                       rects + copy))
+        errors = [tt.validate(track).errors for track in malformed]
+        assert {e[0][0] for e in errors if e} == {"cell_shape", "unused_slot", "disconnected"}
+        digest.update(repr(errors).encode())
+        assert digest.hexdigest() == self.WALK_DIGEST
+
     def test_disconnected_handle_is_retried(self):
         # seed 14's first genus-3 attempt pairs a track that falls apart; the
         # second attempt draws another rectangle and grows the pinned track
