@@ -245,7 +245,12 @@ def run(kind: str, rows, lanes) -> list:
     integer sum for "zd:<n>", else a correctly rounded `math.fsum` of each float
     part (nan where it sums -inf and +inf), normalized once as by `GroupElement`,
     so it does not depend on the order of the terms.  A float sum that overflows
-    raises `SumOverflow`.  The kind is dispatched once per plan, not per row.
+    raises `SumOverflow`, but a term's product n * x that overflows is not checked:
+    it enters the sum as an infinity, so ``run("real", (((2, 0),),), [1e308])`` is
+    ``[inf]`` and the terms ((2, 0), (-2, 0)) give ``[nan]``.  No row is checked
+    here, in the loop every row takes: a caller checks the lanes it reads, as
+    `cocyclic._gate` refuses a non-finite slot of `i2_inverse`'s point by name.
+    The kind is dispatched once per plan, not per row.
     """
     out = list(lanes)
     first = len(out)

@@ -275,8 +275,8 @@ def rep_from_json(doc):
     d, genus, named = _int(doc["d"], "d", 2, al.MAX_D), _int(doc["genus"], "genus"), doc["matrices"]
     if len(named) != 2 * genus:  # before the relator is built: genus comes from the file
         raise ValueError(f"genus {genus} needs {2 * genus} matrices, got {len(named)}")
+    for cols in named.values():  # each size checked before any entry is decoded
+        if type(cols) is list and cols and len(cols) != d:
+            raise ValueError(f"matrix size {len(cols)} does not match declared d={d}")
     mats = {name: matrix_from_json(cols) for name, cols in named.items()}
-    rep = obs.lifted_rep(obs.standard_relator(genus), mats)
-    if rep.d != d:
-        raise ValueError(f"matrix size {rep.d} does not match declared d={d}")
-    return rep
+    return obs.lifted_rep(obs.standard_relator(genus), mats)

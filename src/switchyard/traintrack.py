@@ -109,17 +109,6 @@ class ValidationReport(NamedTuple):
     errors: Tuple[Tuple[str, str], ...]
 
 
-# Boundary-walk corners.  y bit: 0 = low, 1 = high.  A walk with the surface
-# on its left leaves a switch block into a rectangle at out_corner and
-# re-enters at in_corner.
-def out_corner(s: int, port: str) -> Tuple[int, str, int]:
-    return (s, port, 1 if port == BIG else 0)
-
-
-def in_corner(s: int, port: str) -> Tuple[int, str, int]:
-    return (s, port, 0 if port == BIG else 1)
-
-
 # A switch's three internal arcs, keyed by the port whose in-corner each one
 # leaves: the arc's kind and the port whose out-corner it reaches.  The arc
 # between the two smalls crosses the switch's cusp.
@@ -142,12 +131,19 @@ def transport_preserves(p0: str, p1: str) -> bool:
     return is_big(p0) != is_big(p1)
 
 
-Corner = Tuple[int, str, int]
-Arc = Tuple[str, object, Corner]  # (kind, payload, next corner)
+# Boundary-walk corners are ints: (s, port, y) is 6*s + 2*rank + y, rank the port's
+# place in PORTS and y 0 = low, 1 = high, so they sort as the triples do for any int
+# switch id.  A walk with the surface on its left re-enters a switch at a port's
+# in-corner (y 1 on a small port) and leaves at its out-corner, the other y; per port,
+# both offsets and the kind and end offset of the arc `SWITCH_ARCS` runs from the first.
+_IN_CORNER = {p: 2 * i + (p != BIG) for i, p in enumerate(PORTS)}
+_PORT_CORNERS = tuple((p, _IN_CORNER[p] ^ 1, _IN_CORNER[p], kind, _IN_CORNER[q] ^ 1)
+                      for p, (kind, q) in SWITCH_ARCS.items())
+Arc = Tuple[str, object, int]  # (kind, payload, next corner)
 
 
 def _corners(track: "TrainTrack", switches: Iterable[int],
-             crosses: FrozenSet[int]) -> Dict[Corner, Arc]:
+             crosses: FrozenSet[int]) -> Dict[int, Arc]:
     """The boundary arc out of each corner at ``switches``: (kind, payload, next corner).
 
     The `SWITCH_ARCS` run inside each switch, with the switch as payload; each
@@ -155,20 +151,21 @@ def _corners(track: "TrainTrack", switches: Iterable[int],
     None), else exits along the tie (payload (rect id, end)).
     """
     slots, rects = track.slot_map(), track.rect_by_id
-    succ: Dict[Corner, Arc] = {}
+    succ: Dict[int, Arc] = {}
     for s in switches:
-        for p, (kind, q) in SWITCH_ARCS.items():
-            enter = in_corner(s, p)
-            succ[enter] = (kind, s, out_corner(s, q))
-            rid, e = slots[(s, p)]
+        c = 6 * s
+        for p, out, enter, kind, reach in _PORT_CORNERS:
+            succ[c + enter] = (kind, s, c + reach)
+            rid, e = slots[s, p]
             if rid in crosses:
-                succ[out_corner(s, p)] = ("h", None, in_corner(*rects[rid].end(1 - e)))
+                t, q = rects[rid][2 - e]  # the rectangle's other end
+                succ[c + out] = ("h", None, 6 * t + _IN_CORNER[q])
             else:
-                succ[out_corner(s, p)] = ("exit", (rid, e), enter)
+                succ[c + out] = ("exit", (rid, e), c + enter)
     return succ
 
 
-def _loop(succ: Dict[Corner, Arc], start: Corner) -> List[Arc]:
+def _loop(succ: Dict[int, Arc], start: int) -> List[Arc]:
     """Pop the loop through ``start`` from ``succ``; returns its arcs in order."""
     arcs, c = [], start
     while c in succ:
@@ -301,15 +298,15 @@ def validate(track: TrainTrack) -> ValidationReport:
 # g-2 handle steps searches only the 38 chains it opens, their ends numbered in
 # three int lists, and each attempt still copies the pairing and walks the
 # whole track for connectivity, so a call grows as g with a small g^2 part:
-# seeds 1-10 took at most 87 ms at g=100 (p50 81 ms) and 13 ms at g=20 on a
+# seeds 1-10 took at most 90 ms at g=100 (p50 78 ms) and 12 ms at g=20 on a
 # 2-vCPU host, best of six runs each.
 MAX_GENUS = 100
 
 # Node cap of one search attempt.  Attempt k of a step may search
 # 4 * n_free * 1.5**k nodes (n_free is 36 at genus 2, 38 for a handle), which
 # reaches this cap from the 15th attempt on; a capped attempt costs about 0.1 s
-# on a 2-vCPU host (at most 173 ms over 108 searches of an unpairable odd slot
-# set to the cap), so it bounds how long one attempt can stall.
+# on a 2-vCPU host (p50 98 ms, at most 149 ms over 108 searches of an unpairable
+# odd slot set to the cap), so it bounds how long one attempt can stall.
 MAX_SEARCH_NODES = 30_000
 
 # Attempts per step before the search gives up.  The hardest step measured
@@ -506,7 +503,11 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
         take(a)
         order = unmatched[:]
         _shuffle(order, getrandbits)
+        # the first join's refusal, read once: each tried partner is undone before the next
+        head, c = head_of[a], cusps[head_of[a]]
         for b in order:
+            if (cusps[b] != 3) if b == head else (c + cusps[b] > 3):
+                continue
             record = try_pair(a, b)
             if record is None:
                 continue
@@ -750,24 +751,23 @@ def _walk(tree: OrientedTree) -> Tuple[Step, ...]:
 
     first_cross = next(i for i, (k, _, _) in enumerate(arcs) if k != "h")
     arcs = arcs[first_cross:] + arcs[:first_cross]
-    steps: List[Step] = []
-    run = 0
+    # each step built in field order, without NamedTuple's keyword __new__
+    new, steps, run = tuple.__new__, [], 0
     for kind, payload, _ in arcs:
         if kind == "h":
             run += 1
             continue
         if steps:
-            steps.append(Step(type="leaf", arcs=run))
+            steps.append(new(Step, ("leaf", None, None, None, None, run)))
         run = 0
         if kind == "cusp":
             s = payload  # type: ignore[assignment]
-            side = RIGHT if o[s] == 0 else LEFT
-            steps.append(Step(type="switch", switch=s, side=side))
+            steps.append(new(Step, ("switch", s, RIGHT if o[s] == 0 else LEFT, None, None, 0)))
         else:
             rid, e = payload  # type: ignore[misc]
             s, p = track.rect_by_id[rid].end(e)
-            steps.append(Step(type="rectangle", rect=rid, end=e, side=exit_side(p, o[s])))
-    steps.append(Step(type="leaf", arcs=run))
+            steps.append(new(Step, ("rectangle", None, exit_side(p, o[s]), rid, e, 0)))
+    steps.append(new(Step, ("leaf", None, None, None, None, run)))
     return tuple(steps)
 
 

@@ -444,6 +444,11 @@ class TestRun:
         assert math.isnan(out[0][0]) and out[0][1] == 3.0
         assert math.isnan(out[1][0]) and out[1][1] == 3.5
 
+    def test_an_overflowing_product_is_not_refused(self):
+        # only a sum's overflow raises; a product n * x enters its sum as an infinity
+        assert al.run("real", (((2, 0),),), [1e308]) == [math.inf]
+        assert math.isnan(al.run("real", (((2, 0), (-2, 0)),), [1e308])[0])
+
     def test_an_overflowing_row_raises_sum_overflow(self):
         for kind, lane in (("real", 1e308), ("cylinder", (1e308, 0.0))):
             rows = (((1, 0),), ((1, 0), (1, 1), (1, 0)), ((1, 0), (-1, 0)))

@@ -188,6 +188,11 @@ MALFORMED = {
         _read(w, "tree.json"), ("tree", "root_bit"), 7)),
     "rep d 1": (["ob", "BAD"], lambda w: {
         "d": 1, "genus": 2, "matrices": {n: [[[1.0, 0.0]]] for n in ("a1", "b1", "a2", "b2")}}),
+    # refused on the size before any entry is decoded, not on a determinant
+    "rep d 3 of 200x200 matrices": (["ob", "BAD"], lambda w: {
+        "d": 3, "genus": 2, "matrices": dict.fromkeys(("a1", "b1", "a2", "b2"),
+                                                      [[[0.5, 0.25]] * 200] * 200)},
+        "matrix size 200 does not match declared d=3"),
     "genus 2.7": (["validate", "BAD"], lambda w: _put(_read(w, "track.json"), ("genus",), 2.7)),
     "points seed 5.0": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("seed",), 5.0)),
     "points seed '5'": (COORDS_ARGS, lambda w: _put(_read(w, "pts.json"), ("seed",), "5")),
@@ -203,7 +208,7 @@ MALFORMED = {
 def test_malformed_input_exits_two(run_cli, workdir, tmp_path, case):
     """Each document here gave a traceback, a math-failure exit or a silent
     exit 0 before the decoders checked types, ranges and slot keys."""
-    args, build = MALFORMED[case]
+    args, build, *message = MALFORMED[case]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(build(workdir)))
     subst = {"BAD": str(bad), "TREE": str(workdir / "tree.json")}
@@ -211,6 +216,7 @@ def test_malformed_input_exits_two(run_cli, workdir, tmp_path, case):
     assert isinstance(r.exception, SystemExit), r.exception
     assert r.exit_code == 2, r.output
     assert r.stderr.startswith("input error:")
+    assert all(m in r.stderr for m in message), r.stderr
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])

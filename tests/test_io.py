@@ -144,6 +144,13 @@ def test_matrix_size_outside_2_to_max_d_is_refused_before_any_entry(size):
         io.matrices_from_json(doc)
 
 
+def test_rep_matrix_size_is_checked_against_d_before_any_entry():
+    doc = {"d": 3, "genus": 2, "matrices": dict.fromkeys(  # no entry decodes
+        ("a1", "b1", "a2", "b2"), [[None] * 200 for _ in range(200)])}
+    with pytest.raises(ValueError, match="^matrix size 200 does not match declared d=3$"):
+        io.rep_from_json(doc)
+
+
 def test_matrix_of_size_max_d_decodes():
     rng = random.Random(64)
     cols = [[[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(64)] for _ in range(64)]

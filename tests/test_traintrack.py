@@ -18,6 +18,22 @@ def g3():
     return tt.generate_fixture(3, seed=1)
 
 
+def _swapped_ends(track, a, b):
+    """``track`` with the end1 slots of its a-th and b-th rectangles swapped."""
+    rects = list(track.rects)
+    ra, rb = rects[a], rects[b]
+    rects[a], rects[b] = tt.Rect(ra.id, ra.end0, rb.end1), tt.Rect(rb.id, rb.end0, ra.end1)
+    return tt.TrainTrack(track.genus, track.switch_ids, rects)
+
+
+def _two_copies(track, shift=100):
+    """Two disjoint copies of ``track``, the second's ids shifted by ``shift``: they satisfy
+    every count of genus 2g - 1, but are disconnected."""
+    copy = [tt.Rect(r.id + shift, *((s + shift, p) for s, p in r.ends)) for r in track.rects]
+    switches = [*track.switch_ids, *(s + shift for s in track.switch_ids)]
+    return tt.TrainTrack(2 * track.genus - 1, switches, [*track.rects, *copy])
+
+
 class TestValidation:
     def test_g2_counts(self, g2):
         rep = tt.validate(g2)
@@ -136,20 +152,11 @@ class TestValidation:
             tree = tt.maximal_tree(track, seed=seed)
             classes = [tuple(sorted(part)) for part in tt.classify(tree)]
             digest.update(repr((track.plaques, tt.boundary_walk(tree), classes)).encode())
-        rects, shift = list(g2.rects), 100
-        malformed = []
-        for a in range(len(rects)):
-            for b in range(a + 1, len(rects)):
-                swapped = list(rects)
-                swapped[a] = tt.Rect(rects[a].id, rects[a].end0, rects[b].end1)
-                swapped[b] = tt.Rect(rects[b].id, rects[b].end0, rects[a].end1)
-                malformed.append(tt.TrainTrack(2, g2.switch_ids, swapped))
-        malformed += [tt.TrainTrack(2, g2.switch_ids, rects[:i] + rects[i + 1:])
-                      for i in range(len(rects))]
-        copy = [tt.Rect(r.id + shift, (r.end0[0] + shift, r.end0[1]),
-                        (r.end1[0] + shift, r.end1[1])) for r in rects]
-        malformed.append(tt.TrainTrack(3, [*g2.switch_ids, *(s + shift for s in g2.switch_ids)],
-                                       rects + copy))
+        n = len(g2.rects)
+        malformed = [_swapped_ends(g2, a, b) for a in range(n) for b in range(a + 1, n)]
+        malformed += [tt.TrainTrack(2, g2.switch_ids, g2.rects[:i] + g2.rects[i + 1:])
+                      for i in range(n)]
+        malformed.append(_two_copies(g2))
         errors = [tt.validate(track).errors for track in malformed]
         assert {e[0][0] for e in errors if e} == {"cell_shape", "unused_slot", "disconnected"}
         digest.update(repr(errors).encode())
@@ -216,14 +223,9 @@ class TestValidation:
 
     def test_cell_shape_error(self, g2):
         # swap partners between two rectangles until a cell stops being a trigon
-        rects = list(g2.rects)
-        for a in range(len(rects)):
-            for b in range(a + 1, len(rects)):
-                swapped = list(rects)
-                swapped[a] = tt.Rect(rects[a].id, rects[a].end0, rects[b].end1)
-                swapped[b] = tt.Rect(rects[b].id, rects[b].end0, rects[a].end1)
-                track = tt.TrainTrack(2, g2.switch_ids, swapped)
-                rep = tt.validate(track)
+        for a in range(len(g2.rects)):
+            for b in range(a + 1, len(g2.rects)):
+                rep = tt.validate(_swapped_ends(g2, a, b))
                 if not rep.valid and rep.errors[0][0] == "cell_shape":
                     return
         pytest.fail("no swap produced a cell-shape violation")
@@ -235,19 +237,7 @@ class TestValidation:
         assert rep.errors[0][0] == "genus_mismatch"
 
     def test_disconnected(self, g2):
-        # two disjoint genus-2 copies satisfy every genus-3 count, but are disconnected
-        shift = 100
-        rects2 = [
-            tt.Rect(
-                r.id + shift,
-                (r.end0[0] + shift, r.end0[1]),
-                (r.end1[0] + shift, r.end1[1]),
-            )
-            for r in g2.rects
-        ]
-        switches = list(g2.switch_ids) + [s + shift for s in g2.switch_ids]
-        track = tt.TrainTrack(3, switches, list(g2.rects) + rects2)
-        rep = tt.validate(track)
+        rep = tt.validate(_two_copies(g2))
         assert not rep.valid
         assert rep.errors[0][0] == "disconnected"
 
