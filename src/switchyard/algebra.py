@@ -273,30 +273,58 @@ def _run(kind: str, rows, out: list, fsum) -> None:
 
     Each row's products are gathered by a plain loop in this frame: a comprehension
     is a function call of its own (before Python 3.12), which costs more than the
-    sum of a row of a few terms.  A row is appended only once its sums succeed.
+    sum of a row of a few terms.  A term of coefficient 1 or -1, nearly every term
+    of a chart plan, takes its lane or the lane's negation, the bits of ``n * x``
+    for every x but a nan's sign (an int times a float is an unspecialized multiply
+    on Python 3.11).  The cylinder angle is normalized inline, by `_norm_angle`'s
+    body.  A row is appended only once its sums succeed.
     """
     put = out.append
     if kind == "cylinder":
+        fmod = math.fmod
         for row in rows:
             re, ang = [], []
             for n, s in row:
-                x = out[s]
-                re.append(n * x[0])
-                ang.append(n * x[1])
-            put((fsum(re), _norm_angle(fsum(ang))))
+                x0, x1 = out[s]
+                if n == 1:
+                    re.append(x0)
+                    ang.append(x1)
+                elif n == -1:
+                    re.append(-x0)
+                    ang.append(-x1)
+                else:
+                    re.append(n * x0)
+                    ang.append(n * x1)
+            x0 = fsum(re)
+            x1 = fmod(fsum(ang), TWO_PI)
+            if x1 < 0.0:
+                x1 += TWO_PI
+            if x1 >= TWO_PI:
+                x1 -= TWO_PI
+            put((x0, x1))
     elif kind in ("real", "circle"):
         circle = kind == "circle"
         for row in rows:
             parts = []
             for n, s in row:
-                parts.append(n * out[s])
+                if n == 1:
+                    parts.append(out[s])
+                elif n == -1:
+                    parts.append(-out[s])
+                else:
+                    parts.append(n * out[s])
             put(_norm_angle(fsum(parts)) if circle else fsum(parts))
     else:
         m = _modulus(kind)
         for row in rows:
             total = 0
             for n, s in row:
-                total += n * out[s]
+                if n == 1:
+                    total += out[s]
+                elif n == -1:
+                    total -= out[s]
+                else:
+                    total += n * out[s]
             put(total % m)
 
 
@@ -404,18 +432,32 @@ def random_lanes(kind: str, rng: random.Random, count: int) -> list:
     """The lanes of ``count`` draws of the one draw rule: a gaussian real part, a
     uniform angle, a uniform residue.
 
-    Each lane and the generator's final state are the stdlib calls': ``TWO_PI *
-    rng.random()`` is ``_norm_angle(rng.uniform(0.0, TWO_PI))``, since ``uniform``
-    adds it to 0.0 and the largest ``random()`` gives 2*pi less one ulp, and the
-    residue loop is ``randrange(n)``'s own, ``getrandbits`` of n's bit length
-    drawn again while it is n or more."""
-    gauss, rand = rng.gauss, rng.random
-    if kind == "real":
-        return [gauss(0.0, 1.0) for _ in range(count)]
+    Each lane and the generator's final state are the stdlib calls': the gaussian
+    is ``rng.gauss(0.0, 1.0)``'s Box-Muller pair, run in this loop, its second
+    value kept in ``rng.gauss_next`` as ``gauss`` keeps it, and ``0.0 + z`` as
+    ``gauss`` returns ``mu + z * sigma``; ``TWO_PI * rng.random()`` is
+    ``_norm_angle(rng.uniform(0.0, TWO_PI))``, since ``uniform`` adds it to 0.0
+    and the largest ``random()`` gives 2*pi less one ulp; and the residue loop is
+    ``randrange(n)``'s own, ``getrandbits`` of n's bit length drawn again while it
+    is n or more."""
+    rand = rng.random
     if kind == "circle":
         return [TWO_PI * rand() for _ in range(count)]
-    if kind == "cylinder":
-        return [(gauss(0.0, 1.0), TWO_PI * rand()) for _ in range(count)]
+    if kind in ("real", "cylinder"):
+        cos, sin, log, sqrt = math.cos, math.sin, math.log, math.sqrt
+        cyl, lanes, z = kind == "cylinder", [], rng.gauss_next
+        put = lanes.append
+        for _ in range(count):
+            if z is None:
+                x2pi = rand() * TWO_PI
+                g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                x = 0.0 + cos(x2pi) * g2rad
+                z = sin(x2pi) * g2rad
+            else:
+                x, z = 0.0 + z, None
+            put((x, TWO_PI * rand()) if cyl else x)
+        rng.gauss_next = z
+        return lanes
     n = _modulus(kind)
     getrandbits, k = rng.getrandbits, n.bit_length()
     lanes = []

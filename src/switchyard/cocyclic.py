@@ -23,8 +23,9 @@ lanes in one `al.run`.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import starmap
 from math import isfinite
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import List, Mapping, NamedTuple, Optional, Tuple
 
@@ -291,16 +292,26 @@ def slot_views(ch: Chart, vals) -> tuple:
 def _gate(tree: OrientedTree, d: int, kind: str, lanes: tuple, tol: float) -> Member:
     """``lanes``, a point's slots of ``kind`` in `chart` order, as a `Member` checked at
     ``tol``: every slot finite (a non-finite value fails no equation it does not enter,
-    and an orientable rectangle's v slots enter none), then the balance equations."""
+    and an orientable rectangle's v slots enter none), then the balance equations.
+
+    One C-level sum screens the float slots (a cylinder slot enters as its real part
+    plus its angle): a non-finite slot makes it non-finite, and only then are the
+    slots scanned, for the first that is not finite, which the error names.  Finite
+    slots whose sum overflows pass the scan."""
     ch = chart(tree, d)
     if kind == "cylinder":
-        finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
+        screen = sum(starmap(add, lanes))
     elif kind in ("real", "circle"):
-        finite = list(map(isfinite, lanes))
+        screen = sum(lanes)
     else:  # a "zd:<n>" residue is an int, always finite
-        finite = ()
-    if not all(finite):
-        raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
+        screen = 0.0
+    if not isfinite(screen):
+        if kind == "cylinder":
+            finite = [isfinite(re) and isfinite(ang) for re, ang in lanes]
+        else:
+            finite = list(map(isfinite, lanes))
+        if not all(finite):
+            raise MembershipError(f"non-finite value at {_slot_name(ch, finite.index(False))}")
     _require_balance(ch, kind, lanes, tol)
     return Member(d, kind, tree, tol, lanes)
 

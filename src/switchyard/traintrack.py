@@ -457,18 +457,6 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
             head, u, c, tail, v = record
             tail_of[head], head_of[tail], cusps[head] = u, v, c
 
-    def try_pair(a: int, b: int):
-        """Join out(a) -> in(b), then out(b) -> in(a); returns an undo record,
-        or None if either join breaks the trigon condition."""
-        first = connect(a, b)
-        if first is None:
-            return None
-        second = connect(b, a)
-        if second is None:
-            undo(first)
-            return None
-        return first, second
-
     # Unmatched slot numbers: swap-pop removal and append restore, both O(1).
     unmatched = list(range(len(free)))
     index = list(unmatched)
@@ -503,21 +491,34 @@ def _pair_slots(pairing: Dict[Slot, Slot], free: List[Slot], rng: random.Random,
         take(a)
         order = unmatched[:]
         _shuffle(order, getrandbits)
-        # the first join's refusal, read once: each tried partner is undone before the next
-        head, c = head_of[a], cusps[head_of[a]]
+        # the first join, out(a) -> in(b), is `connect(a, b)` written from a's chain,
+        # read once: each tried partner is undone before the next
+        head = head_of[a]
+        c = cusps[head]
         for b in order:
-            if (cusps[b] != 3) if b == head else (c + cusps[b] > 3):
-                continue
-            record = try_pair(a, b)
-            if record is None:
+            if b == head:
+                if cusps[b] != 3:
+                    continue
+                first = ()
+            else:
+                cb = cusps[b]
+                if c + cb > 3:
+                    continue
+                tail = tail_of[b]
+                tail_of[head], head_of[tail], cusps[head] = tail, head, c + cb
+                first = head, a, c, tail, b
+            # the second join, out(b) -> in(a)
+            second = connect(b, a)
+            if second is None:
+                undo(first)
                 continue
             take(b)
             if search():
                 pairing[free[a]], pairing[free[b]] = free[b], free[a]
                 return True
             put(b)
-            undo(record[1])
-            undo(record[0])
+            undo(second)
+            undo(first)
         put(a)
         return False
 

@@ -1,5 +1,7 @@
+import collections
 import copy
 import functools
+import itertools
 import math
 import pickle
 import random
@@ -434,6 +436,87 @@ class TestRun:
                 terms = [(n, elements[s]) for n, s in row]
                 assert bits(al.combine(kind, terms).value) == bits(want.value)
 
+    @staticmethod
+    def product_rule_run(kind, rows, lanes):
+        """`run` with every term's lane multiplied by its coefficient, ``n * x`` even
+        at n = +-1: the loop `al._run` had before it took a unit term's lane as is."""
+        def product_run(rows, out, fsum):
+            put = out.append
+            if kind == "cylinder":
+                for row in rows:
+                    re, ang = [], []
+                    for n, s in row:
+                        x = out[s]
+                        re.append(n * x[0])
+                        ang.append(n * x[1])
+                    put((fsum(re), al._norm_angle(fsum(ang))))
+            elif kind in ("real", "circle"):
+                for row in rows:
+                    parts = []
+                    for n, s in row:
+                        parts.append(n * out[s])
+                    put(al._norm_angle(fsum(parts)) if kind == "circle" else fsum(parts))
+            else:
+                m = al._modulus(kind)
+                for row in rows:
+                    total = 0
+                    for n, s in row:
+                        total += n * out[s]
+                    put(total % m)
+
+        out = list(lanes)
+        first = len(out)
+        try:
+            product_run(rows, out, math.fsum)
+        except (ValueError, OverflowError):
+            try:
+                product_run(rows[len(out) - first:], out, al._fsum)
+            except OverflowError as err:
+                row = rows[len(out) - first]
+                raise al.SumOverflow(f"a {kind} sum of {len(row)} terms overflows a float") from err
+        return out[first:]
+
+    @pytest.mark.parametrize("kind", ["real", "circle", "cylinder", "zd:12", "zd:1000003"])
+    def test_unit_terms_give_the_bits_of_the_product_rule(self, kind):
+        # a term of coefficient +-1 takes its lane or the lane's negation: over lanes of
+        # signed zeros, huge values, infinities and nans, in rows that read earlier rows,
+        # every lane has the product rule's bits (a nan as nan, whatever its sign), and a
+        # plan raises where the product rule does, the same error (SumOverflow, or
+        # fmod's domain error on an infinite angle)
+        floats = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
+                  math.nextafter(al.TWO_PI, 0.0), 1.0, -2.5, math.pi]
+        rng = random.Random(27)
+
+        def lane():
+            if kind.startswith("zd:"):
+                return rng.choice([0, 1, -1, 11, 1000002, 10**30, -(3**70), rng.randrange(10**6)])
+            if kind == "cylinder":
+                return (rng.choice(floats), rng.choice(floats))
+            return rng.choice(floats)
+
+        def outcome(run, rows, lanes):
+            try:
+                return None, bits_list(run(kind, rows, lanes))
+            except ValueError as err:  # SumOverflow is a ValueError
+                return type(err), str(err)
+
+        seen = collections.Counter()
+        for _ in range(300):
+            lanes = [lane() for _ in range(rng.randrange(1, 6))]
+            rows, size = [], len(lanes)
+            for _ in range(rng.randrange(1, 8)):
+                rows.append(tuple((rng.choice((1, -1, 1, -1, 2, -2, 3, -3)), rng.randrange(size))
+                                  for _ in range(rng.randrange(0, 7))))
+                size += 1
+            rows = tuple(rows)
+            want = outcome(self.product_rule_run, rows, lanes)
+            assert outcome(al.run, rows, lanes) == want, (rows, lanes)
+            seen[want[0]] += 1
+        # every outcome the lanes can reach is met
+        floating = kind in ("real", "circle", "cylinder")
+        assert seen[None] > 100 and (seen[al.SumOverflow] > 0) == floating
+        assert (seen[ValueError] > 0) == (kind in ("circle", "cylinder"))
+
     def test_a_refused_row_gives_nan_and_later_rows_still_evaluate(self):
         rows = (((1, 2),), ((1, 0), (1, 1)), ((2, 3), (1, 2)), ((1, 4), (1, 3)), ((-1, 5),))
         assert bits_list(al.run("real", rows, [-math.inf, math.inf, 1.0])) == bits_list(
@@ -479,12 +562,17 @@ class TestRun:
                 return (rng.gauss(0.0, 1.0), al._norm_angle(rng.uniform(0.0, al.TWO_PI)))
             return rng.randrange(int(kind[3:]))
 
-        for seed in range(20):
+        # a gaussian drawn before the lanes leaves its pair's second value pending in
+        # gauss_next, which the first gaussian lane takes
+        for seed, pending, count in itertools.product(range(20), (0, 1), (0, 1, 2, 37)):
             a, b = random.Random(seed), random.Random(seed)
-            got = al.random_lanes(kind, a, 37)
-            assert bits_list(got) == bits_list(draw(b) for _ in range(37))
+            for rng in (a, b) * pending:
+                rng.gauss(0.0, 1.0)
+            got = al.random_lanes(kind, a, count)
+            assert bits_list(got) == bits_list(draw(b) for _ in range(count))
             assert a.getstate() == b.getstate()
             assert bits(al.random_element(kind, a).value) == bits(draw(b))
+            assert a.getstate() == b.getstate()
 
     def test_extreme_unit_draws_give_the_stdlib_angle(self):
         # random() lies in [0, 1 - 2**-53]: both ends give the angle of the stdlib

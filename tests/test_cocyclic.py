@@ -923,6 +923,50 @@ class TestInversePlan:
             assert str(again.value) == str(got.value), (x, where)
             assert not cc.is_member(TREE, point)
 
+    # sha256 of the members `test_finite_slots_whose_sum_overflows_are_accepted` builds,
+    # each kind and d in turn, its lanes by `float.hex`
+    HUGE_V_DIGEST = "85466a6808ca3103060e57e3dc96ff3a9ea7ae0ccf449a07698b33326396fa96"
+
+    def test_finite_slots_whose_sum_overflows_are_accepted(self):
+        # one sum of the slots screens for a non-finite one: +-1e308 in an orientable
+        # rectangle's v slots, which enter no balance equation, overflow that sum, and
+        # the slot scan behind it finds every slot finite, so the point is a member
+        digest = hashlib.sha256()
+        for kind, d in itertools.product(("real", "cylinder"), (4, 6)):
+            anchors = cc.default_anchors(TREE, d)
+            layout = cc.free_layout(TREE, d, anchors)
+            q = next(q for q, r in enumerate(layout.rects) if r in CLS.orientable)
+            lanes = list(cc.random_free(TREE, d, kind, random.Random(77), anchors).lanes)
+            for k in range(d - 1):
+                x = 1e308 if k % 4 < 2 else -1e308
+                lanes[(d - 1) * q + k] = (x, lanes[(d - 1) * q + k][1]) if kind == "cylinder" else x
+            free = cc.FreeCoords(layout, kind, lanes)
+            m = cc.i2_inverse(TREE, free, al.zero(kind), anchors)
+            parts = [x for lane in m.lanes for x in (lane if kind == "cylinder" else (lane,))]
+            assert all(map(math.isfinite, parts)) and not math.isfinite(sum(parts))
+            assert m.v[layout.rects[q]][0].value == lanes[(d - 1) * q]
+            cc.require_member(TREE, m)
+            digest.update(repr((kind, d, [x.hex() for x in parts])).encode())
+        assert digest.hexdigest() == self.HUGE_V_DIGEST
+
+    @pytest.mark.parametrize("kind", ["real", "cylinder"])
+    def test_opposite_infinities_name_the_first_slot(self, kind):
+        # +inf in one v slot and -inf in a later one: the screen's sum is nan, and the
+        # scan names the first of the two
+        d = 6
+        anchors = cc.default_anchors(TREE, d)
+        layout = cc.free_layout(TREE, d, anchors)
+        q, r = next((q, r) for q, r in enumerate(layout.rects) if r in CLS.orientable)
+        for first, later in ((1, 3), (0, 4)):
+            lanes = list(cc.random_free(TREE, d, kind, random.Random(78), anchors).lanes)
+            for k, x in ((first, math.inf), (later, -math.inf)):
+                lanes[(d - 1) * q + k] = (x, 0.0) if kind == "cylinder" else x
+            free = cc.FreeCoords(layout, kind, lanes)
+            with pytest.raises(cc.MembershipError) as got:
+                cc.i2_inverse(TREE, free, al.zero(kind), anchors)
+            pair = al.index_tables(d).A[first]
+            assert str(got.value) == f"non-finite value at rectangle {r}, pair index {pair}"
+
     def test_overflowing_balance_is_a_membership_error(self):
         m = cc.sample_y(TREE, 3, "cylinder", random.Random(76))
         v = {r: tuple(al.cylinder(1e308, x.value[1]) for x in vec) for r, vec in m.v.items()}
