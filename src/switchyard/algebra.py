@@ -55,8 +55,8 @@ class SumOverflow(ValueError):
     """A float sum left the range of a float (`math.fsum`'s intermediate overflow)."""
 
 
-def _norm_angle(a: float) -> float:
-    a = math.fmod(a, TWO_PI)
+def _norm_angle(a: float, fmod=math.fmod) -> float:
+    a = fmod(a, TWO_PI)
     if a < 0.0:
         a += TWO_PI
     # fmod can land exactly on 2*pi after the correction
@@ -219,6 +219,11 @@ def _fsum(parts) -> float:
         return math.nan
 
 
+def _fmod(x: float, y: float) -> float:
+    # math.fmod refuses an infinite x; IEEE fmod gives nan
+    return math.nan if math.isinf(x) else math.fmod(x, y)
+
+
 def combine(kind: str, terms) -> GroupElement:
     """The sum of n * x over ``terms``, pairs of an int n and an element x of ``kind``:
     `evaluate` on the elements' lanes."""
@@ -244,7 +249,10 @@ def run(kind: str, rows, lanes) -> list:
     Each row's lane is the sum of n * lane s over its terms (n, s): an exact
     integer sum for "zd:<n>", else a correctly rounded `math.fsum` of each float
     part (nan where it sums -inf and +inf), normalized once as by `GroupElement`,
-    so it does not depend on the order of the terms.  A float sum that overflows
+    so it does not depend on the order of the terms.  A circle or cylinder angle
+    whose sum is infinite normalizes to nan, as IEEE fmod gives it: `math.fmod`
+    refuses it, so the first pass stops at its row and the fallback pass, which
+    also sums -inf and +inf to nan, decides it.  A float sum that overflows
     raises `SumOverflow`, but a term's product n * x that overflows is not checked:
     it enters the sum as an infinity, so ``run("real", (((2, 0),),), [1e308])`` is
     ``[inf]`` and the terms ((2, 0), (-2, 0)) give ``[nan]``.  No row is checked
@@ -255,21 +263,22 @@ def run(kind: str, rows, lanes) -> list:
     out = list(lanes)
     first = len(out)
     try:
-        _run(kind, rows, out, math.fsum)
+        _run(kind, rows, out, math.fsum, math.fmod)
     except (ValueError, OverflowError):
-        # fsum refused a row (-inf + inf, or an overflow): that row and the rest
-        # again, each float part summed by `_fsum`
+        # fsum refused a row (-inf + inf, or an overflow), or fmod an infinite
+        # angle: that row and the rest again, each float part summed by `_fsum`
+        # and each angle reduced by `_fmod`
         try:
-            _run(kind, rows[len(out) - first:], out, _fsum)
+            _run(kind, rows[len(out) - first:], out, _fsum, _fmod)
         except OverflowError as err:
             row = rows[len(out) - first]
             raise SumOverflow(f"a {kind} sum of {len(row)} terms overflows a float") from err
     return out[first:]
 
 
-def _run(kind: str, rows, out: list, fsum) -> None:
+def _run(kind: str, rows, out: list, fsum, fmod) -> None:
     """Append the lane of each row of ``rows``, over ``out``, to ``out``: the one lane
-    arithmetic, float parts summed by ``fsum``.
+    arithmetic, float parts summed by ``fsum`` and angles reduced by ``fmod``.
 
     Each row's products are gathered by a plain loop in this frame: a comprehension
     is a function call of its own (before Python 3.12), which costs more than the
@@ -281,7 +290,6 @@ def _run(kind: str, rows, out: list, fsum) -> None:
     """
     put = out.append
     if kind == "cylinder":
-        fmod = math.fmod
         for row in rows:
             re, ang = [], []
             for n, s in row:
@@ -313,7 +321,7 @@ def _run(kind: str, rows, out: list, fsum) -> None:
                     parts.append(-out[s])
                 else:
                     parts.append(n * out[s])
-            put(_norm_angle(fsum(parts)) if circle else fsum(parts))
+            put(_norm_angle(fsum(parts), fmod) if circle else fsum(parts))
     else:
         m = _modulus(kind)
         for row in rows:

@@ -11,13 +11,16 @@ determinant.  The line intersections and then the scalings of every adapted
 basis a compatible triple needs are one stacked numpy call each.  The module
 also builds bases adapted to flag triples, the unipotent transformation
 matching two flags of a transverse triple (its annihilators all come from
-one complete QR), and chained compatible bases.
+one complete QR), and chained compatible bases.  Index tables that depend
+only on d or on a pattern list are built once and kept, read-only, by
+`functools.lru_cache`; gaussian flags are drawn by `algebra.random_lanes`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,7 +99,7 @@ class Flag:
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("flag matrix must be square")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise DegenerateFlagError("flag has a non-finite entry")
         _, exp = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=0))
         unit = m / np.ldexp(0.5, exp)
@@ -148,15 +151,26 @@ def _stacked_minors(flags: Sequence[Flag], patterns: Sequence[Tuple[int, ...]]
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """The minors of `_minors` from one stacked determinant.  Unit columns
     have norm at least 1, so the Hadamard bound is never zero."""
-    d = flags[0].d
-    ks = np.asarray(patterns, dtype=np.intp)
-    # row r of `cols` numbers the columns of pattern r within the flags'
-    # columns laid end to end: column c of flag i is i*d + c, taken if c < k_i
-    taken = np.arange(d) < ks[:, :, None]
-    cols = np.nonzero(taken.reshape(len(ks), len(flags) * d))[1].reshape(len(ks), d)
+    cols = _pattern_columns(flags[0].d, tuple(patterns))
     columns = np.vstack([f.unit.T for f in flags])
     det = np.linalg.det(columns[cols].transpose(0, 2, 1))
     return det, np.abs(det) / np.prod(np.linalg.norm(columns, axis=1)[cols], axis=1)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a table kept by `lru_cache` is shared by every call."""
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=256)
+def _pattern_columns(d: int, patterns: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
+    """Row r numbers the columns of pattern r within the flags' columns laid
+    end to end: column c of flag i is i*d + c, taken if c < k_i.  Kept per
+    pattern list, the guard's all compositions of d among them."""
+    ks = np.asarray(patterns, dtype=np.intp)
+    taken = np.arange(d) < ks[:, :, None]
+    return _frozen(np.nonzero(taken.reshape(len(ks), -1))[1].reshape(len(ks), d))
 
 
 def _ratio_minors(flags: Sequence[Flag], patterns: Sequence[Tuple[int, ...]]) -> List[complex]:
@@ -176,12 +190,18 @@ def _compositions(total: int, m: int):
             yield (head,) + rest
 
 
+@lru_cache(maxsize=None)
+def _all_patterns(d: int, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every pattern of m flags in C^d: the compositions of d into m parts."""
+    return tuple(_compositions(d, m))
+
+
 def general_position(flags: Sequence[Flag], pattern: Optional[Sequence[int]] = None,
                      tol: float = FLAG_TOL) -> bool:
     d = flags[0].d
     if pattern is not None and sum(pattern) != d:
         raise ValueError("pattern must sum to the ambient dimension")
-    patterns = [tuple(pattern)] if pattern is not None else list(_compositions(d, len(flags)))
+    patterns = [tuple(pattern)] if pattern is not None else _all_patterns(d, len(flags))
     # a nan minor is not in general position
     return all(rel > tol for _, rel in _minors(flags, patterns))
 
@@ -259,6 +279,12 @@ def adapted_basis(triple: Sequence[Flag]) -> np.ndarray:
     return _adapted_bases([triple])[0]
 
 
+@lru_cache(maxsize=None)
+def _intersection_columns(d: int) -> np.ndarray:
+    """Row m-1 numbers the columns of [F1 | -F3] that span F1^m and F3^(d-m+1)."""
+    return _frozen(np.array([[*range(m), *range(d, 2 * d - m + 1)] for m in range(1, d + 1)]))
+
+
 def _adapted_bases(triples: Sequence[Sequence[Flag]]) -> np.ndarray:
     """`adapted_basis` of each triple, as one (n, d, d) stack from one stacked
     SVD of every line intersection and one of every scaling."""
@@ -267,8 +293,7 @@ def _adapted_bases(triples: Sequence[Sequence[Flag]]) -> np.ndarray:
     # column m of g spans F1^m meet F3^(d-m+1): the null vector x_m of
     # [F1^m | -F3^(d-m+1)] gives g_m = F1^m x_m[:m]
     both = np.concatenate([f1, -f3], axis=2)
-    idx = np.array([[*range(m), *range(d, 2 * d - m + 1)] for m in range(1, d + 1)])
-    x = _null_vector(np.moveaxis(both[:, :, idx], 2, 1))
+    x = _null_vector(np.moveaxis(both[:, :, _intersection_columns(d)], 2, 1))
     g = f1 @ np.triu(x[..., :d].transpose(0, 2, 1))
     if not np.all(np.linalg.norm(g, axis=1) >= RANK_TOL * np.linalg.norm(x, axis=2)):
         raise DegenerateFlagError("subspaces meet non-transversally")
@@ -296,8 +321,8 @@ def unipotent_fixing(f2: Flag, f1: Flag, f3: Flag) -> np.ndarray:
     qp = np.linalg.qr(f3.unit, mode="complete")[0].conj().T @ p
     # unknown i is the entry (a[i], b[i]) of the strict upper triangle N, and
     # equation i asks row b[i] of Q^H p to vanish on (1 + N) y[:, a[i]]
-    a, b = np.triu_indices(d, 1)
-    sys_mat = qp[np.ix_(b, a)] * y.T[np.ix_(a, b)]
+    a, b, rows_ba, rows_ab = _upper_triangle(d)
+    sys_mat = qp[rows_ba] * y.T[rows_ab]
     sys_rhs = -(qp @ y)[b, a]
     try:
         sol = np.linalg.solve(sys_mat, sys_rhs)
@@ -308,6 +333,14 @@ def unipotent_fixing(f2: Flag, f1: Flag, f3: Flag) -> np.ndarray:
     n = np.zeros((d, d), dtype=complex)
     n[a, b] = sol
     return p @ (np.eye(d) + n) @ np.linalg.inv(p)
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(d: int) -> Tuple[np.ndarray, ...]:
+    """The strict upper triangle's rows a and columns b, and the grids
+    ``np.ix_(b, a)`` and ``np.ix_(a, b)`` of `unipotent_fixing`'s system."""
+    a, b = map(_frozen, np.triu_indices(d, 1))
+    return a, b, tuple(map(_frozen, np.ix_(b, a))), tuple(map(_frozen, np.ix_(a, b)))
 
 
 def _vector_ratio(y: np.ndarray, x: np.ndarray) -> complex:
@@ -340,10 +373,11 @@ def compatible_triple(triple: Sequence[Flag], r: GroupElement,
 
 
 def random_flag(d: int, rng) -> Flag:
-    """A flag of gaussian columns, redrawn until `Flag` accepts it."""
+    """A flag of gaussian columns drawn by `algebra.random_lanes`, redrawn
+    until `Flag` accepts it."""
     for _ in range(MAX_FLAG_ATTEMPTS):
         # entries row by row, each a real then an imaginary gaussian
-        mat = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex).reshape(d, d)
+        mat = np.array(al.random_lanes("real", rng, 2 * d * d)).view(complex).reshape(d, d)
         try:
             return Flag(mat)
         except DegenerateFlagError:

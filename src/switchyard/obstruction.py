@@ -82,7 +82,10 @@ class RelatorWord:
         return RelatorWord(self.symbols[k:] + self.symbols[:k])
 
 
+# A rep document's genus sets the relator's length, so the cache is bounded.
+@functools.lru_cache(maxsize=32)
 def standard_relator(g: int) -> RelatorWord:
+    """a1 b1 a1^-1 b1^-1 ... ag bg ag^-1 bg^-1, kept per genus: it is read-only."""
     if g < 2:
         raise ValueError(f"genus {g} < 2")
     syms: List[Tuple[str, int]] = []
@@ -183,23 +186,29 @@ def identity_rep(d: int, g: int = 2) -> LiftedRep:
     return lifted_rep(rel, {name: eye for name in rel.generators()})
 
 
-def clock_shift_rep(d: int, g: int = 2) -> LiftedRep:
+def clock_shift_rep(d: int, g: int = 2, power: int = 1) -> LiftedRep:
+    """a1 the cyclic shift, b1 the clock diag(omega**(power*k)), omega = exp(2 pi i/d),
+    every other generator the identity; ob is -power mod d."""
     if d < 2:
         raise ValueError(f"d={d} < 2")
     rel = standard_relator(g)
     omega = cmath.exp(2j * math.pi / d)
-    shift = unit_determinant(np.roll(np.eye(d, dtype=complex), 1, axis=0))
-    clock = unit_determinant(np.diag([omega ** k for k in range(d)]))
-    mats = {name: np.eye(d, dtype=complex) for name in rel.generators()}
+    eye = np.eye(d, dtype=complex)
+    # row i of the shift is row i - 1 of the identity
+    shift = unit_determinant(eye[np.arange(-1, d - 1)])
+    clock = unit_determinant(np.diag([omega ** (power * k) for k in range(d)]))
+    mats = {name: eye for name in rel.generators()}
     return lifted_rep(rel, {**mats, "a1": shift, "b1": clock})
 
 
 def diagonal_rep(d: int, g: int, rng: random.Random) -> LiftedRep:
+    """Diagonal generators: d - 1 entries exp(x/2 + i angle) of `algebra.random_lanes`'
+    cylinder draws, the last one making the determinant one."""
     rel = standard_relator(g)
     mats = {}
     for name in rel.generators():
-        entries = [cmath.exp(complex(rng.gauss(0, 0.5), rng.uniform(0, al.TWO_PI)))
-                   for _ in range(d - 1)]
+        entries = [cmath.exp(complex(0.5 * x, angle))
+                   for x, angle in al.random_lanes("cylinder", rng, d - 1)]
         entries.append(1.0 / np.prod(entries))
         mats[name] = np.diag(entries)
     return lifted_rep(rel, mats)

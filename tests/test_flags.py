@@ -63,12 +63,15 @@ class TestFlagType:
             f.unit[0, 0] = 2.0
 
     def test_random_flag_gives_up_after_its_cap(self):
-        # a generator whose every draw is dependent makes MAX_FLAG_ATTEMPTS
-        # draws of 2d^2 gaussians, then fails instead of looping for ever
+        # a generator whose every gaussian is 0.0 (random() is 0.0, so each
+        # Box-Muller pair has radius 0) draws MAX_FLAG_ATTEMPTS dependent
+        # flags of 2d^2 gaussians, then fails instead of looping for ever;
+        # a pair takes two random() calls, so each attempt makes 2d^2 calls
         class Zeros:
             draws = 0
+            gauss_next = None
 
-            def gauss(self, mu, sigma):
+            def random(self):
                 self.draws += 1
                 return 0.0
 
@@ -81,6 +84,64 @@ class TestFlagType:
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
             with pytest.raises(fl.DegenerateFlagError, match="non-finite"):
                 fl.Flag([[bad, 0], [0, 1]])
+
+
+def gauss_flag(d, rng):
+    """`random_flag` drawn by ``rng.gauss(0.0, 1.0)``, one entry part at a time: the
+    route its lanes of `algebra.random_lanes` stand for."""
+    for _ in range(fl.MAX_FLAG_ATTEMPTS):
+        mat = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex).reshape(d, d)
+        try:
+            return fl.Flag(mat)
+        except fl.DegenerateFlagError:
+            continue
+
+
+def matrix_bits(m):
+    return [(z.real.hex(), z.imag.hex()) for z in m.flat]
+
+
+class TestDrawRule:
+    @pytest.mark.parametrize("pending", [0, 1])
+    def test_random_flag_has_the_bits_of_the_gauss_route(self, pending):
+        # every entry and the generator's final state match the stdlib calls', also
+        # when a gaussian of an earlier draw is pending in gauss_next
+        for d in (*range(2, 9), 16, 32):
+            for seed in range(5 if d <= 8 else 1):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                for r in (got_rng, want_rng)[:pending * 2]:
+                    r.gauss(0.0, 1.0)
+                for _ in range(2):
+                    got, want = fl.random_flag(d, got_rng), gauss_flag(d, want_rng)
+                    assert matrix_bits(got.mat) == matrix_bits(want.mat)
+                    assert got_rng.getstate() == want_rng.getstate()
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_each_table_is_built_once_and_read_only(self, d):
+        for m in (2, 3, 4):
+            patterns = fl._all_patterns(d, m)
+            assert fl._all_patterns(d, m) is patterns
+            assert patterns == tuple(fl._compositions(d, m))
+        patterns = fl._all_patterns(d, 3)
+        minor_cols = fl._pattern_columns(d, patterns)
+        assert fl._pattern_columns(d, tuple(list(patterns))) is minor_cols
+        # row r takes the first k_i columns of flag i, laid end to end
+        assert minor_cols.tolist() == [[i * d + c for i, k in enumerate(p) for c in range(k)]
+                                       for p in patterns]
+        cols = fl._intersection_columns(d)
+        assert fl._intersection_columns(d) is cols
+        assert cols.tolist() == [[*range(m), *range(d, 2 * d - m + 1)] for m in range(1, d + 1)]
+        tables = fl._upper_triangle(d)
+        assert fl._upper_triangle(d) is tables
+        a, b, rows_ba, rows_ab = tables
+        assert [a.tolist(), b.tolist()] == [x.tolist() for x in np.triu_indices(d, 1)]
+        for want, got in ((np.ix_(b, a), rows_ba), (np.ix_(a, b), rows_ab)):
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        for arr in (minor_cols, cols, a, b, *rows_ba, *rows_ab):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
 
 
 class TestGeneralPosition:

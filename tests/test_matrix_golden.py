@@ -6,7 +6,10 @@ must stay bit-identical when their minors or relator products are evaluated
 differently.  The digest holds for one numpy/LAPACK build on one CPU family,
 whose kernels fix the rounding of every determinant.  Bases and unipotent
 matrices are compared within a bound against outputs stored from the
-earlier one-matrix-per-call evaluation (`data/matrix_outputs.json`).
+earlier one-matrix-per-call evaluation (`data/matrix_outputs.json`);
+``python tests/test_matrix_golden.py bases`` prints their sha256 over every
+entry's `float.hex`, which shows whether any of their bits moved, and their
+worst relative difference from the stored outputs.
 """
 import hashlib
 import json
@@ -88,6 +91,28 @@ def matrix_outputs() -> dict:
     return out
 
 
+def bases_digest(outputs: dict) -> str:
+    """sha256 over the `float.hex` of every entry of `matrix_outputs`: equal
+    exactly when no bit of a basis or a unipotent matrix moved."""
+    h = hashlib.sha256()
+    for key, mats in outputs.items():
+        h.update(key.encode())
+        for m in mats:
+            h.update(";".join(x.hex() for entry in m for x in entry).encode())
+    return h.hexdigest()
+
+
+def worst_difference(outputs: dict, stored: dict) -> float:
+    """Largest entry-wise difference from ``stored``, relative to the largest
+    entry of each stored matrix."""
+    worst = 0.0
+    for key, mats in outputs.items():
+        for m, ref in zip(mats, stored[key]):
+            a, b = np.array(m), np.array(ref)
+            worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
+    return worst
+
+
 def test_invariants_are_bit_identical():
     assert digest() == DIGEST
 
@@ -96,16 +121,17 @@ def test_bases_and_unipotents_match_stored_outputs():
     stored = json.loads(DATA.read_text())
     got = matrix_outputs()
     assert got.keys() == stored.keys()
-    worst = 0.0
-    for key, mats in got.items():
-        for m, ref in zip(mats, stored[key]):
-            a, b = np.array(m), np.array(ref)
-            worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
-    assert worst <= BASIS_RTOL
+    assert worst_difference(got, stored) <= BASIS_RTOL
 
 
 if __name__ == "__main__":
     # python tests/test_matrix_golden.py write: store the current outputs
+    # python tests/test_matrix_golden.py bases: the bases' sha256 and their worst
+    # relative difference from the stored outputs, instead of the digest
     if sys.argv[1:] == ["write"]:
         DATA.write_text(json.dumps(matrix_outputs()) + "\n")
-    print(digest())
+    if sys.argv[1:] == ["bases"]:
+        got = matrix_outputs()
+        print(bases_digest(got), f"{worst_difference(got, json.loads(DATA.read_text())):.3e}")
+    else:
+        print(digest())

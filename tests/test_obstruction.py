@@ -16,6 +16,10 @@ from switchyard import io
 from switchyard import obstruction as ob
 
 
+def matrix_bits(m):
+    return [(z.real.hex(), z.imag.hex()) for z in np.asarray(m, dtype=complex).flat]
+
+
 def random_unimodular(rng, scale=1.0):
     m = np.array([[complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(2)]
                   for _ in range(2)])
@@ -47,6 +51,13 @@ class TestRelatorWord:
             ob.RelatorWord((("a", 2), ("a", -1)))
         with pytest.raises(ValueError):
             ob.standard_relator(1)
+
+    def test_standard_relator_is_built_once_per_genus(self):
+        for g in (2, 3, 4):
+            rel = ob.standard_relator(g)
+            assert ob.standard_relator(g) is rel
+            with pytest.raises(AttributeError):
+                rel.symbols = ()
 
     def test_rotation(self):
         rel = ob.standard_relator(2)
@@ -130,6 +141,28 @@ class TestOb:
             target = al.torsion_element("cylinder", d, v.residue)
             assert al.elements_equal(v.value, target, 1e-9)
             assert v.residual <= 1e-9
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_clock_power_reaches_every_residue(self, g):
+        # clock**power shifts ob to -power mod d, so powers 0..d-1 reach every residue
+        for d in range(2, 9):
+            for power in range(d):
+                rep = ob.clock_shift_rep(d, g, power)
+                assert ob.ob(rep).residue == -power % d, (d, power)
+                assert ob.lift_independence(rep, random.Random(power))
+
+    def test_clock_shift_builds_the_rolled_shift(self):
+        # the shift is the identity's rows permuted, bit for bit np.roll's, and the
+        # other generators share one identity
+        for d in range(2, 9):
+            rep = ob.clock_shift_rep(d, 3)
+            want = ob.unit_determinant(np.roll(np.eye(d, dtype=complex), 1, axis=0))
+            assert matrix_bits(rep.matrices["a1"]) == matrix_bits(want)
+            assert matrix_bits(ob.clock_shift_rep(d, 3, 1).matrices["b1"]) == matrix_bits(
+                rep.matrices["b1"])
+            eyes = [m for name, m in rep.matrices.items() if name not in ("a1", "b1")]
+            assert all(m is eyes[0] for m in eyes)
+            assert matrix_bits(eyes[0]) == matrix_bits(np.eye(d, dtype=complex))
 
     def test_clock_shift_product_is_root_of_unity(self):
         for d in (2, 3, 4):
@@ -232,6 +265,37 @@ class TestOb:
         mats["a1"] = mats["a1"] * zeta
         assert ob.ob(ob.LiftedRep(rep.relator, d, mats)).residue == base.residue
         assert ob.ob(ob.LiftedRep(rep.relator.rotated(4), d, rep.matrices)).residue == base.residue
+
+
+def gauss_diagonal_mats(d, g, rng):
+    """`diagonal_rep`'s matrices drawn by ``rng.gauss`` and ``rng.uniform``, one entry
+    at a time: the route its lanes of `algebra.random_lanes` stand for."""
+    mats = {}
+    for name in ob.standard_relator(g).generators():
+        entries = [cmath.exp(complex(rng.gauss(0, 0.5), rng.uniform(0, al.TWO_PI)))
+                   for _ in range(d - 1)]
+        entries.append(1.0 / np.prod(entries))
+        mats[name] = np.diag(entries)
+    return mats
+
+
+class TestDiagonalDraws:
+    @pytest.mark.parametrize("pending", [0, 1])
+    def test_diagonal_rep_has_the_bits_of_the_gauss_route(self, pending):
+        # every entry and the generator's final state match the stdlib calls', also
+        # when a gaussian of an earlier draw is pending in gauss_next
+        for d in range(2, 9):
+            for g in (2, 3):
+                for seed in range(5):
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    for r in (got_rng, want_rng)[:pending * 2]:
+                        r.gauss(0.0, 1.0)
+                    got = ob.diagonal_rep(d, g, got_rng).matrices
+                    want = gauss_diagonal_mats(d, g, want_rng)
+                    assert list(got) == list(want)
+                    assert [matrix_bits(m) for m in got.values()] == [
+                        matrix_bits(m) for m in want.values()]
+                    assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestSymmetricPower:
