@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ from switchyard import io
 from switchyard.traintrack import maximal_tree, orientation_cover, classify
 
 DATA = Path(__file__).parent / "data"  # tracks pinned from generate_fixture 0.1.0
+G4_TRACK = Path(__file__).parent.parent / "perfbench" / "data" / "g4_track.json"
 
 KINDS = ["real", "circle", "cylinder", "zd:12"]
 
@@ -485,3 +487,37 @@ class TestSolveTree:
                 for row in plan.steps + plan.last:
                     assert row and all(n in (1, -1) for n, _ in row)
                 assert all(lane < inputs + len(plan.steps) for row in plan.last for _, lane in row)
+
+
+# sha256 of every solver plan `test_pinned_solver_plans_are_unchanged` records: its
+# rects, solved edges, steps and last rows, each row's terms merged per lane (zero
+# sums dropped) and sorted, since `al.run` sums a row's terms in any order to the
+# same bits
+SOLVER_PLAN_DIGEST = "46e52837e3e73421496a927c2005a41d15aeb1bff62317778a7f7bc1e9cf1c66"
+
+
+def test_pinned_solver_plans_are_unchanged():
+    # the data tracks' trees of seeds 1-3 and the g4 benchmark tree, d = 2-16, both orders
+    trees = []
+    for name in ("track_g2_s1", "track_g2_s7", "track_g3_s2"):
+        (track, _), _ = io.load(DATA / f"{name}.json", io.track_from_json)
+        trees += [((name, seed), maximal_tree(track, seed=seed)) for seed in (1, 2, 3)]
+    (_, g4), _ = io.load(G4_TRACK, io.track_from_json)
+    trees.append((("g4_track", None), g4))
+
+    def merged(row):
+        lanes = {}
+        for n, lane in row:
+            lanes[lane] = lanes.get(lane, 0) + n
+        return tuple(sorted((n, lane) for lane, n in lanes.items() if n))
+
+    digest = hashlib.sha256()
+    for case, tree in trees:
+        lifts = orientation_cover(tree)
+        for d in range(2, 17):
+            for order in ("low_first", "high_first"):
+                plan = hm.solver_plan(lifts, d, order)
+                digest.update(repr((case, d, order, plan.rects, plan.solved,
+                                    tuple(map(merged, plan.steps)),
+                                    tuple(map(merged, plan.last)))).encode())
+    assert digest.hexdigest() == SOLVER_PLAN_DIGEST
