@@ -336,6 +336,56 @@ def _run(kind: str, rows, out: list, fsum, fmod) -> None:
             put(total % m)
 
 
+class PlanError(ValueError):
+    """Equations that do not solve each unknown once, from slots solved before it."""
+
+
+def back_substitute(title: str, size: int, seeds, first: int, equations, name, turn=()):
+    """The plan ``(steps, out)`` that solves ``equations`` in turn over ``size`` slots.
+
+    Seed q, a slot of ``seeds``, is plan lane q.  Equation q, ``(row, unknown, target)``, is
+    solved for ``unknown`` by step q, plan lane ``first + q``: its `Row` over slots equals plan
+    lane ``target`` (0 if None), the unknown's orbit enters it with c = ±1 and every other
+    slot is solved, else `PlanError` names the slot by ``name`` after ``title``.  ``out[s]`` is
+    slot s's plan lane, shared by a rotation orbit (``turn``, two slot sequences, carries each
+    slot to the next).
+    """
+    turn = dict(zip(*turn))
+    orbit = {s: (s, t, turn[t]) for s, t in turn.items()}
+    out, steps = [None] * size, []
+
+    def fail(s: int, why: str):
+        raise PlanError(f"{title}: {name(s)} {why}")
+
+    for q, s in enumerate(seeds):
+        out[s] = q
+        if s in orbit:
+            for x in orbit[s]:
+                out[x] = q
+    for lane, (row, unknown, target) in enumerate(equations, first):
+        merged = {}
+        for n, s in row:
+            merged[s] = merged[s] + n if s in merged else n
+        own = orbit.get(unknown, (unknown,))
+        c = 0
+        for s in own:
+            c += merged.pop(s, 0)
+        if out[unknown] is not None or c not in (1, -1):
+            fail(unknown, f"has coefficient {c}" if out[unknown] is None else "is solved already")
+        terms = [(c, target)] if target is not None else []
+        for s, n in merged.items():
+            if n:
+                if out[s] is None:
+                    fail(unknown, f"is solved from {name(s)}, not solved yet")
+                terms.append((-c * n, out[s]))
+        for s in own:
+            out[s] = lane
+        steps.append(tuple(terms))
+    if None in out:
+        fail(out.index(None), "is unsolved")
+    return tuple(steps), tuple(out)
+
+
 def _from_lanes(kind: str, lanes) -> tuple:
     """The elements of ``kind`` whose lanes are ``lanes``, normalized already (by `run`,
     a draw or `normalize`): built without `GroupElement.__init__`'s second pass."""

@@ -14,10 +14,8 @@ The torsion invariant tor′ is one linear form at every d, a row recorded once 
 (tree, d, anchors): at even d the paper's second parity form differs from it by a
 balance equation the gate has checked, so it is not evaluated.  The explicit linear
 parametrization by unconstrained slots (`FreeCoords`) plus one d-torsion slot is
-inverted by a recorded `InversePlan`: the chart's own balance rows and the tor′ row,
-each solved for one unknown in turn, over slots that each rotation orbit shares, so
-every point it builds keeps the rotation relations.  Every plan of rows runs on
-lanes in one `al.run`.
+inverted by an `InversePlan` that `al.back_substitute` records from the chart's own
+balance rows and the tor′ row.  Every plan of rows runs on lanes in one `al.run`.
 """
 
 from __future__ import annotations
@@ -40,10 +38,6 @@ class MembershipError(ValueError):
 
 class AnchorError(ValueError):
     pass
-
-
-class InversePlanError(ValueError):
-    """An inverse step list that does not solve each slot once, from slots solved before."""
 
 
 ZField = Mapping[int, Mapping[TripleIndex, GroupElement]]
@@ -492,53 +486,19 @@ def inverse_plan(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
 
 
 def _record_inverse(tree: OrientedTree, d: int, anchors: Anchors) -> InversePlan:
-    """Solve `_inverse_equations` in turn.  The three z slots of a rotation orbit
-    (`ch.rotation` carries each to the next) share the plan slot of the free slot that
-    seeds it or of the step that solves it, so every point the plan builds keeps the
-    rotation relations: `i2_inverse` skips them."""
+    """`_inverse_equations` solved in turn by `al.back_substitute` from the free slots and
+    epsilon; a rotation orbit (`ch.rotation` carries each slot to the next) shares one plan
+    slot, so every point the plan builds keeps the rotation relations: `i2_inverse` skips them."""
     layout, ch = free_layout(tree, d, anchors), chart(tree, d)
-    turn = dict(zip(*ch.rotation))
-    out, steps = [None] * ch.size, []
-    eps = len(layout.slots)  # epsilon's plan slot; step q's is eps + 1 + q
-
-    def orbit(s: int) -> tuple:
-        return (s, turn[s], turn[turn[s]]) if s in turn else (s,)
-
-    def solve(row, unknown: int, target: Optional[int] = None) -> None:
-        # row = target (0 if None): the unknown's orbit enters it with c = ±1, so
-        # unknown = c (target - the rest of the row), which reads solved slots only
-        merged = {}
-        for n, s in row:
-            merged[s] = merged.get(s, 0) + n
-        own = orbit(unknown)
-        c = sum(merged.get(s, 0) for s in own)
-        if out[unknown] is not None or c not in (1, -1):
-            why = "is solved already" if out[unknown] is not None else f"has coefficient {c}"
-            raise InversePlanError(f"recorded inverse: {_slot_name(ch, unknown)} {why}")
-        terms = []
-        for s, n in merged.items():
-            if n and s not in own:
-                if out[s] is None:
-                    raise InversePlanError(f"recorded inverse: {_slot_name(ch, unknown)} is "
-                                           f"solved from {_slot_name(ch, s)}, not solved yet")
-                terms.append((-c * n, out[s]))
-        steps.append((*terms, (c, target)) if target is not None else tuple(terms))
-        for s in own:
-            out[s] = eps + len(steps)
-
-    for q, s in enumerate(layout.slots):
-        for x in orbit(s):
-            out[x] = q
-    for row, unknown, tor in _inverse_equations(tree, d, anchors):
-        solve(row, unknown, eps if tor else None)
-    if None in out:
-        raise InversePlanError(f"recorded inverse: {_slot_name(ch, out.index(None))} is unsolved")
-    return InversePlan(layout, tuple(steps), tuple(out))
+    steps, out = al.back_substitute(
+        "recorded inverse", ch.size, layout.slots, len(layout.slots) + 1,
+        _inverse_equations(tree, d, anchors), lambda s: _slot_name(ch, s), ch.rotation)
+    return InversePlan(layout, steps, out)
 
 
 def _inverse_equations(tree: OrientedTree, d: int, anchors: Anchors) -> list:
-    """The explicit inverse's equations in the paper's order, each (row, unknown, tor):
-    row = epsilon if tor, else row = 0, solved for the chart slot unknown.
+    """The explicit inverse's equations in the paper's order, each (row, unknown, target):
+    row = epsilon's plan slot ``target`` (0 if None), solved for the chart slot unknown.
 
     A balance row is its lhs less its rhs.  At d = 2 tor′ fixes v[r̄][0].  At d = 4 tor′
     reads the coupled j0 orbit (at the representative's minus-neighbour) or j′ orbit (at
@@ -551,6 +511,7 @@ def _inverse_equations(tree: OrientedTree, d: int, anchors: Anchors) -> list:
     tables, ch = al.index_tables(d), chart(tree, d)
     rep, v_bar = anchors.reps[anchors.t_bar], ch.v_start[anchors.r_bar]
     tor, = recorded_rows(tree, d, _tor_forms, anchors)
+    eps = len(free_layout(tree, d, anchors).slots)
 
     def z_bar(j: TripleIndex) -> int:
         return ch.z_start[rep] + ch.z_offset[j]
@@ -559,7 +520,7 @@ def _inverse_equations(tree: OrientedTree, d: int, anchors: Anchors) -> list:
         return [*lhs, *((-n, s) for n, s in rhs)]
 
     if d == 2:
-        return [(tor, v_bar, True)]
+        return [(tor, v_bar, eps)]
     if d == 4:
         cls = classify(tree)
         right = rep in cls.s_right
@@ -567,16 +528,16 @@ def _inverse_equations(tree: OrientedTree, d: int, anchors: Anchors) -> list:
             raise AnchorError("anchor plaque is single-sided at d=4; pick mixed-side anchors")
         coupled = (tables.j_zero, tables.j_prime)
         first, second = coupled if right else coupled[::-1]
-        equations = [(tor, z_bar(first), True),
-                     (minus(*ch.balance[tables.i_zero]), z_bar(second), False)]
+        equations = [(tor, z_bar(first), eps),
+                     (minus(*ch.balance[tables.i_zero]), z_bar(second), None)]
     else:
-        equations = [(minus(*ch.balance[tables.i_zero]), z_bar(tables.j_zero), False)
+        equations = [(minus(*ch.balance[tables.i_zero]), z_bar(tables.j_zero), None)
                      ] if d % 2 == 0 else []
-        equations.append((tor, z_bar(tables.j_prime), True))
+        equations.append((tor, z_bar(tables.j_prime), eps))
         equations += [(minus(ch.balance[d - i1, i1][1], ch.balance[i1, d - i1][1]),
-                       z_bar(al.rot_plus((i1 - 1, d - i1, 1))), False)
+                       z_bar(al.rot_plus((i1 - 1, d - i1, 1))), None)
                       for i1 in range((d - 1) // 2, 1, -1)]
-    return equations + [(minus(*ch.balance[i]), v_bar + i[0] - 1, False) for i in tables.A_prime]
+    return equations + [(minus(*ch.balance[i]), v_bar + i[0] - 1, None) for i in tables.A_prime]
 
 
 def i2_inverse(tree: OrientedTree, free: FreeCoords, eps, anchors: Optional[Anchors] = None,

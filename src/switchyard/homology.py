@@ -19,6 +19,8 @@ for each id it reads; `_require` names the first that lacks them, in
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import algebra as al
@@ -242,65 +244,63 @@ def solver_plan(lifts: CoverLifts, d: int, order: str = "low_first") -> SolverPl
 
 
 def _record_plan(lifts: CoverLifts, d: int, order: str) -> SolverPlan:
+    # the slots are numbered as the plan's lanes: the inputs, then the tree edges by id
+    n, switches = d - 1, lifts.tree.track.switch_ids
+    rects, solved, equations, last = _solver_equations(lifts, d, order)
+    vectors, inputs = (*rects, *sorted(solved)), n * (len(switches) + len(rects))
+    steps, out = al.back_substitute(
+        "tree solver", n * (len(switches) + len(vectors)), range(inputs), inputs, equations,
+        lambda s: f"{_vector_name(switches, vectors, s // n)} lane {s % n}")
+    last = tuple(tuple((m, out[s]) for m, s in row) for row in last)
+    return SolverPlan(rects, steps, solved, last)
+
+
+def _solver_equations(lifts: CoverLifts, d: int, order: str):
+    """``(rects, solved, equations, last)`` over `_record_plan`'s slots.  A switch's rows are
+    its equation at lift (s, 0): w[s] (its hat negated where s has tree bit 1) less each end's
+    sign(port) * (u, or hat(u) if flipped).  Each leaf's rows, taken in ``order``, solve the
+    lanes of its pending edge, and ``last`` holds the rows of the switch left over."""
     tree = lifts.tree
-    track = tree.track
-    slots = track.slot_map()
-    n = d - 1
+    track, slots, n = tree.track, tree.track.slot_map(), d - 1
     rects = tuple(sorted(r.id for r in track.rects if r.id not in tree.edges))
-    # each vector reads d-1 consecutive lanes, its hat the same lanes reversed;
-    # ``lanes`` holds the v_free vectors and then the solved ones, by rectangle id
     w_lanes = {s: range(n * q, n * q + n) for q, s in enumerate(track.switch_ids)}
-    lanes = {r: range(n * q, n * q + n) for q, r in enumerate(rects, len(w_lanes))}
+    lanes = {r: range(n * q, n * q + n)
+             for q, r in enumerate((*rects, *sorted(tree.edges)), len(w_lanes))}
+    m0, m1, m2 = (1 if is_big(p) else -1 for p in PORTS)  # -sign(port)
+    read = {}  # each slot's u in rows 0..d-2, reversed (hat(u)) where its lift keyed 0 is not u's
+    for key, (rid, e) in slots.items():
+        flip = (0 if e == 0 else lifts.end_bit(rid, 0, 1)) != lifts.r_bit[rid]
+        read[key] = lanes[rid][::-1] if flip else lanes[rid]
 
-    # each incident end contributes sign(port) * (u, or hat(u) when flipped) at lift (s, 0)
-    def end_term(rid: int, e: int) -> Tuple[int, bool]:
-        p = track.rect_by_id[rid].end(e)[1]
-        b_here = 0 if e == 0 else lifts.end_bit(rid, 0, 1)  # lift keyed 0 at this end
-        return -1 if is_big(p) else 1, b_here != lifts.r_bit[rid]
+    def rows(s: int) -> List[al.Row]:
+        b = tree.bit(s)
+        cols = zip(w_lanes[s][::-1] if b else w_lanes[s], *(read[s, p] for p in PORTS))
+        return [((1 - 2 * b, x), (m0, y0), (m1, y1), (m2, y2)) for x, y0, y1, y2 in cols]
 
-    tree_edge_at: Dict[int, List[Tuple[int, int]]] = {s: [] for s in track.switch_ids}
+    ends = {s: set() for s in track.switch_ids}  # the ports of tree edges not solved yet
     for rid in tree.edges:
-        for e in (0, 1):
-            tree_edge_at[track.rect_by_id[rid].end(e)[0]].append((rid, e))
-
-    def pending(s: int) -> List[Tuple[int, int]]:
-        # the ends at s of tree edges not solved yet
-        return [(rid, e) for rid, e in tree_edge_at[s] if rid not in lanes]
-
-    def residual(s: int):
-        # the equation at (s, 0): rhs minus every known end term, as (coefficient, lanes)
-        terms = [(1, w_lanes[s]) if tree.bit(s) == 0 else (-1, w_lanes[s][::-1])]
-        for rid, e in (slots[(s, p)] for p in PORTS):
-            if rid in lanes:
-                sign, flip = end_term(rid, e)
-                terms.append((-sign, lanes[rid][::-1] if flip else lanes[rid]))
-        return terms
-
-    def rows(terms) -> Tuple[al.Row, ...]:
-        return tuple(tuple((m, ln[k]) for m, ln in terms) for k in range(n))
-
-    steps: List[al.Row] = []
-    solved: List[int] = []
-    leaves = sorted(s for s in track.switch_ids if len(pending(s)) == 1)
-    reverse = order == "high_first"
+        for s, p in track.rect_by_id[rid].ends:
+            ends[s].add(p)
+    equations, solved = [], []
+    leaves = sorted(s for s in track.switch_ids if len(ends[s]) == 1)
     while len(solved) < len(tree.edges):
-        leaves.sort(reverse=reverse)
+        leaves.sort(reverse=order == "high_first")
         s = leaves.pop(0)
-        if len(pending(s)) != 1:  # stripped already, or not a leaf yet
+        if len(ends[s]) != 1:  # its edge is solved from the far end
             continue
-        rid, e = pending(s)[0]
-        # the unknown enters as sign * (u or hat(u)); undo both on the residual
-        sign, flip = end_term(rid, e)
-        first = n * (len(w_lanes) + len(lanes))
-        steps += rows([(sign * m, ln[::-1] if flip else ln) for m, ln in residual(s)])
-        lanes[rid] = range(first, first + n)
+        p, = ends[s]
+        rid, e = slots[s, p]
+        equations += sorted(zip(rows(s), read[s, p], repeat(None)), key=itemgetter(1))
         solved.append(rid)
-        s_other = track.rect_by_id[rid].end(1 - e)[0]
-        if len(pending(s_other)) == 1:
+        s_other, p_other = track.rect_by_id[rid].end(1 - e)
+        ends[s_other].remove(p_other)
+        if len(ends[s_other]) == 1:
             leaves.append(s_other)
+    return rects, tuple(solved), equations, rows(s_other)  # s_other is the one switch left
 
-    # the far end of the last edge solved is the one switch left
-    return SolverPlan(rects, tuple(steps), tuple(solved), rows(residual(s_other)))
+
+def _vector_name(switches, rects, q: int) -> str:  # vector q: w by switch, then by rectangle
+    return f"switch {switches[q]}" if q < len(switches) else f"rectangle {rects[q - len(switches)]}"
 
 
 def solve_tree(
@@ -321,21 +321,15 @@ def solve_tree(
     a key for any other id, a tree edge among them, is refused.
     """
     plan = solver_plan(lifts, d, order)
-    n = d - 1
-    switches = lifts.tree.track.switch_ids
-
-    def where(q: int) -> str:  # vector q of w, then of v_free
-        if q < len(switches):
-            return f"switch {switches[q]}"
-        return f"rectangle {plan.rects[q - len(switches)]}"
-
+    n, switches = d - 1, lifts.tree.track.switch_ids
     for name, ids, given in (("switch", switches, w), ("rectangle", plan.rects, v_free)):
         _require(name, ids, given, n)
         if len(given) != len(ids):  # every id is there, so some key is not one
             unread = [i for i in given if i not in ids]
             raise ValueError(f"{name} coefficients the solver does not read: {unread}")
     vecs = [w[s] for s in switches] + [v_free[r] for r in plan.rects]
-    lanes = al.unpack(kind, [x for vec in vecs for x in vec], lambda q: where(q // n))
+    lanes = al.unpack(kind, [x for vec in vecs for x in vec],
+                      lambda q: _vector_name(switches, plan.rects, q // n))
     out = al.run(kind, plan.steps + plan.last, lanes)
     first = len(plan.steps)
     zero = al.zero_lane(kind)

@@ -606,6 +606,39 @@ class TestRun:
         assert got == [0.0, math.nextafter(al.TWO_PI, 0.0)]
 
 
+class TestBackSubstitute:
+    """The one recorder of a solved plan, on a few slots named "slot <s>"."""
+
+    name = "slot {}".format
+
+    def test_solves_in_turn_over_plan_lanes(self):
+        # x2 = x0 + x1 from x2 - x0 - x1 = 0, then x3 = eps - x2 from x3 + x2 = eps (lane 9)
+        equations = [(((1, 2), (-1, 0), (-1, 1)), 2, None), (((1, 3), (1, 2)), 3, 9)]
+        steps, out = al.back_substitute("t", 4, (0, 1), 10, equations, self.name)
+        assert out == (0, 1, 10, 11)
+        assert steps == (((1, 0), (1, 1)), ((1, 9), (-1, 10)))
+
+    def test_a_rotation_orbit_shares_one_plan_lane(self):
+        turn = ((4, 5, 6), (5, 6, 4))
+        steps, out = al.back_substitute("t", 7, (0, 1, 2, 3), 4,
+                                        [(((1, 5), (-1, 0)), 4, None)], self.name, turn)
+        assert out == (0, 1, 2, 3, 4, 4, 4) and steps == (((1, 0),),)
+        with pytest.raises(al.PlanError, match="^t: slot 4 has coefficient 2$"):
+            al.back_substitute("t", 7, (0, 1, 2, 3), 4, [(((1, 4), (1, 6)), 4, None)],
+                               self.name, turn)
+
+    @pytest.mark.parametrize("equations,message", [
+        ([(((2, 2), (1, 0)), 2, None)], "slot 2 has coefficient 2"),
+        ([(((1, 2), (-1, 2), (1, 0)), 2, None)], "slot 2 has coefficient 0"),
+        ([(((1, 0),), 0, None)], "slot 0 is solved already"),
+        ([(((1, 2), (1, 3)), 2, None)], "slot 2 is solved from slot 3, not solved yet"),
+        ([(((1, 2), (1, 0)), 2, None)], "slot 3 is unsolved"),
+    ])
+    def test_a_plan_it_cannot_record_names_the_slot(self, equations, message):
+        with pytest.raises(al.PlanError, match=f"^t: {message}$"):
+            al.back_substitute("t", 4, (0, 1), 10, equations, self.name)
+
+
 class TestGroupElement:
     def test_repr_is_the_dataclass_form(self):
         assert repr(al.real(1)) == "GroupElement(kind='real', value=1.0)"

@@ -521,3 +521,30 @@ def test_pinned_solver_plans_are_unchanged():
                                     tuple(map(merged, plan.steps)),
                                     tuple(map(merged, plan.last)))).encode())
     assert digest.hexdigest() == SOLVER_PLAN_DIGEST
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_solver_plan_with_a_step_dropped_or_swapped_is_not_recorded(d, monkeypatch):
+    # a dropped step leaves its lane unsolved, or read by a later row before it is
+    # solved; a leaf's block moved before the block whose edge it reads reads it unsolved
+    (track, _), _ = io.load(DATA / "track_g2_s1.json", io.track_from_json)
+    lifts = orientation_cover(maximal_tree(track, seed=1))
+    real = hm._solver_equations
+    rects, solved, equations, last = real(lifts, d, "low_first")
+    n = d - 1
+    blocks = [equations[n * q:n * q + n] for q in range(len(solved))]
+    edits = [equations[:q] + equations[q + 1:] for q in range(len(equations))]
+    for q in range(len(blocks) - 1):
+        first, second = blocks[q], blocks[q + 1]
+        if {u for _, u, _ in first} & {s for row, _, _ in second for _, s in row}:
+            edits.append([*equations[:n * q], *second, *first, *equations[n * q + 2 * n:]])
+    assert len(edits) > len(equations)
+    for edited in edits:
+        monkeypatch.setattr(hm, "_solver_equations", lambda *args: (rects, solved, edited, last))
+        for _ in range(2):
+            with pytest.raises(al.PlanError,
+                               match=r"^tree solver: (switch|rectangle) -?\d+ lane \d+ "):
+                hm.solver_plan(lifts, d)
+    assert not [key for key in getattr(lifts, "_memo", {}) if key[0] == "solver_plan"]
+    monkeypatch.setattr(hm, "_solver_equations", real)
+    assert hm.solver_plan(lifts, d) is lifts._memo["solver_plan", d, "low_first"]

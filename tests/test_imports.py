@@ -1,4 +1,5 @@
-"""Every name a module of `switchyard` imports at top level is read in that module."""
+"""Every name a module of `switchyard` imports at top level is read in that module, and
+the modules import each other only down README's layering."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,33 @@ def test_no_unused_imports(path):
     unused = [f"line {line}: {name}" for name, line in _imported(tree, source.splitlines())
               if name not in read]
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _switchyard_modules(path: Path, top_level: bool):
+    """The `switchyard` modules ``path`` imports: at top level only, or anywhere in it."""
+    tree = ast.parse(path.read_text())
+    for node in tree.body if top_level else ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("switchyard" + (f".{node.module}" if node.module else "") if node.level
+                      else node.module)
+            names = ([f"{module}.{alias.name}" for alias in node.names] if module == "switchyard"
+                     else [module])
+        else:
+            continue
+        yield from (name.split(".")[1] for name in names if name.startswith("switchyard."))
+
+
+def test_algebra_imports_no_other_module():
+    # every plan's recorder and lane runner sit below the modules that state the plans
+    assert set(_switchyard_modules(SRC / "algebra.py", top_level=False)) == set()
+
+
+@pytest.mark.parametrize("name", ["cocyclic", "slither", "io", "cli"])
+def test_no_chart_module_imports_homology_at_top_level(name):
+    assert "homology" not in set(_switchyard_modules(SRC / f"{name}.py", top_level=True))
+
+
+def test_obstruction_imports_only_algebra():
+    assert set(_switchyard_modules(SRC / "obstruction.py", top_level=False)) == {"algebra"}
