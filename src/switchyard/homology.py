@@ -27,7 +27,8 @@ from . import algebra as al
 from .algebra import GA, GroupElement, memo
 from .cocyclic import ZField, check_diamond
 from .io import lane_to_json
-from .traintrack import PORTS, CoverLifts, OrientedTree, TrainTrack, classify, is_big
+from .traintrack import (PORTS, RIGHT, CoverLifts, OrientedTree, TrainTrack, classify, exit_side,
+                         is_big)
 
 
 class SolvabilityViolated(ValueError):
@@ -116,30 +117,15 @@ def hat(c: _Chain) -> _Chain:
     return type(c)(c.kind, c.d, {k: ga_hat(v) for k, v in c.coeffs.items()})
 
 
-def forward_end(track: TrainTrack, lifts: CoverLifts, rid: int, lift_bit: int) -> int:
-    """End index at which the oriented core of this lift terminates.
-
-    The core is oriented to cross each tie from its right to its left; in
-    the canonical frame it therefore travels toward the big side of the end
-    switch.
-    """
-    r = track.rect_by_id[rid]
-    for e in (0, 1):
-        p = r.end(e)[1]
-        bit = lifts.end_bit(rid, lift_bit, e)
-        if (not is_big(p) and bit == 0) or (is_big(p) and bit == 1):
-            return e
-    raise AssertionError("no forward end found")
-
-
 def boundary(lifts: CoverLifts, c: Chain1) -> Chain0:
+    """Each lift's core, crossing every tie from its right to its left, leaves through
+    the end that exits right in the lift's frame (+1) and enters through the other (-1)."""
     track = lifts.tree.track
     terms = []
     for (rid, b), g in c.coeffs.items():
-        fwd = forward_end(track, lifts, rid, b)
-        r = track.rect_by_id[rid]
-        for e in (0, 1):
-            terms.append((1 if e == fwd else -1, (r.end(e)[0], lifts.end_bit(rid, b, e)), g))
+        for e, (s, p) in enumerate(track.rect_by_id[rid].ends):
+            bit = lifts.end_bit(rid, b, e)
+            terms.append((1 if exit_side(p, bit) == RIGHT else -1, (s, bit), g))
     return Chain0._summed(c.kind, c.d, terms)
 
 
@@ -269,7 +255,7 @@ def _solver_equations(lifts: CoverLifts, d: int, order: str):
     m0, m1, m2 = (1 if is_big(p) else -1 for p in PORTS)  # -sign(port)
     read = {}  # each slot's u in rows 0..d-2, reversed (hat(u)) where its lift keyed 0 is not u's
     for key, (rid, e) in slots.items():
-        flip = (0 if e == 0 else lifts.end_bit(rid, 0, 1)) != lifts.r_bit[rid]
+        flip = lifts.end_bit(rid, 0, e) != lifts.r_bit[rid]
         read[key] = lanes[rid][::-1] if flip else lanes[rid]
 
     def rows(s: int) -> List[al.Row]:

@@ -61,6 +61,8 @@ class RelatorWord:
     __setattr__ = __delattr__ = al.frozen_attribute
 
     def __init__(self, symbols: Tuple[Tuple[str, int], ...]):
+        if not symbols:
+            raise ValueError("a relator word needs at least one generator")
         seen: Dict[str, List[int]] = {}
         for name, exp in symbols:
             if exp not in (1, -1):
@@ -134,7 +136,6 @@ def lifted_rep(relator: RelatorWord, matrices: Mapping[str, np.ndarray],
         elif m.shape[0] != d:
             raise ValueError("generator matrices have mixed sizes")
         mats[name] = m
-    assert d is not None
     # every check in one stacked call; the first bad generator is named.  A
     # non-finite entry is refused first: its nan determinant fails no comparison
     stack = np.array(list(mats.values()))

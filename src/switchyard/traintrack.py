@@ -126,9 +126,10 @@ def exit_side(port: str, bit: int) -> str:
     return RIGHT if bit == 0 else LEFT
 
 
-def transport_preserves(p0: str, p1: str) -> bool:
-    # Crossing a rectangle keeps the canonical frame iff the port kinds differ.
-    return is_big(p0) != is_big(p1)
+def transport(bit: int, p0: str, p1: str) -> int:
+    """The frame bit at a rectangle's far end (port p1) given ``bit`` at its near end
+    (port p0): crossing keeps the canonical frame iff the port kinds differ."""
+    return bit if is_big(p0) != is_big(p1) else bit ^ 1
 
 
 # Boundary-walk corners are ints: (s, port, y) is 6*s + 2*rank + y, rank the port's
@@ -208,7 +209,7 @@ class TrainTrack:
 
 
 def _trace_plaques(track: TrainTrack) -> Tuple[Plaque, ...]:
-    track.slot_map()
+    slots, rects = track.slot_map(), track.rect_by_id
     g = track.genus
     if g < 2:
         raise GenusMismatch(f"genus {g} < 2")
@@ -217,21 +218,15 @@ def _trace_plaques(track: TrainTrack) -> Tuple[Plaque, ...]:
             f"expected {12 * g - 12} switches / {18 * g - 18} rectangles, "
             f"got {len(track.switch_ids)} / {len(track.rects)}"
         )
-    # Connectivity of the switch graph.
-    adj: Dict[int, List[int]] = {s: [] for s in track.switch_ids}
-    for r in track.rects:
-        adj[r.end0[0]].append(r.end1[0])
-        adj[r.end1[0]].append(r.end0[0])
-    reach = _reach(track.switch_ids[0], adj.__getitem__)
+    other_end = {a: rects[rid][2 - e] for a, (rid, e) in slots.items()}
+    reach = _reach(track.switch_ids[0], other_end)
     if len(reach) != len(track.switch_ids):
         raise DisconnectedTrack(f"only {len(reach)} of {len(track.switch_ids)} switches reachable")
     cells = track._trace_cells()
+    # each switch has one cusp, so all-trigon cells number 4g-4 and chi = 2-2g follows
     for cusps in cells:
         if len(cusps) != 3:
             raise CellShapeError(f"cell crosses {len(cusps)} switch cusps, expected 3")
-    euler = (len(track.switch_ids) - len(track.rects)) + len(cells)
-    if euler != 2 - 2 * g:
-        raise GenusMismatch(f"euler characteristic {euler} != {2 - 2 * g}")
     plaques = []
     for cusps in cells:
         ccw = tuple(reversed(cusps))
@@ -244,14 +239,17 @@ def _map_plaque_of_switch(track: TrainTrack) -> Dict[int, Plaque]:
     return {t: pl for pl in track.plaques for t in pl.switches_ccw}
 
 
-def _reach(start: int, neighbours) -> set:
-    """The switches reachable from ``start`` along ``neighbours(switch)``."""
+def _reach(start: int, other_end: Mapping[Slot, Slot]) -> set:
+    """The switches reachable from ``start`` along rectangles; ``other_end`` maps every
+    slot of a reached switch to the slot at the other end of its rectangle."""
     reach, todo = {start}, [start]
     while todo:
-        for n in neighbours(todo.pop()):
-            if n not in reach:
-                reach.add(n)
-                todo.append(n)
+        s = todo.pop()
+        for p in PORTS:
+            t = other_end[s, p][0]
+            if t not in reach:
+                reach.add(t)
+                todo.append(t)
     return reach
 
 
@@ -384,15 +382,7 @@ def _grow(pairing: Dict[Slot, Slot], g: int, seed: int, attempt: int) -> Dict[Sl
         free[:0] = (a, b)
     cap = int(min(MAX_SEARCH_NODES, 4 * len(free) * 1.5 ** attempt))
     grown = _pair_slots(fixed, free, rng, cap)
-    reach, todo = {0}, [0]  # the switches reachable from switch 0 through grown's pairs
-    while todo:
-        s = todo.pop()
-        for p in PORTS:
-            t = grown[s, p][0]
-            if t not in reach:
-                reach.add(t)
-                todo.append(t)
-    if len(reach) < n_sw:
+    if len(_reach(0, grown)) < n_sw:
         raise FixtureSearchError("the re-paired track is disconnected")
     return grown
 
@@ -579,7 +569,7 @@ def _propagate(track: TrainTrack, edges: FrozenSet[int], root: int, root_bit: in
             (s0, p0), (s1, p1) = r.ends
             if s1 == s:
                 s0, p0, s1, p1 = s1, p1, s0, p0
-            nb = o[s0] if transport_preserves(p0, p1) else o[s0] ^ 1
+            nb = transport(o[s0], p0, p1)
             if s1 not in o:
                 o[s1] = nb
                 todo.append(s1)
@@ -671,16 +661,10 @@ def _classify(tree: OrientedTree) -> Classification:
         if len(sides) < 2:
             continue
         (s0, p0), (s1, p1) = r.ends
-        transported = o[s0] if transport_preserves(p0, p1) else o[s0] ^ 1
-        if transported == o[s1]:
+        if transport(o[s0], p0, p1) == o[s1]:
             orientable_set.add(r.id)
-            assert sides[0] != sides[1]
-        elif sides[0] == LEFT:
-            assert sides[1] == LEFT
-            u_left.add(r.id)
-        else:
-            assert sides[1] == RIGHT
-            u_right.add(r.id)
+        else:  # the far bit is flipped, so both ends exit on one side
+            (u_left if sides[0] == LEFT else u_right).add(r.id)
     s_left = frozenset(s for s in o if o[s] == 1)
     s_right = frozenset(s for s in o if o[s] == 0)
     return Classification(
@@ -710,11 +694,10 @@ class CoverLifts:
         vars(self).update(tree=tree, r_bit=r_bit)
 
     def end_bit(self, rid: int, lift_bit: int, e: int) -> int:
-        r = self.tree.track.rect_by_id[rid]
         if e == 0:
             return lift_bit
-        (_, p0), (_, p1) = r.ends
-        return lift_bit if transport_preserves(p0, p1) else lift_bit ^ 1
+        (_, p0), (_, p1) = self.tree.track.rect_by_id[rid].ends
+        return transport(lift_bit, p0, p1)
 
 
 def orientation_cover(tree: OrientedTree) -> CoverLifts:

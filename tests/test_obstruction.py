@@ -49,6 +49,9 @@ class TestRelatorWord:
             ob.RelatorWord((("a", 1), ("a", -1), ("a", 1)))
         with pytest.raises(ValueError):
             ob.RelatorWord((("a", 2), ("a", -1)))
+        # an empty word names no generator, so `lifted_rep` would find no matrix size
+        with pytest.raises(ValueError, match="^a relator word needs at least one generator$"):
+            ob.RelatorWord(())
         with pytest.raises(ValueError):
             ob.standard_relator(1)
 

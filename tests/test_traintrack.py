@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from switchyard import io
 from switchyard import traintrack as tt
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,18 @@ def _two_copies(track, shift=100):
     copy = [tt.Rect(r.id + shift, *((s + shift, p) for s, p in r.ends)) for r in track.rects]
     switches = [*track.switch_ids, *(s + shift for s in track.switch_ids)]
     return tt.TrainTrack(2 * track.genus - 1, switches, [*track.rects, *copy])
+
+
+def _malformed(track):
+    """Altered copies of a genus-2 ``track``: every swap of two rectangles' end1 slots (most
+    break a cell), each rectangle removed (an unused slot) and two disjoint copies (a
+    disconnected track)."""
+    n = len(track.rects)
+    malformed = [_swapped_ends(track, a, b) for a in range(n) for b in range(a + 1, n)]
+    malformed += [tt.TrainTrack(2, track.switch_ids, track.rects[:i] + track.rects[i + 1:])
+                  for i in range(n)]
+    malformed.append(_two_copies(track))
+    return malformed
 
 
 class TestValidation:
@@ -152,15 +168,34 @@ class TestValidation:
             tree = tt.maximal_tree(track, seed=seed)
             classes = [tuple(sorted(part)) for part in tt.classify(tree)]
             digest.update(repr((track.plaques, tt.boundary_walk(tree), classes)).encode())
-        n = len(g2.rects)
-        malformed = [_swapped_ends(g2, a, b) for a in range(n) for b in range(a + 1, n)]
-        malformed += [tt.TrainTrack(2, g2.switch_ids, g2.rects[:i] + g2.rects[i + 1:])
-                      for i in range(n)]
-        malformed.append(_two_copies(g2))
-        errors = [tt.validate(track).errors for track in malformed]
+        errors = [tt.validate(track).errors for track in _malformed(g2)]
         assert {e[0][0] for e in errors if e} == {"cell_shape", "unused_slot", "disconnected"}
         digest.update(repr(errors).encode())
         assert digest.hexdigest() == self.WALK_DIGEST
+
+    def test_counts_and_trigons_force_the_euler_characteristic(self, g2):
+        # every slot used once gives each switch one cusp, so all-trigon cells number
+        # (12g-12)/3 = 4g-4 and chi = 2-2g: `validate` needs no Euler check of its own
+        tracks = _malformed(g2)
+        for name in ("track_g2_s1", "track_g2_s7", "track_g3_s2"):
+            (track, _), _ = io.load(DATA / f"{name}.json", io.track_from_json)
+            tracks.append(track)
+        held = 0
+        for track in tracks:
+            g = track.genus
+            try:
+                track.slot_map()
+            except tt.TrackError:
+                continue
+            if (len(track.switch_ids), len(track.rects)) != (12 * g - 12, 18 * g - 18):
+                continue
+            cells = track._trace_cells()
+            if all(len(cusps) == 3 for cusps in cells):
+                assert len(track.switch_ids) - len(track.rects) + len(cells) == 2 - 2 * g
+                held += 1
+        # the six swaps that leave every cell a trigon, the disconnected pair of copies
+        # and the three data tracks
+        assert held == 10
 
     def test_disconnected_handle_is_retried(self):
         # seed 14's first genus-3 attempt pairs a track that falls apart; the
@@ -378,6 +413,15 @@ class TestTrees:
 
 
 class TestCover:
+    @pytest.mark.parametrize("p0, p1, b0", itertools.product(tt.PORTS, tt.PORTS, (0, 1)))
+    def test_one_end_exits_right(self, p0, p1, b0):
+        # a lift's core leaves through the end that exits right in its frame, and a
+        # rectangle has exactly one such end, whatever its ports and frame bit; with
+        # the far bit flipped, as on an unorientable rectangle, both ends exit alike
+        b1 = tt.transport(b0, p0, p1)
+        assert [tt.exit_side(p0, b0), tt.exit_side(p1, b1)].count(tt.RIGHT) == 1
+        assert tt.exit_side(p0, b0) == tt.exit_side(p1, b1 ^ 1)
+
     def test_lift_equations(self, g2):
         tree = tt.maximal_tree(g2, seed=2)
         lifts = tt.orientation_cover(tree)
